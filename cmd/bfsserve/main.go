@@ -183,7 +183,7 @@ func main() {
 		fatal(err)
 	}
 
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	httpSrv := newHTTPServer(*addr, srv.Handler())
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -209,6 +209,23 @@ func main() {
 		fatal(err)
 	}
 	<-done
+}
+
+// maxBodyBytes bounds every request body. A /v1/query body is a few
+// dozen bytes; anything past the bound is refused before it is decoded.
+const maxBodyBytes = 64 << 10
+
+// readHeaderTimeout bounds how long a client may take to send its
+// request headers, so idle half-open connections cannot pile up.
+const readHeaderTimeout = 10 * time.Second
+
+// newHTTPServer fronts h with the body limit and the header timeout.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           http.MaxBytesHandler(h, maxBodyBytes),
+		ReadHeaderTimeout: readHeaderTimeout,
+	}
 }
 
 func fatal(err error) {

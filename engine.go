@@ -271,7 +271,7 @@ type engine1D struct {
 func (e *engine1D) boundTo() *Graph { return e.g }
 
 func (e *engine1D) rebind(g *Graph) error {
-	dg, err := bfs1d.Distribute(g.el, e.lay.ranks)
+	dg, err := bfs1d.FromCSR(g.csr, e.lay.ranks)
 	if err != nil {
 		return err
 	}
@@ -346,7 +346,7 @@ type engine2D struct {
 func (e *engine2D) boundTo() *Graph { return e.g }
 
 func (e *engine2D) rebind(g *Graph) error {
-	dg, err := bfs2d.Distribute(g.el, e.lay.pr, e.lay.pc, e.lay.threads)
+	dg, err := bfs2d.FromCSR(g.csr, e.lay.pr, e.lay.pc, e.lay.threads)
 	if err != nil {
 		return err
 	}
@@ -438,7 +438,7 @@ type engineBase struct {
 func (e *engineBase) boundTo() *Graph { return e.g }
 
 func (e *engineBase) rebind(g *Graph) error {
-	dg, err := bfs1d.Distribute(g.el, e.lay.ranks)
+	dg, err := bfs1d.FromCSR(g.csr, e.lay.ranks)
 	if err != nil {
 		return err
 	}

@@ -81,12 +81,12 @@ func RunEmulated(el *graph.EdgeList, cfg EmuConfig) (*EmuResult, error) {
 	var pr, pc int
 	switch cfg.Algo {
 	case perfmodel.OneDFlat, perfmodel.OneDHybrid, perfmodel.Reference, perfmodel.PBGL:
-		g1, err = bfs1d.Distribute(el, cfg.Ranks)
+		g1, err = bfs1d.FromCSR(ref, cfg.Ranks)
 	case perfmodel.TwoDFlat, perfmodel.TwoDHybrid:
 		// The emulated 2D driver accepts any factorization; use the
 		// paper's closest-square grid for the rank count.
 		pr, pc = cluster.ClosestSquare(cfg.Ranks)
-		g2, err = bfs2d.Distribute(el, pr, pc, threads)
+		g2, err = bfs2d.FromCSR(ref, pr, pc, threads)
 	default:
 		return nil, fmt.Errorf("bench: unsupported algorithm %v", cfg.Algo)
 	}

@@ -2,7 +2,6 @@ package bfs1d
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/graph"
@@ -29,15 +28,15 @@ type Graph struct {
 	// ranks, the m̂ the direction-switching heuristic measures unexplored
 	// work against.
 	TotalAdj int64
-	// Symmetric declares that the edge list held both directions of
-	// every edge (a symmetrized/undirected graph), letting Ins alias the
-	// push CSRs instead of building an O(m) transpose. Set it before the
-	// first non-top-down Run; Distribute cannot infer it.
+	// Symmetric declares that the CSR held both directions of every edge
+	// (a symmetrized/undirected graph), letting Ins alias the push CSRs
+	// instead of building an O(m) transpose. Set it before the first
+	// non-top-down Run; FromCSR cannot infer it.
 	Symmetric bool
 
-	// el is retained so the in-adjacency (the bottom-up phase's pull
-	// structure) can be built lazily on first use.
-	el     *graph.EdgeList
+	// csr is the whole-graph CSR the locals alias; the in-adjacency (the
+	// bottom-up phase's pull structure) is transposed from it lazily.
+	csr    *graph.CSR
 	inOnce sync.Once
 	ins    []*LocalGraph
 }
@@ -55,66 +54,47 @@ func Distribute(el *graph.EdgeList, p int) (*Graph, error) {
 			return nil, fmt.Errorf("bfs1d: edge (%d,%d) out of range", e.U, e.V)
 		}
 	}
-	g := &Graph{Part: pt, Locals: buildLocals(el, pt, false), el: el}
-	for _, lg := range g.Locals {
-		g.TotalAdj += lg.NumEdges()
+	csr, err := graph.BuildCSR(el, true)
+	if err != nil {
+		return nil, err
 	}
-	return g, nil
+	return FromCSR(csr, p)
 }
 
-// buildLocals constructs each rank's local CSR. With transpose false the
-// CSR stores out-edges of owned vertices (the top-down push structure);
-// with transpose true it stores in-edges (the bottom-up pull structure):
-// row v of rank Owner(v) holds the sources u of edges u -> v. For a
-// symmetrized edge list the two are identical by construction.
-func buildLocals(el *graph.EdgeList, pt Part1D, transpose bool) []*LocalGraph {
-	p := pt.P
-	locals := make([]*LocalGraph, p)
-
-	// Bucket edges by owner, then build each local CSR. Self-loops are
-	// dropped and duplicate adjacencies collapsed in both orientations.
-	buckets := make([][]graph.Edge, p)
-	for _, e := range el.Edges {
-		if transpose {
-			e = graph.Edge{U: e.V, V: e.U}
-		}
-		o := pt.Owner(e.U)
-		buckets[o] = append(buckets[o], e)
+// FromCSR distributes a CSR among p ranks: rank i's local graph is rows
+// [Start(i), End(i)) of csr. The locals alias csr's adjacency array, so
+// csr must be sorted and duplicate-free (graph.BuildCSR with dedup) and
+// must not be modified afterwards; each local allocates only its rebased
+// row offsets.
+func FromCSR(csr *graph.CSR, p int) (*Graph, error) {
+	pt := Part1D{N: csr.NumVerts, P: p}
+	if err := pt.Validate(); err != nil {
+		return nil, err
 	}
-	for rank := 0; rank < p; rank++ {
-		nloc := pt.Count(rank)
-		start := pt.Start(rank)
-		lg := &LocalGraph{XAdj: make([]int64, nloc+1)}
-		es := buckets[rank]
-		sort.Slice(es, func(i, j int) bool {
-			if es[i].U != es[j].U {
-				return es[i].U < es[j].U
-			}
-			return es[i].V < es[j].V
-		})
-		var prev graph.Edge
-		for i, e := range es {
-			if e.U == e.V {
-				continue // self-loop
-			}
-			if i > 0 && e == prev {
-				continue // duplicate
-			}
-			prev = e
-			lg.XAdj[e.U-start+1]++
-			lg.Adj = append(lg.Adj, e.V)
+	return &Graph{Part: pt, Locals: rowBlocks(csr, pt), TotalAdj: csr.NumEdges(), csr: csr}, nil
+}
+
+// rowBlocks cuts csr into the partition's per-rank row blocks. Each Adj
+// is a capacity-capped subslice of csr.Adj, so an append to one rank's
+// adjacency can never write into the next rank's rows.
+func rowBlocks(csr *graph.CSR, pt Part1D) []*LocalGraph {
+	locals := make([]*LocalGraph, pt.P)
+	for rank := range locals {
+		lo, hi := pt.Start(rank), pt.End(rank)
+		base, end := csr.XAdj[lo], csr.XAdj[hi]
+		xadj := make([]int64, hi-lo+1)
+		for k := range xadj {
+			xadj[k] = csr.XAdj[lo+int64(k)] - base
 		}
-		for i := int64(0); i < nloc; i++ {
-			lg.XAdj[i+1] += lg.XAdj[i]
-		}
-		locals[rank] = lg
+		locals[rank] = &LocalGraph{XAdj: xadj, Adj: csr.Adj[base:end:end]}
 	}
 	return locals
 }
 
 // Ins returns the per-rank in-adjacency CSRs used by the bottom-up
 // phase, building them on first call (outside any timed region: like
-// Distribute itself, the pull structure is static per graph). For a
+// the distribution itself, the pull structure is static per graph): row
+// v of rank Owner(v) holds the sources u of edges u -> v. For a
 // Symmetric graph the in-adjacency is the push CSR itself and no copy
 // is made. Safe for concurrent callers.
 func (g *Graph) Ins() []*LocalGraph {
@@ -123,7 +103,7 @@ func (g *Graph) Ins() []*LocalGraph {
 			g.ins = g.Locals
 			return
 		}
-		g.ins = buildLocals(g.el, g.Part, true)
+		g.ins = rowBlocks(g.csr.Transpose(), g.Part)
 	})
 	return g.ins
 }

@@ -51,58 +51,50 @@ func (g *Graph) Pulls() [][]*spmat.PullSplit {
 }
 
 // Distribute builds the 2D distribution of an edge list on a pr × pc
-// grid, splitting each block into threads row strips.
+// grid, splitting each block into threads row strips. Self-loops are
+// dropped and duplicate edges collapsed.
 func Distribute(el *graph.EdgeList, pr, pc, threads int) (*Graph, error) {
 	pt := Part2D{N: el.NumVerts, Pr: pr, Pc: pc}
 	if err := pt.Validate(); err != nil {
 		return nil, err
 	}
-	if threads < 1 {
-		threads = 1
-	}
-	buckets := make([][][]spmat.Triple, pr)
-	for i := range buckets {
-		buckets[i] = make([][]spmat.Triple, pc)
-	}
 	for _, e := range el.Edges {
 		if e.U < 0 || e.U >= pt.N || e.V < 0 || e.V >= pt.N {
 			return nil, fmt.Errorf("bfs2d: edge (%d,%d) out of range", e.U, e.V)
 		}
-		if e.U == e.V {
-			continue // self-loops never change BFS output
-		}
-		// Transposed entry: row = destination, col = source.
-		i := pt.RowBlockOf(e.V)
-		j := pt.ColBlockOf(e.U)
-		buckets[i][j] = append(buckets[i][j], spmat.Triple{
-			Row: e.V - pt.RowStart(i),
-			Col: e.U - pt.ColStart(j),
-		})
 	}
-	g := &Graph{Part: pt, Blocks: make([][]*spmat.RowSplit, pr)}
-	for i := 0; i < pr; i++ {
-		g.Blocks[i] = make([]*spmat.RowSplit, pc)
-		rows := pt.RowStart(i+1) - pt.RowStart(i)
-		for j := 0; j < pc; j++ {
-			cols := pt.ColStart(j+1) - pt.ColStart(j)
-			rs, err := spmat.NewRowSplit(rows, cols, buckets[i][j], threads)
-			if err != nil {
-				return nil, err
-			}
-			g.Blocks[i][j] = rs
-			buckets[i][j] = nil
-		}
+	csr, err := graph.BuildCSR(el, true)
+	if err != nil {
+		return nil, err
 	}
-	g.ColDegree = make([]int64, pt.N)
-	for i := range g.Blocks {
-		for j, blk := range g.Blocks[i] {
-			colLo := pt.ColStart(j)
-			for _, strip := range blk.Strips {
-				for k, c := range strip.JC {
-					g.ColDegree[colLo+c] += strip.CP[k+1] - strip.CP[k]
-				}
-			}
-		}
+	return FromCSR(csr, pr, pc, threads)
+}
+
+// FromCSR builds the 2D distribution of a sorted, duplicate-free CSR
+// (graph.BuildCSR with dedup) on a pr × pc grid, splitting each block
+// into threads row strips. Column u of the transposed blocks is CSR row
+// u, so the blocks fill in linear passes over the CSR with no sort, and
+// vertex u's column degree is its CSR degree.
+func FromCSR(csr *graph.CSR, pr, pc, threads int) (*Graph, error) {
+	pt := Part2D{N: csr.NumVerts, Pr: pr, Pc: pc}
+	if err := pt.Validate(); err != nil {
+		return nil, err
+	}
+	rowBounds := make([]int64, pr+1)
+	for i := range rowBounds {
+		rowBounds[i] = pt.RowStart(i)
+	}
+	colBounds := make([]int64, pc+1)
+	for j := range colBounds {
+		colBounds[j] = pt.ColStart(j)
+	}
+	g := &Graph{
+		Part:      pt,
+		Blocks:    spmat.TransposedBlocks(csr, rowBounds, colBounds, threads),
+		ColDegree: make([]int64, pt.N),
+	}
+	for u := range g.ColDegree {
+		g.ColDegree[u] = csr.Degree(int64(u))
 	}
 	return g, nil
 }

@@ -9,7 +9,7 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Edge is a directed edge from U to V.
@@ -85,10 +85,10 @@ func BuildCSR(el *EdgeList, dedup bool) (*CSR, error) {
 		xadj[i+1] += xadj[i]
 	}
 	adj := make([]int64, len(el.Edges))
-	cursor := make([]int64, n)
+	next := append([]int64(nil), xadj[:n]...)
 	for _, e := range el.Edges {
-		adj[xadj[e.U]+cursor[e.U]] = e.V
-		cursor[e.U]++
+		adj[next[e.U]] = e.V
+		next[e.U]++
 	}
 	g := &CSR{NumVerts: n, XAdj: xadj, Adj: adj}
 	g.sortAdjacencies()
@@ -100,8 +100,7 @@ func BuildCSR(el *EdgeList, dedup bool) (*CSR, error) {
 
 func (g *CSR) sortAdjacencies() {
 	for v := int64(0); v < g.NumVerts; v++ {
-		blk := g.Adj[g.XAdj[v]:g.XAdj[v+1]]
-		sort.Slice(blk, func(i, j int) bool { return blk[i] < blk[j] })
+		slices.Sort(g.Adj[g.XAdj[v]:g.XAdj[v+1]])
 	}
 }
 
@@ -127,6 +126,30 @@ func (g *CSR) dedupSelfAndParallel() *CSR {
 	}
 	newXAdj[g.NumVerts] = w
 	return &CSR{NumVerts: g.NumVerts, XAdj: newXAdj, Adj: newAdj[:w]}
+}
+
+// Transpose returns the CSR of the reversed graph: row v holds every u
+// with v in row u. One counting pass sizes the rows and one fill pass
+// visits the source rows in ascending order, so every transposed row
+// comes out sorted; a duplicate-free input gives a duplicate-free
+// output.
+func (g *CSR) Transpose() *CSR {
+	xadj := make([]int64, g.NumVerts+1)
+	for _, v := range g.Adj {
+		xadj[v+1]++
+	}
+	for v := int64(0); v < g.NumVerts; v++ {
+		xadj[v+1] += xadj[v]
+	}
+	adj := make([]int64, len(g.Adj))
+	next := append([]int64(nil), xadj[:g.NumVerts]...)
+	for u := int64(0); u < g.NumVerts; u++ {
+		for _, v := range g.Neighbors(u) {
+			adj[next[v]] = u
+			next[v]++
+		}
+	}
+	return &CSR{NumVerts: g.NumVerts, XAdj: xadj, Adj: adj}
 }
 
 // DegreeStats summarizes a degree distribution.

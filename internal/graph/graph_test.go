@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -155,6 +156,34 @@ func TestBuildCSRSorted(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 40}); err != nil {
+		t.Error(err)
+	}
+}
+
+// Property: the transpose of a deduplicated CSR is the deduplicated CSR
+// of the reversed edge list.
+func TestTransposeMatchesReversedBuild(t *testing.T) {
+	check := func(seed uint64) bool {
+		g := prng.New(seed)
+		n := int64(g.Intn(40) + 1)
+		el, rev := &EdgeList{NumVerts: n}, &EdgeList{NumVerts: n}
+		for i := g.Intn(300); i > 0; i-- {
+			e := Edge{g.Int64n(n), g.Int64n(n)}
+			el.Edges = append(el.Edges, e)
+			rev.Edges = append(rev.Edges, Edge{e.V, e.U})
+		}
+		csr, err := BuildCSR(el, true)
+		if err != nil {
+			return false
+		}
+		want, err := BuildCSR(rev, true)
+		if err != nil {
+			return false
+		}
+		got := csr.Transpose()
+		return got.NumVerts == n && slices.Equal(got.XAdj, want.XAdj) && slices.Equal(got.Adj, want.Adj)
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
 	}
 }

@@ -10,6 +10,8 @@ package rmat
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
 
 	"repro/internal/graph"
 	"repro/internal/prng"
@@ -108,7 +110,13 @@ func (p Params) Generate() (*graph.EdgeList, error) {
 	return p.GenerateRange(0, p.NumEdges())
 }
 
+// minChunk is the fewest edges worth a generator goroutine.
+const minChunk = 1 << 12
+
 // GenerateRange produces edges [lo, hi) of the deterministic sequence.
+// Up to GOMAXPROCS workers fill disjoint chunks of one preallocated
+// slice; every edge draws from its own stream, so the result does not
+// depend on the worker count.
 func (p Params) GenerateRange(lo, hi int64) (*graph.EdgeList, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -116,10 +124,23 @@ func (p Params) GenerateRange(lo, hi int64) (*graph.EdgeList, error) {
 	if lo < 0 || hi < lo || hi > p.NumEdges() {
 		return nil, fmt.Errorf("rmat: range [%d,%d) out of bounds [0,%d)", lo, hi, p.NumEdges())
 	}
-	edges := make([]graph.Edge, 0, hi-lo)
-	for i := lo; i < hi; i++ {
-		edges = append(edges, p.Edge(i))
+	edges := make([]graph.Edge, hi-lo)
+	workers := int64(runtime.GOMAXPROCS(0))
+	if most := (hi - lo + minChunk - 1) / minChunk; workers > most {
+		workers = most
 	}
+	var wg sync.WaitGroup
+	for w := int64(0); w < workers; w++ {
+		a, b := w*(hi-lo)/workers, (w+1)*(hi-lo)/workers
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := a; k < b; k++ {
+				edges[k] = p.Edge(lo + k)
+			}
+		}()
+	}
+	wg.Wait()
 	return &graph.EdgeList{NumVerts: p.NumVerts(), Edges: edges}, nil
 }
 

@@ -1,6 +1,7 @@
 package rmat
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -68,6 +69,33 @@ func TestDeterministicAndSliceable(t *testing.T) {
 	for i := range pieced {
 		if pieced[i] != whole.Edges[i] {
 			t.Fatalf("edge %d: %v != %v", i, pieced[i], whole.Edges[i])
+		}
+	}
+}
+
+// TestGenerateRangeIndependentOfCores: the parallel fill must equal the
+// serial Edge(i) sequence whatever the worker count, including ranges
+// whose ends fall inside a worker's chunk and ranges too small to split.
+func TestGenerateRangeIndependentOfCores(t *testing.T) {
+	p := Graph500(12, 8, 0x2a)
+	m := p.NumEdges()
+	ranges := [][2]int64{{0, m}, {3, m - 5}, {1, 9999}, {4095, 4097}, {777, 777}}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 7} {
+		runtime.GOMAXPROCS(procs)
+		for _, r := range ranges {
+			el, err := p.GenerateRange(r[0], r[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if int64(len(el.Edges)) != r[1]-r[0] {
+				t.Fatalf("GOMAXPROCS=%d [%d,%d): %d edges", procs, r[0], r[1], len(el.Edges))
+			}
+			for k, e := range el.Edges {
+				if want := p.Edge(r[0] + int64(k)); e != want {
+					t.Fatalf("GOMAXPROCS=%d [%d,%d): edge %d is %v, want %v", procs, r[0], r[1], r[0]+int64(k), e, want)
+				}
+			}
 		}
 	}
 }

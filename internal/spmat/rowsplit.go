@@ -19,19 +19,11 @@ type RowSplit struct {
 
 // NewRowSplit builds a t-strip row split from triples.
 func NewRowSplit(rows, cols int64, ts []Triple, t int) (*RowSplit, error) {
-	if t < 1 {
-		t = 1
-	}
-	if int64(t) > rows && rows > 0 {
-		t = int(rows)
-	}
 	if err := checkTriples(rows, cols, ts); err != nil {
 		return nil, err
 	}
-	rs := &RowSplit{Rows: rows, Cols: cols, Offsets: make([]int64, t+1)}
-	for s := 0; s <= t; s++ {
-		rs.Offsets[s] = int64(s) * rows / int64(t)
-	}
+	rs := &RowSplit{Rows: rows, Cols: cols, Offsets: stripOffsets(rows, t)}
+	t = len(rs.Offsets) - 1
 	buckets := make([][]Triple, t)
 	for _, tr := range ts {
 		s := rs.stripOf(tr.Row)
@@ -46,6 +38,23 @@ func NewRowSplit(rows, cols int64, ts []Triple, t int) (*RowSplit, error) {
 		rs.Strips[s] = d
 	}
 	return rs, nil
+}
+
+// stripOffsets returns the row boundaries of a t-strip split of rows:
+// t is raised to 1 and capped at a nonzero rows, so a strip is empty
+// only when the whole split is.
+func stripOffsets(rows int64, t int) []int64 {
+	if t < 1 {
+		t = 1
+	}
+	if int64(t) > rows && rows > 0 {
+		t = int(rows)
+	}
+	offsets := make([]int64, t+1)
+	for s := range offsets {
+		offsets[s] = int64(s) * rows / int64(t)
+	}
+	return offsets
 }
 
 func (rs *RowSplit) stripOf(row int64) int {

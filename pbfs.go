@@ -113,7 +113,8 @@ func (d Direction) String() string {
 // Graph is a graph ready for traversal and benchmarking. Graphs are
 // undirected (symmetrized) unless built with NewDirectedGraph.
 type Graph struct {
-	el       *graph.EdgeList
+	// csr is the sorted, deduplicated adjacency every engine distributes
+	// from; the edge list it was built from is not kept.
 	csr      *graph.CSR
 	directed bool
 	// family names the workload family the graph came from ("rmat",
@@ -188,7 +189,7 @@ func fromEdgeList(el *graph.EdgeList, family string) (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Graph{el: el, csr: csr, family: family}, nil
+	return &Graph{csr: csr, family: family}, nil
 }
 
 // NumVerts returns the vertex count.

@@ -75,6 +75,8 @@ go test -race -run 'Session|CrossShape|RectGrid' .
 go test -race -short -run 'Conformance' .
 go test -race ./internal/cluster ./internal/smp
 go test -race -run 'Rect|Overlap' ./internal/bfs2d
+# The R-MAT generator fills one edge slice from GOMAXPROCS workers.
+go test -race ./internal/rmat
 
 echo "== race smoke (bit-parallel multi-source kernels) =="
 # The MS-BFS batch path: word-wide mask kernels and merges, the batched

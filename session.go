@@ -104,9 +104,10 @@ func (s *Session) engineLocked(lay layout, g *Graph) (engine, error) {
 // searches (each engine's arena serves one run at a time), so a server
 // wanting K concurrent batches checks out K sessions; Get blocks until
 // one is free, which is the pool's concurrency limit. Every member
-// session caches its own engine per resolved configuration — a pool of
-// K serving one layout pays K distributions in total, each amortized
-// over all the traffic that member carries.
+// session caches its own engine per resolved configuration, each built
+// from the Graph's one CSR in linear passes. The 1D members' local
+// graphs alias that CSR's adjacency, so a pool of K copies only row
+// offsets K times; the 2D members each hold their own DCSC blocks.
 type SessionPool struct {
 	ch   chan *Session
 	once sync.Once
