@@ -1,0 +1,102 @@
+package pbfs
+
+import (
+	"fmt"
+	"math"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// simFingerprint renders a run's simulated clock bit-exactly: the
+// IEEE-754 bits of the total simulated time and of every per-tag
+// communication time (in sorted tag order), plus the scanned-edge
+// counters.
+func simFingerprint(sim float64, phases map[string]float64, td, bu int64) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "sim=%016x td=%d bu=%d", math.Float64bits(sim), td, bu)
+	tags := make([]string, 0, len(phases))
+	for tag := range phases {
+		tags = append(tags, tag)
+	}
+	sort.Strings(tags)
+	for _, tag := range tags {
+		fmt.Fprintf(&b, " %s=%016x", tag, math.Float64bits(phases[tag]))
+	}
+	return b.String()
+}
+
+// TestSimTimeGolden pins the simulated clock of every distributed
+// layout bit for bit: single-source searches under each direction
+// policy and one 8-source batch per layout, on a fixed R-MAT instance
+// priced with the Franklin profile. Volumes alone (TestCommVolumeTraceGolden)
+// would not notice a change to when words move or how local work is
+// charged; this golden does.
+func TestSimTimeGolden(t *testing.T) {
+	g, err := NewRMATGraph(10, 8, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srcs := g.Sources(8, 9)
+	golden := []struct {
+		algo  Algorithm
+		dir   Direction
+		batch bool
+		want  string
+	}{
+		{OneDFlat, Auto, false,
+			"sim=3f37549ef677567d td=383 bu=384 a2a=3f172b8a17519d85 allreduce=3f27f2ea31a65a0a bitmap=3f14ef58f16667ca"},
+		{OneDFlat, TopDownOnly, false,
+			"sim=3f33c756affecf97 td=10780 bu=0 a2a=3f24b041b7ec7c26 allreduce=3f2127c596cd8c65"},
+		{OneDFlat, BottomUpOnly, false,
+			"sim=3f290b3523898332 td=0 bu=19796 bitmap=3f2614ffc16bc5a2"},
+		{OneDFlat, Auto, true,
+			"sim=3f4b25c928ad922d td=111 bu=21095 a2a=3f0cd5cf8501eab0 allreduce=3f3d9ef4a253d264 bitmap=3f3105eea3d985e6"},
+		{OneDHybrid, Auto, false,
+			"sim=3f391fe6ed62d90c td=383 bu=384 a2a=3f15397ff2615876 allreduce=3f27e2e25a4a1acc bitmap=3f1494d9e3ae072e"},
+		{OneDHybrid, TopDownOnly, false,
+			"sim=3f344fcc57424255 td=10780 bu=0 a2a=3f2203c4f556c87c allreduce=3f211281b7d09152"},
+		{OneDHybrid, BottomUpOnly, false,
+			"sim=3f2ae6c93c0d6632 td=0 bu=19796 bitmap=3f24dda287ffbe3a"},
+		{OneDHybrid, Auto, true,
+			"sim=3f4837c030933803 td=111 bu=21095 a2a=3f0bb6cab8e897bc allreduce=3f3d234faa261d8c bitmap=3f22bedaacf074ae"},
+		{TwoDFlat, Auto, false,
+			"sim=3f3d118ef8caba4b td=383 bu=566 allreduce=3f2ecb90e448a752 bitmap=3f117014e5eb2be0 expand=3f0496317c9c2a3b fold=3f13ad5da60b5d74 transpose=3ef475b66e1940c8"},
+		{TwoDFlat, TopDownOnly, false,
+			"sim=3f36f1e2dd8fa596 td=10780 bu=0 allreduce=3f2166b4ded22f7c expand=3f14b486c9a20ece fold=3f1650177d46be06 transpose=3f013c8ac232b755"},
+		{TwoDFlat, BottomUpOnly, false,
+			"sim=3f395e9cb5b13bf4 td=0 bu=19978 allreduce=3f21a18216264f4e bitmap=3f232e7d634f7d0f fold=3f143d7e6c95cb1a"},
+		{TwoDFlat, Auto, true,
+			"sim=3f50c1fdb6b09df0 td=111 bu=21634 allreduce=3f3d73b374efbdae bitmap=3f332674193da4e6 expand=3efd04255c38989f fold=3f2211d6d3472086 transpose=3eeb5af1b586d76e"},
+		{TwoDHybrid, Auto, false,
+			"sim=3f3d18c4c2c9300f td=383 bu=566 allreduce=3f2eb8497dba7a6b bitmap=3f112393d8e55ee8 expand=3f047b6ab80d55b3 fold=3f11d6d2a2334d0b transpose=3ef475b66e1940c8"},
+		{TwoDHybrid, TopDownOnly, false,
+			"sim=3f354a7039ef7d0b td=10780 bu=0 allreduce=3f21240d65133632 expand=3f11f4b051d317a6 fold=3f1284f7a47b6fc9 transpose=3f013c8ac232b754"},
+		{TwoDHybrid, BottomUpOnly, false,
+			"sim=3f37fc2e470cc53c td=0 bu=19978 allreduce=3f2122655fca22cc bitmap=3f22da55d4fc4ece fold=3f11faaa82546b85"},
+		{TwoDHybrid, Auto, true,
+			"sim=3f4ae2f2e8902dcf td=111 bu=21634 allreduce=3f3d171f4a55e11c bitmap=3f25164544605fc5 expand=3efbb38722ebdfb3 fold=3f18b1eb52a77549 transpose=3eeb5af1b586d76e"},
+	}
+	sess := NewSession()
+	defer sess.Close()
+	for _, gc := range golden {
+		opt := Options{Algorithm: gc.algo, Ranks: 4, Machine: "franklin", Direction: gc.dir}
+		var got string
+		if gc.batch {
+			res, err := sess.BFSBatch(g, srcs, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = simFingerprint(res.SimTime, res.CommByPhase, res.ScannedTopDown, res.ScannedBottomUp)
+		} else {
+			res, err := sess.Search(g, srcs[0], opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = simFingerprint(res.SimTime, res.CommByPhase, res.ScannedTopDown, res.ScannedBottomUp)
+		}
+		if got != gc.want {
+			t.Errorf("%v/%v batch=%v:\n got %s\nwant %s", gc.algo, gc.dir, gc.batch, got, gc.want)
+		}
+	}
+}
