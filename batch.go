@@ -92,9 +92,6 @@ func (b *BatchResult) MachineTEPS() float64 {
 // The engine (distribution, world, arenas — including the batch mask
 // planes) is the same cached engine Search uses for opt's layout, so
 // mixing Search and BFSBatch on one session pays one distribution.
-// Options.Overlap is ignored by the batched level loop: its exchanges
-// are blocking, because batching already amortizes the collectives the
-// overlapped schedule would hide.
 func (s *Session) BFSBatch(g *Graph, sources []int64, opt Options) (*BatchResult, error) {
 	if g == nil {
 		return nil, fmt.Errorf("pbfs: nil graph")

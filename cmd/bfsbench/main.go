@@ -55,7 +55,6 @@ func main() {
 		benchOut   = flag.String("bench-out", "", "write wall-clock level-loop benchmarks to this JSON file (e.g. BENCH_bfs.json) and exit")
 		benchScale = flag.Int("bench-scale", 16, "R-MAT scale for -bench-out and -counterfactual")
 		counterfac = flag.Bool("counterfactual", false, "print the decision-replay regret table for the standard configurations at -bench-scale and exit (deterministic: identical output every run)")
-		overlap    = flag.Int("overlap", 4, "chunk count for the -bench-out overlapped-communication rows (<2 skips them)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (inspect with go tool pprof)")
 		memProfile = flag.String("memprofile", "", "write a heap profile at exit to this file (inspect with go tool pprof)")
 	)
@@ -107,7 +106,7 @@ func main() {
 	}
 
 	if *benchOut != "" {
-		rep, err := bench.WallClock(*benchScale, 16, 0xbf, *overlap)
+		rep, err := bench.WallClock(*benchScale, 16, 0xbf)
 		if err != nil {
 			fatal(err)
 		}

@@ -47,9 +47,8 @@ func main() {
 		sources    = flag.Int("sources", 1, "number of Graph 500 search keys to run")
 		validate   = flag.Bool("validate", true, "validate against the serial oracle")
 		direction  = flag.String("direction", "auto", "traversal policy: auto, topdown, bottomup")
-		overlap    = flag.Int("overlap", 0, "overlap communication with computation: chunk count K >= 2 for the nonblocking frontier exchange (0 = blocking)")
 		trace      = flag.Bool("trace", false, "print the per-level frontier profile")
-		traceDecis = flag.Bool("trace-decisions", false, "record each search's policy decisions, replay every rejected alternative (forced direction, chunk count, grid shape), and print the per-decision regret table; requires -machine")
+		traceDecis = flag.Bool("trace-decisions", false, "record each search's policy decisions, replay every rejected alternative (forced direction, grid shape), and print the per-decision regret table; requires -machine")
 		batch      = flag.Bool("batch", false, "traverse all -sources searches as one bit-parallel multi-source batch (up to 64 per word) instead of sequentially")
 	)
 	flag.Parse()
@@ -108,7 +107,7 @@ func main() {
 		Algorithm: algo, Ranks: *ranks, Threads: *threads,
 		GridRows: gridRows, GridCols: gridCols,
 		Machine: *machine, Kernel: *kernel, Direction: dir,
-		Overlap: *overlap, Trace: *trace,
+		Trace: *trace,
 	}
 	if *traceDecis && *batch {
 		fatal(fmt.Errorf("-trace-decisions replays per-source searches; it cannot combine with -batch"))
@@ -268,7 +267,7 @@ func printDecisions(sess *pbfs.Session, g *pbfs.Graph, src int64, opt pbfs.Optio
 			cf.Alternative, cf.AltSim, cf.Regret)
 	}
 	worst := rep.MaxNegativeRegret()
-	for _, kind := range []decis.Kind{decis.KindDirection, decis.KindChunkK, decis.KindGrid} {
+	for _, kind := range []decis.Kind{decis.KindDirection, decis.KindGrid} {
 		if w := worst[kind]; w < 0 {
 			fmt.Printf("    heuristic left %.3e s on the table (%s)\n", -w, kind)
 		}

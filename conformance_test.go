@@ -1,11 +1,9 @@
 package pbfs_test
 
 // Randomized cross-algorithm conformance harness: every algorithm ×
-// direction policy × overlap setting × grid shape must agree with the
-// serial oracle — bit-identical distances, valid parents, identical
-// traversal accounting — and overlap must never change a configuration's
-// modeled communication volume, on a seeded stream of adversarial
-// graphs (R-MAT, web crawls, directed, disconnected, single-vertex,
+// direction policy × grid shape must agree with the serial oracle —
+// bit-identical distances, valid parents, identical traversal
+// accounting — on a seeded stream of adversarial graphs (R-MAT, web crawls, directed, disconnected, single-vertex,
 // self-loops, stars, paths).
 //
 // Failures print the graph seed; replay one seed in isolation with
@@ -166,7 +164,6 @@ func conformanceOneGraph(t *testing.T, seed int64) {
 	if int64(ranks) > g.NumVerts() {
 		ranks = int(g.NumVerts())
 	}
-	const overlapChunks = 3
 	// Two grid shapes per seed out of {closest square, 1×R, R×1}, rotated
 	// so every shape family sees many seeds.
 	shapeSet := [][2]int{{0, 0}, {1, ranks}, {ranks, 1}}
@@ -175,45 +172,36 @@ func conformanceOneGraph(t *testing.T, seed int64) {
 	sess := pbfs.NewSession()
 	defer sess.Close()
 
-	check := func(opt pbfs.Options, what string) *pbfs.Result {
+	check := func(opt pbfs.Options, what string) {
 		res, err := sess.Search(g, src, opt)
 		if err != nil {
 			fail("%s %s: %v", desc, what, err)
-			return nil
+			return
 		}
 		for v := range ref.Dist {
 			if res.Dist[v] != ref.Dist[v] {
 				fail("%s %s: dist[%d]=%d, serial %d", desc, what, v, res.Dist[v], ref.Dist[v])
-				return nil
+				return
 			}
 		}
 		if err := g.Validate(res); err != nil {
 			fail("%s %s: %v", desc, what, err)
-			return nil
+			return
 		}
 		if res.Levels != ref.Levels {
 			fail("%s %s: levels %d, serial %d", desc, what, res.Levels, ref.Levels)
-			return nil
+			return
 		}
 		if res.TraversedEdges != ref.TraversedEdges {
 			fail("%s %s: traversed %d, serial %d", desc, what, res.TraversedEdges, ref.TraversedEdges)
-			return nil
 		}
-		return res
 	}
 
 	dirs := []pbfs.Direction{pbfs.Auto, pbfs.TopDownOnly, pbfs.BottomUpOnly}
 	for _, algo := range []pbfs.Algorithm{pbfs.OneDFlat, pbfs.OneDHybrid} {
 		for _, dir := range dirs {
 			opt := pbfs.Options{Algorithm: algo, Ranks: ranks, Direction: dir}
-			base := check(opt, fmt.Sprintf("%v/%v", algo, dir))
-			opt.Overlap = overlapChunks
-			ov := check(opt, fmt.Sprintf("%v/%v/overlap", algo, dir))
-			if base != nil && ov != nil &&
-				(base.SentWords != ov.SentWords || base.RecvWords != ov.RecvWords) {
-				fail("%s %v/%v: overlap changed comm volume %d/%d -> %d/%d",
-					desc, algo, dir, base.SentWords, base.RecvWords, ov.SentWords, ov.RecvWords)
-			}
+			check(opt, fmt.Sprintf("%v/%v", algo, dir))
 		}
 	}
 	for _, algo := range []pbfs.Algorithm{pbfs.TwoDFlat, pbfs.TwoDHybrid} {
@@ -223,19 +211,11 @@ func conformanceOneGraph(t *testing.T, seed int64) {
 					Algorithm: algo, Ranks: ranks, Direction: dir,
 					GridRows: shape[0], GridCols: shape[1],
 				}
-				what := fmt.Sprintf("%v/%v/grid=%dx%d", algo, dir, shape[0], shape[1])
-				base := check(opt, what)
-				opt.Overlap = overlapChunks
-				ov := check(opt, what+"/overlap")
-				if base != nil && ov != nil &&
-					(base.SentWords != ov.SentWords || base.RecvWords != ov.RecvWords) {
-					fail("%s %s: overlap changed comm volume %d/%d -> %d/%d",
-						desc, what, base.SentWords, base.RecvWords, ov.SentWords, ov.RecvWords)
-				}
+				check(opt, fmt.Sprintf("%v/%v/grid=%dx%d", algo, dir, shape[0], shape[1]))
 			}
 		}
 	}
-	// Comparator codes: top-down by construction, no overlap knob.
+	// Comparator codes: top-down by construction.
 	for _, algo := range []pbfs.Algorithm{pbfs.Reference, pbfs.PBGL} {
 		check(pbfs.Options{Algorithm: algo, Ranks: ranks}, algo.String())
 	}

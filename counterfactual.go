@@ -49,8 +49,8 @@ func (rep *CounterfactualReport) MaxNegativeRegret() map[decis.Kind]float64 {
 // Counterfactual records one search's policy decisions and replays each
 // rejected alternative through the session's deterministic engines: the
 // base search runs with tracing on, then every decision is flipped —
-// one at a time — to each alternative it rejected (a forced direction,
-// a forced chunk count, an alternate grid shape) and the search re-runs
+// one at a time — to each alternative it rejected (a forced direction
+// or an alternate grid shape) and the search re-runs
 // under the flip. Replays assert bit-identical distances (decisions
 // never affect correctness; a divergence is an engine bug and returns
 // an error) and report per-decision regret as the simulated-time delta.
@@ -99,7 +99,7 @@ func (s *Session) Counterfactual(g *Graph, source int64, opt Options) (*Counterf
 }
 
 // forcedOptions builds the replay options that flip decision d to alt:
-// direction and chunk flips ride a one-entry force plan on the same
+// direction flips ride a one-entry force plan on the same
 // layout, grid flips pin the alternate shape explicitly (their own
 // layout, same distances).
 func forcedOptions(opt Options, d decis.Decision, alt string) (Options, error) {
@@ -113,12 +113,6 @@ func forcedOptions(opt Options, d decis.Decision, alt string) (Options, error) {
 			return Options{}, err
 		}
 		fopt.force = &decis.Plan{Dir: map[int64]dirheur.Direction{d.Level: dir}}
-	case decis.KindChunkK:
-		k, err := decis.ParseChunk(alt)
-		if err != nil {
-			return Options{}, err
-		}
-		fopt.force = &decis.Plan{ChunkK: map[int64]int{d.Level: k}}
 	case decis.KindGrid:
 		pr, pc, err := decis.ParseGrid(alt)
 		if err != nil {

@@ -9,8 +9,7 @@ import (
 
 // TestDecisionsRecorded checks that a traced run under each distributed
 // driver records its policy decisions with the globally agreed inputs:
-// one direction decision per post-source level under Auto, chunk
-// decisions only when the overlap gate actually ran, and a grid
+// one direction decision per post-source level under Auto, and a grid
 // decision only for a derived 2D shape.
 func TestDecisionsRecorded(t *testing.T) {
 	g, err := NewRMATGraph(10, 8, 5)
@@ -23,13 +22,12 @@ func TestDecisionsRecorded(t *testing.T) {
 
 	for _, algo := range []Algorithm{OneDFlat, TwoDFlat} {
 		res, err := sess.Search(g, src, Options{
-			Algorithm: algo, Ranks: 4, Machine: "franklin",
-			Overlap: 4, Trace: true,
+			Algorithm: algo, Ranks: 4, Machine: "franklin", Trace: true,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		var dirs, chunks, grids int
+		var dirs, grids int
 		for _, d := range res.Decisions {
 			switch d.Kind {
 			case decis.KindDirection:
@@ -39,11 +37,6 @@ func TestDecisionsRecorded(t *testing.T) {
 				}
 				if len(d.Alternatives) != 1 || d.Alternatives[0] == d.Choice {
 					t.Errorf("%v: direction alternatives %v vs choice %q", algo, d.Alternatives, d.Choice)
-				}
-			case decis.KindChunkK:
-				chunks++
-				if d.HiddenSec < 0 || d.ExtraSec <= 0 {
-					t.Errorf("%v: chunk decision costs %+v", algo, d)
 				}
 			case decis.KindGrid:
 				grids++
@@ -58,9 +51,6 @@ func TestDecisionsRecorded(t *testing.T) {
 		// source level: one per traced frontier beyond the first.
 		if want := len(res.LevelFrontier) - 1; dirs < want {
 			t.Errorf("%v: %d direction decisions, want >= %d", algo, dirs, want)
-		}
-		if chunks == 0 {
-			t.Errorf("%v: no chunk decisions recorded with Overlap=4", algo)
 		}
 		wantGrids := 0
 		if algo == TwoDFlat {
@@ -108,7 +98,7 @@ func TestCounterfactualReplay(t *testing.T) {
 
 	for _, algo := range []Algorithm{OneDFlat, TwoDFlat} {
 		rep, err := sess.Counterfactual(g, src, Options{
-			Algorithm: algo, Ranks: 4, Machine: "franklin", Overlap: 2,
+			Algorithm: algo, Ranks: 4, Machine: "franklin",
 		})
 		if err != nil {
 			t.Fatalf("%v: %v", algo, err)
@@ -143,7 +133,7 @@ func TestCounterfactualDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := g.Sources(1, 9)[0]
-	opt := Options{Algorithm: TwoDFlat, Ranks: 4, Machine: "franklin", Overlap: 2}
+	opt := Options{Algorithm: TwoDFlat, Ranks: 4, Machine: "franklin"}
 
 	sess := NewSession()
 	defer sess.Close()

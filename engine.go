@@ -29,7 +29,6 @@ type layout struct {
 	machine string
 	kernel  spmat.Kernel
 	diag    bool
-	overlap int // nonblocking chunk count; 0 = blocking collectives
 }
 
 // resolveLayout validates and normalizes Options into a layout, so that
@@ -49,16 +48,6 @@ func resolveLayout(opt Options) (layout, error) {
 		diag:    opt.DiagonalVectors,
 	}
 	twoD := opt.Algorithm == TwoDFlat || opt.Algorithm == TwoDHybrid
-	// Overlap drives the drivers' chunked nonblocking exchanges; the
-	// comparator codes are blocking by construction, the diagonal 2D
-	// vector distribution has no overlapped schedule (DiagonalVectors is
-	// meaningless — and normalized away — for non-2D algorithms), and
-	// values below 2 all mean "blocking", so those spellings normalize
-	// to the same engine key.
-	if opt.Overlap >= 2 && (opt.Algorithm == OneDFlat || opt.Algorithm == OneDHybrid || twoD) &&
-		!(twoD && opt.DiagonalVectors) {
-		lay.overlap = opt.Overlap
-	}
 	if lay.ranks < 1 {
 		// A fully specified grid implies its own rank count; otherwise
 		// fall back to the library default.
@@ -187,8 +176,7 @@ type engine interface {
 	// searchBatch runs up to BatchWidth sources through one bit-parallel
 	// level loop when the engine has one, or a sequential per-source
 	// loop otherwise (the comparator codes, the diagonal 2D vector
-	// layout). Options.Overlap is ignored: the batched exchanges are
-	// blocking, since batching already amortizes the collectives.
+	// layout).
 	searchBatch(sources []int64, opt Options) (*BatchResult, error)
 	// rebind points the engine at a different facade graph, rebuilding
 	// the distribution while keeping the world, grid, and arenas.
@@ -291,7 +279,7 @@ func (e *engine1D) search(source int64, opt Options) (*Result, error) {
 	e.w.Reset()
 	out := bfs1d.Run(e.w, e.dg, source, bfs1d.Options{
 		Threads: e.lay.threads, LocalShortcut: true, DedupSends: true,
-		Direction: mode, Policy: policy, OverlapChunks: e.lay.overlap,
+		Direction: mode, Policy: policy,
 		Price: e.price, Trace: opt.Trace, Force: opt.force, Arena: &e.arena,
 	})
 	res := &Result{Source: source}
@@ -363,7 +351,7 @@ func (e *engine2D) search(source int64, opt Options) (*Result, error) {
 	e.w.Reset()
 	out, err := bfs2d.Run(e.w, e.grid, e.dg, source, bfs2d.Options{
 		Threads: e.lay.threads, Kernel: e.lay.kernel, Vector: e.vec,
-		Direction: mode, Policy: policy, OverlapChunks: e.lay.overlap,
+		Direction: mode, Policy: policy,
 		Price: e.price, Trace: opt.Trace, Force: opt.force, Arena: &e.arena,
 	})
 	if err != nil {

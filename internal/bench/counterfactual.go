@@ -10,7 +10,7 @@ import (
 
 // CounterfactualTable runs the decision-replay analysis on one R-MAT
 // instance across the four standard configurations (16 ranks, franklin
-// cost model, overlap 4 so the chunk gate actually decides) and writes
+// cost model) and writes
 // the per-decision regret table: every policy decision a traced search
 // took, each alternative it rejected, and the simulated-time delta of
 // replaying that alternative. Negative regret marks a level where the
@@ -47,7 +47,7 @@ func CounterfactualTable(w io.Writer, scale, ef int, seed uint64) error {
 		{"2d-hybrid", pbfs.TwoDHybrid},
 	} {
 		rep, err := sess.Counterfactual(g, src, pbfs.Options{
-			Algorithm: cfg.algo, Ranks: 16, Machine: "franklin", Overlap: 4,
+			Algorithm: cfg.algo, Ranks: 16, Machine: "franklin",
 		})
 		if err != nil {
 			return fmt.Errorf("bench: %s: %w", cfg.name, err)
@@ -61,7 +61,7 @@ func CounterfactualTable(w io.Writer, scale, ef int, seed uint64) error {
 		worst := rep.MaxNegativeRegret()
 		fmt.Fprintf(w, "%-10s %d decisions, %d replays, worst regret per kind:",
 			cfg.name, len(rep.Decisions), len(rep.Replays))
-		for _, kind := range []decis.Kind{decis.KindDirection, decis.KindChunkK, decis.KindGrid} {
+		for _, kind := range []decis.Kind{decis.KindDirection, decis.KindGrid} {
 			fmt.Fprintf(w, " %s=%.3e", kind, worst[kind])
 		}
 		fmt.Fprintln(w)

@@ -55,15 +55,6 @@ type WallResult struct {
 	MidScannedAuto     int64   `json:"midlevel_scanned_auto"`
 	MidReduction       float64 `json:"midlevel_reduction"`
 
-	// Overlapped-communication record (PR 5): the same search through
-	// the same engine layout but with Options.Overlap chunks, its
-	// simulated time, and the blocking/overlapped ratio. Distances and
-	// comm volumes are identical by construction (the conformance
-	// harness pins that); only the clock may move.
-	OverlapChunks     int     `json:"overlap_chunks"`
-	SimSecondsOverlap float64 `json:"sim_seconds_overlap"`
-	OverlapSpeedup    float64 `json:"overlap_speedup"`
-
 	// Amortized batch metrics (16-search Graph 500 batch).
 	BatchSearches     int     `json:"batch_searches"`
 	BatchSessionNs    float64 `json:"batch_session_ns"`
@@ -155,11 +146,9 @@ type WallReport struct {
 // through the public session API: real ns/op, bytes/op, and allocs/op
 // of a warm-session search via testing.Benchmark under the default
 // direction policy, each configuration's simulated time, TEPS, and
-// auto-vs-top-down scanned-edge record, the overlapped-communication
-// sim-time delta (Options.Overlap = overlapChunks; values below 2
-// skip the overlap rows), plus the amortized batch comparison (one
-// session for 16 searches vs 16 one-shot rebuilds).
-func WallClock(scale, ef int, seed uint64, overlapChunks int) (*WallReport, error) {
+// auto-vs-top-down scanned-edge record, plus the amortized batch
+// comparison (one session for 16 searches vs 16 one-shot rebuilds).
+func WallClock(scale, ef int, seed uint64) (*WallReport, error) {
 	g, err := pbfs.NewRMATGraph(scale, ef, seed)
 	if err != nil {
 		return nil, err
@@ -216,26 +205,6 @@ func WallClock(scale, ef int, seed uint64, overlapChunks int) (*WallReport, erro
 		}
 		res.SimSeconds = auto.SimTime
 		res.SimTEPS = auto.TEPS()
-		if overlapChunks >= 2 {
-			// Same search with the chunked nonblocking exchanges: a
-			// sibling engine in the same session (Overlap is part of the
-			// engine key), so the comparison is warm on both sides.
-			oOpt := opt
-			oOpt.Overlap = overlapChunks
-			ov, err := sess.Search(g, src, oOpt)
-			if err != nil {
-				return nil, err
-			}
-			if ov.SentWords != auto.SentWords || ov.RecvWords != auto.RecvWords {
-				return nil, fmt.Errorf("bench: overlap changed comm volume (%d/%d vs %d/%d)",
-					ov.SentWords, ov.RecvWords, auto.SentWords, auto.RecvWords)
-			}
-			res.OverlapChunks = overlapChunks
-			res.SimSecondsOverlap = ov.SimTime
-			if ov.SimTime > 0 {
-				res.OverlapSpeedup = auto.SimTime / ov.SimTime
-			}
-		}
 		res.ScannedTopDownOnly = td.ScannedTopDown
 		res.ScannedAutoTD = auto.ScannedTopDown
 		res.ScannedAutoBU = auto.ScannedBottomUp
@@ -427,13 +396,12 @@ func (rep *WallReport) WriteJSON(path string, w io.Writer) error {
 		rep.Scale, rep.EdgeFactor, path)
 	fmt.Fprintf(w, "host: %d cpus, GOMAXPROCS %d, %s, %s\n",
 		rep.Host.NumCPU, rep.Host.GOMAXPROCS, rep.Host.GoVersion, rep.Host.Timestamp)
-	fmt.Fprintf(w, "%-10s %6s %3s %14s %14s %12s %12s %12s %10s %10s\n",
-		"config", "ranks", "t", "ns/op", "allocs/op", "sim-s", "sim-TEPS",
-		"sim-overlap", "ov-speedup", "mid-reduc")
+	fmt.Fprintf(w, "%-10s %6s %3s %14s %14s %12s %12s %10s\n",
+		"config", "ranks", "t", "ns/op", "allocs/op", "sim-s", "sim-TEPS", "mid-reduc")
 	for _, r := range rep.Results {
-		fmt.Fprintf(w, "%-10s %6d %3d %14.0f %14.0f %12.3g %12.4g %12.3g %9.3fx %9.1fx\n",
+		fmt.Fprintf(w, "%-10s %6d %3d %14.0f %14.0f %12.3g %12.4g %9.1fx\n",
 			r.Config, r.Ranks, r.Threads, r.NsPerOp, r.AllocsPerOp, r.SimSeconds, r.SimTEPS,
-			r.SimSecondsOverlap, r.OverlapSpeedup, r.MidReduction)
+			r.MidReduction)
 	}
 	fmt.Fprintf(w, "1d hybrid/flat wall-clock overhead: %.2fx\n", rep.HybridOverhead1D)
 	fmt.Fprintf(w, "\n%-10s %8s %16s %16s %9s %14s %16s\n",

@@ -47,16 +47,6 @@ type Options struct {
 	// Policy overrides the direction-switch thresholds; zero fields fall
 	// back to dirheur.DefaultPolicy.
 	Policy dirheur.Policy
-	// OverlapChunks, when >= 2, overlaps communication with computation
-	// on top-down levels: the frontier all-to-all is split into that
-	// many chunks posted as nonblocking collectives, and the received
-	// discoveries of chunk i are integrated while chunk i+1 is in
-	// flight, so each chunk's level time is max(compute, comm) instead
-	// of their sum (the paper's Section 6 overlap evaluation). Values
-	// below 2 run the blocking exchange. Chunking never changes the
-	// exchanged volume or the computed distances; parent choices may
-	// differ (still valid BFS trees) because integration order changes.
-	OverlapChunks int
 	// Trace records the per-level discovery profile into the output
 	// (costs nothing: it reuses the termination allreduce's totals), and
 	// with it the per-level scanned-edge, direction, and communication
@@ -64,7 +54,7 @@ type Options struct {
 	Trace bool
 	// Force, when non-nil, overrides recorded decisions during a
 	// counterfactual replay: levels named in the plan take the forced
-	// direction or chunk count instead of the heuristic's choice, and
+	// direction instead of the heuristic's choice, and
 	// the heuristic continues from the forced state. Every input the
 	// plan is consulted with is globally agreed, so all ranks follow the
 	// same forced schedule. Distances are unaffected by construction.
@@ -93,8 +83,6 @@ type rankArena struct {
 	dist, parent []int64
 	fsBuf        [2][]int64
 	send         [][]int64
-	sendChunk    [][][]int64       // overlap: per-chunk views into send
-	reqs         []cluster.Request // overlap: in-flight chunk requests
 	dedup        *bits.Bitmap
 	pool         *smp.Pool
 	tstate       []threadScratch
@@ -155,11 +143,10 @@ type Output struct {
 	LevelBottomUp []bool
 	// LevelCommWords, when tracing, holds the words entered into
 	// collectives at each executed iteration, summed over ranks: the
-	// per-level communication volume profile. Overlap chunking must
-	// never change it — only the timing of the same words.
+	// per-level communication volume profile.
 	LevelCommWords []int64
 	// Decisions, when tracing, holds the policy decisions the run took
-	// (direction switches, overlap-gate verdicts) with the globally
+	// (direction switches) with the globally
 	// agreed inputs each heuristic saw. Recorded by rank 0: every rank
 	// computes the identical sequence from the same reduced statistics.
 	Decisions []decis.Decision
@@ -198,7 +185,6 @@ func Run(w *cluster.World, g *Graph, source int64, opt Options) *Output {
 	if t < 1 {
 		t = 1
 	}
-	overlap := opt.OverlapChunks
 	pt := g.Part
 	p := pt.P
 	world := w.WorldGroup()
@@ -333,67 +319,9 @@ func Run(w *cluster.World, g *Graph, source int64, opt Options) *Output {
 			enterBottomUp(fs)
 		}
 
-		// chunksFor decides a level's frontier-exchange chunk count from
-		// globally agreed statistics (the previous level's frontier size,
-		// known to every rank through the termination allreduce), so all
-		// ranks take the same decision and the collective schedules stay
-		// aligned. Chunking pays overlap-1 extra collective latencies to
-		// hide the early chunks' integration compute; on light levels,
-		// where the latency would dominate the hidden work, the single
-		// blocking exchange is the better trade and chunking is skipped.
-		// Without a pricer there is no clock to win or lose, so the
-		// chunked path always runs (correctness tests exercise it).
-		avgDeg := int64(1)
-		if pt.N > 0 && g.TotalAdj/pt.N > 1 {
-			avgDeg = g.TotalAdj / pt.N
-		}
-		chunksFor := func(level, prevNew int64) int {
-			if fk, ok := opt.Force.ForcedChunkK(level); ok {
-				return fk
-			}
-			if overlap < 2 {
-				return 1
-			}
-			if price == nil {
-				return overlap
-			}
-			// Per-rank exchange estimate: the new frontier's adjacency
-			// volume as (target, parent) pairs, of which (p-1)/p cross
-			// ranks, spread over p ranks; the send-side dedup filter
-			// roughly halves heavy levels on scale-free graphs and caps
-			// the volume at one pair per remote vertex.
-			est := prevNew * avgDeg * 2 * int64(p-1) / int64(p) / int64(p)
-			if opt.DedupSends {
-				est /= 2
-				if cap := 2 * (pt.N - pt.N/int64(p)); est > cap {
-					est = cap
-				}
-			}
-			// Follow-on chunks price at injection latency, not the full
-			// per-peer rendezvous (see cluster.IAlltoallv).
-			extra := float64(overlap-1) * w.Model.PointToPoint(0)
-			hidden := price.MemCost(est/2, pt.N/int64(p), est, 0) *
-				float64(overlap-1) / float64(overlap) / float64(t)
-			k, alt := overlap, 1
-			if hidden <= extra {
-				k, alt = 1, overlap
-			}
-			if opt.Trace && me == 0 {
-				decisions = append(decisions, decis.Decision{
-					Kind: decis.KindChunkK, Level: level,
-					Frontier: prevNew, EdgeEst: est,
-					HiddenSec: hidden, ExtraSec: extra,
-					Choice:       decis.ChunkChoice(k),
-					Alternatives: []string{decis.ChunkChoice(alt)},
-				})
-			}
-			return k
-		}
-
 		var level int64 = 1
 		var ns []int64
-		var prevSent int64  // per-level sent-volume cursor (Trace)
-		prevNew := int64(1) // previous level's global frontier size
+		var prevSent int64 // per-level sent-volume cursor (Trace)
 		for {
 			var totalNew, mfLocal, levScan int64
 			if cur == dirheur.BottomUp {
@@ -430,22 +358,11 @@ func Run(w *cluster.World, g *Graph, source int64, opt Options) *Output {
 				} else {
 					scanned = inPull.Pull(&ar.pullOut, front, ownVis, 0, 0)
 				}
-				// forCands visits the candidate vectors in commit order
-				// (thread-chunk order for the hybrid variant), so every
-				// application below is identical to the flat scan's.
-				forCands := func(fn func(lo int64, cand *spvec.Vec)) {
-					if t > 1 {
-						for th := range tstate {
-							lo := int64(th) * chunkSz
-							if lo > nloc {
-								lo = nloc
-							}
-							fn(lo, &tstate[th].pullOut)
-						}
-					} else {
-						fn(0, &ar.pullOut)
-					}
-				}
+				// commit applies one candidate vector: distances, parents,
+				// visited flags, and the new frontier's bits in the
+				// contribution bitmap. The hybrid variant's vectors are
+				// applied in thread-chunk order, so every application is
+				// identical to the flat scan's.
 				commit := func(lo int64, cand *spvec.Vec) {
 					for k, rl := range cand.Ind {
 						vl := lo + rl
@@ -454,65 +371,41 @@ func Run(w *cluster.World, g *Graph, source int64, opt Options) *Output {
 						ownVis.Set(vl)
 						mfLocal += lg.XAdj[vl+1] - lg.XAdj[vl]
 						newCount++
+						chunk.Set(start + vl)
 					}
+				}
+				if t > 1 {
+					for th := range tstate {
+						lo := int64(th) * chunkSz
+						if lo > nloc {
+							lo = nloc
+						}
+						commit(lo, &tstate[th].pullOut)
+					}
+				} else {
+					commit(0, &ar.pullOut)
 				}
 				scannedBU[me] += scanned
 				levScan = scanned
+				// Charge the pull: one random frontier-bitmap probe per
+				// scanned entry, the adjacency and visited-flag streams,
+				// plus the hybrid variant's serial apply and barriers.
+				if price != nil {
+					par := price.MemCost(scanned, bitmapWords, scanned+nloc, scanned)
+					serialOverhead := 0.0
+					if t > 1 {
+						serialOverhead = price.MemCost(0, 0, 2*newCount, 3*threadBarrierOps)
+					}
+					r.Charge(par/float64(t) + serialOverhead)
+				}
 
 				// ---- Dense frontier exchange (bitmap allgather) ----
 				// Replaces the sparse all-to-all: the new frontier moves
 				// as one N-bit bitmap assembled from owned word chunks,
 				// and termination needs no extra allreduce — every rank
 				// counts the same combined bitmap.
-				if overlap > 1 {
-					// Overlapped form: deposit the new-frontier bits and
-					// post the exchange first, then commit distances,
-					// parents, and visited flags while the bitmap is in
-					// flight. The split is exact — the pull-scan share of
-					// the level's charge moves before the post, the
-					// commit share after it — so the overlapped run hides
-					// the commit under the allgather without changing the
-					// total computation priced.
-					forCands(func(lo int64, cand *spvec.Vec) {
-						for _, rl := range cand.Ind {
-							chunk.Set(start + lo + rl)
-						}
-					})
-					if price != nil {
-						r.Charge(price.MemCost(scanned, bitmapWords, scanned, scanned) / float64(t))
-					}
-					req := world.IAllgatherBitsBlocks(r,
-						chunk.Words()[ownWLo:ownWHi], ownWLo, bitmapWords, "bitmap")
-					forCands(commit)
-					if price != nil {
-						serialOverhead := 0.0
-						if t > 1 {
-							serialOverhead = price.MemCost(0, 0, 2*newCount, 3*threadBarrierOps)
-						}
-						r.Charge(price.MemCost(0, 0, nloc, 0)/float64(t) + serialOverhead)
-					}
-					front.CopyFrom(req.WaitBits())
-				} else {
-					forCands(func(lo int64, cand *spvec.Vec) {
-						commit(lo, cand)
-						for _, rl := range cand.Ind {
-							chunk.Set(start + lo + rl)
-						}
-					})
-					// Charge the pull: one random frontier-bitmap probe per
-					// scanned entry, the adjacency and visited-flag streams,
-					// plus the hybrid variant's serial apply and barriers.
-					if price != nil {
-						par := price.MemCost(scanned, bitmapWords, scanned+nloc, scanned)
-						serialOverhead := 0.0
-						if t > 1 {
-							serialOverhead = price.MemCost(0, 0, 2*newCount, 3*threadBarrierOps)
-						}
-						r.Charge(par/float64(t) + serialOverhead)
-					}
-					front.CopyFrom(world.AllgatherBitsBlocks(r,
-						chunk.Words()[ownWLo:ownWHi], ownWLo, bitmapWords, "bitmap"))
-				}
+				front.CopyFrom(world.AllgatherBitsBlocks(r,
+					chunk.Words()[ownWLo:ownWHi], ownWLo, bitmapWords, "bitmap"))
 				totalNew = front.Count()
 				r.ChargeMem(price, 0, 0, 3*bitmapWords, 0)
 			} else {
@@ -646,63 +539,23 @@ func Run(w *cluster.World, g *Graph, source int64, opt Options) *Output {
 				}
 
 				// ---- All-to-all exchange (Algorithm 2 line 21) ----
-				// integrate commits one received part's discoveries;
-				// unpacking is data-parallel across threads (Section 3.1).
-				integrate := func(parts [][]int64) {
-					var words int64
-					for _, part := range parts {
-						words += int64(len(part))
-						for k := 0; k+1 < len(part); k += 2 {
-							v, pu := part[k], part[k+1]
-							vl := v - start
-							if dist[vl] == serial.Unreached {
-								dist[vl] = level
-								parent[vl] = pu
-								ns = append(ns, vl)
-							}
+				// Commit the received discoveries; unpacking is
+				// data-parallel across threads (Section 3.1).
+				var recvWords int64
+				for _, part := range world.Alltoallv(r, send, "a2a") {
+					recvWords += int64(len(part))
+					for k := 0; k+1 < len(part); k += 2 {
+						v, pu := part[k], part[k+1]
+						vl := v - start
+						if dist[vl] == serial.Unreached {
+							dist[vl] = level
+							parent[vl] = pu
+							ns = append(ns, vl)
 						}
-					}
-					if price != nil {
-						r.Charge(price.MemCost(words/2, nloc, words, 0) / float64(t))
 					}
 				}
-				if k := chunksFor(level, prevNew); k > 1 {
-					// Chunked nonblocking exchange: every send list is
-					// split into k pair-aligned chunks, chunk i+1 is
-					// posted before chunk i is waited, and chunk i's
-					// integration is charged while chunk i+1 is in flight
-					// — pricing each chunk at max(compute, comm). The
-					// chunk boundaries never split a (target, parent)
-					// pair, and every buffer is fully written before the
-					// first post, so the blocking path's reuse discipline
-					// carries over unchanged.
-					if len(ar.sendChunk) < k {
-						ar.sendChunk = make([][][]int64, k)
-						for c := range ar.sendChunk {
-							ar.sendChunk[c] = make([][]int64, p)
-						}
-					}
-					chunks := ar.sendChunk
-					for j := range send {
-						pairs := len(send[j]) / 2
-						for c := 0; c < k; c++ {
-							lo, hi := 2*(pairs*c/k), 2*(pairs*(c+1)/k)
-							chunks[c][j] = send[j][lo:hi]
-						}
-					}
-					if cap(ar.reqs) < k {
-						ar.reqs = make([]cluster.Request, k)
-					}
-					reqs := ar.reqs[:k]
-					reqs[0] = world.IAlltoallv(r, chunks[0], "a2a", false)
-					for c := 0; c < k; c++ {
-						if c+1 < k {
-							reqs[c+1] = world.IAlltoallv(r, chunks[c+1], "a2a", true)
-						}
-						integrate(reqs[c].WaitMat())
-					}
-				} else {
-					integrate(world.Alltoallv(r, send, "a2a"))
+				if price != nil {
+					r.Charge(price.MemCost(recvWords/2, nloc, recvWords, 0) / float64(t))
 				}
 				ar.fsBuf[curBuf] = ns
 				scannedTD[me] += adjWords
@@ -779,7 +632,6 @@ func Run(w *cluster.World, g *Graph, source int64, opt Options) *Output {
 			} else if cur == dirheur.TopDown {
 				fs = ns
 			}
-			prevNew = totalNew
 			level++
 		}
 

@@ -83,10 +83,7 @@ type batchRankArena struct {
 // for the searches still running.
 //
 // Direction optimization follows opt.Direction with aggregate statistics
-// (dirheur.NewBatch): the whole batch switches together. Batched levels
-// always run blocking exchanges — the batch already amortizes the
-// per-level collectives 64 ways, which is what overlap chunking buys —
-// so opt.OverlapChunks is ignored.
+// (dirheur.NewBatch): the whole batch switches together.
 func RunBatch(w *cluster.World, g *Graph, sources []int64, opt Options) *BatchOutput {
 	if w.P != g.Part.P {
 		panic("bfs1d: world size != partition size")

@@ -52,18 +52,6 @@ type Options struct {
 	Policy dirheur.Policy
 	// Price charges local computation to the simulated clock.
 	Price cluster.Pricer
-	// OverlapChunks, when >= 2, overlaps communication with computation
-	// (the paper's Section 6 overlap evaluation). Top-down levels run a
-	// pipelined expand/SpMSV/fold: the transposed frontier splits into
-	// that many segments, segment c+1's column allgather is in flight
-	// while segment c is multiplied, and each segment's fold chunk posts
-	// as soon as its product is split — pricing each chunk at
-	// max(compute, comm). Bottom-up levels post the column bitmap hop
-	// nonblocking and fold the visited slice under it. Chunking never
-	// changes the exchanged volumes or the computed distances; parent
-	// choices may differ (still valid BFS trees). Supported by the Dist2D
-	// vector layout only; DistDiag ignores it.
-	OverlapChunks int
 	// Trace records the per-level discovery profile into the output
 	// (costs nothing: it reuses the termination allreduce's totals), and
 	// with it the per-level scanned-edge, direction, and communication
@@ -71,7 +59,7 @@ type Options struct {
 	Trace bool
 	// Force, when non-nil, overrides recorded decisions during a
 	// counterfactual replay: levels named in the plan take the forced
-	// direction or pipeline depth instead of the heuristic's choice, and
+	// direction instead of the heuristic's choice, and
 	// the heuristic continues from the forced state. Every input the
 	// plan is consulted with is globally agreed, so all ranks follow the
 	// same forced schedule. Distances are unaffected by construction.
@@ -106,15 +94,6 @@ type rankArena struct {
 	rowScratch            spmat.RowScratch
 	mergeScratch          spvec.MergeScratch
 	pool                  *smp.Pool
-	// Overlap pipeline scratch: per-chunk SpMSV outputs and fold send
-	// buffers, the staged received pieces of the deferred merge, the
-	// in-flight request slots, and the cross-chunk duplicate filter
-	// over this rank's row block.
-	spOutChunks       []spvec.Vec
-	sendChunks        [][][]int64
-	foldPieces        [][]int64
-	expReqs, foldReqs []cluster.Request
-	foldDedup         *bits.Bitmap
 	// Bottom-up state: the frontier bitmap sliced to this rank's block
 	// column (front), the row-block frontier assembled along the row
 	// subcommunicator (rowFront), the row-block visited slice (vis),
@@ -170,10 +149,9 @@ type Output struct {
 	LevelBottomUp []bool
 	// LevelCommWords, when tracing, holds the words entered into
 	// collectives at each executed iteration, summed over ranks.
-	// Overlap chunking must never change it — only its timing.
 	LevelCommWords []int64
 	// Decisions, when tracing, holds the policy decisions the run took
-	// (direction switches, overlap-gate verdicts) with the globally
+	// (direction switches) with the globally
 	// agreed inputs each heuristic saw. Recorded by rank 0: every rank
 	// computes the identical sequence from the same reduced statistics.
 	Decisions []decis.Decision
@@ -240,13 +218,6 @@ func run2DVector(w *cluster.World, grid *cluster.Grid, g *Graph, source int64, o
 	if opt.Trace {
 		levelScan = make([][]int64, p)
 		levelComm = make([][]int64, p)
-	}
-	overlap := opt.OverlapChunks
-	// The overlap gate estimates level work from the graph's average
-	// degree; NNZ is distribution metadata, so this costs nothing.
-	avgDeg := int64(1)
-	if n := g.NNZ(); pt.N > 0 && n/pt.N > 1 {
-		avgDeg = n / pt.N
 	}
 
 	// The bottom-up phase pulls over the blocks' row-major views and
@@ -352,14 +323,7 @@ func run2DVector(w *cluster.World, grid *cluster.Grid, g *Graph, source int64, o
 		// slice from the row-block intersections held by the pr column
 		// members. Per-rank traffic is O(n/pr + n/pc) words instead of
 		// the dense n/64-word world bitmap.
-		//
-		// overlapped, when non-nil, is local work that depends only on
-		// the row hop's result: with overlap enabled it is charged while
-		// the column hop is in flight (the "transpose hop" of the
-		// partitioned exchange), hiding it entirely when the hop costs
-		// more; otherwise it simply runs after the exchange, preserving
-		// the blocking path's exact charge sequence.
-		exchangeFrontier := func(overlapped func()) {
+		exchangeFrontier := func() {
 			rowSlice := rowG.AllgatherBitsBlocks(r,
 				chunkBM.Words()[ownWLo:ownWHi], ownWLo-rowWLo, rowWords, "bitmap")
 			copy(rowFront.Words()[rowWLo:rowWHi], rowSlice)
@@ -375,21 +339,9 @@ func run2DVector(w *cluster.World, grid *cluster.Grid, g *Graph, source int64, o
 			if iLo < iHi { // this row block intersects my block column
 				dep, off = rowFront.Words()[iLo:iHi], iLo-colWLo
 			}
-			if overlap > 1 {
-				req := colG.IAllgatherBitsBlocks(r, dep, off, colWords, "bitmap")
-				if overlapped != nil {
-					overlapped()
-				}
-				copy(front.Words()[colWLo:colWHi], req.WaitBits())
-				r.ChargeMem(price, 0, 0, 2*(rowWords+colWords), 0)
-			} else {
-				colSlice := colG.AllgatherBitsBlocks(r, dep, off, colWords, "bitmap")
-				copy(front.Words()[colWLo:colWHi], colSlice)
-				r.ChargeMem(price, 0, 0, 2*(rowWords+colWords), 0)
-				if overlapped != nil {
-					overlapped()
-				}
-			}
+			colSlice := colG.AllgatherBitsBlocks(r, dep, off, colWords, "bitmap")
+			copy(front.Words()[colWLo:colWHi], colSlice)
+			r.ChargeMem(price, 0, 0, 2*(rowWords+colWords), 0)
 		}
 		// enterBottomUp converts the rank to pull state at a level
 		// boundary: the owned slices of the visited set and the current
@@ -417,7 +369,7 @@ func run2DVector(w *cluster.World, grid *cluster.Grid, g *Graph, source int64, o
 			for _, gv := range frontier {
 				chunkBM.Set(gv)
 			}
-			exchangeFrontier(nil)
+			exchangeFrontier()
 			r.ChargeMem(price, 0, 0, nOwn+int64(len(frontier))+2*rowWords, 0)
 		}
 		cur := dirm.Direction()
@@ -425,52 +377,10 @@ func run2DVector(w *cluster.World, grid *cluster.Grid, g *Graph, source int64, o
 			enterBottomUp()
 		}
 
-		// chunksFor decides a top-down level's pipeline depth from
-		// globally agreed statistics (the previous level's frontier size
-		// via the termination allreduce), so every rank takes the same
-		// decision and the collective schedules stay aligned. The
-		// pipeline pays overlap-1 follow-on injection latencies on each
-		// of the expand and fold to hide the early chunks' SpMSV
-		// compute; on light levels the blocking schedule wins and
-		// chunking is skipped. Without a pricer there is no clock to win
-		// or lose, so the pipeline always runs (correctness tests
-		// exercise it).
-		chunksFor := func(level, prevNew int64) int {
-			if fk, ok := opt.Force.ForcedChunkK(level); ok {
-				return fk
-			}
-			if overlap < 2 {
-				return 1
-			}
-			if price == nil {
-				return overlap
-			}
-			est := prevNew * avgDeg / int64(p) // estimated per-rank SpMSV work
-			extra := 2 * float64(overlap-1) * w.Model.PointToPoint(0)
-			hidden := price.MemCost(est, pt.N/int64(grid.Pr)/int64(t), 2*est, est) *
-				float64(overlap-1) / float64(overlap) / float64(t)
-			kch, alt := overlap, 1
-			if hidden <= extra {
-				kch, alt = 1, overlap
-			}
-			if opt.Trace && me == 0 {
-				decisions = append(decisions, decis.Decision{
-					Kind: decis.KindChunkK, Level: level,
-					Frontier: prevNew, EdgeEst: est,
-					HiddenSec: hidden, ExtraSec: extra,
-					Choice:       decis.ChunkChoice(kch),
-					Alternatives: []string{decis.ChunkChoice(alt)},
-				})
-			}
-			return kch
-		}
-
 		var level int64 = 1
-		var prevSent int64  // per-level sent-volume cursor (Trace)
-		prevNew := int64(1) // previous level's global frontier size
+		var prevSent int64 // per-level sent-volume cursor (Trace)
 		for {
 			var totalNew, mfLocal, levScan int64
-			folded := false
 			if cur == dirheur.BottomUp {
 				// ---- Bottom-up pull (replaces lines 5-7) ----
 				// No transpose, no expand: the rank already holds its
@@ -530,161 +440,33 @@ func run2DVector(w *cluster.World, grid *cluster.Grid, g *Graph, source int64, o
 						int64(len(frontier))+mv*int64(mbits.Len64(uint64(mv))))
 				}
 
-				if kch := chunksFor(level, prevNew); kch > 1 {
-					// ---- Overlapped expand/SpMSV/fold pipeline ----
-					// This branch deliberately mirrors (rather than
-					// subsumes) the blocking expand/SpMSV below: the
-					// blocking path's charge sequence is part of the
-					// recorded bit-identical trajectory, while the
-					// pipeline necessarily prices differently (per-chunk
-					// charges, dedup probes, per-chunk hybrid barriers).
-					// Keep the gather loop, SpMSV charge formula, and
-					// piece-split cursor in sync with the else branch.
-					//
-					// The transposed frontier splits into kch segments:
-					// segment c+1's column allgather is in flight while
-					// segment c is multiplied, and each segment's fold
-					// chunk posts as soon as its product is split, so
-					// communication on both grid dimensions hides under
-					// the next chunk's SpMSV. Cross-chunk duplicate rows
-					// are filtered (first chunk wins — the per-sender
-					// value may differ from the blocking path's global
-					// max, but stays a valid same-level parent), so the
-					// fold moves exactly the blocking path's volume. The
-					// deferred merge sees kch*pc sorted pieces whose
-					// (select,max) result is order-independent.
-					if len(ar.spOutChunks) < kch {
-						ar.spOutChunks = make([]spvec.Vec, kch)
+				// ---- Expand: Allgatherv along the process column (line 6) ----
+				parts := colG.Allgatherv(r, transposed, "expand")
+				localF.Reset()
+				var gathered int64
+				for _, part := range parts {
+					gathered += int64(len(part))
+					for _, gv := range part {
+						// Frontier values are the vertices' own ids: the
+						// semiring multiply then delivers the correct parent.
+						localF.Append(gv-colLo, gv)
 					}
-					if len(ar.sendChunks) < kch {
-						ar.sendChunks = make([][][]int64, kch)
-					}
-					for c := range ar.sendChunks {
-						if len(ar.sendChunks[c]) != grid.Pc {
-							ar.sendChunks[c] = make([][]int64, grid.Pc)
-						}
-					}
-					if cap(ar.expReqs) < kch {
-						ar.expReqs = make([]cluster.Request, kch)
-						ar.foldReqs = make([]cluster.Request, kch)
-					}
-					expReqs, foldReqs := ar.expReqs[:kch], ar.foldReqs[:kch]
-					rowBits := rowHi - rowLo
-					// The dedup filter is allocated once and kept clean by
-					// the sparse end-of-level clear below (a full wipe per
-					// level would cost O(rowBits/64) regardless of the
-					// level's volume).
-					if ar.foldDedup == nil || ar.foldDedup.Len() != rowBits {
-						ar.foldDedup = bits.NewBitmap(rowBits)
-					}
-					dedup := ar.foldDedup
-					seg := func(c int) []int64 {
-						n := len(transposed)
-						return transposed[n*c/kch : n*(c+1)/kch]
-					}
-					expReqs[0] = colG.IAllgatherv(r, seg(0), "expand", false)
-					for c := 0; c < kch; c++ {
-						if c+1 < kch {
-							expReqs[c+1] = colG.IAllgatherv(r, seg(c+1), "expand", true)
-						}
-						parts := expReqs[c].WaitMat()
-						localF.Reset()
-						var gathered int64
-						for _, part := range parts {
-							gathered += int64(len(part))
-							for _, gv := range part {
-								localF.Append(gv-colLo, gv)
-							}
-						}
-						r.ChargeMem(price, 0, 0, 2*gathered, gathered)
-						spc := &ar.spOutChunks[c]
-						work := block.Work(localF)
-						block.SpMSV(spc, localF, spMSVOpts, pool, &ar.rowScratch)
-						scannedTD[me] += work
-						levScan += work
-						if price != nil {
-							stripWS := (rowHi - rowLo) / int64(t)
-							par := price.MemCost(work, stripWS, work+int64(spc.NNZ()), work)
-							serialOverhead := 0.0
-							if t > 1 {
-								serialOverhead = price.MemCost(0, 0, int64(spc.NNZ()), threadBarrierOps)
-							}
-							r.Charge(par/float64(t) + serialOverhead)
-						}
-						sc := ar.sendChunks[c]
-						for k := range sc {
-							sc[k] = sc[k][:0]
-						}
-						cursor := 0
-						for k := 0; k < grid.Pc; k++ {
-							pieceLo := pt.VecStart(i, k) - rowLo
-							pieceHi := pt.VecStart(i, k+1) - rowLo
-							for cursor < spc.NNZ() && spc.Ind[cursor] < pieceHi {
-								if spc.Ind[cursor] >= pieceLo && dedup.TestAndSet(spc.Ind[cursor]) {
-									sc[k] = append(sc[k], spc.Ind[cursor]+rowLo, spc.Val[cursor])
-								}
-								cursor++
-							}
-						}
-						r.ChargeMem(price, int64(spc.NNZ()), (rowBits+63)/64, 0, 0)
-						foldReqs[c] = rowG.IAlltoallv(r, sc, "fold", c > 0)
-					}
-					// Drain the folds, stage the kch*pc pieces for one
-					// deterministic merge, and clear the duplicate filter
-					// (touching only the bits this level set).
-					pieces := ar.foldPieces[:0]
-					var recvWords, sentWords int64
-					for c := 0; c < kch; c++ {
-						for _, part := range foldReqs[c].WaitMat() {
-							pieces = append(pieces, part)
-							recvWords += int64(len(part))
-						}
-					}
-					ar.foldPieces = pieces
-					for c := 0; c < kch; c++ {
-						for _, lst := range ar.sendChunks[c] {
-							sentWords += int64(len(lst))
-							for k := 0; k < len(lst); k += 2 {
-								dedup.Clear(lst[k] - rowLo)
-							}
-						}
-					}
-					spvec.FoldMerge(merged, pieces, vLo, &ar.mergeScratch)
-					if price != nil {
-						r.Charge(price.MemCost(0, 0, 2*recvWords+sentWords, recvWords) / float64(t))
-					}
-					folded = true
-				} else {
-					// ---- Expand: Allgatherv along the process column (line 6) ----
-					// Keep in sync with the overlapped pipeline above
-					// (see the note there).
-					parts := colG.Allgatherv(r, transposed, "expand")
-					localF.Reset()
-					var gathered int64
-					for _, part := range parts {
-						gathered += int64(len(part))
-						for _, gv := range part {
-							// Frontier values are the vertices' own ids: the
-							// semiring multiply then delivers the correct parent.
-							localF.Append(gv-colLo, gv)
-						}
-					}
-					r.ChargeMem(price, 0, 0, 2*gathered, gathered)
+				}
+				r.ChargeMem(price, 0, 0, 2*gathered, gathered)
 
-					// ---- Local SpMSV (line 7) ----
-					work := block.Work(localF)
-					block.SpMSV(spOut, localF, spMSVOpts, pool, &ar.rowScratch)
-					scannedTD[me] += work
-					levScan = work
-					if price != nil {
-						stripWS := (rowHi - rowLo) / int64(t)
-						par := price.MemCost(work, stripWS, work+int64(spOut.NNZ()), work)
-						serialOverhead := 0.0
-						if t > 1 {
-							serialOverhead = price.MemCost(0, 0, int64(spOut.NNZ()), threadBarrierOps)
-						}
-						r.Charge(par/float64(t) + serialOverhead)
+				// ---- Local SpMSV (line 7) ----
+				work := block.Work(localF)
+				block.SpMSV(spOut, localF, spMSVOpts, pool, &ar.rowScratch)
+				scannedTD[me] += work
+				levScan = work
+				if price != nil {
+					stripWS := (rowHi - rowLo) / int64(t)
+					par := price.MemCost(work, stripWS, work+int64(spOut.NNZ()), work)
+					serialOverhead := 0.0
+					if t > 1 {
+						serialOverhead = price.MemCost(0, 0, int64(spOut.NNZ()), threadBarrierOps)
 					}
+					r.Charge(par/float64(t) + serialOverhead)
 				}
 			}
 
@@ -692,36 +474,33 @@ func run2DVector(w *cluster.World, grid *cluster.Grid, g *Graph, source int64, o
 			// Send buffers are reused each level: receivers finish reading
 			// them before their allreduce (or bitmap exchange), which
 			// precedes the next fold. Both directions produce candidates
-			// over block rows in spOut, so the fold is shared — unless the
-			// overlapped top-down pipeline already folded chunk by chunk.
-			if !folded {
-				for k := range send {
-					send[k] = send[k][:0]
-				}
-				cursor := 0
-				for k := 0; k < grid.Pc; k++ {
-					pieceLo := pt.VecStart(i, k) - rowLo
-					pieceHi := pt.VecStart(i, k+1) - rowLo
-					for cursor < spOut.NNZ() && spOut.Ind[cursor] < pieceHi {
-						if spOut.Ind[cursor] >= pieceLo {
-							send[k] = append(send[k], spOut.Ind[cursor]+rowLo, spOut.Val[cursor])
-						}
-						cursor++
+			// over block rows in spOut, so the fold is shared.
+			for k := range send {
+				send[k] = send[k][:0]
+			}
+			cursor := 0
+			for k := 0; k < grid.Pc; k++ {
+				pieceLo := pt.VecStart(i, k) - rowLo
+				pieceHi := pt.VecStart(i, k+1) - rowLo
+				for cursor < spOut.NNZ() && spOut.Ind[cursor] < pieceHi {
+					if spOut.Ind[cursor] >= pieceLo {
+						send[k] = append(send[k], spOut.Ind[cursor]+rowLo, spOut.Val[cursor])
 					}
+					cursor++
 				}
-				recv := rowG.Alltoallv(r, send, "fold")
+			}
+			recv := rowG.Alltoallv(r, send, "fold")
 
-				// Merge the pc received pieces (select,max) over my range:
-				// every piece arrives sorted, so a k-way merge does it in
-				// O(W log pc) with no intermediate slices.
-				var recvWords int64
-				for _, part := range recv {
-					recvWords += int64(len(part))
-				}
-				spvec.FoldMerge(merged, recv, vLo, &ar.mergeScratch)
-				if price != nil {
-					r.Charge(price.MemCost(0, 0, 2*recvWords, recvWords) / float64(t))
-				}
+			// Merge the pc received pieces (select,max) over my range:
+			// every piece arrives sorted, so a k-way merge does it in
+			// O(W log pc) with no intermediate slices.
+			var recvWords int64
+			for _, part := range recv {
+				recvWords += int64(len(part))
+			}
+			spvec.FoldMerge(merged, recv, vLo, &ar.mergeScratch)
+			if price != nil {
+				r.Charge(price.MemCost(0, 0, 2*recvWords, recvWords) / float64(t))
 			}
 
 			// ---- Mask visited and update (lines 9-11) ----
@@ -800,24 +579,20 @@ func run2DVector(w *cluster.World, grid *cluster.Grid, g *Graph, source int64, o
 			case cur == dirheur.BottomUp && next == dirheur.BottomUp:
 				// Stay bottom-up: move the new frontier through the
 				// partitioned exchange and fold the row-block slice into
-				// the visited slice. The visited fold needs only the row
-				// hop's result, so with overlap it hides under the
-				// in-flight column hop.
+				// the visited slice.
 				bits.ClearWords(chunkBM.Words()[ownWLo:ownWHi])
 				for _, gv := range frontier {
 					chunkBM.Set(gv)
 				}
-				exchangeFrontier(func() {
-					bits.OrWords(vis.Words()[rowWLo:rowWHi], rowFront.Words()[rowWLo:rowWHi])
-					r.ChargeMem(price, 0, 0, int64(len(frontier))+2*rowWords, 0)
-				})
+				exchangeFrontier()
+				bits.OrWords(vis.Words()[rowWLo:rowWHi], rowFront.Words()[rowWLo:rowWHi])
+				r.ChargeMem(price, 0, 0, int64(len(frontier))+2*rowWords, 0)
 			case cur == dirheur.TopDown && next == dirheur.BottomUp:
 				enterBottomUp()
 			}
 			// Bottom-up -> top-down needs no conversion: the sparse
 			// owned frontier list is maintained in both directions.
 			cur = next
-			prevNew = totalNew
 			level++
 		}
 

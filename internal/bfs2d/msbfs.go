@@ -1,10 +1,10 @@
 package bfs2d
 
 import (
+	"cmp"
 	"fmt"
 	mbits "math/bits"
 	"slices"
-	"sort"
 
 	"repro/internal/bits"
 	"repro/internal/cluster"
@@ -59,10 +59,11 @@ type batchRankArena struct {
 	newOwn   []uint64 // per-level discovery masks over owned range
 	vis      []uint64 // N words; owned slice always maintained,
 	// row-block slice maintained while bottom-up
-	front, rowFront, chunk []uint64  // N-word planes of the bitmap exchange
-	send                   [][]int64 // fold: per-piece (vertex, mask, parent)
-	sendT                  [][]int64 // rectangular transpose pair routing
-	pairs                  []int64   // transpose flat (vertex, mask) pair buffer
+	front, rowFront, chunk []uint64   // N-word planes of the bitmap exchange
+	send                   [][]int64  // fold: per-piece (vertex, mask, parent)
+	sendT                  [][]int64  // rectangular transpose pair routing
+	pairs                  []int64    // transpose flat (vertex, mask) pair buffer
+	moved                  [][2]int64 // rectangular transpose: collected pairs to sort
 	localF, spOut, merged  spvec.MaskVec
 	maskRowScratch         spmat.MaskRowScratch
 	maskPullScratch        spmat.MaskPullScratch
@@ -77,8 +78,7 @@ type batchRankArena struct {
 // entries carry (vertex, mask, parent) triples resolved first-wins at
 // the owner. Searches retire from the active mask as their frontiers
 // empty. Only the Dist2D vector layout supports batching (the diagonal
-// layout exists for the Figure 4 imbalance experiment); batched levels
-// always run blocking exchanges, so opt.OverlapChunks is ignored.
+// layout exists for the Figure 4 imbalance experiment).
 func RunBatch(w *cluster.World, grid *cluster.Grid, g *Graph, sources []int64, opt Options) (*BatchOutput, error) {
 	pt := g.Part
 	if grid.Pr != pt.Pr || grid.Pc != pt.Pc {
@@ -342,11 +342,18 @@ func run2DVectorBatch(w *cluster.World, grid *cluster.Grid, g *Graph, sources []
 					// merge-join needs ascending frontiers. Sub-piece
 					// vertices are unique across senders, so sorting the
 					// collected pairs is a permutation, not a merge.
-					pairs = pairs[:0]
+					moved := ba.moved[:0]
 					for _, part := range parts {
-						pairs = append(pairs, part...)
+						for k := 0; k+1 < len(part); k += 2 {
+							moved = append(moved, [2]int64{part[k], part[k+1]})
+						}
 					}
-					sortPairsByVertex(pairs)
+					slices.SortFunc(moved, func(a, b [2]int64) int { return cmp.Compare(a[0], b[0]) })
+					ba.moved = moved
+					pairs = pairs[:0]
+					for _, vm := range moved {
+						pairs = append(pairs, vm[0], vm[1])
+					}
 					ba.pairs = pairs
 					transposed = pairs
 					mv := int64(len(pairs))
@@ -568,16 +575,3 @@ func run2DVectorBatch(w *cluster.World, grid *cluster.Grid, g *Graph, sources []
 	}
 	return out
 }
-
-// maskPairs sorts a flat (vertex, mask) pair list by vertex in place.
-// Vertices are unique (each has one transpose owner), so order is total.
-type maskPairs []int64
-
-func (s maskPairs) Len() int           { return len(s) / 2 }
-func (s maskPairs) Less(a, b int) bool { return s[2*a] < s[2*b] }
-func (s maskPairs) Swap(a, b int) {
-	s[2*a], s[2*b] = s[2*b], s[2*a]
-	s[2*a+1], s[2*b+1] = s[2*b+1], s[2*a+1]
-}
-
-func sortPairsByVertex(pairs []int64) { sort.Sort(maskPairs(pairs)) }

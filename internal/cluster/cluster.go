@@ -49,11 +49,10 @@ func (ZeroCost) PointToPoint(int64) float64          { return 0 }
 
 // World is a set of P ranks sharing a cost model.
 type World struct {
-	P      int
-	Model  CostModel
-	ranks  []*Rank
-	world  *Group
-	groups []*Group // every group built over this world, for Reset
+	P     int
+	Model CostModel
+	ranks []*Rank
+	world *Group
 }
 
 // NewWorld creates a world of p ranks.
@@ -93,22 +92,6 @@ func (w *World) Reset() {
 			delete(r.commTime, tag)
 		}
 		r.tagOrder = r.tagOrder[:0]
-	}
-	// Groups carry timing state of their own since nonblocking
-	// collectives landed: the channel-busy horizon and the post-order
-	// sequence numbers. Both restart with the clocks; pending operations
-	// cannot survive here because Run panics (and poisons) if any rank
-	// abandons one mid-flight, and a clean run waits all of its posts.
-	for _, g := range w.groups {
-		g.mu.Lock()
-		g.busyUntil = 0
-		for seq := range g.pending {
-			delete(g.pending, seq)
-		}
-		for i := range g.postSeq {
-			g.postSeq[i] = 0
-		}
-		g.mu.Unlock()
 	}
 }
 

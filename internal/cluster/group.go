@@ -50,13 +50,11 @@ type round struct {
 //     atomic arrival counter. The member whose increment completes the
 //     count — the closer — computes only the cheap scalar metadata
 //     (the modeled cost from deposit volumes, and the common leave
-//     clock max(busy, entry clocks) + cost), resets the opposite round
+//     clock max(entry clocks) + cost), resets the opposite round
 //     buffer for the next generation, and releases every peer with one
 //     token on its personal wake channel. No lock is held across the
 //     operation and no condvar broadcast funnels the wakeup through a
-//     single mutex; the only shared lock is a short critical section
-//     ordering the busyUntil read-modify-write against nonblocking
-//     completions.
+//     single mutex.
 //  2. Parallel assembly: each member then assembles its own result
 //     slice outside any lock — its row of the all-to-all, its view of
 //     the allgather — from the round's deposits. The bitmap
@@ -111,24 +109,6 @@ type Group struct {
 	poisoned any
 	dead     atomic.Bool
 	poisonCh chan struct{}
-
-	// Nonblocking collective state (see nonblocking.go). Posted
-	// operations are matched across members by post order: the i-th
-	// nonblocking post on this group by each member joins the same
-	// operation, mirroring MPI's communicator-ordered matching. pending
-	// maps a post sequence number to its in-flight operation; postSeq is
-	// each member's next sequence number; freeOps recycles completed
-	// operation records so steady-state chunked exchanges allocate
-	// nothing. busyUntil is the simulated time at which the group's
-	// communication channel frees up: collectives on one group execute
-	// serially on the wire, so an operation posted while a previous one
-	// is still in flight starts only when the channel drains. Blocking
-	// collectives respect and advance it too (a no-op for pure-blocking
-	// schedules, where every participant's clock already passed it).
-	pending   map[uint64]*pendingOp
-	postSeq   []uint64
-	freeOps   []*pendingOp
-	busyUntil float64
 }
 
 // NewGroup creates a communicator over the given world ranks. The order
@@ -161,7 +141,6 @@ func (w *World) NewGroup(members []int) *Group {
 		g.index[m] = i
 		g.wake[i] = make(chan struct{}, 1)
 	}
-	w.groups = append(w.groups, g)
 	return g
 }
 
@@ -190,9 +169,8 @@ func (g *Group) scratchRow(me int) [][]int64 {
 }
 
 // countBufs returns two reusable zeroed int64 buffers of group size.
-// Only one completing rank uses them at a time: the closer of a
-// blocking round, or a nonblocking completer under g.mu — uses that the
-// gate and lock ordering already serialize.
+// Only the closer of a round uses them, and the arrival gate
+// serializes closers.
 func (g *Group) countBufs() (a, b []int64) {
 	n := len(g.members)
 	if g.counts == nil {
@@ -205,8 +183,7 @@ func (g *Group) countBufs() (a, b []int64) {
 }
 
 // poisonLocked records the first failure, wakes every parked
-// participant (blocking waiters via poisonCh, nonblocking waiters via
-// their operations' conds), and marks the group dead. Callers hold
+// participant through poisonCh, and marks the group dead. Callers hold
 // g.mu.
 func (g *Group) poisonLocked(e any) {
 	if g.poisoned != nil {
@@ -215,12 +192,6 @@ func (g *Group) poisonLocked(e any) {
 	g.poisoned = e
 	g.dead.Store(true)
 	close(g.poisonCh)
-	for _, op := range g.pending {
-		op.mu.Lock()
-		op.poisoned = true
-		op.cv.Broadcast()
-		op.mu.Unlock()
-	}
 }
 
 // poison is poisonLocked for callers not holding g.mu.
@@ -265,8 +236,7 @@ func (g *Group) release(me int) {
 }
 
 // closeRound is the closer's half of the arrival gate: price the
-// operation from the deposits, advance the shared channel horizon,
-// stamp the common leave clock, prepare the opposite buffer for the
+// operation from the deposits, stamp the common leave clock, prepare the opposite buffer for the
 // next generation, and release the gate. A panic while pricing
 // (malformed input detected at completion time) poisons the group so
 // the failure surfaces on every participant instead of deadlocking
@@ -279,21 +249,14 @@ func (g *Group) closeRound(rd *round, other *round, me int, price func(deposits 
 		}
 	}()
 	cost := price(rd.deposit)
-	// The operation starts when the last participant arrives and the
-	// group's channel is free (an in-flight nonblocking collective
-	// occupies it until it completes). The short critical section only
-	// orders this read-modify-write against nonblocking completions —
-	// the gate itself keeps every peer out.
-	g.mu.Lock()
-	start := g.busyUntil
-	for _, c := range rd.clocks {
+	// The operation starts when the last participant arrives.
+	start := rd.clocks[0]
+	for _, c := range rd.clocks[1:] {
 		if c > start {
 			start = c
 		}
 	}
 	rd.leave = start + cost
-	g.busyUntil = rd.leave
-	g.mu.Unlock()
 	// Reset the opposite buffer for the next round. Safe: every member
 	// has arrived here, so every member is done with the buffer's
 	// previous generation; and nobody can enter the next round until
@@ -354,8 +317,7 @@ func (g *Group) collective(r *Rank, dep payload, tag string,
 // alltoallvMaxVolumes accumulates per-member send/receive word counts
 // from the deposited matrices into the (zeroed) count buffers and
 // returns the busiest participant's volumes — the quantities the cost
-// model prices. Shared by the blocking and nonblocking all-to-all so
-// their pricing can never diverge.
+// model prices.
 func alltoallvMaxVolumes(deposits []payload, sendCounts, recvCounts []int64) (maxSend, maxRecv int64) {
 	n := len(sendCounts)
 	for src := 0; src < n; src++ {
@@ -377,10 +339,8 @@ func alltoallvMaxVolumes(deposits []payload, sendCounts, recvCounts []int64) (ma
 }
 
 // validateBitsBlocks checks every member's deposited word range against
-// the completing member's totalWords. Shared by the blocking and
-// nonblocking bitmap exchanges so their validation semantics can never
-// diverge; panics (poisoning the calling collective) on a malformed
-// deposit.
+// the completing member's totalWords; panics (poisoning the calling
+// collective) on a malformed deposit.
 func validateBitsBlocks(deposits []payload, totalWords int64) {
 	for i := range deposits {
 		if deposits[i].num2 != totalWords {
@@ -394,10 +354,8 @@ func validateBitsBlocks(deposits []payload, totalWords int64) {
 }
 
 // orMergeRange clears acc[lo:hi] and ORs into it the part of every
-// member's deposited word range that intersects [lo, hi). The blocking
-// collective runs it once per member shard (in parallel); the
-// nonblocking completer runs it once over the whole range — the same
-// code either way, so the merge semantics cannot diverge. Deposits must
+// member's deposited word range that intersects [lo, hi). The bitmap
+// collective runs it once per member shard, in parallel. Deposits must
 // already be validated.
 func orMergeRange(deposits []payload, acc []uint64, lo, hi int64) {
 	clear(acc[lo:hi])

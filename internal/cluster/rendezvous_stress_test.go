@@ -7,9 +7,9 @@ import (
 	"time"
 )
 
-// Stress suite for the parallel rendezvous engine. The blocking gates,
-// the per-operation nonblocking completion signals, and the parallel
-// assembly phases all run outside the group mutex, so these tests
+// Stress suite for the parallel rendezvous engine. The arrival gates
+// and the parallel assembly phases all run outside the group mutex, so
+// these tests
 // deliberately skew goroutine interleavings — randomized sleeps and
 // yields between collectives — and assert that (a) the race detector
 // stays quiet (scripts/ci.sh runs this package under -race) and (b) the
@@ -36,9 +36,8 @@ func runtimeGosched() {
 	}
 }
 
-// runJitteredSchedule drives a 3x4 grid world through rounds of mixed
-// blocking and nonblocking collectives on the world group and the
-// row/column subcommunicators, with per-rank jitter seeded by seed.
+// runJitteredSchedule drives a 3x4 grid world through rounds of
+// collectives on the world group and the row/column subcommunicators, with per-rank jitter seeded by seed.
 // Returns the world's stats.
 func runJitteredSchedule(t *testing.T, seed int64, rounds int) Stats {
 	t.Helper()
@@ -90,27 +89,25 @@ func runJitteredSchedule(t *testing.T, seed int64, rounds int) Stats {
 				}
 			}
 			jitter(rng)
-			// Nonblocking chunk pair on the row group with compute overlap
-			// between post and wait, like the chunked frontier exchange.
+			// Row all-to-all after local compute, then a row allgather:
+			// the fold of a 2D level followed by the next level's gather.
 			sendRow := make([][]int64, row.Size())
 			for j := range sendRow {
 				sendRow[j] = []int64{int64(r.ID()), int64(j), int64(round)}
 			}
-			q1 := row.IAlltoallv(r, sendRow, "stress/ia2a", false)
-			r.Charge(1e-6) // overlap compute; deterministic so figures can't drift
-			jitter(rng)
-			q2 := row.IAllgatherv(r, []int64{int64(r.ID() + round)}, "stress/iag", false)
-			gotRow := q1.WaitMat()
+			r.Charge(1e-6) // deterministic compute so figures can't drift
+			gotRow := row.Alltoallv(r, sendRow, "stress/rowa2a")
 			for src, part := range gotRow {
 				want := []int64{int64(row.Member(src)), int64(row.RankIn(r)), int64(round)}
 				if !reflect.DeepEqual(part, want) {
-					t.Errorf("round %d rank %d: ia2a[%d] = %v, want %v", round, r.ID(), src, part, want)
+					t.Errorf("round %d rank %d: rowa2a[%d] = %v, want %v", round, r.ID(), src, part, want)
 				}
 			}
-			gathered := q2.WaitMat()
+			jitter(rng)
+			gathered := row.Allgatherv(r, []int64{int64(r.ID() + round)}, "stress/rowag")
 			for i, part := range gathered {
 				if part[0] != int64(row.Member(i)+round) {
-					t.Errorf("round %d rank %d: iag[%d] = %v", round, r.ID(), i, part)
+					t.Errorf("round %d rank %d: rowag[%d] = %v", round, r.ID(), i, part)
 				}
 			}
 			jitter(rng)
@@ -125,8 +122,8 @@ func runJitteredSchedule(t *testing.T, seed int64, rounds int) Stats {
 	return w.Stats()
 }
 
-// linkModel is a nonzero cost model so clock arithmetic (busy horizons,
-// straggler booking, max folds) is exercised with distinguishable
+// linkModel is a nonzero cost model so clock arithmetic (straggler
+// booking, max folds) is exercised with distinguishable
 // per-operation prices.
 type linkModel struct{}
 
@@ -138,8 +135,7 @@ func (linkModel) Gatherv(p int, r int64) float64      { return 5e-6*float64(p) +
 func (linkModel) Barrier(p int) float64               { return 6e-6 * float64(p) }
 func (linkModel) PointToPoint(w int64) float64        { return 7e-6 + 1e-9*float64(w) }
 
-// TestRendezvousJitterDeterminism runs the mixed blocking/nonblocking
-// grid schedule under two different jitter seeds and requires every
+// TestRendezvousJitterDeterminism runs the grid schedule under two different jitter seeds and requires every
 // simulated figure — clocks, per-tag communication times, volumes — to
 // be bit-identical: host scheduling must never leak into the simulation.
 func TestRendezvousJitterDeterminism(t *testing.T) {
@@ -160,7 +156,7 @@ func TestRendezvousJitterDeterminism(t *testing.T) {
 // TestRendezvousWorldReuse runs the jittered schedule twice over the
 // same world with a Reset between, the session-reuse pattern: the
 // second run must reproduce the first bit-for-bit even though the round
-// buffers, wake channels, and freelists carry over warm.
+// buffers, wake channels, and scratch rows carry over warm.
 func TestRendezvousWorldReuse(t *testing.T) {
 	const pr, pc = 2, 3
 	w := NewWorld(pr*pc, linkModel{})
@@ -173,10 +169,9 @@ func TestRendezvousWorldReuse(t *testing.T) {
 			for round := 0; round < 30; round++ {
 				jitter(rng)
 				grid.All.Barrier(r, "reuse/barrier")
-				q := row.IAllgatherv(r, []int64{int64(r.ID())}, "reuse/iag", false)
 				jitter(rng)
 				r.Charge(2e-6)
-				q.WaitMat()
+				row.Allgatherv(r, []int64{int64(r.ID())}, "reuse/ag")
 				me := row.RankIn(r)
 				row.AllgatherBitsBlocks(r, []uint64{uint64(round) + 1}, int64(me), int64(row.Size()), "reuse/bits")
 			}

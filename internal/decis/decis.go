@@ -3,8 +3,7 @@
 // alternatives.
 //
 // The distributed drivers make every per-level policy decision — the
-// alpha/beta direction switch, the overlap chunk gate — from globally
-// reduced statistics, so every rank computes the identical decision
+// alpha/beta direction switch — from globally reduced statistics, so every rank computes the identical decision
 // sequence and one rank's view of it is canonical. When tracing is on,
 // rank 0 records each decision with the inputs the heuristic saw, the
 // choice it took, and the alternatives it rejected. The counterfactual
@@ -15,7 +14,7 @@
 // rejected alternative would have won.
 //
 // Decisions never affect correctness — distances are bit-identical
-// across directions, chunk counts, and grid shapes (the conformance
+// across directions and grid shapes (the conformance
 // harness pins this) — so a replay that diverges in distances is an
 // engine bug, and the runner asserts it.
 package decis
@@ -35,10 +34,6 @@ const (
 	// KindDirection is one alpha/beta direction-switch decision: at the
 	// end of a level, push or pull the next one (dirheur.Machine.Advance).
 	KindDirection Kind = "direction"
-	// KindChunkK is one overlap-gate decision: split a level's frontier
-	// exchange into K nonblocking chunks, or run it as one blocking
-	// collective (the drivers' chunksFor closures).
-	KindChunkK Kind = "chunk-K"
 	// KindGrid is the per-search process-grid shape decision of the 2D
 	// algorithms, taken once when the shape is derived from the rank
 	// count rather than pinned by the caller.
@@ -48,24 +43,20 @@ const (
 // Decision is one recorded policy decision: the globally-agreed inputs
 // the heuristic saw, the choice it took, and the alternatives it
 // rejected. Choices are canonical strings — dirheur direction names for
-// KindDirection, decimal chunk counts for KindChunkK, "PRxPC" shapes
-// for KindGrid — so one table renders every kind and the counterfactual
+// KindDirection and "PRxPC" shapes for KindGrid — so one table renders every kind and the counterfactual
 // runner parses them back.
 type Decision struct {
 	Kind Kind `json:"kind"`
 	// Level is the 1-based level the decision governs: the level a
-	// direction or chunk choice applies to. Zero for per-search
+	// direction choice applies to. Zero for per-search
 	// decisions (grid shape).
 	Level int64 `json:"level,omitempty"`
 
 	// Frontier is the globally-reduced frontier size the heuristic saw:
-	// the vertices discovered into the level's frontier (direction), or
-	// the previous level's frontier feeding the exchange-volume estimate
-	// (chunk-K).
+	// the vertices discovered into the level's frontier.
 	Frontier int64 `json:"frontier,omitempty"`
 	// EdgeEst is the scanned-edge estimate: the frontier's adjacency
-	// volume mf (direction) or the estimated per-rank exchange words
-	// (chunk-K).
+	// volume mf.
 	EdgeEst int64 `json:"edge_est,omitempty"`
 	// Unexplored is the remaining unexplored adjacency volume mu the
 	// direction rule compared mf*alpha against.
@@ -76,12 +67,6 @@ type Decision struct {
 	// Alpha and Beta are the switch thresholds in force.
 	Alpha int64 `json:"alpha,omitempty"`
 	Beta  int64 `json:"beta,omitempty"`
-	// HiddenSec and ExtraSec are the chunk gate's two sides: the compute
-	// seconds chunking could hide under the exchange, against the extra
-	// injection-latency seconds the follow-on chunks cost.
-	HiddenSec float64 `json:"hidden_sec,omitempty"`
-	// ExtraSec see HiddenSec.
-	ExtraSec float64 `json:"extra_sec,omitempty"`
 	// Ranks is the rank count a grid decision factorized.
 	Ranks int64 `json:"ranks,omitempty"`
 
@@ -91,8 +76,8 @@ type Decision struct {
 	Alternatives []string `json:"alternatives,omitempty"`
 }
 
-// Plan forces recorded decisions during a counterfactual replay. Each
-// map is keyed by the level a forced choice governs; levels absent from
+// Plan forces recorded decisions during a counterfactual replay. Dir
+// is keyed by the level a forced choice governs; levels absent from
 // the plan follow the heuristic as usual, so a one-entry plan flips
 // exactly one decision and leaves the heuristic to continue from the
 // flipped state. Plans are read-only during a run and shared by every
@@ -101,10 +86,6 @@ type Plan struct {
 	// Dir forces the traversal direction of the given levels. Effective
 	// in dirheur.ModeAuto only (the fixed modes are their own force).
 	Dir map[int64]dirheur.Direction
-	// ChunkK forces the frontier-exchange chunk count of the given
-	// levels, overriding the overlap gate: 1 forces the blocking
-	// exchange, >=2 forces that chunk count.
-	ChunkK map[int64]int
 }
 
 // ForcedDir returns the forced direction for level, if any.
@@ -114,15 +95,6 @@ func (p *Plan) ForcedDir(level int64) (dirheur.Direction, bool) {
 	}
 	d, ok := p.Dir[level]
 	return d, ok
-}
-
-// ForcedChunkK returns the forced chunk count for level, if any.
-func (p *Plan) ForcedChunkK(level int64) (int, bool) {
-	if p == nil || p.ChunkK == nil {
-		return 0, false
-	}
-	k, ok := p.ChunkK[level]
-	return k, ok
 }
 
 // DirChoice renders a direction as its canonical choice string.
@@ -137,18 +109,6 @@ func ParseDir(s string) (dirheur.Direction, error) {
 		return dirheur.BottomUp, nil
 	}
 	return 0, fmt.Errorf("decis: unknown direction choice %q", s)
-}
-
-// ChunkChoice renders a chunk count as its canonical choice string.
-func ChunkChoice(k int) string { return strconv.Itoa(k) }
-
-// ParseChunk parses a canonical chunk-count choice string.
-func ParseChunk(s string) (int, error) {
-	k, err := strconv.Atoi(s)
-	if err != nil || k < 1 {
-		return 0, fmt.Errorf("decis: bad chunk choice %q", s)
-	}
-	return k, nil
 }
 
 // GridChoice renders a process-grid shape as its canonical choice

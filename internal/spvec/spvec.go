@@ -10,7 +10,10 @@
 // paper's formulation.
 package spvec
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // Vec is a sparse vector with sorted, unique indices. Ind[i] is the
 // position of the i-th nonzero; Val[i] its value. The zero value is an
@@ -71,11 +74,11 @@ func FromUnsorted(ind, val []int64) *Vec {
 	for k := range ind {
 		ps[k] = pair{ind[k], val[k]}
 	}
-	sort.Slice(ps, func(a, b int) bool {
-		if ps[a].i != ps[b].i {
-			return ps[a].i < ps[b].i
+	slices.SortFunc(ps, func(a, b pair) int {
+		if c := cmp.Compare(a.i, b.i); c != 0 {
+			return c
 		}
-		return ps[a].v > ps[b].v // max value first within an index run
+		return cmp.Compare(b.v, a.v) // max value first within an index run
 	})
 	out := &Vec{Ind: make([]int64, 0, len(ps)), Val: make([]int64, 0, len(ps))}
 	for k := 0; k < len(ps); k++ {

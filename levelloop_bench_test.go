@@ -46,7 +46,7 @@ func levelLoopSource(b *testing.B, el *graph.EdgeList) int64 {
 	return levelLoopSources(b, el, 1)[0]
 }
 
-func benchLevelLoop2D(b *testing.B, ranks, threads int, kernel spmat.Kernel, dir dirheur.Mode, overlap int) {
+func benchLevelLoop2D(b *testing.B, ranks, threads int, kernel spmat.Kernel, dir dirheur.Mode) {
 	b.Helper()
 	el, err := rmat.Graph500(levelLoopScale, 16, 0xbf).GenerateUndirected()
 	if err != nil {
@@ -79,7 +79,7 @@ func benchLevelLoop2D(b *testing.B, ranks, threads int, kernel spmat.Kernel, dir
 		w.Reset()
 		out, err := bfs2d.Run(w, grid, dg, src, bfs2d.Options{
 			Threads: threads, Kernel: kernel, Price: machine, Arena: &arena,
-			Direction: dir, OverlapChunks: overlap,
+			Direction: dir,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -90,7 +90,7 @@ func benchLevelLoop2D(b *testing.B, ranks, threads int, kernel spmat.Kernel, dir
 	}
 }
 
-func benchLevelLoop1D(b *testing.B, ranks, threads int, dir dirheur.Mode, overlap int) {
+func benchLevelLoop1D(b *testing.B, ranks, threads int, dir dirheur.Mode) {
 	b.Helper()
 	el, err := rmat.Graph500(levelLoopScale, 16, 0xbf).GenerateUndirected()
 	if err != nil {
@@ -107,7 +107,6 @@ func benchLevelLoop1D(b *testing.B, ranks, threads int, dir dirheur.Mode, overla
 	opt.Threads = threads
 	opt.Price = machine
 	opt.Direction = dir
-	opt.OverlapChunks = overlap
 	opt.Arena = &bfs1d.Arena{}
 	defer opt.Arena.Close()
 	w := cluster.NewWorld(ranks, machine)
@@ -125,31 +124,20 @@ func benchLevelLoop1D(b *testing.B, ranks, threads int, dir dirheur.Mode, overla
 // Top-down-only rows: the PR 1 baselines, and the configuration the
 // paper evaluates.
 func BenchmarkBFSLevelLoop2DFlat(b *testing.B) {
-	benchLevelLoop2D(b, 16, 1, spmat.KernelAuto, dirheur.ModeTopDown, 0)
+	benchLevelLoop2D(b, 16, 1, spmat.KernelAuto, dirheur.ModeTopDown)
 }
 func BenchmarkBFSLevelLoop2DHybrid(b *testing.B) {
-	benchLevelLoop2D(b, 16, 4, spmat.KernelAuto, dirheur.ModeTopDown, 0)
+	benchLevelLoop2D(b, 16, 4, spmat.KernelAuto, dirheur.ModeTopDown)
 }
-func BenchmarkBFSLevelLoop1DFlat(b *testing.B)   { benchLevelLoop1D(b, 16, 1, dirheur.ModeTopDown, 0) }
-func BenchmarkBFSLevelLoop1DHybrid(b *testing.B) { benchLevelLoop1D(b, 16, 4, dirheur.ModeTopDown, 0) }
+func BenchmarkBFSLevelLoop1DFlat(b *testing.B)   { benchLevelLoop1D(b, 16, 1, dirheur.ModeTopDown) }
+func BenchmarkBFSLevelLoop1DHybrid(b *testing.B) { benchLevelLoop1D(b, 16, 4, dirheur.ModeTopDown) }
 
 // Direction-optimized rows: the library default since PR 2.
 func BenchmarkBFSLevelLoop2DFlatAuto(b *testing.B) {
-	benchLevelLoop2D(b, 16, 1, spmat.KernelAuto, dirheur.ModeAuto, 0)
+	benchLevelLoop2D(b, 16, 1, spmat.KernelAuto, dirheur.ModeAuto)
 }
 func BenchmarkBFSLevelLoop1DFlatAuto(b *testing.B) {
-	benchLevelLoop1D(b, 16, 1, dirheur.ModeAuto, 0)
-}
-
-// Overlapped rows: the chunked nonblocking exchanges (PR 5). These
-// track the real wall-clock cost of the pipelined schedule — request
-// bookkeeping, chunk splitting, the cross-chunk dedup filter — which
-// simulated time does not capture.
-func BenchmarkBFSLevelLoop1DFlatAutoOverlap(b *testing.B) {
-	benchLevelLoop1D(b, 16, 1, dirheur.ModeAuto, 4)
-}
-func BenchmarkBFSLevelLoop2DFlatAutoOverlap(b *testing.B) {
-	benchLevelLoop2D(b, 16, 1, spmat.KernelAuto, dirheur.ModeAuto, 4)
+	benchLevelLoop1D(b, 16, 1, dirheur.ModeAuto)
 }
 
 func benchLevelLoopBatch1D(b *testing.B, scale, ranks, threads, width int) {
@@ -290,5 +278,5 @@ func TestBatchLevelLoopAllocationFree(t *testing.T) {
 func BenchmarkBFSLevelLoop1DHybridSingleCore(b *testing.B) {
 	prev := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(prev)
-	benchLevelLoop1D(b, 16, 4, dirheur.ModeTopDown, 0)
+	benchLevelLoop1D(b, 16, 4, dirheur.ModeTopDown)
 }

@@ -279,7 +279,6 @@ type Result struct {
 	CommByPhase map[string]float64
 	// SentWords and RecvWords total the words every rank entered into
 	// and received from collectives: the modeled communication volume.
-	// Options.Overlap changes when the words move, never how many.
 	SentWords, RecvWords int64
 	// LevelFrontier, when Options.Trace is set, holds the number of
 	// vertices discovered at each level (the frontier-size profile).
@@ -294,13 +293,13 @@ type Result struct {
 	// LevelCommWords, when Options.Trace is set on a 1D or 2D run,
 	// holds the words entered into collectives at each executed
 	// iteration, summed over ranks: the per-level communication volume
-	// profile, identical for every Options.Overlap setting.
+	// profile.
 	LevelCommWords []int64
 	// Decisions, when Options.Trace is set on a 1D or 2D run, holds
 	// the policy decisions the search took — per-level direction
-	// switches and overlap-gate verdicts, plus the grid-shape choice
-	// when a 2D run derived its grid — each with the globally agreed
-	// inputs the heuristic saw and the alternatives it rejected.
+	// switches, plus the grid-shape choice when a 2D run derived its
+	// grid — each with the globally agreed inputs the heuristic saw and
+	// the alternatives it rejected.
 	// Session.Counterfactual replays them.
 	Decisions []decis.Decision
 }

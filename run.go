@@ -44,29 +44,16 @@ type Options struct {
 	// DiagonalVectors switches the 2D variants to the diagonal-only
 	// vector distribution (the Figure 4 imbalance configuration).
 	DiagonalVectors bool
-	// Overlap, when >= 2, overlaps communication with computation in the
-	// 1D and 2D drivers (the paper's Section 6 overlap evaluation): each
-	// level's frontier exchange is split into Overlap chunks posted as
-	// nonblocking collectives, and local work on chunk i runs while
-	// chunk i+1 is in flight, pricing each chunk at max(compute, comm)
-	// instead of their sum. Distances, traversal work, and exchanged
-	// volumes are identical to the blocking schedule (parent choices may
-	// differ between valid BFS trees); on levels too light to amortize
-	// the extra injection latencies the drivers fall back to the
-	// blocking exchange. Part of the engine cache key. Ignored by the
-	// Reference and PBGL comparators and by DiagonalVectors.
-	Overlap int
 	// Trace records the per-level discovery counts into the result,
 	// and with them the policy decisions the heuristics took
-	// (Result.Decisions): direction switches, overlap-gate verdicts,
-	// and (for derived 2D grids) the grid-shape choice, each with the
-	// globally agreed inputs it saw and the alternatives it rejected.
+	// (Result.Decisions): direction switches and (for derived 2D
+	// grids) the grid-shape choice, each with the globally agreed
+	// inputs it saw and the alternatives it rejected.
 	Trace bool
 	// AutoTune applies the session's cached auto-tuned settings for
 	// this graph's family (Session.Tune) before resolving the layout:
-	// thresholds, overlap chunking, and grid shape the caller left at
-	// their defaults take the tuned values instead of the hand-set
-	// Franklin-era constants. A session that has not been tuned for
+	// thresholds and grid shape the caller left at their defaults take
+	// the tuned values instead of the hand-set Franklin-era constants. A session that has not been tuned for
 	// the (layout, family) pair runs the defaults unchanged.
 	AutoTune bool
 

@@ -44,11 +44,6 @@ type result struct {
 	Config       string  `json:"config"`
 	AllocsPerOp  float64 `json:"allocs_per_op"`
 	BatchSpeedup float64 `json:"batch_speedup"`
-	// Overlapped-communication record: simulated (deterministic)
-	// blocking/overlapped time ratio, gated tightly — overlap must
-	// never price a configuration slower than its blocking schedule.
-	OverlapChunks  int     `json:"overlap_chunks"`
-	OverlapSpeedup float64 `json:"overlap_speedup"`
 	// Multi-source batch record: the ratio of 64 sequential
 	// warm-session searches to one 64-wide bit-parallel batch, on the
 	// simulated clock (deterministic, so it can be gated tightly where
@@ -133,7 +128,6 @@ type tolerances struct {
 	allocSlack   float64 // absolute allocs/op slack on top of the ratio
 	speedupDrop  float64 // relative batch_speedup drop allowed (e.g. 0.6)
 	speedupFloor float64 // speedups below this are never compared (degenerate hosts)
-	overlapFloor float64 // overlap_speedup below this fails (simulated, so tight)
 	hybridGrow   float64 // relative 1d hybrid/flat overhead growth allowed (wall clock)
 	// amortFloor is the absolute msbfs_sim_amortization floor: a
 	// 64-wide bit-parallel batch should beat 64 sequential searches
@@ -165,8 +159,8 @@ type tolerances struct {
 	// simulated-time win, so the ratio is >= 1 by construction. Both
 	// sides derive from the simulated clock (deterministic), so the
 	// floor sits just under 1 purely for float division headroom. It is
-	// enforced whenever the candidate carries the field (> 0) — like
-	// overlap_speedup — so a pre-tuner baseline doesn't suppress it.
+	// enforced whenever the candidate carries the field (> 0), so a
+	// pre-tuner baseline doesn't suppress it.
 	tunedFloor float64
 	// parallelFloor is the parallel_efficiency floor, enforced only when
 	// the candidate host has more than one CPU (a single-core host runs
@@ -180,7 +174,7 @@ type tolerances struct {
 func defaultTolerances() tolerances {
 	return tolerances{
 		allocGrow: 0.25, allocSlack: 16, speedupDrop: 0.6, speedupFloor: 2,
-		overlapFloor: 0.999999, hybridGrow: 0.5, amortFloor: 2,
+		hybridGrow: 0.5, amortFloor: 2,
 		serveFloor: 1, serveOccFloor: 16,
 		serveHitRateFloor: 0.25, serveMissRateCeil: 0.5,
 		tunedFloor:    0.999999,
@@ -228,13 +222,6 @@ func compare(base, cand *report, tol tolerances) []string {
 				bad = append(bad, fmt.Sprintf("%s: batch_speedup %.1fx below baseline %.1fx (-%.0f%% floor %.1fx)",
 					b.Config, c.BatchSpeedup, b.BatchSpeedup, tol.speedupDrop*100, floor))
 			}
-		}
-		// Simulated times are deterministic, so the overlap gate needs
-		// no wall-clock slack: an overlapped schedule pricing slower
-		// than its blocking counterpart is a scheduling regression.
-		if c.OverlapChunks >= 2 && c.OverlapSpeedup < tol.overlapFloor {
-			bad = append(bad, fmt.Sprintf("%s: overlap_speedup %.6f below %.6f (overlap priced slower than blocking)",
-				b.Config, c.OverlapSpeedup, tol.overlapFloor))
 		}
 		if b.SimAmortization >= tol.amortFloor && c.SimAmortization < tol.amortFloor {
 			bad = append(bad, fmt.Sprintf("%s: msbfs_sim_amortization %.1fx below the %.1fx floor (baseline %.1fx) — batched kernels stopped amortizing",

@@ -64,17 +64,16 @@ echo "== race smoke (session reuse + collective substrate) =="
 # pools, and cross-search arenas interlock: the session-reuse and
 # rectangular-grid tests at the facade, the randomized conformance
 # harness (-short trims its graph stream; it drives every driver's
-# nonblocking overlap pipeline), the cluster substrate's own suite
-# (the parallel rendezvous engine — including the jittered
-# blocking/nonblocking stress schedules in rendezvous_stress_test.go,
-# which skew goroutine interleavings across grids and subcommunicators
-# and assert bit-identical simulated figures — plus the nonblocking
-# post/wait collectives), and the 2D driver's rectangular
-# transpose/partitioned-bitmap/overlap paths.
+# level loop), the cluster substrate's own suite (the parallel
+# rendezvous engine — including the jittered stress schedules in
+# rendezvous_stress_test.go, which skew goroutine interleavings across
+# grids and subcommunicators and assert bit-identical simulated
+# figures), and the 2D driver's rectangular transpose and
+# partitioned-bitmap paths.
 go test -race -run 'Session|CrossShape|RectGrid' .
 go test -race -short -run 'Conformance' .
 go test -race ./internal/cluster ./internal/smp
-go test -race -run 'Rect|Overlap' ./internal/bfs2d
+go test -race -run Rect ./internal/bfs2d
 # The R-MAT generator fills one edge slice from GOMAXPROCS workers.
 go test -race ./internal/rmat
 

@@ -41,10 +41,7 @@ func TestTraceProfiles(t *testing.T) {
 }
 
 // TestCommVolumeTraceGolden pins the per-level communication volume
-// profile of both distributed drivers on a fixed instance, and asserts
-// that overlap chunking K ∈ {2, 4, 8} reproduces it bit-for-bit: the
-// chunked schedules move exactly the same words at every level, only
-// their timing against the in-flight computation changes. The golden
+// profile of both distributed drivers on a fixed instance. The golden
 // rows also document the direction-optimization story — under Auto the
 // heavy middle levels exchange a dense bitmap instead of the sparse
 // volumes visible in the top-down rows.
@@ -67,30 +64,28 @@ func TestCommVolumeTraceGolden(t *testing.T) {
 	sess := NewSession()
 	defer sess.Close()
 	for _, gc := range golden {
-		for _, chunks := range []int{0, 2, 4, 8} {
-			res, err := sess.Search(g, src, Options{
-				Algorithm: gc.algo, Ranks: 4, Machine: "franklin",
-				Direction: gc.dir, Overlap: chunks, Trace: true,
-			})
-			if err != nil {
-				t.Fatal(err)
+		res, err := sess.Search(g, src, Options{
+			Algorithm: gc.algo, Ranks: 4, Machine: "franklin",
+			Direction: gc.dir, Trace: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.LevelCommWords) != len(gc.words) {
+			t.Fatalf("%v/%v: %d traced levels, want %d (%v)",
+				gc.algo, gc.dir, len(res.LevelCommWords), len(gc.words), res.LevelCommWords)
+		}
+		var sum int64
+		for l, w := range res.LevelCommWords {
+			sum += w
+			if w != gc.words[l] {
+				t.Errorf("%v/%v level %d: %d words, golden %d",
+					gc.algo, gc.dir, l+1, w, gc.words[l])
 			}
-			if len(res.LevelCommWords) != len(gc.words) {
-				t.Fatalf("%v/%v K=%d: %d traced levels, want %d (%v)",
-					gc.algo, gc.dir, chunks, len(res.LevelCommWords), len(gc.words), res.LevelCommWords)
-			}
-			var sum int64
-			for l, w := range res.LevelCommWords {
-				sum += w
-				if w != gc.words[l] {
-					t.Errorf("%v/%v K=%d level %d: %d words, golden %d",
-						gc.algo, gc.dir, chunks, l+1, w, gc.words[l])
-				}
-			}
-			if sum != res.SentWords {
-				t.Errorf("%v/%v K=%d: per-level volumes sum to %d, total %d",
-					gc.algo, gc.dir, chunks, sum, res.SentWords)
-			}
+		}
+		if sum != res.SentWords {
+			t.Errorf("%v/%v: per-level volumes sum to %d, total %d",
+				gc.algo, gc.dir, sum, res.SentWords)
 		}
 	}
 }

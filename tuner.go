@@ -8,12 +8,10 @@ import (
 
 // Tuned is one (layout, graph-family) pair's auto-tuned settings: the
 // candidate the tuner's evaluation pass found cheapest on the probe
-// sources. Zero Alpha/Beta mean "the published defaults", zero Overlap
-// means blocking collectives, zero grid dimensions mean the derived
-// shape — exactly the Options zero values the settings substitute for.
+// sources. Zero Alpha/Beta mean "the published defaults", zero grid
+// dimensions mean the derived shape — exactly the Options zero values the settings substitute for.
 type Tuned struct {
 	Alpha, Beta        int64
-	Overlap            int
 	GridRows, GridCols int
 	// Speedup is the defaults' total simulated time over the tuned
 	// settings' on the probe sources. The defaults are always in the
@@ -36,7 +34,7 @@ type tuneKey struct {
 // the result on the session: a counterfactual pass over the first probe
 // source turns the recorded decisions into candidate settings
 // (alpha/beta threshold variants when a direction decision lost money,
-// overlap chunk counts, the grid shapes the derivation rejected), then
+// the grid shapes the derivation rejected), then
 // every candidate — the hand-set defaults always among them — runs the
 // full probe-source set and the cheapest total simulated time wins.
 // Searches and batches submitted with Options.AutoTune then pick the
@@ -100,7 +98,7 @@ func (s *Session) Tune(g *Graph, opt Options, sources []int64) (Tuned, error) {
 	}
 	win := cands[best]
 	t := Tuned{
-		Alpha: win.Alpha, Beta: win.Beta, Overlap: win.Overlap,
+		Alpha: win.Alpha, Beta: win.Beta,
 		GridRows: win.GridRows, GridCols: win.GridCols,
 		Speedup: 1,
 	}
@@ -120,8 +118,7 @@ func (s *Session) Tune(g *Graph, opt Options, sources []int64) (Tuned, error) {
 // regret report. Candidate 0 is always the unmodified defaults — the
 // floor the tuner can never regress below. The rest are targeted by
 // what the counterfactuals found: threshold variants when a direction
-// decision lost simulated time, chunk-count variants around the
-// configured overlap, and the grid shapes the closest-square derivation
+// decision lost simulated time, and the grid shapes the closest-square derivation
 // rejected (2D only, capped to keep the evaluation pass bounded).
 func tuneCandidates(base Options, lay layout, rep *CounterfactualReport) []Options {
 	cands := []Options{base}
@@ -153,24 +150,6 @@ func tuneCandidates(base Options, lay layout, rep *CounterfactualReport) []Optio
 			}
 			c := base
 			c.Alpha, c.Beta = v[0], v[1]
-			cands = append(cands, c)
-		}
-	}
-
-	// Overlap chunk count: the gate's verdicts only choose between 1
-	// and the configured K, so the tuner varies K itself — switch
-	// chunking off or double it when configured, try the standard
-	// depths when not.
-	if !lay.diag {
-		var ks []int
-		if lay.overlap >= 2 {
-			ks = []int{0, lay.overlap * 2}
-		} else {
-			ks = []int{2, 4}
-		}
-		for _, k := range ks {
-			c := base
-			c.Overlap = k
 			cands = append(cands, c)
 		}
 	}
@@ -216,9 +195,6 @@ func (s *Session) applyTuned(g *Graph, opt Options) Options {
 	}
 	if opt.Alpha == 0 && opt.Beta == 0 {
 		opt.Alpha, opt.Beta = t.Alpha, t.Beta
-	}
-	if opt.Overlap == 0 {
-		opt.Overlap = t.Overlap
 	}
 	if opt.GridRows == 0 && opt.GridCols == 0 {
 		opt.GridRows, opt.GridCols = t.GridRows, t.GridCols
