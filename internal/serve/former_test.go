@@ -92,6 +92,54 @@ func TestFormerWaitNextConsistency(t *testing.T) {
 	}
 }
 
+// TestFormerOccupancyUnderBacklog drives a Former on a fake clock with
+// a sustained backlog: 240 requests arriving 24 per simulated
+// millisecond, BatchMax 64, MaxWait 3 ms, FCFS. Arrivals outpace the
+// max-wait timer, so full-width dispatches dominate; every request must
+// dispatch exactly once and the mean batch width must stay at or above
+// 16 (this stream forms batches of 60 on average).
+func TestFormerOccupancyUnderBacklog(t *testing.T) {
+	const (
+		requests = 240
+		perMs    = 24
+	)
+	clock := NewFakeClock(t0)
+	q := NewQueue(4 * requests)
+	f := &Former{Queue: q, Policy: FCFS{}, BatchMax: 64, MaxWait: 3 * time.Millisecond}
+	seen := make([]int, requests)
+	batches := 0
+	record := func(batch []*Request) {
+		batches++
+		for _, r := range batch {
+			seen[r.Source]++
+		}
+	}
+	for pushed := 0; pushed < requests; pushed += perMs {
+		for i := pushed; i < pushed+perMs; i++ {
+			push(t, q, int64(i), "x", 0, 1, clock.Now())
+		}
+		clock.Advance(time.Millisecond)
+		for {
+			batch, _ := f.Next(clock.Now())
+			if batch == nil {
+				break
+			}
+			record(batch)
+		}
+	}
+	for _, batch := range f.Flush(clock.Now()) {
+		record(batch)
+	}
+	for src, n := range seen {
+		if n != 1 {
+			t.Errorf("request %d dispatched %d times, want exactly once", src, n)
+		}
+	}
+	if mean := float64(requests) / float64(batches); mean < 16 {
+		t.Errorf("mean batch width %.1f over %d batches, want >= 16", mean, batches)
+	}
+}
+
 // TestPlaneCacheRefreshAtCapacity pins the refresh/eviction interplay
 // at exact capacity: a put on an existing key is a refresh — no
 // eviction, recency moved to front — and both put- and get-refreshes

@@ -46,9 +46,9 @@ func levelLoopSource(b *testing.B, el *graph.EdgeList) int64 {
 	return levelLoopSources(b, el, 1)[0]
 }
 
-func benchLevelLoop2D(b *testing.B, ranks, threads int, kernel spmat.Kernel, dir dirheur.Mode) {
+func benchLevelLoop2D(b *testing.B, scale, ranks, threads int, kernel spmat.Kernel, dir dirheur.Mode) {
 	b.Helper()
-	el, err := rmat.Graph500(levelLoopScale, 16, 0xbf).GenerateUndirected()
+	el, err := rmat.Graph500(scale, 16, 0xbf).GenerateUndirected()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -73,9 +73,7 @@ func benchLevelLoop2D(b *testing.B, ranks, threads int, kernel spmat.Kernel, dir
 	// Reset re-zeroes the clocks each iteration.
 	w := cluster.NewWorld(ranks, machine)
 	grid := cluster.NewGrid(w, pr, pc)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	search := func() {
 		w.Reset()
 		out, err := bfs2d.Run(w, grid, dg, src, bfs2d.Options{
 			Threads: threads, Kernel: kernel, Price: machine, Arena: &arena,
@@ -88,11 +86,18 @@ func benchLevelLoop2D(b *testing.B, ranks, threads int, kernel spmat.Kernel, dir
 			b.Fatal("benchmark source did no work")
 		}
 	}
+	// One warm search grows the arena, so allocs/op is the steady state.
+	search()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		search()
+	}
 }
 
-func benchLevelLoop1D(b *testing.B, ranks, threads int, dir dirheur.Mode) {
+func benchLevelLoop1D(b *testing.B, scale, ranks, threads int, dir dirheur.Mode) {
 	b.Helper()
-	el, err := rmat.Graph500(levelLoopScale, 16, 0xbf).GenerateUndirected()
+	el, err := rmat.Graph500(scale, 16, 0xbf).GenerateUndirected()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -110,34 +115,42 @@ func benchLevelLoop1D(b *testing.B, ranks, threads int, dir dirheur.Mode) {
 	opt.Arena = &bfs1d.Arena{}
 	defer opt.Arena.Close()
 	w := cluster.NewWorld(ranks, machine)
+	search := func() {
+		w.Reset()
+		if out := bfs1d.Run(w, dg, src, opt); out.TraversedEdges == 0 {
+			b.Fatal("benchmark source did no work")
+		}
+	}
+	// One warm search grows the arena, so allocs/op is the steady state.
+	search()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		w.Reset()
-		out := bfs1d.Run(w, dg, src, opt)
-		if out.TraversedEdges == 0 {
-			b.Fatal("benchmark source did no work")
-		}
+		search()
 	}
 }
 
 // Top-down-only rows: the PR 1 baselines, and the configuration the
 // paper evaluates.
 func BenchmarkBFSLevelLoop2DFlat(b *testing.B) {
-	benchLevelLoop2D(b, 16, 1, spmat.KernelAuto, dirheur.ModeTopDown)
+	benchLevelLoop2D(b, levelLoopScale, 16, 1, spmat.KernelAuto, dirheur.ModeTopDown)
 }
 func BenchmarkBFSLevelLoop2DHybrid(b *testing.B) {
-	benchLevelLoop2D(b, 16, 4, spmat.KernelAuto, dirheur.ModeTopDown)
+	benchLevelLoop2D(b, levelLoopScale, 16, 4, spmat.KernelAuto, dirheur.ModeTopDown)
 }
-func BenchmarkBFSLevelLoop1DFlat(b *testing.B)   { benchLevelLoop1D(b, 16, 1, dirheur.ModeTopDown) }
-func BenchmarkBFSLevelLoop1DHybrid(b *testing.B) { benchLevelLoop1D(b, 16, 4, dirheur.ModeTopDown) }
+func BenchmarkBFSLevelLoop1DFlat(b *testing.B) {
+	benchLevelLoop1D(b, levelLoopScale, 16, 1, dirheur.ModeTopDown)
+}
+func BenchmarkBFSLevelLoop1DHybrid(b *testing.B) {
+	benchLevelLoop1D(b, levelLoopScale, 16, 4, dirheur.ModeTopDown)
+}
 
 // Direction-optimized rows: the library default since PR 2.
 func BenchmarkBFSLevelLoop2DFlatAuto(b *testing.B) {
-	benchLevelLoop2D(b, 16, 1, spmat.KernelAuto, dirheur.ModeAuto)
+	benchLevelLoop2D(b, levelLoopScale, 16, 1, spmat.KernelAuto, dirheur.ModeAuto)
 }
 func BenchmarkBFSLevelLoop1DFlatAuto(b *testing.B) {
-	benchLevelLoop1D(b, 16, 1, dirheur.ModeAuto)
+	benchLevelLoop1D(b, levelLoopScale, 16, 1, dirheur.ModeAuto)
 }
 
 func benchLevelLoopBatch1D(b *testing.B, scale, ranks, threads, width int) {
@@ -264,6 +277,31 @@ func TestBatchLevelLoopAllocationFree(t *testing.T) {
 				tc.name, res.AllocsPerOp(), limit)
 		}
 	}
+	// Single-search rows under the default Auto direction, warm arena.
+	// Each bound is the steady-state count measured when the rows were
+	// added (scale 12, 16 ranks, Go 1.24, linux/amd64) × 1.25 + 16: loose
+	// enough for runtime drift, tight enough that one malloc per rank per
+	// level trips it.
+	for _, tc := range []struct {
+		name  string
+		limit int64
+		bench func(*testing.B)
+	}{
+		{"1d-flat", 176, func(b *testing.B) { benchLevelLoop1D(b, 12, 16, 1, dirheur.ModeAuto) }},   // measured 128
+		{"1d-hybrid", 296, func(b *testing.B) { benchLevelLoop1D(b, 12, 16, 4, dirheur.ModeAuto) }}, // measured 224
+		{"2d-flat", 194, func(b *testing.B) { // measured 143
+			benchLevelLoop2D(b, 12, 16, 1, spmat.KernelAuto, dirheur.ModeAuto)
+		}},
+		{"2d-hybrid", 194, func(b *testing.B) { // measured 143
+			benchLevelLoop2D(b, 12, 16, 4, spmat.KernelAuto, dirheur.ModeAuto)
+		}},
+	} {
+		res := testing.Benchmark(tc.bench)
+		if res.AllocsPerOp() > tc.limit {
+			t.Errorf("%s: %d allocs per warm single search exceeds the %d bound — a level iteration is allocating",
+				tc.name, res.AllocsPerOp(), tc.limit)
+		}
+	}
 }
 
 // BenchmarkBFSLevelLoop1DHybridSingleCore isolates the PR 1 regression
@@ -278,5 +316,5 @@ func TestBatchLevelLoopAllocationFree(t *testing.T) {
 func BenchmarkBFSLevelLoop1DHybridSingleCore(b *testing.B) {
 	prev := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(prev)
-	benchLevelLoop1D(b, 16, 4, dirheur.ModeTopDown)
+	benchLevelLoop1D(b, levelLoopScale, 16, 4, dirheur.ModeTopDown)
 }
