@@ -11,19 +11,6 @@
 // -emulate (default on), an EMULATED block (real execution of the
 // distributed algorithms at laptop scale over goroutine ranks).
 //
-// With -bench-out, it additionally measures the real wall-clock cost of
-// the four BFS level loops (ns/op, allocs/op via testing.Benchmark)
-// under the default direction-optimizing policy, records the
-// auto-vs-top-down scanned-edge comparison (total and restricted to the
-// bottom-up middle levels), stamps the host context (runtime.NumCPU,
-// GOMAXPROCS, Go version, timestamp — wall-clock columns are only
-// comparable within a host class), probes the collective engine's
-// parallel efficiency (GOMAXPROCS=1 vs all-cores level-loop ratio, at
-// the report scale and at scale 18), and writes the machine-readable
-// BENCH trajectory file:
-//
-//	bfsbench -bench-out BENCH_bfs.json -bench-scale 16
-//
 // With -counterfactual, it instead prints the decision-replay regret
 // table for the standard configurations: every per-level policy
 // decision of one traced search, replayed under each rejected
@@ -33,7 +20,7 @@
 //
 //	bfsbench -counterfactual -bench-scale 10
 //
-// See EXPERIMENTS.md for the BENCH_bfs.json field reference.
+// Wall-clock measurement lives in benchmark/ (see benchmark/README.md).
 package main
 
 import (
@@ -52,8 +39,7 @@ func main() {
 		experiment = flag.String("experiment", "all", "experiment id or 'all' (see -list)")
 		emulate    = flag.Bool("emulate", true, "also run the downscaled emulated experiments")
 		list       = flag.Bool("list", false, "list experiment ids and exit")
-		benchOut   = flag.String("bench-out", "", "write wall-clock level-loop benchmarks to this JSON file (e.g. BENCH_bfs.json) and exit")
-		benchScale = flag.Int("bench-scale", 16, "R-MAT scale for -bench-out and -counterfactual")
+		benchScale = flag.Int("bench-scale", 16, "R-MAT scale for -counterfactual")
 		counterfac = flag.Bool("counterfactual", false, "print the decision-replay regret table for the standard configurations at -bench-scale and exit (deterministic: identical output every run)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (inspect with go tool pprof)")
 		memProfile = flag.String("memprofile", "", "write a heap profile at exit to this file (inspect with go tool pprof)")
@@ -86,8 +72,7 @@ func main() {
 	}
 	if *benchScale < 4 || *benchScale > 24 {
 		// Below scale 4 the 16-rank instances degenerate (fewer vertices
-		// than ranks); above 24 a laptop-scale wall-clock run is not
-		// meaningful.
+		// than ranks); above 24 a laptop-scale replay is not meaningful.
 		fatal(fmt.Errorf("-bench-scale %d out of supported range [4, 24]", *benchScale))
 	}
 
@@ -100,17 +85,6 @@ func main() {
 
 	if *counterfac {
 		if err := bench.CounterfactualTable(os.Stdout, *benchScale, 16, 0xbf); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
-	if *benchOut != "" {
-		rep, err := bench.WallClock(*benchScale, 16, 0xbf)
-		if err != nil {
-			fatal(err)
-		}
-		if err := rep.WriteJSON(*benchOut, os.Stdout); err != nil {
 			fatal(err)
 		}
 		return

@@ -7,9 +7,7 @@
 // Each registered graph gets its own queue, batch former, session
 // pool, and cache, so batches never mix graphs.
 //
-// Endpoints: /v1/query, /v1/graphs, /v1/metrics, /v1/healthz. The
-// pre-v1 paths (/query, /metrics, /healthz) still work and answer with
-// a Deprecation header pointing at their successors.
+// Endpoints: /v1/query, /v1/graphs, /v1/metrics, /v1/healthz.
 //
 // Example:
 //

@@ -21,8 +21,7 @@ func TestOversizedQueryBodyRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv, err := serve.New(serve.Config{
-		Graph:   g,
-		Options: pbfs.Options{Algorithm: pbfs.OneDFlat, Ranks: 4},
+		Graphs:  []serve.GraphConfig{{ID: "g", Graph: g, Options: pbfs.Options{Algorithm: pbfs.OneDFlat, Ranks: 4}}},
 		MaxWait: time.Millisecond,
 	})
 	if err != nil {

@@ -20,6 +20,10 @@ import (
 // Magic identifies an edge file.
 const Magic = "PBFSEDG1"
 
+// maxPrealloc caps the edges Read reserves from the header's count
+// before any edge is read (16 MiB of graph.Edge).
+const maxPrealloc = 1 << 20
+
 // Write streams an edge list to w.
 func Write(w io.Writer, el *graph.EdgeList) error {
 	bw := bufio.NewWriterSize(w, 1<<20)
@@ -77,7 +81,10 @@ func Read(r io.Reader) (*graph.EdgeList, error) {
 	if n < 0 || m < 0 {
 		return nil, fmt.Errorf("edgefile: negative header counts n=%d m=%d", n, m)
 	}
-	el := &graph.EdgeList{NumVerts: n, Edges: make([]graph.Edge, 0, m)}
+	// The header is untrusted: preallocate at most maxPrealloc edges and
+	// let append grow the slice, so a lying edge count ends in the
+	// truncation error below rather than a huge (or impossible) make.
+	el := &graph.EdgeList{NumVerts: n, Edges: make([]graph.Edge, 0, min(m, maxPrealloc))}
 	buf := make([]byte, 16)
 	for i := int64(0); i < m; i++ {
 		if _, err := io.ReadFull(br, buf); err != nil {

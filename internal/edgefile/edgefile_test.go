@@ -2,6 +2,7 @@ package edgefile
 
 import (
 	"bytes"
+	"encoding/binary"
 	"path/filepath"
 	"testing"
 	"testing/quick"
@@ -11,16 +12,23 @@ import (
 	"repro/internal/rmat"
 )
 
-func TestRoundTrip(t *testing.T) {
+// roundTripGraph is TestRoundTrip's input, also FuzzRead's main seed.
+func roundTripGraph(tb testing.TB) (*graph.EdgeList, []byte) {
+	tb.Helper()
 	el, err := rmat.Graph500(8, 8, 0xe1).Generate()
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	var buf bytes.Buffer
 	if err := Write(&buf, el); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	got, err := Read(&buf)
+	return el, buf.Bytes()
+}
+
+func TestRoundTrip(t *testing.T) {
+	el, data := roundTripGraph(t)
+	got, err := Read(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,6 +86,9 @@ func TestReadRejectsCorruption(t *testing.T) {
 			c[len(Magic)+7] = 0x80 // sign bit of the vertex count
 			return c
 		}},
+		// A header alone claiming 1<<60 edges: an error, not a panic
+		// preallocating the claimed count.
+		{"lying edge count", func([]byte) []byte { return header(4, 1<<60) }},
 	}
 	for _, tc := range cases {
 		if _, err := Read(bytes.NewReader(tc.mutate(good))); err == nil {
@@ -87,6 +98,36 @@ func TestReadRejectsCorruption(t *testing.T) {
 }
 
 func clone(b []byte) []byte { return append([]byte(nil), b...) }
+
+// header is a bare file header: magic, vertex count n, edge count m.
+func header(n, m int64) []byte {
+	b := []byte(Magic)
+	b = binary.LittleEndian.AppendUint64(b, uint64(n))
+	return binary.LittleEndian.AppendUint64(b, uint64(m))
+}
+
+// FuzzRead: Read never panics, and whatever it accepts writes back to
+// the identical bytes.
+func FuzzRead(f *testing.F) {
+	_, data := roundTripGraph(f)
+	f.Add(data)
+	f.Add(header(4, 1<<60))
+	f.Add(header(3, 0))
+	f.Add([]byte(Magic))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		el, err := Read(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := Write(&buf, el); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), data) {
+			t.Fatalf("accepted %d bytes but rewrote %d different bytes", len(data), buf.Len())
+		}
+	})
+}
 
 // Property: arbitrary edge lists survive a round trip bit-exactly.
 func TestRoundTripProperty(t *testing.T) {

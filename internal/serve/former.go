@@ -24,8 +24,8 @@ import (
 // deadline.
 //
 // The Former holds no clock: Next and Flush take explicit times, so a
-// test (or the deterministic serving benchmark) drives formation with
-// a FakeClock and gets the same batches every run.
+// test drives formation with a FakeClock and gets the same batches
+// every run.
 type Former struct {
 	Queue  *Queue
 	Policy Policy

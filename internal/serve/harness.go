@@ -8,8 +8,7 @@ import "time"
 // explicit fake-clock instants instead of on the serving loops' real
 // timers. Same clock script, same submissions → bit-identical batch
 // composition, cache hit sequence, and shed set on every run — the
-// substrate of the deterministic load tests and the serve_* BENCH
-// probes.
+// substrate of the deterministic load tests.
 //
 // A Harness is single-threaded by design: Submit and Pump from one
 // goroutine.

@@ -84,28 +84,14 @@ type errorBody struct {
 // Rejections map to status codes through RejectStatus (queue_full →
 // 429 with a Retry-After backpressure hint, draining → 503,
 // bad_source/unknown_class → 400, unknown_graph → 404, deadline →
-// 504). The unversioned legacy paths (/query, /metrics, /healthz)
-// alias their /v1/ successors and answer with a Deprecation header.
+// 504).
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/query", s.handleQuery)
 	mux.HandleFunc("/v1/graphs", s.handleGraphs)
 	mux.HandleFunc("/v1/metrics", s.handleMetrics)
 	mux.HandleFunc("/v1/healthz", s.handleHealthz)
-	mux.HandleFunc("/query", deprecated("/v1/query", s.handleQuery))
-	mux.HandleFunc("/metrics", deprecated("/v1/metrics", s.handleMetrics))
-	mux.HandleFunc("/healthz", deprecated("/v1/healthz", s.handleHealthz))
 	return mux
-}
-
-// deprecated wraps a legacy alias: same handler, plus the Deprecation
-// header and a Link to the successor endpoint.
-func deprecated(successor string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", "<"+successor+`>; rel="successor-version"`)
-		h(w, r)
-	}
 }
 
 func writeJSON(w http.ResponseWriter, status int, body any) {

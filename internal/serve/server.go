@@ -33,14 +33,6 @@ type Config struct {
 	// empty Query.GraphID resolves to).
 	Graphs []GraphConfig
 
-	// Graph and Options are the deprecated single-graph configuration:
-	// when Graphs is empty, a non-nil Graph registers as the default
-	// graph under ID "default".
-	//
-	// Deprecated: use Graphs.
-	Graph   *pbfs.Graph
-	Options pbfs.Options
-
 	// BatchMax is the dispatch width (clamped to [1, pbfs.BatchWidth]);
 	// MaxWait bounds how long an admitted query waits before a partial
 	// batch dispatches (default 2ms).
@@ -110,10 +102,7 @@ func New(cfg Config) (*Server, error) {
 // (the Harness pumps batches synchronously instead).
 func newServer(cfg Config, start bool) (*Server, error) {
 	if len(cfg.Graphs) == 0 {
-		if cfg.Graph == nil {
-			return nil, fmt.Errorf("serve: no graphs registered")
-		}
-		cfg.Graphs = []GraphConfig{{ID: "default", Graph: cfg.Graph, Options: cfg.Options}}
+		return nil, fmt.Errorf("serve: no graphs registered")
 	}
 	if cfg.BatchMax < 1 || cfg.BatchMax > pbfs.BatchWidth {
 		cfg.BatchMax = pbfs.BatchWidth
@@ -286,20 +275,6 @@ func (s *Server) Do(ctx context.Context, q Query) (*Response, error) {
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
-}
-
-// Submit admits one query against the default graph.
-//
-// Deprecated: build a Query and use SubmitQuery.
-func (s *Server) Submit(source int64, class string) (<-chan *Response, error) {
-	return s.SubmitQuery(Query{Source: source, Class: class})
-}
-
-// Query runs one query against the default graph and waits for it.
-//
-// Deprecated: build a Query and use Do.
-func (s *Server) Query(ctx context.Context, source int64, class string) (*Response, error) {
-	return s.Do(ctx, Query{Source: source, Class: class})
 }
 
 // GraphInfo describes one registered graph.

@@ -49,8 +49,7 @@ func TestServerE2EConformance(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv, err := New(Config{
-		Graph:   g,
-		Options: pbfs.Options{Algorithm: pbfs.OneDFlat, Ranks: 4, Machine: "franklin"},
+		Graphs:  []GraphConfig{{ID: "g", Graph: g, Options: pbfs.Options{Algorithm: pbfs.OneDFlat, Ranks: 4, Machine: "franklin"}}},
 		MaxWait: 2 * time.Millisecond, QueueDepth: 1024,
 		Policy: Priority{Aging: 5 * time.Millisecond}, Sessions: 2,
 	})
@@ -82,7 +81,7 @@ func TestServerE2EConformance(t *testing.T) {
 			defer wg.Done()
 			src := pool[i%len(pool)]
 			body, _ := json.Marshal(QueryRequest{Source: src, Class: classes[i%len(classes)], Dist: true})
-			resp, err := http.Post(ts.URL+"/query", "application/json", bytes.NewReader(body))
+			resp, err := http.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader(body))
 			if err != nil {
 				errs <- err
 				return
@@ -121,7 +120,7 @@ func TestServerE2EConformance(t *testing.T) {
 	}
 
 	// The metrics endpoint must account for every query, per class.
-	resp, err := http.Get(ts.URL + "/metrics")
+	resp, err := http.Get(ts.URL + "/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,19 +144,19 @@ func TestServerE2EConformance(t *testing.T) {
 	}
 
 	// Health flips to draining after shutdown; queries reject.
-	if r, err := http.Get(ts.URL + "/healthz"); err != nil || r.StatusCode != http.StatusOK {
+	if r, err := http.Get(ts.URL + "/v1/healthz"); err != nil || r.StatusCode != http.StatusOK {
 		t.Fatalf("healthz before shutdown: %v %v", r, err)
 	} else {
 		r.Body.Close()
 	}
 	srv.Shutdown()
-	if r, err := http.Get(ts.URL + "/healthz"); err != nil || r.StatusCode != http.StatusServiceUnavailable {
+	if r, err := http.Get(ts.URL + "/v1/healthz"); err != nil || r.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("healthz after shutdown: %v %v", r, err)
 	} else {
 		r.Body.Close()
 	}
 	body, _ := json.Marshal(QueryRequest{Source: pool[0], Class: "standard"})
-	if r, err := http.Post(ts.URL+"/query", "application/json", bytes.NewReader(body)); err != nil ||
+	if r, err := http.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader(body)); err != nil ||
 		r.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("query after shutdown: %v %v", r, err)
 	} else {
@@ -166,7 +165,7 @@ func TestServerE2EConformance(t *testing.T) {
 }
 
 func TestServerShutdownUnderLoad(t *testing.T) {
-	// Hammer Submit from many goroutines while the server shuts down:
+	// Hammer SubmitQuery from many goroutines while the server shuts down:
 	// every admitted request must receive exactly one response — served
 	// or rejected-with-reason — and none may hang. Run under -race in
 	// CI (scripts/ci.sh).
@@ -175,8 +174,7 @@ func TestServerShutdownUnderLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv, err := New(Config{
-		Graph:   g,
-		Options: pbfs.Options{Algorithm: pbfs.OneDFlat, Ranks: 4},
+		Graphs:  []GraphConfig{{ID: "g", Graph: g, Options: pbfs.Options{Algorithm: pbfs.OneDFlat, Ranks: 4}}},
 		MaxWait: time.Millisecond, QueueDepth: 256, Sessions: 2,
 	})
 	if err != nil {
@@ -190,7 +188,7 @@ func TestServerShutdownUnderLoad(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				ch, err := srv.Submit(int64((w*perWorker+i)%int(g.NumVerts())), "standard")
+				ch, err := srv.SubmitQuery(Query{Source: int64((w*perWorker + i) % int(g.NumVerts())), Class: "standard"})
 				if err != nil {
 					rejected.add()
 					continue
@@ -240,8 +238,7 @@ func TestServerAdmissionRejections(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv, err := New(Config{
-		Graph:   g,
-		Options: pbfs.Options{Algorithm: pbfs.OneDFlat, Ranks: 4},
+		Graphs: []GraphConfig{{ID: "g", Graph: g, Options: pbfs.Options{Algorithm: pbfs.OneDFlat, Ranks: 4}}},
 		// A far deadline and a full-width batch: nothing dispatches, so
 		// the 2-deep queue saturates deterministically.
 		MaxWait: time.Hour, BatchMax: 64, QueueDepth: 2,
@@ -249,24 +246,24 @@ func TestServerAdmissionRejections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := srv.Submit(0, "no-such-class"); reason(err) != RejectBadClass {
+	if _, err := srv.SubmitQuery(Query{Source: 0, Class: "no-such-class"}); reason(err) != RejectBadClass {
 		t.Errorf("unknown class: %v", err)
 	}
-	if _, err := srv.Submit(g.NumVerts(), "standard"); reason(err) != RejectBadSource {
+	if _, err := srv.SubmitQuery(Query{Source: g.NumVerts(), Class: "standard"}); reason(err) != RejectBadSource {
 		t.Errorf("out-of-range source: %v", err)
 	}
-	if _, err := srv.Submit(-1, "standard"); reason(err) != RejectBadSource {
+	if _, err := srv.SubmitQuery(Query{Source: -1, Class: "standard"}); reason(err) != RejectBadSource {
 		t.Errorf("negative source: %v", err)
 	}
-	ch1, err := srv.Submit(0, "standard")
+	ch1, err := srv.SubmitQuery(Query{Source: 0, Class: "standard"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch2, err := srv.Submit(1, "standard")
+	ch2, err := srv.SubmitQuery(Query{Source: 1, Class: "standard"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := srv.Submit(2, "standard"); reason(err) != RejectQueueFull {
+	if _, err := srv.SubmitQuery(Query{Source: 2, Class: "standard"}); reason(err) != RejectQueueFull {
 		t.Errorf("saturated queue: %v", err)
 	}
 	snap := srv.Metrics()
@@ -290,7 +287,7 @@ func TestServerAdmissionRejections(t *testing.T) {
 			t.Fatalf("flushed query %d dropped", i)
 		}
 	}
-	if _, err := srv.Submit(0, "standard"); reason(err) != RejectDraining {
+	if _, err := srv.SubmitQuery(Query{Source: 0, Class: "standard"}); reason(err) != RejectDraining {
 		t.Errorf("post-shutdown submit: %v", err)
 	}
 }
@@ -309,8 +306,7 @@ func TestServerQueryContext(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv, err := New(Config{
-		Graph:   g,
-		Options: pbfs.Options{Algorithm: pbfs.OneDFlat, Ranks: 4},
+		Graphs:  []GraphConfig{{ID: "g", Graph: g, Options: pbfs.Options{Algorithm: pbfs.OneDFlat, Ranks: 4}}},
 		MaxWait: time.Hour, BatchMax: 64, // nothing dispatches on its own
 	})
 	if err != nil {
@@ -319,7 +315,7 @@ func TestServerQueryContext(t *testing.T) {
 	defer srv.Shutdown()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := srv.Query(ctx, 0, "standard"); err != context.Canceled {
+	if _, err := srv.Do(ctx, Query{Source: 0, Class: "standard"}); err != context.Canceled {
 		t.Errorf("canceled query: %v", err)
 	}
 }
@@ -330,8 +326,7 @@ func TestHTTPErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv, err := New(Config{
-		Graph:   g,
-		Options: pbfs.Options{Algorithm: pbfs.OneDFlat, Ranks: 4},
+		Graphs:  []GraphConfig{{ID: "g", Graph: g, Options: pbfs.Options{Algorithm: pbfs.OneDFlat, Ranks: 4}}},
 		MaxWait: time.Millisecond,
 	})
 	if err != nil {
@@ -341,26 +336,26 @@ func TestHTTPErrors(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	if r, _ := http.Get(ts.URL + "/query"); r.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("GET /query status %d", r.StatusCode)
+	if r, _ := http.Get(ts.URL + "/v1/query"); r.StatusCode != http.StatusMethodNotAllowed {
+		t.Errorf("GET /v1/query status %d", r.StatusCode)
 	}
-	if r, _ := http.Post(ts.URL+"/query", "application/json",
+	if r, _ := http.Post(ts.URL+"/v1/query", "application/json",
 		bytes.NewReader([]byte("{not json"))); r.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad body status %d", r.StatusCode)
 	}
 	body, _ := json.Marshal(QueryRequest{Source: -1})
-	if r, _ := http.Post(ts.URL+"/query", "application/json",
+	if r, _ := http.Post(ts.URL+"/v1/query", "application/json",
 		bytes.NewReader(body)); r.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad source status %d", r.StatusCode)
 	}
 	body, _ = json.Marshal(QueryRequest{Source: 0, Class: "vip"})
-	if r, _ := http.Post(ts.URL+"/query", "application/json",
+	if r, _ := http.Post(ts.URL+"/v1/query", "application/json",
 		bytes.NewReader(body)); r.StatusCode != http.StatusBadRequest {
 		t.Errorf("unknown class status %d", r.StatusCode)
 	}
 	// Default class is "standard": a bare source serves fine.
 	body, _ = json.Marshal(QueryRequest{Source: 0})
-	r, err := http.Post(ts.URL+"/query", "application/json", bytes.NewReader(body))
+	r, err := http.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader(body))
 	if err != nil || r.StatusCode != http.StatusOK {
 		t.Fatalf("default class query: %v status %v", err, r)
 	}
@@ -377,9 +372,7 @@ func TestHTTPErrors(t *testing.T) {
 func TestHTTPV1Surface(t *testing.T) {
 	// The versioned API over two registered graphs: /v1/graphs lists
 	// the registry, /v1/query routes by graph ID (and flags cache
-	// hits), /v1/metrics reports per-graph accounting, and the legacy
-	// unversioned paths alias their successors behind a Deprecation
-	// header.
+	// hits), and /v1/metrics reports per-graph accounting.
 	big, err := pbfs.NewRMATGraph(7, 8, 21)
 	if err != nil {
 		t.Fatal(err)
@@ -461,15 +454,10 @@ func TestHTTPV1Surface(t *testing.T) {
 		t.Errorf("unknown graph status %d, want 404", r.StatusCode)
 	}
 
-	// Legacy aliases answer with Deprecation plus a successor Link and
-	// the same payload shape as /v1/.
-	r, err = http.Get(ts.URL + "/metrics")
+	// Per-graph accounting on /v1/metrics.
+	r, err = http.Get(ts.URL + "/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
-	}
-	if r.Header.Get("Deprecation") != "true" ||
-		r.Header.Get("Link") != `</v1/metrics>; rel="successor-version"` {
-		t.Errorf("legacy /metrics headers %v", r.Header)
 	}
 	var snap Snapshot
 	if err := json.NewDecoder(r.Body).Decode(&snap); err != nil {

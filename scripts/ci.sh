@@ -3,9 +3,9 @@
 # references, shellcheck, formatting, vet, build, full tests, a race
 # smoke over the concurrency-heavy paths, and a one-iteration benchmark
 # smoke pass over the BFS level loops. `.github/workflows/ci.yml` runs
-# exactly this script on every push and pull request; CI_BENCHCHECK=1
-# additionally runs the bench-regression gate (scripts/benchcheck.sh),
-# which is minutes of wall clock and has its own CI job.
+# exactly this script on every push and pull request. Wall-clock
+# performance is measured by benchmark/ (see benchmark/README.md), not
+# here: every floor this gate holds is a deterministic go test.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -104,9 +104,9 @@ go test -race ./internal/serve
 echo "== counterfactual determinism smoke =="
 # The decision-replay regret table derives entirely from the simulated
 # clock, so two invocations must produce identical bytes — the property
-# the auto-tuner's regret accounting (and the tuned_speedup gate in
-# scripts/benchcmp) relies on. A diff here means wall-clock time,
-# iteration order, or other nondeterminism leaked into the replay path.
+# the auto-tuner's regret accounting (and TestTuneSpeedupFloor) relies
+# on. A diff here means wall-clock time, iteration order, or other
+# nondeterminism leaked into the replay path.
 cf_a=$(mktemp) && cf_b=$(mktemp)
 trap 'rm -f "$cf_a" "$cf_b"' EXIT
 go run ./cmd/bfsbench -counterfactual -bench-scale 10 >"$cf_a"
@@ -124,17 +124,9 @@ echo "== bench smoke (GOMAXPROCS axis) =="
 # The same steady-state level loops pinned to one core: the parallel
 # collective engine must stay correct when rank goroutines are forced
 # to time-slice a single P (the degenerate schedule every arrival gate
-# and wake token must survive), and keeping both axes exercised here
-# means a reintroduced serialization point shows up as the 1-vs-all
-# wall-clock gap collapsing — which the bench-regression job turns
-# into a hard failure via the parallel_efficiency floor on multicore
-# runners.
+# and wake token must survive). This is a correctness smoke, not a
+# timing: multicore wall-clock scaling is benchmark/'s to measure.
 GOMAXPROCS=1 go test -run '^$' -bench='BFSLevelLoop(1D|2D)Flat$' -benchtime=1x .
 go test -run '^$' -bench='BFSLevelLoop(1D|2D)Flat$' -benchtime=1x .
-
-if [ "${CI_BENCHCHECK:-0}" = "1" ]; then
-    echo "== bench-regression gate =="
-    ./scripts/benchcheck.sh
-fi
 
 echo "CI OK"
