@@ -1,7 +1,9 @@
 package pbfs
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/decis"
@@ -79,6 +81,48 @@ func TestDecisionsRecorded(t *testing.T) {
 	for _, d := range res.Decisions {
 		if d.Kind == decis.KindGrid {
 			t.Error("grid decision recorded for an explicitly pinned grid")
+		}
+	}
+}
+
+// TestDecisionsGolden pins every decision a traced Auto search records on
+// a fixed instance, inputs included: the level it governs, the reduced
+// frontier and edge estimate, the unexplored volume and vertex total the
+// rules compared against, the choice and the rejected alternatives.
+func TestDecisionsGolden(t *testing.T) {
+	g, err := NewRMATGraph(10, 8, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := g.Sources(1, 9)[0]
+	// Both layouts reduce the same global statistics, so they take the
+	// same direction decisions; the 2D search adds its derived grid.
+	dirs := []string{
+		"direction L2 nf=1 mf=373 mu=10407 n=1024 top-down [bottom-up]",
+		"direction L3 nf=372 mf=9057 mu=1350 n=1024 bottom-up [top-down]",
+		"direction L4 nf=349 mf=1340 mu=10 n=1024 bottom-up [top-down]",
+		"direction L5 nf=9 mf=9 mu=1 n=1024 top-down [bottom-up]",
+	}
+	golden := map[Algorithm][]string{
+		OneDFlat: dirs,
+		TwoDFlat: append(slices.Clone(dirs), "grid L0 nf=0 mf=0 mu=0 n=0 2x2 [1x4 4x1]"),
+	}
+	sess := NewSession()
+	defer sess.Close()
+	for _, algo := range []Algorithm{OneDFlat, TwoDFlat} {
+		res, err := sess.Search(g, src, Options{
+			Algorithm: algo, Ranks: 4, Machine: "franklin", Direction: Auto, Trace: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, d := range res.Decisions {
+			got = append(got, fmt.Sprintf("%s L%d nf=%d mf=%d mu=%d n=%d %s %v",
+				d.Kind, d.Level, d.Frontier, d.EdgeEst, d.Unexplored, d.Verts, d.Choice, d.Alternatives))
+		}
+		if !slices.Equal(got, golden[algo]) {
+			t.Errorf("%v decisions:\n got %q\nwant %q", algo, got, golden[algo])
 		}
 	}
 }

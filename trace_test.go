@@ -1,9 +1,11 @@
 package pbfs
 
 import (
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -40,8 +42,23 @@ func TestTraceProfiles(t *testing.T) {
 	}
 }
 
-// TestCommVolumeTraceGolden pins the per-level communication volume
-// profile of both distributed drivers on a fixed instance. The golden
+// levelDirs renders a LevelBottomUp trace as one letter per iteration:
+// 't' for top-down, 'b' for bottom-up.
+func levelDirs(bu []bool) string {
+	b := make([]byte, len(bu))
+	for l, up := range bu {
+		b[l] = 't'
+		if up {
+			b[l] = 'b'
+		}
+	}
+	return string(b)
+}
+
+// TestCommVolumeTraceGolden pins the per-level profile of every
+// distributed driver on a fixed instance: the communication volume, the
+// scanned entries, the direction and the discoveries of each iteration,
+// for single searches and for one 8-source batch per layout. The golden
 // rows also document the direction-optimization story — under Auto the
 // heavy middle levels exchange a dense bitmap instead of the sparse
 // volumes visible in the top-down rows.
@@ -51,41 +68,81 @@ func TestCommVolumeTraceGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := g.Sources(1, 9)[0]
+	srcs := g.Sources(8, 9)
 	golden := []struct {
-		algo  Algorithm
-		dir   Direction
-		words []int64
+		algo     Algorithm
+		dir      Direction
+		batch    bool
+		words    []int64
+		scanned  []int64
+		dirs     string
+		frontier []int64
 	}{
-		{OneDFlat, Auto, []int64{2, 582, 32, 16, 18}},
-		{OneDFlat, TopDownOnly, []int64{2, 582, 2856, 912, 18}},
-		{TwoDFlat, Auto, []int64{4, 747, 1068, 50, 33}},
-		{TwoDFlat, TopDownOnly, []int64{4, 747, 2900, 1406, 33}},
+		{OneDFlat, Auto, false, []int64{2, 582, 32, 16, 18},
+			[]int64{1, 373, 375, 9, 9}, "ttbbt", []int64{1, 372, 349, 9}},
+		{OneDFlat, TopDownOnly, false, []int64{2, 582, 2856, 912, 18},
+			[]int64{1, 373, 9057, 1340, 9}, "ttttt", []int64{1, 372, 349, 9}},
+		{TwoDFlat, Auto, false, []int64{4, 747, 1068, 50, 33},
+			[]int64{1, 373, 557, 9, 9}, "ttbbt", []int64{1, 372, 349, 9}},
+		{TwoDFlat, TopDownOnly, false, []int64{4, 747, 2900, 1406, 33},
+			[]int64{1, 373, 9057, 1340, 9}, "ttttt", []int64{1, 372, 349, 9}},
+		{OneDHybrid, Auto, false, []int64{2, 582, 32, 16, 18},
+			[]int64{1, 373, 375, 9, 9}, "ttbbt", []int64{1, 372, 349, 9}},
+		{TwoDHybrid, Auto, false, []int64{4, 747, 1068, 50, 33},
+			[]int64{1, 373, 557, 9, 9}, "ttbbt", []int64{1, 372, 349, 9}},
+		{OneDFlat, Auto, true, []int64{189, 1024, 1024, 1024, 1024, 87},
+			[]int64{75, 10770, 9506, 785, 34, 36}, "tbbbbt", []int64{75, 2321, 2706, 712, 34}},
+		{OneDHybrid, Auto, true, []int64{189, 1024, 1024, 1024, 1024, 87},
+			[]int64{75, 10770, 9506, 785, 34, 36}, "tbbbbt", []int64{75, 2321, 2706, 712, 34}},
+		{TwoDFlat, Auto, true, []int64{251, 9168, 6434, 4937, 2156, 198},
+			[]int64{75, 10780, 9510, 1308, 36, 36}, "tbbbbt", []int64{75, 2321, 2706, 712, 34}},
+		{TwoDHybrid, Auto, true, []int64{251, 9168, 6434, 4937, 2156, 198},
+			[]int64{75, 10780, 9510, 1308, 36, 36}, "tbbbbt", []int64{75, 2321, 2706, 712, 34}},
 	}
 	sess := NewSession()
 	defer sess.Close()
 	for _, gc := range golden {
-		res, err := sess.Search(g, src, Options{
+		opt := Options{
 			Algorithm: gc.algo, Ranks: 4, Machine: "franklin",
 			Direction: gc.dir, Trace: true,
-		})
-		if err != nil {
-			t.Fatal(err)
 		}
-		if len(res.LevelCommWords) != len(gc.words) {
-			t.Fatalf("%v/%v: %d traced levels, want %d (%v)",
-				gc.algo, gc.dir, len(res.LevelCommWords), len(gc.words), res.LevelCommWords)
+		var words, scanned, frontier []int64
+		var bu []bool
+		var sent int64
+		if gc.batch {
+			res, err := sess.BFSBatch(g, srcs, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			words, scanned, frontier, bu = res.LevelCommWords, res.LevelScanned, res.LevelFrontier, res.LevelBottomUp
+			sent = res.SentWords
+		} else {
+			res, err := sess.Search(g, src, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			words, scanned, frontier, bu = res.LevelCommWords, res.LevelScanned, res.LevelFrontier, res.LevelBottomUp
+			sent = res.SentWords
+		}
+		name := fmt.Sprintf("%v/%v batch=%v", gc.algo, gc.dir, gc.batch)
+		if !slices.Equal(words, gc.words) {
+			t.Errorf("%s: per-level words %v, golden %v", name, words, gc.words)
+		}
+		if !slices.Equal(scanned, gc.scanned) {
+			t.Errorf("%s: per-level scanned %v, golden %v", name, scanned, gc.scanned)
+		}
+		if d := levelDirs(bu); d != gc.dirs {
+			t.Errorf("%s: per-level directions %q, golden %q", name, d, gc.dirs)
+		}
+		if !slices.Equal(frontier, gc.frontier) {
+			t.Errorf("%s: per-level frontier %v, golden %v", name, frontier, gc.frontier)
 		}
 		var sum int64
-		for l, w := range res.LevelCommWords {
+		for _, w := range words {
 			sum += w
-			if w != gc.words[l] {
-				t.Errorf("%v/%v level %d: %d words, golden %d",
-					gc.algo, gc.dir, l+1, w, gc.words[l])
-			}
 		}
-		if sum != res.SentWords {
-			t.Errorf("%v/%v: per-level volumes sum to %d, total %d",
-				gc.algo, gc.dir, sum, res.SentWords)
+		if sum != sent {
+			t.Errorf("%s: per-level volumes sum to %d, total %d", name, sum, sent)
 		}
 	}
 }
