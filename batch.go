@@ -3,9 +3,9 @@ package pbfs
 import (
 	"fmt"
 
-	"repro/internal/bfs1d"
 	"repro/internal/cluster"
 	"repro/internal/graph500"
+	"repro/internal/levels"
 )
 
 // BatchWidth is the number of sources one bit-parallel batch traverses
@@ -13,7 +13,7 @@ import (
 // a word's worth of searches share every adjacency scan and every
 // per-level collective. BFSBatch accepts any number of sources and
 // splits them into batches of at most this width.
-const BatchWidth = bfs1d.BatchWidth
+const BatchWidth = levels.BatchWidth
 
 // BatchResult is the output of a multi-source BFS batch: one Result per
 // source plus the whole-batch execution profile. For the bit-parallel
@@ -138,36 +138,27 @@ func (g *Graph) BFSBatch(sources []int64, opt Options) (*BatchResult, error) {
 	return s.BFSBatch(g, sources, opt)
 }
 
-// newBatchResult seeds a batch result for one batched run with the
-// world's clock ledgers (callers reset the world before the run, so the
-// stats are exactly this batch's profile).
-func newBatchResult(sources []int64, w *cluster.World) *BatchResult {
-	br := &BatchResult{Sources: append([]int64(nil), sources...)}
-	st := w.Stats()
-	br.SimTime = st.MaxClock
-	for _, c := range st.CommTime {
-		if c > br.CommTime {
-			br.CommTime = c
-		}
+// newBatchResult converts a bit-parallel driver output into a
+// BatchResult priced by w's ledger, charging each search an equal share
+// of the batch's clock. Edge counts halve as in newResult.
+func newBatchResult(out *levels.BatchOutput, w *cluster.World) *BatchResult {
+	br := &BatchResult{
+		Sources: out.Sources, BatchLevels: out.BatchLevels,
+		UniqueTraversedEdges: out.UniqueTraversedEdges / 2,
+		ScannedTopDown:       out.ScannedTopDown, ScannedBottomUp: out.ScannedBottomUp,
+		LevelFrontier: out.LevelFrontier, LevelScanned: out.LevelScanned,
+		LevelBottomUp: out.LevelBottomUp, LevelCommWords: out.LevelCommWords,
 	}
-	br.CommByPhase = st.CommByTag
-	br.SentWords, br.RecvWords = st.TotalSent, st.TotalRecvd
-	return br
-}
-
-// fillPerSource attaches the per-search outputs of a bit-parallel run,
-// charging each search an equal share of the batch's clock. traversed
-// counts adjacency entries (both directions of each undirected edge),
-// matching the drivers' convention.
-func (b *BatchResult) fillPerSource(dist, parent [][]int64, levels, traversed []int64) {
-	k := float64(len(b.Sources))
-	for s, src := range b.Sources {
-		b.Results = append(b.Results, &Result{
-			Source: src, Dist: dist[s], Parent: parent[s],
-			Levels: levels[s], TraversedEdges: traversed[s] / 2,
-			SimTime: b.SimTime / k, CommTime: b.CommTime / k,
+	br.SimTime, br.CommTime, br.CommByPhase, br.SentWords, br.RecvWords = ledger(w)
+	k := float64(len(br.Sources))
+	for s, src := range br.Sources {
+		br.Results = append(br.Results, &Result{
+			Source: src, Dist: out.Dist[s], Parent: out.Parent[s],
+			Levels: out.Levels[s], TraversedEdges: out.TraversedEdges[s] / 2,
+			SimTime: br.SimTime / k, CommTime: br.CommTime / k,
 		})
 	}
+	return br
 }
 
 // appendBatch folds one chunk's result into the accumulator — the

@@ -10,6 +10,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/decis"
 	"repro/internal/dirheur"
+	"repro/internal/levels"
 	"repro/internal/netmodel"
 	"repro/internal/spmat"
 )
@@ -230,19 +231,34 @@ func gridAlternatives(ranks, pr, pc int) []string {
 	return alts
 }
 
-// fillTimes copies the world's per-search clock ledgers into the result.
-// Callers reset the world before each search, so the stats are exactly
-// that search's profile.
-func fillTimes(res *Result, w *cluster.World) {
+// ledger returns the world's clock ledger: the simulated time, the
+// largest per-rank communication time, the communication time per
+// collective tag, and the words sent and received. Callers reset the
+// world before each run, so the stats are exactly that run's profile.
+func ledger(w *cluster.World) (sim, comm float64, byTag map[string]float64, sent, recv int64) {
 	st := w.Stats()
-	res.SimTime = st.MaxClock
 	for _, c := range st.CommTime {
-		if c > res.CommTime {
-			res.CommTime = c
+		if c > comm {
+			comm = c
 		}
 	}
-	res.CommByPhase = st.CommByTag
-	res.SentWords, res.RecvWords = st.TotalSent, st.TotalRecvd
+	return st.MaxClock, comm, st.CommByTag, st.TotalSent, st.TotalRecvd
+}
+
+// newResult converts a driver output into a Result priced by w's ledger.
+// The drivers count adjacency slots, both directions of each undirected
+// edge, so the edge count halves.
+func newResult(out *levels.Output, w *cluster.World) *Result {
+	res := &Result{
+		Source: out.Source, Dist: out.Dist, Parent: out.Parent,
+		Levels: out.Levels, TraversedEdges: out.TraversedEdges / 2,
+		ScannedTopDown: out.ScannedTopDown, ScannedBottomUp: out.ScannedBottomUp,
+		LevelFrontier: out.LevelFrontier, LevelScanned: out.LevelScanned,
+		LevelBottomUp: out.LevelBottomUp, LevelCommWords: out.LevelCommWords,
+		Decisions: out.Decisions,
+	}
+	res.SimTime, res.CommTime, res.CommByPhase, res.SentWords, res.RecvWords = ledger(w)
+	return res
 }
 
 // engine1D drives the 1D vertex-partitioned algorithms (flat and
@@ -282,16 +298,7 @@ func (e *engine1D) search(source int64, opt Options) (*Result, error) {
 		Direction: mode, Policy: policy,
 		Price: e.price, Trace: opt.Trace, Force: opt.force, Arena: &e.arena,
 	})
-	res := &Result{Source: source}
-	res.Dist, res.Parent = out.Dist, out.Parent
-	res.Levels, res.TraversedEdges = out.Levels, out.TraversedEdges/2
-	res.ScannedTopDown, res.ScannedBottomUp = out.ScannedTopDown, out.ScannedBottomUp
-	res.LevelFrontier = out.LevelFrontier
-	res.LevelScanned, res.LevelBottomUp = out.LevelScanned, out.LevelBottomUp
-	res.LevelCommWords = out.LevelCommWords
-	res.Decisions = out.Decisions
-	fillTimes(res, e.w)
-	return res, nil
+	return newResult(out, e.w), nil
 }
 
 func (e *engine1D) searchBatch(sources []int64, opt Options) (*BatchResult, error) {
@@ -305,14 +312,7 @@ func (e *engine1D) searchBatch(sources []int64, opt Options) (*BatchResult, erro
 		Direction: mode, Policy: policy,
 		Price: e.price, Trace: opt.Trace, Arena: &e.arena,
 	})
-	br := newBatchResult(sources, e.w)
-	br.BatchLevels = out.BatchLevels
-	br.UniqueTraversedEdges = out.UniqueTraversedEdges / 2
-	br.ScannedTopDown, br.ScannedBottomUp = out.ScannedTopDown, out.ScannedBottomUp
-	br.LevelFrontier, br.LevelScanned = out.LevelFrontier, out.LevelScanned
-	br.LevelBottomUp, br.LevelCommWords = out.LevelBottomUp, out.LevelCommWords
-	br.fillPerSource(out.Dist, out.Parent, out.Levels, out.TraversedEdges)
-	return br, nil
+	return newBatchResult(out, e.w), nil
 }
 
 func (e *engine1D) close() { e.arena.Close() }
@@ -357,14 +357,7 @@ func (e *engine2D) search(source int64, opt Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Source: source}
-	res.Dist, res.Parent = out.Dist, out.Parent
-	res.Levels, res.TraversedEdges = out.Levels, out.TraversedEdges/2
-	res.ScannedTopDown, res.ScannedBottomUp = out.ScannedTopDown, out.ScannedBottomUp
-	res.LevelFrontier = out.LevelFrontier
-	res.LevelScanned, res.LevelBottomUp = out.LevelScanned, out.LevelBottomUp
-	res.LevelCommWords = out.LevelCommWords
-	res.Decisions = out.Decisions
+	res := newResult(out, e.w)
 	if opt.Trace && opt.GridRows == 0 && opt.GridCols == 0 && !e.lay.diag {
 		// The grid shape was derived (cluster.ClosestSquare), so it was
 		// a decision of this library's, not the caller's: record it with
@@ -377,7 +370,6 @@ func (e *engine2D) search(source int64, opt Options) (*Result, error) {
 			Alternatives: gridAlternatives(e.lay.ranks, e.lay.pr, e.lay.pc),
 		})
 	}
-	fillTimes(res, e.w)
 	return res, nil
 }
 
@@ -399,14 +391,7 @@ func (e *engine2D) searchBatch(sources []int64, opt Options) (*BatchResult, erro
 	if err != nil {
 		return nil, err
 	}
-	br := newBatchResult(sources, e.w)
-	br.BatchLevels = out.BatchLevels
-	br.UniqueTraversedEdges = out.UniqueTraversedEdges / 2
-	br.ScannedTopDown, br.ScannedBottomUp = out.ScannedTopDown, out.ScannedBottomUp
-	br.LevelFrontier, br.LevelScanned = out.LevelFrontier, out.LevelScanned
-	br.LevelBottomUp, br.LevelCommWords = out.LevelBottomUp, out.LevelCommWords
-	br.fillPerSource(out.Dist, out.Parent, out.Levels, out.TraversedEdges)
-	return br, nil
+	return newBatchResult(out, e.w), nil
 }
 
 func (e *engine2D) close() { e.arena.Close() }
@@ -440,17 +425,11 @@ func (e *engineBase) search(source int64, opt Options) (*Result, error) {
 		return nil, err
 	}
 	e.w.Reset()
-	var out *bfs1d.Output
+	run := baseline.RunPBGL
 	if e.lay.algo == Reference {
-		out = baseline.RunReference(e.w, e.dg, source, e.price)
-	} else {
-		out = baseline.RunPBGL(e.w, e.dg, source, e.price)
+		run = baseline.RunReference
 	}
-	res := &Result{Source: source}
-	res.Dist, res.Parent = out.Dist, out.Parent
-	res.Levels, res.TraversedEdges = out.Levels, out.TraversedEdges/2
-	fillTimes(res, e.w)
-	return res, nil
+	return newResult(run(e.w, e.dg, source, e.price), e.w), nil
 }
 
 func (e *engineBase) searchBatch(sources []int64, opt Options) (*BatchResult, error) {

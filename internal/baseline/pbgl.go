@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/bfs1d"
 	"repro/internal/cluster"
+	"repro/internal/levels"
 	"repro/internal/serial"
 )
 
@@ -25,7 +26,7 @@ const (
 // vertex distribution, but with per-edge messaging semantics, serialized
 // fat messages, and distributed-queue bookkeeping instead of bulk packed
 // buffers. Output is a correct BFS; only the cost profile differs.
-func RunPBGL(w *cluster.World, g *bfs1d.Graph, source int64, price cluster.Pricer) *bfs1d.Output {
+func RunPBGL(w *cluster.World, g *bfs1d.Graph, source int64, price cluster.Pricer) *levels.Output {
 	pt := g.Part
 	if w.P != pt.P {
 		panic("baseline: world size != partition size")
@@ -131,7 +132,7 @@ func RunPBGL(w *cluster.World, g *bfs1d.Graph, source int64, price cluster.Price
 		edgesPer[me] = traversed
 	})
 
-	out := &bfs1d.Output{Source: source, Levels: levelsPer[0]}
+	out := &levels.Output{Source: source, Levels: levelsPer[0]}
 	out.Dist = make([]int64, 0, pt.N)
 	out.Parent = make([]int64, 0, pt.N)
 	for i := 0; i < p; i++ {

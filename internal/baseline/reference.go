@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/bfs1d"
 	"repro/internal/cluster"
+	"repro/internal/levels"
 	"repro/internal/serial"
 )
 
@@ -35,7 +36,7 @@ const referenceSortOpsFactor = 8
 //
 // The result is bit-identical BFS output at a 2.5-4x higher simulated
 // cost, reproducing the comparison in Section 6.
-func RunReference(w *cluster.World, g *bfs1d.Graph, source int64, price cluster.Pricer) *bfs1d.Output {
+func RunReference(w *cluster.World, g *bfs1d.Graph, source int64, price cluster.Pricer) *levels.Output {
 	pt := g.Part
 	if w.P != pt.P {
 		panic("baseline: world size != partition size")
@@ -150,7 +151,7 @@ func RunReference(w *cluster.World, g *bfs1d.Graph, source int64, price cluster.
 		edgesPer[me] = traversed
 	})
 
-	out := &bfs1d.Output{Source: source, Levels: levelsPer[0]}
+	out := &levels.Output{Source: source, Levels: levelsPer[0]}
 	out.Dist = make([]int64, 0, pt.N)
 	out.Parent = make([]int64, 0, pt.N)
 	for i := 0; i < p; i++ {

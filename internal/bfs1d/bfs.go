@@ -5,6 +5,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/decis"
 	"repro/internal/dirheur"
+	"repro/internal/levels"
 	"repro/internal/scratch"
 	"repro/internal/serial"
 	"repro/internal/smp"
@@ -114,49 +115,6 @@ func DefaultOptions() Options {
 	return Options{Threads: 1, LocalShortcut: true, DedupSends: true}
 }
 
-// Output is the result of a distributed BFS, assembled globally.
-type Output struct {
-	Source int64
-	Dist   []int64 // global distance array, serial.Unreached if unreachable
-	Parent []int64 // global parent array
-	Levels int64   // number of frontier-expansion iterations executed
-	// TraversedEdges is the sum of degrees over reached vertices: the
-	// quantity the TEPS metric normalizes against (divided by 2 for
-	// symmetrized graphs by the harness).
-	TraversedEdges int64
-	// LevelFrontier, when tracing, holds the number of vertices
-	// discovered at each level (index 0 = level 1; the source itself is
-	// not counted).
-	LevelFrontier []int64
-	// ScannedTopDown and ScannedBottomUp count the adjacency entries
-	// actually examined by each traversal phase, summed over ranks: the
-	// work the direction-optimizing heuristic saves shows up as their
-	// sum dropping well below the top-down-only total (which equals
-	// TraversedEdges by construction).
-	ScannedTopDown  int64
-	ScannedBottomUp int64
-	// LevelScanned and LevelBottomUp, when tracing, hold the global
-	// scanned-edge count and the traversal direction of every executed
-	// iteration. They have one more entry than LevelFrontier: the final
-	// iteration scans edges but discovers nothing.
-	LevelScanned  []int64
-	LevelBottomUp []bool
-	// LevelCommWords, when tracing, holds the words entered into
-	// collectives at each executed iteration, summed over ranks: the
-	// per-level communication volume profile.
-	LevelCommWords []int64
-	// Decisions, when tracing, holds the policy decisions the run took
-	// (direction switches) with the globally
-	// agreed inputs each heuristic saw. Recorded by rank 0: every rank
-	// computes the identical sequence from the same reduced statistics.
-	Decisions []decis.Decision
-}
-
-// threadBarrierOps approximates the instruction cost of one intra-node
-// thread barrier in model operations; the hybrid algorithm pays three per
-// level (Algorithm 2 lines 17, 20, 22).
-const threadBarrierOps = 4000
-
 // threadScratch is one worker's thread-local buffers: per-owner send
 // stacks and local-discovery candidates for the push phase, the pull
 // kernel's candidate vector for the bottom-up phase, plus the volume
@@ -174,7 +132,7 @@ type threadScratch struct {
 
 // Run executes a BFS from source over the distributed graph on the given
 // world. The world size must equal the partition's rank count.
-func Run(w *cluster.World, g *Graph, source int64, opt Options) *Output {
+func Run(w *cluster.World, g *Graph, source int64, opt Options) *levels.Output {
 	if w.P != g.Part.P {
 		panic("bfs1d: world size != partition size")
 	}
@@ -200,16 +158,7 @@ func Run(w *cluster.World, g *Graph, source int64, opt Options) *Output {
 	parentLoc := make([][]int64, p)
 	levelsPer := make([]int64, p)
 	edgesPer := make([]int64, p)
-	scannedTD := make([]int64, p)
-	scannedBU := make([]int64, p)
-	var trace []int64
-	var levelDir []bool
-	var decisions []decis.Decision
-	var levelScan, levelComm [][]int64
-	if opt.Trace {
-		levelScan = make([][]int64, p)
-		levelComm = make([][]int64, p)
-	}
+	lp := levels.New(w, opt.Trace, opt.Force)
 
 	arena := opt.Arena
 	if arena == nil {
@@ -321,7 +270,6 @@ func Run(w *cluster.World, g *Graph, source int64, opt Options) *Output {
 
 		var level int64 = 1
 		var ns []int64
-		var prevSent int64 // per-level sent-volume cursor (Trace)
 		for {
 			var totalNew, mfLocal, levScan int64
 			if cur == dirheur.BottomUp {
@@ -385,18 +333,13 @@ func Run(w *cluster.World, g *Graph, source int64, opt Options) *Output {
 				} else {
 					commit(0, &ar.pullOut)
 				}
-				scannedBU[me] += scanned
 				levScan = scanned
 				// Charge the pull: one random frontier-bitmap probe per
 				// scanned entry, the adjacency and visited-flag streams,
 				// plus the hybrid variant's serial apply and barriers.
 				if price != nil {
-					par := price.MemCost(scanned, bitmapWords, scanned+nloc, scanned)
-					serialOverhead := 0.0
-					if t > 1 {
-						serialOverhead = price.MemCost(0, 0, 2*newCount, 3*threadBarrierOps)
-					}
-					r.Charge(par/float64(t) + serialOverhead)
+					levels.ChargeHybrid(r, price, t,
+						price.MemCost(scanned, bitmapWords, scanned+nloc, scanned), 2*newCount, 3)
 				}
 
 				// ---- Dense frontier exchange (bitmap allgather) ----
@@ -530,12 +473,10 @@ func Run(w *cluster.World, g *Graph, source int64, opt Options) *Output {
 				// per-level thread barriers serially.
 				if price != nil {
 					par := price.MemCost(int64(len(fs))+localHits, nloc, adjWords+sendWords, adjWords)
-					serialOverhead := 0.0
 					if t > 1 {
 						par += price.MemCost(0, 0, sendWords, 0)
-						serialOverhead = price.MemCost(0, 0, 0, 3*threadBarrierOps)
 					}
-					r.Charge(par/float64(t) + serialOverhead)
+					levels.ChargeHybrid(r, price, t, par, 0, 3)
 				}
 
 				// ---- All-to-all exchange (Algorithm 2 line 21) ----
@@ -558,7 +499,6 @@ func Run(w *cluster.World, g *Graph, source int64, opt Options) *Output {
 					r.Charge(price.MemCost(recvWords/2, nloc, recvWords, 0) / float64(t))
 				}
 				ar.fsBuf[curBuf] = ns
-				scannedTD[me] += adjWords
 				levScan = adjWords
 				// The heuristic needs the new frontier's out-edge volume.
 				if mode == dirheur.ModeAuto {
@@ -571,48 +511,13 @@ func Run(w *cluster.World, g *Graph, source int64, opt Options) *Output {
 				// ---- Level termination test ----
 				totalNew = world.AllreduceSum(r, int64(len(ns)), "allreduce")
 			}
-			if opt.Trace {
-				levelScan[me] = append(levelScan[me], levScan)
-				sent, _ := r.Volumes()
-				levelComm[me] = append(levelComm[me], sent-prevSent)
-				prevSent = sent
-				if me == 0 {
-					levelDir = append(levelDir, cur == dirheur.BottomUp)
-					if totalNew > 0 {
-						trace = append(trace, totalNew)
-					}
-				}
-			}
+			lp.Level(r, cur, levScan, totalNew)
 			if totalNew == 0 {
 				break
 			}
 
 			// ---- Direction decision for the next level ----
-			next := cur
-			if mode == dirheur.ModeAuto {
-				mf := world.AllreduceSum(r, mfLocal, "allreduce")
-				next = dirm.Advance(totalNew, mf)
-				if d, ok := opt.Force.ForcedDir(level + 1); ok {
-					next = d
-					dirm.Force(d)
-				}
-				if opt.Trace && me == 0 {
-					pol := dirm.Thresholds()
-					alt := dirheur.TopDown
-					if next == dirheur.TopDown {
-						alt = dirheur.BottomUp
-					}
-					decisions = append(decisions, decis.Decision{
-						Kind: decis.KindDirection, Level: level + 1,
-						Frontier: totalNew, EdgeEst: mf,
-						Unexplored: dirm.Unexplored(), Verts: dirm.Verts(),
-						Alpha: pol.Alpha, Beta: pol.Beta,
-						Choice:       decis.DirChoice(next),
-						Alternatives: []string{decis.DirChoice(alt)},
-					})
-				}
-			}
-			if next != cur {
+			if next := lp.Next(r, dirm, level, totalNew, mfLocal); next != cur {
 				if next == dirheur.BottomUp {
 					enterBottomUp(ns)
 				} else {
@@ -650,28 +555,14 @@ func Run(w *cluster.World, g *Graph, source int64, opt Options) *Output {
 		edgesPer[me] = traversed
 	})
 
-	out := &Output{Source: source, Levels: levelsPer[0], LevelFrontier: trace,
-		LevelBottomUp: levelDir, Decisions: decisions}
+	out := &levels.Output{Source: source, Levels: levelsPer[0]}
 	out.Dist = make([]int64, 0, pt.N)
 	out.Parent = make([]int64, 0, pt.N)
 	for i := 0; i < p; i++ {
 		out.Dist = append(out.Dist, distLoc[i]...)
 		out.Parent = append(out.Parent, parentLoc[i]...)
 		out.TraversedEdges += edgesPer[i]
-		out.ScannedTopDown += scannedTD[i]
-		out.ScannedBottomUp += scannedBU[i]
 	}
-	if opt.Trace && len(levelScan) > 0 {
-		out.LevelScanned = make([]int64, len(levelScan[0]))
-		out.LevelCommWords = make([]int64, len(levelComm[0]))
-		for i := range levelScan {
-			for l, s := range levelScan[i] {
-				out.LevelScanned[l] += s
-			}
-			for l, s := range levelComm[i] {
-				out.LevelCommWords[l] += s
-			}
-		}
-	}
+	lp.Fill(&out.Profile)
 	return out
 }

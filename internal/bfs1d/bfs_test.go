@@ -7,6 +7,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/graph"
 	"repro/internal/graph500"
+	"repro/internal/levels"
 	"repro/internal/netmodel"
 	"repro/internal/prng"
 	"repro/internal/rmat"
@@ -124,7 +125,7 @@ func goodSource(t *testing.T, el *graph.EdgeList) int64 {
 
 // runAndValidate runs the distributed BFS and checks it against the
 // serial oracle.
-func runAndValidate(t *testing.T, el *graph.EdgeList, p int, source int64, opt Options) *Output {
+func runAndValidate(t *testing.T, el *graph.EdgeList, p int, source int64, opt Options) *levels.Output {
 	t.Helper()
 	ref, err := graph.BuildCSR(el, true)
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/graph"
+	"repro/internal/levels"
 	"repro/internal/prng"
 	"repro/internal/rmat"
 	"repro/internal/serial"
@@ -13,7 +14,7 @@ import (
 
 // runWords runs a 1D BFS and returns the output plus total words sent
 // through the collectives.
-func runWords(t *testing.T, el *graph.EdgeList, p int, src int64, opt Options) (*Output, int64) {
+func runWords(t *testing.T, el *graph.EdgeList, p int, src int64, opt Options) (*levels.Output, int64) {
 	t.Helper()
 	dg, err := Distribute(el, p)
 	if err != nil {

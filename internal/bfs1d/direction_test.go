@@ -7,6 +7,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/dirheur"
 	"repro/internal/graph"
+	"repro/internal/levels"
 	"repro/internal/prng"
 	"repro/internal/rmat"
 	"repro/internal/serial"
@@ -14,7 +15,7 @@ import (
 
 // runDir runs a BFS under the given direction mode and validates the
 // tree against the serial oracle.
-func runDir(t *testing.T, el *graph.EdgeList, p int, source int64, threads int, mode dirheur.Mode) *Output {
+func runDir(t *testing.T, el *graph.EdgeList, p int, source int64, threads int, mode dirheur.Mode) *levels.Output {
 	t.Helper()
 	ref, err := graph.BuildCSR(el, true)
 	if err != nil {
@@ -106,7 +107,7 @@ func TestSymmetricAliasMatchesTranspose(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := goodSource(t, el)
-	run := func(symmetric bool) *Output {
+	run := func(symmetric bool) *levels.Output {
 		dg, err := Distribute(el, 4)
 		if err != nil {
 			t.Fatal(err)

@@ -6,52 +6,12 @@ import (
 	"repro/internal/bits"
 	"repro/internal/cluster"
 	"repro/internal/dirheur"
+	"repro/internal/levels"
 	"repro/internal/scratch"
-	"repro/internal/serial"
 	"repro/internal/smp"
 	"repro/internal/spmat"
 	"repro/internal/spvec"
 )
-
-// BatchWidth is the maximum number of sources one batched run traverses
-// simultaneously: one bit per search in a uint64 mask.
-const BatchWidth = 64
-
-// BatchOutput is the result of a batched (multi-source) BFS: per-search
-// outputs plus the shared execution profile. Distances are bit-identical
-// to running each source through Run sequentially — BFS level sets are
-// unique — while parents are independently valid BFS trees (the batched
-// first-visit resolution may claim a different valid parent).
-type BatchOutput struct {
-	Sources []int64
-	Dist    [][]int64 // [search][vertex] global distance arrays
-	Parent  [][]int64 // [search][vertex] global parent arrays
-	Levels  []int64   // per-search discovering-level count
-	// TraversedEdges is the per-search TEPS denominator: adjacency slots
-	// of vertices reached by that search (shared edges counted once per
-	// search, as Graph 500 requires for per-search rates).
-	TraversedEdges []int64
-	// UniqueTraversedEdges counts adjacency slots of vertices reached by
-	// ANY search in the batch — each shared edge scan once: the
-	// machine-throughput denominator of the batched mode.
-	UniqueTraversedEdges int64
-	// BatchLevels is the number of shared level iterations the batch
-	// executed (the max over active searches, since all searches advance
-	// in lockstep).
-	BatchLevels int64
-	// ScannedTopDown and ScannedBottomUp count adjacency entries the
-	// shared traversal examined, once for the whole batch.
-	ScannedTopDown  int64
-	ScannedBottomUp int64
-	// LevelFrontier, when tracing, holds per level the total (vertex,
-	// search) discoveries across the batch.
-	LevelFrontier []int64
-	// LevelScanned, LevelBottomUp, LevelCommWords: as in Output, per
-	// shared iteration.
-	LevelScanned   []int64
-	LevelBottomUp  []bool
-	LevelCommWords []int64
-}
 
 // batchRankArena is one rank's reusable multi-source scratch: the
 // frontier index double buffer with its mask planes, the visited-mask
@@ -73,7 +33,7 @@ type batchRankArena struct {
 	pullOut spvec.MaskVec
 }
 
-// RunBatch executes one batched BFS over up to BatchWidth sources
+// RunBatch executes one batched BFS over up to levels.BatchWidth sources
 // simultaneously: search k of the batch owns bit k of every mask, one
 // adjacency scan advances all searches, and every collective carries the
 // whole batch's frontier — one all-to-all (of (vertex, mask, parent)
@@ -84,12 +44,12 @@ type batchRankArena struct {
 //
 // Direction optimization follows opt.Direction with aggregate statistics
 // (dirheur.NewBatch): the whole batch switches together.
-func RunBatch(w *cluster.World, g *Graph, sources []int64, opt Options) *BatchOutput {
+func RunBatch(w *cluster.World, g *Graph, sources []int64, opt Options) *levels.BatchOutput {
 	if w.P != g.Part.P {
 		panic("bfs1d: world size != partition size")
 	}
 	width := len(sources)
-	if width < 1 || width > BatchWidth {
+	if width < 1 || width > levels.BatchWidth {
 		panic("bfs1d: batch width out of range")
 	}
 	for _, s := range sources {
@@ -105,55 +65,17 @@ func RunBatch(w *cluster.World, g *Graph, sources []int64, opt Options) *BatchOu
 	p := pt.P
 	world := w.WorldGroup()
 	wd := int64(width)
-	fullMask := ^uint64(0)
-	if width < 64 {
-		fullMask = 1<<uint(width) - 1
-	}
 
 	var ins []*LocalGraph
 	if opt.Direction != dirheur.ModeTopDown {
 		ins = g.Ins()
 	}
 
-	// Per-search output planes, allocated up front so rank bodies commit
-	// distances and parents straight into them (disjoint [start, start+
-	// nloc) ranges, race-free). One backing array per kind keeps the
-	// batch at two large allocations instead of 2*width, and the
-	// three-index slicing stops a caller's append from bleeding across
-	// planes. The stride carries one cache line of padding per plane:
-	// a commit touches up to `width` planes at the same vertex offset,
-	// and an exact power-of-two stride would land every one of those
-	// writes in the same cache set. Rank tails overwrite the
-	// never-visited (vertex, search) slots with Unreached, so the planes
-	// are fully defined without the old vertex-major staging copy (and
-	// without its O(width*N) init and transpose).
-	planeStride := pt.N + 8
-	distPlanes := make([][]int64, width)
-	parentPlanes := make([][]int64, width)
-	distBack := make([]int64, int64(width)*planeStride)
-	parBack := make([]int64, int64(width)*planeStride)
-	for s := 0; s < width; s++ {
-		lo := int64(s) * planeStride
-		hi := lo + pt.N
-		distPlanes[s] = distBack[lo:hi:hi]
-		parentPlanes[s] = parBack[lo:hi:hi]
-	}
-	// lastLevel[s] is the deepest level at which search s discovered a
-	// vertex, tracked from the retirement allreduce (every rank agrees
-	// on the per-level discovery OR; rank 0 records it).
-	lastLevel := make([]int64, width)
-
-	visLoc := make([][]uint64, p)
-	scannedTD := make([]int64, p)
-	scannedBU := make([]int64, p)
-	batchLevels := make([]int64, p)
-	var trace []int64
-	var levelDir []bool
-	var levelScan, levelComm [][]int64
-	if opt.Trace {
-		levelScan = make([][]int64, p)
-		levelComm = make([][]int64, p)
-	}
+	// Rank bodies commit straight into the per-search output planes
+	// (disjoint [start, start+nloc) ranges).
+	bt := levels.NewBatch(sources, pt.N, p)
+	distPlanes, parentPlanes := bt.Out.Dist, bt.Out.Parent
+	lp := levels.New(w, opt.Trace, nil)
 
 	arena := opt.Arena
 	if arena == nil {
@@ -221,19 +143,17 @@ func RunBatch(w *cluster.World, g *Graph, sources []int64, opt Options) *BatchOu
 			tstate = ar.tstate
 		}
 
-		mode := opt.Direction
-		dirm := dirheur.NewBatch(mode, opt.Policy, pt.N, g.TotalAdj, width)
+		dirm := dirheur.NewBatch(opt.Direction, opt.Policy, pt.N, g.TotalAdj, width)
 		var inPull *spmat.PullCSR
 		if ins != nil {
 			lgIn := ins[me]
 			inPull = spmat.NewPullCSR(nloc, pt.N, lgIn.XAdj, lgIn.Adj)
 		}
 		cur := dirm.Direction()
-		active := fullMask
+		active := levels.FullMask(width)
 
 		var level int64 = 1
 		var ns []int64
-		var prevSent int64
 		for {
 			var totalNew, mfLocal, levScan int64
 			var newOrLocal uint64
@@ -319,19 +239,14 @@ func RunBatch(w *cluster.World, g *Graph, sources []int64, opt Options) *BatchOu
 				} else {
 					commitPull(0, &ba.pullOut)
 				}
-				scannedBU[me] += scanned
 				levScan = scanned
 				// Charge the pull: one random frontier-plane probe per
 				// scanned entry against the N-word plane, the adjacency
 				// and visited-mask streams, plus the hybrid serial
 				// commit and barriers.
 				if price != nil {
-					par := price.MemCost(scanned, pt.N, scanned+nloc, scanned)
-					serialOverhead := 0.0
-					if t > 1 {
-						serialOverhead = price.MemCost(0, 0, 2*newCountLocal, 3*threadBarrierOps)
-					}
-					r.Charge(par/float64(t) + serialOverhead)
+					levels.ChargeHybrid(r, price, t,
+						price.MemCost(scanned, pt.N, scanned+nloc, scanned), 2*newCountLocal, 3)
 				}
 			} else {
 				// ---- Batched top-down level ----
@@ -446,12 +361,10 @@ func RunBatch(w *cluster.World, g *Graph, sources []int64, opt Options) *BatchOu
 				}
 				if price != nil {
 					par := price.MemCost(int64(len(fs))+localHits, nloc, adjWords+sendWords, adjWords)
-					serialOverhead := 0.0
 					if t > 1 {
 						par += price.MemCost(0, 0, sendWords, 0)
-						serialOverhead = price.MemCost(0, 0, 0, 3*threadBarrierOps)
 					}
-					r.Charge(par/float64(t) + serialOverhead)
+					levels.ChargeHybrid(r, price, t, par, 0, 3)
 				}
 
 				// ---- Triple all-to-all: one exchange for the batch ----
@@ -468,7 +381,6 @@ func RunBatch(w *cluster.World, g *Graph, sources []int64, opt Options) *BatchOu
 				// Integration: one random visited-mask probe per received
 				// triple, streaming the triples once.
 				r.ChargeMem(price, recvWords/3, nloc, recvWords, 0)
-				scannedTD[me] += adjWords
 				levScan = adjWords
 			}
 
@@ -479,32 +391,12 @@ func RunBatch(w *cluster.World, g *Graph, sources []int64, opt Options) *BatchOu
 			// candidate scans stop probing for them).
 			totalNew = world.AllreduceSum(r, newCountLocal, "allreduce")
 			active = world.AllreduceOr(r, newOrLocal, "allreduce")
-			if me == 0 {
-				for rem := active; rem != 0; rem &= rem - 1 {
-					lastLevel[mbits.TrailingZeros64(rem)] = level
-				}
-			}
-
-			if opt.Trace {
-				levelScan[me] = append(levelScan[me], levScan)
-				sent, _ := r.Volumes()
-				levelComm[me] = append(levelComm[me], sent-prevSent)
-				prevSent = sent
-				if me == 0 {
-					levelDir = append(levelDir, cur == dirheur.BottomUp)
-					if totalNew > 0 {
-						trace = append(trace, totalNew)
-					}
-				}
-			}
+			bt.Retire(r, active, level)
+			lp.Level(r, cur, levScan, totalNew)
 			if totalNew == 0 {
 				break
 			}
-
-			if mode == dirheur.ModeAuto {
-				mf := world.AllreduceSum(r, mfLocal, "allreduce")
-				cur = dirm.Advance(totalNew, mf)
-			}
+			cur = lp.Next(r, dirm, level, totalNew, mfLocal)
 
 			// Swap the frontier double buffer: clear the old mask plane
 			// by its index list (O(frontier)), promote the new one.
@@ -518,78 +410,13 @@ func RunBatch(w *cluster.World, g *Graph, sources []int64, opt Options) *BatchOu
 			level++
 		}
 
-		// Fill the never-visited (vertex, search) slots of this rank's
-		// output range with Unreached, plane-major so each plane's
-		// segment is written as one ascending stream (the vertex-major
-		// order would scatter every vertex's misses across all `width`
-		// planes). Commits already wrote the discovered slots.
-		for s := 0; s < width; s++ {
-			bit := uint64(1) << uint(s)
-			dp := distPlanes[s][start : start+nloc]
-			pp := parentPlanes[s][start : start+nloc]
-			for vl, m := range visMask[:nloc] {
-				if m&bit == 0 {
-					dp[vl] = serial.Unreached
-					pp[vl] = serial.Unreached
-				}
-			}
-		}
-
-		visLoc[me] = visMask
-		batchLevels[me] = level - 1
+		bt.FinishRank(r, start, visMask[:nloc], level-1)
 	})
 
-	// Finalize the per-search outputs. Commits and rank tails already
-	// wrote every (vertex, search) slot; this pass only derives the
-	// per-search edge counts from the visited masks — a single linear
-	// sweep with a whole-word fast path (on a connected batch most
-	// vertices are visited by every search, so the bit loops run only on
-	// the fringe), in place of the old O(width*N) vertex-major transpose.
-	out := &BatchOutput{
-		Sources:        append([]int64(nil), sources...),
-		Dist:           distPlanes,
-		Parent:         parentPlanes,
-		Levels:         lastLevel,
-		TraversedEdges: make([]int64, width),
-		BatchLevels:    batchLevels[0],
-		LevelFrontier:  trace, LevelBottomUp: levelDir,
-	}
 	for i := 0; i < p; i++ {
-		nlocI := pt.Count(i)
-		lg := g.Locals[i]
-		var degAll int64 // degree sum of this rank's fully-visited vertices
-		for vl := int64(0); vl < nlocI; vl++ {
-			m := visLoc[i][vl]
-			deg := lg.XAdj[vl+1] - lg.XAdj[vl]
-			if m == fullMask {
-				out.UniqueTraversedEdges += deg
-				degAll += deg
-				continue
-			}
-			if m != 0 {
-				out.UniqueTraversedEdges += deg
-				for rem := m; rem != 0; rem &= rem - 1 {
-					out.TraversedEdges[mbits.TrailingZeros64(rem)] += deg
-				}
-			}
-		}
-		for s := 0; s < width; s++ {
-			out.TraversedEdges[s] += degAll
-		}
-		out.ScannedTopDown += scannedTD[i]
-		out.ScannedBottomUp += scannedBU[i]
+		xadj := g.Locals[i].XAdj
+		bt.CountEdges(i, func(vl int64) int64 { return xadj[vl+1] - xadj[vl] })
 	}
-	if opt.Trace && len(levelScan) > 0 {
-		out.LevelScanned = make([]int64, len(levelScan[0]))
-		out.LevelCommWords = make([]int64, len(levelComm[0]))
-		for i := range levelScan {
-			for l, s := range levelScan[i] {
-				out.LevelScanned[l] += s
-			}
-			for l, s := range levelComm[i] {
-				out.LevelCommWords[l] += s
-			}
-		}
-	}
-	return out
+	lp.Fill(&bt.Out.Profile)
+	return bt.Out
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/decis"
 	"repro/internal/dirheur"
+	"repro/internal/levels"
 	"repro/internal/scratch"
 	"repro/internal/serial"
 	"repro/internal/smp"
@@ -127,53 +128,15 @@ func DefaultOptions() Options {
 	return Options{Threads: 1, Kernel: spmat.KernelAuto, Vector: Dist2D}
 }
 
-// Output is the assembled result of a distributed 2D BFS.
-type Output struct {
-	Source         int64
-	Dist           []int64
-	Parent         []int64
-	Levels         int64
-	TraversedEdges int64
-	// LevelFrontier, when tracing, holds the number of vertices
-	// discovered at each level.
-	LevelFrontier []int64
-	// ScannedTopDown and ScannedBottomUp count the matrix entries
-	// actually examined by each traversal phase, summed over ranks.
-	ScannedTopDown  int64
-	ScannedBottomUp int64
-	// LevelScanned and LevelBottomUp, when tracing, hold the global
-	// scanned-edge count and direction of every executed iteration (one
-	// more entry than LevelFrontier: the final iteration scans but
-	// discovers nothing).
-	LevelScanned  []int64
-	LevelBottomUp []bool
-	// LevelCommWords, when tracing, holds the words entered into
-	// collectives at each executed iteration, summed over ranks.
-	LevelCommWords []int64
-	// Decisions, when tracing, holds the policy decisions the run took
-	// (direction switches) with the globally
-	// agreed inputs each heuristic saw. Recorded by rank 0: every rank
-	// computes the identical sequence from the same reduced statistics.
-	Decisions []decis.Decision
-}
-
-const threadBarrierOps = 4000
-
 // Run executes a BFS from source on a grid of pr*pc ranks. The grid must
 // match the distribution of g; any rectangular pr×pc layout is accepted
 // (square grids use the paper's pairwise transpose, rectangular ones an
 // all-to-all remap exchange — see TransposeOwner). Violated entry
-// preconditions are reported as errors, never panics, so engines can
-// surface a bad rank count to their callers.
-func Run(w *cluster.World, grid *cluster.Grid, g *Graph, source int64, opt Options) (*Output, error) {
+// preconditions are reported as errors.
+func Run(w *cluster.World, grid *cluster.Grid, g *Graph, source int64, opt Options) (*levels.Output, error) {
 	pt := g.Part
-	if grid.Pr != pt.Pr || grid.Pc != pt.Pc {
-		return nil, fmt.Errorf("bfs2d: %dx%d grid does not match %dx%d distribution",
-			grid.Pr, grid.Pc, pt.Pr, pt.Pc)
-	}
-	if w.P != grid.Pr*grid.Pc {
-		return nil, fmt.Errorf("bfs2d: world of %d ranks does not match %dx%d grid",
-			w.P, grid.Pr, grid.Pc)
+	if err := checkGrid(w, grid, pt); err != nil {
+		return nil, err
 	}
 	if source < 0 || source >= pt.N {
 		return nil, fmt.Errorf("bfs2d: source %d out of range [0,%d)", source, pt.N)
@@ -199,7 +162,7 @@ func Run(w *cluster.World, grid *cluster.Grid, g *Graph, source int64, opt Optio
 }
 
 // run2DVector is Algorithm 3 with the 2D vector distribution.
-func run2DVector(w *cluster.World, grid *cluster.Grid, g *Graph, source int64, opt Options) *Output {
+func run2DVector(w *cluster.World, grid *cluster.Grid, g *Graph, source int64, opt Options) *levels.Output {
 	pt := g.Part
 	t := opt.Threads
 	if t < 1 {
@@ -209,16 +172,7 @@ func run2DVector(w *cluster.World, grid *cluster.Grid, g *Graph, source int64, o
 	distLoc := make([][]int64, p)
 	parentLoc := make([][]int64, p)
 	levelsPer := make([]int64, p)
-	scannedTD := make([]int64, p)
-	scannedBU := make([]int64, p)
-	var trace []int64
-	var levelDir []bool
-	var decisions []decis.Decision
-	var levelScan, levelComm [][]int64
-	if opt.Trace {
-		levelScan = make([][]int64, p)
-		levelComm = make([][]int64, p)
-	}
+	lp := levels.New(w, opt.Trace, opt.Force)
 
 	// The bottom-up phase pulls over the blocks' row-major views and
 	// measures unexplored work against the total stored nonzeros.
@@ -243,7 +197,6 @@ func run2DVector(w *cluster.World, grid *cluster.Grid, g *Graph, source int64, o
 		block := g.Blocks[i][j]
 		rowG := grid.RowGroup(r)
 		colG := grid.ColGroup(r)
-		world := w.WorldGroup()
 		ar := &arena.ranks[me]
 
 		vLo, vHi := pt.OwnedRange(i, j)
@@ -300,48 +253,15 @@ func run2DVector(w *cluster.World, grid *cluster.Grid, g *Graph, source int64, o
 		}
 		sendT := ar.sendT
 
-		mode := opt.Direction
-		dirm := dirheur.New(mode, opt.Policy, pt.N, totalAdj)
-		// Word ranges of the partitioned bitmap exchange: the rank's
-		// owned piece (its deposit), its row block (the visited slice
-		// and the row-subcommunicator exchange), and its block column
-		// (the pull probe range and the column-subcommunicator
-		// exchange). Padding to word boundaries makes adjacent deposits
-		// overlap by at most one word, which the collective's OR merge
-		// absorbs.
-		colHi := pt.ColStart(j + 1)
-		ownWLo, ownWHi := vLo/64, (vHi+63)/64
-		rowWLo, rowWHi := rowLo/64, (rowHi+63)/64
-		colWLo, colWHi := colLo/64, (colHi+63)/64
-		rowWords, colWords := rowWHi-rowWLo, colWHi-colWLo
+		dirm := dirheur.New(opt.Direction, opt.Policy, pt.N, totalAdj)
+		// The partitioned bitmap exchange runs over word ranges padded
+		// to word boundaries.
+		xc := exchange{rowG: rowG, colG: colG, price: price,
+			own: span{vLo, vHi}.words(), row: span{rowLo, rowHi}.words(),
+			col: span{colLo, pt.ColStart(j + 1)}.words()}
 		var front, rowFront, chunkBM, vis *bits.Bitmap
-		// exchangeFrontier moves the owned new-frontier bits (set in
-		// chunkBM) through the two grid subcommunicator exchanges: the
-		// row allgather assembles the full frontier of this row block
-		// from its pc owned pieces (which also feeds the visited slice),
-		// then the column allgather assembles this rank's block-column
-		// slice from the row-block intersections held by the pr column
-		// members. Per-rank traffic is O(n/pr + n/pc) words instead of
-		// the dense n/64-word world bitmap.
 		exchangeFrontier := func() {
-			rowSlice := rowG.AllgatherBitsBlocks(r,
-				chunkBM.Words()[ownWLo:ownWHi], ownWLo-rowWLo, rowWords, "bitmap")
-			copy(rowFront.Words()[rowWLo:rowWHi], rowSlice)
-			iLo, iHi := rowWLo, rowWHi
-			if colWLo > iLo {
-				iLo = colWLo
-			}
-			if colWHi < iHi {
-				iHi = colWHi
-			}
-			var dep []uint64
-			var off int64
-			if iLo < iHi { // this row block intersects my block column
-				dep, off = rowFront.Words()[iLo:iHi], iLo-colWLo
-			}
-			colSlice := colG.AllgatherBitsBlocks(r, dep, off, colWords, "bitmap")
-			copy(front.Words()[colWLo:colWHi], colSlice)
-			r.ChargeMem(price, 0, 0, 2*(rowWords+colWords), 0)
+			xc.frontier(r, chunkBM.Words(), rowFront.Words(), front.Words())
 		}
 		// enterBottomUp converts the rank to pull state at a level
 		// boundary: the owned slices of the visited set and the current
@@ -362,15 +282,13 @@ func run2DVector(w *cluster.World, grid *cluster.Grid, g *Graph, source int64, o
 					chunkBM.Set(vLo + int64(k))
 				}
 			}
-			visSlice := rowG.AllgatherBitsBlocks(r,
-				chunkBM.Words()[ownWLo:ownWHi], ownWLo-rowWLo, rowWords, "bitmap")
-			copy(vis.Words()[rowWLo:rowWHi], visSlice)
-			bits.ClearWords(chunkBM.Words()[ownWLo:ownWHi])
+			xc.rowHop(r, chunkBM.Words(), vis.Words())
+			bits.ClearWords(chunkBM.Words()[xc.own.lo:xc.own.hi])
 			for _, gv := range frontier {
 				chunkBM.Set(gv)
 			}
 			exchangeFrontier()
-			r.ChargeMem(price, 0, 0, nOwn+int64(len(frontier))+2*rowWords, 0)
+			r.ChargeMem(price, 0, 0, nOwn+int64(len(frontier))+2*xc.row.len(), 0)
 		}
 		cur := dirm.Direction()
 		if cur == dirheur.BottomUp {
@@ -378,9 +296,8 @@ func run2DVector(w *cluster.World, grid *cluster.Grid, g *Graph, source int64, o
 		}
 
 		var level int64 = 1
-		var prevSent int64 // per-level sent-volume cursor (Trace)
 		for {
-			var totalNew, mfLocal, levScan int64
+			var mfLocal, levScan int64
 			if cur == dirheur.BottomUp {
 				// ---- Bottom-up pull (replaces lines 5-7) ----
 				// No transpose, no expand: the rank already holds its
@@ -388,21 +305,8 @@ func run2DVector(w *cluster.World, grid *cluster.Grid, g *Graph, source int64, o
 				// scans its block's unvisited rows and emits at most one
 				// parent candidate per row (early exit at the first
 				// frontier in-edge).
-				scanned := pulls[i][j].Pull(spOut, front, vis, rowLo, colLo, pool, &ar.pullScratch)
-				scannedBU[me] += scanned
-				levScan = scanned
-				// Charge the pull: one random probe into the
-				// block-column frontier slice per scanned entry, the
-				// adjacency stream, one visited probe per block row,
-				// plus the hybrid concatenation barrier.
-				if price != nil {
-					par := price.MemCost(scanned+(rowHi-rowLo), colWords, scanned, scanned)
-					serialOverhead := 0.0
-					if t > 1 {
-						serialOverhead = price.MemCost(0, 0, int64(spOut.NNZ()), threadBarrierOps)
-					}
-					r.Charge(par/float64(t) + serialOverhead)
-				}
+				levScan = pulls[i][j].Pull(spOut, front, vis, rowLo, colLo, pool, &ar.pullScratch)
+				chargePull(r, price, t, levScan, rowHi-rowLo, xc.col.len(), int64(spOut.NNZ()))
 			} else {
 				// ---- TransposeVector (Algorithm 3 line 5) ----
 				var transposed []int64
@@ -455,19 +359,9 @@ func run2DVector(w *cluster.World, grid *cluster.Grid, g *Graph, source int64, o
 				r.ChargeMem(price, 0, 0, 2*gathered, gathered)
 
 				// ---- Local SpMSV (line 7) ----
-				work := block.Work(localF)
+				levScan = block.Work(localF)
 				block.SpMSV(spOut, localF, spMSVOpts, pool, &ar.rowScratch)
-				scannedTD[me] += work
-				levScan = work
-				if price != nil {
-					stripWS := (rowHi - rowLo) / int64(t)
-					par := price.MemCost(work, stripWS, work+int64(spOut.NNZ()), work)
-					serialOverhead := 0.0
-					if t > 1 {
-						serialOverhead = price.MemCost(0, 0, int64(spOut.NNZ()), threadBarrierOps)
-					}
-					r.Charge(par/float64(t) + serialOverhead)
-				}
+				chargeSpMSV(r, price, t, levScan, rowHi-rowLo, int64(spOut.NNZ()))
 			}
 
 			// ---- Fold: Alltoallv along the process row (line 8) ----
@@ -518,7 +412,7 @@ func run2DVector(w *cluster.World, grid *cluster.Grid, g *Graph, source int64, o
 			ar.frontBuf[curBuf] = frontier
 			r.ChargeMem(price, int64(merged.NNZ()), nOwn, int64(merged.NNZ()), 0)
 			// The heuristic needs the new frontier's out-edge volume.
-			if mode == dirheur.ModeAuto {
+			if opt.Direction == dirheur.ModeAuto {
 				for _, gv := range frontier {
 					mfLocal += g.ColDegree[gv]
 				}
@@ -533,60 +427,26 @@ func run2DVector(w *cluster.World, grid *cluster.Grid, g *Graph, source int64, o
 			// as top-down ones (the statistic the direction heuristic
 			// consumes anyway; its value equals the old global bitmap
 			// count, so traces are unchanged).
-			totalNew = world.AllreduceSum(r, int64(len(frontier)), "allreduce")
-			if opt.Trace {
-				levelScan[me] = append(levelScan[me], levScan)
-				sent, _ := r.Volumes()
-				levelComm[me] = append(levelComm[me], sent-prevSent)
-				prevSent = sent
-				if me == 0 {
-					levelDir = append(levelDir, cur == dirheur.BottomUp)
-					if totalNew > 0 {
-						trace = append(trace, totalNew)
-					}
-				}
-			}
+			totalNew := w.WorldGroup().AllreduceSum(r, int64(len(frontier)), "allreduce")
+			lp.Level(r, cur, levScan, totalNew)
 			if totalNew == 0 {
 				break
 			}
 
 			// ---- Direction decision for the next level ----
-			next := cur
-			if mode == dirheur.ModeAuto {
-				mf := world.AllreduceSum(r, mfLocal, "allreduce")
-				next = dirm.Advance(totalNew, mf)
-				if d, ok := opt.Force.ForcedDir(level + 1); ok {
-					next = d
-					dirm.Force(d)
-				}
-				if opt.Trace && me == 0 {
-					pol := dirm.Thresholds()
-					alt := dirheur.TopDown
-					if next == dirheur.TopDown {
-						alt = dirheur.BottomUp
-					}
-					decisions = append(decisions, decis.Decision{
-						Kind: decis.KindDirection, Level: level + 1,
-						Frontier: totalNew, EdgeEst: mf,
-						Unexplored: dirm.Unexplored(), Verts: dirm.Verts(),
-						Alpha: pol.Alpha, Beta: pol.Beta,
-						Choice:       decis.DirChoice(next),
-						Alternatives: []string{decis.DirChoice(alt)},
-					})
-				}
-			}
+			next := lp.Next(r, dirm, level, totalNew, mfLocal)
 			switch {
 			case cur == dirheur.BottomUp && next == dirheur.BottomUp:
 				// Stay bottom-up: move the new frontier through the
 				// partitioned exchange and fold the row-block slice into
 				// the visited slice.
-				bits.ClearWords(chunkBM.Words()[ownWLo:ownWHi])
+				bits.ClearWords(chunkBM.Words()[xc.own.lo:xc.own.hi])
 				for _, gv := range frontier {
 					chunkBM.Set(gv)
 				}
 				exchangeFrontier()
-				bits.OrWords(vis.Words()[rowWLo:rowWHi], rowFront.Words()[rowWLo:rowWHi])
-				r.ChargeMem(price, 0, 0, int64(len(frontier))+2*rowWords, 0)
+				bits.OrWords(vis.Words()[xc.row.lo:xc.row.hi], rowFront.Words()[xc.row.lo:xc.row.hi])
+				r.ChargeMem(price, 0, 0, int64(len(frontier))+2*xc.row.len(), 0)
 			case cur == dirheur.TopDown && next == dirheur.BottomUp:
 				enterBottomUp()
 			}
@@ -603,25 +463,7 @@ func run2DVector(w *cluster.World, grid *cluster.Grid, g *Graph, source int64, o
 	})
 
 	out := assemble(pt, grid, g, source, distLoc, parentLoc, levelsPer[0])
-	out.LevelFrontier = trace
-	out.LevelBottomUp = levelDir
-	out.Decisions = decisions
-	for id := 0; id < p; id++ {
-		out.ScannedTopDown += scannedTD[id]
-		out.ScannedBottomUp += scannedBU[id]
-	}
-	if opt.Trace && len(levelScan) > 0 {
-		out.LevelScanned = make([]int64, len(levelScan[0]))
-		out.LevelCommWords = make([]int64, len(levelComm[0]))
-		for id := range levelScan {
-			for l, s := range levelScan[id] {
-				out.LevelScanned[l] += s
-			}
-			for l, s := range levelComm[id] {
-				out.LevelCommWords[l] += s
-			}
-		}
-	}
+	lp.Fill(&out.Profile)
 	return out
 }
 
@@ -632,9 +474,9 @@ func run2DVector(w *cluster.World, grid *cluster.Grid, g *Graph, source int64, o
 // local CSR (and, like there, TEPS bookkeeping rather than algorithm
 // work — it is not charged to the simulated clock).
 func assemble(pt Part2D, grid *cluster.Grid, g *Graph, source int64,
-	distLoc, parentLoc [][]int64, levels int64) *Output {
+	distLoc, parentLoc [][]int64, levelCount int64) *levels.Output {
 
-	out := &Output{Source: source, Levels: levels}
+	out := &levels.Output{Source: source, Levels: levelCount}
 	out.Dist = make([]int64, pt.N)
 	out.Parent = make([]int64, pt.N)
 	for id := 0; id < grid.Pr*grid.Pc; id++ {

@@ -4,6 +4,8 @@ import (
 	"math"
 
 	"repro/internal/cluster"
+	"repro/internal/dirheur"
+	"repro/internal/levels"
 	"repro/internal/scratch"
 	"repro/internal/serial"
 	"repro/internal/smp"
@@ -18,7 +20,7 @@ import (
 // gather to the diagonal along the process row — after which the diagonal
 // alone merges the pc partial vectors while the rest of its row idles.
 // That serial merge is the load imbalance the figure visualizes.
-func runDiagVector(w *cluster.World, grid *cluster.Grid, g *Graph, source int64, opt Options) *Output {
+func runDiagVector(w *cluster.World, grid *cluster.Grid, g *Graph, source int64, opt Options) *levels.Output {
 	pt := g.Part
 	t := opt.Threads
 	if t < 1 {
@@ -28,7 +30,7 @@ func runDiagVector(w *cluster.World, grid *cluster.Grid, g *Graph, source int64,
 	distLoc := make([][]int64, p)
 	parentLoc := make([][]int64, p)
 	levelsPer := make([]int64, p)
-	scannedTD := make([]int64, p)
+	lp := levels.New(w, false, nil) // the Figure 4 layout traces nothing
 
 	arena := opt.Arena
 	if arena == nil {
@@ -102,7 +104,6 @@ func runDiagVector(w *cluster.World, grid *cluster.Grid, g *Graph, source int64,
 			// ---- Local SpMSV ----
 			work := block.Work(localF)
 			block.SpMSV(spOut, localF, spMSVOpts, pool, &ar.rowScratch)
-			scannedTD[me] += work
 			if price != nil {
 				stripWS := (rowHi - rowLo) / int64(t)
 				r.Charge(price.MemCost(work, stripWS, work+int64(spOut.NNZ()), work) / float64(t))
@@ -147,6 +148,7 @@ func runDiagVector(w *cluster.World, grid *cluster.Grid, g *Graph, source int64,
 
 			// ---- Termination: global Allreduce (as in Figure 4's loop) ----
 			total := world.AllreduceSum(r, int64(len(frontier)), "allreduce")
+			lp.Level(r, dirheur.TopDown, work, total)
 			if total == 0 {
 				break
 			}
@@ -160,7 +162,7 @@ func runDiagVector(w *cluster.World, grid *cluster.Grid, g *Graph, source int64,
 	})
 
 	// Assemble from the diagonal ranks, which own whole blocks.
-	out := &Output{Source: source, Levels: levelsPer[0]}
+	out := &levels.Output{Source: source, Levels: levelsPer[0]}
 	out.Dist = make([]int64, pt.N)
 	out.Parent = make([]int64, pt.N)
 	for b := 0; b < grid.Pr; b++ {
@@ -168,9 +170,7 @@ func runDiagVector(w *cluster.World, grid *cluster.Grid, g *Graph, source int64,
 		copy(out.Dist[pt.RowStart(b):], distLoc[id])
 		copy(out.Parent[pt.RowStart(b):], parentLoc[id])
 	}
-	for id := 0; id < p; id++ {
-		out.ScannedTopDown += scannedTD[id]
-	}
+	lp.Fill(&out.Profile)
 	out.TraversedEdges = traversedEdges(g, out.Dist)
 	return out
 }

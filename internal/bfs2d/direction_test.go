@@ -7,6 +7,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/dirheur"
 	"repro/internal/graph"
+	"repro/internal/levels"
 	"repro/internal/prng"
 	"repro/internal/rmat"
 	"repro/internal/serial"
@@ -14,7 +15,7 @@ import (
 
 // runDir2D runs a 2D BFS under the given direction mode and validates
 // the tree against the serial oracle.
-func runDir2D(t *testing.T, el *graph.EdgeList, pr, threads int, source int64, mode dirheur.Mode) *Output {
+func runDir2D(t *testing.T, el *graph.EdgeList, pr, threads int, source int64, mode dirheur.Mode) *levels.Output {
 	t.Helper()
 	ref, err := graph.BuildCSR(el, true)
 	if err != nil {

@@ -9,38 +9,12 @@ import (
 	"repro/internal/bits"
 	"repro/internal/cluster"
 	"repro/internal/dirheur"
+	"repro/internal/levels"
 	"repro/internal/scratch"
-	"repro/internal/serial"
 	"repro/internal/smp"
 	"repro/internal/spmat"
 	"repro/internal/spvec"
 )
-
-// BatchWidth is the maximum number of sources one batched run traverses
-// simultaneously: one bit per search in a uint64 mask.
-const BatchWidth = 64
-
-// BatchOutput is the result of a batched (multi-source) 2D BFS; see the
-// 1D driver's BatchOutput for the field semantics — distances are
-// bit-identical to sequential Runs, parents independently valid.
-type BatchOutput struct {
-	Sources []int64
-	Dist    [][]int64
-	Parent  [][]int64
-	Levels  []int64
-	// TraversedEdges is the per-search TEPS denominator;
-	// UniqueTraversedEdges counts each shared edge scan once across the
-	// batch (the machine-throughput denominator).
-	TraversedEdges       []int64
-	UniqueTraversedEdges int64
-	BatchLevels          int64
-	ScannedTopDown       int64
-	ScannedBottomUp      int64
-	LevelFrontier        []int64
-	LevelScanned         []int64
-	LevelBottomUp        []bool
-	LevelCommWords       []int64
-}
 
 // batchRankArena is one rank's reusable multi-source scratch for the 2D
 // driver: the frontier double buffer (MaskVecs of owned global ids),
@@ -69,7 +43,7 @@ type batchRankArena struct {
 	maskPullScratch        spmat.MaskPullScratch
 }
 
-// RunBatch executes one batched BFS over up to BatchWidth sources on the
+// RunBatch executes one batched BFS over up to levels.BatchWidth sources on the
 // grid: search k owns bit k of every mask, each level runs one transpose,
 // one expand, one SpMSV, and one fold for the whole batch (or one
 // partitioned mask-plane exchange and one pull bottom-up), so every
@@ -79,22 +53,17 @@ type batchRankArena struct {
 // the owner. Searches retire from the active mask as their frontiers
 // empty. Only the Dist2D vector layout supports batching (the diagonal
 // layout exists for the Figure 4 imbalance experiment).
-func RunBatch(w *cluster.World, grid *cluster.Grid, g *Graph, sources []int64, opt Options) (*BatchOutput, error) {
+func RunBatch(w *cluster.World, grid *cluster.Grid, g *Graph, sources []int64, opt Options) (*levels.BatchOutput, error) {
 	pt := g.Part
-	if grid.Pr != pt.Pr || grid.Pc != pt.Pc {
-		return nil, fmt.Errorf("bfs2d: %dx%d grid does not match %dx%d distribution",
-			grid.Pr, grid.Pc, pt.Pr, pt.Pc)
-	}
-	if w.P != grid.Pr*grid.Pc {
-		return nil, fmt.Errorf("bfs2d: world of %d ranks does not match %dx%d grid",
-			w.P, grid.Pr, grid.Pc)
+	if err := checkGrid(w, grid, pt); err != nil {
+		return nil, err
 	}
 	if opt.Vector != Dist2D {
 		return nil, fmt.Errorf("bfs2d: batched traversal requires the 2D vector distribution")
 	}
 	width := len(sources)
-	if width < 1 || width > BatchWidth {
-		return nil, fmt.Errorf("bfs2d: batch width %d out of range [1,%d]", width, BatchWidth)
+	if width < 1 || width > levels.BatchWidth {
+		return nil, fmt.Errorf("bfs2d: batch width %d out of range [1,%d]", width, levels.BatchWidth)
 	}
 	for _, s := range sources {
 		if s < 0 || s >= pt.N {
@@ -104,7 +73,7 @@ func RunBatch(w *cluster.World, grid *cluster.Grid, g *Graph, sources []int64, o
 	return run2DVectorBatch(w, grid, g, sources, opt), nil
 }
 
-func run2DVectorBatch(w *cluster.World, grid *cluster.Grid, g *Graph, sources []int64, opt Options) *BatchOutput {
+func run2DVectorBatch(w *cluster.World, grid *cluster.Grid, g *Graph, sources []int64, opt Options) *levels.BatchOutput {
 	pt := g.Part
 	t := opt.Threads
 	if t < 1 {
@@ -113,45 +82,12 @@ func run2DVectorBatch(w *cluster.World, grid *cluster.Grid, g *Graph, sources []
 	p := w.P
 	width := len(sources)
 	wd := int64(width)
-	fullMask := ^uint64(0)
-	if width < 64 {
-		fullMask = 1<<uint(width) - 1
-	}
 
-	// Per-search output planes, committed into directly by the fold's
-	// first-visit claims (each rank owns a disjoint vector range, so the
-	// writes are race-free). One backing array per kind; three-index
-	// slicing keeps appends from bleeding across planes. The stride pads
-	// each plane by a cache line: a commit touches up to `width` planes
-	// at the same vertex offset, and an exact power-of-two stride would
-	// put every one of those writes in the same cache set. Rank tails
-	// overwrite the never-visited slots with Unreached.
-	planeStride := pt.N + 8
-	distPlanes := make([][]int64, width)
-	parentPlanes := make([][]int64, width)
-	distBack := make([]int64, int64(width)*planeStride)
-	parBack := make([]int64, int64(width)*planeStride)
-	for s := 0; s < width; s++ {
-		lo := int64(s) * planeStride
-		hi := lo + pt.N
-		distPlanes[s] = distBack[lo:hi:hi]
-		parentPlanes[s] = parBack[lo:hi:hi]
-	}
-	// lastLevel[s] is the deepest level at which search s discovered a
-	// vertex, recorded by rank 0 from the retirement allreduce.
-	lastLevel := make([]int64, width)
-
-	visLoc := make([][]uint64, p)
-	levelsPer := make([]int64, p)
-	scannedTD := make([]int64, p)
-	scannedBU := make([]int64, p)
-	var trace []int64
-	var levelDir []bool
-	var levelScan, levelComm [][]int64
-	if opt.Trace {
-		levelScan = make([][]int64, p)
-		levelComm = make([][]int64, p)
-	}
+	// The fold's first-visit claims commit straight into the per-search
+	// output planes (each rank owns a disjoint vector range).
+	bt := levels.NewBatch(sources, pt.N, p)
+	distPlanes, parentPlanes := bt.Out.Dist, bt.Out.Parent
+	lp := levels.New(w, opt.Trace, nil)
 
 	var pulls [][]*spmat.PullSplit
 	var totalAdj int64
@@ -239,33 +175,12 @@ func run2DVectorBatch(w *cluster.World, grid *cluster.Grid, g *Graph, sources []
 		}
 		sendT := ba.sendT
 
-		mode := opt.Direction
-		dirm := dirheur.NewBatch(mode, opt.Policy, pt.N, totalAdj, width)
-		// Word ranges of the partitioned mask-plane exchange: one word
-		// per vertex, so the owned, row-block, and block-column ranges
-		// are exact (no boundary padding, unlike the one-bit bitmap).
-		rowWords, colWords := rowHi-rowLo, colHi-colLo
+		dirm := dirheur.NewBatch(opt.Direction, opt.Policy, pt.N, totalAdj, width)
+		// The partitioned mask-plane exchange holds one word per vertex,
+		// so its owned, row-block, and block-column ranges are exact.
+		xc := exchange{rowG: rowG, colG: colG, price: price,
+			own: span{vLo, vHi}, row: span{rowLo, rowHi}, col: span{colLo, colHi}}
 		var front, rowFront, chunk []uint64
-		exchangeFrontier := func() {
-			rowSlice := rowG.AllgatherBitsBlocks(r,
-				chunk[vLo:vHi], vLo-rowLo, rowWords, "bitmap")
-			copy(rowFront[rowLo:rowHi], rowSlice)
-			iLo, iHi := rowLo, rowHi
-			if colLo > iLo {
-				iLo = colLo
-			}
-			if colHi < iHi {
-				iHi = colHi
-			}
-			var dep []uint64
-			var off int64
-			if iLo < iHi { // this row block intersects my block column
-				dep, off = rowFront[iLo:iHi], iLo-colLo
-			}
-			colSlice := colG.AllgatherBitsBlocks(r, dep, off, colWords, "bitmap")
-			copy(front[colLo:colHi], colSlice)
-			r.ChargeMem(price, 0, 0, 2*(rowWords+colWords), 0)
-		}
 		depositFrontier := func() {
 			bits.ClearWords(chunk[vLo:vHi])
 			for k, gv := range frontier.Ind {
@@ -282,43 +197,30 @@ func run2DVectorBatch(w *cluster.World, grid *cluster.Grid, g *Graph, sources []
 			chunk = bits.GrownWords(ba.chunk, pt.N)
 			ba.front, ba.rowFront, ba.chunk = front, rowFront, chunk
 			copy(chunk[vLo:vHi], vis[vLo:vHi])
-			visSlice := rowG.AllgatherBitsBlocks(r,
-				chunk[vLo:vHi], vLo-rowLo, rowWords, "bitmap")
-			copy(vis[rowLo:rowHi], visSlice)
+			xc.rowHop(r, chunk, vis)
 			depositFrontier()
-			exchangeFrontier()
-			r.ChargeMem(price, 0, 0, nOwn+2*rowWords, 0)
+			xc.frontier(r, chunk, rowFront, front)
+			r.ChargeMem(price, 0, 0, nOwn+2*xc.row.len(), 0)
 		}
 		cur := dirm.Direction()
-		active := fullMask
+		active := levels.FullMask(width)
 		if cur == dirheur.BottomUp {
 			enterBottomUp()
 		}
 
 		var level int64 = 1
-		var prevSent int64
 		for {
-			var totalNew, mfLocal, levScan int64
+			var mfLocal, levScan int64
 			var newOrLocal uint64
 			var newCountLocal int64
 
 			if cur == dirheur.BottomUp {
 				// ---- Batched bottom-up pull ----
-				scanned := pulls[i][j].PullMasks(spOut, front, vis, active,
+				levScan = pulls[i][j].PullMasks(spOut, front, vis, active,
 					rowLo, colLo, pool, &ba.maskPullScratch)
-				scannedBU[me] += scanned
-				levScan = scanned
-				// One random probe into the block-column frontier plane
-				// per scanned entry (colWords working set, now one word
-				// per vertex), one visited-mask probe per block row.
-				if price != nil {
-					par := price.MemCost(scanned+(rowHi-rowLo), colWords, scanned, scanned)
-					serialOverhead := 0.0
-					if t > 1 {
-						serialOverhead = price.MemCost(0, 0, int64(spOut.NNZ()), threadBarrierOps)
-					}
-					r.Charge(par/float64(t) + serialOverhead)
-				}
+				// The block-column frontier plane holds one word per
+				// vertex, so its working set is the column's vertex count.
+				chargePull(r, price, t, levScan, rowHi-rowLo, xc.col.len(), int64(spOut.NNZ()))
 			} else {
 				// ---- Transpose: (vertex, mask) pairs ----
 				var transposed []int64
@@ -376,19 +278,9 @@ func run2DVectorBatch(w *cluster.World, grid *cluster.Grid, g *Graph, sources []
 				r.ChargeMem(price, 0, 0, 2*gathered, gathered)
 
 				// ---- Batched local SpMSV ----
-				work := block.WorkMasks(localF)
+				levScan = block.WorkMasks(localF)
 				block.SpMSVMasks(spOut, localF, pool, &ba.maskRowScratch)
-				scannedTD[me] += work
-				levScan = work
-				if price != nil {
-					stripWS := (rowHi - rowLo) / int64(t)
-					par := price.MemCost(work, stripWS, work+int64(spOut.NNZ()), work)
-					serialOverhead := 0.0
-					if t > 1 {
-						serialOverhead = price.MemCost(0, 0, int64(spOut.NNZ()), threadBarrierOps)
-					}
-					r.Charge(par/float64(t) + serialOverhead)
-				}
+				chargeSpMSV(r, price, t, levScan, rowHi-rowLo, int64(spOut.NNZ()))
 			}
 
 			// ---- Fold: (vertex, mask, parent) triples along the row ----
@@ -455,44 +347,25 @@ func run2DVectorBatch(w *cluster.World, grid *cluster.Grid, g *Graph, sources []
 				int64(len(ns))*int64(mbits.Len64(uint64(len(ns)))))
 
 			// ---- Termination and retirement ----
-			totalNew = world.AllreduceSum(r, newCountLocal, "allreduce")
+			totalNew := world.AllreduceSum(r, newCountLocal, "allreduce")
 			active = world.AllreduceOr(r, newOrLocal, "allreduce")
-			if me == 0 {
-				for rem := active; rem != 0; rem &= rem - 1 {
-					lastLevel[mbits.TrailingZeros64(rem)] = level
-				}
-			}
-			if opt.Trace {
-				levelScan[me] = append(levelScan[me], levScan)
-				sent, _ := r.Volumes()
-				levelComm[me] = append(levelComm[me], sent-prevSent)
-				prevSent = sent
-				if me == 0 {
-					levelDir = append(levelDir, cur == dirheur.BottomUp)
-					if totalNew > 0 {
-						trace = append(trace, totalNew)
-					}
-				}
-			}
+			bt.Retire(r, active, level)
+			lp.Level(r, cur, levScan, totalNew)
 			if totalNew == 0 {
 				break
 			}
 
 			// ---- Direction decision ----
-			next := cur
-			if mode == dirheur.ModeAuto {
-				mf := world.AllreduceSum(r, mfLocal, "allreduce")
-				next = dirm.Advance(totalNew, mf)
-			}
+			next := lp.Next(r, dirm, level, totalNew, mfLocal)
 			switch {
 			case cur == dirheur.BottomUp && next == dirheur.BottomUp:
 				// Stay bottom-up: the new frontier bits are exactly the
 				// newly visited bits, so the row hop's slice extends the
 				// row-block visited plane.
 				depositFrontier()
-				exchangeFrontier()
+				xc.frontier(r, chunk, rowFront, front)
 				bits.OrWords(vis[rowLo:rowHi], rowFront[rowLo:rowHi])
-				r.ChargeMem(price, 0, 0, 2*rowWords, 0)
+				r.ChargeMem(price, 0, 0, 2*xc.row.len(), 0)
 			case cur == dirheur.TopDown && next == dirheur.BottomUp:
 				enterBottomUp()
 			}
@@ -500,78 +373,13 @@ func run2DVectorBatch(w *cluster.World, grid *cluster.Grid, g *Graph, sources []
 			level++
 		}
 
-		// Fill the never-visited (vertex, search) slots of this rank's
-		// owned range with Unreached, plane-major so each plane's segment
-		// is one ascending stream (vertex-major order would scatter every
-		// vertex's misses across all `width` planes). The fold's commits
-		// already wrote the discovered slots.
-		for s := 0; s < width; s++ {
-			bit := uint64(1) << uint(s)
-			dp := distPlanes[s][vLo:vHi]
-			pp := parentPlanes[s][vLo:vHi]
-			for vl, m := range vis[vLo:vHi] {
-				if m&bit == 0 {
-					dp[vl] = serial.Unreached
-					pp[vl] = serial.Unreached
-				}
-			}
-		}
-
-		visLoc[me] = append([]uint64(nil), vis[vLo:vHi]...)
-		levelsPer[me] = level - 1
+		bt.FinishRank(r, vLo, vis[vLo:vHi], level-1)
 	})
 
-	// Finalize the per-search outputs: edge counts from the visited
-	// masks (whole-word fast path for fully-visited vertices) — one
-	// linear sweep instead of the old O(width*N) vertex-major transpose.
-	// Commits and rank tails already wrote every (vertex, search) slot.
-	out := &BatchOutput{
-		Sources:        append([]int64(nil), sources...),
-		Dist:           distPlanes,
-		Parent:         parentPlanes,
-		Levels:         lastLevel,
-		TraversedEdges: make([]int64, width),
-		BatchLevels:    levelsPer[0],
-		LevelFrontier:  trace,
-		LevelBottomUp:  levelDir,
-	}
 	for id := 0; id < p; id++ {
-		gi, gj := grid.RowOf(id), grid.ColOf(id)
-		lo, hi := pt.OwnedRange(gi, gj)
-		var degAll int64 // degree sum of this rank's fully-visited vertices
-		for vl := int64(0); vl < hi-lo; vl++ {
-			gv := lo + vl
-			m := visLoc[id][vl]
-			deg := g.ColDegree[gv]
-			if m == fullMask {
-				out.UniqueTraversedEdges += deg
-				degAll += deg
-				continue
-			}
-			if m != 0 {
-				out.UniqueTraversedEdges += deg
-				for rem := m; rem != 0; rem &= rem - 1 {
-					out.TraversedEdges[mbits.TrailingZeros64(rem)] += deg
-				}
-			}
-		}
-		for s := 0; s < width; s++ {
-			out.TraversedEdges[s] += degAll
-		}
-		out.ScannedTopDown += scannedTD[id]
-		out.ScannedBottomUp += scannedBU[id]
+		lo, _ := pt.OwnedRange(grid.RowOf(id), grid.ColOf(id))
+		bt.CountEdges(id, func(vl int64) int64 { return g.ColDegree[lo+vl] })
 	}
-	if opt.Trace && len(levelScan) > 0 {
-		out.LevelScanned = make([]int64, len(levelScan[0]))
-		out.LevelCommWords = make([]int64, len(levelComm[0]))
-		for id := range levelScan {
-			for l, s := range levelScan[id] {
-				out.LevelScanned[l] += s
-			}
-			for l, s := range levelComm[id] {
-				out.LevelCommWords[l] += s
-			}
-		}
-	}
-	return out
+	lp.Fill(&bt.Out.Profile)
+	return bt.Out
 }

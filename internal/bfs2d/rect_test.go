@@ -6,6 +6,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/dirheur"
 	"repro/internal/graph"
+	"repro/internal/levels"
 	"repro/internal/netmodel"
 	"repro/internal/rmat"
 	"repro/internal/serial"
@@ -57,7 +58,7 @@ func TestTransposeOwnerStructure(t *testing.T) {
 
 // runRect runs the 2D BFS on an arbitrary pr×pc grid with a real cost
 // model and validates distances and parents against the serial oracle.
-func runRect(t *testing.T, el *graph.EdgeList, pr, pc int, source int64, opt Options) *Output {
+func runRect(t *testing.T, el *graph.EdgeList, pr, pc int, source int64, opt Options) *levels.Output {
 	t.Helper()
 	ref, err := graph.BuildCSR(el, true)
 	if err != nil {

@@ -138,6 +138,9 @@ func NewBatch(mode Mode, pol Policy, n, totalAdj int64, width int) *Machine {
 // Direction returns the direction the next level should run in.
 func (m *Machine) Direction() Direction { return m.cur }
 
+// Mode returns the policy the machine was built with.
+func (m *Machine) Mode() Mode { return m.mode }
+
 // Unexplored returns the remaining unexplored adjacency volume mu.
 func (m *Machine) Unexplored() int64 { return m.mu }
 

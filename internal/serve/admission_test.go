@@ -182,54 +182,3 @@ func TestInternalErrorMetrics(t *testing.T) {
 		t.Errorf("served = %d, want 0 (errors must not count as served)", served)
 	}
 }
-
-func TestServeAutoTune(t *testing.T) {
-	g, err := pbfs.NewRMATGraph(8, 8, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// AutoTune without a Machine profile is a configuration error.
-	_, err = NewHarness(Config{
-		Graphs:   []GraphConfig{{ID: "g", Graph: g, Options: pbfs.Options{Algorithm: pbfs.OneDFlat, Ranks: 4}}},
-		AutoTune: true, Clock: NewFakeClock(t0),
-	})
-	if err == nil {
-		t.Fatal("AutoTune without Machine accepted")
-	}
-
-	clock := NewFakeClock(t0)
-	h, err := NewHarness(Config{
-		Graphs: []GraphConfig{{ID: "g", Graph: g,
-			Options: pbfs.Options{Algorithm: pbfs.OneDFlat, Ranks: 4, Machine: "franklin"}}},
-		BatchMax: 8, MaxWait: time.Millisecond, QueueDepth: 64,
-		AutoTune: true, Clock: clock,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h.Close()
-	w := h.Server.workers["g"]
-	if !w.opt.AutoTune {
-		t.Fatal("worker options not marked AutoTune after tuned registration")
-	}
-
-	// Tuned serving answers with correct distances: compare against the
-	// serial oracle.
-	src := g.Sources(1, 3)[0]
-	ch, err := h.Submit(Query{Source: src, NoCache: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	clock.Advance(time.Millisecond)
-	h.Pump()
-	resp := take(t, ch)
-	if resp.Err != nil {
-		t.Fatal(resp.Err)
-	}
-	ref := g.SerialBFS(src)
-	for v := range resp.Dist {
-		if resp.Dist[v] != ref.Dist[v] {
-			t.Fatalf("tuned serving: vertex %d dist %d != oracle %d", v, resp.Dist[v], ref.Dist[v])
-		}
-	}
-}

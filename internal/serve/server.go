@@ -53,16 +53,6 @@ type Config struct {
 	// entries). Zero means DefaultCacheSize; negative disables caching.
 	CacheSize int
 
-	// AutoTune runs the session auto-tuner (pbfs.Session.Tune) on every
-	// pool session at registration — a counterfactual probe over a few
-	// sources per graph — and serves all traffic with
-	// pbfs.Options.AutoTune set, so each graph family runs under the
-	// settings the tuner found no worse than the defaults. Requires
-	// every graph's Options to name a Machine profile (the tuner
-	// minimizes simulated time; without a clock there is nothing to
-	// tune). Registration pays the probe searches up front.
-	AutoTune bool
-
 	// Classes lists the accepted SLO classes (default DefaultClasses).
 	Classes []Class
 
@@ -154,41 +144,24 @@ func newServer(cfg Config, start bool) (*Server, error) {
 		}
 		w := newGraphWorker(s, gc, cfg.BatchMax, cfg.MaxWait,
 			cfg.QueueDepth, cfg.Policy, cfg.CacheSize)
-		if cfg.AutoTune && gc.Options.Machine == "" {
+		// Warm every pool session with a one-source batch:
+		// configuration errors (unknown machine, unfactorable grid)
+		// surface here instead of on the first query, and each session
+		// pays its one graph distribution before traffic arrives. Get
+		// cycles the pool FIFO, so the loop visits every member exactly
+		// once.
+		var err error
+		for i := 0; i < gc.Sessions && err == nil; i++ {
+			sess := w.pool.Get()
+			_, err = sess.BFSBatch(gc.Graph, []int64{0}, gc.Options)
+			w.pool.Put(sess)
+		}
+		if err != nil {
 			w.pool.Close()
 			for _, id := range s.order {
 				s.workers[id].pool.Close()
 			}
-			return nil, fmt.Errorf("serve: graph %q: AutoTune requires a Machine profile", gc.ID)
-		}
-		// Warm every pool session with a one-source batch:
-		// configuration errors (unknown machine, unfactorable grid)
-		// surface here instead of on the first query, and each session
-		// pays its one graph distribution before traffic arrives. Under
-		// AutoTune each session additionally runs the tuner's probe, so
-		// traffic lands on already-tuned settings; Get cycles the pool
-		// FIFO, so the loop visits every member exactly once.
-		var probe []int64
-		if cfg.AutoTune {
-			probe = gc.Graph.Sources(4, 1)
-		}
-		for i := 0; i < gc.Sessions; i++ {
-			sess := w.pool.Get()
-			_, err := sess.BFSBatch(gc.Graph, []int64{0}, gc.Options)
-			if err == nil && cfg.AutoTune {
-				_, err = sess.Tune(gc.Graph, gc.Options, probe)
-			}
-			w.pool.Put(sess)
-			if err != nil {
-				w.pool.Close()
-				for _, id := range s.order {
-					s.workers[id].pool.Close()
-				}
-				return nil, fmt.Errorf("serve: graph %q options rejected: %w", gc.ID, err)
-			}
-		}
-		if cfg.AutoTune {
-			w.opt.AutoTune = true
+			return nil, fmt.Errorf("serve: graph %q options rejected: %w", gc.ID, err)
 		}
 		s.workers[gc.ID] = w
 		s.order = append(s.order, gc.ID)

@@ -62,17 +62,20 @@ go test -shuffle=on ./...
 echo "== race smoke (session reuse + collective substrate) =="
 # Small-scale race check over the paths where goroutine ranks, worker
 # pools, and cross-search arenas interlock: the session-reuse and
-# rectangular-grid tests at the facade, the randomized conformance
-# harness (-short trims its graph stream; it drives every driver's
-# level loop), the cluster substrate's own suite (the parallel
-# rendezvous engine — including the jittered stress schedules in
-# rendezvous_stress_test.go, which skew goroutine interleavings across
-# grids and subcommunicators and assert bit-identical simulated
-# figures), and the 2D driver's rectangular transpose and
+# rectangular-grid tests at the facade, plus the trace and decision
+# goldens, whose traced searches and batches have every rank goroutine
+# write its own slot of the shared level-loop recorder (internal/levels)
+# at once; the randomized conformance harness (-short trims its graph
+# stream; it drives every driver's level loop); the level-loop
+# bookkeeping's own suite; the cluster substrate's own suite (the
+# parallel rendezvous engine — including the jittered stress schedules
+# in rendezvous_stress_test.go, which skew goroutine interleavings
+# across grids and subcommunicators and assert bit-identical simulated
+# figures); and the 2D driver's rectangular transpose and
 # partitioned-bitmap paths.
-go test -race -run 'Session|CrossShape|RectGrid' .
+go test -race -run 'Session|CrossShape|RectGrid|TraceGolden|Decision' .
 go test -race -short -run 'Conformance' .
-go test -race ./internal/cluster ./internal/smp
+go test -race ./internal/levels ./internal/cluster ./internal/smp
 go test -race -run Rect ./internal/bfs2d
 # The R-MAT generator fills one edge slice from GOMAXPROCS workers.
 go test -race ./internal/rmat
