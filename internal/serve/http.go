@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 )
 
@@ -100,6 +101,76 @@ func writeJSON(w http.ResponseWriter, status int, body any) {
 	_ = json.NewEncoder(w).Encode(body)
 }
 
+// queryBufs recycles /v1/query body buffers: one scale-16 distance
+// vector encodes to about 150 KB, which every request would otherwise
+// allocate afresh.
+var queryBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// writeQuery sends out as the /v1/query 200 body: built by appendQuery
+// in a pooled buffer and written in one Write with its Content-Length.
+func writeQuery(w http.ResponseWriter, out *QueryResponse) {
+	buf := queryBufs.Get().(*[]byte)
+	defer queryBufs.Put(buf)
+	b, err := appendQuery((*buf)[:0], out)
+	if err != nil {
+		writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
+		return
+	}
+	*buf = b
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(b)))
+	w.WriteHeader(http.StatusOK)
+	// A failed write means the client went away; there is no one left
+	// to report it to.
+	_, _ = w.Write(b)
+}
+
+// appendQuery appends to dst the /v1/query 200 body for out, byte for
+// byte what json.NewEncoder(w).Encode(out) writes: field order, HTML
+// escaping, omitted empty vectors and the trailing newline included.
+// encoding/json writes the scalar head; the vectors, which are nearly
+// all of the body, are appended with strconv.AppendInt instead of
+// reflected over one element at a time.
+func appendQuery(dst []byte, out *QueryResponse) ([]byte, error) {
+	dist, parent := out.Dist, out.Parent
+	out.Dist, out.Parent = nil, nil // omitted from the head, appended below
+	head, err := json.Marshal(out)
+	out.Dist, out.Parent = dist, parent
+	if err != nil {
+		return dst, err
+	}
+	dst = append(dst, head[:len(head)-1]...) // all but the closing brace
+	dst = appendInts(dst, `,"dist":[`, dist)
+	dst = appendInts(dst, `,"parent":[`, parent)
+	return append(dst, "}\n"...), nil
+}
+
+// appendInts appends key, v as a comma-separated array and its closing
+// bracket, or nothing when v is empty (the omitempty rule). Distances
+// are nearly all one-digit levels or Unreached (-1), so those skip
+// AppendInt, which halves the time of a scale-16 R-MAT vector.
+func appendInts(dst []byte, key string, v []int64) []byte {
+	if len(v) == 0 {
+		return dst
+	}
+	dst = append(dst, key...)
+	for i, x := range v {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		switch {
+		case uint64(x) < 10:
+			dst = append(dst, byte('0'+x))
+		case x == -1:
+			dst = append(dst, '-', '1')
+		default:
+			dst = strconv.AppendInt(dst, x, 10)
+		}
+	}
+	return append(dst, ']')
+}
+
 // writeReject maps a rejection onto the wire: its RejectStatus row,
 // the Retry-After backpressure hint when the server estimated one, and
 // the reason in the error envelope.
@@ -151,7 +222,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if qr.Parent {
 		out.Parent = resp.Parent
 	}
-	writeJSON(w, http.StatusOK, out)
+	writeQuery(w, &out)
 }
 
 func (s *Server) handleGraphs(w http.ResponseWriter, r *http.Request) {

@@ -169,7 +169,8 @@ type Response struct {
 	Class  string
 	// Err is non-nil iff the query was not served. Admission and
 	// scheduling rejections are *RejectError (see Reject); batch
-	// execution failures are the engine's error.
+	// execution failures are the engine's error, or one wrapping
+	// ErrBatchPanic when the batch panicked.
 	Err error
 
 	Dist    []int64
@@ -186,9 +187,12 @@ type Response struct {
 	Occupancy int
 	Cached    bool
 	Coalesced bool
-	// QueueWait is admission-to-dispatch and Completed the completion
-	// instant, both on the server's clock; the deadline guarantee is
-	// !Completed.After(request.Deadline) for every served query.
+	// QueueWait runs from admission to the instant the query's batch
+	// checked out a pooled session (zero for a cache hit), and
+	// Completed is the completion instant, both on the server's clock:
+	// Completed minus admission minus QueueWait is the batch's service
+	// time. The deadline guarantee is !Completed.After(request.Deadline)
+	// for every served query.
 	QueueWait time.Duration
 	Completed time.Time
 	// SimTime is the query's amortized share of the batch's simulated
@@ -236,6 +240,13 @@ type RejectError struct {
 }
 
 func (e *RejectError) Error() string { return fmt.Sprintf("serve: rejected: %s", e.Reason) }
+
+// ErrBatchPanic is wrapped by the Err of every query whose batch
+// panicked while executing. The server recovers the panic, answers
+// each request attached to the batch (riders included) with it,
+// replaces the session the batch ran on, and keeps serving; HTTP
+// reports it as 500.
+var ErrBatchPanic = errors.New("serve: batch panicked")
 
 // AsReject returns err as a *RejectError when it is one.
 func AsReject(err error) (*RejectError, bool) {

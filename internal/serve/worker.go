@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -24,6 +26,11 @@ type graphWorker struct {
 	former *Former
 	pool   *pbfs.SessionPool
 	cache  *planeCache
+
+	// exec runs one batch's sources on a checked-out session. It is
+	// sess.BFSBatch on the worker's graph and options; tests replace it
+	// to script service time or inject a panic.
+	exec func(sess *pbfs.Session, sources []int64) (*pbfs.BatchResult, error)
 
 	// estServeNs is the EWMA of recent batches' simulated machine time
 	// in nanoseconds — the deterministic service-time estimate deadline
@@ -67,6 +74,9 @@ func newGraphWorker(s *Server, gc GraphConfig, batchMax int, maxWait time.Durati
 		Queue: w.q, Policy: policy,
 		BatchMax: batchMax, MaxWait: maxWait,
 		Est: w.estServe,
+	}
+	w.exec = func(sess *pbfs.Session, sources []int64) (*pbfs.BatchResult, error) {
+		return sess.BFSBatch(w.graph, sources, w.opt)
 	}
 	return w
 }
@@ -143,7 +153,7 @@ func (w *graphWorker) submit(req *Request, now time.Time, noCache bool) error {
 	if !noCache {
 		if p, ok := w.cache.get(req.Source); ok {
 			m.RecordCache(w.id, true)
-			resp := w.respondPlane(req, p, p.Batch, p.Occupancy(), now, true, false)
+			resp := w.respondPlane(req, p, p.Batch, p.Occupancy(), now, now, true, false)
 			m.Record(resp)
 			return nil
 		}
@@ -186,7 +196,8 @@ func (w *graphWorker) submit(req *Request, now time.Time, noCache bool) error {
 // runBatch executes one formed batch at dispatch time now: coalesced
 // riders are resolved, unmeetable deadlines shed, the surviving
 // sources traverse as one MS-BFS batch on a pooled session, and every
-// attached request receives exactly one response. It is called
+// attached request receives exactly one response. A batch that panics
+// is answered with ErrBatchPanic and its session replaced. It is called
 // synchronously by the Harness and from dispatch goroutines by the
 // serving loop.
 func (w *graphWorker) runBatch(batch []*Request, now time.Time) {
@@ -234,7 +245,15 @@ func (w *graphWorker) runBatch(batch []*Request, now time.Time) {
 	}
 
 	sess := w.pool.Get()
-	br, err := sess.BFSBatch(w.graph, sources, w.opt)
+	acquired := w.s.clock.Now()
+	br, err := w.execute(sess, sources)
+	if errors.Is(err, ErrBatchPanic) {
+		// A panic can leave the session's engines mid-search (a
+		// poisoned collective group stays poisoned), so retire the
+		// session and keep the pool at its size with a fresh one.
+		sess.Close()
+		sess = pbfs.NewSession()
+	}
 	w.pool.Put(sess)
 	if err != nil {
 		for _, reqs := range live {
@@ -262,23 +281,37 @@ func (w *graphWorker) runBatch(batch []*Request, now time.Time) {
 		}
 		w.cache.put(sources[i], p)
 		for j, req := range reqs {
-			resp := w.respondPlane(req, p, id, len(sources), done, false, j > 0)
+			resp := w.respondPlane(req, p, id, len(sources), acquired, done, false, j > 0)
 			m.Record(resp)
 		}
 	}
 }
 
+// execute runs exec on sess and turns a panic into an error wrapping
+// ErrBatchPanic: dispatch runs batches on bare goroutines, where an
+// unrecovered panic (World.Run re-raises a rank's) ends the process.
+func (w *graphWorker) execute(sess *pbfs.Session, sources []int64) (br *pbfs.BatchResult, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			br, err = nil, fmt.Errorf("%w: %v", ErrBatchPanic, p)
+		}
+	}()
+	return w.exec(sess, sources)
+}
+
 // respondPlane completes req with plane p and delivers the response on
-// its done channel.
+// its done channel. The request waited until acquired, the instant its
+// batch checked out a session (a cache hit passes its admission time),
+// and completed at done.
 func (w *graphWorker) respondPlane(req *Request, p plane, batch uint64, occupancy int,
-	done time.Time, cached, coalesced bool) *Response {
+	acquired, done time.Time, cached, coalesced bool) *Response {
 	resp := &Response{
 		ID: req.ID, Graph: w.id, Source: req.Source, Class: req.Class,
 		Dist: p.Dist, Parent: p.Parent,
 		Levels: p.Levels, Reached: p.Reached,
 		Batch: batch, Occupancy: occupancy,
 		Cached: cached, Coalesced: coalesced,
-		QueueWait: done.Sub(req.Enqueued),
+		QueueWait: acquired.Sub(req.Enqueued),
 		Completed: done,
 		SimTime:   p.SimTime, TEPS: p.TEPS,
 		TraversedEdges: p.TraversedEdges,

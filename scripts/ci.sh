@@ -96,13 +96,22 @@ echo "== race smoke (batching query server) =="
 # and single-flight riders hand planes across goroutines, and Shutdown
 # drains all of it at once. The full package runs under -race (it is
 # fast), which covers the shutdown-under-load test asserting no
-# admitted request is dropped without a response, plus the v1
-# deterministic fake-clock suites: cache/coalesce/LRU semantics, the
-# closed rejection-reason set, deadline-aware dispatch, and the
-# 1024-query Zipf load test over two graphs (cross-graph isolation,
-# zero responses completed past their deadline, serial-oracle
-# distances).
+# admitted request is dropped without a response, the panic-containment
+# test (TestBatchPanicContained: concurrent queries and their riders in
+# a panicking batch each get one ErrBatchPanic, the session is
+# replaced, later queries are served serial-identical, and Shutdown
+# returns), plus the v1 deterministic fake-clock suites: cache/coalesce/
+# LRU semantics, the closed rejection-reason set, deadline-aware
+# dispatch, and the 1024-query Zipf load test over two graphs
+# (cross-graph isolation, zero responses completed past their deadline,
+# serial-oracle distances).
 go test -race ./internal/serve
+
+echo "== fuzz smoke (/v1/query encoder and decoder) =="
+# The 200 body must stay byte-identical to encoding/json's, and no
+# request body may panic the handler or draw a non-JSON reply.
+go test -run '^$' -fuzz '^FuzzWriteQuery$' -fuzztime 10s ./internal/serve
+go test -run '^$' -fuzz '^FuzzQueryRequest$' -fuzztime 10s ./internal/serve
 
 echo "== counterfactual determinism smoke =="
 # The decision-replay regret table derives entirely from the simulated
