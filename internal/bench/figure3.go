@@ -24,7 +24,8 @@ import (
 // so per-process block dimensions are roughly constant), while the
 // frontier density falls as 1/p exactly as a fixed-size level's frontier
 // thins across more process columns. Following the paper's SPA design,
-// each call allocates its temporary dense accumulator; with dense
+// each call allocates its temporary dense accumulator and sorts its index
+// list at extraction; with dense
 // frontiers that O(range) setup is amortized and the heap pays its
 // logarithmic merge factor, with sparse frontiers the setup dominates and
 // the heap wins — the measured crossover.
@@ -80,11 +81,14 @@ func Figure3(w io.Writer, shrink int) error {
 			return float64(time.Since(start).Nanoseconds()) / 1e6 / float64(reps)
 		}
 		spaMS := timeKernel(func() {
-			// A fresh temporary dense vector per call, as in the paper's
-			// SPA formulation: this is the footprint cost that stops
-			// paying off once frontiers are sparse.
+			// A fresh temporary dense vector per call and a sorted index
+			// list at extraction, as in the paper's SPA formulation: this
+			// is the footprint cost that stops paying off once frontiers
+			// are sparse. (Extract would walk the occupied bitmap instead
+			// at these fills, which beats the heap at every point here.)
 			spa := spvec.NewSPA(rows)
-			block.SpMSV(&out, f, spmat.SpMSVOpts{Kernel: spmat.KernelSPA, SPA: spa})
+			block.Scatter(spa, f)
+			spa.ExtractSorted(&out)
 		})
 		heapMS := timeKernel(func() {
 			block.SpMSV(&out, f, spmat.SpMSVOpts{Kernel: spmat.KernelHeap})

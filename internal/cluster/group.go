@@ -619,11 +619,12 @@ func (g *Group) Gatherv(r *Rank, root int, send []int64, tag string) [][]int64 {
 	return parts
 }
 
-// SendRecv performs a pairwise exchange between r and the member with
-// group rank peer: both must call SendRecv naming each other. It is built
-// on the group rendezvous, so every group member must participate in the
-// same round (possibly exchanging with itself), which matches how the 2D
-// algorithm's TransposeVector uses it (a full permutation exchange).
+// SendRecvAll performs a pairwise exchange between r and the member whose
+// group rank is peerOf(r's group rank): both must name each other. It is
+// built on the group rendezvous, so every group member must participate
+// in the same round (possibly exchanging with itself), which matches how
+// the 2D algorithm's TransposeVector uses it (a full permutation
+// exchange).
 func (g *Group) SendRecvAll(r *Rank, peerOf func(groupRank int) int, send []int64, tag string) []int64 {
 	me := g.RankIn(r)
 	peer := peerOf(me)

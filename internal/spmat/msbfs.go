@@ -28,34 +28,15 @@ func (sc *MaskScratch) accFor(rows int64) []uint64 {
 	return sc.acc
 }
 
-// forEachSelectedMask merge-joins a mask frontier's indices (sorted,
-// unique) with the nonempty columns JC and invokes fn for each match
-// with the position j into JC, the entry's search mask, and its parent
-// payload.
-func forEachSelectedMask(m *DCSC, f *spvec.MaskVec, fn func(j int, mask uint64, par int64)) {
-	i, j := 0, 0
-	for i < len(f.Ind) && j < len(m.JC) {
-		switch {
-		case f.Ind[i] < m.JC[j]:
-			i++
-		case f.Ind[i] > m.JC[j]:
-			j++
-		default:
-			fn(j, f.Mask[i], f.Par[i])
-			i++
-			j++
-		}
-	}
-}
-
 // SpMSVMasks computes the batched top-down product: for every frontier
 // column c active in searches mask(c), every stored row r of c is
 // discovered in the searches not yet accumulated for r this level
 // (add = mask(c) &^ acc[r]), and dst receives one (row, add, parent)
 // triple per claiming column. Column order fixes the winning parent
-// deterministically (ascending frontier index, matching the merge-join
-// order). dst is unsorted by row — the batched fold's first-wins merge
-// needs no ordering — and entries never carry a zero mask. Local
+// deterministically (ascending frontier index, the order selectColumns
+// visits matches in). dst is unsorted by row — the batched fold's
+// first-wins merge needs no ordering — and entries never carry a zero
+// mask. Local
 // duplicate discoveries collapse here, before the fold exchange, the
 // same in-node aggregation the scalar SPA performs.
 func (m *DCSC) SpMSVMasks(dst *spvec.MaskVec, f *spvec.MaskVec, sc *MaskScratch) *spvec.MaskVec {
@@ -64,14 +45,15 @@ func (m *DCSC) SpMSVMasks(dst *spvec.MaskVec, f *spvec.MaskVec, sc *MaskScratch)
 		sc = &MaskScratch{}
 	}
 	acc := sc.accFor(m.Rows)
-	forEachSelectedMask(m, f, func(j int, mask uint64, par int64) {
+	selectColumns(m.JC, f.Ind, func(i, j int) {
+		mask := f.Mask[i]
 		for _, r := range m.colRowsAt(j) {
 			if add := mask &^ acc[r]; add != 0 {
 				if acc[r] == 0 {
 					sc.touched = append(sc.touched, r)
 				}
 				acc[r] |= add
-				dst.Append(r, add, par)
+				dst.Append(r, add, f.Par[i])
 			}
 		}
 	})
@@ -88,7 +70,7 @@ func (m *DCSC) SpMSVMasks(dst *spvec.MaskVec, f *spvec.MaskVec, sc *MaskScratch)
 // and the machine-TEPS accounting charge.
 func (m *DCSC) WorkMasks(f *spvec.MaskVec) int64 {
 	var work int64
-	forEachSelectedMask(m, f, func(j int, _ uint64, _ int64) {
+	selectColumns(m.JC, f.Ind, func(_, j int) {
 		work += m.CP[j+1] - m.CP[j]
 	})
 	return work

@@ -1,6 +1,8 @@
 package spmat
 
 import (
+	mbits "math/bits"
+
 	"repro/internal/bits"
 	"repro/internal/smp"
 	"repro/internal/spvec"
@@ -68,24 +70,44 @@ func (m *DCSC) PullView() *PullCSR {
 // (local row, global parent id) pairs in ascending row order. The
 // returned count is the number of adjacency entries examined — the
 // quantity the direction-optimizing heuristic saves.
+//
+// visited is read 64 rows at a time, so the scan costs O(Rows/64) word
+// reads plus the unvisited rows' entries up to each early exit: fully
+// visited spans cost one word each, whatever visRowOff's alignment.
 func (m *PullCSR) Pull(dst *spvec.Vec, frontier, visited *bits.Bitmap, visRowOff, colOff int64) int64 {
 	dst.Reset()
 	var scanned int64
-	for rl := int64(0); rl < m.Rows; rl++ {
-		if visited.Get(visRowOff + rl) {
-			continue
+	vis := visited.Words()
+	for base := int64(0); base < m.Rows; base += 64 {
+		open := ^wordAt(vis, visRowOff+base)
+		if n := m.Rows - base; n < 64 {
+			open &= 1<<uint(n) - 1
 		}
-		for k := m.RowPtr[rl]; k < m.RowPtr[rl+1]; k++ {
-			scanned++
-			c := colOff + m.ColInd[k]
-			if frontier.Get(c) {
-				dst.Ind = append(dst.Ind, rl)
-				dst.Val = append(dst.Val, c)
-				break
+		for ; open != 0; open &= open - 1 {
+			rl := base + int64(mbits.TrailingZeros64(open))
+			for k := m.RowPtr[rl]; k < m.RowPtr[rl+1]; k++ {
+				scanned++
+				c := colOff + m.ColInd[k]
+				if frontier.Get(c) {
+					dst.Ind = append(dst.Ind, rl)
+					dst.Val = append(dst.Val, c)
+					break
+				}
 			}
 		}
 	}
 	return scanned
+}
+
+// wordAt returns the 64 bits of ws that start at bit g, bit g in the
+// least significant position; bits past the end of ws read as clear.
+func wordAt(ws []uint64, g int64) uint64 {
+	w, sh := g/64, uint(g%64)
+	x := ws[w] >> sh
+	if sh != 0 && w+1 < int64(len(ws)) {
+		x |= ws[w+1] << (64 - sh)
+	}
+	return x
 }
 
 // PullSplit is the strip-parallel companion of a RowSplit: one PullCSR

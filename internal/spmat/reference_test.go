@@ -1,0 +1,271 @@
+package spmat
+
+import (
+	"fmt"
+	"testing"
+
+	"repro/internal/bits"
+	"repro/internal/prng"
+	"repro/internal/spvec"
+)
+
+// The kernels' previous forms, kept as the references the property tests
+// and FuzzSelectColumns compare against: a step-by-step merge-join for
+// column selection and a per-row visited test for the pull.
+
+// mergeSelect is the step-by-step merge-join of a frontier's indices with
+// a block's nonempty columns, returning every match as (i, j) in order.
+func mergeSelect(jc, ind []int64) [][2]int {
+	var out [][2]int
+	i, j := 0, 0
+	for i < len(ind) && j < len(jc) {
+		switch {
+		case ind[i] < jc[j]:
+			i++
+		case ind[i] > jc[j]:
+			j++
+		default:
+			out = append(out, [2]int{i, j})
+			i++
+			j++
+		}
+	}
+	return out
+}
+
+// gallopSelect records selectColumns' matches in the same form.
+func gallopSelect(jc, ind []int64) [][2]int {
+	var out [][2]int
+	selectColumns(jc, ind, func(i, j int) { out = append(out, [2]int{i, j}) })
+	return out
+}
+
+// mergeWork is Work over the merge-join.
+func mergeWork(m *DCSC, ind []int64) int64 {
+	var work int64
+	for _, p := range mergeSelect(m.JC, ind) {
+		work += m.CP[p[1]+1] - m.CP[p[1]]
+	}
+	return work
+}
+
+// pullPerRow is the pull that tests visited one row at a time.
+func pullPerRow(m *PullCSR, dst *spvec.Vec, frontier, visited *bits.Bitmap, visRowOff, colOff int64) int64 {
+	dst.Reset()
+	var scanned int64
+	for rl := int64(0); rl < m.Rows; rl++ {
+		if visited.Get(visRowOff + rl) {
+			continue
+		}
+		for k := m.RowPtr[rl]; k < m.RowPtr[rl+1]; k++ {
+			scanned++
+			c := colOff + m.ColInd[k]
+			if frontier.Get(c) {
+				dst.Ind = append(dst.Ind, rl)
+				dst.Val = append(dst.Val, c)
+				break
+			}
+		}
+	}
+	return scanned
+}
+
+func samePairs(a, b [][2]int) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for k := range a {
+		if a[k] != b[k] {
+			return false
+		}
+	}
+	return true
+}
+
+// frontierCases returns the frontiers the selection tests run on one
+// block: empty and full, JC itself, its first and last columns, the
+// columns outside JC, and random subsets from sparse to dense.
+func frontierCases(rng *prng.Xoshiro256, d *DCSC) map[string][]int64 {
+	cases := map[string][]int64{"empty": nil, "jc": d.JC}
+	var full, disjoint []int64
+	jcSet := make(map[int64]bool, len(d.JC))
+	for _, c := range d.JC {
+		jcSet[c] = true
+	}
+	for c := int64(0); c < d.Cols; c++ {
+		full = append(full, c)
+		if !jcSet[c] {
+			disjoint = append(disjoint, c)
+		}
+	}
+	cases["full"], cases["disjoint"] = full, disjoint
+	if n := len(d.JC); n > 0 {
+		cases["first"] = []int64{d.JC[0]}
+		cases["last"] = []int64{d.JC[n-1]}
+		cases["first+last"] = []int64{d.JC[0], d.JC[n-1]}
+	}
+	for _, pct := range []int{1, 10, 50, 90} {
+		var sub []int64
+		for c := int64(0); c < d.Cols; c++ {
+			if rng.Intn(100) < pct {
+				sub = append(sub, c)
+			}
+		}
+		cases[fmt.Sprintf("random-%d%%", pct)] = sub
+	}
+	return cases
+}
+
+// TestSelectColumnsMatchesMergeJoin checks the galloping column join
+// against the merge-join on random DCSC blocks, from hypersparse to
+// dense, for every frontier shape in frontierCases: the same matches in
+// the same order, the same Work and WorkMasks, and SpMSV output under all
+// three kernels equal to products built on the merge-join.
+func TestSelectColumnsMatchesMergeJoin(t *testing.T) {
+	rng := prng.New(0x5e1ec7)
+	for round := 0; round < 60; round++ {
+		rows := rng.Int64n(200) + 1
+		cols := rng.Int64n(400) + 1
+		// Entry counts from a few (hypersparse: most columns empty) to
+		// several per column.
+		nnz := rng.Intn(int(cols)*(1+rng.Intn(4))) + rng.Intn(3)
+		d, err := NewDCSC(rows, cols, randTriples(rng, rows, cols, nnz))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, ind := range frontierCases(rng, d) {
+			want := mergeSelect(d.JC, ind)
+			if got := gallopSelect(d.JC, ind); !samePairs(got, want) {
+				t.Fatalf("round %d %s: gallop matches %v, merge-join %v", round, name, got, want)
+			}
+			f := &spvec.Vec{}
+			mf := &spvec.MaskVec{}
+			for _, c := range ind {
+				f.Append(c, c)
+				mf.Append(c, 1, c)
+			}
+			wantWork := mergeWork(d, ind)
+			if got := d.Work(f); got != wantWork {
+				t.Fatalf("round %d %s: Work %d, merge-join %d", round, name, got, wantWork)
+			}
+			if got := d.WorkMasks(mf); got != wantWork {
+				t.Fatalf("round %d %s: WorkMasks %d, merge-join %d", round, name, got, wantWork)
+			}
+			wantOut := mergeSpMSV(d, f)
+			for _, kernel := range []Kernel{KernelSPA, KernelHeap, KernelAuto} {
+				if got := d.SpMSV(&spvec.Vec{}, f, SpMSVOpts{Kernel: kernel}); !vecsEqual(got, wantOut) {
+					t.Fatalf("round %d %s kernel %v: SpMSV diverges from the merge-join product", round, name, kernel)
+				}
+			}
+		}
+	}
+}
+
+// mergeSpMSV is the (select,max) product over the merge-join's matches,
+// accumulated in a map and emitted in ascending row order.
+func mergeSpMSV(d *DCSC, f *spvec.Vec) *spvec.Vec {
+	acc := make(map[int64]int64)
+	for _, p := range mergeSelect(d.JC, f.Ind) {
+		val := f.Val[p[0]]
+		for _, r := range d.colRowsAt(p[1]) {
+			if old, ok := acc[r]; !ok || val > old {
+				acc[r] = val
+			}
+		}
+	}
+	out := &spvec.Vec{}
+	for r := int64(0); r < d.Rows; r++ {
+		if val, ok := acc[r]; ok {
+			out.Append(r, val)
+		}
+	}
+	return out
+}
+
+// FuzzSelectColumns checks the galloping join against the merge-join on
+// fuzzed strictly ascending JC and frontier lists. Each byte is one gap
+// (byte+1) between consecutive entries; the frontier's gaps are scaled by
+// 2^(shift%8) and it starts at start, so the two lists range from
+// interleaved to one far sparser than the other.
+func FuzzSelectColumns(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 0}, []byte{0, 0, 0, 0}, uint8(0), uint8(0))
+	f.Add([]byte{0, 1, 2, 3, 200, 0, 0}, []byte{5, 5}, uint8(3), uint8(1))
+	f.Add([]byte{}, []byte{1, 2, 3}, uint8(0), uint8(0))
+	f.Add([]byte{255, 255, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 9}, []byte{0}, uint8(7), uint8(255))
+	f.Fuzz(func(t *testing.T, jcGaps, indGaps []byte, shift, start uint8) {
+		jc := make([]int64, len(jcGaps))
+		var c int64 = -1
+		for k, g := range jcGaps {
+			c += int64(g) + 1
+			jc[k] = c
+		}
+		ind := make([]int64, len(indGaps))
+		c = int64(start) - 1
+		for k, g := range indGaps {
+			c += (int64(g) + 1) << (shift % 8)
+			ind[k] = c
+		}
+		want := mergeSelect(jc, ind)
+		if got := gallopSelect(jc, ind); !samePairs(got, want) {
+			t.Fatalf("jc %v ind %v: gallop matches %v, merge-join %v", jc, ind, got, want)
+		}
+		if got := gallopSelect(ind, jc); len(got) != len(want) {
+			t.Fatalf("jc %v ind %v: the join is not symmetric", jc, ind)
+		}
+	})
+}
+
+// TestPullMatchesPerRowReference checks the word-wise visited skip
+// against the per-row pull, output and scanned count both: strips of 1,
+// 63, 64 and 65 rows and random heights, aligned and unaligned visRowOff,
+// visited bitmaps sized exactly to the strip's last row or longer, no
+// rows visited, all of them or a random share, and 1D-style SubRows
+// views whose visRowOff is the view's first row.
+func TestPullMatchesPerRowReference(t *testing.T) {
+	rng := prng.New(0x9a11)
+	for round := 0; round < 200; round++ {
+		rows := []int64{1, 63, 64, 65, rng.Int64n(300) + 1}[round%5]
+		cols := rng.Int64n(80) + 1
+		ts := randTriples(rng, rows, cols, rng.Intn(int(rows*4)+1))
+		d, err := NewDCSC(rows, cols, ts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		whole := d.PullView()
+		visRowOff := []int64{0, 64, rng.Int64n(200), 1 + 64*rng.Int64n(3)}[round%4]
+		views, offs := []*PullCSR{whole}, []int64{visRowOff}
+		if rows > 2 {
+			lo := rng.Int64n(rows - 1)
+			hi := lo + 1 + rng.Int64n(rows-lo)
+			views, offs = append(views, whole.SubRows(lo, hi)), append(offs, visRowOff+lo)
+		}
+		colOff := rng.Int64n(50)
+		frontier := bits.NewBitmap(colOff + cols)
+		for c := int64(0); c < cols; c++ {
+			if rng.Intn(4) == 0 {
+				frontier.Set(colOff + c)
+			}
+		}
+		visLen := visRowOff + rows
+		if rng.Intn(2) == 0 {
+			visLen += rng.Int64n(130)
+		}
+		for _, fill := range []int{0, 100, rng.Intn(100)} {
+			visited := bits.NewBitmap(visLen)
+			for r := int64(0); r < visLen; r++ {
+				if rng.Intn(100) < fill {
+					visited.Set(r)
+				}
+			}
+			for v, pv := range views {
+				var got, want spvec.Vec
+				gotScanned := pv.Pull(&got, frontier, visited, offs[v], colOff)
+				wantScanned := pullPerRow(pv, &want, frontier, visited, offs[v], colOff)
+				if gotScanned != wantScanned || !vecsEqual(&got, &want) {
+					t.Fatalf("round %d rows %d view %d visRowOff %d fill %d%%: scanned %d want %d, out %v want %v",
+						round, pv.Rows, v, offs[v], fill, gotScanned, wantScanned, got, want)
+				}
+			}
+		}
+	}
+}

@@ -1,6 +1,10 @@
 package spmat
 
-import "repro/internal/spvec"
+import (
+	"slices"
+
+	"repro/internal/spvec"
+)
 
 // Kernel selects the accumulation strategy for SpMSV.
 type Kernel int
@@ -78,10 +82,7 @@ func (m *DCSC) SpMSV(dst *spvec.Vec, f *spvec.Vec, opts SpMSVOpts) *spvec.Vec {
 	kernel := opts.Kernel
 	if kernel == KernelAuto {
 		// Estimate touched volume as nnz of selected columns.
-		var work int64
-		forEachSelected(m, f, func(j int, _ int64) {
-			work += m.CP[j+1] - m.CP[j]
-		})
+		work := m.Work(f)
 		if work == 0 {
 			dst.Reset()
 			return dst
@@ -102,11 +103,7 @@ func (m *DCSC) SpMSV(dst *spvec.Vec, f *spvec.Vec, opts SpMSVOpts) *spvec.Vec {
 				spa = spvec.NewSPA(m.Rows)
 			}
 		}
-		forEachSelected(m, f, func(j int, val int64) {
-			for _, r := range m.colRowsAt(j) {
-				spa.Scatter(r, val)
-			}
-		})
+		m.Scatter(spa, f)
 		return spa.Extract(dst)
 	case KernelHeap:
 		var streams []spvec.Stream
@@ -117,8 +114,8 @@ func (m *DCSC) SpMSV(dst *spvec.Vec, f *spvec.Vec, opts SpMSVOpts) *spvec.Vec {
 		} else {
 			streams = make([]spvec.Stream, 0, 16)
 		}
-		forEachSelected(m, f, func(j int, val int64) {
-			streams = append(streams, spvec.Stream{Ind: m.colRowsAt(j), Val: val})
+		selectColumns(m.JC, f.Ind, func(i, j int) {
+			streams = append(streams, spvec.Stream{Ind: m.colRowsAt(j), Val: f.Val[i]})
 		})
 		if opts.Scratch != nil {
 			opts.Scratch.streams = streams[:0]
@@ -128,34 +125,64 @@ func (m *DCSC) SpMSV(dst *spvec.Vec, f *spvec.Vec, opts SpMSVOpts) *spvec.Vec {
 	panic("spmat: unknown kernel")
 }
 
+// Scatter accumulates M ⊗ f into spa, whose size must be the row count,
+// without extracting: the SPA kernel's first half.
+func (m *DCSC) Scatter(spa *spvec.SPA, f *spvec.Vec) {
+	selectColumns(m.JC, f.Ind, func(i, j int) {
+		for _, r := range m.colRowsAt(j) {
+			spa.Scatter(r, f.Val[i])
+		}
+	})
+}
+
 // Work returns the number of matrix nonzeros an SpMSV with frontier f
 // would touch (the sum of selected column lengths). The performance model
 // charges local computation proportionally to this quantity.
 func (m *DCSC) Work(f *spvec.Vec) int64 {
 	var work int64
-	forEachSelected(m, f, func(j int, _ int64) {
+	selectColumns(m.JC, f.Ind, func(_, j int) {
 		work += m.CP[j+1] - m.CP[j]
 	})
 	return work
 }
 
-// forEachSelected merge-joins the frontier indices with the nonempty
-// columns JC (both sorted) and invokes fn for each match with the
-// position j into JC and the frontier value.
-func forEachSelected(m *DCSC, f *spvec.Vec, fn func(j int, val int64)) {
+// selectColumns joins a frontier's indices ind with a block's nonempty
+// columns jc, both strictly ascending, and calls fn(i, j) for every
+// ind[i] == jc[j] in ascending order. It is the column selection of every
+// top-down kernel, single and batched. Whichever list is behind gallops to
+// the other's current value, so skipping d entries costs O(log d)
+// comparisons: a frontier of f entries against nzc columns costs
+// O(f·log(nzc/f)) when f ≪ nzc, and never more than a constant times the
+// O(f + nzc) merge-join when the two interleave.
+func selectColumns(jc, ind []int64, fn func(i, j int)) {
 	i, j := 0, 0
-	for i < len(f.Ind) && j < len(m.JC) {
+	for i < len(ind) && j < len(jc) {
 		switch {
-		case f.Ind[i] < m.JC[j]:
-			i++
-		case f.Ind[i] > m.JC[j]:
-			j++
+		case ind[i] < jc[j]:
+			i = gallop(ind, i+1, jc[j])
+		case ind[i] > jc[j]:
+			j = gallop(jc, j+1, ind[i])
 		default:
-			fn(j, f.Val[i])
+			fn(i, j)
 			i++
 			j++
 		}
 	}
+}
+
+// gallop returns the first position k ≥ lo with s[k] ≥ x, or len(s) if
+// there is none, for ascending s. It probes lo, lo+1, lo+3, lo+7, … until
+// a probe reaches x, then binary-searches the gap the last probe closed.
+func gallop(s []int64, lo int, x int64) int {
+	hi, step := lo, 1
+	for hi < len(s) && s[hi] < x {
+		lo = hi + 1
+		hi += step
+		step <<= 1
+	}
+	hi = min(hi, len(s))
+	k, _ := slices.BinarySearch(s[lo:hi], x)
+	return lo + k
 }
 
 // SpMSV computes dst = M ⊗ f for a CSC matrix; used by tests as an

@@ -80,12 +80,13 @@ go test -race -run Rect ./internal/bfs2d
 # The R-MAT generator fills one edge slice from GOMAXPROCS workers.
 go test -race ./internal/rmat
 
-echo "== race smoke (bit-parallel multi-source kernels) =="
-# The MS-BFS batch path: word-wide mask kernels and merges, the batched
-# 1D/2D drivers (whose hybrid variants fan the mask planes out over the
-# worker pools), and the session-level batch serving surface including
-# the chunked >64-source path exercised by the facade tests.
-go test -race -run 'Mask|Batch' ./internal/spmat ./internal/spvec ./internal/bits
+echo "== race smoke (kernels and bit-parallel multi-source paths) =="
+# Every spmat/spvec/bits kernel, single and batched, including the
+# strip-parallel products and pulls that fan out over worker pools; the
+# batched 1D/2D drivers (whose hybrid variants fan the mask planes out
+# over the worker pools), and the session-level batch serving surface
+# including the chunked >64-source path exercised by the facade tests.
+go test -race ./internal/spmat ./internal/spvec ./internal/bits
 go test -race -run 'RunBatch' ./internal/bfs1d ./internal/bfs2d
 go test -race -run 'BFSBatch' .
 
@@ -107,11 +108,14 @@ echo "== race smoke (batching query server) =="
 # serial-oracle distances).
 go test -race ./internal/serve
 
-echo "== fuzz smoke (/v1/query encoder and decoder) =="
+echo "== fuzz smoke (/v1/query encoder and decoder, column join) =="
 # The 200 body must stay byte-identical to encoding/json's, and no
-# request body may panic the handler or draw a non-JSON reply.
+# request body may panic the handler or draw a non-JSON reply. The
+# galloping column join of the top-down kernels must select exactly the
+# merge-join's matches, in order.
 go test -run '^$' -fuzz '^FuzzWriteQuery$' -fuzztime 10s ./internal/serve
 go test -run '^$' -fuzz '^FuzzQueryRequest$' -fuzztime 10s ./internal/serve
+go test -run '^$' -fuzz '^FuzzSelectColumns$' -fuzztime 10s ./internal/spmat
 
 echo "== counterfactual determinism smoke =="
 # The decision-replay regret table derives entirely from the simulated
