@@ -190,9 +190,9 @@ func benchTriangle(b *testing.B, triangle bool) {
 		}
 	}
 	if triangle {
-		b.ReportMetric(float64(sym.StorageWords()*8), "storage-bytes")
+		b.ReportMetric(float64(sym.StorageBytes()), "storage-bytes")
 	} else {
-		b.ReportMetric(float64(full.StorageWords()*8), "storage-bytes")
+		b.ReportMetric(float64(full.StorageBytes()), "storage-bytes")
 	}
 }
 

@@ -237,7 +237,7 @@ func Run(w *cluster.World, g *Graph, source int64, opt Options) *levels.Output {
 		// assembled frontier must stay global here.
 		ownWLo, ownWHi := start/64, (start+nloc+63)/64
 		var front, chunk, ownVis *bits.Bitmap
-		var inPull *spmat.PullCSR
+		var inPull *spmat.PullCSR[int64]
 		// enterBottomUp converts the rank to pull state at a level
 		// boundary: visited flags rebuilt from the distance array, the
 		// newly discovered frontier densified into the chunk bitmap, and
@@ -249,8 +249,7 @@ func Run(w *cluster.World, g *Graph, source int64, opt Options) *levels.Output {
 			chunk = bits.Grown(ar.chunk, pt.N)
 			ownVis = bits.Grown(ar.ownVis, nloc)
 			ar.front, ar.chunk, ar.ownVis = front, chunk, ownVis
-			lgIn := ins[me]
-			inPull = spmat.NewPullCSR(nloc, pt.N, lgIn.XAdj, lgIn.Adj)
+			inPull = ins[me].PullView(pt.N)
 			for i := int64(0); i < nloc; i++ {
 				if dist[i] != serial.Unreached {
 					ownVis.Set(i)

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"repro/internal/graph"
+	"repro/internal/spmat"
 )
 
 // LocalGraph is one rank's share of the distributed graph: a CSR over the
@@ -106,6 +107,13 @@ func (g *Graph) Ins() []*LocalGraph {
 		g.ins = rowBlocks(g.csr.Transpose(), g.Part)
 	})
 	return g.ins
+}
+
+// PullView presents the local CSR to the shared pull kernel, its rows
+// the owned vertices and its columns the n global ids. The view aliases
+// XAdj and Adj, so the bottom-up phase costs no memory beyond the CSR.
+func (lg *LocalGraph) PullView(n int64) *spmat.PullCSR[int64] {
+	return spmat.NewPullCSR(int64(len(lg.XAdj)-1), n, lg.XAdj, lg.Adj)
 }
 
 // Neighbors returns the global adjacency ids of local vertex u on the

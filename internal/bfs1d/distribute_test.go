@@ -102,6 +102,45 @@ func sameLocals(t *testing.T, what string, got, want []*LocalGraph) {
 	}
 }
 
+// TestPullViewAliasesCSR pins the bottom-up structure to zero copies:
+// the PullCSR[int64] a rank's pull scans shares its in-adjacency's
+// arrays, which for a Symmetric graph are slices of the whole-graph
+// CSR. Narrowing the 1D pull to uint32 would have to copy every rank's
+// adjacency into each search session; this test makes that visible.
+func TestPullViewAliasesCSR(t *testing.T) {
+	for _, rg := range referenceGraphs(t) {
+		csr, err := graph.BuildCSR(rg.el, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, symmetric := range []bool{false, true} {
+			dg, err := FromCSR(csr, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dg.Symmetric = symmetric
+			for rank, lg := range dg.Ins() {
+				pv := lg.PullView(dg.Part.N)
+				if pv.Rows != dg.Part.Count(rank) || pv.Cols != dg.Part.N {
+					t.Errorf("%s rank %d: view is %dx%d", rg.name, rank, pv.Rows, pv.Cols)
+				}
+				if &pv.RowPtr[0] != &lg.XAdj[0] {
+					t.Errorf("%s rank %d: RowPtr is a copy", rg.name, rank)
+				}
+				if len(lg.Adj) == 0 {
+					continue
+				}
+				if &pv.ColInd[0] != &lg.Adj[0] {
+					t.Errorf("%s rank %d: ColInd is a copy", rg.name, rank)
+				}
+				if symmetric && &pv.ColInd[0] != &csr.Adj[csr.XAdj[dg.Part.Start(rank)]] {
+					t.Errorf("%s rank %d: symmetric ColInd does not alias the CSR", rg.name, rank)
+				}
+			}
+		}
+	}
+}
+
 // TestFromCSRMatchesSortedBuckets: slicing the deduplicated CSR must give
 // byte-for-byte the locals and in-adjacencies the bucket-and-sort
 // reference makes from the edge list, while aliasing the CSR's adjacency

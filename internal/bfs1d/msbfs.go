@@ -144,10 +144,9 @@ func RunBatch(w *cluster.World, g *Graph, sources []int64, opt Options) *levels.
 		}
 
 		dirm := dirheur.NewBatch(opt.Direction, opt.Policy, pt.N, g.TotalAdj, width)
-		var inPull *spmat.PullCSR
+		var inPull *spmat.PullCSR[int64]
 		if ins != nil {
-			lgIn := ins[me]
-			inPull = spmat.NewPullCSR(nloc, pt.N, lgIn.XAdj, lgIn.Adj)
+			inPull = ins[me].PullView(pt.N)
 		}
 		cur := dirm.Direction()
 		active := levels.FullMask(width)

@@ -1,7 +1,9 @@
 package bfs2d
 
 import (
+	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -134,6 +136,41 @@ func TestFromCSRMatchesSortedBuckets(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestBlockDimsGuard checks the partition against the blocks' uint32
+// local ids at the boundary: a grid whose largest block has 2^32 rows
+// and columns is accepted, one with 2^32+1 of either refused with an
+// error naming the grid, and FromCSR refuses it before reading the CSR,
+// so no large graph is built.
+func TestBlockDimsGuard(t *testing.T) {
+	for _, tc := range []struct {
+		pt Part2D
+		ok bool
+	}{
+		{Part2D{N: 1 << 32, Pr: 1, Pc: 1}, true},
+		{Part2D{N: 1 << 33, Pr: 2, Pc: 2}, true},
+		{Part2D{N: 1<<32 + 1, Pr: 1, Pc: 2}, false}, // rows ⌈n/pr⌉ = 2^32+1
+		{Part2D{N: 1<<32 + 1, Pr: 2, Pc: 1}, false}, // columns
+		{Part2D{N: 1<<33 + 1, Pr: 2, Pc: 2}, false}, // ⌈n/2⌉ = 2^32+1
+	} {
+		grid := fmt.Sprintf("n=%d on a %dx%d grid", tc.pt.N, tc.pt.Pr, tc.pt.Pc)
+		err := tc.pt.Validate()
+		switch {
+		case tc.ok && err != nil:
+			t.Errorf("%s refused: %v", grid, err)
+		case !tc.ok && err == nil:
+			t.Errorf("%s accepted", grid)
+		case !tc.ok && !strings.Contains(err.Error(), grid):
+			t.Errorf("%s: error %q does not name the grid", grid, err)
+		}
+		if tc.ok {
+			continue
+		}
+		if _, err := FromCSR(&graph.CSR{NumVerts: tc.pt.N}, tc.pt.Pr, tc.pt.Pc, 1); err == nil {
+			t.Errorf("FromCSR accepted %s", grid)
 		}
 	}
 }

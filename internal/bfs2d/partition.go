@@ -12,7 +12,11 @@
 // Figure 4 is available as an option.
 package bfs2d
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/spmat"
+)
 
 // Part2D maps global indices to the 2D block structure of a pr × pc grid.
 type Part2D struct {
@@ -27,6 +31,13 @@ func (pt Part2D) Validate() error {
 	}
 	if int64(pt.Pr)*int64(pt.Pc) > pt.N {
 		return fmt.Errorf("bfs2d: more ranks (%d) than vertices (%d)", pt.Pr*pt.Pc, pt.N)
+	}
+	// Blocks are ⌊n/pr⌋ or ⌈n/pr⌉ rows by ⌊n/pc⌋ or ⌈n/pc⌉ columns;
+	// the largest must fit the blocks' uint32 local ids.
+	rows := (pt.N + int64(pt.Pr) - 1) / int64(pt.Pr)
+	cols := (pt.N + int64(pt.Pc) - 1) / int64(pt.Pc)
+	if err := spmat.CheckBlockDims(rows, cols); err != nil {
+		return fmt.Errorf("bfs2d: n=%d on a %dx%d grid: %w", pt.N, pt.Pr, pt.Pc, err)
 	}
 	return nil
 }

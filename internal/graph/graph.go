@@ -105,7 +105,9 @@ func (g *CSR) sortAdjacencies() {
 }
 
 // dedupSelfAndParallel removes self-loops and parallel edges, compacting
-// storage. Adjacency blocks must already be sorted.
+// storage. Adjacency blocks must already be sorted. When anything was
+// removed the compacted Adj is cloned to its exact length, so the
+// pre-dedup slack does not stay live as long as the CSR.
 func (g *CSR) dedupSelfAndParallel() *CSR {
 	newXAdj := make([]int64, g.NumVerts+1)
 	newAdj := g.Adj[:0] // compact in place; reads stay ahead of writes
@@ -125,7 +127,12 @@ func (g *CSR) dedupSelfAndParallel() *CSR {
 		}
 	}
 	newXAdj[g.NumVerts] = w
-	return &CSR{NumVerts: g.NumVerts, XAdj: newXAdj, Adj: newAdj[:w]}
+	newAdj = newAdj[:w]
+	if cap(newAdj) > len(newAdj) {
+		// make, not slices.Clone: append may round the capacity up.
+		newAdj = append(make([]int64, 0, w), newAdj...)
+	}
+	return &CSR{NumVerts: g.NumVerts, XAdj: newXAdj, Adj: newAdj}
 }
 
 // Transpose returns the CSR of the reversed graph: row v holds every u

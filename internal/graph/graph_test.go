@@ -73,6 +73,26 @@ func TestBuildCSRDedup(t *testing.T) {
 	}
 }
 
+// TestBuildCSRDedupRightSized: the deduplicated adjacency array must not
+// keep the capacity of the pre-dedup one, since the CSR stays live for
+// as long as the graph does (1D locals alias it). Self-loops and
+// duplicates here leave slack to drop; a duplicate-free graph has none.
+func TestBuildCSRDedupRightSized(t *testing.T) {
+	messy := &EdgeList{NumVerts: 40}
+	for k := int64(0); k < 300; k++ {
+		messy.Edges = append(messy.Edges, Edge{U: k * 7 % 31, V: k * 13 % 31})
+	}
+	for name, el := range map[string]*EdgeList{"messy": messy.Symmetrize(), "clean": smallEdgeList()} {
+		g, err := BuildCSR(el, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cap(g.Adj) != len(g.Adj) {
+			t.Errorf("%s: cap(Adj) %d != len %d after dedup", name, cap(g.Adj), len(g.Adj))
+		}
+	}
+}
+
 func TestSymmetrize(t *testing.T) {
 	el := &EdgeList{NumVerts: 3, Edges: []Edge{{0, 1}, {1, 2}, {2, 2}}}
 	sym := el.Symmetrize()

@@ -8,7 +8,8 @@ import "repro/internal/graph"
 // [colBounds[j], colBounds[j+1]), holds entry (v, u), rebased to the
 // block, for every stored edge u → v, and is split into t row strips
 // exactly as NewRowSplit splits it. The bounds must start at 0 and end
-// at csr.NumVerts.
+// at csr.NumVerts, and no block may pass MaxBlockDim rows or columns
+// (bfs2d.Part2D.Validate checks both for its grids).
 //
 // Column u of the transpose is CSR row u, so the strips fill column by
 // column in ascending u: JC comes out sorted, and IR is sorted within
@@ -60,7 +61,7 @@ func TransposedBlocks(csr *graph.CSR, rowBounds, colBounds []int64, t int) [][]*
 				Rows: bounds[s+1] - bounds[s], Cols: colHi - colLo,
 				JC: make([]int64, 0, nzc[s]),
 				CP: make([]int64, 0, nzc[s]+1),
-				IR: make([]int64, 0, nnz[s]),
+				IR: make([]uint32, 0, nnz[s]),
 			}
 		}
 		for u := colLo; u < colHi; u++ {
@@ -75,7 +76,7 @@ func TransposedBlocks(csr *graph.CSR, rowBounds, colBounds []int64, t int) [][]*
 					d.CP = append(d.CP, int64(len(d.IR)))
 					last = s
 				}
-				d.IR = append(d.IR, v-bounds[s])
+				d.IR = append(d.IR, uint32(v-bounds[s]))
 			}
 		}
 		s := 0

@@ -18,7 +18,7 @@ import (
 // and resizes lazily to the matrix it meets.
 type MaskScratch struct {
 	acc     []uint64
-	touched []int64
+	touched []uint32
 }
 
 func (sc *MaskScratch) accFor(rows int64) []uint64 {
@@ -53,7 +53,7 @@ func (m *DCSC) SpMSVMasks(dst *spvec.MaskVec, f *spvec.MaskVec, sc *MaskScratch)
 					sc.touched = append(sc.touched, r)
 				}
 				acc[r] |= add
-				dst.Append(r, add, f.Par[i])
+				dst.Append(int64(r), add, f.Par[i])
 			}
 		}
 	})
@@ -146,7 +146,7 @@ func (rs *RowSplit) WorkMasks(f *spvec.MaskVec) int64 {
 // batched generalization of the scalar pull's first-parent exit, and
 // per-search it picks the same ascending-first parent. The returned
 // count is adjacency entries examined, counted once for the whole batch.
-func (m *PullCSR) PullMasks(dst *spvec.MaskVec, frontier, visited []uint64, active uint64, visRowOff, colOff int64) int64 {
+func (m *PullCSR[I]) PullMasks(dst *spvec.MaskVec, frontier, visited []uint64, active uint64, visRowOff, colOff int64) int64 {
 	dst.Reset()
 	var scanned int64
 	for rl := int64(0); rl < m.Rows; rl++ {
@@ -156,7 +156,7 @@ func (m *PullCSR) PullMasks(dst *spvec.MaskVec, frontier, visited []uint64, acti
 		}
 		for k := m.RowPtr[rl]; k < m.RowPtr[rl+1]; k++ {
 			scanned++
-			c := colOff + m.ColInd[k]
+			c := colOff + int64(m.ColInd[k])
 			if hit := cand & frontier[c]; hit != 0 {
 				dst.Append(rl, hit, c)
 				cand &^= hit

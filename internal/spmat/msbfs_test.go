@@ -67,7 +67,7 @@ func TestSpMSVMasksMatchesPerSearch(t *testing.T) {
 		adj := make(map[[2]int64]bool) // (row, global col) stored entries
 		for j := range d.JC {
 			for _, r := range d.colRowsAt(j) {
-				adj[[2]int64{r, 100 + d.JC[j]}] = true
+				adj[[2]int64{int64(r), 100 + d.JC[j]}] = true
 			}
 		}
 		claimed := make(map[[2]int64]int64) // (row, search) -> parent

@@ -80,7 +80,7 @@ func TestPullViewRoundTrip(t *testing.T) {
 	for r := int64(0); r < 40; r++ {
 		prev := int64(-1)
 		for k := pv.RowPtr[r]; k < pv.RowPtr[r+1]; k++ {
-			c := pv.ColInd[k]
+			c := int64(pv.ColInd[k])
 			if c <= prev {
 				t.Fatalf("row %d columns not strictly ascending", r)
 			}

@@ -50,7 +50,7 @@ func mergeWork(m *DCSC, ind []int64) int64 {
 }
 
 // pullPerRow is the pull that tests visited one row at a time.
-func pullPerRow(m *PullCSR, dst *spvec.Vec, frontier, visited *bits.Bitmap, visRowOff, colOff int64) int64 {
+func pullPerRow[I Index](m *PullCSR[I], dst *spvec.Vec, frontier, visited *bits.Bitmap, visRowOff, colOff int64) int64 {
 	dst.Reset()
 	var scanned int64
 	for rl := int64(0); rl < m.Rows; rl++ {
@@ -59,7 +59,7 @@ func pullPerRow(m *PullCSR, dst *spvec.Vec, frontier, visited *bits.Bitmap, visR
 		}
 		for k := m.RowPtr[rl]; k < m.RowPtr[rl+1]; k++ {
 			scanned++
-			c := colOff + m.ColInd[k]
+			c := colOff + int64(m.ColInd[k])
 			if frontier.Get(c) {
 				dst.Ind = append(dst.Ind, rl)
 				dst.Val = append(dst.Val, c)
@@ -168,8 +168,8 @@ func mergeSpMSV(d *DCSC, f *spvec.Vec) *spvec.Vec {
 	for _, p := range mergeSelect(d.JC, f.Ind) {
 		val := f.Val[p[0]]
 		for _, r := range d.colRowsAt(p[1]) {
-			if old, ok := acc[r]; !ok || val > old {
-				acc[r] = val
+			if old, ok := acc[int64(r)]; !ok || val > old {
+				acc[int64(r)] = val
 			}
 		}
 	}
@@ -233,7 +233,7 @@ func TestPullMatchesPerRowReference(t *testing.T) {
 		}
 		whole := d.PullView()
 		visRowOff := []int64{0, 64, rng.Int64n(200), 1 + 64*rng.Int64n(3)}[round%4]
-		views, offs := []*PullCSR{whole}, []int64{visRowOff}
+		views, offs := []*PullCSR[uint32]{whole}, []int64{visRowOff}
 		if rows > 2 {
 			lo := rng.Int64n(rows - 1)
 			hi := lo + 1 + rng.Int64n(rows-lo)
@@ -268,4 +268,81 @@ func TestPullMatchesPerRowReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzPullView checks the uint32 pull structure end to end: fuzzed
+// triples go through NewDCSC, PullView and Pull, and the result must
+// equal the per-row pull's, scanned count included, and the pull
+// computed from an int64 CSC product. Each gap byte advances a row-major
+// position over a block of up to 2^18 columns by (byte+1)·2^(shift%12),
+// so entries range from dense runs to row and column ids past 2^16;
+// seed picks the frontier, the visited rows and both offsets. The CSC product finds
+// each row's smallest frontier column as the (select,max) product of the
+// negated column ids, masked by the unvisited rows.
+func FuzzPullView(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 0}, uint32(3), uint8(0), uint64(0))
+	f.Add([]byte{}, uint32(0), uint8(0), uint64(1))
+	f.Add([]byte{0, 1, 2, 3, 200, 0, 0, 9, 9, 9}, uint32(63), uint8(2), uint64(0x9a11))
+	f.Add([]byte{50, 49}, uint32(70053), uint8(11), uint64(65261))
+	f.Add([]byte{48, 48, 15}, uint32(0), uint8(11), uint64(6))
+	f.Fuzz(func(t *testing.T, gaps []byte, colsM1 uint32, shift uint8, seed uint64) {
+		cols := int64(colsM1%(1<<18)) + 1
+		var ts []Triple
+		pos := int64(-1)
+		for _, g := range gaps {
+			pos += (int64(g) + 1) << (shift % 12)
+			ts = append(ts, Triple{Row: pos / cols, Col: pos % cols})
+		}
+		rng := prng.New(seed)
+		rows := (pos+1+cols-1)/cols + rng.Int64n(3)
+		if rows == 0 || rows > 1<<18 {
+			return
+		}
+		d, err := NewDCSC(rows, cols, append([]Triple(nil), ts...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		csc, err := NewCSC(rows, cols, ts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		visRowOff, colOff := rng.Int64n(130), rng.Int64n(70)
+		frontier := bits.NewBitmap(colOff + cols)
+		neg := &spvec.Vec{}
+		for c := int64(0); c < cols; c++ {
+			if rng.Intn(4) == 0 {
+				frontier.Set(colOff + c)
+				neg.Append(c, -(colOff + c))
+			}
+		}
+		fill := rng.Intn(101)
+		visited := bits.NewBitmap(visRowOff + rows + rng.Int64n(65))
+		for r := int64(0); r < visited.Len(); r++ {
+			if rng.Intn(100) < fill {
+				visited.Set(r)
+			}
+		}
+
+		want := &spvec.Vec{}
+		prod := csc.SpMSV(&spvec.Vec{}, neg)
+		for k, r := range prod.Ind {
+			if !visited.Get(visRowOff + r) {
+				want.Append(r, -prod.Val[k])
+			}
+		}
+
+		pv := d.PullView()
+		if pv.NNZ() != csc.NNZ() {
+			t.Fatalf("pull view holds %d entries, CSC %d", pv.NNZ(), csc.NNZ())
+		}
+		var got, ref spvec.Vec
+		scanned := pv.Pull(&got, frontier, visited, visRowOff, colOff)
+		refScanned := pullPerRow(pv, &ref, frontier, visited, visRowOff, colOff)
+		if !vecsEqual(&got, want) {
+			t.Fatalf("%dx%d: pull %v/%v, CSC product %v/%v", rows, cols, got.Ind, got.Val, want.Ind, want.Val)
+		}
+		if scanned != refScanned || !vecsEqual(&got, &ref) {
+			t.Fatalf("%dx%d: pull scanned %d, per-row pull %d", rows, cols, scanned, refScanned)
+		}
+	})
 }

@@ -19,6 +19,9 @@ type RowSplit struct {
 
 // NewRowSplit builds a t-strip row split from triples.
 func NewRowSplit(rows, cols int64, ts []Triple, t int) (*RowSplit, error) {
+	if err := CheckBlockDims(rows, cols); err != nil {
+		return nil, err
+	}
 	if err := checkTriples(rows, cols, ts); err != nil {
 		return nil, err
 	}

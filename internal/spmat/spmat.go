@@ -14,6 +14,14 @@
 // vertex c has an edge to row vertex r" in the pre-transposed adjacency
 // convention of the paper, so SpMSV with a frontier over columns yields
 // the next frontier over rows.
+//
+// Index widths: 2D blocking keeps a block's row and column ids small, so
+// the block-local ids every kernel streams — DCSC.IR and the ColInd of a
+// DCSC's PullView — are uint32, and a block may have at most
+// MaxBlockDim rows and columns. Offsets (CP, RowPtr), the nonempty
+// column list JC, which joins against int64 frontiers, and every vector
+// and global id stay int64. PullCSR takes its column width as a type
+// parameter so the 1D driver can wrap its int64 CSR without a copy.
 package spmat
 
 import (
@@ -62,18 +70,39 @@ func (m *CSC) ColRows(c int64) []int64 {
 	return m.RowInd[m.ColPtr[c]:m.ColPtr[c+1]]
 }
 
+// Index is the element type of a PullCSR's column ids: uint32 for a
+// DCSC's view, int64 for a wrapped CSR of global ids.
+type Index interface{ ~int64 | ~uint32 }
+
+// MaxBlockDim is the most rows or columns a DCSC block may have: its
+// local ids are stored as uint32.
+const MaxBlockDim = 1 << 32
+
+// CheckBlockDims returns an error naming the shape when a rows × cols
+// block would hold local ids that do not fit in uint32.
+func CheckBlockDims(rows, cols int64) error {
+	if rows > MaxBlockDim || cols > MaxBlockDim {
+		return fmt.Errorf("spmat: %dx%d block exceeds %d rows or columns, the uint32 local-id limit",
+			rows, cols, int64(MaxBlockDim))
+	}
+	return nil
+}
+
 // DCSC is a doubly-compressed sparse column pattern matrix: JC lists the
 // nonempty columns (sorted), CP[i]:CP[i+1] brackets the rows of column
 // JC[i] within IR.
 type DCSC struct {
 	Rows, Cols int64
-	JC         []int64 // nonempty column ids, sorted, len nzc
-	CP         []int64 // len nzc+1
-	IR         []int64 // row ids, len nnz, sorted within each column
+	JC         []int64  // nonempty column ids, sorted, len nzc
+	CP         []int64  // len nzc+1
+	IR         []uint32 // row ids, len nnz, sorted within each column
 }
 
 // NewDCSC builds a DCSC from triples. Duplicate entries are collapsed.
 func NewDCSC(rows, cols int64, ts []Triple) (*DCSC, error) {
+	if err := CheckBlockDims(rows, cols); err != nil {
+		return nil, err
+	}
 	if err := checkTriples(rows, cols, ts); err != nil {
 		return nil, err
 	}
@@ -87,7 +116,7 @@ func NewDCSC(rows, cols int64, ts []Triple) (*DCSC, error) {
 			m.JC = append(m.JC, t.Col)
 			m.CP = append(m.CP, int64(len(m.IR)))
 		}
-		m.IR = append(m.IR, t.Row)
+		m.IR = append(m.IR, uint32(t.Row))
 	}
 	m.CP = append(m.CP, int64(len(m.IR)))
 	return m, nil
@@ -100,19 +129,20 @@ func (m *DCSC) NNZ() int64 { return int64(len(m.IR)) }
 func (m *DCSC) NZC() int64 { return int64(len(m.JC)) }
 
 // colRowsAt returns the row indices of the j-th nonempty column.
-func (m *DCSC) colRowsAt(j int) []int64 {
+func (m *DCSC) colRowsAt(j int) []uint32 {
 	return m.IR[m.CP[j]:m.CP[j+1]]
 }
 
-// StorageWords returns the number of 64-bit words the structure occupies,
-// used by tests to verify the O(nzc+nnz) vs O(cols+nnz) claims.
-func (m *DCSC) StorageWords() int64 {
-	return int64(len(m.JC) + len(m.CP) + len(m.IR))
+// StorageBytes returns the bytes the structure's arrays occupy at their
+// element widths, used by tests to verify the O(nzc+nnz) vs O(cols+nnz)
+// claims.
+func (m *DCSC) StorageBytes() int64 {
+	return 8*int64(len(m.JC)+len(m.CP)) + 4*int64(len(m.IR))
 }
 
-// StorageWords returns the number of 64-bit words of the CSC structure.
-func (m *CSC) StorageWords() int64 {
-	return int64(len(m.ColPtr) + len(m.RowInd))
+// StorageBytes returns the bytes of the CSC structure's arrays.
+func (m *CSC) StorageBytes() int64 {
+	return 8 * int64(len(m.ColPtr)+len(m.RowInd))
 }
 
 func checkTriples(rows, cols int64, ts []Triple) error {

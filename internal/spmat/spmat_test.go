@@ -1,6 +1,8 @@
 package spmat
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -58,7 +60,7 @@ func TestDCSCMatchesCSC(t *testing.T) {
 			t.Fatalf("col %d: %v vs %v", col, got, want)
 		}
 		for i := range got {
-			if got[i] != want[i] {
+			if int64(got[i]) != want[i] {
 				t.Fatalf("col %d: %v vs %v", col, got, want)
 			}
 		}
@@ -73,15 +75,15 @@ func TestDCSCHypersparseStorage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.StorageWords() > 8 {
-		t.Errorf("DCSC storage for 1 nonzero = %d words", d.StorageWords())
+	if d.StorageBytes() > 64 {
+		t.Errorf("DCSC storage for 1 nonzero = %d bytes", d.StorageBytes())
 	}
 	c, err := NewCSC(dim, dim, []Triple{{5, 1000000}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.StorageWords() < dim {
-		t.Errorf("CSC storage unexpectedly small: %d", c.StorageWords())
+	if c.StorageBytes() < 8*dim {
+		t.Errorf("CSC storage unexpectedly small: %d bytes", c.StorageBytes())
 	}
 }
 
@@ -102,6 +104,38 @@ func TestBoundsChecked(t *testing.T) {
 	}
 	if _, err := NewCSC(4, 4, []Triple{{0, -1}}); err == nil {
 		t.Error("negative col accepted")
+	}
+}
+
+// TestBlockDimsGuard checks the uint32 local-id limit at its boundary: a
+// block of 2^32 rows or columns is accepted and one of 2^32+1 refused,
+// by both constructors and before anything is allocated, with an error
+// naming the shape.
+func TestBlockDimsGuard(t *testing.T) {
+	for _, tc := range []struct {
+		rows, cols int64
+		ok         bool
+	}{
+		{1 << 32, 1, true},
+		{1, 1 << 32, true},
+		{1 << 32, 1 << 32, true},
+		{1<<32 + 1, 1, false},
+		{1, 1<<32 + 1, false},
+		{1<<32 + 1, 1<<32 + 1, false},
+	} {
+		shape := fmt.Sprintf("%dx%d", tc.rows, tc.cols)
+		_, errD := NewDCSC(tc.rows, tc.cols, nil)
+		_, errR := NewRowSplit(tc.rows, tc.cols, nil, 4)
+		for name, err := range map[string]error{"NewDCSC": errD, "NewRowSplit": errR} {
+			switch {
+			case tc.ok && err != nil:
+				t.Errorf("%s(%s) refused: %v", name, shape, err)
+			case !tc.ok && err == nil:
+				t.Errorf("%s(%s) accepted", name, shape)
+			case !tc.ok && !strings.Contains(err.Error(), shape):
+				t.Errorf("%s(%s): error %q does not name the shape", name, shape, err)
+			}
+		}
 	}
 }
 

@@ -130,7 +130,7 @@ func (m *DCSC) SpMSV(dst *spvec.Vec, f *spvec.Vec, opts SpMSVOpts) *spvec.Vec {
 func (m *DCSC) Scatter(spa *spvec.SPA, f *spvec.Vec) {
 	selectColumns(m.JC, f.Ind, func(i, j int) {
 		for _, r := range m.colRowsAt(j) {
-			spa.Scatter(r, f.Val[i])
+			spa.Scatter(int64(r), f.Val[i])
 		}
 	})
 }

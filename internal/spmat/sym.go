@@ -49,9 +49,10 @@ func NewSym(dim int64, ts []Triple) (*Sym, error) {
 // matrix has twice as many.
 func (s *Sym) NNZ() int64 { return s.U.NNZ() }
 
-// StorageWords returns the 64-bit words occupied — roughly half of what
-// the full symmetric matrix would need in DCSC form.
-func (s *Sym) StorageWords() int64 { return s.U.StorageWords() }
+// StorageBytes returns the bytes occupied — about half of what the full
+// symmetric matrix's row ids would need in DCSC form, plus the column
+// structure, which the triangle barely shrinks.
+func (s *Sym) StorageBytes() int64 { return s.U.StorageBytes() }
 
 // SpMSV computes dst = A ⊗ f over the (select,max) semiring for the full
 // symmetric matrix A represented by the stored triangle.
@@ -71,10 +72,10 @@ func (s *Sym) SpMSV(dst *spvec.Vec, f *spvec.Vec, opts SpMSVOpts) *spvec.Vec {
 		var best int64
 		found := false
 		for fi < len(f.Ind) && ri < len(rows) {
-			switch {
-			case f.Ind[fi] < rows[ri]:
+			switch r := int64(rows[ri]); {
+			case f.Ind[fi] < r:
 				fi++
-			case f.Ind[fi] > rows[ri]:
+			case f.Ind[fi] > r:
 				ri++
 			default:
 				if !found || f.Val[fi] > best {

@@ -76,9 +76,11 @@ func TestSymHalvesStorage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ratio := float64(sym.StorageWords()) / float64(full.StorageWords())
-	if ratio > 0.62 {
-		t.Errorf("triangle storage is %.0f%% of full, want ~50-60%%", 100*ratio)
+	ratio := float64(sym.StorageBytes()) / float64(full.StorageBytes())
+	// The uint32 row ids halve; the int64 JC and CP barely shrink, since
+	// almost every column keeps an entry above the diagonal.
+	if ratio > 0.67 {
+		t.Errorf("triangle storage is %.0f%% of full, want ~60-65%%", 100*ratio)
 	}
 }
 

@@ -119,16 +119,16 @@ func TestMultiwayMergeWithScratch(t *testing.T) {
 		var ind, val []int64
 		for s := 0; s < k; s++ {
 			n := rng.Int64n(20)
-			var sInd []int64
+			var sInd []uint32
 			idx := int64(-1)
 			for i := int64(0); i < n; i++ {
 				idx += 1 + rng.Int64n(4)
-				sInd = append(sInd, idx)
+				sInd = append(sInd, uint32(idx))
 			}
 			v := rng.Int64n(100)
 			streams[s] = Stream{Ind: sInd, Val: v}
 			for _, i := range sInd {
-				ind = append(ind, i)
+				ind = append(ind, int64(i))
 				val = append(val, v)
 			}
 		}

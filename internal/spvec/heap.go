@@ -3,10 +3,11 @@ package spvec
 // Stream is one sorted run of (index, value) pairs participating in a
 // multiway merge: typically a matrix column selected by a frontier
 // nonzero, with every row in the column carrying the same value (the
-// frontier vertex that selects the column).
+// frontier vertex that selects the column). Indices are uint32 because
+// DCSC row ids, the only runs merged, are block-local.
 type Stream struct {
-	Ind []int64 // sorted, unique indices
-	Val int64   // value attached to every index in the run
+	Ind []uint32 // sorted, unique indices
+	Val int64    // value attached to every index in the run
 }
 
 // heapEntry is a cursor into one stream.
@@ -39,7 +40,7 @@ func MultiwayMergeWith(dst *Vec, streams []Stream, sc *MergeScratch) *Vec {
 	}
 	for si, s := range streams {
 		if len(s.Ind) > 0 {
-			h = append(h, heapEntry{head: s.Ind[0], stream: int32(si), pos: 0})
+			h = append(h, heapEntry{head: int64(s.Ind[0]), stream: int32(si), pos: 0})
 		}
 	}
 	buildHeap(h)
@@ -57,7 +58,7 @@ func MultiwayMergeWith(dst *Vec, streams []Stream, sc *MergeScratch) *Vec {
 			pos := h[0].pos + 1
 			if int(pos) < len(s.Ind) {
 				h[0].pos = pos
-				h[0].head = s.Ind[pos]
+				h[0].head = int64(s.Ind[pos])
 			} else {
 				h[0] = h[len(h)-1]
 				h = h[:len(h)-1]

@@ -112,9 +112,9 @@ func TestSPAReset(t *testing.T) {
 
 func TestMultiwayMergeBasic(t *testing.T) {
 	streams := []Stream{
-		{Ind: []int64{1, 4, 9}, Val: 100},
-		{Ind: []int64{2, 4, 8}, Val: 200},
-		{Ind: []int64{4, 9}, Val: 50},
+		{Ind: []uint32{1, 4, 9}, Val: 100},
+		{Ind: []uint32{2, 4, 8}, Val: 200},
+		{Ind: []uint32{4, 9}, Val: 50},
 	}
 	got := MultiwayMerge(&Vec{}, streams)
 	want := vecOf([2]int64{1, 100}, [2]int64{2, 200}, [2]int64{4, 200},
@@ -131,7 +131,7 @@ func TestMultiwayMergeDegenerate(t *testing.T) {
 	if got := MultiwayMerge(&Vec{}, []Stream{{}, {}}); got.NNZ() != 0 {
 		t.Error("merge of empty streams non-empty")
 	}
-	one := MultiwayMerge(&Vec{}, []Stream{{Ind: []int64{3, 7}, Val: 9}})
+	one := MultiwayMerge(&Vec{}, []Stream{{Ind: []uint32{3, 7}, Val: 9}})
 	if !equalVec(one, vecOf([2]int64{3, 9}, [2]int64{7, 9})) {
 		t.Errorf("single-stream merge = %v/%v", one.Ind, one.Val)
 	}
@@ -151,16 +151,16 @@ func TestSPAHeapAgree(t *testing.T) {
 			for i := 0; i < m; i++ {
 				set[rng.Int64n(size)] = true
 			}
-			ind := make([]int64, 0, len(set))
+			ind := make([]uint32, 0, len(set))
 			for i := int64(0); i < size; i++ {
 				if set[i] {
-					ind = append(ind, i)
+					ind = append(ind, uint32(i))
 				}
 			}
 			val := rng.Int64n(1000)
 			streams[s] = Stream{Ind: ind, Val: val}
 			for _, i := range ind {
-				spa.Scatter(i, val)
+				spa.Scatter(int64(i), val)
 			}
 		}
 		a := spa.Extract(&Vec{})

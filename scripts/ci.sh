@@ -108,14 +108,16 @@ echo "== race smoke (batching query server) =="
 # serial-oracle distances).
 go test -race ./internal/serve
 
-echo "== fuzz smoke (/v1/query encoder and decoder, column join) =="
+echo "== fuzz smoke (/v1/query encoder and decoder, column join, uint32 pull) =="
 # The 200 body must stay byte-identical to encoding/json's, and no
 # request body may panic the handler or draw a non-JSON reply. The
 # galloping column join of the top-down kernels must select exactly the
-# merge-join's matches, in order.
+# merge-join's matches, in order. The pull over uint32 block-local ids
+# must match an int64 CSC product, so no narrowing truncates an id.
 go test -run '^$' -fuzz '^FuzzWriteQuery$' -fuzztime 10s ./internal/serve
 go test -run '^$' -fuzz '^FuzzQueryRequest$' -fuzztime 10s ./internal/serve
 go test -run '^$' -fuzz '^FuzzSelectColumns$' -fuzztime 10s ./internal/spmat
+go test -run '^$' -fuzz '^FuzzPullView$' -fuzztime 10s ./internal/spmat
 
 echo "== counterfactual determinism smoke =="
 # The decision-replay regret table derives entirely from the simulated
