@@ -104,7 +104,6 @@ func (s *Session) BFSBatch(g *Graph, sources []int64, opt Options) (*BatchResult
 			return nil, fmt.Errorf("pbfs: source %d out of range [0,%d)", src, g.NumVerts())
 		}
 	}
-	opt = s.applyTuned(g, opt)
 	lay, err := resolveLayout(opt)
 	if err != nil {
 		return nil, err

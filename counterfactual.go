@@ -20,7 +20,8 @@ type Counterfactual struct {
 	// Regret is AltSim - BaseSim in simulated seconds: positive means
 	// the recorded choice was the cheaper one (the heuristic was
 	// right), negative means the rejected alternative would have won
-	// by that much — the signal the auto-tuner feeds on.
+	// by that much (CounterfactualReport.MaxNegativeRegret finds the
+	// worst such loss per decision kind).
 	Regret float64 `json:"regret_sec"`
 }
 
@@ -58,7 +59,7 @@ func (rep *CounterfactualReport) MaxNegativeRegret() map[decis.Kind]float64 {
 // opt must name a Machine profile — without a clock there is no regret
 // to measure. Grid alternatives re-resolve to their own engines, so a
 // 2D counterfactual on a fresh session pays one distribution per
-// distinct shape; they stay cached for the tuner's evaluation pass.
+// distinct shape; they stay cached for later searches on the session.
 func (s *Session) Counterfactual(g *Graph, source int64, opt Options) (*CounterfactualReport, error) {
 	if opt.Machine == "" {
 		return nil, fmt.Errorf("pbfs: counterfactual replay requires a Machine profile (no clock, no regret)")

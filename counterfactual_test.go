@@ -209,126 +209,3 @@ func TestCounterfactualRequiresMachine(t *testing.T) {
 		t.Error("counterfactual without a Machine profile accepted")
 	}
 }
-
-// TestTuneSpeedupFloor checks the tuner's core guarantee: the defaults
-// are always in the candidate set, so the cached speedup is never below
-// 1, and a second Tune returns the cached entry.
-func TestTuneSpeedupFloor(t *testing.T) {
-	g, err := NewRMATGraph(10, 8, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sources := g.Sources(4, 9)
-	sess := NewSession()
-	defer sess.Close()
-
-	for _, algo := range []Algorithm{OneDFlat, TwoDFlat} {
-		opt := Options{Algorithm: algo, Ranks: 4, Machine: "franklin"}
-		tuned, err := sess.Tune(g, opt, sources)
-		if err != nil {
-			t.Fatalf("%v: %v", algo, err)
-		}
-		if tuned.Speedup < 1 {
-			t.Errorf("%v: tuned speedup %v < 1 (defaults are candidate 0)", algo, tuned.Speedup)
-		}
-		again, err := sess.Tune(g, opt, sources[:1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if again != tuned {
-			t.Errorf("%v: second Tune recomputed: %+v vs cached %+v", algo, again, tuned)
-		}
-	}
-}
-
-// TestAutoTuneApplication checks that AutoTune searches pick up the
-// cached settings, produce bit-identical distances, and never run
-// slower than the untuned defaults, while explicit caller settings
-// win over tuned ones.
-func TestAutoTuneApplication(t *testing.T) {
-	g, err := NewRMATGraph(10, 8, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sources := g.Sources(4, 9)
-	opt := Options{Algorithm: TwoDFlat, Ranks: 4, Machine: "franklin"}
-
-	sess := NewSession()
-	defer sess.Close()
-	tuned, err := sess.Tune(g, opt, sources)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var defSim, tunedSim float64
-	for _, src := range sources {
-		base, err := sess.Search(g, src, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		topt := opt
-		topt.AutoTune = true
-		res, err := sess.Search(g, src, topt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if v := diffDist(base.Dist, res.Dist); v >= 0 {
-			t.Fatalf("tuned search changed the distance of vertex %d", v)
-		}
-		defSim += base.SimTime
-		tunedSim += res.SimTime
-	}
-	if tunedSim > defSim*(1+1e-9) {
-		t.Errorf("tuned searches slower than defaults: %v > %v (cached %+v)", tunedSim, defSim, tuned)
-	}
-
-	// An explicit caller grid beats the tuned one.
-	eopt := opt
-	eopt.AutoTune = true
-	eopt.GridRows, eopt.GridCols = 1, 4
-	applied := sess.applyTuned(g, eopt)
-	if applied.GridRows != 1 || applied.GridCols != 4 {
-		t.Errorf("explicit grid overridden: %dx%d", applied.GridRows, applied.GridCols)
-	}
-
-	// An untuned (layout, family) pair passes through unchanged.
-	fresh := NewSession()
-	defer fresh.Close()
-	uopt := opt
-	uopt.AutoTune = true
-	if applied := fresh.applyTuned(g, uopt); applied != uopt {
-		t.Errorf("untuned session mutated options: %+v", applied)
-	}
-}
-
-// TestBatchAutoTune checks that BFSBatch also applies tuned settings
-// and keeps distances bit-identical.
-func TestBatchAutoTune(t *testing.T) {
-	g, err := NewRMATGraph(10, 8, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sources := g.Sources(8, 9)
-	opt := Options{Algorithm: OneDFlat, Ranks: 4, Machine: "franklin"}
-
-	sess := NewSession()
-	defer sess.Close()
-	if _, err := sess.Tune(g, opt, sources[:2]); err != nil {
-		t.Fatal(err)
-	}
-	base, err := sess.BFSBatch(g, sources, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	topt := opt
-	topt.AutoTune = true
-	tuned, err := sess.BFSBatch(g, sources, topt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range base.Results {
-		if v := diffDist(base.Results[i].Dist, tuned.Results[i].Dist); v >= 0 {
-			t.Fatalf("tuned batch changed source %d's distance at vertex %d", sources[i], v)
-		}
-	}
-}

@@ -219,7 +219,7 @@ func newEngine(lay layout, g *Graph) (engine, error) {
 
 // gridAlternatives lists the pr'×pc' factorizations of ranks the
 // closest-square derivation rejected, in ascending pr' order: the
-// candidate set a grid counterfactual replays and the tuner evaluates.
+// candidate set a grid counterfactual replays.
 func gridAlternatives(ranks, pr, pc int) []string {
 	var alts []string
 	for r := 1; r <= ranks; r++ {

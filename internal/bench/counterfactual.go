@@ -14,7 +14,7 @@ import (
 // the per-decision regret table: every policy decision a traced search
 // took, each alternative it rejected, and the simulated-time delta of
 // replaying that alternative. Negative regret marks a level where the
-// heuristic left time on the table — the signal Session.Tune feeds on.
+// heuristic left time on the table.
 //
 // The whole table derives from the simulated clock, so the output is
 // bit-identical across runs and hosts — the property the CI smoke

@@ -74,24 +74,22 @@ type Arena struct {
 	ranks []rankArena
 }
 
-// rankArena is one rank's scratch: the distance/parent working arrays
-// (copied into the Output at assembly, so safely recycled), the frontier
-// double buffer, per-owner send buffers, the dedup bitmap, the hybrid
-// variant's worker team and thread-local stacks, and the bottom-up
-// phase's bitmaps (the global frontier, the rank's all-gather
-// contribution, and the owned-range visited set).
+// rankArena is one rank's scratch: the frontier double buffer,
+// per-owner send buffers, the dedup bitmap, the hybrid variant's worker
+// team and thread-local stacks, and the bottom-up phase's bitmaps (the
+// global frontier, the rank's all-gather contribution, and the
+// owned-range visited set).
 type rankArena struct {
-	dist, parent []int64
-	fsBuf        [2][]int64
-	send         [][]int64
-	dedup        *bits.Bitmap
-	pool         *smp.Pool
-	tstate       []threadScratch
-	front        *bits.Bitmap   // global frontier, N bits
-	chunk        *bits.Bitmap   // owned contribution to the next frontier, N bits
-	ownVis       *bits.Bitmap   // visited flags over owned vertices, nloc bits
-	pullOut      spvec.Vec      // flat variant's bottom-up candidate vector
-	batch        batchRankArena // multi-source (RunBatch) planes and buffers
+	fsBuf   [2][]int64
+	send    [][]int64
+	dedup   *bits.Bitmap
+	pool    *smp.Pool
+	tstate  []threadScratch
+	front   *bits.Bitmap   // global frontier, N bits
+	chunk   *bits.Bitmap   // owned contribution to the next frontier, N bits
+	ownVis  *bits.Bitmap   // visited flags over owned vertices, nloc bits
+	pullOut spvec.Vec      // flat variant's bottom-up candidate vector
+	batch   batchRankArena // multi-source (RunBatch) planes and buffers
 }
 
 // team returns the rank's persistent worker pool at width t, recycling
@@ -154,8 +152,10 @@ func Run(w *cluster.World, g *Graph, source int64, opt Options) *levels.Output {
 		ins = g.Ins()
 	}
 
-	distLoc := make([][]int64, p)
-	parentLoc := make([][]int64, p)
+	// Every rank writes its answers straight into its owned range of the
+	// output arrays, which are fresh per run so a returned result is never
+	// overwritten by a later search.
+	out := &levels.Output{Source: source, Dist: make([]int64, pt.N), Parent: make([]int64, pt.N)}
 	levelsPer := make([]int64, p)
 	edgesPer := make([]int64, p)
 	lp := levels.New(w, opt.Trace, opt.Force)
@@ -175,9 +175,8 @@ func Run(w *cluster.World, g *Graph, source int64, opt Options) *levels.Output {
 		price := opt.Price
 		ar := &arena.ranks[me]
 
-		dist := scratch.Grown(ar.dist, nloc)
-		parent := scratch.Grown(ar.parent, nloc)
-		ar.dist, ar.parent = dist, parent
+		dist := out.Dist[start : start+nloc]
+		parent := out.Parent[start : start+nloc]
 		for i := range dist {
 			dist[i] = serial.Unreached
 			parent[i] = serial.Unreached
@@ -545,8 +544,6 @@ func Run(w *cluster.World, g *Graph, source int64, opt Options) *levels.Output {
 				traversed += lg.XAdj[i+1] - lg.XAdj[i]
 			}
 		}
-		distLoc[me] = dist
-		parentLoc[me] = parent
 		// level counts the final iteration that discovered nothing;
 		// report the number of discovering levels (the source's
 		// eccentricity for connected graphs).
@@ -554,13 +551,9 @@ func Run(w *cluster.World, g *Graph, source int64, opt Options) *levels.Output {
 		edgesPer[me] = traversed
 	})
 
-	out := &levels.Output{Source: source, Levels: levelsPer[0]}
-	out.Dist = make([]int64, 0, pt.N)
-	out.Parent = make([]int64, 0, pt.N)
-	for i := 0; i < p; i++ {
-		out.Dist = append(out.Dist, distLoc[i]...)
-		out.Parent = append(out.Parent, parentLoc[i]...)
-		out.TraversedEdges += edgesPer[i]
+	out.Levels = levelsPer[0]
+	for _, e := range edgesPer {
+		out.TraversedEdges += e
 	}
 	lp.Fill(&out.Profile)
 	return out

@@ -79,13 +79,10 @@ type Arena struct {
 	ranks []rankArena
 }
 
-// rankArena is one rank's scratch: the distance/parent working arrays
-// (copied into the Output at assembly, so safely recycled), the frontier
-// double buffer, fold send buffers, the rectangular transpose remap
-// buffers, kernel scratches, the strip worker team, and the vectors of
-// the level loop.
+// rankArena is one rank's scratch: the frontier double buffer, fold send
+// buffers, the rectangular transpose remap buffers, kernel scratches, the
+// strip worker team, and the vectors of the level loop.
 type rankArena struct {
-	dist, parent          []int64
 	frontBuf              [2][]int64
 	send                  [][]int64
 	sendT                 [][]int64 // rectangular transpose: per-world-rank routing buffers
@@ -169,8 +166,10 @@ func run2DVector(w *cluster.World, grid *cluster.Grid, g *Graph, source int64, o
 		t = 1
 	}
 	p := w.P
-	distLoc := make([][]int64, p)
-	parentLoc := make([][]int64, p)
+	// Every rank writes its answers straight into its owned range of the
+	// output arrays, which are fresh per run so a returned result is never
+	// overwritten by a later search.
+	out := &levels.Output{Source: source, Dist: make([]int64, pt.N), Parent: make([]int64, pt.N)}
 	levelsPer := make([]int64, p)
 	lp := levels.New(w, opt.Trace, opt.Force)
 
@@ -201,9 +200,8 @@ func run2DVector(w *cluster.World, grid *cluster.Grid, g *Graph, source int64, o
 
 		vLo, vHi := pt.OwnedRange(i, j)
 		nOwn := vHi - vLo
-		dist := scratch.Grown(ar.dist, nOwn)
-		parent := scratch.Grown(ar.parent, nOwn)
-		ar.dist, ar.parent = dist, parent
+		dist := out.Dist[vLo:vHi]
+		parent := out.Parent[vLo:vHi]
 		for k := range dist {
 			dist[k] = serial.Unreached
 			parent[k] = serial.Unreached
@@ -456,42 +454,22 @@ func run2DVector(w *cluster.World, grid *cluster.Grid, g *Graph, source int64, o
 			level++
 		}
 
-		distLoc[me] = dist
-		parentLoc[me] = parent
 		// Report discovering levels only (the last iteration found none).
 		levelsPer[me] = level - 1
 	})
 
-	out := assemble(pt, grid, g, source, distLoc, parentLoc, levelsPer[0])
-	lp.Fill(&out.Profile)
-	return out
-}
-
-// assemble gathers the per-rank vector pieces into global arrays and
-// computes the traversed-edge count: one streaming pass over the distance
-// array against the distribution-time column degrees, the same
-// sum-of-degrees-over-reached-vertices the 1D path computes from its
-// local CSR (and, like there, TEPS bookkeeping rather than algorithm
-// work — it is not charged to the simulated clock).
-func assemble(pt Part2D, grid *cluster.Grid, g *Graph, source int64,
-	distLoc, parentLoc [][]int64, levelCount int64) *levels.Output {
-
-	out := &levels.Output{Source: source, Levels: levelCount}
-	out.Dist = make([]int64, pt.N)
-	out.Parent = make([]int64, pt.N)
-	for id := 0; id < grid.Pr*grid.Pc; id++ {
-		i, j := grid.RowOf(id), grid.ColOf(id)
-		lo, _ := pt.OwnedRange(i, j)
-		copy(out.Dist[lo:], distLoc[id])
-		copy(out.Parent[lo:], parentLoc[id])
-	}
+	out.Levels = levelsPer[0]
 	out.TraversedEdges = traversedEdges(g, out.Dist)
+	lp.Fill(&out.Profile)
 	return out
 }
 
 // traversedEdges sums the stored out-degrees of reached vertices (the
 // transposed blocks store edge u->v at column u, so ColDegree[u] is u's
-// stored degree).
+// stored degree): one streaming pass over the distance array, the same
+// sum-of-degrees-over-reached-vertices the 1D path computes from its
+// local CSR (and, like there, TEPS bookkeeping rather than algorithm
+// work — it is not charged to the simulated clock).
 func traversedEdges(g *Graph, dist []int64) int64 {
 	var total int64
 	for u, d := range dist {

@@ -27,8 +27,9 @@ func runDiagVector(w *cluster.World, grid *cluster.Grid, g *Graph, source int64,
 		t = 1
 	}
 	p := w.P
-	distLoc := make([][]int64, p)
-	parentLoc := make([][]int64, p)
+	// Each diagonal rank writes its row block of the fresh per-run output
+	// arrays in place.
+	out := &levels.Output{Source: source, Dist: make([]int64, pt.N), Parent: make([]int64, pt.N)}
 	levelsPer := make([]int64, p)
 	lp := levels.New(w, false, nil) // the Figure 4 layout traces nothing
 
@@ -58,9 +59,8 @@ func runDiagVector(w *cluster.World, grid *cluster.Grid, g *Graph, source int64,
 		var dist, parent []int64
 		if onDiag {
 			nOwn := rowHi - rowLo
-			dist = scratch.Grown(ar.dist, nOwn)
-			parent = scratch.Grown(ar.parent, nOwn)
-			ar.dist, ar.parent = dist, parent
+			dist = out.Dist[rowLo:rowHi]
+			parent = out.Parent[rowLo:rowHi]
 			for k := range dist {
 				dist[k] = serial.Unreached
 				parent[k] = serial.Unreached
@@ -155,21 +155,11 @@ func runDiagVector(w *cluster.World, grid *cluster.Grid, g *Graph, source int64,
 			level++
 		}
 
-		distLoc[me] = dist
-		parentLoc[me] = parent
 		// Report discovering levels only (the last iteration found none).
 		levelsPer[me] = level - 1
 	})
 
-	// Assemble from the diagonal ranks, which own whole blocks.
-	out := &levels.Output{Source: source, Levels: levelsPer[0]}
-	out.Dist = make([]int64, pt.N)
-	out.Parent = make([]int64, pt.N)
-	for b := 0; b < grid.Pr; b++ {
-		id := b*grid.Pc + b
-		copy(out.Dist[pt.RowStart(b):], distLoc[id])
-		copy(out.Parent[pt.RowStart(b):], parentLoc[id])
-	}
+	out.Levels = levelsPer[0]
 	lp.Fill(&out.Profile)
 	out.TraversedEdges = traversedEdges(g, out.Dist)
 	return out

@@ -117,11 +117,6 @@ type Graph struct {
 	// from; the edge list it was built from is not kept.
 	csr      *graph.CSR
 	directed bool
-	// family names the workload family the graph came from ("rmat",
-	// "web", "edges", "file", "directed"): the granularity the
-	// auto-tuner caches settings at, on the theory that graphs of one
-	// family share degree structure and therefore tuned thresholds.
-	family string
 }
 
 // NewRMATGraph generates a Graph 500 R-MAT graph (a=0.59, b=c=0.19,
@@ -132,7 +127,7 @@ func NewRMATGraph(scale, edgeFactor int, seed uint64) (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	return fromEdgeList(el, "rmat")
+	return fromEdgeList(el)
 }
 
 // NewWebCrawlGraph generates a high-diameter (≈140 BFS levels) synthetic
@@ -142,7 +137,7 @@ func NewWebCrawlGraph(numVerts int64, seed uint64) (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	return fromEdgeList(el, "web")
+	return fromEdgeList(el)
 }
 
 // NewGraphFromEdges builds a graph from explicit undirected edges; each
@@ -152,7 +147,7 @@ func NewGraphFromEdges(numVerts int64, edges [][2]int64) (*Graph, error) {
 	for _, e := range edges {
 		el.Edges = append(el.Edges, graph.Edge{U: e[0], V: e[1]})
 	}
-	return fromEdgeList(el.Symmetrize(), "edges")
+	return fromEdgeList(el.Symmetrize())
 }
 
 // NewGraphFromFile loads a directed binary edge file written by
@@ -162,7 +157,7 @@ func NewGraphFromFile(path string) (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	return fromEdgeList(el.Symmetrize(), "file")
+	return fromEdgeList(el.Symmetrize())
 }
 
 // NewDirectedGraph builds a graph from directed edges without
@@ -176,7 +171,7 @@ func NewDirectedGraph(numVerts int64, edges [][2]int64) (*Graph, error) {
 	for _, e := range edges {
 		el.Edges = append(el.Edges, graph.Edge{U: e[0], V: e[1]})
 	}
-	g, err := fromEdgeList(el, "directed")
+	g, err := fromEdgeList(el)
 	if err != nil {
 		return nil, err
 	}
@@ -184,12 +179,12 @@ func NewDirectedGraph(numVerts int64, edges [][2]int64) (*Graph, error) {
 	return g, nil
 }
 
-func fromEdgeList(el *graph.EdgeList, family string) (*Graph, error) {
+func fromEdgeList(el *graph.EdgeList) (*Graph, error) {
 	csr, err := graph.BuildCSR(el, true)
 	if err != nil {
 		return nil, err
 	}
-	return &Graph{csr: csr, family: family}, nil
+	return &Graph{csr: csr}, nil
 }
 
 // NumVerts returns the vertex count.
@@ -247,11 +242,6 @@ func (g *Graph) Validate(res *Result) error {
 
 // Directed reports whether the graph was built without symmetrization.
 func (g *Graph) Directed() bool { return g.directed }
-
-// Family names the workload family the graph came from ("rmat", "web",
-// "edges", "file", "directed") — the key the session's auto-tuner
-// caches settings under.
-func (g *Graph) Family() string { return g.family }
 
 // Result is a BFS output with its simulated execution profile.
 type Result struct {

@@ -50,12 +50,6 @@ type Options struct {
 	// grids) the grid-shape choice, each with the globally agreed
 	// inputs it saw and the alternatives it rejected.
 	Trace bool
-	// AutoTune applies the session's cached auto-tuned settings for
-	// this graph's family (Session.Tune) before resolving the layout:
-	// thresholds and grid shape the caller left at their defaults take
-	// the tuned values instead of the hand-set Franklin-era constants. A session that has not been tuned for
-	// the (layout, family) pair runs the defaults unchanged.
-	AutoTune bool
 
 	// force replays recorded decisions under rejected alternatives; it
 	// is set only by the counterfactual runner (Session.Counterfactual).

@@ -71,12 +71,15 @@ echo "== race smoke (session reuse + collective substrate) =="
 # parallel rendezvous engine — including the jittered stress schedules
 # in rendezvous_stress_test.go, which skew goroutine interleavings
 # across grids and subcommunicators and assert bit-identical simulated
-# figures); and the 2D driver's rectangular transpose and
-# partitioned-bitmap paths.
+# figures); the 2D driver's rectangular transpose and
+# partitioned-bitmap paths; and the single-search 1D, 2D and diagonal
+# drivers, whose ranks all write their owned ranges of one shared pair
+# of output arrays.
 go test -race -run 'Session|CrossShape|RectGrid|TraceGolden|Decision' .
 go test -race -short -run 'Conformance' .
 go test -race ./internal/levels ./internal/cluster ./internal/smp
 go test -race -run Rect ./internal/bfs2d
+go test -race -run 'MatchesSerial|Diagonal' ./internal/bfs1d ./internal/bfs2d
 # The R-MAT generator fills one edge slice from GOMAXPROCS workers.
 go test -race ./internal/rmat
 
@@ -121,9 +124,9 @@ go test -run '^$' -fuzz '^FuzzPullView$' -fuzztime 10s ./internal/spmat
 
 echo "== counterfactual determinism smoke =="
 # The decision-replay regret table derives entirely from the simulated
-# clock, so two invocations must produce identical bytes — the property
-# the auto-tuner's regret accounting (and TestTuneSpeedupFloor) relies
-# on. A diff here means wall-clock time, iteration order, or other
+# clock, so two invocations must produce identical bytes: a regret is
+# only meaningful if replaying the same decision prices it the same. A
+# diff here means wall-clock time, iteration order, or other
 # nondeterminism leaked into the replay path.
 cf_a=$(mktemp) && cf_b=$(mktemp)
 trap 'rm -f "$cf_a" "$cf_b"' EXIT

@@ -37,20 +37,13 @@ import (
 type Session struct {
 	mu      sync.Mutex
 	engines map[layout]engine
-	// tuned caches the auto-tuner's per-(layout, graph-family) settings
-	// (Session.Tune); searches submitted with Options.AutoTune pick them
-	// up via applyTuned.
-	tuned  map[tuneKey]Tuned
-	closed bool
+	closed  bool
 }
 
 // NewSession returns an empty session; engines are built on demand by
 // the first Search with each configuration.
 func NewSession() *Session {
-	return &Session{
-		engines: make(map[layout]engine),
-		tuned:   make(map[tuneKey]Tuned),
-	}
+	return &Session{engines: make(map[layout]engine)}
 }
 
 // Search runs one distributed BFS from source on g under opt, reusing
@@ -63,7 +56,6 @@ func (s *Session) Search(g *Graph, source int64, opt Options) (*Result, error) {
 	if source < 0 || source >= g.NumVerts() {
 		return nil, fmt.Errorf("pbfs: source %d out of range [0,%d)", source, g.NumVerts())
 	}
-	opt = s.applyTuned(g, opt)
 	lay, err := resolveLayout(opt)
 	if err != nil {
 		return nil, err

@@ -289,3 +289,73 @@ func TestSessionPool(t *testing.T) {
 		t.Error("non-positive pool size should clamp to 1")
 	}
 }
+
+// TestHeldResultSurvivesLaterSearches pins the ownership contract the
+// drivers' in-place writes must keep: a Result's Dist and Parent belong
+// to the caller, so a later Search or BFSBatch on the same session —
+// same engine, warm arenas — neither overwrites them nor shares their
+// storage. The serving layer's plane cache holds batch results on
+// exactly this promise.
+func TestHeldResultSurvivesLaterSearches(t *testing.T) {
+	g := testGraph(t)
+	srcs := g.Sources(4, 0x7e1d)
+	if len(srcs) < 4 {
+		t.Fatal("need four sources")
+	}
+	// snapshot copies a result's outputs; check fails unless first
+	// still matches its snapshot after the later results have been
+	// scribbled over, which would show through any storage they share.
+	snapshot := func(r *Result) [2][]int64 {
+		return [2][]int64{append([]int64(nil), r.Dist...), append([]int64(nil), r.Parent...)}
+	}
+	check := func(label string, first *Result, snap [2][]int64, later []*Result) {
+		t.Helper()
+		for _, r := range later {
+			for v := range r.Dist {
+				r.Dist[v], r.Parent[v] = -2, -2
+			}
+		}
+		for v := range snap[0] {
+			if first.Dist[v] != snap[0][v] || first.Parent[v] != snap[1][v] {
+				t.Fatalf("%s: vertex %d changed to dist/parent %d/%d, was %d/%d",
+					label, v, first.Dist[v], first.Parent[v], snap[0][v], snap[1][v])
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		opt  Options
+	}{
+		{"1d-flat", Options{Algorithm: OneDFlat, Ranks: 4}},
+		{"1d-hybrid", Options{Algorithm: OneDHybrid, Ranks: 4, Threads: 2}},
+		{"2d-flat", Options{Algorithm: TwoDFlat, Ranks: 4}},
+		{"2d-hybrid", Options{Algorithm: TwoDHybrid, Ranks: 4, Threads: 2}},
+		{"2d-diag", Options{Algorithm: TwoDFlat, Ranks: 4, DiagonalVectors: true}},
+	} {
+		sess := NewSession()
+		first, err := sess.Search(g, srcs[0], tc.opt)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		snap := snapshot(first)
+		second, err := sess.Search(g, srcs[1], tc.opt)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		check(tc.name+"/search", first, snap, []*Result{second})
+
+		b1, err := sess.BFSBatch(g, srcs[:2], tc.opt)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		snaps := [][2][]int64{snapshot(b1.Results[0]), snapshot(b1.Results[1])}
+		b2, err := sess.BFSBatch(g, srcs[2:4], tc.opt)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		for i, r := range b1.Results {
+			check(tc.name+"/batch", r, snaps[i], b2.Results)
+		}
+		sess.Close()
+	}
+}
