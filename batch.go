@@ -17,13 +17,13 @@ const BatchWidth = levels.BatchWidth
 
 // BatchResult is the output of a multi-source BFS batch: one Result per
 // source plus the whole-batch execution profile. For the bit-parallel
-// engines (the 1D and 2D variants under the default vector layout) the
-// batch runs one shared level loop, so the per-source SimTime/CommTime
-// are the amortized equal share of the batch's clock — the quantity the
-// Graph 500 harmonic mean is taken over — while the volume and scan
-// totals live here, on the batch. Engines without a bit-parallel path
-// (Reference, PBGL, DiagonalVectors) fall back to a sequential
-// per-source loop whose per-source times are the searches' own.
+// engines (the 1D and 2D variants) the batch runs one shared level
+// loop, so the per-source SimTime/CommTime are the amortized equal
+// share of the batch's clock — the quantity the Graph 500 harmonic mean
+// is taken over — while the volume and scan totals live here, on the
+// batch. Engines without a bit-parallel path (Reference, PBGL) fall
+// back to a sequential per-source loop whose per-source times are the
+// searches' own.
 type BatchResult struct {
 	Sources []int64
 	// Results holds one per-source BFS output, index-aligned with

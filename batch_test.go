@@ -37,7 +37,6 @@ func TestBFSBatchMatchesSearch(t *testing.T) {
 		{"1d-hybrid", Options{Algorithm: OneDHybrid, Ranks: 4, Threads: 2}},
 		{"2d-flat", Options{Algorithm: TwoDFlat, Ranks: 6, GridRows: 2, GridCols: 3}},
 		{"2d-hybrid", Options{Algorithm: TwoDHybrid, Ranks: 4, Threads: 2}},
-		{"2d-diag", Options{Algorithm: TwoDFlat, Ranks: 4, DiagonalVectors: true}},
 		{"reference", Options{Algorithm: Reference, Ranks: 4}},
 	} {
 		srcs := batchSources(t, g, 9)

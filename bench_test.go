@@ -101,25 +101,9 @@ func benchBFS(b *testing.B, algo pbfs.Algorithm, ranks int, opt pbfs.Options) {
 	}
 }
 
-// BenchmarkAblationKernelSPA vs ...Heap: the Figure 3 choice embedded in
-// a whole BFS (design choice 1).
-func BenchmarkAblationKernelSPA(b *testing.B) {
-	benchBFS(b, pbfs.TwoDFlat, 16, pbfs.Options{Kernel: "spa"})
-}
-
-func BenchmarkAblationKernelHeap(b *testing.B) {
-	benchBFS(b, pbfs.TwoDFlat, 16, pbfs.Options{Kernel: "heap"})
-}
-
-// BenchmarkAblationVector2D vs ...Diag: the vector-distribution choice
-// (design choice 2, Figure 4).
-func BenchmarkAblationVector2D(b *testing.B) {
-	benchBFS(b, pbfs.TwoDFlat, 16, pbfs.Options{})
-}
-
-func BenchmarkAblationVectorDiag(b *testing.B) {
-	benchBFS(b, pbfs.TwoDFlat, 16, pbfs.Options{DiagonalVectors: true})
-}
+// The Figure 3 kernel and Figure 4 vector-distribution ablations
+// (design choices 1 and 2) run over the 2D driver directly, in
+// internal/bfs2d.
 
 // BenchmarkAblationLocalShortcut vs ...NoShortcut: the 1D local-update
 // optimization (design choice 3) — the reference baseline routes local

@@ -45,8 +45,8 @@ type BatchStats struct {
 // graph is distributed once and up to BatchWidth searches share every
 // adjacency scan and every per-level collective; per-search times (and
 // the harmonic-mean TEPS over them) are the amortized equal shares of
-// the batch's clock. Engines without a batched path (Reference, PBGL,
-// DiagonalVectors) run the same protocol sequentially.
+// the batch's clock. Engines without a batched path (Reference, PBGL)
+// run the same protocol sequentially.
 func (g *Graph) Benchmark(opt Options, k int, seed uint64) (*BatchStats, error) {
 	if k < 1 {
 		k = 16 // the paper's minimum search count

@@ -43,7 +43,6 @@ func main() {
 		gridFlag   = flag.String("grid", "", "2D process grid shape PRxPC (e.g. 2x3); must factor -ranks; empty = closest square")
 		threads    = flag.Int("threads", 0, "threads per rank (0 = machine default for hybrid variants)")
 		machine    = flag.String("machine", "franklin", "cost model: franklin, hopper, carver, or '' for none")
-		kernel     = flag.String("kernel", "auto", "local SpMSV kernel for 2D: auto, spa, heap")
 		sources    = flag.Int("sources", 1, "number of Graph 500 search keys to run")
 		validate   = flag.Bool("validate", true, "validate against the serial oracle")
 		direction  = flag.String("direction", "auto", "traversal policy: auto, topdown, bottomup")
@@ -106,7 +105,7 @@ func main() {
 	opt := pbfs.Options{
 		Algorithm: algo, Ranks: *ranks, Threads: *threads,
 		GridRows: gridRows, GridCols: gridCols,
-		Machine: *machine, Kernel: *kernel, Direction: dir,
+		Machine: *machine, Direction: dir,
 		Trace: *trace,
 	}
 	if *traceDecis && *batch {

@@ -372,14 +372,8 @@ func batchConformanceOneGraph(t *testing.T, seed int64) {
 			}
 		}
 	}
-	// Sequential-fallback engines: diagonal vector distribution and the
-	// comparator codes take the per-source path under the same contract.
-	// DiagonalVectors needs a square grid, so it gets its own rank count.
-	diagRanks := 1
-	if g.NumVerts() >= 4 {
-		diagRanks = 4
-	}
-	checkBatch(pbfs.Options{Algorithm: pbfs.TwoDFlat, Ranks: diagRanks, DiagonalVectors: true}, "2d/diag")
+	// Sequential-fallback engine: the comparator codes take the
+	// per-source path under the same contract.
 	checkBatch(pbfs.Options{Algorithm: pbfs.Reference, Ranks: ranks}, "reference")
 	if t.Failed() {
 		t.Logf("graph: %s, ranks %d", desc, ranks)

@@ -153,18 +153,6 @@ func TestDirectionTrace(t *testing.T) {
 func TestDirectionOptionErrors(t *testing.T) {
 	g := testGraph(t)
 	src := g.Sources(1, 14)[0]
-	if _, err := g.BFS(src, Options{Algorithm: TwoDFlat, Ranks: 9, DiagonalVectors: true, Direction: BottomUpOnly}); err == nil {
-		t.Error("DiagonalVectors with BottomUpOnly accepted")
-	}
-	// Auto degrades to top-down under the diagonal layout rather than
-	// erroring: it is a policy, not a demand.
-	res, err := g.BFS(src, Options{Algorithm: TwoDFlat, Ranks: 9, DiagonalVectors: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Validate(res); err != nil {
-		t.Error(err)
-	}
 	if _, err := g.BFS(src, Options{Direction: Direction(42)}); err == nil {
 		t.Error("unknown direction accepted")
 	}

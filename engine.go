@@ -18,9 +18,9 @@ import (
 // layout is an engine cache key: the resolved Options fields that
 // determine an engine's distributed data structures and clock pricing.
 // Two Options values with equal layouts share one engine; a change in
-// any field means a different distribution, grid, thread shape, kernel
-// plan, or cost model, so the session builds (and caches) another
-// engine. Per-search fields (Direction, Alpha/Beta, Trace) are not part
+// any field means a different distribution, grid, thread shape, or
+// cost model, so the session builds (and caches) another engine.
+// Per-search fields (Direction, Alpha/Beta, Trace) are not part
 // of the key: one engine serves every direction policy.
 type layout struct {
 	algo    Algorithm
@@ -28,14 +28,12 @@ type layout struct {
 	pr, pc  int // resolved 2D grid shape; zero for non-2D algorithms
 	threads int
 	machine string
-	kernel  spmat.Kernel
-	diag    bool
 }
 
 // resolveLayout validates and normalizes Options into a layout, so that
 // defaulted and explicit spellings of the same configuration (Ranks 0
-// vs 4, Kernel "" vs "auto", GridRows/GridCols 0 vs the closest-square
-// factorization) land on the same engine.
+// vs 4, GridRows/GridCols 0 vs the closest-square factorization) land
+// on the same engine.
 func resolveLayout(opt Options) (layout, error) {
 	switch opt.Algorithm {
 	case OneDFlat, OneDHybrid, TwoDFlat, TwoDHybrid, Reference, PBGL:
@@ -46,7 +44,6 @@ func resolveLayout(opt Options) (layout, error) {
 		algo:    opt.Algorithm,
 		ranks:   opt.Ranks,
 		machine: opt.Machine,
-		diag:    opt.DiagonalVectors,
 	}
 	twoD := opt.Algorithm == TwoDFlat || opt.Algorithm == TwoDHybrid
 	if lay.ranks < 1 {
@@ -77,24 +74,11 @@ func resolveLayout(opt Options) (layout, error) {
 			}
 		}
 	}
-	switch opt.Kernel {
-	case "", "auto":
-		lay.kernel = spmat.KernelAuto
-	case "spa":
-		lay.kernel = spmat.KernelSPA
-	case "heap":
-		lay.kernel = spmat.KernelHeap
-	default:
-		return layout{}, fmt.Errorf("pbfs: unknown kernel %q (want auto, spa or heap)", opt.Kernel)
-	}
-	// Only the 2D drivers consume the kernel, grid-shape, and
-	// vector-distribution knobs; dropping them from other algorithms'
-	// keys keeps a session from building redundant engines (and paying
-	// duplicate distributions) for configurations that run the same
-	// search. DiagonalVectors still reaches resolveDirection per
-	// search, where it forces top-down exactly as before. Threads stays
-	// in every key: it feeds the shared-machine cost model even for the
-	// flat and comparator codes.
+	// Only the 2D drivers consume the grid shape; leaving it out of
+	// other algorithms' keys keeps a session from building redundant
+	// engines (and paying duplicate distributions) for configurations
+	// that run the same search. Threads stays in every key: it feeds the
+	// shared-machine cost model even for the flat and comparator codes.
 	if twoD {
 		pr, pc := opt.GridRows, opt.GridCols
 		switch {
@@ -116,13 +100,7 @@ func resolveLayout(opt Options) (layout, error) {
 			return layout{}, fmt.Errorf("pbfs: %d ranks not factorable into the requested grid (%s)",
 				lay.ranks, req)
 		}
-		if lay.diag && pr != pc {
-			return layout{}, fmt.Errorf("pbfs: DiagonalVectors requires a square grid, got %dx%d", pr, pc)
-		}
 		lay.pr, lay.pc = pr, pc
-	} else {
-		lay.kernel = spmat.KernelAuto
-		lay.diag = false
 	}
 	return lay, nil
 }
@@ -153,14 +131,6 @@ func resolveDirection(opt Options) (dirheur.Mode, dirheur.Policy, error) {
 	default:
 		return 0, dirheur.Policy{}, fmt.Errorf("pbfs: unknown direction %v", opt.Direction)
 	}
-	if opt.DiagonalVectors {
-		// The diagonal layout has no pull path: Auto degrades to pure
-		// top-down; an explicit bottom-up request is an error.
-		if mode == dirheur.ModeBottomUp {
-			return 0, dirheur.Policy{}, fmt.Errorf("pbfs: DiagonalVectors does not support Direction: BottomUpOnly")
-		}
-		mode = dirheur.ModeTopDown
-	}
 	return mode, dirheur.Policy{Alpha: opt.Alpha, Beta: opt.Beta}, nil
 }
 
@@ -176,8 +146,7 @@ type engine interface {
 	search(source int64, opt Options) (*Result, error)
 	// searchBatch runs up to BatchWidth sources through one bit-parallel
 	// level loop when the engine has one, or a sequential per-source
-	// loop otherwise (the comparator codes, the diagonal 2D vector
-	// layout).
+	// loop otherwise (the comparator codes).
 	searchBatch(sources []int64, opt Options) (*BatchResult, error)
 	// rebind points the engine at a different facade graph, rebuilding
 	// the distribution while keeping the world, grid, and arenas.
@@ -203,11 +172,7 @@ func newEngine(lay layout, g *Graph) (engine, error) {
 		e = &engineBase{lay: lay, w: cluster.NewWorld(lay.ranks, model), price: price}
 	case TwoDFlat, TwoDHybrid:
 		w := cluster.NewWorld(lay.ranks, model)
-		vec := bfs2d.Dist2D
-		if lay.diag {
-			vec = bfs2d.DistDiag
-		}
-		e = &engine2D{lay: lay, w: w, grid: cluster.NewGrid(w, lay.pr, lay.pc), vec: vec, price: price}
+		e = &engine2D{lay: lay, w: w, grid: cluster.NewGrid(w, lay.pr, lay.pc), price: price}
 	default:
 		return nil, fmt.Errorf("pbfs: unknown algorithm %v", lay.algo)
 	}
@@ -326,7 +291,6 @@ type engine2D struct {
 	dg    *bfs2d.Graph
 	w     *cluster.World
 	grid  *cluster.Grid
-	vec   bfs2d.VectorDist
 	price cluster.Pricer
 	arena bfs2d.Arena
 }
@@ -350,7 +314,7 @@ func (e *engine2D) search(source int64, opt Options) (*Result, error) {
 	}
 	e.w.Reset()
 	out, err := bfs2d.Run(e.w, e.grid, e.dg, source, bfs2d.Options{
-		Threads: e.lay.threads, Kernel: e.lay.kernel, Vector: e.vec,
+		Threads: e.lay.threads, Kernel: spmat.KernelAuto, Vector: bfs2d.Dist2D,
 		Direction: mode, Policy: policy,
 		Price: e.price, Trace: opt.Trace, Force: opt.force, Arena: &e.arena,
 	})
@@ -358,12 +322,12 @@ func (e *engine2D) search(source int64, opt Options) (*Result, error) {
 		return nil, err
 	}
 	res := newResult(out, e.w)
-	if opt.Trace && opt.GridRows == 0 && opt.GridCols == 0 && !e.lay.diag {
+	if opt.Trace && opt.GridRows == 0 && opt.GridCols == 0 {
 		// The grid shape was derived (cluster.ClosestSquare), so it was
 		// a decision of this library's, not the caller's: record it with
 		// the factorizations it rejected. A pinned dimension leaves no
-		// freedom (the other divides out, or the diagonal layout demands
-		// a square), so nothing is recorded — there were no alternatives.
+		// freedom (the other divides out), so nothing is recorded — there
+		// were no alternatives.
 		res.Decisions = append(res.Decisions, decis.Decision{
 			Kind: decis.KindGrid, Ranks: int64(e.lay.ranks),
 			Choice:       decis.GridChoice(e.lay.pr, e.lay.pc),
@@ -374,17 +338,13 @@ func (e *engine2D) search(source int64, opt Options) (*Result, error) {
 }
 
 func (e *engine2D) searchBatch(sources []int64, opt Options) (*BatchResult, error) {
-	if e.vec == bfs2d.DistDiag {
-		// The diagonal vector layout has no batched pull/push path.
-		return sequentialBatch(e, sources, opt)
-	}
 	mode, policy, err := resolveDirection(opt)
 	if err != nil {
 		return nil, err
 	}
 	e.w.Reset()
 	out, err := bfs2d.RunBatch(e.w, e.grid, e.dg, sources, bfs2d.Options{
-		Threads: e.lay.threads, Kernel: e.lay.kernel, Vector: e.vec,
+		Threads: e.lay.threads, Kernel: spmat.KernelAuto, Vector: bfs2d.Dist2D,
 		Direction: mode, Policy: policy,
 		Price: e.price, Trace: opt.Trace, Arena: &e.arena,
 	})

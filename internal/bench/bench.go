@@ -35,7 +35,6 @@ type EmuConfig struct {
 	Algo    perfmodel.Algo
 	Ranks   int // emulated rank count (2D variants run on its closest-square grid)
 	Threads int // 0/1 flat; >1 hybrid strip/buffer threading
-	Kernel  spmat.Kernel
 	// Vector selects the 2D vector distribution (bfs2d.Dist2D default, or
 	// bfs2d.DistDiag for the Figure 4 imbalance experiment).
 	Vector  bfs2d.VectorDist
@@ -129,7 +128,7 @@ func RunEmulated(el *graph.EdgeList, cfg EmuConfig) (*EmuResult, error) {
 			dist, parent, levels, traversed = out.Dist, out.Parent, out.Levels, out.TraversedEdges
 		case perfmodel.TwoDFlat, perfmodel.TwoDHybrid:
 			out, err := bfs2d.Run(w, grid, g2, src, bfs2d.Options{
-				Threads: threads, Kernel: cfg.Kernel, Vector: cfg.Vector,
+				Threads: threads, Kernel: spmat.KernelAuto, Vector: cfg.Vector,
 				Price: machine, Arena: &arena2,
 			})
 			if err != nil {

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/netmodel"
 	"repro/internal/perfmodel"
-	"repro/internal/spmat"
 )
 
 func TestRunEmulatedAllAlgos(t *testing.T) {
@@ -30,7 +29,7 @@ func TestRunEmulatedAllAlgos(t *testing.T) {
 		}
 		res, err := RunEmulated(el, EmuConfig{
 			Machine: netmodel.Franklin(), Algo: algo, Ranks: ranks, Threads: threads,
-			Kernel: spmat.KernelAuto, Sources: 2, Seed: 0x2, Validate: true,
+			Sources: 2, Seed: 0x2, Validate: true,
 		})
 		if err != nil {
 			t.Fatalf("%v: %v", algo, err)

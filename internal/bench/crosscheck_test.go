@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/netmodel"
 	"repro/internal/perfmodel"
-	"repro/internal/spmat"
 )
 
 // TestEmulationReproducesCommOrdering cross-checks the two methodologies:
@@ -25,7 +24,7 @@ func TestEmulationReproducesCommOrdering(t *testing.T) {
 		}
 		res, err := RunEmulated(el, EmuConfig{
 			Machine: f, Algo: algo, Ranks: 16, Threads: threads,
-			Kernel: spmat.KernelAuto, Sources: 3, Seed: 0xcc, Validate: true,
+			Sources: 3, Seed: 0xcc, Validate: true,
 		})
 		if err != nil {
 			t.Fatalf("%v: %v", algo, err)
@@ -59,7 +58,7 @@ func TestEmulationExpandFoldSplit(t *testing.T) {
 		}
 		res, err := RunEmulated(el, EmuConfig{
 			Machine: f, Algo: perfmodel.TwoDFlat, Ranks: 16,
-			Kernel: spmat.KernelAuto, Sources: 2, Seed: 0xce, Validate: true,
+			Sources: 2, Seed: 0xce, Validate: true,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/netmodel"
 	"repro/internal/perfmodel"
-	"repro/internal/spmat"
 )
 
 // Figure10 reproduces the graph-density sensitivity experiment: GTEPS for
@@ -57,7 +56,7 @@ func Figure10(w io.Writer, emulate bool) error {
 			}
 			res, err := RunEmulated(el, EmuConfig{
 				Machine: f, Algo: a, Ranks: 16, Threads: threads,
-				Kernel: spmat.KernelAuto, Sources: 2, Seed: 0xd, Validate: true,
+				Sources: 2, Seed: 0xd, Validate: true,
 			})
 			if err != nil {
 				return err

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/netmodel"
 	"repro/internal/perfmodel"
-	"repro/internal/spmat"
 	"repro/internal/webgen"
 )
 
@@ -51,7 +50,7 @@ func Figure11(w io.Writer, emulate bool, emuVerts int64) error {
 			}
 			res, err := RunEmulated(el, EmuConfig{
 				Machine: h, Algo: algo, Ranks: ranks, Threads: threads,
-				Kernel: spmat.KernelAuto, Sources: 2, Seed: 0xbb, Validate: true,
+				Sources: 2, Seed: 0xbb, Validate: true,
 			})
 			if err != nil {
 				return err

@@ -7,7 +7,6 @@ import (
 	"repro/internal/bfs2d"
 	"repro/internal/netmodel"
 	"repro/internal/perfmodel"
-	"repro/internal/spmat"
 )
 
 // Figure4 reproduces Figure 4: the per-process MPI (communication +
@@ -31,7 +30,7 @@ func Figure4(w io.Writer, scale int) error {
 	run := func(vector bfs2d.VectorDist) (*EmuResult, error) {
 		return RunEmulated(el, EmuConfig{
 			Machine: netmodel.Franklin(), Algo: perfmodel.TwoDFlat, Ranks: pr * pr,
-			Kernel: spmat.KernelAuto, Vector: vector, Sources: 2, Seed: 0xf4, Validate: true,
+			Vector: vector, Sources: 2, Seed: 0xf4, Validate: true,
 		})
 	}
 

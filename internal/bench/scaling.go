@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/netmodel"
 	"repro/internal/perfmodel"
-	"repro/internal/spmat"
 )
 
 var fourAlgos = []perfmodel.Algo{
@@ -57,7 +56,7 @@ func emulateSeries(w io.Writer, m *netmodel.Machine, scale, ef int, ranks []int,
 			}
 			res, err := RunEmulated(el, EmuConfig{
 				Machine: m, Algo: a, Ranks: p, Threads: threads,
-				Kernel: spmat.KernelAuto, Sources: sources, Seed: 0xabc, Validate: true,
+				Sources: sources, Seed: 0xabc, Validate: true,
 			})
 			if err != nil {
 				return err
@@ -177,7 +176,7 @@ func Figure9(w io.Writer, emulate bool) error {
 			}
 			res, err := RunEmulated(el, EmuConfig{
 				Machine: f, Algo: a, Ranks: p, Threads: threads,
-				Kernel: spmat.KernelAuto, Sources: 2, Seed: 0x9e, Validate: true,
+				Sources: 2, Seed: 0x9e, Validate: true,
 			})
 			if err != nil {
 				return err

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/netmodel"
 	"repro/internal/perfmodel"
-	"repro/internal/spmat"
 )
 
 // Table1 reproduces Table 1: the decomposition of communication time for
@@ -43,7 +42,7 @@ func Table1(w io.Writer, emulate bool) error {
 			}
 			res, err := RunEmulated(el, EmuConfig{
 				Machine: f, Algo: perfmodel.TwoDFlat, Ranks: ranks,
-				Kernel: spmat.KernelAuto, Sources: 4, Seed: 0xbe4c, Validate: true,
+				Sources: 4, Seed: 0xbe4c, Validate: true,
 			})
 			if err != nil {
 				return err

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/netmodel"
 	"repro/internal/perfmodel"
-	"repro/internal/spmat"
 )
 
 // Table2 reproduces the PBGL comparison on Carver: MTEPS of the
@@ -44,7 +43,7 @@ func Table2(w io.Writer, emulate bool) error {
 				}
 				res, err := RunEmulated(el, EmuConfig{
 					Machine: c, Algo: algo, Ranks: ranks,
-					Kernel: spmat.KernelAuto, Sources: 2, Seed: 0x72, Validate: true,
+					Sources: 2, Seed: 0x72, Validate: true,
 				})
 				if err != nil {
 					return err

@@ -119,30 +119,6 @@ func TestBFSOptionErrors(t *testing.T) {
 	} else if err := g.Validate(res); err != nil {
 		t.Error(err)
 	}
-	if _, err := g.BFS(src, Options{Kernel: "btree"}); err == nil {
-		t.Error("unknown kernel accepted")
-	}
-}
-
-func TestKernelAndDiagonalOptions(t *testing.T) {
-	g := testGraph(t)
-	src := g.Sources(1, 5)[0]
-	for _, kernel := range []string{"spa", "heap", "auto"} {
-		res, err := g.BFS(src, Options{Algorithm: TwoDFlat, Ranks: 9, Kernel: kernel})
-		if err != nil {
-			t.Fatalf("kernel %s: %v", kernel, err)
-		}
-		if err := g.Validate(res); err != nil {
-			t.Fatalf("kernel %s: %v", kernel, err)
-		}
-	}
-	res, err := g.BFS(src, Options{Algorithm: TwoDFlat, Ranks: 9, DiagonalVectors: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Validate(res); err != nil {
-		t.Error(err)
-	}
 }
 
 func TestNewGraphFromEdges(t *testing.T) {

@@ -3,11 +3,13 @@ package pbfs
 import "repro/internal/decis"
 
 // Options configures a distributed BFS run. The layout fields
-// (Algorithm, Ranks, GridRows/GridCols, Threads, Machine, Kernel,
-// DiagonalVectors) select an engine — a distributed graph, world/grid,
-// and scratch arenas that a Session caches across searches — while
-// Direction, Alpha/Beta, and Trace vary freely per search on the same
-// engine.
+// (Algorithm, Ranks, GridRows/GridCols, Threads, Machine) select an
+// engine — a distributed graph, world/grid, and scratch arenas that a
+// Session caches across searches — while Direction, Alpha/Beta, and
+// Trace vary freely per search on the same engine. The 2D variants run
+// the auto-selected SpMSV kernel with the 2D vector distribution; the
+// paper's kernel and vector-layout ablations (Figures 3 and 4) are
+// reproduced by internal/bench against the drivers directly.
 type Options struct {
 	// Algorithm selects the implementation; the zero value is OneDFlat.
 	Algorithm Algorithm
@@ -30,20 +32,14 @@ type Options struct {
 	// "carver") used to charge simulated time. Empty runs without time
 	// accounting (pure correctness).
 	Machine string
-	// Kernel selects the local SpMSV accumulator for 2D variants:
-	// "auto" (default), "spa", or "heap".
-	Kernel string
 	// Direction selects the per-level traversal policy for the 1D and
 	// 2D algorithms; the zero value is Auto (direction-optimized). The
 	// Reference and PBGL comparators are top-down by construction and
-	// ignore it, and DiagonalVectors supports only TopDownOnly.
+	// ignore it.
 	Direction Direction
 	// Alpha and Beta override the direction-switch thresholds used by
 	// Auto (zero = the published defaults, 14 and 24).
 	Alpha, Beta int64
-	// DiagonalVectors switches the 2D variants to the diagonal-only
-	// vector distribution (the Figure 4 imbalance configuration).
-	DiagonalVectors bool
 	// Trace records the per-level discovery counts into the result,
 	// and with them the policy decisions the heuristics took
 	// (Result.Decisions): direction switches and (for derived 2D

@@ -141,6 +141,9 @@ echo "replay table deterministic ($(wc -l <"$cf_a") lines)"
 echo "== bench smoke (BFS level loops, 1 iteration) =="
 go test -run '^$' -bench=BFS -benchtime=1x -benchmem .
 
+echo "== bench smoke (2D kernel and vector ablations, 1 iteration) =="
+go test -run '^$' -bench=Ablation -benchtime=1x ./internal/bfs2d
+
 echo "== bench smoke (GOMAXPROCS axis) =="
 # The same steady-state level loops pinned to one core: the parallel
 # collective engine must stay correct when rank goroutines are forced

@@ -144,10 +144,7 @@ func TestSessionOneDistributePerConfig(t *testing.T) {
 	{
 		// Knobs the 1D driver ignores normalize out of the key.
 		o := base
-		o.Kernel = "heap"
-		search(o)
-		o = base
-		o.DiagonalVectors = true
+		o.GridRows, o.GridCols = 2, 2
 		search(o)
 	}
 	for _, dir := range []Direction{TopDownOnly, BottomUpOnly} {
@@ -178,10 +175,7 @@ func TestSessionErrors(t *testing.T) {
 	}{
 		{"grid/ranks mismatch", Options{Algorithm: TwoDHybrid, Ranks: 6, GridRows: 2, GridCols: 2}, "factorable"},
 		{"indivisible grid rows", Options{Algorithm: TwoDFlat, Ranks: 6, GridRows: 4}, "factorable"},
-		{"diag on rectangular grid", Options{Algorithm: TwoDFlat, Ranks: 6, DiagonalVectors: true}, "square"},
 		{"unknown machine", Options{Machine: "nonesuch"}, "machine"},
-		{"unknown kernel", Options{Algorithm: TwoDFlat, Ranks: 4, Kernel: "fast"}, "kernel"},
-		{"diag bottom-up", Options{Algorithm: TwoDFlat, Ranks: 4, DiagonalVectors: true, Direction: BottomUpOnly}, "DiagonalVectors"},
 		{"bad algorithm", Options{Algorithm: Algorithm(99)}, "algorithm"},
 	}
 	for _, c := range cases {
@@ -330,7 +324,6 @@ func TestHeldResultSurvivesLaterSearches(t *testing.T) {
 		{"1d-hybrid", Options{Algorithm: OneDHybrid, Ranks: 4, Threads: 2}},
 		{"2d-flat", Options{Algorithm: TwoDFlat, Ranks: 4}},
 		{"2d-hybrid", Options{Algorithm: TwoDHybrid, Ranks: 4, Threads: 2}},
-		{"2d-diag", Options{Algorithm: TwoDFlat, Ranks: 4, DiagonalVectors: true}},
 	} {
 		sess := NewSession()
 		first, err := sess.Search(g, srcs[0], tc.opt)
