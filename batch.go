@@ -23,7 +23,9 @@ const BatchWidth = levels.BatchWidth
 // is taken over — while the volume and scan totals live here, on the
 // batch. Engines without a bit-parallel path (Reference, PBGL) fall
 // back to a sequential per-source loop whose per-source times are the
-// searches' own.
+// searches' own. A one-source chunk under any engine runs that
+// engine's single search: its Result is the search's, times and all,
+// and the chunk's totals are that search's.
 type BatchResult struct {
 	Sources []int64
 	// Results holds one per-source BFS output, index-aligned with
@@ -64,8 +66,9 @@ type BatchResult struct {
 	// LevelFrontier, LevelScanned, LevelBottomUp and LevelCommWords,
 	// when Options.Trace is set on a bit-parallel engine, hold the
 	// shared level loop's per-iteration profile (frontier counts summed
-	// over the batch); chunked batches concatenate their loops. The
-	// sequential fallback leaves them nil.
+	// over the batch); chunked batches concatenate their loops. A
+	// one-source chunk contributes its search's own profile. The
+	// sequential fallback leaves them nil for wider chunks.
 	LevelFrontier  []int64
 	LevelScanned   []int64
 	LevelBottomUp  []bool
@@ -88,6 +91,12 @@ func (b *BatchResult) MachineTEPS() float64 {
 // parents are valid BFS trees. Duplicate and mutually unreachable
 // sources are fine — a search retires from the batch mask when its
 // frontier empties.
+//
+// A chunk of exactly one source — a one-source call, or the one-source
+// tail of a 65-source call — has no scan to share, so it runs the
+// engine's single search instead of a 64-lane mask loop: its Result is
+// bit-identical to Search's (parents and per-source times included),
+// and under Options.Trace its level slices are filled from the search.
 //
 // The engine (distribution, world, arenas — including the batch mask
 // planes) is the same cached engine Search uses for opt's layout, so
@@ -120,7 +129,12 @@ func (s *Session) BFSBatch(g *Graph, sources []int64, opt Options) (*BatchResult
 		if hi > len(sources) {
 			hi = len(sources)
 		}
-		chunk, err := eng.searchBatch(sources[lo:hi], opt)
+		var chunk *BatchResult
+		if hi-lo == 1 { // nothing to share: run the single search
+			chunk, err = sequentialBatch(eng, sources[lo:hi], opt)
+		} else {
+			chunk, err = eng.searchBatch(sources[lo:hi], opt)
+		}
 		if err != nil {
 			return nil, err
 		}

@@ -398,17 +398,22 @@ func (e *engineBase) searchBatch(sources []int64, opt Options) (*BatchResult, er
 
 func (e *engineBase) close() {}
 
-// sequentialBatch is the per-source fallback for engines without a
-// bit-parallel path: each source runs its own search, the whole-batch
+// sequentialBatch is the per-source path: the fallback for engines
+// without a bit-parallel path, and the route BFSBatch takes for any
+// one-source chunk. Each source runs its own search, the whole-batch
 // statistics are summed, and per-source times stay the searches' own —
 // there is no amortization to report. The unique-edge count still
 // applies the shared-scan accounting rule (each edge incident to the
 // union of the reached sets counted once), so MachineTEPS compares
-// fairly against the batched engines.
+// fairly against the batched engines. One search's union is its own
+// reached set, so a one-source batch takes the search's TraversedEdges
+// and its level profile as they are.
 func sequentialBatch(e engine, sources []int64, opt Options) (*BatchResult, error) {
 	br := &BatchResult{Sources: append([]int64(nil), sources...)}
-	g := e.boundTo()
-	reached := make([]bool, g.NumVerts())
+	var reached []bool
+	if len(sources) > 1 {
+		reached = make([]bool, e.boundTo().NumVerts())
+	}
 	for _, src := range sources {
 		res, err := e.search(src, opt)
 		if err != nil {
@@ -423,12 +428,23 @@ func sequentialBatch(e engine, sources []int64, opt Options) (*BatchResult, erro
 		br.SentWords += res.SentWords
 		br.RecvWords += res.RecvWords
 		mergePhases(&br.CommByPhase, res.CommByPhase)
+		if reached == nil {
+			continue
+		}
 		for v, d := range res.Dist {
 			if d != Unreached {
 				reached[v] = true
 			}
 		}
 	}
+	if reached == nil {
+		res := br.Results[0]
+		br.UniqueTraversedEdges = res.TraversedEdges
+		br.LevelFrontier, br.LevelScanned = res.LevelFrontier, res.LevelScanned
+		br.LevelBottomUp, br.LevelCommWords = res.LevelBottomUp, res.LevelCommWords
+		return br, nil
+	}
+	g := e.boundTo()
 	var adj int64
 	for v, ok := range reached {
 		if ok {

@@ -147,13 +147,19 @@ func newServer(cfg Config, start bool) (*Server, error) {
 		// Warm every pool session with a one-source batch:
 		// configuration errors (unknown machine, unfactorable grid)
 		// surface here instead of on the first query, and each session
-		// pays its one graph distribution before traffic arrives. Get
-		// cycles the pool FIFO, so the loop visits every member exactly
-		// once.
+		// pays its one graph distribution before traffic arrives. A
+		// one-source batch runs the single search, so a two-source
+		// batch then grows the bit-parallel arenas too (skipped on
+		// graphs too small to offer two sources). Get cycles the pool
+		// FIFO, so the loop visits every member exactly once.
 		var err error
+		pair := gc.Graph.Sources(2, 0)
 		for i := 0; i < gc.Sessions && err == nil; i++ {
 			sess := w.pool.Get()
 			_, err = sess.BFSBatch(gc.Graph, []int64{0}, gc.Options)
+			if err == nil && len(pair) == 2 {
+				_, err = sess.BFSBatch(gc.Graph, pair, gc.Options)
+			}
 			w.pool.Put(sess)
 		}
 		if err != nil {

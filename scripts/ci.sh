@@ -74,8 +74,9 @@ echo "== race smoke (session reuse + collective substrate) =="
 # figures); the 2D driver's rectangular transpose and
 # partitioned-bitmap paths; and the single-search 1D, 2D and diagonal
 # drivers, whose ranks all write their owned ranges of one shared pair
-# of output arrays.
-go test -race -run 'Session|CrossShape|RectGrid|TraceGolden|Decision' .
+# of output arrays; and the narrow-batch crossover, which runs one- to
+# eight-source batches beside single searches on one warm session.
+go test -race -run 'Session|CrossShape|RectGrid|TraceGolden|Decision|NarrowBatch' .
 go test -race -short -run 'Conformance' .
 go test -race ./internal/levels ./internal/cluster ./internal/smp
 go test -race -run Rect ./internal/bfs2d
@@ -88,7 +89,8 @@ echo "== race smoke (kernels and bit-parallel multi-source paths) =="
 # strip-parallel products and pulls that fan out over worker pools; the
 # batched 1D/2D drivers (whose hybrid variants fan the mask planes out
 # over the worker pools), and the session-level batch serving surface
-# including the chunked >64-source path exercised by the facade tests.
+# including the chunked >64-source path exercised by the facade tests
+# and the one-source route to the single search (TestBFSBatchOneSource*).
 go test -race ./internal/spmat ./internal/spvec ./internal/bits
 go test -race -run 'RunBatch' ./internal/bfs1d ./internal/bfs2d
 go test -race -run 'BFSBatch' .
