@@ -75,28 +75,38 @@ type Arena struct {
 }
 
 // rankArena is one rank's scratch: the frontier double buffer,
-// per-owner send buffers, the dedup bitmap, the hybrid variant's worker
-// team and thread-local stacks, and the bottom-up phase's bitmaps (the
-// global frontier, the rank's all-gather contribution, and the
-// owned-range visited set).
+// per-owner send buffers, the dedup bitmap, the worker team and
+// thread-local stacks, and the bottom-up phase's bitmaps (the global
+// frontier, the rank's all-gather contribution, and the owned-range
+// visited set).
 type rankArena struct {
-	fsBuf   [2][]int64
-	send    [][]int64
-	dedup   *bits.Bitmap
-	pool    *smp.Pool
-	tstate  []threadScratch
-	front   *bits.Bitmap   // global frontier, N bits
-	chunk   *bits.Bitmap   // owned contribution to the next frontier, N bits
-	ownVis  *bits.Bitmap   // visited flags over owned vertices, nloc bits
-	pullOut spvec.Vec      // flat variant's bottom-up candidate vector
-	batch   batchRankArena // multi-source (RunBatch) planes and buffers
+	fsBuf  [2][]int64
+	send   [][]int64
+	dedup  *bits.Bitmap
+	pool   *smp.Pool
+	tstate []threadScratch
+	front  *bits.Bitmap   // global frontier, N bits
+	chunk  *bits.Bitmap   // owned contribution to the next frontier, N bits
+	ownVis *bits.Bitmap   // visited flags over owned vertices, nloc bits
+	batch  batchRankArena // multi-source (RunBatch) planes and buffers
 }
 
-// team returns the rank's persistent worker pool at width t, recycling
-// the previous team when the width matches.
-func (ar *rankArena) team(t int) *smp.Pool {
+// workers returns the rank's worker team and its t thread scratches
+// with send stacks for p owners. The team is nil at t = 1, where the
+// single chunk runs inline; a wider team is recycled while the width
+// matches.
+func (ar *rankArena) workers(t, p int) (*smp.Pool, []threadScratch) {
+	if len(ar.tstate) != t || len(ar.tstate[0].send) != p {
+		ar.tstate = make([]threadScratch, t)
+		for th := range ar.tstate {
+			ar.tstate[th].send = make([][]int64, p)
+		}
+	}
+	if t == 1 {
+		return nil, ar.tstate
+	}
 	ar.pool = smp.Team(ar.pool, t)
-	return ar.pool
+	return ar.pool, ar.tstate
 }
 
 // Close releases the worker teams held by the arena. The arena remains
@@ -114,11 +124,12 @@ func DefaultOptions() Options {
 }
 
 // threadScratch is one worker's thread-local buffers: per-owner send
-// stacks and local-discovery candidates for the push phase, the pull
-// kernel's candidate vector for the bottom-up phase, plus the volume
-// counters that feed the performance model. Workers fill their scratch
-// in parallel with no shared mutable state; the serial merge drains them
-// in thread order.
+// stacks and local-discovery candidates for the hybrid push phase, the
+// pull kernel's candidate vector for the bottom-up phase, plus the
+// volume counters that feed the performance model. Workers fill their
+// scratch in parallel with no shared mutable state; the serial merge
+// drains them in thread order. A flat run has one scratch and pulls its
+// one chunk inline.
 type threadScratch struct {
 	send      [][]int64     // per-owner (target, parent) pair stacks
 	local     []int64       // (local index, parent) candidate pairs
@@ -128,29 +139,55 @@ type threadScratch struct {
 	localHits int64
 }
 
-// Run executes a BFS from source over the distributed graph on the given
-// world. The world size must equal the partition's rank count.
-func Run(w *cluster.World, g *Graph, source int64, opt Options) *levels.Output {
+// chunkOf returns worker th's share [lo, hi) of n items cut into t
+// contiguous chunks. Every hybrid phase splits its work this way, so
+// merging the workers' buffers in worker order replays the flat order.
+func chunkOf(th, t int, n int64) (lo, hi int64) {
+	sz := (n + int64(t) - 1) / int64(t)
+	return min(int64(th)*sz, n), min(int64(th+1)*sz, n)
+}
+
+// pull scans worker th's chunk of the owned rows of in against the
+// frontier bitmap into the worker's candidate vector.
+func (ts *threadScratch) pull(in *spmat.PullCSR[int64], front, vis *bits.Bitmap, th, t int, n int64) {
+	lo, hi := chunkOf(th, t, n)
+	ts.adjWords = in.SubRows(lo, hi).Pull(&ts.pullOut, front, vis, lo, 0)
+}
+
+// prepare does the per-run set-up Run and RunBatch share: it checks the
+// world against the partition, clamps the thread width, builds the
+// in-adjacency unless the run is top-down only, and sizes the arena.
+// Without opt.Arena the run gets a private arena, whose worker teams
+// release closes.
+func prepare(w *cluster.World, g *Graph, opt Options) (t int, ins []*LocalGraph, arena *Arena, release func()) {
 	if w.P != g.Part.P {
 		panic("bfs1d: world size != partition size")
 	}
+	// The bottom-up phase pulls over the in-adjacency; built lazily, and
+	// identical in content to the push CSR for symmetrized inputs.
+	if opt.Direction != dirheur.ModeTopDown {
+		ins = g.Ins()
+	}
+	arena, release = opt.Arena, func() {}
+	if arena == nil {
+		arena = &Arena{}
+		release = arena.Close
+	}
+	arena.ranks = scratch.Ranks(arena.ranks, w.P)
+	return max(opt.Threads, 1), ins, arena, release
+}
+
+// Run executes a BFS from source over the distributed graph on the given
+// world. The world size must equal the partition's rank count.
+func Run(w *cluster.World, g *Graph, source int64, opt Options) *levels.Output {
+	t, ins, arena, release := prepare(w, g, opt)
+	defer release()
 	if source < 0 || source >= g.Part.N {
 		panic("bfs1d: source out of range")
-	}
-	t := opt.Threads
-	if t < 1 {
-		t = 1
 	}
 	pt := g.Part
 	p := pt.P
 	world := w.WorldGroup()
-
-	// The bottom-up phase pulls over the in-adjacency; built lazily, and
-	// identical in content to the push CSR for symmetrized inputs.
-	var ins []*LocalGraph
-	if opt.Direction != dirheur.ModeTopDown {
-		ins = g.Ins()
-	}
 
 	// Every rank writes its answers straight into its owned range of the
 	// output arrays, which are fresh per run so a returned result is never
@@ -159,13 +196,6 @@ func Run(w *cluster.World, g *Graph, source int64, opt Options) *levels.Output {
 	levelsPer := make([]int64, p)
 	edgesPer := make([]int64, p)
 	lp := levels.New(w, opt.Trace, opt.Force)
-
-	arena := opt.Arena
-	if arena == nil {
-		arena = &Arena{}
-		defer arena.Close()
-	}
-	arena.ranks = scratch.Ranks(arena.ranks, p)
 
 	w.Run(func(r *cluster.Rank) {
 		me := r.ID()
@@ -185,7 +215,7 @@ func Run(w *cluster.World, g *Graph, source int64, opt Options) *levels.Output {
 		r.ChargeMem(price, 0, 0, 2*nloc, 0)
 
 		// Per-rank scratch arena: send buffers, the frontier double
-		// buffer, the dedup bitmap, and the thread team all persist
+		// buffer, the dedup bitmap, and the worker team all persist
 		// across levels, so steady-state levels allocate nothing. The
 		// frontier buffers never leave the rank; send buffers are handed
 		// to the all-to-all by reference, but receivers finish reading
@@ -211,18 +241,7 @@ func Run(w *cluster.World, g *Graph, source int64, opt Options) *levels.Output {
 			}
 			dedup = ar.dedup
 		}
-		var pool *smp.Pool
-		var tstate []threadScratch
-		if t > 1 {
-			pool = ar.team(t)
-			if len(ar.tstate) != t || len(ar.tstate[0].send) != p {
-				ar.tstate = make([]threadScratch, t)
-				for th := range ar.tstate {
-					ar.tstate[th].send = make([][]int64, p)
-				}
-			}
-			tstate = ar.tstate
-		}
+		pool, tstate := ar.workers(t, p)
 
 		mode := opt.Direction
 		dirm := dirheur.New(mode, opt.Policy, pt.N, g.TotalAdj)
@@ -274,70 +293,42 @@ func Run(w *cluster.World, g *Graph, source int64, opt Options) *levels.Output {
 				// ---- Bottom-up pull level ----
 				// Each unvisited owned vertex scans its in-adjacency
 				// against the global frontier bitmap and adopts the first
-				// frontier parent (early exit). The hybrid variant pulls
-				// one aligned chunk of the owned range per worker into
-				// thread-local candidate vectors; the serial apply then
-				// commits them in chunk order, so outputs are identical
-				// to the flat scan. Only the owned word range of the
-				// contribution bitmap is ever set, so only it needs
-				// clearing.
+				// frontier parent (early exit). Each worker pulls one
+				// aligned chunk of the owned range into its candidate
+				// vector (a flat run pulls its one chunk inline); the
+				// serial commit then applies the vectors in chunk order,
+				// so outputs are identical for every thread count. Only
+				// the owned word range of the contribution bitmap is ever
+				// set, so only it needs clearing.
 				bits.ClearWords(chunk.Words()[ownWLo:ownWHi])
-				var scanned, newCount int64
-				var chunkSz int64
 				if t > 1 {
-					chunkSz = (nloc + int64(t) - 1) / int64(t)
-					pool.Do(t, func(th int) {
-						ts := &tstate[th]
-						lo := int64(th) * chunkSz
-						hi := lo + chunkSz
-						if lo > nloc {
-							lo = nloc
-						}
-						if hi > nloc {
-							hi = nloc
-						}
-						ts.adjWords = inPull.SubRows(lo, hi).Pull(&ts.pullOut, front, ownVis, lo, 0)
-					})
-					for th := range tstate {
-						scanned += tstate[th].adjWords
-					}
+					pool.Do(t, func(th int) { tstate[th].pull(inPull, front, ownVis, th, t, nloc) })
 				} else {
-					scanned = inPull.Pull(&ar.pullOut, front, ownVis, 0, 0)
+					tstate[0].pull(inPull, front, ownVis, 0, 1, nloc)
 				}
-				// commit applies one candidate vector: distances, parents,
-				// visited flags, and the new frontier's bits in the
-				// contribution bitmap. The hybrid variant's vectors are
-				// applied in thread-chunk order, so every application is
-				// identical to the flat scan's.
-				commit := func(lo int64, cand *spvec.Vec) {
-					for k, rl := range cand.Ind {
+				// The commit sets distances, parents, visited flags, and
+				// the new frontier's bits in the contribution bitmap.
+				var newCount int64
+				for th := range tstate {
+					ts := &tstate[th]
+					levScan += ts.adjWords
+					lo, _ := chunkOf(th, t, nloc)
+					for k, rl := range ts.pullOut.Ind {
 						vl := lo + rl
 						dist[vl] = level
-						parent[vl] = cand.Val[k]
+						parent[vl] = ts.pullOut.Val[k]
 						ownVis.Set(vl)
 						mfLocal += lg.XAdj[vl+1] - lg.XAdj[vl]
 						newCount++
 						chunk.Set(start + vl)
 					}
 				}
-				if t > 1 {
-					for th := range tstate {
-						lo := int64(th) * chunkSz
-						if lo > nloc {
-							lo = nloc
-						}
-						commit(lo, &tstate[th].pullOut)
-					}
-				} else {
-					commit(0, &ar.pullOut)
-				}
-				levScan = scanned
 				// Charge the pull: one random frontier-bitmap probe per
 				// scanned entry, the adjacency and visited-flag streams,
 				// plus the hybrid variant's serial apply and barriers.
 				if price != nil {
 					levels.ChargeHybrid(r, price, t,
-						price.MemCost(scanned, bitmapWords, scanned+nloc, scanned), 2*newCount, 3)
+						price.MemCost(levScan, bitmapWords, levScan+nloc, levScan), 2*newCount, 3)
 				}
 
 				// ---- Dense frontier exchange (bitmap allgather) ----
@@ -363,7 +354,6 @@ func Run(w *cluster.World, g *Graph, source int64, opt Options) *levels.Output {
 					// scans a contiguous chunk of the frontier into its
 					// thread-local stacks, reading but never writing the
 					// distance array.
-					chunkSz := (len(fs) + t - 1) / t
 					curFS := fs
 					pool.Do(t, func(th int) {
 						ts := &tstate[th]
@@ -372,14 +362,7 @@ func Run(w *cluster.World, g *Graph, source int64, opt Options) *levels.Output {
 						}
 						ts.local = ts.local[:0]
 						ts.adjWords, ts.localHits = 0, 0
-						lo := th * chunkSz
-						hi := lo + chunkSz
-						if lo > len(curFS) {
-							lo = len(curFS)
-						}
-						if hi > len(curFS) {
-							hi = len(curFS)
-						}
+						lo, hi := chunkOf(th, t, int64(len(curFS)))
 						for _, ul := range curFS[lo:hi] {
 							ug := start + ul
 							for _, v := range lg.Neighbors(ul) {

@@ -7,8 +7,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/dirheur"
 	"repro/internal/levels"
-	"repro/internal/scratch"
-	"repro/internal/smp"
 	"repro/internal/spmat"
 	"repro/internal/spvec"
 )
@@ -30,7 +28,13 @@ type batchRankArena struct {
 	frontG  []uint64    // global frontier plane, N words
 	send    [][]int64   // per-owner (vertex, mask, parent) triples
 	merged  spvec.MaskVec
-	pullOut spvec.MaskVec
+}
+
+// pullMasks is pull over a batch's mask planes: it scans worker th's
+// chunk of the owned rows for the active searches.
+func (ts *threadScratch) pullMasks(in *spmat.PullCSR[int64], front, vis []uint64, active uint64, th, t int, n int64) {
+	lo, hi := chunkOf(th, t, n)
+	ts.adjWords = in.SubRows(lo, hi).PullMasks(&ts.pullMask, front, vis, active, lo, 0)
 }
 
 // RunBatch executes one batched BFS over up to levels.BatchWidth sources
@@ -45,9 +49,8 @@ type batchRankArena struct {
 // Direction optimization follows opt.Direction with aggregate statistics
 // (dirheur.NewBatch): the whole batch switches together.
 func RunBatch(w *cluster.World, g *Graph, sources []int64, opt Options) *levels.BatchOutput {
-	if w.P != g.Part.P {
-		panic("bfs1d: world size != partition size")
-	}
+	t, ins, arena, release := prepare(w, g, opt)
+	defer release()
 	width := len(sources)
 	if width < 1 || width > levels.BatchWidth {
 		panic("bfs1d: batch width out of range")
@@ -57,32 +60,16 @@ func RunBatch(w *cluster.World, g *Graph, sources []int64, opt Options) *levels.
 			panic("bfs1d: source out of range")
 		}
 	}
-	t := opt.Threads
-	if t < 1 {
-		t = 1
-	}
 	pt := g.Part
 	p := pt.P
 	world := w.WorldGroup()
 	wd := int64(width)
-
-	var ins []*LocalGraph
-	if opt.Direction != dirheur.ModeTopDown {
-		ins = g.Ins()
-	}
 
 	// Rank bodies commit straight into the per-search output planes
 	// (disjoint [start, start+nloc) ranges).
 	bt := levels.NewBatch(sources, pt.N, p)
 	distPlanes, parentPlanes := bt.Out.Dist, bt.Out.Parent
 	lp := levels.New(w, opt.Trace, nil)
-
-	arena := opt.Arena
-	if arena == nil {
-		arena = &Arena{}
-		defer arena.Close()
-	}
-	arena.ranks = scratch.Ranks(arena.ranks, p)
 
 	w.Run(func(r *cluster.Rank) {
 		me := r.ID()
@@ -130,18 +117,7 @@ func RunBatch(w *cluster.World, g *Graph, sources []int64, opt Options) *levels.
 			ba.send = make([][]int64, p)
 		}
 		send := ba.send
-		var pool *smp.Pool
-		var tstate []threadScratch
-		if t > 1 {
-			pool = ar.team(t)
-			if len(ar.tstate) != t || len(ar.tstate[0].send) != p {
-				ar.tstate = make([]threadScratch, t)
-				for th := range ar.tstate {
-					ar.tstate[th].send = make([][]int64, p)
-				}
-			}
-			tstate = ar.tstate
-		}
+		pool, tstate := ar.workers(t, p)
 
 		dirm := dirheur.NewBatch(opt.Direction, opt.Policy, pt.N, g.TotalAdj, width)
 		var inPull *spmat.PullCSR[int64]
@@ -193,59 +169,33 @@ func RunBatch(w *cluster.World, g *Graph, sources []int64, opt Options) *levels.
 					fMask[:nloc], start, pt.N, "bitmap"))
 				r.ChargeMem(price, 0, 0, nloc+2*pt.N, 0)
 
-				var scanned int64
+				// Each worker pulls one chunk (a flat run its one chunk
+				// inline) and the commit runs in chunk order:
+				// deterministic outputs regardless of worker scheduling.
+				// PullMasks emits only unvisited bits, but the visited
+				// plane must be updated here (the kernel reads it
+				// read-only per chunk).
 				if t > 1 {
-					chunkSz := (nloc + int64(t) - 1) / int64(t)
-					pool.Do(t, func(th int) {
-						ts := &tstate[th]
-						lo := int64(th) * chunkSz
-						hi := lo + chunkSz
-						if lo > nloc {
-							lo = nloc
-						}
-						if hi > nloc {
-							hi = nloc
-						}
-						ts.adjWords = inPull.SubRows(lo, hi).PullMasks(
-							&ts.pullMask, frontG, visMask, active, lo, 0)
-					})
-					for th := range tstate {
-						scanned += tstate[th].adjWords
-					}
+					pool.Do(t, func(th int) { tstate[th].pullMasks(inPull, frontG, visMask, active, th, t, nloc) })
 				} else {
-					scanned = inPull.PullMasks(&ba.pullOut, frontG, visMask, active, 0, 0)
+					tstate[0].pullMasks(inPull, frontG, visMask, active, 0, 1, nloc)
 				}
-				// Commit in thread-chunk order: deterministic outputs
-				// regardless of worker scheduling. PullMasks emits only
-				// unvisited bits, but the visited plane must be updated
-				// here (the kernel reads it read-only per chunk).
-				commitPull := func(lo int64, cand *spvec.MaskVec) {
-					for k, rl := range cand.Ind {
-						vl := lo + rl
-						visMask[vl] |= cand.Mask[k]
-						commitEntry(vl, cand.Mask[k], cand.Par[k])
+				for th := range tstate {
+					ts := &tstate[th]
+					levScan += ts.adjWords
+					lo, _ := chunkOf(th, t, nloc)
+					for k, rl := range ts.pullMask.Ind {
+						visMask[lo+rl] |= ts.pullMask.Mask[k]
+						commitEntry(lo+rl, ts.pullMask.Mask[k], ts.pullMask.Par[k])
 					}
 				}
-				if t > 1 {
-					chunkSz := (nloc + int64(t) - 1) / int64(t)
-					for th := range tstate {
-						lo := int64(th) * chunkSz
-						if lo > nloc {
-							lo = nloc
-						}
-						commitPull(lo, &tstate[th].pullMask)
-					}
-				} else {
-					commitPull(0, &ba.pullOut)
-				}
-				levScan = scanned
 				// Charge the pull: one random frontier-plane probe per
 				// scanned entry against the N-word plane, the adjacency
 				// and visited-mask streams, plus the hybrid serial
 				// commit and barriers.
 				if price != nil {
 					levels.ChargeHybrid(r, price, t,
-						price.MemCost(scanned, pt.N, scanned+nloc, scanned), 2*newCountLocal, 3)
+						price.MemCost(levScan, pt.N, levScan+nloc, levScan), 2*newCountLocal, 3)
 				}
 			} else {
 				// ---- Batched top-down level ----
@@ -257,7 +207,6 @@ func RunBatch(w *cluster.World, g *Graph, sources []int64, opt Options) *levels.
 					// Hybrid expansion: thread-local triple stacks,
 					// merged serially in thread order so claims see
 					// discoveries in the flat algorithm's frontier order.
-					chunkSz := (len(fs) + t - 1) / t
 					curFS := fs
 					pool.Do(t, func(th int) {
 						ts := &tstate[th]
@@ -266,14 +215,7 @@ func RunBatch(w *cluster.World, g *Graph, sources []int64, opt Options) *levels.
 						}
 						ts.local = ts.local[:0]
 						ts.adjWords, ts.localHits = 0, 0
-						lo := th * chunkSz
-						hi := lo + chunkSz
-						if lo > len(curFS) {
-							lo = len(curFS)
-						}
-						if hi > len(curFS) {
-							hi = len(curFS)
-						}
+						lo, hi := chunkOf(th, t, int64(len(curFS)))
 						for _, ul := range curFS[lo:hi] {
 							ug := start + ul
 							m := fMask[ul]

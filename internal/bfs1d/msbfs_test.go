@@ -1,6 +1,7 @@
 package bfs1d
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/cluster"
@@ -203,9 +204,12 @@ func TestRunBatchAmortizesSimTime(t *testing.T) {
 	}
 }
 
-// TestRunBatchArenaReuse runs the batch twice through one arena and
-// checks the second run produces identical outputs — the recycled mask
-// planes and triple buffers must carry no state across runs.
+// TestRunBatchArenaReuse runs batches of 17 and 3 sources and single
+// searches through one arena while Threads goes 1 -> 3 -> 1, and checks
+// every distance against the serial oracle and the last batch against
+// the first: the recycled mask planes, triple buffers and thread
+// scratch (which flat runs share with hybrid ones) must carry no state
+// across runs, widths or thread counts.
 func TestRunBatchArenaReuse(t *testing.T) {
 	ref, el := batchTestGraph(t, 8)
 	dg, err := Distribute(el, 5)
@@ -214,18 +218,34 @@ func TestRunBatchArenaReuse(t *testing.T) {
 	}
 	arena := &Arena{}
 	defer arena.Close()
+	check := func(what string, s int64, dist []int64) {
+		t.Helper()
+		for v, d := range serial.BFS(ref, s).Dist {
+			if dist[v] != d {
+				t.Fatalf("%s: source %d dist[%d] = %d, serial got %d", what, s, v, dist[v], d)
+			}
+		}
+	}
 	opt := DefaultOptions()
 	opt.Direction = dirheur.ModeAuto
 	opt.Arena = arena
 	srcs := pickBatchSources(ref, 17)
-	w1 := cluster.NewWorld(5, cluster.ZeroCost{})
-	first := RunBatch(w1, dg, srcs, opt)
-	// Different width in between forces the planes to resize down and up.
-	w2 := cluster.NewWorld(5, cluster.ZeroCost{})
-	RunBatch(w2, dg, srcs[:3], opt)
-	w3 := cluster.NewWorld(5, cluster.ZeroCost{})
-	again := RunBatch(w3, dg, srcs, opt)
+	first := RunBatch(cluster.NewWorld(5, cluster.ZeroCost{}), dg, srcs, opt)
+	for _, threads := range []int{3, 1} {
+		o := opt
+		o.Threads = threads
+		// A different width in between forces the planes to resize down
+		// and up; the thread width resizes the worker scratch.
+		mid := RunBatch(cluster.NewWorld(5, cluster.ZeroCost{}), dg, srcs[:3], o)
+		for k, s := range srcs[:3] {
+			check(fmt.Sprintf("threads=%d batch of 3", threads), s, mid.Dist[k])
+		}
+		one := Run(cluster.NewWorld(5, cluster.ZeroCost{}), dg, srcs[threads], o)
+		check(fmt.Sprintf("threads=%d search", threads), srcs[threads], one.Dist)
+	}
+	again := RunBatch(cluster.NewWorld(5, cluster.ZeroCost{}), dg, srcs, opt)
 	for s := range srcs {
+		check("batch of 17", srcs[s], again.Dist[s])
 		for v := int64(0); v < ref.NumVerts; v++ {
 			if first.Dist[s][v] != again.Dist[s][v] || first.Parent[s][v] != again.Parent[s][v] {
 				t.Fatalf("arena reuse diverged at search %d vertex %d", s, v)

@@ -2,15 +2,12 @@ package bfs2d
 
 import (
 	"fmt"
-	mbits "math/bits"
-	"slices"
 
 	"repro/internal/bits"
 	"repro/internal/cluster"
 	"repro/internal/decis"
 	"repro/internal/dirheur"
 	"repro/internal/levels"
-	"repro/internal/scratch"
 	"repro/internal/serial"
 	"repro/internal/smp"
 	"repro/internal/spmat"
@@ -79,15 +76,16 @@ type Arena struct {
 	ranks []rankArena
 }
 
-// rankArena is one rank's scratch: the frontier double buffer, fold send
-// buffers, the rectangular transpose remap buffers, kernel scratches, the
-// strip worker team, and the vectors of the level loop.
+// rankArena is one rank's scratch: its frame, the frontier double
+// buffer, the rectangular transpose's routing buffers, the flat record
+// buffer, kernel scratches, the strip worker team, and the vectors of the
+// level loop.
 type rankArena struct {
+	frame                 frame
 	frontBuf              [2][]int64
-	send                  [][]int64
 	sendT                 [][]int64 // rectangular transpose: per-world-rank routing buffers
-	moved                 []int64   // rectangular transpose: collected sub-piece entries
-	pairs                 []int64
+	moved                 records   // rectangular transpose: collected records
+	pairs                 []int64   // batch transpose and diagonal fold records
 	localF, spOut, merged spvec.Vec
 	rowScratch            spmat.RowScratch
 	mergeScratch          spvec.MergeScratch
@@ -102,13 +100,6 @@ type rankArena struct {
 	pullScratch                 spmat.PullScratch
 	// Multi-source (RunBatch) planes and buffers.
 	batch batchRankArena
-}
-
-// team returns the rank's persistent worker pool at width t, recycling
-// the previous team when the width matches.
-func (ar *rankArena) team(t int) *smp.Pool {
-	ar.pool = smp.Team(ar.pool, t)
-	return ar.pool
 }
 
 // Close releases the worker teams held by the arena. The arena remains
@@ -160,57 +151,26 @@ func Run(w *cluster.World, grid *cluster.Grid, g *Graph, source int64, opt Optio
 
 // run2DVector is Algorithm 3 with the 2D vector distribution.
 func run2DVector(w *cluster.World, grid *cluster.Grid, g *Graph, source int64, opt Options) *levels.Output {
-	pt := g.Part
-	t := opt.Threads
-	if t < 1 {
-		t = 1
-	}
-	p := w.P
+	run, release := prepare(w, grid, g, opt)
+	defer release()
+	pt, t, price := g.Part, run.t, opt.Price
 	// Every rank writes its answers straight into its owned range of the
 	// output arrays, which are fresh per run so a returned result is never
 	// overwritten by a later search.
 	out := &levels.Output{Source: source, Dist: make([]int64, pt.N), Parent: make([]int64, pt.N)}
-	levelsPer := make([]int64, p)
+	levelsPer := make([]int64, w.P)
 	lp := levels.New(w, opt.Trace, opt.Force)
 
-	// The bottom-up phase pulls over the blocks' row-major views and
-	// measures unexplored work against the total stored nonzeros.
-	var pulls [][]*spmat.PullSplit
-	var totalAdj int64
-	if opt.Direction != dirheur.ModeTopDown {
-		pulls = g.Pulls()
-		totalAdj = g.NNZ()
-	}
-
-	arena := opt.Arena
-	if arena == nil {
-		arena = &Arena{}
-		defer arena.Close()
-	}
-	arena.ranks = scratch.Ranks(arena.ranks, p)
-
 	w.Run(func(r *cluster.Rank) {
-		me := r.ID()
-		i, j := grid.RowOf(me), grid.ColOf(me)
-		price := opt.Price
-		block := g.Blocks[i][j]
-		rowG := grid.RowGroup(r)
-		colG := grid.ColGroup(r)
-		ar := &arena.ranks[me]
-
-		vLo, vHi := pt.OwnedRange(i, j)
-		nOwn := vHi - vLo
-		dist := out.Dist[vLo:vHi]
-		parent := out.Parent[vLo:vHi]
+		ar, f := run.enter(r)
+		vLo, nOwn, rowLo, colLo := f.own.lo, f.own.len(), f.row.lo, f.col.lo
+		dist := out.Dist[vLo:f.own.hi]
+		parent := out.Parent[vLo:f.own.hi]
 		for k := range dist {
 			dist[k] = serial.Unreached
 			parent[k] = serial.Unreached
 		}
 		r.ChargeMem(price, 0, 0, 2*nOwn, 0)
-
-		colLo := pt.ColStart(j)
-		rowLo := pt.RowStart(i)
-		rowHi := pt.RowStart(i + 1)
 
 		// Per-rank scratch arena: every buffer below is written once per
 		// level and reused, so steady-state levels allocate nothing.
@@ -222,41 +182,20 @@ func run2DVector(w *cluster.World, grid *cluster.Grid, g *Graph, source int64, o
 		// builds a new frontier (two allreduces later for a given buffer),
 		// no reader can still hold it.
 		frontier := ar.frontBuf[0][:0]
-		if si, sj := pt.VecOwner(source); si == i && sj == j {
+		if si, sj := pt.VecOwner(source); si == f.i && sj == f.j {
 			dist[source-vLo] = 0
 			parent[source-vLo] = source
 			frontier = append(frontier, source)
 			ar.frontBuf[0] = frontier
 		}
 		curBuf := 0
-
-		// The hybrid variant runs one persistent worker per strip
-		// (Algorithm 2's thread team); the flat variant runs strips inline.
-		var pool *smp.Pool
-		if t > 1 {
-			pool = ar.team(t)
-		}
 		spMSVOpts := spmat.SpMSVOpts{Kernel: opt.Kernel}
 		localF, spOut, merged := &ar.localF, &ar.spOut, &ar.merged
-		if len(ar.send) != grid.Pc {
-			ar.send = make([][]int64, grid.Pc)
-		}
-		send := ar.send
 
-		// Rectangular grids route the transpose through per-world-rank
-		// buffers (see the top-down branch below).
-		square := grid.Square()
-		if !square && len(ar.sendT) != p {
-			ar.sendT = make([][]int64, p)
-		}
-		sendT := ar.sendT
-
-		dirm := dirheur.New(opt.Direction, opt.Policy, pt.N, totalAdj)
+		dirm := dirheur.New(opt.Direction, opt.Policy, pt.N, run.totalAdj)
 		// The partitioned bitmap exchange runs over word ranges padded
 		// to word boundaries.
-		xc := exchange{rowG: rowG, colG: colG, price: price,
-			own: span{vLo, vHi}.words(), row: span{rowLo, rowHi}.words(),
-			col: span{colLo, pt.ColStart(j + 1)}.words()}
+		xc := exchange{f.rowG, f.colG, price, f.own.words(), f.row.words(), f.col.words()}
 		var front, rowFront, chunkBM, vis *bits.Bitmap
 		exchangeFrontier := func() {
 			xc.frontier(r, chunkBM.Words(), rowFront.Words(), front.Words())
@@ -303,47 +242,11 @@ func run2DVector(w *cluster.World, grid *cluster.Grid, g *Graph, source int64, o
 				// scans its block's unvisited rows and emits at most one
 				// parent candidate per row (early exit at the first
 				// frontier in-edge).
-				levScan = pulls[i][j].Pull(spOut, front, vis, rowLo, colLo, pool, &ar.pullScratch)
-				chargePull(r, price, t, levScan, rowHi-rowLo, xc.col.len(), int64(spOut.NNZ()))
+				levScan = run.pulls[f.i][f.j].Pull(spOut, front, vis, rowLo, colLo, f.pool, &ar.pullScratch)
+				chargePull(r, price, t, levScan, f.row.len(), xc.col.len(), int64(spOut.NNZ()))
 			} else {
-				// ---- TransposeVector (Algorithm 3 line 5) ----
-				var transposed []int64
-				if square {
-					// My piece (block i, piece j) moves to P(j,i), so
-					// process column i collectively receives vector
-					// block i through the pairwise involution exchange.
-					transposed = grid.All.SendRecvAll(r, grid.TransposePeer, frontier, "transpose")
-				} else {
-					// Rectangular remap: P(i,j) -> P(j,i) is no longer an
-					// involution, so each frontier vertex routes to the
-					// grid process collecting its sub-piece of its column
-					// block (Part2D.TransposeOwner); sorting the
-					// collected entries restores the ascending order the
-					// expand's merge-join kernel relies on. Buffers are
-					// reused per level with the fold's read-before-next-
-					// collective discipline.
-					for k := range sendT {
-						sendT[k] = sendT[k][:0]
-					}
-					for _, gv := range frontier {
-						ti, tj := pt.TransposeOwner(gv)
-						sendT[ti*grid.Pc+tj] = append(sendT[ti*grid.Pc+tj], gv)
-					}
-					parts := grid.All.Alltoallv(r, sendT, "transpose")
-					moved := ar.moved[:0]
-					for _, part := range parts {
-						moved = append(moved, part...)
-					}
-					slices.Sort(moved)
-					ar.moved = moved
-					transposed = moved
-					mv := int64(len(moved))
-					r.ChargeMem(price, 0, 0, int64(len(frontier))+2*mv,
-						int64(len(frontier))+mv*int64(mbits.Len64(uint64(mv))))
-				}
-
-				// ---- Expand: Allgatherv along the process column (line 6) ----
-				parts := colG.Allgatherv(r, transposed, "expand")
+				// ---- TransposeVector (line 5), expand along the process column (line 6) ----
+				parts := f.colG.Allgatherv(r, run.transpose(r, ar, frontier, 1), "expand")
 				localF.Reset()
 				var gathered int64
 				for _, part := range parts {
@@ -357,9 +260,9 @@ func run2DVector(w *cluster.World, grid *cluster.Grid, g *Graph, source int64, o
 				r.ChargeMem(price, 0, 0, 2*gathered, gathered)
 
 				// ---- Local SpMSV (line 7) ----
-				levScan = block.Work(localF)
-				block.SpMSV(spOut, localF, spMSVOpts, pool, &ar.rowScratch)
-				chargeSpMSV(r, price, t, levScan, rowHi-rowLo, int64(spOut.NNZ()))
+				levScan = f.block.Work(localF)
+				f.block.SpMSV(spOut, localF, spMSVOpts, f.pool, &ar.rowScratch)
+				chargeSpMSV(r, price, t, levScan, f.row.len(), int64(spOut.NNZ()))
 			}
 
 			// ---- Fold: Alltoallv along the process row (line 8) ----
@@ -367,13 +270,14 @@ func run2DVector(w *cluster.World, grid *cluster.Grid, g *Graph, source int64, o
 			// them before their allreduce (or bitmap exchange), which
 			// precedes the next fold. Both directions produce candidates
 			// over block rows in spOut, so the fold is shared.
+			send := f.send
 			for k := range send {
 				send[k] = send[k][:0]
 			}
 			cursor := 0
-			for k := 0; k < grid.Pc; k++ {
-				pieceLo := pt.VecStart(i, k) - rowLo
-				pieceHi := pt.VecStart(i, k+1) - rowLo
+			for k := range send {
+				pieceLo := pt.VecStart(f.i, k) - rowLo
+				pieceHi := pt.VecStart(f.i, k+1) - rowLo
 				for cursor < spOut.NNZ() && spOut.Ind[cursor] < pieceHi {
 					if spOut.Ind[cursor] >= pieceLo {
 						send[k] = append(send[k], spOut.Ind[cursor]+rowLo, spOut.Val[cursor])
@@ -381,7 +285,7 @@ func run2DVector(w *cluster.World, grid *cluster.Grid, g *Graph, source int64, o
 					cursor++
 				}
 			}
-			recv := rowG.Alltoallv(r, send, "fold")
+			recv := f.rowG.Alltoallv(r, send, "fold")
 
 			// Merge the pc received pieces (select,max) over my range:
 			// every piece arrives sorted, so a k-way merge does it in
@@ -455,7 +359,7 @@ func run2DVector(w *cluster.World, grid *cluster.Grid, g *Graph, source int64, o
 		}
 
 		// Report discovering levels only (the last iteration found none).
-		levelsPer[me] = level - 1
+		levelsPer[r.ID()] = level - 1
 	})
 
 	out.Levels = levelsPer[0]

@@ -6,9 +6,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/dirheur"
 	"repro/internal/levels"
-	"repro/internal/scratch"
 	"repro/internal/serial"
-	"repro/internal/smp"
 	"repro/internal/spmat"
 	"repro/internal/spvec"
 )
@@ -21,58 +19,38 @@ import (
 // alone merges the pc partial vectors while the rest of its row idles.
 // That serial merge is the load imbalance the figure visualizes.
 func runDiagVector(w *cluster.World, grid *cluster.Grid, g *Graph, source int64, opt Options) *levels.Output {
-	pt := g.Part
-	t := opt.Threads
-	if t < 1 {
-		t = 1
-	}
-	p := w.P
+	run, release := prepare(w, grid, g, opt)
+	defer release()
+	pt, t, price := g.Part, run.t, opt.Price
 	// Each diagonal rank writes its row block of the fresh per-run output
 	// arrays in place.
 	out := &levels.Output{Source: source, Dist: make([]int64, pt.N), Parent: make([]int64, pt.N)}
-	levelsPer := make([]int64, p)
+	levelsPer := make([]int64, w.P)
 	lp := levels.New(w, false, nil) // the Figure 4 layout traces nothing
 
-	arena := opt.Arena
-	if arena == nil {
-		arena = &Arena{}
-		defer arena.Close()
-	}
-	arena.ranks = scratch.Ranks(arena.ranks, p)
-
 	w.Run(func(r *cluster.Rank) {
-		me := r.ID()
-		i, j := grid.RowOf(me), grid.ColOf(me)
-		price := opt.Price
-		block := g.Blocks[i][j]
-		rowG := grid.RowGroup(r)
-		colG := grid.ColGroup(r)
+		ar, f := run.enter(r)
 		world := w.WorldGroup()
-		onDiag := i == j
-		ar := &arena.ranks[me]
-
-		rowLo := pt.RowStart(i)
-		rowHi := pt.RowStart(i + 1)
-		colLo := pt.ColStart(j)
+		onDiag := f.i == f.j
+		rowLo, rowHi := f.row.lo, f.row.hi
 
 		// Diagonal ranks own the whole vector block; others own nothing.
 		var dist, parent []int64
 		if onDiag {
-			nOwn := rowHi - rowLo
 			dist = out.Dist[rowLo:rowHi]
 			parent = out.Parent[rowLo:rowHi]
 			for k := range dist {
 				dist[k] = serial.Unreached
 				parent[k] = serial.Unreached
 			}
-			r.ChargeMem(price, 0, 0, 2*nOwn, 0)
+			r.ChargeMem(price, 0, 0, 2*f.row.len(), 0)
 		}
 
 		// Frontier double buffer (diagonal ranks only), with the same
 		// safety argument as the 2D-vector path: a level's readers finish
 		// with a buffer before that level's allreduce.
 		frontier := ar.frontBuf[0][:0] // global ids; non-empty only on the diagonal
-		if onDiag && pt.RowBlockOf(source) == i {
+		if onDiag && pt.RowBlockOf(source) == f.i {
 			dist[source-rowLo] = 0
 			parent[source-rowLo] = source
 			frontier = append(frontier, source)
@@ -80,10 +58,6 @@ func runDiagVector(w *cluster.World, grid *cluster.Grid, g *Graph, source int64,
 		}
 		curBuf := 0
 
-		var pool *smp.Pool
-		if t > 1 {
-			pool = ar.team(t)
-		}
 		spMSVOpts := spmat.SpMSVOpts{Kernel: opt.Kernel}
 		localF, spOut, merged := &ar.localF, &ar.spOut, &ar.merged
 		pairs := ar.pairs
@@ -94,16 +68,16 @@ func runDiagVector(w *cluster.World, grid *cluster.Grid, g *Graph, source int64,
 			if onDiag {
 				payload = frontier
 			}
-			gathered := colG.Bcast(r, j, payload, "expand")
+			gathered := f.colG.Bcast(r, f.j, payload, "expand")
 			localF.Reset()
 			for _, gv := range gathered {
-				localF.Append(gv-colLo, gv)
+				localF.Append(gv-f.col.lo, gv)
 			}
 			r.ChargeMem(price, 0, 0, 2*int64(len(gathered)), int64(len(gathered)))
 
 			// ---- Local SpMSV ----
-			work := block.Work(localF)
-			block.SpMSV(spOut, localF, spMSVOpts, pool, &ar.rowScratch)
+			work := f.block.Work(localF)
+			f.block.SpMSV(spOut, localF, spMSVOpts, f.pool, &ar.rowScratch)
 			if price != nil {
 				stripWS := (rowHi - rowLo) / int64(t)
 				r.Charge(price.MemCost(work, stripWS, work+int64(spOut.NNZ()), work) / float64(t))
@@ -117,7 +91,7 @@ func runDiagVector(w *cluster.World, grid *cluster.Grid, g *Graph, source int64,
 				pairs = append(pairs, vl+rowLo, spOut.Val[k])
 			}
 			ar.pairs = pairs
-			parts := rowG.Gatherv(r, i, pairs, "fold")
+			parts := f.rowG.Gatherv(r, f.i, pairs, "fold")
 
 			// The old frontier slice has been handed to the column; the
 			// replacement goes into the other buffer of the double pair.
@@ -156,7 +130,7 @@ func runDiagVector(w *cluster.World, grid *cluster.Grid, g *Graph, source int64,
 		}
 
 		// Report discovering levels only (the last iteration found none).
-		levelsPer[me] = level - 1
+		levelsPer[r.ID()] = level - 1
 	})
 
 	out.Levels = levelsPer[0]

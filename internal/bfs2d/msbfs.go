@@ -1,7 +1,6 @@
 package bfs2d
 
 import (
-	"cmp"
 	"fmt"
 	mbits "math/bits"
 	"slices"
@@ -10,8 +9,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/dirheur"
 	"repro/internal/levels"
-	"repro/internal/scratch"
-	"repro/internal/smp"
 	"repro/internal/spmat"
 	"repro/internal/spvec"
 )
@@ -21,23 +18,19 @@ import (
 // the new-discovery mask plane over the owned range, the three N-word
 // mask planes of the partitioned bottom-up exchange (word index =
 // vertex index, so deposits are exact and the OR merge never sees
-// overlap), and the pair/triple buffers of the transpose, expand, and
-// fold. Distances and parents are not arena state: the fold's
-// first-visit commits write the per-search output planes directly
-// (write-only during traversal — the visited plane carries all state),
-// so the batch never stages a vertex-major copy it would have to
-// transpose.
+// overlap), and the mask vectors of the expand, product and fold; the
+// transpose and fold send buffers are the rank's, shared with Run.
+// Distances and parents are not arena state: the fold's first-visit
+// commits write the per-search output planes directly (write-only
+// during traversal — the visited plane carries all state), so the batch
+// never stages a vertex-major copy it would have to transpose.
 type batchRankArena struct {
 	frontBuf [2]spvec.MaskVec
 	ns       []int64  // newly discovered owned local indices
 	newOwn   []uint64 // per-level discovery masks over owned range
 	vis      []uint64 // N words; owned slice always maintained,
 	// row-block slice maintained while bottom-up
-	front, rowFront, chunk []uint64   // N-word planes of the bitmap exchange
-	send                   [][]int64  // fold: per-piece (vertex, mask, parent)
-	sendT                  [][]int64  // rectangular transpose pair routing
-	pairs                  []int64    // transpose flat (vertex, mask) pair buffer
-	moved                  [][2]int64 // rectangular transpose: collected pairs to sort
+	front, rowFront, chunk []uint64 // N-word planes of the bitmap exchange
 	localF, spOut, merged  spvec.MaskVec
 	maskRowScratch         spmat.MaskRowScratch
 	maskPullScratch        spmat.MaskPullScratch
@@ -74,48 +67,24 @@ func RunBatch(w *cluster.World, grid *cluster.Grid, g *Graph, sources []int64, o
 }
 
 func run2DVectorBatch(w *cluster.World, grid *cluster.Grid, g *Graph, sources []int64, opt Options) *levels.BatchOutput {
-	pt := g.Part
-	t := opt.Threads
-	if t < 1 {
-		t = 1
-	}
-	p := w.P
+	run, release := prepare(w, grid, g, opt)
+	defer release()
+	pt, t, price := g.Part, run.t, opt.Price
 	width := len(sources)
 	wd := int64(width)
 
 	// The fold's first-visit claims commit straight into the per-search
 	// output planes (each rank owns a disjoint vector range).
-	bt := levels.NewBatch(sources, pt.N, p)
+	bt := levels.NewBatch(sources, pt.N, w.P)
 	distPlanes, parentPlanes := bt.Out.Dist, bt.Out.Parent
 	lp := levels.New(w, opt.Trace, nil)
 
-	var pulls [][]*spmat.PullSplit
-	var totalAdj int64
-	if opt.Direction != dirheur.ModeTopDown {
-		pulls = g.Pulls()
-		totalAdj = g.NNZ()
-	}
-
-	arena := opt.Arena
-	if arena == nil {
-		arena = &Arena{}
-		defer arena.Close()
-	}
-	arena.ranks = scratch.Ranks(arena.ranks, p)
-
 	w.Run(func(r *cluster.Rank) {
-		me := r.ID()
-		i, j := grid.RowOf(me), grid.ColOf(me)
-		price := opt.Price
-		block := g.Blocks[i][j]
-		rowG := grid.RowGroup(r)
-		colG := grid.ColGroup(r)
+		ar, f := run.enter(r)
 		world := w.WorldGroup()
-		ar := &arena.ranks[me]
 		ba := &ar.batch
-
-		vLo, vHi := pt.OwnedRange(i, j)
-		nOwn := vHi - vLo
+		vLo, vHi, nOwn := f.own.lo, f.own.hi, f.own.len()
+		rowLo, rowHi, colLo := f.row.lo, f.row.hi, f.col.lo
 		newOwn := bits.GrownWords(ba.newOwn, nOwn)
 		vis := bits.GrownWords(ba.vis, pt.N)
 		ba.newOwn, ba.vis = newOwn, vis
@@ -123,11 +92,6 @@ func run2DVectorBatch(w *cluster.World, grid *cluster.Grid, g *Graph, sources []
 		// never-visited slots finalized by the rank tail) and mask planes
 		// once.
 		r.ChargeMem(price, 0, 0, 2*nOwn*wd+nOwn+pt.N, 0)
-
-		colLo := pt.ColStart(j)
-		colHi := pt.ColStart(j + 1)
-		rowLo := pt.RowStart(i)
-		rowHi := pt.RowStart(i + 1)
 
 		// Seed: the owner of each source claims bit s; duplicate sources
 		// stack bits on one frontier entry. Frontier entries stay sorted
@@ -137,7 +101,7 @@ func run2DVectorBatch(w *cluster.World, grid *cluster.Grid, g *Graph, sources []
 		frontier.Reset()
 		ns := ba.ns[:0]
 		for s, src := range sources {
-			if si, sj := pt.VecOwner(src); si != i || sj != j {
+			if si, sj := pt.VecOwner(src); si != f.i || sj != f.j {
 				continue
 			}
 			sl := src - vLo
@@ -160,26 +124,12 @@ func run2DVectorBatch(w *cluster.World, grid *cluster.Grid, g *Graph, sources []
 		ba.ns = ns[:0]
 		curBuf := 0
 
-		var pool *smp.Pool
-		if t > 1 {
-			pool = ar.team(t)
-		}
 		localF, spOut, merged := &ba.localF, &ba.spOut, &ba.merged
-		if len(ba.send) != grid.Pc {
-			ba.send = make([][]int64, grid.Pc)
-		}
-		send := ba.send
-		square := grid.Square()
-		if !square && len(ba.sendT) != p {
-			ba.sendT = make([][]int64, p)
-		}
-		sendT := ba.sendT
 
-		dirm := dirheur.NewBatch(opt.Direction, opt.Policy, pt.N, totalAdj, width)
+		dirm := dirheur.NewBatch(opt.Direction, opt.Policy, pt.N, run.totalAdj, width)
 		// The partitioned mask-plane exchange holds one word per vertex,
 		// so its owned, row-block, and block-column ranges are exact.
-		xc := exchange{rowG: rowG, colG: colG, price: price,
-			own: span{vLo, vHi}, row: span{rowLo, rowHi}, col: span{colLo, colHi}}
+		xc := exchange{f.rowG, f.colG, price, f.own, f.row, f.col}
 		var front, rowFront, chunk []uint64
 		depositFrontier := func() {
 			bits.ClearWords(chunk[vLo:vHi])
@@ -216,55 +166,22 @@ func run2DVectorBatch(w *cluster.World, grid *cluster.Grid, g *Graph, sources []
 
 			if cur == dirheur.BottomUp {
 				// ---- Batched bottom-up pull ----
-				levScan = pulls[i][j].PullMasks(spOut, front, vis, active,
-					rowLo, colLo, pool, &ba.maskPullScratch)
+				levScan = run.pulls[f.i][f.j].PullMasks(spOut, front, vis, active,
+					rowLo, colLo, f.pool, &ba.maskPullScratch)
 				// The block-column frontier plane holds one word per
 				// vertex, so its working set is the column's vertex count.
 				chargePull(r, price, t, levScan, rowHi-rowLo, xc.col.len(), int64(spOut.NNZ()))
 			} else {
 				// ---- Transpose: (vertex, mask) pairs ----
-				var transposed []int64
-				pairs := ba.pairs[:0]
+				pairs := ar.pairs[:0]
 				for k, gv := range frontier.Ind {
 					pairs = append(pairs, gv, int64(frontier.Mask[k]))
 				}
-				ba.pairs = pairs
-				if square {
-					transposed = grid.All.SendRecvAll(r, grid.TransposePeer, pairs, "transpose")
-				} else {
-					for k := range sendT {
-						sendT[k] = sendT[k][:0]
-					}
-					for k := 0; k+1 < len(pairs); k += 2 {
-						ti, tj := pt.TransposeOwner(pairs[k])
-						sendT[ti*grid.Pc+tj] = append(sendT[ti*grid.Pc+tj], pairs[k], pairs[k+1])
-					}
-					parts := grid.All.Alltoallv(r, sendT, "transpose")
-					// Collect and re-sort by vertex id: the expand's
-					// merge-join needs ascending frontiers. Sub-piece
-					// vertices are unique across senders, so sorting the
-					// collected pairs is a permutation, not a merge.
-					moved := ba.moved[:0]
-					for _, part := range parts {
-						for k := 0; k+1 < len(part); k += 2 {
-							moved = append(moved, [2]int64{part[k], part[k+1]})
-						}
-					}
-					slices.SortFunc(moved, func(a, b [2]int64) int { return cmp.Compare(a[0], b[0]) })
-					ba.moved = moved
-					pairs = pairs[:0]
-					for _, vm := range moved {
-						pairs = append(pairs, vm[0], vm[1])
-					}
-					ba.pairs = pairs
-					transposed = pairs
-					mv := int64(len(pairs))
-					r.ChargeMem(price, 0, 0, int64(2*frontier.NNZ())+2*mv,
-						int64(2*frontier.NNZ())+mv*int64(mbits.Len64(uint64(mv))))
-				}
+				ar.pairs = pairs
+				transposed := run.transpose(r, ar, pairs, 2)
 
 				// ---- Expand: pair lists along the process column ----
-				parts := colG.Allgatherv(r, transposed, "expand")
+				parts := f.colG.Allgatherv(r, transposed, "expand")
 				localF.Reset()
 				var gathered int64
 				for _, part := range parts {
@@ -278,8 +195,8 @@ func run2DVectorBatch(w *cluster.World, grid *cluster.Grid, g *Graph, sources []
 				r.ChargeMem(price, 0, 0, 2*gathered, gathered)
 
 				// ---- Batched local SpMSV ----
-				levScan = block.WorkMasks(localF)
-				block.SpMSVMasks(spOut, localF, pool, &ba.maskRowScratch)
+				levScan = f.block.WorkMasks(localF)
+				f.block.SpMSVMasks(spOut, localF, f.pool, &ba.maskRowScratch)
 				chargeSpMSV(r, price, t, levScan, rowHi-rowLo, int64(spOut.NNZ()))
 			}
 
@@ -289,6 +206,7 @@ func run2DVectorBatch(w *cluster.World, grid *cluster.Grid, g *Graph, sources []
 			// disjoint-mask entries per row), so entries route to their
 			// owner piece by VecOwner instead of the scalar path's sorted
 			// cursor walk; the owner's first-wins mask fold needs no order.
+			send := f.send
 			for k := range send {
 				send[k] = send[k][:0]
 			}
@@ -297,7 +215,7 @@ func run2DVectorBatch(w *cluster.World, grid *cluster.Grid, g *Graph, sources []
 				_, pj := pt.VecOwner(gv)
 				send[pj] = append(send[pj], gv, int64(spOut.Mask[k]), spOut.Par[k])
 			}
-			recv := rowG.Alltoallv(r, send, "fold")
+			recv := f.rowG.Alltoallv(r, send, "fold")
 			var sendWords, recvWords int64
 			for k := range send {
 				sendWords += int64(len(send[k]))
@@ -376,7 +294,7 @@ func run2DVectorBatch(w *cluster.World, grid *cluster.Grid, g *Graph, sources []
 		bt.FinishRank(r, vLo, vis[vLo:vHi], level-1)
 	})
 
-	for id := 0; id < p; id++ {
+	for id := 0; id < w.P; id++ {
 		lo, _ := pt.OwnedRange(grid.RowOf(id), grid.ColOf(id))
 		bt.CountEdges(id, func(vl int64) int64 { return g.ColDegree[lo+vl] })
 	}

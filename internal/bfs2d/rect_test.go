@@ -1,6 +1,7 @@
 package bfs2d
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/cluster"
@@ -157,9 +158,11 @@ func TestBFS2DRectangularDirected(t *testing.T) {
 	}
 }
 
-// TestBFS2DRectangularArenaReuse runs repeated searches through one
-// arena across grid shapes and directions: recycled buffers must never
-// leak state between shapes.
+// TestBFS2DRectangularArenaReuse runs single searches and batches of 3
+// and 64 sources, top-down and Auto, interleaved through one arena
+// across grid shapes: the id and (vertex, mask) transposes share the
+// rank's routing and sort buffers, and recycled buffers must never leak
+// state between shapes, payloads or widths.
 func TestBFS2DRectangularArenaReuse(t *testing.T) {
 	gp := rmat.Graph500(8, 8, 67)
 	el, err := gp.GenerateUndirected()
@@ -171,7 +174,18 @@ func TestBFS2DRectangularArenaReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := goodSource(t, el)
-	sref := serial.BFS(ref, src)
+	oracle := map[int64][]int64{}
+	check := func(what string, s int64, dist []int64) {
+		t.Helper()
+		if oracle[s] == nil {
+			oracle[s] = serial.BFS(ref, s).Dist
+		}
+		for v, d := range oracle[s] {
+			if dist[v] != d {
+				t.Fatalf("%s: source %d dist[%d] = %d, serial got %d", what, s, v, dist[v], d)
+			}
+		}
+	}
 	var arena Arena
 	defer arena.Close()
 	for round := 0; round < 2; round++ {
@@ -182,17 +196,25 @@ func TestBFS2DRectangularArenaReuse(t *testing.T) {
 			}
 			w := cluster.NewWorld(shape[0]*shape[1], cluster.ZeroCost{})
 			grid := cluster.NewGrid(w, shape[0], shape[1])
-			opt := DefaultOptions()
-			opt.Direction = dirheur.ModeAuto
-			opt.Arena = &arena
-			out, err := Run(w, grid, dg, src, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for v := range sref.Dist {
-				if out.Dist[v] != sref.Dist[v] {
-					t.Fatalf("round %d %dx%d: dist[%d] = %d, serial got %d",
-						round, shape[0], shape[1], v, out.Dist[v], sref.Dist[v])
+			for _, dir := range []dirheur.Mode{dirheur.ModeAuto, dirheur.ModeTopDown} {
+				opt := DefaultOptions()
+				opt.Direction = dir
+				opt.Arena = &arena
+				for _, width := range []int{3, 64} {
+					what := fmt.Sprintf("round %d %dx%d dir=%v", round, shape[0], shape[1], dir)
+					srcs := pickBatchSources2D(ref, width)
+					bo, err := RunBatch(w, grid, dg, srcs, opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for k, s := range srcs {
+						check(fmt.Sprintf("%s batch of %d", what, width), s, bo.Dist[k])
+					}
+					out, err := Run(w, grid, dg, src, opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					check(what+" search", src, out.Dist)
 				}
 			}
 		}

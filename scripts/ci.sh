@@ -150,9 +150,11 @@ echo "== bench smoke (GOMAXPROCS axis) =="
 # The same steady-state level loops pinned to one core: the parallel
 # collective engine must stay correct when rank goroutines are forced
 # to time-slice a single P (the degenerate schedule every arrival gate
-# and wake token must survive). This is a correctness smoke, not a
-# timing: multicore wall-clock scaling is benchmark/'s to measure.
-GOMAXPROCS=1 go test -run '^$' -bench='BFSLevelLoop(1D|2D)Flat$' -benchtime=1x .
+# and wake token must survive). The Auto rows add the bottom-up levels,
+# whose flat runs pull their one chunk through the hybrid path's thread
+# scratch. This is a correctness smoke, not a timing: multicore
+# wall-clock scaling is benchmark/'s to measure.
+GOMAXPROCS=1 go test -run '^$' -bench='BFSLevelLoop(1D|2D)Flat(Auto)?$' -benchtime=1x .
 go test -run '^$' -bench='BFSLevelLoop(1D|2D)Flat$' -benchtime=1x .
 
 echo "CI OK"

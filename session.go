@@ -19,10 +19,10 @@ import (
 //	}
 //
 // Internally a session caches one engine per distinct layout — the
-// resolved (algorithm, ranks, grid shape, threads, machine, kernel,
-// vector distribution) tuple. An engine owns its distributed graph (with the
-// bottom-up phase's lazily-built pull structures), its world and grid
-// communicators, and its cross-search scratch arenas. Changing only
+// resolved (algorithm, ranks, grid shape, threads, machine) tuple. An
+// engine owns its distributed graph (with the bottom-up phase's
+// lazily-built pull structures), its world and grid communicators, and
+// its cross-search scratch arenas. Changing only
 // per-search fields (Direction, Alpha/Beta, Trace) between searches
 // reuses the cached engine; changing a layout field builds and caches
 // another; searching a different *Graph under a cached layout rebuilds
