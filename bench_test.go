@@ -17,11 +17,6 @@ import (
 
 	pbfs "repro"
 	"repro/internal/bench"
-	"repro/internal/graph"
-	"repro/internal/prng"
-	"repro/internal/rmat"
-	"repro/internal/spmat"
-	"repro/internal/spvec"
 )
 
 // benchDriver runs one experiment driver b.N times.
@@ -126,105 +121,5 @@ func BenchmarkSerialBFS(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g.SerialBFS(src)
-	}
-}
-
-// BenchmarkAblationFullStorage vs ...TriangleStorage: the Section 7
-// future-work item — storing only the upper triangle halves memory at
-// the cost of a second (transposed) pass per SpMSV.
-func BenchmarkAblationFullStorage(b *testing.B)     { benchTriangle(b, false) }
-func BenchmarkAblationTriangleStorage(b *testing.B) { benchTriangle(b, true) }
-
-func benchTriangle(b *testing.B, triangle bool) {
-	b.Helper()
-	el, err := rmat.Graph500(13, 16, 0x7a).GenerateUndirected()
-	if err != nil {
-		b.Fatal(err)
-	}
-	dim := el.NumVerts
-	ts := make([]spmat.Triple, 0, len(el.Edges))
-	for _, e := range el.Edges {
-		ts = append(ts, spmat.Triple{Row: e.V, Col: e.U})
-	}
-	var full *spmat.DCSC
-	var sym *spmat.Sym
-	if triangle {
-		sym, err = spmat.NewSym(dim, ts)
-	} else {
-		full, err = spmat.NewDCSC(dim, dim, ts)
-	}
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := prng.New(9)
-	find := make([]int64, dim/3)
-	fval := make([]int64, dim/3)
-	for i := range find {
-		find[i] = rng.Int64n(dim)
-		fval[i] = find[i]
-	}
-	f := spvec.FromUnsorted(find, fval)
-	var out spvec.Vec
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if triangle {
-			sym.SpMSV(&out, f, spmat.SpMSVOpts{Kernel: spmat.KernelHeap})
-		} else {
-			full.SpMSV(&out, f, spmat.SpMSVOpts{Kernel: spmat.KernelHeap})
-		}
-	}
-	if triangle {
-		b.ReportMetric(float64(sym.StorageBytes()), "storage-bytes")
-	} else {
-		b.ReportMetric(float64(full.StorageBytes()), "storage-bytes")
-	}
-}
-
-// BenchmarkAblationRandomRelabel vs ...RCMRelabel: the load-balance vs
-// locality tradeoff of Section 4.4 and the Section 7 partitioning item,
-// measured as the 1D cut fraction on a structured (mesh) graph.
-func BenchmarkAblationRandomRelabel(b *testing.B) { benchRelabel(b, false) }
-func BenchmarkAblationRCMRelabel(b *testing.B)    { benchRelabel(b, true) }
-
-func benchRelabel(b *testing.B, rcm bool) {
-	b.Helper()
-	// A 64x64 mesh: the structured case where locality-aware ordering
-	// slashes the cut (R-MAT graphs lack good separators, as the paper
-	// notes, so the mesh is where the contrast lives).
-	const k = 64
-	el := &graph.EdgeList{NumVerts: k * k}
-	for r := int64(0); r < k; r++ {
-		for c := int64(0); c < k; c++ {
-			if c+1 < k {
-				el.Edges = append(el.Edges, graph.Edge{U: r*k + c, V: r*k + c + 1})
-			}
-			if r+1 < k {
-				el.Edges = append(el.Edges, graph.Edge{U: r*k + c, V: (r+1)*k + c})
-			}
-		}
-	}
-	sym := el.Symmetrize()
-	g, err := graph.BuildCSR(sym, true)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var perm []int64
-	if rcm {
-		perm = graph.RCMOrder(g)
-	} else {
-		perm = prng.New(1).Perm(g.NumVerts)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		clone := &graph.EdgeList{NumVerts: sym.NumVerts, Edges: append([]graph.Edge(nil), sym.Edges...)}
-		if err := graph.RelabelEdges(clone, perm); err != nil {
-			b.Fatal(err)
-		}
-		rg, err := graph.BuildCSR(clone, true)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cut := graph.CutEdges(rg, 16)
-		b.ReportMetric(float64(cut)/float64(rg.NumEdges())*100, "cut-%")
 	}
 }

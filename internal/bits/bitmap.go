@@ -75,18 +75,6 @@ func Grown(b *Bitmap, n int64) *Bitmap {
 // reference, and readers must treat foreign word slices as read-only.
 func (b *Bitmap) Words() []uint64 { return b.words }
 
-// Or folds src into the bitmap with bitwise OR. src must come from a
-// bitmap of the same length (e.g. another bitmap's Words or a collective
-// result).
-func (b *Bitmap) Or(src []uint64) {
-	if len(src) != len(b.words) {
-		panic("bits: Or word-length mismatch")
-	}
-	for i, w := range src {
-		b.words[i] |= w
-	}
-}
-
 // CopyFrom replaces the bitmap's contents with src, which must have the
 // bitmap's word length.
 func (b *Bitmap) CopyFrom(src []uint64) {
@@ -96,10 +84,9 @@ func (b *Bitmap) CopyFrom(src []uint64) {
 	copy(b.words, src)
 }
 
-// OrWords folds src into dst with bitwise OR, word by word. It is the
-// sub-slice companion of Bitmap.Or for partitioned exchanges that
-// assemble only a word range of a larger bitmap (dst and src must have
-// equal length).
+// OrWords folds src into dst with bitwise OR, word by word: the
+// partitioned exchanges assemble a word range of a larger bitmap with it
+// (dst and src must have equal length).
 func OrWords(dst, src []uint64) {
 	if len(src) != len(dst) {
 		panic("bits: OrWords length mismatch")
@@ -113,30 +100,6 @@ func OrWords(dst, src []uint64) {
 // word range of a scratch bitmap without paying a full Reset.
 func ClearWords(ws []uint64) {
 	clear(ws)
-}
-
-// AndNotWords clears from dst every bit set in src (dst &^= src), word by
-// word. The multi-source kernels use it to retire completed searches from
-// activity planes without open-coding the loop in both drivers (dst and
-// src must have equal length).
-func AndNotWords(dst, src []uint64) {
-	if len(src) != len(dst) {
-		panic("bits: AndNotWords length mismatch")
-	}
-	for i, w := range src {
-		dst[i] &^= w
-	}
-}
-
-// CountWords returns the total number of set bits in a word slice: the
-// population count of a mask plane (one word per vertex in the batched
-// BFS), where Bitmap.Count would require wrapping the slice.
-func CountWords(ws []uint64) int64 {
-	var c int64
-	for _, w := range ws {
-		c += int64(bits.OnesCount64(w))
-	}
-	return c
 }
 
 // GrownWords returns s cleared if it holds exactly n words, or a fresh

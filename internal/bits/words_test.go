@@ -1,70 +1,6 @@
 package bits
 
-import (
-	"math/bits"
-	"math/rand"
-	"testing"
-)
-
-// refBit reads bit i of a word slice the slow way.
-func refBit(ws []uint64, i int) bool {
-	return ws[i/64]&(1<<uint(i%64)) != 0
-}
-
-func randWords(rng *rand.Rand, n int) []uint64 {
-	ws := make([]uint64, n)
-	for i := range ws {
-		ws[i] = rng.Uint64()
-	}
-	return ws
-}
-
-// TestAndNotWordsProperty checks dst &^= src bit-by-bit against the
-// definition on random planes.
-func TestAndNotWordsProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(61))
-	for trial := 0; trial < 50; trial++ {
-		n := rng.Intn(40)
-		dst := randWords(rng, n)
-		src := randWords(rng, n)
-		want := make([]bool, n*64)
-		for i := range want {
-			want[i] = refBit(dst, i) && !refBit(src, i)
-		}
-		AndNotWords(dst, src)
-		for i, w := range want {
-			if refBit(dst, i) != w {
-				t.Fatalf("trial %d: bit %d = %v, want %v", trial, i, refBit(dst, i), w)
-			}
-		}
-	}
-}
-
-func TestAndNotWordsMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("length mismatch did not panic")
-		}
-	}()
-	AndNotWords(make([]uint64, 2), make([]uint64, 3))
-}
-
-// TestCountWordsProperty checks the slice popcount against a bit loop.
-func TestCountWordsProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(62))
-	for trial := 0; trial < 50; trial++ {
-		ws := randWords(rng, rng.Intn(40))
-		var want int64
-		for i := 0; i < len(ws)*64; i++ {
-			if refBit(ws, i) {
-				want++
-			}
-		}
-		if got := CountWords(ws); got != want {
-			t.Fatalf("trial %d: CountWords = %d, want %d", trial, got, want)
-		}
-	}
-}
+import "testing"
 
 func TestGrownWords(t *testing.T) {
 	s := []uint64{1, 2, 3}
@@ -81,30 +17,17 @@ func TestGrownWords(t *testing.T) {
 	}
 }
 
-// FuzzWordOps cross-checks AndNotWords, OrWords, and CountWords against
-// per-word scalar identities on fuzzer-chosen word values.
+// FuzzWordOps cross-checks OrWords against per-word scalar identities on
+// fuzzer-chosen word values.
 func FuzzWordOps(f *testing.F) {
 	f.Add(uint64(0), uint64(0), uint64(0xffffffffffffffff))
 	f.Add(uint64(0xdeadbeef), uint64(0xbeefdead), uint64(1))
 	f.Fuzz(func(t *testing.T, a, b, c uint64) {
 		dst := []uint64{a, b}
 		src := []uint64{c, a}
-		AndNotWords(dst, src)
-		if dst[0] != a&^c || dst[1] != b&^a {
-			t.Fatalf("AndNotWords([%x %x], [%x %x]) = %x %x", a, b, c, a, dst[0], dst[1])
-		}
-		dst = []uint64{a, b}
 		OrWords(dst, src)
 		if dst[0] != a|c || dst[1] != b|a {
 			t.Fatalf("OrWords = %x %x", dst[0], dst[1])
-		}
-		want := int64(bits.OnesCount64(a) + bits.OnesCount64(b))
-		if got := CountWords([]uint64{a, b}); got != want {
-			t.Fatalf("CountWords = %d, want %d", got, want)
-		}
-		// Identity: |x| = |x&^y| + |x&y|.
-		if int64(bits.OnesCount64(a&^b)+bits.OnesCount64(a&b)) != int64(bits.OnesCount64(a)) {
-			t.Fatal("popcount split identity violated")
 		}
 	})
 }

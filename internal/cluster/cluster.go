@@ -31,7 +31,6 @@ type CostModel interface {
 	Allreduce(p int, words int64) float64
 	Bcast(p int, words int64) float64
 	Gatherv(p int, recvWords int64) float64
-	Barrier(p int) float64
 	PointToPoint(words int64) float64
 }
 
@@ -44,7 +43,6 @@ func (ZeroCost) Allgatherv(int, int64) float64       { return 0 }
 func (ZeroCost) Allreduce(int, int64) float64        { return 0 }
 func (ZeroCost) Bcast(int, int64) float64            { return 0 }
 func (ZeroCost) Gatherv(int, int64) float64          { return 0 }
-func (ZeroCost) Barrier(int) float64                 { return 0 }
 func (ZeroCost) PointToPoint(int64) float64          { return 0 }
 
 // World is a set of P ranks sharing a cost model.
@@ -151,12 +149,6 @@ func (r *Rank) bookComm(tag string, dt float64) {
 // ID returns the world rank id.
 func (r *Rank) ID() int { return r.id }
 
-// P returns the world size.
-func (r *Rank) P() int { return r.world.P }
-
-// Model returns the world cost model.
-func (r *Rank) Model() CostModel { return r.world.Model }
-
 // Clock returns the rank's current simulated time in seconds.
 func (r *Rank) Clock() float64 { return r.clock }
 
@@ -168,9 +160,6 @@ func (r *Rank) Charge(dt float64) {
 	r.clock += dt
 	r.compTime += dt
 }
-
-// CompTime returns accumulated computation seconds.
-func (r *Rank) CompTime() float64 { return r.compTime }
 
 // CommTime returns accumulated communication seconds for the tag, or the
 // total over all tags when tag is empty. The total is summed in sorted

@@ -55,10 +55,6 @@ func TestAllreduce(t *testing.T) {
 		if sum != p*(p-1)/2 {
 			t.Errorf("rank %d: sum = %d", r.ID(), sum)
 		}
-		mx := g.AllreduceMax(r, float64(r.ID()), "ar")
-		if mx != p-1 {
-			t.Errorf("rank %d: max = %v", r.ID(), mx)
-		}
 	})
 }
 
@@ -146,16 +142,16 @@ func TestClockAdvancesAtCollectives(t *testing.T) {
 	w := NewWorld(p, m)
 	g := w.WorldGroup()
 	w.Run(func(r *Rank) {
-		// Rank 3 computes longer; everyone must leave the barrier at
-		// rank 3's clock + barrier cost.
+		// Rank 3 computes longer; everyone must leave the allreduce at
+		// rank 3's clock + allreduce cost.
 		r.Charge(float64(r.ID()) * 0.01)
-		g.Barrier(r, "sync")
-		want := 0.03 + m.Barrier(p)
+		g.AllreduceSum(r, 1, "sync")
+		want := 0.03 + m.Allreduce(p, 1)
 		if diff := r.Clock() - want; diff > 1e-12 || diff < -1e-12 {
 			t.Errorf("rank %d clock = %v, want %v", r.ID(), r.Clock(), want)
 		}
 		// The idle ranks' wait is booked as comm time.
-		wantComm := 0.03 - float64(r.ID())*0.01 + m.Barrier(p)
+		wantComm := 0.03 - float64(r.ID())*0.01 + m.Allreduce(p, 1)
 		if diff := r.CommTime("sync") - wantComm; diff > 1e-12 || diff < -1e-12 {
 			t.Errorf("rank %d comm = %v, want %v", r.ID(), r.CommTime("sync"), wantComm)
 		}
@@ -295,7 +291,7 @@ func TestWorldResetClearsLedgers(t *testing.T) {
 			send[j] = []int64{1, 2}
 		}
 		g.Alltoallv(r, send, "a2a")
-		g.Barrier(r, "sync")
+		g.AllreduceSum(r, 1, "sync")
 	}
 	w.Run(body)
 	first := w.Stats()

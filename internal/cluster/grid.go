@@ -61,16 +61,6 @@ func NewGrid(w *World, pr, pc int) *Grid {
 	return g
 }
 
-// RowComm returns the subcommunicator of processor row i: the pc ranks
-// (i, 0..pc-1) in column order. Collectives on it are priced for pc
-// participants and charged to the parent world's ledgers.
-func (g *Grid) RowComm(i int) *Group { return g.Rows[i] }
-
-// ColComm returns the subcommunicator of processor column j: the pr
-// ranks (0..pr-1, j) in row order. Collectives on it are priced for pr
-// participants and charged to the parent world's ledgers.
-func (g *Grid) ColComm(j int) *Group { return g.Cols[j] }
-
 // RowOf returns the grid row of world rank id.
 func (g *Grid) RowOf(id int) int { return id / g.Pc }
 

@@ -15,7 +15,6 @@ type payload struct {
 	bm   []uint64
 	num  int64
 	num2 int64
-	f    float64
 }
 
 // round is one generation of the blocking rendezvous. Rounds are
@@ -392,14 +391,6 @@ func bitsShard(me, p int, totalWords int64) (lo, hi int64) {
 	return lo, hi
 }
 
-// Barrier synchronizes the group.
-func (g *Group) Barrier(r *Rank, tag string) {
-	g.collective(r, payload{}, tag,
-		func([]payload) float64 { return g.world.Model.Barrier(len(g.members)) },
-		nil,
-		func(int, []payload) payload { return payload{} })
-}
-
 // Alltoallv performs an irregular personalized all-to-all: send[j] goes
 // to group rank j; the returned slice holds, at position i, the data
 // received from group rank i. Slices are passed by reference — receivers
@@ -547,22 +538,6 @@ func (g *Group) AllreduceOr(r *Rank, v uint64, tag string) uint64 {
 			}
 			return payload{num: or}
 		}).num)
-}
-
-// AllreduceMax returns the max of every member's value.
-func (g *Group) AllreduceMax(r *Rank, v float64, tag string) float64 {
-	return g.collective(r, payload{f: v}, tag,
-		func([]payload) float64 { return g.world.Model.Allreduce(len(g.members), 1) },
-		nil,
-		func(_ int, deposits []payload) payload {
-			mx := deposits[0].f
-			for i := range deposits[1:] {
-				if f := deposits[1+i].f; f > mx {
-					mx = f
-				}
-			}
-			return payload{f: mx}
-		}).f
 }
 
 // Bcast distributes root's data (by group rank) to all members.

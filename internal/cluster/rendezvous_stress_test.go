@@ -132,7 +132,6 @@ func (linkModel) Allgatherv(p int, r int64) float64   { return 2e-6*float64(p) +
 func (linkModel) Allreduce(p int, w int64) float64    { return 3e-6*float64(p) + 1e-9*float64(w) }
 func (linkModel) Bcast(p int, w int64) float64        { return 4e-6*float64(p) + 1e-9*float64(w) }
 func (linkModel) Gatherv(p int, r int64) float64      { return 5e-6*float64(p) + 1e-9*float64(r) }
-func (linkModel) Barrier(p int) float64               { return 6e-6 * float64(p) }
 func (linkModel) PointToPoint(w int64) float64        { return 7e-6 + 1e-9*float64(w) }
 
 // TestRendezvousJitterDeterminism runs the grid schedule under two different jitter seeds and requires every
@@ -168,7 +167,7 @@ func TestRendezvousWorldReuse(t *testing.T) {
 			row := grid.RowGroup(r)
 			for round := 0; round < 30; round++ {
 				jitter(rng)
-				grid.All.Barrier(r, "reuse/barrier")
+				grid.All.AllreduceSum(r, int64(r.ID()), "reuse/sum")
 				jitter(rng)
 				r.Charge(2e-6)
 				row.Allgatherv(r, []int64{int64(r.ID())}, "reuse/ag")

@@ -12,7 +12,7 @@ func TestGridSubcommMembership(t *testing.T) {
 	w := NewWorld(6, ZeroCost{})
 	g := NewGrid(w, 2, 3)
 	for i := 0; i < 2; i++ {
-		row := g.RowComm(i)
+		row := g.Rows[i]
 		if row.Size() != 3 {
 			t.Fatalf("row %d size = %d, want 3", i, row.Size())
 		}
@@ -23,7 +23,7 @@ func TestGridSubcommMembership(t *testing.T) {
 		}
 	}
 	for j := 0; j < 3; j++ {
-		col := g.ColComm(j)
+		col := g.Cols[j]
 		if col.Size() != 2 {
 			t.Fatalf("col %d size = %d, want 2", j, col.Size())
 		}
@@ -34,11 +34,11 @@ func TestGridSubcommMembership(t *testing.T) {
 		}
 	}
 	w.Run(func(r *Rank) {
-		if g.RowGroup(r) != g.RowComm(g.RowOf(r.ID())) {
-			t.Errorf("rank %d: RowGroup != RowComm", r.ID())
+		if g.RowGroup(r) != g.Rows[g.RowOf(r.ID())] {
+			t.Errorf("rank %d: RowGroup != Rows[RowOf]", r.ID())
 		}
-		if g.ColGroup(r) != g.ColComm(g.ColOf(r.ID())) {
-			t.Errorf("rank %d: ColGroup != ColComm", r.ID())
+		if g.ColGroup(r) != g.Cols[g.ColOf(r.ID())] {
+			t.Errorf("rank %d: ColGroup != Cols[ColOf]", r.ID())
 		}
 	})
 }

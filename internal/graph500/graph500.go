@@ -105,6 +105,11 @@ func Summarize(runs []Run) Stats {
 	st.MeanLevels /= n
 	if invSum > 0 {
 		st.HarmonicMeanTEPS = n / invSum
+		if st.MinTEPS > 0 {
+			// The exact mean of positive rates lies in [min, max], but
+			// n/Σ(1/x) over equal rates can round one ulp outside it.
+			st.HarmonicMeanTEPS = min(max(st.HarmonicMeanTEPS, st.MinTEPS), st.MaxTEPS)
+		}
 	}
 	sort.Float64s(times)
 	if len(times)%2 == 1 {

@@ -96,6 +96,31 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
+// TestSummarizeHarmonicMeanInRange: with every rate positive, the
+// harmonic mean lies in [MinTEPS, MaxTEPS], including runs of equal rates
+// where n/Σ(1/x) rounds one ulp above or below the common rate.
+func TestSummarizeHarmonicMeanInRange(t *testing.T) {
+	const secs = 5.6571200099436076e-05
+	for _, c := range []struct {
+		runs  int
+		edges int64
+	}{
+		{5, 5443}, // rounds above
+		{2, 13},   // rounds above
+		{2, 47},   // rounds below
+	} {
+		runs := make([]Run, c.runs)
+		for i := range runs {
+			runs[i] = Run{Time: secs, Edges: c.edges}
+		}
+		st := Summarize(runs)
+		if st.HarmonicMeanTEPS < st.MinTEPS || st.HarmonicMeanTEPS > st.MaxTEPS {
+			t.Errorf("%d runs of %d edges: HarmonicMeanTEPS %v outside [%v, %v]",
+				c.runs, c.edges, st.HarmonicMeanTEPS, st.MinTEPS, st.MaxTEPS)
+		}
+	}
+}
+
 // TestSummarizeBatchSharedScanRule pins the MS-BFS accounting rule: the
 // machine rate counts each shared edge scan once, so adding a duplicate
 // source to a batch raises the harmonic mean (another search is credited

@@ -130,14 +130,6 @@ func (m *Machine) Gatherv(p int, recvWords int64) float64 {
 	return math.Log2(float64(p))*m.AlphaNet + float64(recvWords)*m.BetaP2P
 }
 
-// Barrier returns the cost of a dissemination barrier.
-func (m *Machine) Barrier(p int) float64 {
-	if p <= 1 {
-		return 0
-	}
-	return math.Ceil(math.Log2(float64(p))) * m.AlphaNet
-}
-
 // PointToPoint returns the cost of a pairwise exchange of words.
 func (m *Machine) PointToPoint(words int64) float64 {
 	return m.AlphaNet + float64(words)*m.BetaP2P

@@ -137,23 +137,3 @@ func (g *Xoshiro256) Shuffle(n int, swap func(i, j int)) {
 		swap(i, j)
 	}
 }
-
-// Jump advances the generator 2^128 steps, equivalent to calling Uint64
-// 2^128 times. It can be used to create up to 2^128 non-overlapping
-// subsequences from the same seed.
-func (g *Xoshiro256) Jump() {
-	jump := [4]uint64{0x180ec6d33cfd0aba, 0xd5a61266f0c9392c, 0xa9582618e03fc9aa, 0x39abdc4529b1661c}
-	var s [4]uint64
-	for _, j := range jump {
-		for b := 0; b < 64; b++ {
-			if j&(1<<uint(b)) != 0 {
-				s[0] ^= g.s[0]
-				s[1] ^= g.s[1]
-				s[2] ^= g.s[2]
-				s[3] ^= g.s[3]
-			}
-			g.Uint64()
-		}
-	}
-	g.s = s
-}

@@ -125,22 +125,6 @@ func TestShuffleIsPermutation(t *testing.T) {
 	}
 }
 
-func TestJumpDisjoint(t *testing.T) {
-	a := New(1)
-	b := New(1)
-	b.Jump()
-	// After a jump, the sequences should not collide in a short window.
-	av := make(map[uint64]bool, 1000)
-	for i := 0; i < 1000; i++ {
-		av[a.Uint64()] = true
-	}
-	for i := 0; i < 1000; i++ {
-		if av[b.Uint64()] {
-			t.Fatal("jumped stream collided with base stream")
-		}
-	}
-}
-
 func TestMix64Injective(t *testing.T) {
 	seen := make(map[uint64]uint64, 10000)
 	for i := uint64(0); i < 10000; i++ {

@@ -17,19 +17,14 @@ type heapEntry struct {
 	pos    int32 // position within the stream
 }
 
-// MultiwayMerge merges k sorted streams into dst, collapsing duplicate
-// indices with the (select,max) rule. This is the paper's "priority
-// queue" SpMSV kernel: memory use is O(k + output), independent of the
-// index range, which makes it the preferred kernel at high process counts
-// where per-process SPA ranges become huge relative to frontier sizes
-// (Figure 3's crossover near 10k cores).
-func MultiwayMerge(dst *Vec, streams []Stream) *Vec {
-	return MultiwayMergeWith(dst, streams, nil)
-}
-
-// MultiwayMergeWith is MultiwayMerge with a reusable cursor heap, for
-// callers that merge once per BFS level and want the steady state
-// allocation-free.
+// MultiwayMergeWith merges k sorted streams into dst, collapsing
+// duplicate indices with the (select,max) rule. This is the paper's
+// "priority queue" SpMSV kernel: memory use is O(k + output), independent
+// of the index range, which makes it the preferred kernel at high process
+// counts where per-process SPA ranges become huge relative to frontier
+// sizes (Figure 3's crossover near 10k cores). A non-nil sc supplies a
+// reusable cursor heap, so callers that merge once per BFS level keep the
+// steady state allocation-free.
 func MultiwayMergeWith(dst *Vec, streams []Stream, sc *MergeScratch) *Vec {
 	dst.Reset()
 	var h []heapEntry

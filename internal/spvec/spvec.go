@@ -90,55 +90,3 @@ func FromUnsorted(ind, val []int64) *Vec {
 	}
 	return out
 }
-
-// Merge combines two sorted vectors into one, resolving index collisions
-// with the (select,max) semiring. The result is written to dst (which may
-// be empty but must not alias a or b) and returned.
-func Merge(dst, a, b *Vec) *Vec {
-	dst.Reset()
-	i, j := 0, 0
-	for i < len(a.Ind) && j < len(b.Ind) {
-		switch {
-		case a.Ind[i] < b.Ind[j]:
-			dst.Ind = append(dst.Ind, a.Ind[i])
-			dst.Val = append(dst.Val, a.Val[i])
-			i++
-		case a.Ind[i] > b.Ind[j]:
-			dst.Ind = append(dst.Ind, b.Ind[j])
-			dst.Val = append(dst.Val, b.Val[j])
-			j++
-		default:
-			val := a.Val[i]
-			if b.Val[j] > val {
-				val = b.Val[j]
-			}
-			dst.Ind = append(dst.Ind, a.Ind[i])
-			dst.Val = append(dst.Val, val)
-			i++
-			j++
-		}
-	}
-	for ; i < len(a.Ind); i++ {
-		dst.Ind = append(dst.Ind, a.Ind[i])
-		dst.Val = append(dst.Val, a.Val[i])
-	}
-	for ; j < len(b.Ind); j++ {
-		dst.Ind = append(dst.Ind, b.Ind[j])
-		dst.Val = append(dst.Val, b.Val[j])
-	}
-	return dst
-}
-
-// MaskOut returns (into dst) the entries of v whose index i satisfies
-// keep(i). This implements the element-wise product with the complemented
-// visited set in Algorithm 3, line 9: tij <- tij ⊙ ~visited.
-func MaskOut(dst, v *Vec, keep func(i int64) bool) *Vec {
-	dst.Reset()
-	for k, i := range v.Ind {
-		if keep(i) {
-			dst.Ind = append(dst.Ind, i)
-			dst.Val = append(dst.Val, v.Val[k])
-		}
-	}
-	return dst
-}

@@ -46,35 +46,6 @@ func TestFromUnsorted(t *testing.T) {
 	}
 }
 
-func TestMergeBasic(t *testing.T) {
-	a := vecOf([2]int64{1, 10}, [2]int64{3, 30}, [2]int64{5, 50})
-	b := vecOf([2]int64{2, 20}, [2]int64{3, 99}, [2]int64{6, 60})
-	got := Merge(&Vec{}, a, b)
-	want := vecOf([2]int64{1, 10}, [2]int64{2, 20}, [2]int64{3, 99}, [2]int64{5, 50}, [2]int64{6, 60})
-	if !equalVec(got, want) {
-		t.Errorf("Merge = %v/%v", got.Ind, got.Val)
-	}
-}
-
-func TestMergeEmpty(t *testing.T) {
-	a := vecOf([2]int64{1, 1})
-	if got := Merge(&Vec{}, a, &Vec{}); !equalVec(got, a) {
-		t.Error("merge with empty right changed vector")
-	}
-	if got := Merge(&Vec{}, &Vec{}, a); !equalVec(got, a) {
-		t.Error("merge with empty left changed vector")
-	}
-}
-
-func TestMaskOut(t *testing.T) {
-	v := vecOf([2]int64{1, 1}, [2]int64{2, 2}, [2]int64{3, 3})
-	got := MaskOut(&Vec{}, v, func(i int64) bool { return i%2 == 1 })
-	want := vecOf([2]int64{1, 1}, [2]int64{3, 3})
-	if !equalVec(got, want) {
-		t.Errorf("MaskOut = %v", got.Ind)
-	}
-}
-
 func TestSPABasic(t *testing.T) {
 	s := NewSPA(100)
 	s.Scatter(42, 7)
@@ -116,22 +87,22 @@ func TestMultiwayMergeBasic(t *testing.T) {
 		{Ind: []uint32{2, 4, 8}, Val: 200},
 		{Ind: []uint32{4, 9}, Val: 50},
 	}
-	got := MultiwayMerge(&Vec{}, streams)
+	got := MultiwayMergeWith(&Vec{}, streams, nil)
 	want := vecOf([2]int64{1, 100}, [2]int64{2, 200}, [2]int64{4, 200},
 		[2]int64{8, 200}, [2]int64{9, 100})
 	if !equalVec(got, want) {
-		t.Errorf("MultiwayMerge = %v/%v", got.Ind, got.Val)
+		t.Errorf("MultiwayMergeWith = %v/%v", got.Ind, got.Val)
 	}
 }
 
 func TestMultiwayMergeDegenerate(t *testing.T) {
-	if got := MultiwayMerge(&Vec{}, nil); got.NNZ() != 0 {
+	if got := MultiwayMergeWith(&Vec{}, nil, nil); got.NNZ() != 0 {
 		t.Error("merge of no streams non-empty")
 	}
-	if got := MultiwayMerge(&Vec{}, []Stream{{}, {}}); got.NNZ() != 0 {
+	if got := MultiwayMergeWith(&Vec{}, []Stream{{}, {}}, nil); got.NNZ() != 0 {
 		t.Error("merge of empty streams non-empty")
 	}
-	one := MultiwayMerge(&Vec{}, []Stream{{Ind: []uint32{3, 7}, Val: 9}})
+	one := MultiwayMergeWith(&Vec{}, []Stream{{Ind: []uint32{3, 7}, Val: 9}}, nil)
 	if !equalVec(one, vecOf([2]int64{3, 9}, [2]int64{7, 9})) {
 		t.Errorf("single-stream merge = %v/%v", one.Ind, one.Val)
 	}
@@ -164,32 +135,8 @@ func TestSPAHeapAgree(t *testing.T) {
 			}
 		}
 		a := spa.Extract(&Vec{})
-		b := MultiwayMerge(&Vec{}, streams)
+		b := MultiwayMergeWith(&Vec{}, streams, nil)
 		return equalVec(a, b)
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 80}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: Merge is commutative and the output is sorted.
-func TestMergeCommutativeSorted(t *testing.T) {
-	check := func(seed uint64) bool {
-		rng := prng.New(seed)
-		gen := func() *Vec {
-			n := rng.Intn(20)
-			ind := make([]int64, n)
-			val := make([]int64, n)
-			for i := range ind {
-				ind[i] = rng.Int64n(50)
-				val[i] = rng.Int64n(100)
-			}
-			return FromUnsorted(ind, val)
-		}
-		a, b := gen(), gen()
-		ab := Merge(&Vec{}, a, b)
-		ba := Merge(&Vec{}, b, a)
-		return equalVec(ab, ba) && ab.IsSorted()
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 80}); err != nil {
 		t.Error(err)

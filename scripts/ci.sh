@@ -140,8 +140,8 @@ if ! diff -u "$cf_a" "$cf_b"; then
 fi
 echo "replay table deterministic ($(wc -l <"$cf_a") lines)"
 
-echo "== bench smoke (BFS level loops, 1 iteration) =="
-go test -run '^$' -bench=BFS -benchtime=1x -benchmem .
+echo "== bench smoke (BFS level loops and the 1D local-shortcut ablation, 1 iteration) =="
+go test -run '^$' -bench='BFS|Ablation' -benchtime=1x -benchmem .
 
 echo "== bench smoke (2D kernel and vector ablations, 1 iteration) =="
 go test -run '^$' -bench=Ablation -benchtime=1x ./internal/bfs2d
