@@ -3,16 +3,17 @@
 // POSTed to /v1/query are routed to their graph, answered from the
 // hot-source result cache when possible, coalesced with identical
 // in-queue queries otherwise, and formed into MS-BFS batches of up to
-// 64 sources (batch full, max-wait elapsed, or a deadline coming due).
-// Each registered graph gets its own queue, batch former, session
-// pool, and cache, so batches never mix graphs.
+// 64 sources: a batch is cut whenever a pooled session is free, so
+// queries that arrive while every session is busy ride the next batch
+// together. Each registered graph gets its own queue, batch former,
+// session pool, and cache, so batches never mix graphs.
 //
 // Endpoints: /v1/query, /v1/graphs, /v1/metrics, /v1/healthz.
 //
 // Example:
 //
 //	bfsserve -addr :8080 -scale 16 -algo 1d -ranks 16 -machine franklin \
-//	         -policy slack -max-wait 2ms -sessions 2 -cache-size 256 \
+//	         -policy slack -sessions 2 -cache-size 256 \
 //	         -extra-graph "web,scale=14,seed=7,web"
 //
 //	curl -s localhost:8080/v1/graphs
@@ -120,7 +121,6 @@ func main() {
 		threads    = flag.Int("threads", 0, "threads per rank (0 = machine default for hybrid variants)")
 		machine    = flag.String("machine", "franklin", "cost model: franklin, hopper, carver, or '' for none")
 		batchMax   = flag.Int("batch-max", pbfs.BatchWidth, "dispatch width (clamped to 64, one mask word)")
-		maxWait    = flag.Duration("max-wait", 2*time.Millisecond, "max queue wait before a partial batch dispatches")
 		queueDepth = flag.Int("queue-depth", 1024, "per-graph pending-queue admission limit")
 		policyName = flag.String("policy", "slack", "scheduling policy: fcfs, sjf, priority, slack")
 		aging      = flag.Duration("aging", 10*time.Millisecond, "priority-policy aging quantum (priority gains 1 tier per quantum waited)")
@@ -174,7 +174,7 @@ func main() {
 	fmt.Printf("bfsserve: warming %d session(s) per graph...\n", *sessions)
 	srv, err := serve.New(serve.Config{
 		Graphs:   cfgs,
-		BatchMax: *batchMax, MaxWait: *maxWait, QueueDepth: *queueDepth,
+		BatchMax: *batchMax, QueueDepth: *queueDepth,
 		Policy: policy, Sessions: *sessions, CacheSize: *cacheSize,
 	})
 	if err != nil {
@@ -201,8 +201,8 @@ func main() {
 				gs.Graph, gs.Queries, gs.Batches, gs.CacheHitRate)
 		}
 	}()
-	fmt.Printf("bfsserve: serving %s (%d graph(s), policy %s, batch<=%d, max-wait %v, queue %d, cache %d)\n",
-		*addr, len(cfgs), policy.Name(), *batchMax, *maxWait, *queueDepth, *cacheSize)
+	fmt.Printf("bfsserve: serving %s (%d graph(s), policy %s, batch<=%d, queue %d, cache %d)\n",
+		*addr, len(cfgs), policy.Name(), *batchMax, *queueDepth, *cacheSize)
 	if err := httpSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		fatal(err)
 	}

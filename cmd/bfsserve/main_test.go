@@ -6,7 +6,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"repro"
 	"repro/internal/serve"
@@ -21,8 +20,7 @@ func TestOversizedQueryBodyRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv, err := serve.New(serve.Config{
-		Graphs:  []serve.GraphConfig{{ID: "g", Graph: g, Options: pbfs.Options{Algorithm: pbfs.OneDFlat, Ranks: 4}}},
-		MaxWait: time.Millisecond,
+		Graphs: []serve.GraphConfig{{ID: "g", Graph: g, Options: pbfs.Options{Algorithm: pbfs.OneDFlat, Ranks: 4}}},
 	})
 	if err != nil {
 		t.Fatal(err)

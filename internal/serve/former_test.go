@@ -1,91 +1,63 @@
 package serve
 
-// Former.Wait / Former.Next consistency and planeCache
-// refresh-at-capacity properties, pinned as tables over scripted queue
-// states.
+// The Former.Next formation rule and planeCache refresh-at-capacity
+// properties, pinned as tables over scripted queue states.
 
 import (
 	"testing"
 	"time"
 )
 
-// TestFormerWaitNextConsistency sweeps queue states and probe times and
-// checks the contract the serving loop sleeps on: Wait(now) == 0 means
-// Next(now) either forms a batch right now or nothing is due at all
-// (empty queue, or no max-wait and no deadlines), and Wait(now) > 0
-// means Next(now) forms nothing and reports the same remaining time.
-// Neither call may consume the queue when it forms nothing.
-func TestFormerWaitNextConsistency(t *testing.T) {
-	est := 10 * time.Millisecond
-	type state struct {
-		name    string
-		maxWait time.Duration
-		// setup fills the queue; deadlines are offsets from t0.
-		pushes    int
-		deadlines []time.Duration
+// TestFormerNext pins the formation rule: Next returns nil on an empty
+// queue, and otherwise the first min(width, pending) requests in policy
+// order, at any now — no trigger holds a batch back — while the rest
+// stay queued, in order, for the next call.
+func TestFormerNext(t *testing.T) {
+	cases := []struct {
+		name     string
+		batchMax int
+		pushes   int
+		at       time.Duration // offset from t0 the batch is cut at
+		want     []int64
+	}{
+		{name: "empty", batchMax: 4},
+		{name: "one pending, cut at admission", batchMax: 4, pushes: 1, want: []int64{0}},
+		{name: "partial below width", batchMax: 4, pushes: 3, want: []int64{2, 1, 0}},
+		{name: "full width", batchMax: 4, pushes: 4, want: []int64{3, 2, 1, 0}},
+		{name: "spillover stays queued", batchMax: 4, pushes: 6, want: []int64{5, 4, 3, 2}},
+		{name: "an hour later, same cut", batchMax: 4, pushes: 6, at: time.Hour, want: []int64{5, 4, 3, 2}},
 	}
-	states := []state{
-		{name: "empty", maxWait: time.Millisecond},
-		{name: "partial below width", maxWait: 5 * time.Millisecond, pushes: 3},
-		{name: "full width", maxWait: 5 * time.Millisecond, pushes: 4},
-		{name: "deadline carrier", maxWait: time.Hour, pushes: 1,
-			deadlines: []time.Duration{30 * time.Millisecond}},
-		{name: "no max-wait no deadlines", maxWait: 0, pushes: 2},
-		{name: "no max-wait with deadline", maxWait: 0, pushes: 2,
-			deadlines: []time.Duration{0, 40 * time.Millisecond}},
-	}
-	probes := []time.Duration{0, time.Millisecond, 5 * time.Millisecond,
-		20 * time.Millisecond, 50 * time.Millisecond, time.Second}
-
-	for _, st := range states {
-		t.Run(st.name, func(t *testing.T) {
-			for _, at := range probes {
-				q := NewQueue(64)
-				for i := 0; i < st.pushes; i++ {
-					r := push(t, q, int64(i), "x", 0, 1, t0)
-					if i < len(st.deadlines) && st.deadlines[i] > 0 {
-						r.Deadline = t0.Add(st.deadlines[i])
-					}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			// SJF with work falling as the source rises, so policy
+			// order is the reverse of admission order.
+			q := NewQueue(64)
+			for i := 0; i < c.pushes; i++ {
+				push(t, q, int64(i), "x", 0, int64(100-i), t0)
+			}
+			f := &Former{Queue: q, Policy: SJF{}, BatchMax: c.batchMax}
+			batch, rest := f.Next(t0.Add(c.at))
+			if c.want == nil {
+				if batch != nil || rest != 0 {
+					t.Fatalf("empty queue: Next = %v, rest %d; want nil, 0", sourcesOf(batch), rest)
 				}
-				f := &Former{Queue: q, Policy: FCFS{}, BatchMax: 4,
-					MaxWait: st.maxWait, Est: func() time.Duration { return est }}
-				now := t0.Add(at)
-				wait := f.Wait(now)
-				if lenBefore := q.Len(); lenBefore != st.pushes {
-					t.Fatalf("at +%v: Wait consumed the queue (%d -> %d)", at, st.pushes, lenBefore)
-				}
-				batch, nextWait := f.Next(now)
-				switch {
-				case wait > 0:
-					if batch != nil {
-						t.Errorf("at +%v: Wait=%v but Next formed %v", at, wait, sourcesOf(batch))
-					}
-					if nextWait != wait {
-						t.Errorf("at +%v: Wait=%v disagrees with Next's wait %v", at, wait, nextWait)
-					}
-					if q.Len() != st.pushes {
-						t.Errorf("at +%v: undue Next consumed the queue", at)
-					}
-				case batch != nil:
-					// Wait==0 with something due: the batch forms now.
-					if nextWait != 0 {
-						t.Errorf("at +%v: formed a batch with wait %v", at, nextWait)
-					}
-				default:
-					// Wait==0 and no batch: nothing may be due, which for
-					// this former means an empty queue or a state with no
-					// max-wait and no deadlines pending.
-					if q.Len() > 0 && st.maxWait > 0 {
-						t.Errorf("at +%v: Wait=0, no batch, yet %d pending under MaxWait %v",
-							at, q.Len(), st.maxWait)
-					}
-					if q.Len() > 0 {
-						for _, r := range q.pending {
-							if !r.Deadline.IsZero() {
-								t.Errorf("at +%v: Wait=0, no batch, deadline carrier pending", at)
-							}
-						}
-					}
+				return
+			}
+			if !eqSources(batch, c.want) {
+				t.Errorf("batch %v, want %v", sourcesOf(batch), c.want)
+			}
+			wantRest := c.pushes - len(c.want)
+			if rest != wantRest || q.Len() != wantRest {
+				t.Errorf("rest %d, queue %d; want %d", rest, q.Len(), wantRest)
+			}
+			left, _ := f.Next(t0.Add(c.at))
+			if len(left) != wantRest {
+				t.Fatalf("second Next took %d, want the %d left", len(left), wantRest)
+			}
+			for i, r := range left {
+				if want := int64(wantRest - 1 - i); r.Source != want {
+					t.Errorf("spillover %v, want descending from %d", sourcesOf(left), wantRest-1)
+					break
 				}
 			}
 		})
@@ -94,10 +66,11 @@ func TestFormerWaitNextConsistency(t *testing.T) {
 
 // TestFormerOccupancyUnderBacklog drives a Former on a fake clock with
 // a sustained backlog: 240 requests arriving 24 per simulated
-// millisecond, BatchMax 64, MaxWait 3 ms, FCFS. Arrivals outpace the
-// max-wait timer, so full-width dispatches dominate; every request must
+// millisecond, BatchMax 64, FCFS, and a batch cut once per millisecond
+// (one session freeing up that often). Everything that arrived while
+// the session was busy rides the next cut, so every request must
 // dispatch exactly once and the mean batch width must stay at or above
-// 16 (this stream forms batches of 60 on average).
+// 16 (this stream forms batches of 24).
 func TestFormerOccupancyUnderBacklog(t *testing.T) {
 	const (
 		requests = 240
@@ -105,7 +78,7 @@ func TestFormerOccupancyUnderBacklog(t *testing.T) {
 	)
 	clock := NewFakeClock(t0)
 	q := NewQueue(4 * requests)
-	f := &Former{Queue: q, Policy: FCFS{}, BatchMax: 64, MaxWait: 3 * time.Millisecond}
+	f := &Former{Queue: q, Policy: FCFS{}, BatchMax: 64}
 	seen := make([]int, requests)
 	batches := 0
 	record := func(batch []*Request) {

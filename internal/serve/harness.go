@@ -1,12 +1,10 @@
 package serve
 
-import "time"
-
 // Harness drives a Server's full pipeline deterministically: queries
 // are admitted through the same validation → cache → coalesce → queue
 // path as live traffic, but batches form and execute synchronously at
-// explicit fake-clock instants instead of on the serving loops' real
-// timers. Same clock script, same submissions → bit-identical batch
+// explicit fake-clock instants instead of on the serving loops'
+// goroutines. Same clock script, same submissions → bit-identical batch
 // composition, cache hit sequence, and shed set on every run — the
 // substrate of the deterministic load tests.
 //
@@ -37,51 +35,32 @@ func (h *Harness) Submit(q Query) (<-chan *Response, error) {
 	return h.Server.SubmitQuery(q)
 }
 
-// Pump forms and executes every batch due at the current clock across
-// all registered graphs, in registration order, and returns how many
-// batches ran. Each batch completes before the next forms, so
-// responses land in a deterministic order.
+// Pump cuts and executes batches across all registered graphs, in
+// registration order, until every queue is empty, and returns how many
+// batches ran. It applies the serving loop's rule: each batch completes
+// and returns its session before the next is cut, so every session is
+// free at each cut, and responses land in a deterministic order.
 func (h *Harness) Pump() int {
 	n := 0
 	for _, id := range h.Server.order {
 		w := h.Server.workers[id]
-		for {
-			now := h.clock.Now()
-			batch, _ := w.former.Next(now)
-			if batch == nil {
-				break
-			}
-			w.runBatch(batch, now)
+		for batch, sess, acquired := w.next(); batch != nil; batch, sess, acquired = w.next() {
+			w.runBatch(batch, sess, acquired)
 			n++
 		}
 	}
 	return n
 }
 
-// Wait returns the duration until the earliest pending due time across
-// all graphs (zero when nothing is pending or due), so a driver can
-// advance its fake clock exactly to the next dispatch.
-func (h *Harness) Wait() time.Duration {
-	var min time.Duration
-	for _, id := range h.Server.order {
-		if wait := h.Server.workers[id].former.Wait(h.clock.Now()); wait > 0 {
-			if min == 0 || wait < min {
-				min = wait
-			}
-		}
-	}
-	return min
-}
-
-// Flush drains every graph's queue as final batches (ignoring due
-// times) and returns how many batches ran.
+// Flush drains every graph's queue as final batches, all cut at the
+// current clock, and returns how many batches ran.
 func (h *Harness) Flush() int {
 	n := 0
 	for _, id := range h.Server.order {
 		w := h.Server.workers[id]
 		now := h.clock.Now()
 		for _, batch := range w.former.Flush(now) {
-			w.runBatch(batch, now)
+			w.runBatch(batch, w.pool.TryGet(), now)
 			n++
 		}
 	}

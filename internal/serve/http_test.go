@@ -16,7 +16,6 @@ import (
 	"reflect"
 	"strconv"
 	"testing"
-	"time"
 
 	pbfs "repro"
 )
@@ -196,9 +195,6 @@ func FuzzQueryRequest(f *testing.F) {
 	}
 	srv, err := New(Config{
 		Graphs: []GraphConfig{{ID: "g", Graph: g, Options: pbfs.Options{Algorithm: pbfs.OneDFlat, Ranks: 4}}},
-		// Width one: every admitted query dispatches at once, so no
-		// input leaves the fuzzer waiting on MaxWait.
-		BatchMax: 1, MaxWait: time.Millisecond,
 	})
 	if err != nil {
 		f.Fatal(err)

@@ -126,10 +126,6 @@ func TestDeterministicLoad(t *testing.T) {
 		clock.Advance(time.Millisecond)
 		h.Pump()
 	}
-	if wait := h.Wait(); wait > 0 {
-		clock.Advance(wait)
-		h.Pump()
-	}
 	h.Flush()
 
 	var (

@@ -51,43 +51,15 @@ func (q *Queue) Len() int {
 // Depth returns the admission limit.
 func (q *Queue) Depth() int { return q.depth }
 
-// due returns the earliest instant any pending request becomes due
-// for dispatch: the sooner of its max-wait expiry (Enqueued + maxWait,
-// when maxWait > 0) and its latest viable dispatch time (Deadline -
-// est, for deadline-carrying requests). With maxWait <= 0 and no
-// deadlines pending there is no due time — only full batches and
-// Flush drain the queue.
-func (q *Queue) due(maxWait, est time.Duration) (time.Time, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	var t time.Time
-	ok := false
-	earlier := func(c time.Time) {
-		if !ok || c.Before(t) {
-			t = c
-			ok = true
-		}
-	}
-	for _, r := range q.pending {
-		if maxWait > 0 {
-			earlier(r.Enqueued.Add(maxWait))
-		}
-		if !r.Deadline.IsZero() {
-			earlier(r.Deadline.Add(-est))
-		}
-	}
-	return t, ok
-}
-
 // take removes and returns up to k pending requests in policy order at
-// now. The policy sorts the whole pending set; spillover (pending
-// beyond k) stays queued for the next dispatch, which is how a burst
-// larger than the batch width splits.
-func (q *Queue) take(p Policy, now time.Time, k int) []*Request {
+// now, and how many stay queued. The policy sorts the whole pending
+// set; spillover (pending beyond k) stays queued for the next dispatch,
+// which is how a burst larger than the batch width splits.
+func (q *Queue) take(p Policy, now time.Time, k int) ([]*Request, int) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if len(q.pending) == 0 || k < 1 {
-		return nil
+		return nil, len(q.pending)
 	}
 	sortRequests(q.pending, p, now)
 	if k > len(q.pending) {
@@ -101,7 +73,7 @@ func (q *Queue) take(p Policy, now time.Time, k int) []*Request {
 		q.pending[i] = nil
 	}
 	q.pending = q.pending[:n]
-	return batch
+	return batch, n
 }
 
 // drain removes and returns every pending request (the shutdown

@@ -3,9 +3,8 @@ package serve
 // Deterministic scheduler simulation: the Queue/Former/Policy layer is
 // driven by explicit times from a FakeClock, so every case in these
 // tables forms exactly the same batches on every run — dispatch order,
-// max-wait deadlines, priority aging, and the batch-former boundary
-// conditions (k=1, k=BatchWidth, spillover past the width, empty
-// flush) are all pinned.
+// priority aging, and the batch-former boundary conditions (k=1,
+// k=BatchWidth, spillover past the width, empty flush) are all pinned.
 
 import (
 	"fmt"
@@ -84,7 +83,7 @@ func TestPolicyOrdering(t *testing.T) {
 			for _, a := range arrivals {
 				push(t, q, a.source, "x", a.prio, a.est, t0.Add(a.at))
 			}
-			f := &Former{Queue: q, Policy: c.policy, BatchMax: 4, MaxWait: time.Millisecond}
+			f := &Former{Queue: q, Policy: c.policy, BatchMax: 4}
 			batch, _ := f.Next(t0.Add(10 * time.Millisecond))
 			if !eqSources(batch, c.want) {
 				t.Errorf("dispatch order %v, want %v", sourcesOf(batch), c.want)
@@ -101,47 +100,11 @@ func TestSlackOrdering(t *testing.T) {
 	push(t, q, 1, "interactive", 2, 1, t0).Deadline = t0.Add(80 * time.Millisecond)
 	push(t, q, 2, "interactive", 2, 1, t0) // no deadline, tier 2
 	push(t, q, 3, "batch", 0, 1, t0).Deadline = t0.Add(20 * time.Millisecond)
-	f := &Former{Queue: q, Policy: Slack{}, BatchMax: 4, MaxWait: time.Millisecond}
+	f := &Former{Queue: q, Policy: Slack{}, BatchMax: 4}
 	batch, _ := f.Next(t0.Add(10 * time.Millisecond))
 	// 3 (20ms deadline) before 1 (80ms), then 2 (tier 2) before 0.
 	if !eqSources(batch, []int64{3, 1, 2, 0}) {
 		t.Errorf("slack dispatch order %v, want [3 1 2 0]", sourcesOf(batch))
-	}
-}
-
-func TestFormerDeadlineDispatch(t *testing.T) {
-	// A pending deadline is the third dispatch trigger: with MaxWait
-	// far away, the former becomes due at Deadline - Est, and Next
-	// reports the exact remaining time until then.
-	q := NewQueue(16)
-	est := 10 * time.Millisecond
-	f := &Former{Queue: q, Policy: FCFS{}, BatchMax: 8,
-		MaxWait: time.Hour, Est: func() time.Duration { return est }}
-	push(t, q, 0, "x", 0, 1, t0)
-	push(t, q, 1, "x", 0, 1, t0).Deadline = t0.Add(30 * time.Millisecond)
-
-	// Latest viable dispatch is deadline - est = t0+20ms.
-	batch, wait := f.Next(t0)
-	if batch != nil {
-		t.Fatalf("dispatched %v before the deadline became due", sourcesOf(batch))
-	}
-	if want := 20 * time.Millisecond; wait != want {
-		t.Fatalf("remaining wait %v, want %v", wait, want)
-	}
-	// Wait mirrors Next without taking anything.
-	if w := f.Wait(t0); w != 20*time.Millisecond {
-		t.Fatalf("Wait %v, want 20ms", w)
-	}
-	if q.Len() != 2 {
-		t.Fatalf("Wait consumed the queue: %d pending", q.Len())
-	}
-	batch, _ = f.Next(t0.Add(20 * time.Millisecond))
-	if !eqSources(batch, []int64{0, 1}) {
-		t.Fatalf("deadline-due dispatch %v, want both pending", sourcesOf(batch))
-	}
-	// Empty queue: no due time, Wait reports zero.
-	if w := f.Wait(t0); w != 0 {
-		t.Fatalf("idle Wait %v, want 0", w)
 	}
 }
 
@@ -162,7 +125,7 @@ func TestPriorityAgingNoStarvation(t *testing.T) {
 	if e := pol.Effective(old, now); e <= 2 {
 		t.Fatalf("aged effective priority %.2f should exceed the fresh tier 2", e)
 	}
-	f := &Former{Queue: q, Policy: pol, BatchMax: 2, MaxWait: time.Millisecond}
+	f := &Former{Queue: q, Policy: pol, BatchMax: 2}
 	batch, _ := f.Next(now)
 	if len(batch) != 2 || batch[0].Source != 99 {
 		t.Errorf("aged request should dispatch first, got %v", sourcesOf(batch))
@@ -174,41 +137,10 @@ func TestPriorityAgingNoStarvation(t *testing.T) {
 	for i := int64(0); i < 4; i++ {
 		push(t, q2, i, "interactive", 2, 1, t0.Add(time.Duration(21+i)*time.Millisecond))
 	}
-	f2 := &Former{Queue: q2, Policy: Priority{}, BatchMax: 2, MaxWait: time.Millisecond}
+	f2 := &Former{Queue: q2, Policy: Priority{}, BatchMax: 2}
 	batch2, _ := f2.Next(now)
 	if len(batch2) != 2 || batch2[0].Source == 99 || batch2[1].Source == 99 {
 		t.Errorf("strict priority should dispatch fresh tier-2 first, got %v", sourcesOf(batch2))
-	}
-}
-
-func TestFormerMaxWaitDispatch(t *testing.T) {
-	// Three requests, none filling the batch: nothing dispatches until
-	// the oldest has waited MaxWait, and Next reports the exact
-	// remaining time so a serving loop can sleep precisely.
-	q := NewQueue(16)
-	f := &Former{Queue: q, Policy: FCFS{}, BatchMax: 8, MaxWait: 5 * time.Millisecond}
-
-	push(t, q, 0, "x", 0, 1, t0)
-	push(t, q, 1, "x", 0, 1, t0.Add(1*time.Millisecond))
-	push(t, q, 2, "x", 0, 1, t0.Add(2*time.Millisecond))
-
-	batch, wait := f.Next(t0.Add(3 * time.Millisecond))
-	if batch != nil {
-		t.Fatalf("dispatched %v before the deadline", sourcesOf(batch))
-	}
-	if want := 2 * time.Millisecond; wait != want {
-		t.Fatalf("remaining wait %v, want %v", wait, want)
-	}
-	batch, wait = f.Next(t0.Add(5 * time.Millisecond))
-	if !eqSources(batch, []int64{0, 1, 2}) {
-		t.Fatalf("deadline dispatch %v, want all three", sourcesOf(batch))
-	}
-	if wait != 0 {
-		t.Fatalf("wait %v after dispatch, want 0", wait)
-	}
-	// Queue is empty now: idle, no deadline.
-	if batch, wait = f.Next(t0.Add(time.Hour)); batch != nil || wait != 0 {
-		t.Fatalf("idle former returned batch=%v wait=%v", sourcesOf(batch), wait)
 	}
 }
 
@@ -217,8 +149,7 @@ func TestFormerBoundaries(t *testing.T) {
 		name     string
 		batchMax int
 		pushes   int
-		// wantBatches is the expected batch sizes from looping Next at
-		// a time past every deadline.
+		// wantBatches is the expected batch sizes from looping Next.
 		wantBatches []int
 	}{
 		{"k=1 every request is its own batch", 1, 3, []int{1, 1, 1}},
@@ -230,7 +161,7 @@ func TestFormerBoundaries(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			q := NewQueue(2000)
-			f := &Former{Queue: q, Policy: FCFS{}, BatchMax: c.batchMax, MaxWait: time.Millisecond}
+			f := &Former{Queue: q, Policy: FCFS{}, BatchMax: c.batchMax}
 			for i := 0; i < c.pushes; i++ {
 				push(t, q, int64(i), "x", 0, 1, t0)
 			}
@@ -258,7 +189,7 @@ func TestFormerBoundaries(t *testing.T) {
 
 func TestFormerEmptyFlush(t *testing.T) {
 	q := NewQueue(8)
-	f := &Former{Queue: q, Policy: FCFS{}, BatchMax: 4, MaxWait: time.Millisecond}
+	f := &Former{Queue: q, Policy: FCFS{}, BatchMax: 4}
 	if got := f.Flush(t0); got != nil {
 		t.Fatalf("empty flush produced %d batches", len(got))
 	}
@@ -285,7 +216,7 @@ func TestQueueAdmissionControl(t *testing.T) {
 		t.Fatalf("full queue Push: got %v, want RejectError(queue_full)", err)
 	}
 	// Dispatch frees capacity; admission resumes.
-	f := &Former{Queue: q, Policy: FCFS{}, BatchMax: 1, MaxWait: time.Millisecond}
+	f := &Former{Queue: q, Policy: FCFS{}, BatchMax: 1}
 	if batch, _ := f.Next(t0.Add(time.Second)); !eqSources(batch, []int64{0}) {
 		t.Fatalf("expected FCFS head, got %v", sourcesOf(batch))
 	}

@@ -20,16 +20,18 @@
 //     typed *RejectError (queue_full carries a queue-delay-derived
 //     RetryAfter hint) when it cannot — saturation is a fast failure,
 //     not an unbounded backlog.
-//   - Former decides when a batch dispatches: immediately when
-//     BatchMax requests are pending, when the oldest pending request
-//     has waited MaxWait, or when a pending deadline would otherwise
-//     be missed. It is driven by explicit time.Time arguments (an
-//     injected clock), so scheduling is deterministic under test.
+//   - A batch is cut whenever the queue is non-empty and a pooled
+//     session is free (work-conserving): Former decides which
+//     requests ride it, up to BatchMax in policy order, and requests
+//     that arrive while every session is busy wait in the queue and
+//     ride the next batch. Former takes explicit time.Time arguments
+//     (an injected clock), so scheduling is deterministic under test.
 //   - Requests carry an optional Deadline: ones that cannot be served
 //     in time (queue delay plus the graph's estimated batch service
-//     time, an EWMA of recent batches' simulated machine seconds)
-//     are shed with RejectDeadline instead of served late; the Slack
-//     policy orders dispatch by time-to-deadline.
+//     time, an EWMA of recent batches' simulated machine seconds),
+//     judged at admission and again when their batch acquires a
+//     session, are shed with RejectDeadline instead of served late;
+//     the Slack policy orders dispatch by time-to-deadline.
 //   - Policy orders the pending requests at dispatch: FCFS, SJF by
 //     estimated frontier work, Priority with aging, or Slack.
 //
@@ -37,9 +39,9 @@
 // amortized-latency percentiles, batch occupancy, cache hit rates,
 // deadline sheds, harmonic-mean TEPS) and exposed, together with
 // /v1/query, /v1/graphs and /v1/healthz, by the HTTP handler in
-// http.go. Shutdown drains: admission stops, every graph's queue
-// flushes through its former, and every request still in flight
-// receives exactly one response.
+// http.go. Shutdown drains: admission stops, every graph's queue runs
+// as final batches, and every request still in flight receives exactly
+// one response.
 package serve
 
 import (
@@ -51,8 +53,8 @@ import (
 
 // Clock supplies timestamps to the serving pipeline. The Former takes
 // explicit time.Time arguments, so any Clock (notably FakeClock) makes
-// batch formation deterministic; the Server stamps arrivals with its
-// configured Clock and uses real timers only to wake its loops.
+// batch formation deterministic; the Server stamps arrivals and
+// session acquisitions with its configured Clock.
 type Clock interface {
 	Now() time.Time
 }

@@ -33,9 +33,10 @@ type Config struct {
 	// empty Query.GraphID resolves to).
 	Graphs []GraphConfig
 
-	// BatchMax is the dispatch width (clamped to [1, pbfs.BatchWidth]);
-	// MaxWait bounds how long an admitted query waits before a partial
-	// batch dispatches (default 2ms).
+	// BatchMax is the dispatch width (clamped to [1, pbfs.BatchWidth]).
+	// A batch is cut whenever a pooled session is free, so MaxWait
+	// delays no dispatch: its one reader is the floor of the queue_full
+	// Retry-After hint (default 2ms).
 	BatchMax int
 	MaxWait  time.Duration
 
@@ -57,8 +58,8 @@ type Config struct {
 	Classes []Class
 
 	// Clock stamps admissions, queue waits, and completions (default
-	// Wall). The serving loops' wakeups are real timers regardless;
-	// drive a FakeClock through a Harness for deterministic batching.
+	// Wall). The serving loops run on real goroutines regardless; drive
+	// a FakeClock through a Harness for deterministic batching.
 	Clock Clock
 }
 
@@ -142,8 +143,7 @@ func newServer(cfg Config, start bool) (*Server, error) {
 		if gc.Sessions < 1 {
 			gc.Sessions = cfg.Sessions
 		}
-		w := newGraphWorker(s, gc, cfg.BatchMax, cfg.MaxWait,
-			cfg.QueueDepth, cfg.Policy, cfg.CacheSize)
+		w := newGraphWorker(s, gc, cfg.BatchMax, cfg.QueueDepth, cfg.Policy, cfg.CacheSize)
 		// Warm every pool session with a one-source batch:
 		// configuration errors (unknown machine, unfactorable grid)
 		// surface here instead of on the first query, and each session
@@ -298,8 +298,8 @@ func (s *Server) Metrics() Snapshot {
 func (s *Server) Draining() bool { return s.draining.Load() }
 
 // Shutdown drains gracefully: admission stops (new submissions reject
-// with draining), every graph's pending queue flushes through its
-// former as final batches, in-flight batches finish, and any straggler
+// with draining), every graph's pending queue runs as final batches as
+// sessions free up, in-flight batches finish, and any straggler
 // admitted during the race receives a draining rejection. Every
 // admitted query gets exactly one Response. Shutdown is idempotent and
 // returns when the server is fully stopped.

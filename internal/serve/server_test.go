@@ -238,14 +238,16 @@ func TestServerAdmissionRejections(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv, err := New(Config{
-		Graphs: []GraphConfig{{ID: "g", Graph: g, Options: pbfs.Options{Algorithm: pbfs.OneDFlat, Ranks: 4}}},
-		// A far deadline and a full-width batch: nothing dispatches, so
-		// the 2-deep queue saturates deterministically.
-		MaxWait: time.Hour, BatchMax: 64, QueueDepth: 2,
+		Graphs:   []GraphConfig{{ID: "g", Graph: g, Options: pbfs.Options{Algorithm: pbfs.OneDFlat, Ranks: 4}}},
+		BatchMax: 64, QueueDepth: 2, Sessions: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A priming query holds the one session, so nothing else dispatches
+	// and the 2-deep queue saturates deterministically.
+	h := newSessionHold(srv, "g", 5)
+	primed := h.hold(t)
 	if _, err := srv.SubmitQuery(Query{Source: 0, Class: "no-such-class"}); reason(err) != RejectBadClass {
 		t.Errorf("unknown class: %v", err)
 	}
@@ -274,10 +276,16 @@ func TestServerAdmissionRejections(t *testing.T) {
 	if fullRejects != 1 {
 		t.Errorf("queue_full rejects %d, want 1", fullRejects)
 	}
-	// Shutdown flushes the two queued requests as a final batch: both
-	// must be served, not dropped.
-	srv.Shutdown()
-	for i, ch := range []<-chan *Response{ch1, ch2} {
+	// Shutdown flushes the two queued requests as a final batch once
+	// the session is free: both must be served, not dropped.
+	stopped := make(chan struct{})
+	go func() {
+		srv.Shutdown()
+		close(stopped)
+	}()
+	h.free()
+	<-stopped
+	for i, ch := range []<-chan *Response{primed, ch1, ch2} {
 		select {
 		case resp := <-ch:
 			if resp.Err != nil {
@@ -306,13 +314,18 @@ func TestServerQueryContext(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv, err := New(Config{
-		Graphs:  []GraphConfig{{ID: "g", Graph: g, Options: pbfs.Options{Algorithm: pbfs.OneDFlat, Ranks: 4}}},
-		MaxWait: time.Hour, BatchMax: 64, // nothing dispatches on its own
+		Graphs:   []GraphConfig{{ID: "g", Graph: g, Options: pbfs.Options{Algorithm: pbfs.OneDFlat, Ranks: 4}}},
+		BatchMax: 64, Sessions: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Shutdown()
+	// A priming query holds the one session, so the query below stays
+	// queued and only the cancelled context can answer Do.
+	h := newSessionHold(srv, "g", 5)
+	h.hold(t)
+	defer h.free()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := srv.Do(ctx, Query{Source: 0, Class: "standard"}); err != context.Canceled {

@@ -34,23 +34,26 @@ type graphWorker struct {
 
 	// estServeNs is the EWMA of recent batches' simulated machine time
 	// in nanoseconds — the deterministic service-time estimate deadline
-	// admission, dispatch shedding, and the Retry-After hint all price
-	// against. Zero until the first sim-carrying batch completes (and
-	// forever, without a Machine profile, in which case only deadlines
-	// already in the past shed).
+	// admission, the shed at session acquisition, and the Retry-After
+	// hint all price against. Zero until the first sim-carrying batch
+	// completes (and forever, without a Machine profile, in which case
+	// only deadlines already in the past shed).
 	estServeNs atomic.Int64
 
 	// mu guards flights: source → queued leader request that duplicate
 	// arrivals for the same source coalesce onto. An entry exists only
-	// while its leader is in the queue; dispatch removes it, so later
+	// while its leader is in the queue; runBatch removes it, so later
 	// duplicates start a fresh flight (in-queue single-flight).
 	mu      sync.Mutex
 	flights map[int64]*Request
 
 	// Loop plumbing; started is false for Harness-driven workers, whose
-	// batches are pumped synchronously instead.
+	// batches are pumped synchronously instead. arrived and freed wake
+	// the loop when a request is queued or a session returns to the
+	// pool.
 	started  bool
 	arrived  chan struct{}
+	freed    chan struct{}
 	quit     chan struct{}
 	loopDone chan struct{}
 	execWG   sync.WaitGroup
@@ -58,8 +61,8 @@ type graphWorker struct {
 
 // newGraphWorker builds one graph's pipeline from its resolved
 // configuration; the caller warms the pool and starts the loop.
-func newGraphWorker(s *Server, gc GraphConfig, batchMax int, maxWait time.Duration,
-	queueDepth int, policy Policy, cacheSize int) *graphWorker {
+func newGraphWorker(s *Server, gc GraphConfig, batchMax, queueDepth int,
+	policy Policy, cacheSize int) *graphWorker {
 	w := &graphWorker{
 		s: s, id: gc.ID, graph: gc.Graph, opt: gc.Options,
 		q:        NewQueue(queueDepth),
@@ -67,14 +70,11 @@ func newGraphWorker(s *Server, gc GraphConfig, batchMax int, maxWait time.Durati
 		cache:    newPlaneCache(cacheSize),
 		flights:  make(map[int64]*Request),
 		arrived:  make(chan struct{}, 1),
+		freed:    make(chan struct{}, 1),
 		quit:     make(chan struct{}),
 		loopDone: make(chan struct{}),
 	}
-	w.former = &Former{
-		Queue: w.q, Policy: policy,
-		BatchMax: batchMax, MaxWait: maxWait,
-		Est: w.estServe,
-	}
+	w.former = &Former{Queue: w.q, Policy: policy, BatchMax: batchMax}
 	w.exec = func(sess *pbfs.Session, sources []int64) (*pbfs.BatchResult, error) {
 		return sess.BFSBatch(w.graph, sources, w.opt)
 	}
@@ -108,20 +108,17 @@ func (w *graphWorker) observeServe(simSeconds float64) {
 // queueDelay estimates how long a request admitted now would wait
 // before its batch completes: the dispatch cycles ahead of it (queue
 // length over the batch width, at least one) times the estimated
-// service time, plus the former's max wait for the cycle it joins.
-// This is the Retry-After hint queue_full rejections carry and the
-// queue_delay_estimate_ns the metrics surface.
+// service time, floored at Config.MaxWait so the hint is never zero
+// before the first batch has priced one. This is the Retry-After hint
+// queue_full rejections carry and the queue_delay_estimate_ns the
+// metrics surface.
 func (w *graphWorker) queueDelay() time.Duration {
 	width := w.former.width()
 	cycles := (w.q.Len() + width - 1) / width
 	if cycles < 1 {
 		cycles = 1
 	}
-	d := time.Duration(cycles) * w.estServe()
-	if w.former.MaxWait > 0 {
-		d += w.former.MaxWait
-	}
-	return d
+	return max(time.Duration(cycles)*w.estServe(), w.s.cfg.MaxWait)
 }
 
 // admitDelay estimates the time from admission at now to the admitted
@@ -132,7 +129,7 @@ func (w *graphWorker) queueDelay() time.Duration {
 // consistent with the cycle accounting queueDelay uses for the
 // Retry-After hint. (queueDelay itself is deliberately not reused
 // here: it rounds the backlog up to a minimum of one full cycle and
-// adds the former's max wait, which would shed currently-feasible
+// floors the result at MaxWait, which would shed currently-feasible
 // requests arriving at an empty queue.)
 func (w *graphWorker) admitDelay() time.Duration {
 	cycles := w.q.Len() / w.former.width()
@@ -193,14 +190,33 @@ func (w *graphWorker) submit(req *Request, now time.Time, noCache bool) error {
 	return nil
 }
 
-// runBatch executes one formed batch at dispatch time now: coalesced
-// riders are resolved, unmeetable deadlines shed, the surviving
-// sources traverse as one MS-BFS batch on a pooled session, and every
-// attached request receives exactly one response. A batch that panics
-// is answered with ErrBatchPanic and its session replaced. It is called
-// synchronously by the Harness and from dispatch goroutines by the
-// serving loop.
-func (w *graphWorker) runBatch(batch []*Request, now time.Time) {
+// next cuts the next batch when the queue holds work and a pooled
+// session is free: it checks the session out, reads the clock at that
+// acquisition instant, and takes up to the batch width in policy order.
+// It returns a nil batch, and holds no session, otherwise. Only the
+// loop (or the single-threaded Harness) takes from the queue, so a
+// queue seen non-empty still holds work once the session is out.
+func (w *graphWorker) next() (batch []*Request, sess *pbfs.Session, acquired time.Time) {
+	if w.q.Len() == 0 {
+		return
+	}
+	if sess = w.pool.TryGet(); sess == nil {
+		return
+	}
+	acquired = w.s.clock.Now()
+	batch, _ = w.former.Next(acquired)
+	return batch, sess, acquired
+}
+
+// runBatch executes one batch cut on sess at acquired, the instant the
+// session was checked out: coalesced riders are resolved, unmeetable
+// deadlines shed, the surviving sources traverse as one MS-BFS batch,
+// and every attached request receives exactly one response. The
+// session goes back to the pool, replaced first if the batch panicked
+// (its requests are answered with ErrBatchPanic), and the loop is woken
+// to cut the next batch. It is called synchronously by the Harness and
+// from dispatch goroutines by the serving loop.
+func (w *graphWorker) runBatch(batch []*Request, sess *pbfs.Session, acquired time.Time) {
 	m := w.s.metrics
 	// Resolve the single-flight table: everything attached up to this
 	// instant rides; later duplicates start a fresh flight.
@@ -216,7 +232,7 @@ func (w *graphWorker) runBatch(batch []*Request, now time.Time) {
 	w.mu.Unlock()
 
 	// Deadline shed: a request that cannot complete by its deadline —
-	// dispatch now plus the estimated service time — is answered with
+	// acquisition plus the estimated service time — is answered with
 	// RejectDeadline instead of being served late. A source stays in
 	// the traversal as long as any attached request survives.
 	est := w.estServe()
@@ -225,7 +241,7 @@ func (w *graphWorker) runBatch(batch []*Request, now time.Time) {
 	for _, reqs := range groups {
 		keep := reqs[:0]
 		for _, r := range reqs {
-			if !r.Deadline.IsZero() && now.Add(est).After(r.Deadline) {
+			if !r.Deadline.IsZero() && acquired.Add(est).After(r.Deadline) {
 				m.RecordReject(w.id, r.Class, RejectDeadline)
 				r.done <- &Response{
 					ID: r.ID, Graph: w.id, Source: r.Source, Class: r.Class,
@@ -240,13 +256,11 @@ func (w *graphWorker) runBatch(batch []*Request, now time.Time) {
 			live = append(live, keep)
 		}
 	}
-	if len(sources) == 0 {
-		return
+	var br *pbfs.BatchResult
+	var err error
+	if len(sources) > 0 {
+		br, err = w.execute(sess, sources)
 	}
-
-	sess := w.pool.Get()
-	acquired := w.s.clock.Now()
-	br, err := w.execute(sess, sources)
 	if errors.Is(err, ErrBatchPanic) {
 		// A panic can leave the session's engines mid-search (a
 		// poisoned collective group stays poisoned), so retire the
@@ -255,6 +269,13 @@ func (w *graphWorker) runBatch(batch []*Request, now time.Time) {
 		sess = pbfs.NewSession()
 	}
 	w.pool.Put(sess)
+	select {
+	case w.freed <- struct{}{}:
+	default:
+	}
+	if len(sources) == 0 {
+		return
+	}
 	if err != nil {
 		for _, reqs := range live {
 			for _, r := range reqs {
@@ -288,7 +309,7 @@ func (w *graphWorker) runBatch(batch []*Request, now time.Time) {
 }
 
 // execute runs exec on sess and turns a panic into an error wrapping
-// ErrBatchPanic: dispatch runs batches on bare goroutines, where an
+// ErrBatchPanic: the loop runs batches on bare goroutines, where an
 // unrecovered panic (World.Run re-raises a rank's) ends the process.
 func (w *graphWorker) execute(sess *pbfs.Session, sources []int64) (br *pbfs.BatchResult, err error) {
 	defer func() {
@@ -330,60 +351,40 @@ func (w *graphWorker) start() {
 	go w.loop()
 }
 
-// loop is the worker's serving loop: it forms batches as the rule
-// allows, sleeps until the next due time or arrival otherwise, and on
-// quit flushes the queue as final batches.
+// loop is the worker's serving loop. It is work-conserving: whenever
+// the queue is non-empty and a pooled session is free it cuts a batch
+// and runs it on a goroutine, so with K sessions at most K batches
+// execute at once and requests that arrive meanwhile wait in the queue,
+// where they merge into the next batch and admission can see them.
+// Otherwise it sleeps until an arrival or a freed session. On quit it
+// keeps cutting until the queue is empty.
 func (w *graphWorker) loop() {
 	defer close(w.loopDone)
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	defer timer.Stop()
+	quit := w.quit
 	for {
-		now := w.s.clock.Now()
-		batch, wait := w.former.Next(now)
-		if batch != nil {
-			w.dispatch(batch, now)
+		if batch, sess, acquired := w.next(); batch != nil {
+			w.execWG.Add(1)
+			go func() {
+				defer w.execWG.Done()
+				w.runBatch(batch, sess, acquired)
+			}()
 			continue
 		}
-		var due <-chan time.Time
-		if wait > 0 {
-			timer.Reset(wait)
-			due = timer.C
+		if quit == nil && w.q.Len() == 0 {
+			return
 		}
 		select {
 		case <-w.arrived:
-		case <-due:
-			continue
-		case <-w.quit:
-			now := w.s.clock.Now()
-			for _, b := range w.former.Flush(now) {
-				w.dispatch(b, now)
-			}
-			return
-		}
-		if wait > 0 && !timer.Stop() {
-			<-timer.C
+		case <-w.freed:
+		case <-quit:
+			quit = nil
 		}
 	}
 }
 
-// dispatch runs one batch on a pooled session. The pool bounds
-// concurrency: with K sessions at most K batches execute at once, and
-// the (K+1)-th dispatch blocks in Get inside its goroutine without
-// stalling the forming loop.
-func (w *graphWorker) dispatch(batch []*Request, now time.Time) {
-	w.execWG.Add(1)
-	go func() {
-		defer w.execWG.Done()
-		w.runBatch(batch, now)
-	}()
-}
-
-// stop drains the worker: the loop (when started) flushes and exits,
-// in-flight batches finish, stragglers still queued are answered with
-// a draining rejection, and the pool closes.
+// stop drains the worker: the loop (when started) runs the backlog as
+// final batches and exits, in-flight batches finish, stragglers still
+// queued are answered with a draining rejection, and the pool closes.
 func (w *graphWorker) stop() {
 	if w.started {
 		<-w.loopDone

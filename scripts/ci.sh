@@ -110,8 +110,14 @@ echo "== race smoke (batching query server) =="
 # LRU semantics, the closed rejection-reason set, deadline-aware
 # dispatch, and the 1024-query Zipf load test over two graphs
 # (cross-graph isolation, zero responses completed past their deadline,
-# serial-oracle distances).
+# serial-oracle distances). The live-loop tests then repeat 20 times to
+# shake out the session hand-off between the work-conserving loop
+# (which checks a free session out and cuts a batch) and runBatch
+# (which returns it and wakes the loop): an idle server answers at
+# once, a backlog behind a held session rides one batch, a deadline
+# that passes while the session is held is shed at acquisition.
 go test -race ./internal/serve
+go test -race -count=20 -run 'BatchPanic|IdleServerDispatchesAtOnce|BacklogMergesIntoOneBatch|DeadlineShedAtAcquisition' ./internal/serve
 
 echo "== fuzz smoke (/v1/query encoder and decoder, column join, uint32 pull) =="
 # The 200 body must stay byte-identical to encoding/json's, and no

@@ -127,6 +127,18 @@ func (p *SessionPool) Size() int { return cap(p.ch) }
 // be paired with a Put.
 func (p *SessionPool) Get() *Session { return <-p.ch }
 
+// TryGet checks a session out if one is free and returns nil, without
+// blocking, when every session is checked out. A non-nil result must be
+// paired with a Put.
+func (p *SessionPool) TryGet() *Session {
+	select {
+	case s := <-p.ch:
+		return s
+	default:
+		return nil
+	}
+}
+
 // Put returns a checked-out session to the pool, keeping its cached
 // engines warm for the next borrower.
 func (p *SessionPool) Put(s *Session) { p.ch <- s }
