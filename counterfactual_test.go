@@ -125,6 +125,37 @@ func TestDecisionsGolden(t *testing.T) {
 			t.Errorf("%v decisions:\n got %q\nwant %q", algo, got, golden[algo])
 		}
 	}
+
+	// The crawl row: a long, thin search whose frontier hovers at a
+	// steady size, the regime the direction rule must not misread. It
+	// pins the choice of every direction decision (one letter per
+	// decision, 'b' for bottom-up) and the entries the search scanned.
+	crawl, err := NewWebCrawlGraph(1<<10, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const wantChoices = "tttttttttttttttttttttttttttttttttttttttttttttttttttbtbttttttttttbtbtbtbtbtbtbtbtbtbt"
+	const wantBU, wantScanned = 12, 18357
+	res, err := sess.Search(crawl, crawl.Sources(1, 9)[0], Options{
+		Algorithm: OneDFlat, Ranks: 4, Machine: "franklin", Direction: Auto, Trace: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var choices []byte
+	var bu int
+	for _, d := range res.Decisions {
+		c := byte('t')
+		if d.Choice == "bottom-up" {
+			c = 'b'
+			bu++
+		}
+		choices = append(choices, c)
+	}
+	if scanned := res.ScannedTopDown + res.ScannedBottomUp; string(choices) != wantChoices || bu != wantBU || scanned != wantScanned {
+		t.Errorf("crawl decisions:\n got %s (%d bottom-up, %d scanned)\nwant %s (%d bottom-up, %d scanned)",
+			choices, bu, scanned, wantChoices, wantBU, wantScanned)
+	}
 }
 
 // TestCounterfactualReplay runs the full replay on both drivers: every
