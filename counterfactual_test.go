@@ -98,14 +98,14 @@ func TestDecisionsGolden(t *testing.T) {
 	// Both layouts reduce the same global statistics, so they take the
 	// same direction decisions; the 2D search adds its derived grid.
 	dirs := []string{
-		"direction L2 nf=1 mf=373 mu=10407 n=1024 top-down [bottom-up]",
-		"direction L3 nf=372 mf=9057 mu=1350 n=1024 bottom-up [top-down]",
-		"direction L4 nf=349 mf=1340 mu=10 n=1024 bottom-up [top-down]",
-		"direction L5 nf=9 mf=9 mu=1 n=1024 top-down [bottom-up]",
+		"direction L2 nf=1 mf=373 mu=10407 n=1024 prev=1 top-down [bottom-up]",
+		"direction L3 nf=372 mf=9057 mu=1350 n=1024 prev=1 bottom-up [top-down]",
+		"direction L4 nf=349 mf=1340 mu=10 n=1024 prev=372 bottom-up [top-down]",
+		"direction L5 nf=9 mf=9 mu=1 n=1024 prev=349 top-down [bottom-up]",
 	}
 	golden := map[Algorithm][]string{
 		OneDFlat: dirs,
-		TwoDFlat: append(slices.Clone(dirs), "grid L0 nf=0 mf=0 mu=0 n=0 2x2 [1x4 4x1]"),
+		TwoDFlat: append(slices.Clone(dirs), "grid L0 nf=0 mf=0 mu=0 n=0 prev=0 2x2 [1x4 4x1]"),
 	}
 	sess := NewSession()
 	defer sess.Close()
@@ -118,8 +118,8 @@ func TestDecisionsGolden(t *testing.T) {
 		}
 		var got []string
 		for _, d := range res.Decisions {
-			got = append(got, fmt.Sprintf("%s L%d nf=%d mf=%d mu=%d n=%d %s %v",
-				d.Kind, d.Level, d.Frontier, d.EdgeEst, d.Unexplored, d.Verts, d.Choice, d.Alternatives))
+			got = append(got, fmt.Sprintf("%s L%d nf=%d mf=%d mu=%d n=%d prev=%d %s %v",
+				d.Kind, d.Level, d.Frontier, d.EdgeEst, d.Unexplored, d.Verts, d.PrevFrontier, d.Choice, d.Alternatives))
 		}
 		if !slices.Equal(got, golden[algo]) {
 			t.Errorf("%v decisions:\n got %q\nwant %q", algo, got, golden[algo])
@@ -130,12 +130,16 @@ func TestDecisionsGolden(t *testing.T) {
 	// steady size, the regime the direction rule must not misread. It
 	// pins the choice of every direction decision (one letter per
 	// decision, 'b' for bottom-up) and the entries the search scanned.
+	// The growth guard keeps the whole search top-down, so it scans
+	// exactly TopDownOnly's entries; the bare alpha/beta pair took 12
+	// bottom-up levels here, alternating with top-down ones in the tail,
+	// and scanned 18,357.
 	crawl, err := NewWebCrawlGraph(1<<10, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const wantChoices = "tttttttttttttttttttttttttttttttttttttttttttttttttttbtbttttttttttbtbtbtbtbtbtbtbtbtbt"
-	const wantBU, wantScanned = 12, 18357
+	const wantChoices = "tttttttttttttttttttttttttttttttttttttttttttttttttttttttttttttttttttttttttttttttttttt"
+	const wantBU, wantScanned = 0, 10654
 	res, err := sess.Search(crawl, crawl.Sources(1, 9)[0], Options{
 		Algorithm: OneDFlat, Ranks: 4, Machine: "franklin", Direction: Auto, Trace: true,
 	})

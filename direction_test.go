@@ -193,3 +193,42 @@ func TestProjectRMATDirOpt(t *testing.T) {
 		t.Error("unknown machine accepted")
 	}
 }
+
+// TestAutoMatchesTopDownOnCrawl checks Auto on web crawls, whose long
+// tails hold a frontier of a few hundred vertices while the unexplored
+// volume shrinks below alpha times the frontier's: the growth guard
+// keeps every level top-down, so Auto scans exactly TopDownOnly's
+// entries and its simulated time stays within 1% of TopDownOnly's (the
+// bare alpha/beta pair took 6.72 ms against 4.46 ms on the 2^10 crawl
+// in 1D).
+func TestAutoMatchesTopDownOnCrawl(t *testing.T) {
+	sess := NewSession()
+	defer sess.Close()
+	for _, nv := range []int64{1 << 10, 1 << 12} {
+		g, err := NewWebCrawlGraph(nv, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := g.Sources(1, 9)[0]
+		for _, algo := range []Algorithm{OneDFlat, TwoDFlat} {
+			res := map[Direction]*Result{}
+			for _, dir := range []Direction{Auto, TopDownOnly} {
+				r, err := sess.Search(g, src, Options{Algorithm: algo, Ranks: 4, Machine: "franklin", Direction: dir})
+				if err != nil {
+					t.Fatal(err)
+				}
+				res[dir] = r
+			}
+			auto, td := res[Auto], res[TopDownOnly]
+			if auto.ScannedBottomUp != 0 || auto.ScannedTopDown != td.ScannedTopDown {
+				t.Errorf("crawl %d %v: Auto scanned %d top-down + %d bottom-up, TopDownOnly %d",
+					nv, algo, auto.ScannedTopDown, auto.ScannedBottomUp, td.ScannedTopDown)
+			}
+			if auto.SimTime > 1.01*td.SimTime {
+				t.Errorf("crawl %d %v: Auto simulated %.3g s, over 1.01x TopDownOnly's %.3g s",
+					nv, algo, auto.SimTime, td.SimTime)
+			}
+			t.Logf("crawl %d %v: Auto %.4g ms, TopDownOnly %.4g ms", nv, algo, auto.SimTime*1e3, td.SimTime*1e3)
+		}
+	}
+}

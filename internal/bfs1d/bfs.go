@@ -288,7 +288,8 @@ func Run(w *cluster.World, g *Graph, source int64, opt Options) *levels.Output {
 		var level int64 = 1
 		var ns []int64
 		for {
-			var totalNew, mfLocal, levScan int64
+			var found, mfLocal, levScan int64
+			var next dirheur.Direction
 			if cur == dirheur.BottomUp {
 				// ---- Bottom-up pull level ----
 				// Each unvisited owned vertex scans its in-adjacency
@@ -334,12 +335,12 @@ func Run(w *cluster.World, g *Graph, source int64, opt Options) *levels.Output {
 				// ---- Dense frontier exchange (bitmap allgather) ----
 				// Replaces the sparse all-to-all: the new frontier moves
 				// as one N-bit bitmap assembled from owned word chunks,
-				// and termination needs no extra allreduce — every rank
-				// counts the same combined bitmap.
+				// and termination needs no allreduce — every rank counts
+				// the same combined bitmap.
 				front.CopyFrom(world.AllgatherBitsBlocks(r,
 					chunk.Words()[ownWLo:ownWHi], ownWLo, bitmapWords, "bitmap"))
-				totalNew = front.Count()
 				r.ChargeMem(price, 0, 0, 3*bitmapWords, 0)
+				found, next = lp.EndCounted(r, dirm, level, levScan, front.Count(), mfLocal)
 			} else {
 				// ---- Top-down frontier expansion into per-owner buffers ----
 				for j := range send {
@@ -489,16 +490,13 @@ func Run(w *cluster.World, g *Graph, source int64, opt Options) *levels.Output {
 					r.ChargeMem(price, int64(len(ns)), nloc, 0, 0)
 				}
 
-				// ---- Level termination test ----
-				totalNew = world.AllreduceSum(r, int64(len(ns)), "allreduce")
+				// ---- Level termination test and direction decision ----
+				found, next = lp.End(r, dirm, level, levScan, int64(len(ns)), mfLocal)
 			}
-			lp.Level(r, cur, levScan, totalNew)
-			if totalNew == 0 {
+			if found == 0 {
 				break
 			}
-
-			// ---- Direction decision for the next level ----
-			if next := lp.Next(r, dirm, level, totalNew, mfLocal); next != cur {
+			if next != cur {
 				if next == dirheur.BottomUp {
 					enterBottomUp(ns)
 				} else {

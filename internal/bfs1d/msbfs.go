@@ -130,7 +130,7 @@ func RunBatch(w *cluster.World, g *Graph, sources []int64, opt Options) *levels.
 		var level int64 = 1
 		var ns []int64
 		for {
-			var totalNew, mfLocal, levScan int64
+			var mfLocal, levScan int64
 			var newOrLocal uint64
 			var newCountLocal int64
 			curBuf = 1 - curBuf
@@ -325,19 +325,19 @@ func RunBatch(w *cluster.World, g *Graph, sources []int64, opt Options) *levels.
 				levScan = adjWords
 			}
 
-			// ---- Level termination and retirement ----
+			// ---- Level termination, direction and retirement ----
 			// One sum (aggregate discoveries, the heuristic's nf and the
-			// trace profile) and one OR (which searches discovered —
-			// searches absent retire from the active mask, so bottom-up
-			// candidate scans stop probing for them).
-			totalNew = world.AllreduceSum(r, newCountLocal, "allreduce")
+			// trace profile, beside its mf under Auto) and one OR (which
+			// searches discovered — searches absent retire from the
+			// active mask, so bottom-up candidate scans stop probing for
+			// them).
+			found, next := lp.End(r, dirm, level, levScan, newCountLocal, mfLocal)
 			active = world.AllreduceOr(r, newOrLocal, "allreduce")
 			bt.Retire(r, active, level)
-			lp.Level(r, cur, levScan, totalNew)
-			if totalNew == 0 {
+			if found == 0 {
 				break
 			}
-			cur = lp.Next(r, dirm, level, totalNew, mfLocal)
+			cur = next
 
 			// Swap the frontier double buffer: clear the old mask plane
 			// by its index list (O(frontier)), promote the new one.

@@ -321,22 +321,16 @@ func run2DVector(w *cluster.World, grid *cluster.Grid, g *Graph, source int64, o
 				r.ChargeMem(price, int64(len(frontier)), nOwn, 0, 0)
 			}
 
-			// ---- Termination (implicit in line 4) ----
+			// ---- Termination (implicit in line 4) and direction ----
 			// Both directions count the same owned discovery lists: with
 			// the frontier bitmap partitioned across the grid
 			// subcommunicators, no rank holds a global bitmap to count,
 			// so bottom-up levels terminate through the same allreduce
-			// as top-down ones (the statistic the direction heuristic
-			// consumes anyway; its value equals the old global bitmap
-			// count, so traces are unchanged).
-			totalNew := w.WorldGroup().AllreduceSum(r, int64(len(frontier)), "allreduce")
-			lp.Level(r, cur, levScan, totalNew)
-			if totalNew == 0 {
+			// as top-down ones, which carries the heuristic's mf too.
+			found, next := lp.End(r, dirm, level, levScan, int64(len(frontier)), mfLocal)
+			if found == 0 {
 				break
 			}
-
-			// ---- Direction decision for the next level ----
-			next := lp.Next(r, dirm, level, totalNew, mfLocal)
 			switch {
 			case cur == dirheur.BottomUp && next == dirheur.BottomUp:
 				// Stay bottom-up: move the new frontier through the

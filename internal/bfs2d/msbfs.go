@@ -264,17 +264,13 @@ func run2DVectorBatch(w *cluster.World, grid *cluster.Grid, g *Graph, sources []
 			r.ChargeMem(price, int64(merged.NNZ()), nOwn, int64(merged.NNZ()),
 				int64(len(ns))*int64(mbits.Len64(uint64(len(ns)))))
 
-			// ---- Termination and retirement ----
-			totalNew := world.AllreduceSum(r, newCountLocal, "allreduce")
+			// ---- Termination, direction and retirement ----
+			found, next := lp.End(r, dirm, level, levScan, newCountLocal, mfLocal)
 			active = world.AllreduceOr(r, newOrLocal, "allreduce")
 			bt.Retire(r, active, level)
-			lp.Level(r, cur, levScan, totalNew)
-			if totalNew == 0 {
+			if found == 0 {
 				break
 			}
-
-			// ---- Direction decision ----
-			next := lp.Next(r, dirm, level, totalNew, mfLocal)
 			switch {
 			case cur == dirheur.BottomUp && next == dirheur.BottomUp:
 				// Stay bottom-up: the new frontier bits are exactly the

@@ -58,6 +58,40 @@ func TestAllreduce(t *testing.T) {
 	})
 }
 
+// TestAllreduceSum2 checks the two-word allreduce for one, four and
+// sixteen members: both sums reach every member, the operation is
+// priced as one two-word allreduce, and each member leaves at the
+// latest entry clock plus that price, its wait booked to the tag.
+func TestAllreduceSum2(t *testing.T) {
+	m := netmodel.Franklin()
+	for _, p := range []int{1, 4, 16} {
+		w := NewWorld(p, m)
+		g := w.WorldGroup()
+		cost := m.Allreduce(p, 2)
+		if p > 1 && cost <= m.Allreduce(p, 1) {
+			t.Fatalf("p=%d: two-word price %v not above the one-word %v", p, cost, m.Allreduce(p, 1))
+		}
+		w.Run(func(r *Rank) {
+			id := int64(r.ID())
+			r.Charge(float64(id) * 0.01)
+			a, b := g.AllreduceSum2(r, id, 1000+id*id, "sum2")
+			wantA := int64(p * (p - 1) / 2)
+			wantB := int64(1000*p + (p-1)*p*(2*p-1)/6)
+			if a != wantA || b != wantB {
+				t.Errorf("p=%d rank %d: sums (%d, %d), want (%d, %d)", p, r.ID(), a, b, wantA, wantB)
+			}
+			last := float64(p-1) * 0.01
+			if diff := r.Clock() - (last + cost); diff > 1e-12 || diff < -1e-12 {
+				t.Errorf("p=%d rank %d: clock %v, want %v", p, r.ID(), r.Clock(), last+cost)
+			}
+			wantComm := last - float64(id)*0.01 + cost
+			if diff := r.CommTime("sum2") - wantComm; diff > 1e-12 || diff < -1e-12 {
+				t.Errorf("p=%d rank %d: comm %v, want %v", p, r.ID(), r.CommTime("sum2"), wantComm)
+			}
+		})
+	}
+}
+
 func TestAllreduceOr(t *testing.T) {
 	const p = 9
 	w := NewWorld(p, ZeroCost{})

@@ -523,6 +523,24 @@ func (g *Group) AllreduceSum(r *Rank, v int64, tag string) int64 {
 		}).num
 }
 
+// AllreduceSum2 returns the sums of every member's two values in one
+// two-word allreduce: one latency term, where two AllreduceSum calls
+// would pay two.
+func (g *Group) AllreduceSum2(r *Rank, a, b int64, tag string) (int64, int64) {
+	out := g.collective(r, payload{num: a, num2: b}, tag,
+		func([]payload) float64 { return g.world.Model.Allreduce(len(g.members), 2) },
+		nil,
+		func(_ int, deposits []payload) payload {
+			var sum payload
+			for i := range deposits {
+				sum.num += deposits[i].num
+				sum.num2 += deposits[i].num2
+			}
+			return sum
+		})
+	return out.num, out.num2
+}
+
 // AllreduceOr returns the bitwise OR of every member's 64-bit mask: the
 // batched BFS's per-level reduction of "searches that discovered
 // something this level" (one bit per search in the batch). Priced like

@@ -117,6 +117,21 @@ func runJitteredSchedule(t *testing.T, seed int64, rounds int) Stats {
 			if want := int64(w.P * (w.P - 1) / 2); sum != want {
 				t.Errorf("round %d rank %d: sum = %d, want %d", round, r.ID(), sum, want)
 			}
+			jitter(rng)
+			// The level loop's two-word reduction, on the world group
+			// and on a column subcommunicator.
+			a, b := grid.All.AllreduceSum2(r, 1, int64(r.ID()+round), "stress/sum2")
+			if wantB := int64(w.P*(w.P-1)/2 + w.P*round); a != int64(w.P) || b != wantB {
+				t.Errorf("round %d rank %d: sum2 = (%d, %d), want (%d, %d)", round, r.ID(), a, b, w.P, wantB)
+			}
+			ca, cb := col.AllreduceSum2(r, int64(r.ID()), int64(round), "stress/colsum2")
+			var wantCA int64
+			for i := 0; i < col.Size(); i++ {
+				wantCA += int64(col.Member(i))
+			}
+			if ca != wantCA || cb != int64(pr*round) {
+				t.Errorf("round %d rank %d: colsum2 = (%d, %d), want (%d, %d)", round, r.ID(), ca, cb, wantCA, pr*round)
+			}
 		}
 	})
 	return w.Stats()
@@ -168,6 +183,8 @@ func TestRendezvousWorldReuse(t *testing.T) {
 			for round := 0; round < 30; round++ {
 				jitter(rng)
 				grid.All.AllreduceSum(r, int64(r.ID()), "reuse/sum")
+				jitter(rng)
+				grid.All.AllreduceSum2(r, int64(r.ID()), int64(round), "reuse/sum2")
 				jitter(rng)
 				r.Charge(2e-6)
 				row.Allgatherv(r, []int64{int64(r.ID())}, "reuse/ag")

@@ -3,8 +3,9 @@
 // alternatives.
 //
 // The distributed drivers make every per-level policy decision — the
-// alpha/beta direction switch — from globally reduced statistics, so every rank computes the identical decision
-// sequence and one rank's view of it is canonical. When tracing is on,
+// guarded alpha/beta direction switch — from globally reduced
+// statistics, so every rank computes the identical decision sequence
+// and one rank's view of it is canonical. When tracing is on,
 // rank 0 records each decision with the inputs the heuristic saw, the
 // choice it took, and the alternatives it rejected. The counterfactual
 // runner then re-executes the same search with exactly one decision
@@ -31,8 +32,9 @@ import (
 type Kind string
 
 const (
-	// KindDirection is one alpha/beta direction-switch decision: at the
-	// end of a level, push or pull the next one (dirheur.Machine.Advance).
+	// KindDirection is one guarded alpha/beta direction-switch
+	// decision: at the end of a level, push or pull the next one
+	// (dirheur.Machine.Advance).
 	KindDirection Kind = "direction"
 	// KindGrid is the per-search process-grid shape decision of the 2D
 	// algorithms, taken once when the shape is derived from the rank
@@ -64,6 +66,9 @@ type Decision struct {
 	// Verts is the vertex total n the direction rule compared nf*beta
 	// against (batch-scaled for batched searches).
 	Verts int64 `json:"verts,omitempty"`
+	// PrevFrontier is the previous level's frontier size prevNf the
+	// growth guard compared nf*nf*beta against (as n*prevNf).
+	PrevFrontier int64 `json:"prev_frontier,omitempty"`
 	// Alpha and Beta are the switch thresholds in force.
 	Alpha int64 `json:"alpha,omitempty"`
 	Beta  int64 `json:"beta,omitempty"`

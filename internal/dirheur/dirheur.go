@@ -6,25 +6,35 @@
 // are an order of magnitude cheaper bottom-up; the small head and tail
 // levels are cheaper top-down.
 //
-// The switch rule is the classic alpha/beta pair of Beamer, Asanović and
-// Patterson (SC 2012), which Buluç & Madduri's Section 6 identifies as
-// the work-inefficiency left on the table by purely top-down level
-// loops:
+// The switch follows Beamer, Asanović and Patterson (SC 2012), which
+// Buluç & Madduri's Section 6 identifies as the work-inefficiency left
+// on the table by purely top-down level loops. Three rules read the
+// globally reduced statistics of the level just finished:
 //
-//   - top-down -> bottom-up when mf > mu/alpha: the frontier's
+//   - alpha (top-down -> bottom-up): mf > mu/alpha, the frontier's
 //     out-edge volume mf exceeds a fraction of the unexplored edge
 //     volume mu, so pushing would touch more edges than pulling;
-//   - bottom-up -> top-down when nf < n/beta: the frontier has shrunk
+//   - growth guard (qualifies alpha): SC 2012 switches only while the
+//     frontier is growing. Here that reads nf*nf*beta >= n*prevNf:
+//     grown one more level at its current rate nf/prevNf, the frontier
+//     must not already meet the beta exit. Without it a long, thin
+//     search (a web crawl's tail) whose mu has shrunk below alpha*mf
+//     alternates top-down and bottom-up levels, and every bottom-up one
+//     scans all the unvisited vertices for a frontier of a few hundred;
+//   - beta (bottom-up -> top-down): nf < n/beta, the frontier has shrunk
 //     to a sliver of the n vertices, so scanning every unvisited vertex
 //     per level no longer pays.
 //
 // Every rank feeds the machine the same globally-reduced statistics, so
 // all ranks take the same decision deterministically and the collective
-// schedules stay aligned. Both drivers obtain (nf, mf) from world-wide
-// allreduces over their owned discovery lists — including on bottom-up
-// levels, where the 2D driver's frontier bitmap is partitioned across
-// grid subcommunicators and no rank holds a global bitmap to count.
+// schedules stay aligned. The drivers obtain (nf, mf) from one world
+// allreduce over their owned discovery lists per level (internal/levels)
+// — including on bottom-up levels, where the 2D driver's frontier bitmap
+// is partitioned across grid subcommunicators and no rank holds a global
+// bitmap to count.
 package dirheur
+
+import "math/bits"
 
 // Direction is the traversal direction of one BFS level.
 type Direction int
@@ -57,7 +67,7 @@ const (
 	// ModeBottomUp runs every level after the source bottom-up; mainly
 	// a test and measurement configuration.
 	ModeBottomUp
-	// ModeAuto applies the alpha/beta heuristic per level.
+	// ModeAuto applies the guarded alpha/beta heuristic per level.
 	ModeAuto
 )
 
@@ -82,15 +92,16 @@ type Policy struct {
 	// mf*Alpha > mu.
 	Alpha int64
 	// Beta triggers the bottom-up -> top-down switch: push again when
-	// nf*Beta < n.
+	// nf*Beta < n. The growth guard on the alpha rule reads it too.
 	Beta int64
 }
 
 // DefaultPolicy returns the published thresholds (alpha 14, beta 24).
 func DefaultPolicy() Policy { return Policy{Alpha: 14, Beta: 24} }
 
-// Machine is the per-search direction state: the current direction and
-// the running count of unexplored edge endpoints. One Machine per rank;
+// Machine is the per-search direction state: the current direction, the
+// running count of unexplored edge endpoints and the previous level's
+// frontier size. One Machine per rank;
 // every rank advances its copy with the same global statistics, so the
 // copies never diverge.
 type Machine struct {
@@ -98,12 +109,14 @@ type Machine struct {
 	mode   Mode
 	n      int64 // total vertices
 	mu     int64 // adjacency slots of still-unvisited vertices
+	prevNf int64 // frontier size of the previous level
 	cur    Direction
 }
 
 // New returns a Machine for a graph of n vertices and totalAdj stored
 // adjacency slots (the directed edge count of the distributed CSR).
-// A zero policy field falls back to the default threshold.
+// A zero policy field falls back to the default threshold. The search
+// starts from one source, so the level-0 frontier size is 1.
 func New(mode Mode, pol Policy, n, totalAdj int64) *Machine {
 	if pol.Alpha <= 0 {
 		pol.Alpha = DefaultPolicy().Alpha
@@ -111,7 +124,7 @@ func New(mode Mode, pol Policy, n, totalAdj int64) *Machine {
 	if pol.Beta <= 0 {
 		pol.Beta = DefaultPolicy().Beta
 	}
-	m := &Machine{policy: pol, mode: mode, n: n, mu: totalAdj}
+	m := &Machine{policy: pol, mode: mode, n: n, mu: totalAdj, prevNf: 1}
 	if mode == ModeBottomUp {
 		m.cur = BottomUp
 	}
@@ -127,12 +140,14 @@ func New(mode Mode, pol Policy, n, totalAdj int64) *Machine {
 // volume crosses the same fraction of the aggregate unexplored volume,
 // so a batch whose searches are mostly in their heavy middle levels
 // pulls, and retires back to pushing as searches complete and the
-// aggregate frontier thins.
+// aggregate frontier thins. Its level-0 frontier is the width sources.
 func NewBatch(mode Mode, pol Policy, n, totalAdj int64, width int) *Machine {
 	if width < 1 {
 		width = 1
 	}
-	return New(mode, pol, n*int64(width), totalAdj*int64(width))
+	m := New(mode, pol, n*int64(width), totalAdj*int64(width))
+	m.prevNf = int64(width)
+	return m
 }
 
 // Direction returns the direction the next level should run in.
@@ -148,6 +163,10 @@ func (m *Machine) Unexplored() int64 { return m.mu }
 // (batch-scaled for machines built with NewBatch).
 func (m *Machine) Verts() int64 { return m.n }
 
+// PrevFrontier returns the previous level's frontier size, the prevNf
+// the growth guard of the next Advance reads.
+func (m *Machine) PrevFrontier() int64 { return m.prevNf }
+
 // Thresholds returns the alpha/beta policy in force, with zero fields
 // already resolved to the defaults.
 func (m *Machine) Thresholds() Policy { return m.policy }
@@ -155,32 +174,58 @@ func (m *Machine) Thresholds() Policy { return m.policy }
 // Force overrides the machine's current direction, as a counterfactual
 // replay does when it flips one recorded decision: the next Advance
 // applies the switch rules from the forced state, so the heuristic
-// continues down the alternative trajectory. Meaningful in ModeAuto
-// only — the fixed modes reassert their direction on every Advance.
+// continues down the alternative trajectory. The frontier history is
+// left alone: Advance already recorded the level's nf. Meaningful in
+// ModeAuto only — the fixed modes reassert their direction on every
+// Advance.
 // Every rank must force identically, like every Advance.
 func (m *Machine) Force(d Direction) { m.cur = d }
 
-// Advance consumes the end-of-level global statistics — nf vertices
+// Advance consumes the end-of-level global statistics — nf > 0 vertices
 // discovered into the next frontier, carrying mf adjacency slots — and
 // returns the direction for the next level. mf is subtracted from the
-// unexplored volume regardless of mode, so Unexplored stays meaningful
-// for tracing even in the fixed-direction modes.
+// unexplored volume and nf becomes the next call's prevNf regardless of
+// mode, so Unexplored and PrevFrontier stay meaningful for tracing even
+// in the fixed-direction modes.
 func (m *Machine) Advance(nf, mf int64) Direction {
 	m.mu -= mf
 	if m.mu < 0 {
 		m.mu = 0
 	}
+	prev := m.prevNf
+	m.prevNf = nf
 	switch m.mode {
 	case ModeTopDown:
 		m.cur = TopDown
 	case ModeBottomUp:
 		m.cur = BottomUp
 	case ModeAuto:
-		if m.cur == TopDown && mf*m.policy.Alpha > m.mu {
+		if m.cur == TopDown && mf*m.policy.Alpha > m.mu && m.keepsGrowing(nf, prev) {
 			m.cur = BottomUp
 		} else if m.cur == BottomUp && nf*m.policy.Beta < m.n {
 			m.cur = TopDown
 		}
 	}
 	return m.cur
+}
+
+// keepsGrowing is the growth guard: nf*nf*beta >= n*prev, the frontier
+// grown one more level at its rate nf/prev still meets no beta exit. The
+// products are compared exactly: nf*nf alone overflows int64 at scale
+// 32, so the left side is formed in 192 bits and the right in 128.
+func (m *Machine) keepsGrowing(nf, prev int64) bool {
+	beta := uint64(m.policy.Beta)
+	sqHi, sqLo := bits.Mul64(uint64(nf), uint64(nf))
+	carryLo, w0 := bits.Mul64(sqLo, beta)
+	w2, w1 := bits.Mul64(sqHi, beta)
+	w1, carry := bits.Add64(w1, carryLo, 0)
+	w2 += carry
+	rHi, rLo := bits.Mul64(uint64(m.n), uint64(prev))
+	switch {
+	case w2 != 0:
+		return true
+	case w1 != rHi:
+		return w1 > rHi
+	}
+	return w0 >= rLo
 }

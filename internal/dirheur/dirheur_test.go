@@ -78,17 +78,128 @@ func TestAutoSwitchesAtKnownSizes(t *testing.T) {
 	}
 }
 
+// TestAutoAlphaBoundaryExact pins the alpha rule's boundary on a
+// frontier the growth guard admits, and that the guard holds back the
+// same edge volumes when a 10-vertex frontier sits on a 2^20-vertex
+// graph.
 func TestAutoAlphaBoundaryExact(t *testing.T) {
 	// After Advance subtracts mf, mu = 1400; with alpha = 14 the rule
 	// "mf*alpha > mu" must not fire at mf = 100 (1400 == 1400) and must
-	// fire at mf = 101 on an identically prepared machine.
-	stay := New(ModeAuto, Policy{Alpha: 14, Beta: 24}, 1<<20, 1500)
+	// fire at mf = 101 on an identically prepared machine. On n = 1000
+	// the guard admits nf = 10: 10*10*24 = 2400 >= 1000*1.
+	stay := New(ModeAuto, Policy{Alpha: 14, Beta: 24}, 1000, 1500)
 	if got := stay.Advance(10, 100); got != TopDown {
 		t.Fatalf("boundary mf*alpha == mu switched: %v", got)
 	}
-	flip := New(ModeAuto, Policy{Alpha: 14, Beta: 24}, 1<<20, 1501)
+	flip := New(ModeAuto, Policy{Alpha: 14, Beta: 24}, 1000, 1501)
 	if got := flip.Advance(10, 101); got != BottomUp {
 		t.Fatalf("mf*alpha > mu did not switch: %v", got)
+	}
+	// On n = 2^20 the alpha rule fires as above, but the frontier grown
+	// one more level (10*10 = 100 vertices) already meets the beta exit
+	// (100*24 < 2^20): the guard keeps it top-down.
+	guarded := New(ModeAuto, Policy{Alpha: 14, Beta: 24}, 1<<20, 1501)
+	if got := guarded.Advance(10, 101); got != TopDown {
+		t.Fatalf("guard did not hold a 10-vertex frontier on 2^20 vertices: %v", got)
+	}
+}
+
+// TestGrowthGuard drives the guarded switch through frontier profiles
+// on which the alpha rule fires at every step, so the growth guard
+// alone decides whether a level pulls.
+func TestGrowthGuard(t *testing.T) {
+	type step struct {
+		nf, mf int64
+		want   Direction
+	}
+	cases := []struct {
+		name   string
+		n, adj int64
+		width  int // 0: New, else NewBatch of this width
+		steps  []step
+	}{{
+		// A crawl's tail: the frontier holds at 484 +- 1 vertices while
+		// mu has shrunk below alpha*mf. The bare alpha/beta pair
+		// alternates top-down and bottom-up here. The first step only
+		// records the previous frontier (mf = 0 never pulls).
+		name: "flat crawl frontier", n: 1 << 16, adj: 25000,
+		steps: []step{
+			{483, 0, TopDown}, {484, 2000, TopDown}, {483, 2000, TopDown}, {484, 2000, TopDown},
+			{483, 2000, TopDown}, {484, 2000, TopDown}, {483, 2000, TopDown},
+		},
+	}, {
+		name: "growth from 1 to 2000 vertices", n: 1 << 16, adj: 1 << 20,
+		steps: []step{{2000, 100000, BottomUp}},
+	}, {
+		// After the beta exit a frontier that falls from 1711 to 2
+		// vertices stays top-down however small mu gets.
+		name: "tail fall from 1711 to 2", n: 1 << 16, adj: 200000 + 700000 + 20000 + 40,
+		steps: []step{
+			{2000, 200000, BottomUp}, {40000, 700000, BottomUp},
+			{1711, 20000, TopDown}, {2, 30, TopDown},
+		},
+	}, {
+		// A 64-wide batch on 2^10 vertices starts from prevNf = 64:
+		// 100 discoveries from 64 sources would grow to 156, below the
+		// beta exit of the batch-scaled n = 2^16, so it stays top-down
+		// where a one-source machine on 2^16 vertices would pull.
+		name: "batch starts from its width", n: 1 << 10, adj: 1 << 10, width: 64,
+		steps: []step{{100, 10000, TopDown}, {5000, 20000, BottomUp}},
+	}, {
+		// The guard's exact boundary: 10*10*24 == 2400*1 pulls, and one
+		// more vertex in n holds it back (next case).
+		name: "guard boundary met", n: 2400, adj: 1000,
+		steps: []step{{10, 100, BottomUp}},
+	}, {
+		name: "guard boundary missed", n: 2401, adj: 1000,
+		steps: []step{{10, 100, TopDown}},
+	}, {
+		// Scale-32 sizes: nf*nf = 2^66 overflows int64 (wrapping to 0).
+		// The first step records prevNf (alpha does not fire); then
+		// 2^66*24 = 3*2^69 equals n*prevNf = 3*2^36 * 2^33 exactly.
+		name: "no overflow at nf = 2^33", n: 3 << 36, adj: 1 << 40,
+		steps: []step{{1 << 33, 1 << 34, TopDown}, {1 << 33, 1 << 38, BottomUp}},
+	}, {
+		name: "no overflow, shrinking past 2^33", n: 3 << 36, adj: 1 << 40,
+		steps: []step{{1<<33 + 1, 1 << 34, TopDown}, {1 << 33, 1 << 38, TopDown}},
+	}, {
+		// Growth from 2^20 to 2^33 vertices: 2^66*24 far exceeds
+		// n*prevNf = 2^56, where int64 products would wrap nf*nf to 0.
+		name: "no overflow, growing to 2^33", n: 1 << 36, adj: 1 << 40,
+		steps: []step{{1 << 20, 1 << 24, TopDown}, {1 << 33, 1 << 38, BottomUp}},
+	}}
+	for _, tc := range cases {
+		m := New(ModeAuto, Policy{}, tc.n, tc.adj)
+		if tc.width > 0 {
+			m = NewBatch(ModeAuto, Policy{}, tc.n, tc.adj, tc.width)
+			if m.PrevFrontier() != int64(tc.width) {
+				t.Errorf("%s: batch prevNf %d, want %d", tc.name, m.PrevFrontier(), tc.width)
+			}
+		}
+		for i, st := range tc.steps {
+			if got := m.Advance(st.nf, st.mf); got != st.want {
+				t.Errorf("%s: step %d (nf=%d mf=%d): %v, want %v", tc.name, i, st.nf, st.mf, got, st.want)
+			}
+			if m.PrevFrontier() != st.nf {
+				t.Errorf("%s: step %d: prevNf %d, want %d", tc.name, i, m.PrevFrontier(), st.nf)
+			}
+		}
+	}
+}
+
+// TestForceKeepsFrontierHistory checks that a counterfactual force
+// changes the direction only: the next Advance reads the frontier the
+// last Advance recorded.
+func TestForceKeepsFrontierHistory(t *testing.T) {
+	m := New(ModeAuto, Policy{}, 1<<16, 1<<20)
+	m.Advance(2000, 100000) // pulls
+	m.Force(TopDown)
+	if m.PrevFrontier() != 2000 {
+		t.Fatalf("prevNf %d after Force, want 2000", m.PrevFrontier())
+	}
+	// 3000*3000*24 >= 2^16*2000: still growing, so the alpha rule pulls.
+	if got := m.Advance(3000, 400000); got != BottomUp {
+		t.Fatalf("after forced top-down: %v, want bottom-up", got)
 	}
 }
 

@@ -1,13 +1,16 @@
 // Package levels holds the parts of a level-synchronous distributed BFS
 // that do not depend on the driver: the output types, the per-level
-// trace, the end-of-level direction step, the hybrid strip charge, and
-// the batch drivers' output planes (batch.go).
+// trace, the end-of-level termination test and direction step, the
+// hybrid strip charge, and the batch drivers' output planes (batch.go).
 //
 // Every driver runs the same loop: expand, multiply, fold, commit, then
 // a global termination test. The 1D and 2D layouts differ in how a level
 // moves words, and the batched drivers in what a level carries (a
 // uint64 mask of searches instead of one parent), but the bookkeeping
-// around the loop is the same and is written here once.
+// around the loop is the same and is written here once. The level's end
+// issues one world allreduce, as in the paper's loop: under
+// dirheur.ModeAuto it carries the direction heuristic's edge volume
+// beside the discovery count, so a level pays one latency term.
 package levels
 
 import (
@@ -106,7 +109,9 @@ func New(w *cluster.World, trace bool, force *decis.Plan) *Loop {
 
 // Level records one executed iteration of rank r: scanned entries
 // examined in direction dir, after the termination test reduced the
-// level's global discoveries to found.
+// level's global discoveries to found. Drivers without a direction
+// heuristic call it after their own termination test; the others end
+// each level through End or EndCounted, which record it.
 func (lp *Loop) Level(r *cluster.Rank, dir dirheur.Direction, scanned, found int64) {
 	me := r.ID()
 	s := &lp.ranks[me]
@@ -130,18 +135,44 @@ func (lp *Loop) Level(r *cluster.Rank, dir dirheur.Direction, scanned, found int
 	}
 }
 
-// Next is the end-of-level direction step of a level that discovered
-// found > 0 vertices, carrying mfLocal adjacency slots on this rank: it
-// returns the direction of level+1. Under dirheur.ModeAuto it reduces
-// the frontier's edge volume over the world (the only collective here,
-// issued after the termination test), advances the heuristic, applies a
-// forced replay choice, and on rank 0 records the decision. The fixed
-// modes keep their direction and communicate nothing.
-func (lp *Loop) Next(r *cluster.Rank, dirm *dirheur.Machine, level, found, mfLocal int64) dirheur.Direction {
-	if dirm.Mode() != dirheur.ModeAuto {
+// End ends rank r's iteration level, run in dirm's direction with
+// scanned entries examined, that discovered found vertices on this rank
+// carrying mf adjacency slots. It is the level's termination test and
+// direction step in one collective: under dirheur.ModeAuto one two-word
+// world allreduce sums (found, mf); the fixed modes need no mf and sum
+// found alone. It records the iteration and returns the global
+// discoveries and, when they are non-zero, the direction of level+1.
+func (lp *Loop) End(r *cluster.Rank, dirm *dirheur.Machine, level, scanned, found, mf int64) (int64, dirheur.Direction) {
+	if dirm.Mode() == dirheur.ModeAuto {
+		found, mf = lp.world.AllreduceSum2(r, found, mf, "allreduce")
+	} else {
+		found = lp.world.AllreduceSum(r, found, "allreduce")
+	}
+	return found, lp.step(r, dirm, level, scanned, found, mf)
+}
+
+// EndCounted is End for a level whose global discoveries every rank has
+// already counted (the 1D bottom-up level counts its assembled frontier
+// bitmap): found is that global count, so only mf is reduced, and only
+// under dirheur.ModeAuto while the search goes on.
+func (lp *Loop) EndCounted(r *cluster.Rank, dirm *dirheur.Machine, level, scanned, found, mf int64) (int64, dirheur.Direction) {
+	if found > 0 && dirm.Mode() == dirheur.ModeAuto {
+		mf = lp.world.AllreduceSum(r, mf, "allreduce")
+	}
+	return found, lp.step(r, dirm, level, scanned, found, mf)
+}
+
+// step records the iteration and, when it discovered found > 0 vertices
+// carrying mf global adjacency slots, returns the direction of level+1.
+// Under dirheur.ModeAuto it advances the heuristic, applies a forced
+// replay choice, and on rank 0 records the decision; the fixed modes
+// keep their direction.
+func (lp *Loop) step(r *cluster.Rank, dirm *dirheur.Machine, level, scanned, found, mf int64) dirheur.Direction {
+	lp.Level(r, dirm.Direction(), scanned, found)
+	if found == 0 || dirm.Mode() != dirheur.ModeAuto {
 		return dirm.Direction()
 	}
-	mf := lp.world.AllreduceSum(r, mfLocal, "allreduce")
+	prev := dirm.PrevFrontier()
 	next := dirm.Advance(found, mf)
 	if d, ok := lp.force.ForcedDir(level + 1); ok {
 		next = d
@@ -156,7 +187,7 @@ func (lp *Loop) Next(r *cluster.Rank, dirm *dirheur.Machine, level, found, mfLoc
 		lp.prof.Decisions = append(lp.prof.Decisions, decis.Decision{
 			Kind: decis.KindDirection, Level: level + 1,
 			Frontier: found, EdgeEst: mf,
-			Unexplored: dirm.Unexplored(), Verts: dirm.Verts(),
+			Unexplored: dirm.Unexplored(), Verts: dirm.Verts(), PrevFrontier: prev,
 			Alpha: pol.Alpha, Beta: pol.Beta,
 			Choice:       decis.DirChoice(next),
 			Alternatives: []string{decis.DirChoice(alt)},

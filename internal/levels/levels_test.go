@@ -7,6 +7,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/decis"
 	"repro/internal/dirheur"
+	"repro/internal/netmodel"
 	"repro/internal/serial"
 )
 
@@ -70,25 +71,35 @@ func TestLoopUntracedKeepsTotals(t *testing.T) {
 	}
 }
 
-// TestNextDirection checks the direction step: Auto reduces the edge
-// volume, advances the heuristic, lets a plan force the result and has
-// rank 0 record the decision; a fixed mode keeps its direction and
-// communicates nothing.
-func TestNextDirection(t *testing.T) {
+// TestEndDirection checks the end-of-level step: Auto sums the
+// discoveries and the edge volume in one two-word allreduce, advances
+// the heuristic, lets a plan force the result and has rank 0 record the
+// decision with every input the rule read; a fixed mode keeps its
+// direction, sums the discoveries alone and records nothing.
+func TestEndDirection(t *testing.T) {
 	const p = 2
-	w := cluster.NewWorld(p, cluster.ZeroCost{})
+	m := netmodel.Franklin()
+	w := cluster.NewWorld(p, m)
 	lp := New(w, true, &decis.Plan{Dir: map[int64]dirheur.Direction{3: dirheur.TopDown}})
+	var found [p][2]int64
 	var got [p][2]dirheur.Direction
+	var comm [p]float64
 	w.Run(func(r *cluster.Rank) {
+		me := r.ID()
 		dirm := dirheur.New(dirheur.ModeAuto, dirheur.Policy{}, 100, 1000)
-		// 2*40 = 80 edges against 920 unexplored: 80*14 > 920 pulls.
-		got[r.ID()][0] = lp.Next(r, dirm, 1, 10, 40)
+		// 2*5 = 10 vertices carrying 2*40 = 80 edges against 920
+		// unexplored: 80*14 > 920, and 10*10*24 >= 100*1 lets it pull.
+		found[me][0], got[me][0] = lp.End(r, dirm, 1, 7, 5, 40)
 		// Level 3 is forced top-down whatever the heuristic says.
-		got[r.ID()][1] = lp.Next(r, dirm, 2, 50, 0)
+		found[me][1], got[me][1] = lp.End(r, dirm, 2, 9, 25, 0)
+		comm[me] = r.CommTime("allreduce")
 	})
 	for k := range got {
-		if got[k] != [2]dirheur.Direction{dirheur.BottomUp, dirheur.TopDown} {
-			t.Errorf("rank %d directions %v, want [bottom-up top-down]", k, got[k])
+		if found[k] != [2]int64{10, 50} || got[k] != [2]dirheur.Direction{dirheur.BottomUp, dirheur.TopDown} {
+			t.Errorf("rank %d found %v directions %v, want [10 50] [bottom-up top-down]", k, found[k], got[k])
+		}
+		if want := 2 * m.Allreduce(p, 2); comm[k] != want {
+			t.Errorf("rank %d allreduce time %v, want two two-word allreduces %v", k, comm[k], want)
 		}
 	}
 	var prof Profile
@@ -98,27 +109,60 @@ func TestNextDirection(t *testing.T) {
 	}
 	d := prof.Decisions[0]
 	if d.Kind != decis.KindDirection || d.Level != 2 || d.Frontier != 10 || d.EdgeEst != 80 ||
-		d.Unexplored != 920 || d.Verts != 100 || d.Alpha != 14 || d.Beta != 24 ||
+		d.Unexplored != 920 || d.Verts != 100 || d.PrevFrontier != 1 || d.Alpha != 14 || d.Beta != 24 ||
 		d.Choice != "bottom-up" || !slices.Equal(d.Alternatives, []string{"top-down"}) {
 		t.Errorf("first decision %+v", d)
 	}
-	if d := prof.Decisions[1]; d.Level != 3 || d.Choice != "top-down" {
+	if d := prof.Decisions[1]; d.Level != 3 || d.Frontier != 50 || d.PrevFrontier != 10 || d.Choice != "top-down" {
 		t.Errorf("forced decision %+v", d)
+	}
+	if !slices.Equal(prof.LevelFrontier, []int64{10, 50}) || prof.ScannedTopDown != 14 || prof.ScannedBottomUp != 18 {
+		t.Errorf("recorded frontier %v, scanned %d/%d", prof.LevelFrontier, prof.ScannedTopDown, prof.ScannedBottomUp)
 	}
 
 	w.Reset()
 	fixed := New(w, true, nil)
 	w.Run(func(r *cluster.Rank) {
 		dirm := dirheur.New(dirheur.ModeBottomUp, dirheur.Policy{}, 100, 1000)
-		if d := fixed.Next(r, dirm, 1, 10, 40); d != dirheur.BottomUp {
-			t.Errorf("fixed bottom-up mode stepped to %v", d)
+		if f, d := fixed.End(r, dirm, 1, 3, 5, 40); f != 10 || d != dirheur.BottomUp {
+			t.Errorf("fixed bottom-up mode found %d, stepped to %v", f, d)
+		}
+		if c := r.CommTime("allreduce"); c != m.Allreduce(p, 1) {
+			t.Errorf("fixed mode allreduce time %v, want one one-word allreduce %v", c, m.Allreduce(p, 1))
 		}
 	})
 	var fixedProf Profile
 	fixed.Fill(&fixedProf)
-	if st := w.Stats(); len(st.CommByTag) != 0 || fixedProf.Decisions != nil {
-		t.Errorf("fixed mode communicated %v or recorded %v", st.CommByTag, fixedProf.Decisions)
+	if fixedProf.Decisions != nil {
+		t.Errorf("fixed mode recorded %v", fixedProf.Decisions)
 	}
+}
+
+// TestEndCounted checks the step of a level whose discoveries every
+// rank already counted: Auto reduces the edge volume alone while the
+// search goes on, and the final level communicates nothing.
+func TestEndCounted(t *testing.T) {
+	const p = 2
+	m := netmodel.Franklin()
+	w := cluster.NewWorld(p, m)
+	lp := New(w, false, nil)
+	w.Run(func(r *cluster.Rank) {
+		dirm := dirheur.New(dirheur.ModeAuto, dirheur.Policy{}, 100, 1000)
+		dirm.Force(dirheur.BottomUp)
+		// 60 vertices: 60*24 >= 100 keeps it bottom-up.
+		if f, d := lp.EndCounted(r, dirm, 1, 3, 60, 40); f != 60 || d != dirheur.BottomUp {
+			t.Errorf("rank %d: found %d, stepped to %v", r.ID(), f, d)
+		}
+		if got := dirm.Unexplored(); got != 920 {
+			t.Errorf("rank %d: mu %d, want 920 (mf reduced over both ranks)", r.ID(), got)
+		}
+		if f, _ := lp.EndCounted(r, dirm, 2, 3, 0, 0); f != 0 {
+			t.Errorf("rank %d: final level found %d", r.ID(), f)
+		}
+		if c := r.CommTime("allreduce"); c != m.Allreduce(p, 1) {
+			t.Errorf("rank %d: allreduce time %v, want one one-word allreduce %v", r.ID(), c, m.Allreduce(p, 1))
+		}
+	})
 }
 
 // TestBatchFinish runs two ranks of a 3-search batch over 6 vertices

@@ -82,10 +82,11 @@ const Unreached = serial.Unreached
 type Direction int
 
 const (
-	// Auto, the default, applies the alpha/beta heuristic per level:
-	// the small head and tail levels run top-down (push), the dense
-	// middle levels bottom-up (pull), cutting the edges examined on
-	// low-diameter graphs by roughly an order of magnitude. Results are
+	// Auto, the default, applies the alpha/beta heuristic per level,
+	// pulling only while the frontier still grows: the small head and
+	// tail levels run top-down (push), the dense middle levels
+	// bottom-up (pull), cutting the edges examined on low-diameter
+	// graphs by roughly an order of magnitude. Results are
 	// oracle-validated BFS trees regardless of the per-level choices.
 	Auto Direction = iota
 	// TopDownOnly forces the classic push-only level loop — the

@@ -59,6 +59,12 @@ echo "== go test =="
 # for replay.
 go test -shuffle=on ./...
 
+echo "== simulated goldens across host core counts =="
+# The simulated clock, the per-level volumes and the decision records
+# must not depend on how many cores run the rank goroutines: the same
+# goldens pass at GOMAXPROCS 1, 2 and 4.
+go test -count=1 -cpu 1,2,4 -run '^(TestSimTimeGolden|TestCommVolumeTraceGolden|TestDecisionsGolden)$' .
+
 echo "== race smoke (session reuse + collective substrate) =="
 # Small-scale race check over the paths where goroutine ranks, worker
 # pools, and cross-search arenas interlock: the session-reuse and

@@ -45,37 +45,37 @@ func TestSimTimeGolden(t *testing.T) {
 		want  string
 	}{
 		{OneDFlat, Auto, false,
-			"sim=3f37549ef677567d td=383 bu=384 a2a=3f172b8a17519d85 allreduce=3f27f2ea31a65a0a bitmap=3f14ef58f16667ca"},
+			"sim=3f33ec5705ea3289 td=383 bu=384 a2a=3f172b8a17519d84 allreduce=3f21225a508c1226 bitmap=3f14ef58f16667c4"},
 		{OneDFlat, TopDownOnly, false,
 			"sim=3f33c756affecf97 td=10780 bu=0 a2a=3f24b041b7ec7c26 allreduce=3f2127c596cd8c65"},
 		{OneDFlat, BottomUpOnly, false,
 			"sim=3f290b3523898332 td=0 bu=19796 bitmap=3f2614ffc16bc5a2"},
 		{OneDFlat, Auto, true,
-			"sim=3f4b25c928ad922d td=111 bu=21095 a2a=3f0cd5cf8501eab0 allreduce=3f3d9ef4a253d264 bitmap=3f3105eea3d985e6"},
+			"sim=3f46e35576eb4903 td=111 bu=21095 a2a=3f0cd5cf8501eab0 allreduce=3f351a0d3ecf4012 bitmap=3f3105eea3d985e6"},
 		{OneDHybrid, Auto, false,
-			"sim=3f391fe6ed62d90c td=383 bu=384 a2a=3f15397ff2615876 allreduce=3f27e2e25a4a1acc bitmap=3f1494d9e3ae072e"},
+			"sim=3f35b79efcd5b51a td=383 bu=384 a2a=3f15397ff2615876 allreduce=3f211252792fd2e8 bitmap=3f1494d9e3ae0730"},
 		{OneDHybrid, TopDownOnly, false,
 			"sim=3f344fcc57424255 td=10780 bu=0 a2a=3f2203c4f556c87c allreduce=3f211281b7d09152"},
 		{OneDHybrid, BottomUpOnly, false,
 			"sim=3f2ae6c93c0d6632 td=0 bu=19796 bitmap=3f24dda287ffbe3a"},
 		{OneDHybrid, Auto, true,
-			"sim=3f4837c030933803 td=111 bu=21095 a2a=3f0bb6cab8e897bc allreduce=3f3d234faa261d8c bitmap=3f22bedaacf074ae"},
+			"sim=3f43f54c7ed0eeda td=111 bu=21095 a2a=3f0bb6cab8e897bc allreduce=3f349e6846a18b3a bitmap=3f22bedaacf074af"},
 		{TwoDFlat, Auto, false,
-			"sim=3f3d118ef8caba4b td=383 bu=566 allreduce=3f2ecb90e448a752 bitmap=3f117014e5eb2be0 expand=3f0496317c9c2a3b fold=3f13ad5da60b5d74 transpose=3ef475b66e1940c8"},
+			"sim=3f3640dcbb98a218 td=383 bu=566 allreduce=3f212a2c69e476ec bitmap=3f117014e5eb2be0 expand=3f0496317c9c2a3b fold=3f13ad5da60b5d79 transpose=3ef475b66e1940c8"},
 		{TwoDFlat, TopDownOnly, false,
 			"sim=3f36f1e2dd8fa596 td=10780 bu=0 allreduce=3f2166b4ded22f7c expand=3f14b486c9a20ece fold=3f1650177d46be06 transpose=3f013c8ac232b755"},
 		{TwoDFlat, BottomUpOnly, false,
 			"sim=3f395e9cb5b13bf4 td=0 bu=19978 allreduce=3f21a18216264f4e bitmap=3f232e7d634f7d0f fold=3f143d7e6c95cb1a"},
 		{TwoDFlat, Auto, true,
-			"sim=3f50c1fdb6b09df0 td=111 bu=21634 allreduce=3f3d73b374efbdae bitmap=3f332674193da4e6 expand=3efd04255c38989f fold=3f2211d6d3472086 transpose=3eeb5af1b586d76e"},
+			"sim=3f4d4187bb9ef2b5 td=111 bu=21634 allreduce=3f34eecc116b2b58 bitmap=3f332674193da4e5 expand=3efd04255c38989f fold=3f2211d6d347208a transpose=3eeb5af1b586d76e"},
 		{TwoDHybrid, Auto, false,
-			"sim=3f3d18c4c2c9300f td=383 bu=566 allreduce=3f2eb8497dba7a6b bitmap=3f112393d8e55ee8 expand=3f047b6ab80d55b3 fold=3f11d6d2a2334d0b transpose=3ef475b66e1940c8"},
+			"sim=3f364812859717db td=383 bu=566 allreduce=3f2116e503564a07 bitmap=3f112393d8e55ee8 expand=3f047b6ab80d55b3 fold=3f11d6d2a2334d09 transpose=3ef475b66e1940c8"},
 		{TwoDHybrid, TopDownOnly, false,
 			"sim=3f354a7039ef7d0b td=10780 bu=0 allreduce=3f21240d65133632 expand=3f11f4b051d317a6 fold=3f1284f7a47b6fc9 transpose=3f013c8ac232b754"},
 		{TwoDHybrid, BottomUpOnly, false,
 			"sim=3f37fc2e470cc53c td=0 bu=19978 allreduce=3f2122655fca22cc bitmap=3f22da55d4fc4ece fold=3f11faaa82546b85"},
 		{TwoDHybrid, Auto, true,
-			"sim=3f4ae2f2e8902dcf td=111 bu=21634 allreduce=3f3d171f4a55e11c bitmap=3f25164544605fc5 expand=3efbb38722ebdfb3 fold=3f18b1eb52a77549 transpose=3eeb5af1b586d76e"},
+			"sim=3f46a07f36cde4a6 td=111 bu=21634 allreduce=3f349237e6d14ecb bitmap=3f25164544605fc5 expand=3efbb38722ebdfb3 fold=3f18b1eb52a7754f transpose=3eeb5af1b586d76e"},
 	}
 	sess := NewSession()
 	defer sess.Close()
