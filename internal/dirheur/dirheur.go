@@ -101,9 +101,8 @@ func DefaultPolicy() Policy { return Policy{Alpha: 14, Beta: 24} }
 
 // Machine is the per-search direction state: the current direction, the
 // running count of unexplored edge endpoints and the previous level's
-// frontier size. One Machine per rank;
-// every rank advances its copy with the same global statistics, so the
-// copies never diverge.
+// frontier size. One Machine per rank; every rank advances its copy
+// with the same global statistics, so the copies never diverge.
 type Machine struct {
 	policy Policy
 	mode   Mode

@@ -15,6 +15,7 @@ type Queue struct {
 	depth   int
 	pending []*Request
 	seq     uint64
+	drained bool // set by drain: later pushes reject with draining
 }
 
 // NewQueue returns a queue admitting at most depth pending requests
@@ -28,10 +29,13 @@ func NewQueue(depth int) *Queue {
 
 // Push admits r, stamping its admission sequence (the FCFS key). It
 // returns a RejectError with reason queue_full when the queue is at
-// depth.
+// depth, and with reason draining once the queue has been drained.
 func (q *Queue) Push(r *Request) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
+	if q.drained {
+		return &RejectError{Reason: RejectDraining}
+	}
 	if len(q.pending) >= q.depth {
 		return &RejectError{Reason: RejectQueueFull}
 	}
@@ -77,10 +81,13 @@ func (q *Queue) take(p Policy, now time.Time, k int) ([]*Request, int) {
 }
 
 // drain removes and returns every pending request (the shutdown
-// straggler sweep).
+// straggler sweep) and closes the queue to later pushes: a submission
+// that passed the server's draining check before the sweep but pushes
+// after it is rejected, not left queued with no loop to serve it.
 func (q *Queue) drain() []*Request {
 	q.mu.Lock()
 	defer q.mu.Unlock()
+	q.drained = true
 	out := q.pending
 	q.pending = nil
 	return out

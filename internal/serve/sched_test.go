@@ -225,6 +225,24 @@ func TestQueueAdmissionControl(t *testing.T) {
 	}
 }
 
+// TestQueueRejectsAfterDrain pins the shutdown sweep's closing of the
+// queue: a push that lands after the sweep is rejected with draining
+// instead of sitting in a queue no loop will serve.
+func TestQueueRejectsAfterDrain(t *testing.T) {
+	q := NewQueue(4)
+	push(t, q, 0, "x", 0, 1, t0)
+	if got := q.drain(); !eqSources(got, []int64{0}) {
+		t.Fatalf("drain returned %v, want [0]", sourcesOf(got))
+	}
+	err := q.Push(&Request{Source: 1, Enqueued: t0})
+	if rej, ok := AsReject(err); !ok || rej.Reason != RejectDraining {
+		t.Fatalf("push after drain: got %v, want RejectError(draining)", err)
+	}
+	if q.Len() != 0 {
+		t.Fatalf("push after drain queued a request: %d pending", q.Len())
+	}
+}
+
 func TestFakeClock(t *testing.T) {
 	c := NewFakeClock(t0)
 	if !c.Now().Equal(t0) {
