@@ -6,12 +6,12 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/netmodel"
+	pbfs "repro"
 	"repro/internal/perfmodel"
 )
 
 func TestRunEmulatedAllAlgos(t *testing.T) {
-	el, err := rmatEdges(11, 8, 0x1)
+	g, err := pbfs.NewRMATGraph(11, 8, 0x1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,25 +23,15 @@ func TestRunEmulatedAllAlgos(t *testing.T) {
 		if algo == perfmodel.OneDFlat || algo == perfmodel.Reference || algo == perfmodel.PBGL {
 			ranks = 6
 		}
-		threads := 1
-		if algo.Hybrid() {
-			threads = 4
-		}
-		res, err := RunEmulated(el, EmuConfig{
-			Machine: netmodel.Franklin(), Algo: algo, Ranks: ranks, Threads: threads,
-			Sources: 2, Seed: 0x2, Validate: true,
-		})
+		res, err := runEmulated(g, algo, ranks, "franklin", 2, 0x2)
 		if err != nil {
 			t.Fatalf("%v: %v", algo, err)
 		}
-		if res.Stats.NumRuns != 2 {
-			t.Errorf("%v: %d runs", algo, res.Stats.NumRuns)
+		if res.NumRuns != 2 {
+			t.Errorf("%v: %d runs", algo, res.NumRuns)
 		}
-		if res.Stats.MeanTime <= 0 || res.Stats.HarmonicMeanTEPS <= 0 {
+		if res.MeanTime <= 0 || res.HarmonicMeanTEPS <= 0 {
 			t.Errorf("%v: empty stats %+v", algo, res.Stats)
-		}
-		if len(res.PerRankComm) != ranks {
-			t.Errorf("%v: per-rank comm has %d entries", algo, len(res.PerRankComm))
 		}
 	}
 }
@@ -49,22 +39,16 @@ func TestRunEmulatedAllAlgos(t *testing.T) {
 func TestRunEmulatedRectangular2D(t *testing.T) {
 	// A non-square rank count runs on its closest-square factorization
 	// (6 -> 2x3) and validates against the serial oracle.
-	el, err := rmatEdges(10, 8, 0x3)
+	g, err := pbfs.NewRMATGraph(10, 8, 0x3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunEmulated(el, EmuConfig{
-		Machine: netmodel.Franklin(), Algo: perfmodel.TwoDFlat, Ranks: 6, Sources: 1,
-		Validate: true,
-	})
+	res, err := runEmulated(g, perfmodel.TwoDFlat, 6, "franklin", 1, 0)
 	if err != nil {
 		t.Fatalf("rectangular 2D emulation failed: %v", err)
 	}
-	if res.Stats.HarmonicMeanTEPS <= 0 {
+	if res.HarmonicMeanTEPS <= 0 {
 		t.Errorf("empty stats %+v", res.Stats)
-	}
-	if len(res.PerRankComm) != 6 {
-		t.Errorf("per-rank comm has %d entries, want 6", len(res.PerRankComm))
 	}
 }
 

@@ -3,7 +3,7 @@ package bench
 import (
 	"testing"
 
-	"repro/internal/netmodel"
+	pbfs "repro"
 	"repro/internal/perfmodel"
 )
 
@@ -11,25 +11,17 @@ import (
 // the Figure 6 ordering (2D communicates less than 1D; hybrid less than
 // flat) must hold in the emulated runs, not just the closed-form model.
 func TestEmulationReproducesCommOrdering(t *testing.T) {
-	el, err := rmatEdges(13, 16, 0xcc)
+	g, err := pbfs.NewRMATGraph(13, 16, 0xcc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := netmodel.Franklin()
 	comm := map[perfmodel.Algo]float64{}
 	for _, algo := range fourAlgos {
-		threads := 1
-		if algo.Hybrid() {
-			threads = f.ThreadsPerRank
-		}
-		res, err := RunEmulated(el, EmuConfig{
-			Machine: f, Algo: algo, Ranks: 16, Threads: threads,
-			Sources: 3, Seed: 0xcc, Validate: true,
-		})
+		res, err := runEmulated(g, algo, 16, "franklin", 3, 0xcc)
 		if err != nil {
 			t.Fatalf("%v: %v", algo, err)
 		}
-		comm[algo] = res.Stats.MeanCommTime
+		comm[algo] = res.MeanCommTime
 	}
 	if comm[perfmodel.TwoDFlat] >= comm[perfmodel.OneDFlat] {
 		t.Errorf("emulated 2D flat comm %.5f not below 1D flat %.5f",
@@ -49,25 +41,21 @@ func TestEmulationReproducesCommOrdering(t *testing.T) {
 // emulated 2D runs: both phases present, and the expand share growing as
 // the graph gets sparser at fixed edge count.
 func TestEmulationExpandFoldSplit(t *testing.T) {
-	f := netmodel.Franklin()
 	var prevExpandShare float64
 	for _, sc := range []struct{ scale, ef int }{{12, 32}, {14, 8}, {16, 2}} {
-		el, err := rmatEdges(sc.scale, sc.ef, 0xcd)
+		g, err := pbfs.NewRMATGraph(sc.scale, sc.ef, 0xcd)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := RunEmulated(el, EmuConfig{
-			Machine: f, Algo: perfmodel.TwoDFlat, Ranks: 16,
-			Sources: 2, Seed: 0xce, Validate: true,
-		})
+		res, err := runEmulated(g, perfmodel.TwoDFlat, 16, "franklin", 2, 0xce)
 		if err != nil {
 			t.Fatal(err)
 		}
-		expand, fold := res.PhaseMax["expand"], res.PhaseMax["fold"]
+		expand, fold := res.phase["expand"], res.phase["fold"]
 		if expand <= 0 || fold <= 0 {
 			t.Fatalf("scale %d: missing phase times (expand %v, fold %v)", sc.scale, expand, fold)
 		}
-		share := expand / res.Stats.MeanTime
+		share := expand / res.MeanTime
 		if share <= prevExpandShare {
 			t.Errorf("scale %d: expand share %.3f not above denser config's %.3f", sc.scale, share, prevExpandShare)
 		}

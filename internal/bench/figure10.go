@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	pbfs "repro"
 	"repro/internal/netmodel"
 	"repro/internal/perfmodel"
 )
@@ -44,24 +45,17 @@ func Figure10(w io.Writer, emulate bool) error {
 	}
 	fmt.Fprintln(w)
 	for _, sc := range small {
-		el, err := rmatEdges(sc.scale, sc.ef, 0xde6)
+		g, err := pbfs.NewRMATGraph(sc.scale, sc.ef, 0xde6)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "scale %2d, degree %2d  ", sc.scale, sc.ef)
 		for _, a := range fourAlgos {
-			threads := 1
-			if a.Hybrid() {
-				threads = f.ThreadsPerRank
-			}
-			res, err := RunEmulated(el, EmuConfig{
-				Machine: f, Algo: a, Ranks: 16, Threads: threads,
-				Sources: 2, Seed: 0xd, Validate: true,
-			})
+			res, err := runEmulated(g, a, 16, "franklin", 2, 0xd)
 			if err != nil {
 				return err
 			}
-			fmt.Fprintf(w, "  %14.4f", res.Stats.HarmonicMeanTEPS/1e9)
+			fmt.Fprintf(w, "  %14.4f", res.HarmonicMeanTEPS/1e9)
 		}
 		fmt.Fprintln(w)
 	}

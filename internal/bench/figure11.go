@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	pbfs "repro"
 	"repro/internal/netmodel"
 	"repro/internal/perfmodel"
 	"repro/internal/webgen"
@@ -35,29 +36,22 @@ func Figure11(w io.Writer, emulate bool, emuVerts int64) error {
 	if emuVerts <= 0 {
 		emuVerts = 1 << 14
 	}
-	params := webgen.UKUnionLike(emuVerts, 0x0b5e55ed)
-	el, err := params.GenerateUndirected()
+	const seed = 0x0b5e55ed
+	g, err := pbfs.NewWebCrawlGraph(emuVerts, seed)
 	if err != nil {
 		return err
 	}
-	header(w, fmt.Sprintf("Figure 11 (emulated): synthetic crawl n=%d, depth %d, 2D flat vs hybrid", emuVerts, params.Depth))
+	header(w, fmt.Sprintf("Figure 11 (emulated): synthetic crawl n=%d, depth %d, 2D flat vs hybrid",
+		emuVerts, webgen.UKUnionLike(emuVerts, seed).Depth))
 	fmt.Fprintln(w, "Ranks  Algo        Mean time (s)  Comp (s)   Comm (s)   Levels")
 	for _, ranks := range []int{4, 16, 64} {
 		for _, algo := range []perfmodel.Algo{perfmodel.TwoDFlat, perfmodel.TwoDHybrid} {
-			threads := 1
-			if algo.Hybrid() {
-				threads = h.ThreadsPerRank
-			}
-			res, err := RunEmulated(el, EmuConfig{
-				Machine: h, Algo: algo, Ranks: ranks, Threads: threads,
-				Sources: 2, Seed: 0xbb, Validate: true,
-			})
+			res, err := runEmulated(g, algo, ranks, "hopper", 2, 0xbb)
 			if err != nil {
 				return err
 			}
-			st := res.Stats
 			fmt.Fprintf(w, "%5d  %-10s  %13.4f  %9.4f  %9.4f  %6.0f\n",
-				ranks, algo, st.MeanTime, st.MeanTime-st.MeanCommTime, st.MeanCommTime, st.MeanLevels)
+				ranks, algo, res.MeanTime, res.MeanTime-res.MeanCommTime, res.MeanCommTime, res.MeanLevels)
 		}
 	}
 	fmt.Fprintln(w, "(the crawl's ~140 levels drive per-iteration synchronization exactly as uk-union does)")

@@ -5,8 +5,12 @@ import (
 	"io"
 
 	"repro/internal/bfs2d"
+	"repro/internal/cluster"
+	"repro/internal/graph"
+	"repro/internal/graph500"
 	"repro/internal/netmodel"
-	"repro/internal/perfmodel"
+	"repro/internal/rmat"
+	"repro/internal/spmat"
 )
 
 // Figure4 reproduces Figure 4: the per-process MPI (communication +
@@ -23,15 +27,44 @@ func Figure4(w io.Writer, scale int) error {
 		scale = 14
 	}
 	const pr = 16
-	el, err := rmatEdges(scale, 16, 0xf194)
+	el, err := rmat.Graph500(scale, 16, 0xf194).GenerateUndirected()
 	if err != nil {
 		return err
 	}
-	run := func(vector bfs2d.VectorDist) (*EmuResult, error) {
-		return RunEmulated(el, EmuConfig{
-			Machine: netmodel.Franklin(), Algo: perfmodel.TwoDFlat, Ranks: pr * pr,
-			Vector: vector, Sources: 2, Seed: 0xf4, Validate: true,
-		})
+	ref, err := graph.BuildCSR(el, true)
+	if err != nil {
+		return err
+	}
+	g, err := bfs2d.FromCSR(ref, pr, pr, 1)
+	if err != nil {
+		return err
+	}
+	sources := graph500.SelectSources(ref, 2, 0xf4)
+	f := netmodel.Franklin()
+	machine := f.WithRanksPerNode(f.CoresPerNode)
+	// run searches every source under the vector distribution and
+	// returns each rank's communication time in the final search.
+	run := func(vector bfs2d.VectorDist) ([]float64, error) {
+		world := cluster.NewWorld(pr*pr, machine)
+		grid := cluster.NewGrid(world, pr, pr)
+		var arena bfs2d.Arena
+		defer arena.Close()
+		var comm []float64
+		for i, src := range sources {
+			world.Reset()
+			out, err := bfs2d.Run(world, grid, g, src, bfs2d.Options{
+				Threads: 1, Kernel: spmat.KernelAuto, Vector: vector,
+				Price: machine, Arena: &arena,
+			})
+			if err != nil {
+				return nil, err
+			}
+			if err := graph500.ValidateOutput(ref, src, out.Dist, out.Parent); err != nil {
+				return nil, fmt.Errorf("bench: figure 4 search %d from %d failed validation: %w", i+1, src, err)
+			}
+			comm = world.Stats().CommTime
+		}
+		return comm, nil
 	}
 
 	diag, err := run(bfs2d.DistDiag)
@@ -39,9 +72,9 @@ func Figure4(w io.Writer, scale int) error {
 		return err
 	}
 	header(w, "Figure 4: normalized per-process MPI time %, 1D (diagonal) vector distribution, 16x16 grid (emulated)")
-	printHeatmap(w, diag.PerRankComm, pr)
+	printHeatmap(w, diag, pr)
 	var diagMean, offMean float64
-	for id, c := range diag.PerRankComm {
+	for id, c := range diag {
 		if id/pr == id%pr {
 			diagMean += c / pr
 		} else {
@@ -57,7 +90,7 @@ func Figure4(w io.Writer, scale int) error {
 		return err
 	}
 	header(w, "Figure 4 (control): same run with the 2D vector distribution")
-	printHeatmap(w, balanced.PerRankComm, pr)
+	printHeatmap(w, balanced, pr)
 	fmt.Fprintln(w, "(near-uniform, as the paper reports: 'almost no load imbalance')")
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	pbfs "repro"
 	"repro/internal/netmodel"
 	"repro/internal/perfmodel"
 )
@@ -37,8 +38,8 @@ func projectSeries(w io.Writer, m *netmodel.Machine, wl perfmodel.Workload, core
 // emulateSeries runs the four variants over emulated rank counts and
 // prints simulated GTEPS (or comm time). 2D points run on the closest
 // square factorization of the rank count.
-func emulateSeries(w io.Writer, m *netmodel.Machine, scale, ef int, ranks []int, sources int, commTime bool) error {
-	el, err := rmatEdges(scale, ef, 0x5ca1e)
+func emulateSeries(w io.Writer, machine string, scale, ef int, ranks []int, sources int, commTime bool) error {
+	g, err := pbfs.NewRMATGraph(scale, ef, 0x5ca1e)
 	if err != nil {
 		return err
 	}
@@ -50,21 +51,14 @@ func emulateSeries(w io.Writer, m *netmodel.Machine, scale, ef int, ranks []int,
 	for _, p := range ranks {
 		fmt.Fprintf(w, "%8d", p)
 		for _, a := range fourAlgos {
-			threads := 1
-			if a.Hybrid() {
-				threads = m.ThreadsPerRank
-			}
-			res, err := RunEmulated(el, EmuConfig{
-				Machine: m, Algo: a, Ranks: p, Threads: threads,
-				Sources: sources, Seed: 0xabc, Validate: true,
-			})
+			res, err := runEmulated(g, a, p, machine, sources, 0xabc)
 			if err != nil {
 				return err
 			}
 			if commTime {
-				fmt.Fprintf(w, "  %13.4fs", res.Stats.MeanCommTime)
+				fmt.Fprintf(w, "  %13.4fs", res.MeanCommTime)
 			} else {
-				fmt.Fprintf(w, "  %14.4f", res.Stats.HarmonicMeanTEPS/1e9)
+				fmt.Fprintf(w, "  %14.4f", res.HarmonicMeanTEPS/1e9)
 			}
 		}
 		fmt.Fprintln(w)
@@ -84,7 +78,7 @@ func Figure5(w io.Writer, emulate bool) error {
 		return nil
 	}
 	header(w, "Figure 5 (emulated, downscaled): scale 15, GTEPS (simulated time)")
-	return emulateSeries(w, f, 15, 16, []int{16, 36, 64}, 3, false)
+	return emulateSeries(w, "franklin", 15, 16, []int{16, 36, 64}, 3, false)
 }
 
 // Figure6 reproduces the Franklin communication-time plots for the same
@@ -99,7 +93,7 @@ func Figure6(w io.Writer, emulate bool) error {
 		return nil
 	}
 	header(w, "Figure 6 (emulated, downscaled): scale 15, comm time (simulated s)")
-	return emulateSeries(w, f, 15, 16, []int{16, 36, 64}, 3, true)
+	return emulateSeries(w, "franklin", 15, 16, []int{16, 36, 64}, 3, true)
 }
 
 // Figure7 reproduces the Hopper strong-scaling GTEPS plots: (a) scale 30
@@ -114,7 +108,7 @@ func Figure7(w io.Writer, emulate bool) error {
 		return nil
 	}
 	header(w, "Figure 7 (emulated, downscaled): scale 15 on the Hopper profile, GTEPS (simulated time)")
-	return emulateSeries(w, h, 15, 16, []int{16, 36, 64}, 3, false)
+	return emulateSeries(w, "hopper", 15, 16, []int{16, 36, 64}, 3, false)
 }
 
 // Figure8 reproduces the Hopper communication-time plots for the same
@@ -129,7 +123,7 @@ func Figure8(w io.Writer, emulate bool) error {
 		return nil
 	}
 	header(w, "Figure 8 (emulated, downscaled): scale 15 on the Hopper profile, comm time (simulated s)")
-	return emulateSeries(w, h, 15, 16, []int{16, 36, 64}, 3, true)
+	return emulateSeries(w, "hopper", 15, 16, []int{16, 36, 64}, 3, true)
 }
 
 // Figure9 reproduces the Franklin weak-scaling experiment: ~17M edges per
@@ -164,24 +158,17 @@ func Figure9(w io.Writer, emulate bool) error {
 	fmt.Fprintln(w)
 	for i, p := range []int{4, 16, 64} {
 		scale := 12 + 2*i
-		el, err := rmatEdges(scale, 16, 0x9ea4)
+		g, err := pbfs.NewRMATGraph(scale, 16, 0x9ea4)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "%8d", p)
 		for _, a := range fourAlgos {
-			threads := 1
-			if a.Hybrid() {
-				threads = f.ThreadsPerRank
-			}
-			res, err := RunEmulated(el, EmuConfig{
-				Machine: f, Algo: a, Ranks: p, Threads: threads,
-				Sources: 2, Seed: 0x9e, Validate: true,
-			})
+			res, err := runEmulated(g, a, p, "franklin", 2, 0x9e)
 			if err != nil {
 				return err
 			}
-			fmt.Fprintf(w, "  %10.4fs/%9.4fs", res.Stats.MeanTime, res.Stats.MeanCommTime)
+			fmt.Fprintf(w, "  %10.4fs/%9.4fs", res.MeanTime, res.MeanCommTime)
 		}
 		fmt.Fprintln(w)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	pbfs "repro"
 	"repro/internal/netmodel"
 	"repro/internal/perfmodel"
 )
@@ -36,21 +37,18 @@ func Table1(w io.Writer, emulate bool) error {
 		for _, sc := range []struct {
 			scale, ef int
 		}{{13, 32}, {15, 8}, {17, 2}} {
-			el, err := rmatEdges(sc.scale, sc.ef, 0x7ab1e1)
+			g, err := pbfs.NewRMATGraph(sc.scale, sc.ef, 0x7ab1e1)
 			if err != nil {
 				return err
 			}
-			res, err := RunEmulated(el, EmuConfig{
-				Machine: f, Algo: perfmodel.TwoDFlat, Ranks: ranks,
-				Sources: 4, Seed: 0xbe4c, Validate: true,
-			})
+			res, err := runEmulated(g, perfmodel.TwoDFlat, ranks, "franklin", 4, 0xbe4c)
 			if err != nil {
 				return err
 			}
-			total := res.Stats.MeanTime
+			total := res.MeanTime
 			fmt.Fprintf(w, "%5d  %5d  %10d  %12.4f  %9.1f%%  %8.1f%%\n",
 				ranks, sc.scale, sc.ef, total,
-				100*res.PhaseMax["expand"]/total, 100*res.PhaseMax["fold"]/total)
+				100*res.phase["expand"]/total, 100*res.phase["fold"]/total)
 		}
 	}
 	return nil

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	pbfs "repro"
 	"repro/internal/netmodel"
 	"repro/internal/perfmodel"
 )
@@ -31,24 +32,25 @@ func Table2(w io.Writer, emulate bool) error {
 	if !emulate {
 		return nil
 	}
+	graphs := map[int]*pbfs.Graph{}
+	for _, scale := range []int{13, 15} {
+		g, err := pbfs.NewRMATGraph(scale, 16, 0x7ab1e2)
+		if err != nil {
+			return err
+		}
+		graphs[scale] = g
+	}
 	header(w, "Table 2 (emulated, downscaled): MTEPS (simulated), PBGL-style vs Flat 2D")
 	fmt.Fprintln(w, "Ranks  Code      Scale 13   Scale 15")
 	for _, ranks := range []int{16, 64} {
 		for _, algo := range []perfmodel.Algo{perfmodel.PBGL, perfmodel.TwoDFlat} {
 			fmt.Fprintf(w, "%5d  %-8s", ranks, algoShort(algo))
 			for _, scale := range []int{13, 15} {
-				el, err := rmatEdges(scale, 16, 0x7ab1e2)
+				res, err := runEmulated(graphs[scale], algo, ranks, "carver", 2, 0x72)
 				if err != nil {
 					return err
 				}
-				res, err := RunEmulated(el, EmuConfig{
-					Machine: c, Algo: algo, Ranks: ranks,
-					Sources: 2, Seed: 0x72, Validate: true,
-				})
-				if err != nil {
-					return err
-				}
-				fmt.Fprintf(w, "  %8.1f", res.Stats.HarmonicMeanTEPS/1e6)
+				fmt.Fprintf(w, "  %8.1f", res.HarmonicMeanTEPS/1e6)
 			}
 			fmt.Fprintln(w)
 		}
@@ -82,27 +84,21 @@ func ReferenceComparison(w io.Writer, emulate bool) error {
 	}
 	header(w, "Reference-code comparison (emulated, downscaled)")
 	fmt.Fprintln(w, "Ranks  Tuned Flat 1D (s)  Reference (s)  Speedup")
-	el, err := rmatEdges(14, 16, 0x4ef)
+	g, err := pbfs.NewRMATGraph(14, 16, 0x4ef)
 	if err != nil {
 		return err
 	}
 	for _, ranks := range []int{8, 16, 32} {
-		tuned, err := RunEmulated(el, EmuConfig{
-			Machine: f, Algo: perfmodel.OneDFlat, Ranks: ranks,
-			Sources: 3, Seed: 0x4e, Validate: true,
-		})
+		tuned, err := runEmulated(g, perfmodel.OneDFlat, ranks, "franklin", 3, 0x4e)
 		if err != nil {
 			return err
 		}
-		ref, err := RunEmulated(el, EmuConfig{
-			Machine: f, Algo: perfmodel.Reference, Ranks: ranks,
-			Sources: 3, Seed: 0x4e, Validate: true,
-		})
+		ref, err := runEmulated(g, perfmodel.Reference, ranks, "franklin", 3, 0x4e)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "%5d  %17.4f  %13.4f  %6.2fx\n",
-			ranks, tuned.Stats.MeanTime, ref.Stats.MeanTime, ref.Stats.MeanTime/tuned.Stats.MeanTime)
+			ranks, tuned.MeanTime, ref.MeanTime, ref.MeanTime/tuned.MeanTime)
 	}
 	return nil
 }
