@@ -3,15 +3,12 @@
 // accumulator.
 package bits
 
-import (
-	"math/bits"
-	"sync/atomic"
-)
+import "math/bits"
 
 const wordBits = 64
 
 // Bitmap is a fixed-size set of bits. It is not safe for concurrent
-// mutation; use AtomicBitmap when multiple workers set bits concurrently.
+// mutation.
 type Bitmap struct {
 	words []uint64
 	n     int64
@@ -118,76 +115,6 @@ func (b *Bitmap) Count() int64 {
 	var c int64
 	for _, w := range b.words {
 		c += int64(bits.OnesCount64(w))
-	}
-	return c
-}
-
-// AtomicBitmap is a bitmap safe for concurrent TestAndSet/Get. It backs
-// the "benign race" optimization from the paper's Section 4.2: multiple
-// worker threads may attempt to claim the same vertex; exactly one wins.
-type AtomicBitmap struct {
-	words []uint64
-	n     int64
-}
-
-// NewAtomicBitmap returns an atomic bitmap holding n bits, all clear.
-func NewAtomicBitmap(n int64) *AtomicBitmap {
-	if n < 0 {
-		panic("bits: negative bitmap size")
-	}
-	return &AtomicBitmap{words: make([]uint64, (n+wordBits-1)/wordBits), n: n}
-}
-
-// Len returns the number of bits the bitmap holds.
-func (b *AtomicBitmap) Len() int64 { return b.n }
-
-// Get reports whether bit i is set.
-func (b *AtomicBitmap) Get(i int64) bool {
-	w := atomic.LoadUint64(&b.words[i/wordBits])
-	return w&(1<<uint(i%wordBits)) != 0
-}
-
-// TestAndSet atomically sets bit i and reports whether it was previously
-// clear (i.e. whether the caller won the claim).
-func (b *AtomicBitmap) TestAndSet(i int64) bool {
-	addr := &b.words[i/wordBits]
-	mask := uint64(1) << uint(i%wordBits)
-	for {
-		old := atomic.LoadUint64(addr)
-		if old&mask != 0 {
-			return false
-		}
-		if atomic.CompareAndSwapUint64(addr, old, old|mask) {
-			return true
-		}
-	}
-}
-
-// Set sets bit i without reporting the prior value.
-func (b *AtomicBitmap) Set(i int64) {
-	addr := &b.words[i/wordBits]
-	mask := uint64(1) << uint(i%wordBits)
-	for {
-		old := atomic.LoadUint64(addr)
-		if old&mask != 0 || atomic.CompareAndSwapUint64(addr, old, old|mask) {
-			return
-		}
-	}
-}
-
-// Reset clears all bits. Not safe to call concurrently with other methods.
-func (b *AtomicBitmap) Reset() {
-	for i := range b.words {
-		b.words[i] = 0
-	}
-}
-
-// Count returns the number of set bits. It is only exact when no
-// concurrent mutation is in flight.
-func (b *AtomicBitmap) Count() int64 {
-	var c int64
-	for i := range b.words {
-		c += int64(bits.OnesCount64(atomic.LoadUint64(&b.words[i])))
 	}
 	return c
 }

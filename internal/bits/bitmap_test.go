@@ -1,7 +1,6 @@
 package bits
 
 import (
-	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -63,49 +62,6 @@ func TestBitmapProperty(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestAtomicBitmapConcurrentClaims(t *testing.T) {
-	const n = 1 << 12
-	const workers = 8
-	b := NewAtomicBitmap(n)
-	wins := make([]int64, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := int64(0); i < n; i++ {
-				if b.TestAndSet(i) {
-					wins[w]++
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	var total int64
-	for _, c := range wins {
-		total += c
-	}
-	if total != n {
-		t.Errorf("total claims = %d, want %d (each bit claimed exactly once)", total, n)
-	}
-	if b.Count() != n {
-		t.Errorf("Count = %d, want %d", b.Count(), n)
-	}
-}
-
-func TestAtomicBitmapSetGet(t *testing.T) {
-	b := NewAtomicBitmap(256)
-	b.Set(255)
-	b.Set(0)
-	if !b.Get(255) || !b.Get(0) || b.Get(100) {
-		t.Error("Set/Get mismatch")
-	}
-	b.Reset()
-	if b.Count() != 0 {
-		t.Error("Reset did not clear")
 	}
 }
 

@@ -1,3 +1,13 @@
+// Package smp provides the intra-rank worker pool of the hybrid
+// algorithms: the threads each MPI process runs in the paper's hybrid
+// 1D and 2D variants (Section 4.2). Each emulated rank owns one Pool,
+// built once per search (or recycled across searches through Team)
+// and driven one parallel-for round at a time, so steady-state levels
+// spawn no goroutines.
+//
+// The pool runs with real parallelism. What the hybrid searches cost
+// on the simulated clock is set by the drivers' cost model, not by the
+// pool's wall-clock speed.
 package smp
 
 import (
