@@ -70,10 +70,8 @@ func main() {
 			}
 		}()
 	}
-	if *benchScale < 4 || *benchScale > 24 {
-		// Below scale 4 the 16-rank instances degenerate (fewer vertices
-		// than ranks); above 24 a laptop-scale replay is not meaningful.
-		fatal(fmt.Errorf("-bench-scale %d out of supported range [4, 24]", *benchScale))
+	if err := checkBenchScale(*benchScale, *counterfac); err != nil {
+		fatal(err)
 	}
 
 	if *list {
@@ -105,6 +103,17 @@ func main() {
 			fatal(err)
 		}
 	}
+}
+
+// checkBenchScale rejects a -bench-scale outside [4, 24] when
+// -counterfactual, the only mode that reads it, is set.
+func checkBenchScale(scale int, counterfactual bool) error {
+	if !counterfactual || (scale >= 4 && scale <= 24) {
+		return nil
+	}
+	// Below scale 4 the 16-rank instances degenerate (fewer vertices
+	// than ranks); above 24 a laptop-scale replay is not meaningful.
+	return fmt.Errorf("-bench-scale %d out of supported range [4, 24]", scale)
 }
 
 func fatal(err error) {
