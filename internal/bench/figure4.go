@@ -40,6 +40,8 @@ func Figure4(w io.Writer, scale int) error {
 		return err
 	}
 	sources := graph500.SelectSources(ref, 2, 0xf4)
+	// Flat ranks, one per core: the pricing the session engine gives a
+	// flat layout.
 	f := netmodel.Franklin()
 	machine := f.WithRanksPerNode(f.CoresPerNode)
 	// run searches every source under the vector distribution and
