@@ -16,9 +16,6 @@ type LocalGraph struct {
 	Adj  []int64 // global ids, sorted per row
 }
 
-// NumEdges returns the number of adjacency slots stored locally.
-func (lg *LocalGraph) NumEdges() int64 { return int64(len(lg.Adj)) }
-
 // Graph is a 1D-distributed graph: the partition plus each rank's local
 // CSR. It is built once and shared (read-only) by all rank goroutines,
 // the same way an MPI job holds its local subgraph in process memory.

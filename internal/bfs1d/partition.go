@@ -11,9 +11,12 @@
 // the exchange plus one Allreduce for the termination test.
 package bfs1d
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
-// Part1D maps global vertex ids to owning ranks and local offsets. Blocks
+// Part1D maps global vertex ids to owning ranks and block bounds. Blocks
 // are the balanced contiguous ranges start(i) = i*n/p (computed in int64
 // arithmetic), so block sizes differ by at most one.
 type Part1D struct {
@@ -30,21 +33,12 @@ func (pt Part1D) End(i int) int64 { return int64(i+1) * pt.N / int64(pt.P) }
 // Count returns the number of vertices owned by rank i.
 func (pt Part1D) Count(i int) int64 { return pt.End(i) - pt.Start(i) }
 
-// Owner returns the rank owning global vertex v.
+// Owner returns the rank owning global vertex v: the largest i with
+// ⌊i·n/p⌋ ≤ v, which is ⌊((v+1)·p − 1)/n⌋ exactly. Validate keeps
+// n·p below 2^63, so the product cannot wrap.
 func (pt Part1D) Owner(v int64) int {
-	i := int(v * int64(pt.P) / pt.N)
-	// Integer truncation can land one block off; correct against bounds.
-	for v < pt.Start(i) {
-		i--
-	}
-	for v >= pt.End(i) {
-		i++
-	}
-	return i
+	return int((uint64(v+1)*uint64(pt.P) - 1) / uint64(pt.N))
 }
-
-// ToLocal converts a global vertex id to an offset within its owner.
-func (pt Part1D) ToLocal(v int64) int64 { return v - pt.Start(pt.Owner(v)) }
 
 // Validate reports whether the partition parameters are usable.
 func (pt Part1D) Validate() error {
@@ -53,6 +47,9 @@ func (pt Part1D) Validate() error {
 	}
 	if int64(pt.P) > pt.N {
 		return fmt.Errorf("bfs1d: more ranks (%d) than vertices (%d)", pt.P, pt.N)
+	}
+	if pt.N > math.MaxInt64/int64(pt.P) {
+		return fmt.Errorf("bfs1d: n·p = %d·%d reaches 2^63, overflowing the owner lookup", pt.N, pt.P)
 	}
 	return nil
 }

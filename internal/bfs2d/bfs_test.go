@@ -16,61 +16,6 @@ import (
 	"repro/internal/spmat"
 )
 
-func TestPart2DStructure(t *testing.T) {
-	pt := Part2D{N: 101, Pr: 4, Pc: 4}
-	if err := pt.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// Owned ranges tile [0, N) exactly, in grid order row-major by piece.
-	var covered int64
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 4; j++ {
-			lo, hi := pt.OwnedRange(i, j)
-			covered += hi - lo
-			for v := lo; v < hi; v++ {
-				oi, oj := pt.VecOwner(v)
-				if oi != i || oj != j {
-					t.Fatalf("vertex %d: VecOwner = (%d,%d), want (%d,%d)", v, oi, oj, i, j)
-				}
-			}
-		}
-	}
-	if covered != 101 {
-		t.Errorf("owned ranges cover %d of 101", covered)
-	}
-	for v := int64(0); v < 101; v++ {
-		i := pt.RowBlockOf(v)
-		if v < pt.RowStart(i) || v >= pt.RowStart(i+1) {
-			t.Fatalf("RowBlockOf(%d) = %d out of range", v, i)
-		}
-		j := pt.ColBlockOf(v)
-		if v < pt.ColStart(j) || v >= pt.ColStart(j+1) {
-			t.Fatalf("ColBlockOf(%d) = %d out of range", v, j)
-		}
-	}
-}
-
-func TestPart2DProperty(t *testing.T) {
-	check := func(seed uint64) bool {
-		rng := prng.New(seed)
-		pt := Part2D{N: rng.Int64n(5000) + 16, Pr: rng.Intn(6) + 1, Pc: rng.Intn(6) + 1}
-		var covered int64
-		for i := 0; i < pt.Pr; i++ {
-			for j := 0; j < pt.Pc; j++ {
-				lo, hi := pt.OwnedRange(i, j)
-				if hi < lo {
-					return false
-				}
-				covered += hi - lo
-			}
-		}
-		return covered == pt.N
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestDistributePreservesEdges(t *testing.T) {
 	p := rmat.Graph500(9, 8, 41)
 	el, err := p.GenerateUndirected()

@@ -14,6 +14,7 @@ package bfs2d
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/spmat"
 )
@@ -31,6 +32,10 @@ func (pt Part2D) Validate() error {
 	}
 	if int64(pt.Pr)*int64(pt.Pc) > pt.N {
 		return fmt.Errorf("bfs2d: more ranks (%d) than vertices (%d)", pt.Pr*pt.Pc, pt.N)
+	}
+	if pt.N > math.MaxInt64/int64(max(pt.Pr, pt.Pc)) {
+		return fmt.Errorf("bfs2d: n·max(pr, pc) = %d·%d reaches 2^63, overflowing the owner lookups",
+			pt.N, max(pt.Pr, pt.Pc))
 	}
 	// Blocks are ⌊n/pr⌋ or ⌈n/pr⌉ rows by ⌊n/pc⌋ or ⌈n/pc⌉ columns;
 	// the largest must fit the blocks' uint32 local ids.
@@ -50,27 +55,17 @@ func (pt Part2D) RowStart(i int) int64 { return int64(i) * pt.N / int64(pt.Pr) }
 func (pt Part2D) ColStart(j int) int64 { return int64(j) * pt.N / int64(pt.Pc) }
 
 // RowBlockOf returns the row block containing global index v.
-func (pt Part2D) RowBlockOf(v int64) int {
-	i := int(v * int64(pt.Pr) / pt.N)
-	for v < pt.RowStart(i) {
-		i--
-	}
-	for v >= pt.RowStart(i+1) {
-		i++
-	}
-	return i
-}
+func (pt Part2D) RowBlockOf(v int64) int { return blockOf(v, pt.N, pt.Pr) }
 
 // ColBlockOf returns the column block containing global index v.
-func (pt Part2D) ColBlockOf(v int64) int {
-	j := int(v * int64(pt.Pc) / pt.N)
-	for v < pt.ColStart(j) {
-		j--
-	}
-	for v >= pt.ColStart(j+1) {
-		j++
-	}
-	return j
+func (pt Part2D) ColBlockOf(v int64) int { return blockOf(v, pt.N, pt.Pc) }
+
+// blockOf returns the block containing offset w when span items are cut
+// into k blocks at ⌊i·span/k⌋: the largest i with ⌊i·span/k⌋ ≤ w, which
+// is ⌊((w+1)·k − 1)/span⌋ exactly. Every caller's span·k is at most
+// n·max(pr, pc), which Validate keeps below 2^63.
+func blockOf(w, span int64, k int) int {
+	return int((uint64(w+1)*uint64(k) - 1) / uint64(span))
 }
 
 // VecStart returns the first global index of piece j of vector block b:
@@ -108,27 +103,12 @@ func (pt Part2D) SubColStart(j, i int) int64 {
 func (pt Part2D) TransposeOwner(v int64) (i, j int) {
 	j = pt.ColBlockOf(v)
 	lo, hi := pt.ColStart(j), pt.ColStart(j+1)
-	i = int((v - lo) * int64(pt.Pr) / (hi - lo))
-	for v < pt.SubColStart(j, i) {
-		i--
-	}
-	for v >= pt.SubColStart(j, i+1) {
-		i++
-	}
-	return i, j
+	return blockOf(v-lo, hi-lo, pt.Pr), j
 }
 
 // VecOwner returns the grid position (i, j) owning global vector index v.
 func (pt Part2D) VecOwner(v int64) (i, j int) {
 	i = pt.RowBlockOf(v)
 	lo, hi := pt.RowStart(i), pt.RowStart(i+1)
-	span := hi - lo
-	j = int((v - lo) * int64(pt.Pc) / span)
-	for v < pt.VecStart(i, j) {
-		j--
-	}
-	for v >= pt.VecStart(i, j+1) {
-		j++
-	}
-	return i, j
+	return i, blockOf(v-lo, hi-lo, pt.Pc)
 }
