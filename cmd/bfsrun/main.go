@@ -13,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"sort"
 	"strconv"
@@ -289,6 +290,9 @@ func parseGrid(s string) (pr, pc int, err error) {
 	}
 	if err != nil || pr < 1 || pc < 1 {
 		return 0, 0, fmt.Errorf("bad -grid %q: want two positive integers PRxPC", s)
+	}
+	if pr > math.MaxInt/pc {
+		return 0, 0, fmt.Errorf("bad -grid %q: more ranks than an int holds", s)
 	}
 	return pr, pc, nil
 }

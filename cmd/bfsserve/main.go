@@ -5,15 +5,18 @@
 // in-queue queries otherwise, and formed into MS-BFS batches of up to
 // 64 sources: a batch is cut whenever a pooled session is free, so
 // queries that arrive while every session is busy ride the next batch
-// together. Each registered graph gets its own queue, batch former,
-// session pool, and cache, so batches never mix graphs.
+// together. Batches take queued queries in one order: those with a
+// deadline first, earliest deadline leading, then by class
+// (interactive, standard, batch), then by arrival. Each registered
+// graph gets its own queue, batch former, session pool, and cache, so
+// batches never mix graphs.
 //
 // Endpoints: /v1/query, /v1/graphs, /v1/metrics, /v1/healthz.
 //
 // Example:
 //
 //	bfsserve -addr :8080 -scale 16 -algo 1d -ranks 16 -machine franklin \
-//	         -policy slack -sessions 2 -cache-size 256 \
+//	         -sessions 2 -cache-size 256 \
 //	         -extra-graph "web,scale=14,seed=7,web"
 //
 //	curl -s localhost:8080/v1/graphs
@@ -122,8 +125,6 @@ func main() {
 		machine    = flag.String("machine", "franklin", "cost model: franklin, hopper, carver, or '' for none")
 		batchMax   = flag.Int("batch-max", pbfs.BatchWidth, "dispatch width (clamped to 64, one mask word)")
 		queueDepth = flag.Int("queue-depth", 1024, "per-graph pending-queue admission limit")
-		policyName = flag.String("policy", "slack", "scheduling policy: fcfs, sjf, priority, slack")
-		aging      = flag.Duration("aging", 10*time.Millisecond, "priority-policy aging quantum (priority gains 1 tier per quantum waited)")
 		sessions   = flag.Int("sessions", 2, "per-graph session pool size: batches that may execute concurrently")
 		cacheSize  = flag.Int("cache-size", serve.DefaultCacheSize, "per-graph hot-source result cache entries (negative disables)")
 	)
@@ -142,10 +143,6 @@ func main() {
 	algo, ok := algoNames[*algoName]
 	if !ok {
 		fatal(fmt.Errorf("unknown algorithm %q", *algoName))
-	}
-	policy, err := serve.ParsePolicy(*policyName, *aging)
-	if err != nil {
-		fatal(err)
 	}
 
 	opt := pbfs.Options{Algorithm: algo, Ranks: *ranks, Threads: *threads, Machine: *machine}
@@ -175,7 +172,7 @@ func main() {
 	srv, err := serve.New(serve.Config{
 		Graphs:   cfgs,
 		BatchMax: *batchMax, QueueDepth: *queueDepth,
-		Policy: policy, Sessions: *sessions, CacheSize: *cacheSize,
+		Sessions: *sessions, CacheSize: *cacheSize,
 	})
 	if err != nil {
 		fatal(err)
@@ -201,8 +198,8 @@ func main() {
 				gs.Graph, gs.Queries, gs.Batches, gs.CacheHitRate)
 		}
 	}()
-	fmt.Printf("bfsserve: serving %s (%d graph(s), policy %s, batch<=%d, queue %d, cache %d)\n",
-		*addr, len(cfgs), policy.Name(), *batchMax, *queueDepth, *cacheSize)
+	fmt.Printf("bfsserve: serving %s (%d graph(s), batch<=%d, queue %d, cache %d)\n",
+		*addr, len(cfgs), *batchMax, *queueDepth, *cacheSize)
 	if err := httpSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		fatal(err)
 	}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -59,4 +60,34 @@ func TestOversizedQueryBodyRefused(t *testing.T) {
 	if code != http.StatusBadRequest || !strings.Contains(msg, "too large") {
 		t.Errorf("padded query: status %d (%s), want 400 for a body too large", code, msg)
 	}
+}
+
+// FuzzParseGraphSpec: parseGraphSpec never panics, an accepted spec has
+// a non-empty trimmed id, and the spec rendered back to flag syntax
+// parses to the same spec.
+func FuzzParseGraphSpec(f *testing.F) {
+	f.Add("web,scale=14,seed=7,web")
+	f.Add("x,scale=9223372036854775808")
+	f.Add("x,seed=18446744073709551616,edgefactor=-1")
+	f.Add(" g , file= a b ")
+	f.Fuzz(func(t *testing.T, s string) {
+		spec, err := parseGraphSpec(s)
+		if err != nil {
+			return
+		}
+		if spec.id == "" || spec.id != strings.TrimSpace(spec.id) {
+			t.Fatalf("%q: accepted id %q", s, spec.id)
+		}
+		out := fmt.Sprintf("%s,scale=%d,edgefactor=%d,seed=%d", spec.id, spec.scale, spec.edgeFactor, spec.seed)
+		if spec.web {
+			out += ",web"
+		}
+		if spec.file != "" {
+			out += ",file=" + spec.file
+		}
+		back, err := parseGraphSpec(out)
+		if err != nil || back != spec {
+			t.Fatalf("%q parsed to %+v; rendered as %q it parsed to %+v, %v", s, spec, out, back, err)
+		}
+	})
 }

@@ -2,6 +2,7 @@ package pbfs
 
 import (
 	"fmt"
+	"math"
 	"sync/atomic"
 
 	"repro/internal/baseline"
@@ -20,7 +21,7 @@ import (
 // Two Options values with equal layouts share one engine; a change in
 // any field means a different distribution, grid, thread shape, or
 // cost model, so the session builds (and caches) another engine.
-// Per-search fields (Direction, Alpha/Beta, Trace) are not part
+// Per-search fields (Direction, Trace) are not part
 // of the key: one engine serves every direction policy.
 type layout struct {
 	algo    Algorithm
@@ -50,6 +51,10 @@ func resolveLayout(opt Options) (layout, error) {
 		// A fully specified grid implies its own rank count; otherwise
 		// fall back to the library default.
 		if twoD && opt.GridRows > 0 && opt.GridCols > 0 {
+			if opt.GridRows > math.MaxInt/opt.GridCols {
+				return layout{}, fmt.Errorf("pbfs: grid %dx%d has more ranks than an int holds",
+					opt.GridRows, opt.GridCols)
+			}
 			lay.ranks = opt.GridRows * opt.GridCols
 		} else {
 			lay.ranks = 4
@@ -89,7 +94,8 @@ func resolveLayout(opt Options) (layout, error) {
 		case pc > 0 && pr == 0 && lay.ranks%pc == 0:
 			pr = lay.ranks / pc
 		}
-		if pr < 1 || pc < 1 || pr*pc != lay.ranks {
+		// pr·pc = ranks, checked by division: the product can wrap.
+		if pr < 1 || pc < 1 || lay.ranks%pr != 0 || lay.ranks/pr != pc {
 			req := fmt.Sprintf("%dx%d", opt.GridRows, opt.GridCols)
 			switch {
 			case opt.GridRows > 0 && opt.GridCols == 0:
@@ -117,9 +123,9 @@ func (lay layout) pricing() (cluster.CostModel, cluster.Pricer) {
 	return shared, shared
 }
 
-// resolveDirection maps the per-search direction fields of Options onto
-// the drivers' heuristic mode and policy.
-func resolveDirection(opt Options) (dirheur.Mode, dirheur.Policy, error) {
+// resolveDirection maps Options.Direction onto the drivers' heuristic
+// mode.
+func resolveDirection(opt Options) (dirheur.Mode, error) {
 	var mode dirheur.Mode
 	switch opt.Direction {
 	case Auto:
@@ -129,9 +135,9 @@ func resolveDirection(opt Options) (dirheur.Mode, dirheur.Policy, error) {
 	case BottomUpOnly:
 		mode = dirheur.ModeBottomUp
 	default:
-		return 0, dirheur.Policy{}, fmt.Errorf("pbfs: unknown direction %v", opt.Direction)
+		return 0, fmt.Errorf("pbfs: unknown direction %v", opt.Direction)
 	}
-	return mode, dirheur.Policy{Alpha: opt.Alpha, Beta: opt.Beta}, nil
+	return mode, nil
 }
 
 // engine is the driver-side half of a Session: it owns one layout's
@@ -142,7 +148,7 @@ func resolveDirection(opt Options) (dirheur.Mode, dirheur.Policy, error) {
 // serve one run at a time); the session serializes access.
 type engine interface {
 	// search runs one BFS from source; opt supplies only the per-search
-	// fields (Direction, Alpha/Beta, Trace).
+	// fields (Direction, Trace).
 	search(source int64, opt Options) (*Result, error)
 	// searchBatch runs up to BatchWidth sources through one bit-parallel
 	// level loop when the engine has one, or a sequential per-source
@@ -253,29 +259,27 @@ func (e *engine1D) rebind(g *Graph) error {
 }
 
 func (e *engine1D) search(source int64, opt Options) (*Result, error) {
-	mode, policy, err := resolveDirection(opt)
+	mode, err := resolveDirection(opt)
 	if err != nil {
 		return nil, err
 	}
 	e.w.Reset()
 	out := bfs1d.Run(e.w, e.dg, source, bfs1d.Options{
 		Threads: e.lay.threads, LocalShortcut: true, DedupSends: true,
-		Direction: mode, Policy: policy,
-		Price: e.price, Trace: opt.Trace, Force: opt.force, Arena: &e.arena,
+		Direction: mode, Price: e.price, Trace: opt.Trace, Force: opt.force, Arena: &e.arena,
 	})
 	return newResult(out, e.w), nil
 }
 
 func (e *engine1D) searchBatch(sources []int64, opt Options) (*BatchResult, error) {
-	mode, policy, err := resolveDirection(opt)
+	mode, err := resolveDirection(opt)
 	if err != nil {
 		return nil, err
 	}
 	e.w.Reset()
 	out := bfs1d.RunBatch(e.w, e.dg, sources, bfs1d.Options{
 		Threads: e.lay.threads, LocalShortcut: true, DedupSends: true,
-		Direction: mode, Policy: policy,
-		Price: e.price, Trace: opt.Trace, Arena: &e.arena,
+		Direction: mode, Price: e.price, Trace: opt.Trace, Arena: &e.arena,
 	})
 	return newBatchResult(out, e.w), nil
 }
@@ -308,15 +312,14 @@ func (e *engine2D) rebind(g *Graph) error {
 }
 
 func (e *engine2D) search(source int64, opt Options) (*Result, error) {
-	mode, policy, err := resolveDirection(opt)
+	mode, err := resolveDirection(opt)
 	if err != nil {
 		return nil, err
 	}
 	e.w.Reset()
 	out, err := bfs2d.Run(e.w, e.grid, e.dg, source, bfs2d.Options{
 		Threads: e.lay.threads, Kernel: spmat.KernelAuto, Vector: bfs2d.Dist2D,
-		Direction: mode, Policy: policy,
-		Price: e.price, Trace: opt.Trace, Force: opt.force, Arena: &e.arena,
+		Direction: mode, Price: e.price, Trace: opt.Trace, Force: opt.force, Arena: &e.arena,
 	})
 	if err != nil {
 		return nil, err
@@ -338,15 +341,14 @@ func (e *engine2D) search(source int64, opt Options) (*Result, error) {
 }
 
 func (e *engine2D) searchBatch(sources []int64, opt Options) (*BatchResult, error) {
-	mode, policy, err := resolveDirection(opt)
+	mode, err := resolveDirection(opt)
 	if err != nil {
 		return nil, err
 	}
 	e.w.Reset()
 	out, err := bfs2d.RunBatch(e.w, e.grid, e.dg, sources, bfs2d.Options{
 		Threads: e.lay.threads, Kernel: spmat.KernelAuto, Vector: bfs2d.Dist2D,
-		Direction: mode, Policy: policy,
-		Price: e.price, Trace: opt.Trace, Arena: &e.arena,
+		Direction: mode, Price: e.price, Trace: opt.Trace, Arena: &e.arena,
 	})
 	if err != nil {
 		return nil, err
@@ -381,7 +383,7 @@ func (e *engineBase) rebind(g *Graph) error {
 }
 
 func (e *engineBase) search(source int64, opt Options) (*Result, error) {
-	if _, _, err := resolveDirection(opt); err != nil {
+	if _, err := resolveDirection(opt); err != nil {
 		return nil, err
 	}
 	e.w.Reset()

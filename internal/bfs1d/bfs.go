@@ -45,9 +45,6 @@ type Options struct {
 	// the frontier as a dense bitmap assembled from owned word chunks
 	// (cluster.AllgatherBitsBlocks) instead of the sparse all-to-all.
 	Direction dirheur.Mode
-	// Policy overrides the direction-switch thresholds; zero fields fall
-	// back to dirheur.DefaultPolicy.
-	Policy dirheur.Policy
 	// Trace records the per-level discovery profile into the output
 	// (costs nothing: it reuses the termination allreduce's totals), and
 	// with it the per-level scanned-edge, direction, and communication
@@ -244,7 +241,7 @@ func Run(w *cluster.World, g *Graph, source int64, opt Options) *levels.Output {
 		pool, tstate := ar.workers(t, p)
 
 		mode := opt.Direction
-		dirm := dirheur.New(mode, opt.Policy, pt.N, g.TotalAdj)
+		dirm := dirheur.New(mode, pt.N, g.TotalAdj)
 		bitmapWords := (pt.N + 63) / 64
 		// The rank's deposit in the bitmap exchange is the word range
 		// covering its owned vertices: the collective assembles the

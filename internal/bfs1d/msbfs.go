@@ -119,7 +119,7 @@ func RunBatch(w *cluster.World, g *Graph, sources []int64, opt Options) *levels.
 		send := ba.send
 		pool, tstate := ar.workers(t, p)
 
-		dirm := dirheur.NewBatch(opt.Direction, opt.Policy, pt.N, g.TotalAdj, width)
+		dirm := dirheur.NewBatch(opt.Direction, pt.N, g.TotalAdj, width)
 		var inPull *spmat.PullCSR[int64]
 		if ins != nil {
 			inPull = ins[me].PullView(pt.N)

@@ -45,9 +45,6 @@ type Options struct {
 	// dirheur.ModeBottomUp pulls every level. Only Dist2D vectors
 	// support non-top-down directions.
 	Direction dirheur.Mode
-	// Policy overrides the direction-switch thresholds; zero fields fall
-	// back to dirheur.DefaultPolicy.
-	Policy dirheur.Policy
 	// Price charges local computation to the simulated clock.
 	Price cluster.Pricer
 	// Trace records the per-level discovery profile into the output
@@ -192,7 +189,7 @@ func run2DVector(w *cluster.World, grid *cluster.Grid, g *Graph, source int64, o
 		spMSVOpts := spmat.SpMSVOpts{Kernel: opt.Kernel}
 		localF, spOut, merged := &ar.localF, &ar.spOut, &ar.merged
 
-		dirm := dirheur.New(opt.Direction, opt.Policy, pt.N, run.totalAdj)
+		dirm := dirheur.New(opt.Direction, pt.N, run.totalAdj)
 		// The partitioned bitmap exchange runs over word ranges padded
 		// to word boundaries.
 		xc := exchange{f.rowG, f.colG, price, f.own.words(), f.row.words(), f.col.words()}

@@ -126,7 +126,7 @@ func run2DVectorBatch(w *cluster.World, grid *cluster.Grid, g *Graph, sources []
 
 		localF, spOut, merged := &ba.localF, &ba.spOut, &ba.merged
 
-		dirm := dirheur.NewBatch(opt.Direction, opt.Policy, pt.N, run.totalAdj, width)
+		dirm := dirheur.NewBatch(opt.Direction, pt.N, run.totalAdj, width)
 		// The partitioned mask-plane exchange holds one word per vertex,
 		// so its owned, row-block, and block-column ranges are exact.
 		xc := exchange{f.rowG, f.colG, price, f.own, f.row, f.col}

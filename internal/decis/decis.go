@@ -69,9 +69,6 @@ type Decision struct {
 	// PrevFrontier is the previous level's frontier size prevNf the
 	// growth guard compared nf*nf*beta against (as n*prevNf).
 	PrevFrontier int64 `json:"prev_frontier,omitempty"`
-	// Alpha and Beta are the switch thresholds in force.
-	Alpha int64 `json:"alpha,omitempty"`
-	Beta  int64 `json:"beta,omitempty"`
 	// Ranks is the rank count a grid decision factorized.
 	Ranks int64 `json:"ranks,omitempty"`
 

@@ -84,27 +84,22 @@ func (m Mode) String() string {
 	return "unknown"
 }
 
-// Policy holds the switch thresholds. Alpha and Beta are the paper
-// values of Beamer et al.; they are deliberately integers so the
+// The switch thresholds of Beamer et al. They are integers so the
 // comparisons below are exact and identical on every rank.
-type Policy struct {
-	// Alpha triggers the top-down -> bottom-up switch: pull when
-	// mf*Alpha > mu.
-	Alpha int64
-	// Beta triggers the bottom-up -> top-down switch: push again when
-	// nf*Beta < n. The growth guard on the alpha rule reads it too.
-	Beta int64
-}
-
-// DefaultPolicy returns the published thresholds (alpha 14, beta 24).
-func DefaultPolicy() Policy { return Policy{Alpha: 14, Beta: 24} }
+const (
+	// alpha triggers the top-down -> bottom-up switch: pull when
+	// mf*alpha > mu.
+	alpha = 14
+	// beta triggers the bottom-up -> top-down switch: push again when
+	// nf*beta < n. The growth guard on the alpha rule reads it too.
+	beta = 24
+)
 
 // Machine is the per-search direction state: the current direction, the
 // running count of unexplored edge endpoints and the previous level's
 // frontier size. One Machine per rank; every rank advances its copy
 // with the same global statistics, so the copies never diverge.
 type Machine struct {
-	policy Policy
 	mode   Mode
 	n      int64 // total vertices
 	mu     int64 // adjacency slots of still-unvisited vertices
@@ -114,16 +109,9 @@ type Machine struct {
 
 // New returns a Machine for a graph of n vertices and totalAdj stored
 // adjacency slots (the directed edge count of the distributed CSR).
-// A zero policy field falls back to the default threshold. The search
-// starts from one source, so the level-0 frontier size is 1.
-func New(mode Mode, pol Policy, n, totalAdj int64) *Machine {
-	if pol.Alpha <= 0 {
-		pol.Alpha = DefaultPolicy().Alpha
-	}
-	if pol.Beta <= 0 {
-		pol.Beta = DefaultPolicy().Beta
-	}
-	m := &Machine{policy: pol, mode: mode, n: n, mu: totalAdj, prevNf: 1}
+// The search starts from one source, so the level-0 frontier size is 1.
+func New(mode Mode, n, totalAdj int64) *Machine {
+	m := &Machine{mode: mode, n: n, mu: totalAdj, prevNf: 1}
 	if mode == ModeBottomUp {
 		m.cur = BottomUp
 	}
@@ -140,11 +128,11 @@ func New(mode Mode, pol Policy, n, totalAdj int64) *Machine {
 // so a batch whose searches are mostly in their heavy middle levels
 // pulls, and retires back to pushing as searches complete and the
 // aggregate frontier thins. Its level-0 frontier is the width sources.
-func NewBatch(mode Mode, pol Policy, n, totalAdj int64, width int) *Machine {
+func NewBatch(mode Mode, n, totalAdj int64, width int) *Machine {
 	if width < 1 {
 		width = 1
 	}
-	m := New(mode, pol, n*int64(width), totalAdj*int64(width))
+	m := New(mode, n*int64(width), totalAdj*int64(width))
 	m.prevNf = int64(width)
 	return m
 }
@@ -165,10 +153,6 @@ func (m *Machine) Verts() int64 { return m.n }
 // PrevFrontier returns the previous level's frontier size, the prevNf
 // the growth guard of the next Advance reads.
 func (m *Machine) PrevFrontier() int64 { return m.prevNf }
-
-// Thresholds returns the alpha/beta policy in force, with zero fields
-// already resolved to the defaults.
-func (m *Machine) Thresholds() Policy { return m.policy }
 
 // Force overrides the machine's current direction, as a counterfactual
 // replay does when it flips one recorded decision: the next Advance
@@ -199,9 +183,9 @@ func (m *Machine) Advance(nf, mf int64) Direction {
 	case ModeBottomUp:
 		m.cur = BottomUp
 	case ModeAuto:
-		if m.cur == TopDown && mf*m.policy.Alpha > m.mu && m.keepsGrowing(nf, prev) {
+		if m.cur == TopDown && mf*alpha > m.mu && m.keepsGrowing(nf, prev) {
 			m.cur = BottomUp
-		} else if m.cur == BottomUp && nf*m.policy.Beta < m.n {
+		} else if m.cur == BottomUp && nf*beta < m.n {
 			m.cur = TopDown
 		}
 	}
@@ -213,7 +197,6 @@ func (m *Machine) Advance(nf, mf int64) Direction {
 // products are compared exactly: nf*nf alone overflows int64 at scale
 // 32, so the left side is formed in 192 bits and the right in 128.
 func (m *Machine) keepsGrowing(nf, prev int64) bool {
-	beta := uint64(m.policy.Beta)
 	sqHi, sqLo := bits.Mul64(uint64(nf), uint64(nf))
 	carryLo, w0 := bits.Mul64(sqLo, beta)
 	w2, w1 := bits.Mul64(sqHi, beta)

@@ -8,9 +8,9 @@ import "testing"
 // same switch sequence, and width 1 is the scalar machine exactly.
 func TestNewBatchScalesThresholds(t *testing.T) {
 	const n, adj, w = 1 << 12, 16 << 12, 64
-	scalar := New(ModeAuto, Policy{}, n, adj)
-	batch := NewBatch(ModeAuto, Policy{}, n, adj, w)
-	if one := NewBatch(ModeAuto, Policy{}, n, adj, 1); one.Unexplored() != scalar.Unexplored() {
+	scalar := New(ModeAuto, n, adj)
+	batch := NewBatch(ModeAuto, n, adj, w)
+	if one := NewBatch(ModeAuto, n, adj, 1); one.Unexplored() != scalar.Unexplored() {
 		t.Fatalf("width-1 batch mu = %d, scalar %d", one.Unexplored(), scalar.Unexplored())
 	}
 	if batch.Unexplored() != w*adj {
@@ -24,14 +24,14 @@ func TestNewBatchScalesThresholds(t *testing.T) {
 			t.Fatalf("level %d: scalar %v, batch %v", i, sd, bd)
 		}
 	}
-	if NewBatch(ModeAuto, Policy{}, n, adj, 0).Unexplored() != adj {
+	if NewBatch(ModeAuto, n, adj, 0).Unexplored() != adj {
 		t.Fatal("width 0 did not clamp to 1")
 	}
 }
 
 func TestFixedModesNeverSwitch(t *testing.T) {
-	td := New(ModeTopDown, Policy{}, 1000, 100000)
-	bu := New(ModeBottomUp, Policy{}, 1000, 100000)
+	td := New(ModeTopDown, 1000, 100000)
+	bu := New(ModeBottomUp, 1000, 100000)
 	if td.Direction() != TopDown {
 		t.Fatal("topdown machine did not start top-down")
 	}
@@ -54,7 +54,7 @@ func TestFixedModesNeverSwitch(t *testing.T) {
 // alpha and beta rules fire.
 func TestAutoSwitchesAtKnownSizes(t *testing.T) {
 	const n, adj = 1 << 16, 16 << 16 // 65536 vertices, ~1M adjacency slots
-	m := New(ModeAuto, Policy{Alpha: 14, Beta: 24}, n, adj)
+	m := New(ModeAuto, n, adj)
 	if m.Direction() != TopDown {
 		t.Fatal("auto mode did not start top-down")
 	}
@@ -87,18 +87,18 @@ func TestAutoAlphaBoundaryExact(t *testing.T) {
 	// "mf*alpha > mu" must not fire at mf = 100 (1400 == 1400) and must
 	// fire at mf = 101 on an identically prepared machine. On n = 1000
 	// the guard admits nf = 10: 10*10*24 = 2400 >= 1000*1.
-	stay := New(ModeAuto, Policy{Alpha: 14, Beta: 24}, 1000, 1500)
+	stay := New(ModeAuto, 1000, 1500)
 	if got := stay.Advance(10, 100); got != TopDown {
 		t.Fatalf("boundary mf*alpha == mu switched: %v", got)
 	}
-	flip := New(ModeAuto, Policy{Alpha: 14, Beta: 24}, 1000, 1501)
+	flip := New(ModeAuto, 1000, 1501)
 	if got := flip.Advance(10, 101); got != BottomUp {
 		t.Fatalf("mf*alpha > mu did not switch: %v", got)
 	}
 	// On n = 2^20 the alpha rule fires as above, but the frontier grown
 	// one more level (10*10 = 100 vertices) already meets the beta exit
 	// (100*24 < 2^20): the guard keeps it top-down.
-	guarded := New(ModeAuto, Policy{Alpha: 14, Beta: 24}, 1<<20, 1501)
+	guarded := New(ModeAuto, 1<<20, 1501)
 	if got := guarded.Advance(10, 101); got != TopDown {
 		t.Fatalf("guard did not hold a 10-vertex frontier on 2^20 vertices: %v", got)
 	}
@@ -169,9 +169,9 @@ func TestGrowthGuard(t *testing.T) {
 		steps: []step{{1 << 20, 1 << 24, TopDown}, {1 << 33, 1 << 38, BottomUp}},
 	}}
 	for _, tc := range cases {
-		m := New(ModeAuto, Policy{}, tc.n, tc.adj)
+		m := New(ModeAuto, tc.n, tc.adj)
 		if tc.width > 0 {
-			m = NewBatch(ModeAuto, Policy{}, tc.n, tc.adj, tc.width)
+			m = NewBatch(ModeAuto, tc.n, tc.adj, tc.width)
 			if m.PrevFrontier() != int64(tc.width) {
 				t.Errorf("%s: batch prevNf %d, want %d", tc.name, m.PrevFrontier(), tc.width)
 			}
@@ -191,7 +191,7 @@ func TestGrowthGuard(t *testing.T) {
 // changes the direction only: the next Advance reads the frontier the
 // last Advance recorded.
 func TestForceKeepsFrontierHistory(t *testing.T) {
-	m := New(ModeAuto, Policy{}, 1<<16, 1<<20)
+	m := New(ModeAuto, 1<<16, 1<<20)
 	m.Advance(2000, 100000) // pulls
 	m.Force(TopDown)
 	if m.PrevFrontier() != 2000 {
@@ -204,7 +204,7 @@ func TestForceKeepsFrontierHistory(t *testing.T) {
 }
 
 func TestUnexploredAccounting(t *testing.T) {
-	m := New(ModeTopDown, Policy{}, 100, 1000)
+	m := New(ModeTopDown, 100, 1000)
 	m.Advance(5, 300)
 	if m.Unexplored() != 700 {
 		t.Fatalf("mu = %d, want 700", m.Unexplored())
@@ -212,14 +212,6 @@ func TestUnexploredAccounting(t *testing.T) {
 	m.Advance(5, 900) // over-subtraction clamps at zero
 	if m.Unexplored() != 0 {
 		t.Fatalf("mu = %d, want 0", m.Unexplored())
-	}
-}
-
-func TestZeroPolicyGetsDefaults(t *testing.T) {
-	m := New(ModeAuto, Policy{}, 1000, 10000)
-	// With the default alpha of 14 this trips: 1000*14 > 9000.
-	if got := m.Advance(100, 1000); got != BottomUp {
-		t.Fatalf("defaulted policy did not switch: %v", got)
 	}
 }
 

@@ -179,7 +179,6 @@ func (lp *Loop) step(r *cluster.Rank, dirm *dirheur.Machine, level, scanned, fou
 		dirm.Force(d)
 	}
 	if lp.trace && r.ID() == 0 {
-		pol := dirm.Thresholds()
 		alt := dirheur.TopDown
 		if next == dirheur.TopDown {
 			alt = dirheur.BottomUp
@@ -188,7 +187,6 @@ func (lp *Loop) step(r *cluster.Rank, dirm *dirheur.Machine, level, scanned, fou
 			Kind: decis.KindDirection, Level: level + 1,
 			Frontier: found, EdgeEst: mf,
 			Unexplored: dirm.Unexplored(), Verts: dirm.Verts(), PrevFrontier: prev,
-			Alpha: pol.Alpha, Beta: pol.Beta,
 			Choice:       decis.DirChoice(next),
 			Alternatives: []string{decis.DirChoice(alt)},
 		})

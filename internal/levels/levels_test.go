@@ -86,7 +86,7 @@ func TestEndDirection(t *testing.T) {
 	var comm [p]float64
 	w.Run(func(r *cluster.Rank) {
 		me := r.ID()
-		dirm := dirheur.New(dirheur.ModeAuto, dirheur.Policy{}, 100, 1000)
+		dirm := dirheur.New(dirheur.ModeAuto, 100, 1000)
 		// 2*5 = 10 vertices carrying 2*40 = 80 edges against 920
 		// unexplored: 80*14 > 920, and 10*10*24 >= 100*1 lets it pull.
 		found[me][0], got[me][0] = lp.End(r, dirm, 1, 7, 5, 40)
@@ -109,7 +109,7 @@ func TestEndDirection(t *testing.T) {
 	}
 	d := prof.Decisions[0]
 	if d.Kind != decis.KindDirection || d.Level != 2 || d.Frontier != 10 || d.EdgeEst != 80 ||
-		d.Unexplored != 920 || d.Verts != 100 || d.PrevFrontier != 1 || d.Alpha != 14 || d.Beta != 24 ||
+		d.Unexplored != 920 || d.Verts != 100 || d.PrevFrontier != 1 ||
 		d.Choice != "bottom-up" || !slices.Equal(d.Alternatives, []string{"top-down"}) {
 		t.Errorf("first decision %+v", d)
 	}
@@ -123,7 +123,7 @@ func TestEndDirection(t *testing.T) {
 	w.Reset()
 	fixed := New(w, true, nil)
 	w.Run(func(r *cluster.Rank) {
-		dirm := dirheur.New(dirheur.ModeBottomUp, dirheur.Policy{}, 100, 1000)
+		dirm := dirheur.New(dirheur.ModeBottomUp, 100, 1000)
 		if f, d := fixed.End(r, dirm, 1, 3, 5, 40); f != 10 || d != dirheur.BottomUp {
 			t.Errorf("fixed bottom-up mode found %d, stepped to %v", f, d)
 		}
@@ -147,7 +147,7 @@ func TestEndCounted(t *testing.T) {
 	w := cluster.NewWorld(p, m)
 	lp := New(w, false, nil)
 	w.Run(func(r *cluster.Rank) {
-		dirm := dirheur.New(dirheur.ModeAuto, dirheur.Policy{}, 100, 1000)
+		dirm := dirheur.New(dirheur.ModeAuto, 100, 1000)
 		dirm.Force(dirheur.BottomUp)
 		// 60 vertices: 60*24 >= 100 keeps it bottom-up.
 		if f, d := lp.EndCounted(r, dirm, 1, 3, 60, 40); f != 60 || d != dirheur.BottomUp {

@@ -121,7 +121,7 @@ func TestBatchSubsumesOverlap(t *testing.T) {
 		}, wl)
 		ov := Predict(Config{
 			Machine: netmodel.Hopper(), Cores: 4096, Algo: algo,
-			DirOpt: true, BatchWidth: 64, Overlap: true, OverlapChunks: 8,
+			DirOpt: true, BatchWidth: 64, Overlap: true,
 		}, wl)
 		if plain.Hidden != 0 || ov.Hidden != 0 {
 			t.Errorf("%v: batched projection hides communication (%.4g/%.4g)", algo, plain.Hidden, ov.Hidden)

@@ -119,12 +119,9 @@ type Config struct {
 	// per-level exchanges hides under the local computation posted
 	// between chunks, so the hidden time is min(overlappable comm,
 	// overlappable comp), bounded by whichever side runs out first. The
-	// pipeline pays OverlapChunks-1 follow-on injection latencies per
+	// four-chunk pipeline pays three follow-on injection latencies per
 	// overlapped phase. Ignored by the comparator codes.
 	Overlap bool
-	// OverlapChunks is the pipeline depth used when Overlap is set;
-	// values below 2 default to 4.
-	OverlapChunks int
 	// BatchWidth is the number of concurrent searches sharing one
 	// multi-source (MS-BFS) traversal: frontier and visited state become
 	// one 64-bit mask word per vertex, so up to 64 searches ride every
@@ -433,7 +430,7 @@ func predict1D(cfg Config, wl Workload, fac oneDFactors) Breakdown {
 	// allgather.
 	var hidden float64
 	if cfg.Overlap && tuned && wB == 1 {
-		k := cfg.overlapChunks()
+		k := float64(overlapChunks)
 		ovComp := (rScan*m.BetaMem + rScan/2*m.AlphaMem(nloc)) /
 			threadSpeedup(t, eScan/float64(wl.Levels))
 		hidden = math.Min(a2aBW, ovComp) * (k - 1) / k
@@ -574,7 +571,7 @@ func predict2D(cfg Config, wl Workload) Breakdown {
 	// level) under the column bitmap hop.
 	var hidden float64
 	if cfg.Overlap && wB == 1 {
-		k := cfg.overlapChunks()
+		k := float64(overlapChunks)
 		ovComp := (eScan*m.AlphaMem(stripWS) + (eScan+2*float64(foldWords))*m.BetaMem +
 			eScan/m.ComputeRate) / threadSpeedup(t, eScan/float64(wl.Levels))
 		// expandBW already carries the top-down share (it is scaled by
@@ -663,13 +660,8 @@ func finish(cfg Config, wl Workload, comp float64, phases map[string]float64, gr
 	return b
 }
 
-// overlapChunks returns the configured pipeline depth (default 4).
-func (c Config) overlapChunks() float64 {
-	if c.OverlapChunks >= 2 {
-		return float64(c.OverlapChunks)
-	}
-	return 4
-}
+// overlapChunks is the pipeline depth of the overlapped exchange.
+const overlapChunks = 4
 
 // batchWidth returns the clamped MS-BFS batch width (1 = single-source).
 func (c Config) batchWidth() float64 {

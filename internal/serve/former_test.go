@@ -9,7 +9,7 @@ import (
 )
 
 // TestFormerNext pins the formation rule: Next returns nil on an empty
-// queue, and otherwise the first min(width, pending) requests in policy
+// queue, and otherwise the first min(width, pending) requests in Slack
 // order, at any now — no trigger holds a batch back — while the rest
 // stay queued, in order, for the next call.
 func TestFormerNext(t *testing.T) {
@@ -29,13 +29,13 @@ func TestFormerNext(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			// SJF with work falling as the source rises, so policy
-			// order is the reverse of admission order.
+			// Class priority rises with the source, so Slack order is
+			// the reverse of admission order.
 			q := NewQueue(64)
 			for i := 0; i < c.pushes; i++ {
-				push(t, q, int64(i), "x", 0, int64(100-i), t0)
+				push(t, q, int64(i), "x", i, t0)
 			}
-			f := &Former{Queue: q, Policy: SJF{}, BatchMax: c.batchMax}
+			f := &Former{Queue: q, BatchMax: c.batchMax}
 			batch, rest := f.Next(t0.Add(c.at))
 			if c.want == nil {
 				if batch != nil || rest != 0 {
@@ -66,7 +66,8 @@ func TestFormerNext(t *testing.T) {
 
 // TestFormerOccupancyUnderBacklog drives a Former on a fake clock with
 // a sustained backlog: 240 requests arriving 24 per simulated
-// millisecond, BatchMax 64, FCFS, and a batch cut once per millisecond
+// millisecond, BatchMax 64, one class and no deadlines (so Slack order
+// is admission order), and a batch cut once per millisecond
 // (one session freeing up that often). Everything that arrived while
 // the session was busy rides the next cut, so every request must
 // dispatch exactly once and the mean batch width must stay at or above
@@ -78,7 +79,7 @@ func TestFormerOccupancyUnderBacklog(t *testing.T) {
 	)
 	clock := NewFakeClock(t0)
 	q := NewQueue(4 * requests)
-	f := &Former{Queue: q, Policy: FCFS{}, BatchMax: 64}
+	f := &Former{Queue: q, BatchMax: 64}
 	seen := make([]int, requests)
 	batches := 0
 	record := func(batch []*Request) {
@@ -89,7 +90,7 @@ func TestFormerOccupancyUnderBacklog(t *testing.T) {
 	}
 	for pushed := 0; pushed < requests; pushed += perMs {
 		for i := pushed; i < pushed+perMs; i++ {
-			push(t, q, int64(i), "x", 0, 1, clock.Now())
+			push(t, q, int64(i), "x", 0, clock.Now())
 		}
 		clock.Advance(time.Millisecond)
 		for {
@@ -100,7 +101,7 @@ func TestFormerOccupancyUnderBacklog(t *testing.T) {
 			record(batch)
 		}
 	}
-	for _, batch := range f.Flush(clock.Now()) {
+	for _, batch := range f.Flush() {
 		record(batch)
 	}
 	for src, n := range seen {

@@ -59,7 +59,7 @@ func (h *Harness) Flush() int {
 	for _, id := range h.Server.order {
 		w := h.Server.workers[id]
 		now := h.clock.Now()
-		for _, batch := range w.former.Flush(now) {
+		for _, batch := range w.former.Flush() {
 			w.runBatch(batch, w.pool.TryGet(), now)
 			n++
 		}

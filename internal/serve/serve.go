@@ -22,18 +22,18 @@
 //     not an unbounded backlog.
 //   - A batch is cut whenever the queue is non-empty and a pooled
 //     session is free (work-conserving): Former decides which
-//     requests ride it, up to BatchMax in policy order, and requests
+//     requests ride it, up to BatchMax in Slack order, and requests
 //     that arrive while every session is busy wait in the queue and
-//     ride the next batch. Former takes explicit time.Time arguments
-//     (an injected clock), so scheduling is deterministic under test.
+//     ride the next batch. Former reads no clock, so scheduling is
+//     deterministic under test.
 //   - Requests carry an optional Deadline: ones that cannot be served
 //     in time (queue delay plus the graph's estimated batch service
 //     time, an EWMA of recent batches' simulated machine seconds),
 //     judged at admission and again when their batch acquires a
-//     session, are shed with RejectDeadline instead of served late;
-//     the Slack policy orders dispatch by time-to-deadline.
-//   - Policy orders the pending requests at dispatch: FCFS, SJF by
-//     estimated frontier work, Priority with aging, or Slack.
+//     session, are shed with RejectDeadline instead of served late.
+//   - Dispatch follows one order, Slack: deadline carriers by earliest
+//     deadline, then the rest by SLO-class priority, then admission
+//     order.
 //
 // Metrics are tracked per SLO class and per graph (queue-wait and
 // amortized-latency percentiles, batch occupancy, cache hit rates,
@@ -51,10 +51,9 @@ import (
 	"time"
 )
 
-// Clock supplies timestamps to the serving pipeline. The Former takes
-// explicit time.Time arguments, so any Clock (notably FakeClock) makes
-// batch formation deterministic; the Server stamps arrivals and
-// session acquisitions with its configured Clock.
+// Clock supplies timestamps to the serving pipeline: the Server stamps
+// arrivals and session acquisitions with its configured Clock, so a
+// FakeClock makes queue waits and deadline judgements deterministic.
 type Clock interface {
 	Now() time.Time
 }
@@ -92,7 +91,7 @@ func (c *FakeClock) Advance(d time.Duration) {
 }
 
 // Class is an SLO class: a named service tier whose priority orders
-// queries under the Priority policy and whose metrics are reported
+// deadline-free queries at dispatch and whose metrics are reported
 // separately.
 type Class struct {
 	Name     string
@@ -136,19 +135,18 @@ type Query struct {
 }
 
 // Request is one admitted BFS query waiting for (or riding in) a
-// batch. Exported fields are set at admission and read by policies;
-// tests may construct Requests directly.
+// batch. Exported fields are set at admission and read by the dispatch
+// order; tests may construct Requests directly.
 type Request struct {
 	ID       uint64
 	Graph    string
 	Source   int64
 	Class    string
-	Priority int   // base priority, from the request's Class
-	Est      int64 // estimated frontier work: the source's degree
+	Priority int // base priority, from the request's Class
 	Enqueued time.Time
 	Deadline time.Time // zero = no deadline
 
-	// seq is the admission order, the FCFS key and every policy's
+	// seq is the admission order, the dispatch order's final
 	// tie-break; done receives exactly one Response (buffered, so
 	// completion never blocks on a slow reader); riders are coalesced
 	// duplicate queries for the same (graph, source) that share this

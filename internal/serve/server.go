@@ -21,9 +21,6 @@ type GraphConfig struct {
 	// cached engine each pool session builds once).
 	Graph   *pbfs.Graph
 	Options pbfs.Options
-	// Sessions is this graph's pbfs.SessionPool size: how many of its
-	// batches may execute concurrently (default Config.Sessions).
-	Sessions int
 }
 
 // Config configures a Server.
@@ -44,18 +41,16 @@ type Config struct {
 	// it rejects with queue_full (default 4 * BatchMax).
 	QueueDepth int
 
-	// Policy orders dispatch (default FCFS).
-	Policy Policy
+	// Policy is not read: dispatch is always in Slack order.
+	Policy Slack
 
-	// Sessions is the default per-graph session pool size (default 1).
+	// Sessions is each graph's pbfs.SessionPool size: how many of its
+	// batches may execute concurrently (default 1).
 	Sessions int
 
 	// CacheSize bounds each graph's hot-source result cache (LRU
 	// entries). Zero means DefaultCacheSize; negative disables caching.
 	CacheSize int
-
-	// Classes lists the accepted SLO classes (default DefaultClasses).
-	Classes []Class
 
 	// Clock stamps admissions, queue waits, and completions (default
 	// Wall). The serving loops run on real goroutines regardless; drive
@@ -104,30 +99,24 @@ func newServer(cfg Config, start bool) (*Server, error) {
 	if cfg.QueueDepth < 1 {
 		cfg.QueueDepth = 4 * cfg.BatchMax
 	}
-	if cfg.Policy == nil {
-		cfg.Policy = FCFS{}
-	}
 	if cfg.Sessions < 1 {
 		cfg.Sessions = 1
 	}
 	if cfg.CacheSize == 0 {
 		cfg.CacheSize = DefaultCacheSize
 	}
-	if len(cfg.Classes) == 0 {
-		cfg.Classes = DefaultClasses()
-	}
 	if cfg.Clock == nil {
 		cfg.Clock = Wall
 	}
 	s := &Server{
 		cfg:     cfg,
-		classes: make(map[string]Class, len(cfg.Classes)),
+		classes: make(map[string]Class),
 		clock:   cfg.Clock,
 		metrics: NewMetrics(),
 		workers: make(map[string]*graphWorker, len(cfg.Graphs)),
 		stopped: make(chan struct{}),
 	}
-	for _, c := range cfg.Classes {
+	for _, c := range DefaultClasses() {
 		s.classes[c.Name] = c
 	}
 	for _, gc := range cfg.Graphs {
@@ -140,10 +129,7 @@ func newServer(cfg Config, start bool) (*Server, error) {
 		if gc.Graph == nil || gc.Graph.NumVerts() < 1 {
 			return nil, fmt.Errorf("serve: graph %q is nil or empty", gc.ID)
 		}
-		if gc.Sessions < 1 {
-			gc.Sessions = cfg.Sessions
-		}
-		w := newGraphWorker(s, gc, cfg.BatchMax, cfg.QueueDepth, cfg.Policy, cfg.CacheSize)
+		w := newGraphWorker(s, gc, cfg.BatchMax, cfg.QueueDepth, cfg.Sessions, cfg.CacheSize)
 		// Warm every pool session with a one-source batch:
 		// configuration errors (unknown machine, unfactorable grid)
 		// surface here instead of on the first query, and each session
@@ -154,7 +140,7 @@ func newServer(cfg Config, start bool) (*Server, error) {
 		// FIFO, so the loop visits every member exactly once.
 		var err error
 		pair := gc.Graph.Sources(2, 0)
-		for i := 0; i < gc.Sessions && err == nil; i++ {
+		for i := 0; i < cfg.Sessions && err == nil; i++ {
 			sess := w.pool.Get()
 			_, err = sess.BFSBatch(gc.Graph, []int64{0}, gc.Options)
 			if err == nil && len(pair) == 2 {
@@ -223,7 +209,6 @@ func (s *Server) SubmitQuery(q Query) (<-chan *Response, error) {
 		Source:   q.Source,
 		Class:    q.Class,
 		Priority: cl.Priority,
-		Est:      w.graph.Degree(q.Source),
 		Enqueued: s.clock.Now(),
 		Deadline: q.Deadline,
 		done:     make(chan *Response, 1),

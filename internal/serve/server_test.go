@@ -51,7 +51,7 @@ func TestServerE2EConformance(t *testing.T) {
 	srv, err := New(Config{
 		Graphs:  []GraphConfig{{ID: "g", Graph: g, Options: pbfs.Options{Algorithm: pbfs.OneDFlat, Ranks: 4, Machine: "franklin"}}},
 		MaxWait: 2 * time.Millisecond, QueueDepth: 1024,
-		Policy: Priority{Aging: 5 * time.Millisecond}, Sessions: 2,
+		Sessions: 2,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -61,12 +61,11 @@ type graphWorker struct {
 
 // newGraphWorker builds one graph's pipeline from its resolved
 // configuration; the caller warms the pool and starts the loop.
-func newGraphWorker(s *Server, gc GraphConfig, batchMax, queueDepth int,
-	policy Policy, cacheSize int) *graphWorker {
+func newGraphWorker(s *Server, gc GraphConfig, batchMax, queueDepth, sessions, cacheSize int) *graphWorker {
 	w := &graphWorker{
 		s: s, id: gc.ID, graph: gc.Graph, opt: gc.Options,
 		q:        NewQueue(queueDepth),
-		pool:     pbfs.NewSessionPool(gc.Sessions),
+		pool:     pbfs.NewSessionPool(sessions),
 		cache:    newPlaneCache(cacheSize),
 		flights:  make(map[int64]*Request),
 		arrived:  make(chan struct{}, 1),
@@ -74,7 +73,7 @@ func newGraphWorker(s *Server, gc GraphConfig, batchMax, queueDepth int,
 		quit:     make(chan struct{}),
 		loopDone: make(chan struct{}),
 	}
-	w.former = &Former{Queue: w.q, Policy: policy, BatchMax: batchMax}
+	w.former = &Former{Queue: w.q, BatchMax: batchMax}
 	w.exec = func(sess *pbfs.Session, sources []int64) (*pbfs.BatchResult, error) {
 		return sess.BFSBatch(w.graph, sources, w.opt)
 	}
@@ -192,7 +191,7 @@ func (w *graphWorker) submit(req *Request, now time.Time, noCache bool) error {
 
 // next cuts the next batch when the queue holds work and a pooled
 // session is free: it checks the session out, reads the clock at that
-// acquisition instant, and takes up to the batch width in policy order.
+// acquisition instant, and takes up to the batch width in Slack order.
 // It returns a nil batch, and holds no session, otherwise. Only the
 // loop (or the single-threaded Harness) takes from the queue, so a
 // queue seen non-empty still holds work once the session is out.

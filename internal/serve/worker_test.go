@@ -161,6 +161,40 @@ func TestBacklogMergesIntoOneBatch(t *testing.T) {
 	}
 }
 
+func TestLiveServerDispatchesInSlackOrder(t *testing.T) {
+	// A server configured with no Policy dispatches in Slack order:
+	// with one-wide batches queued behind the held session, the
+	// deadline carrier runs first, then the interactive query, then
+	// the batch-class query admitted before both.
+	srv, g := liveServer(t, Config{BatchMax: 1})
+	defer srv.Shutdown()
+	h := newSessionHold(srv, "g", 1)
+	prime := h.hold(t)
+	var chans []<-chan *Response
+	for _, q := range []Query{
+		{Source: 3, Class: "batch"},
+		{Source: 5, Class: "interactive"},
+		{Source: 7, Class: "batch", Deadline: time.Now().Add(time.Hour)},
+	} {
+		ch, err := srv.SubmitQuery(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chans = append(chans, ch)
+	}
+	h.free()
+	checkSerial(t, g, await(t, prime))
+	batch := make(map[int64]uint64)
+	for _, ch := range chans {
+		resp := await(t, ch)
+		checkSerial(t, g, resp)
+		batch[resp.Source] = resp.Batch
+	}
+	if !(batch[7] < batch[5] && batch[5] < batch[3]) {
+		t.Errorf("batch IDs by source %v; want deadline query 7, then interactive 5, then batch 3", batch)
+	}
+}
+
 func TestDeadlineShedAtAcquisition(t *testing.T) {
 	// A deadline that passes while the only session is busy is judged
 	// when a session is acquired for the query's batch: the query is

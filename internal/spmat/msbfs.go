@@ -108,13 +108,7 @@ func (rs *RowSplit) SpMSVMasks(dst *spvec.MaskVec, f *spvec.MaskVec, pool *smp.P
 	run := func(s int) {
 		rs.Strips[s].SpMSVMasks(&msc.parts[s], f, &msc.per[s])
 	}
-	if pool != nil && n > 1 {
-		pool.Do(n, run)
-	} else {
-		for s := 0; s < n; s++ {
-			run(s)
-		}
-	}
+	pool.Do(n, run)
 	dst.Reset()
 	for s := 0; s < n; s++ {
 		off := rs.Offsets[s]
@@ -200,13 +194,7 @@ func (ps *PullSplit) PullMasks(dst *spvec.MaskVec, frontier, visited []uint64, a
 		psc.scanned[s] = ps.Strips[s].PullMasks(&psc.parts[s], frontier, visited,
 			active, visRowOff+ps.Offsets[s], colOff)
 	}
-	if pool != nil && n > 1 {
-		pool.Do(n, run)
-	} else {
-		for s := 0; s < n; s++ {
-			run(s)
-		}
-	}
+	pool.Do(n, run)
 	dst.Reset()
 	var scanned int64
 	for s := 0; s < n; s++ {

@@ -163,13 +163,7 @@ func (ps *PullSplit) Pull(dst *spvec.Vec, frontier, visited *bits.Bitmap, visRow
 		psc.scanned[s] = ps.Strips[s].Pull(&psc.parts[s], frontier, visited,
 			visRowOff+ps.Offsets[s], colOff)
 	}
-	if pool != nil && n > 1 {
-		pool.Do(n, run)
-	} else {
-		for s := 0; s < n; s++ {
-			run(s)
-		}
-	}
+	pool.Do(n, run)
 	dst.Reset()
 	var scanned int64
 	for s := 0; s < n; s++ {

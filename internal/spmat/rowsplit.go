@@ -116,8 +116,8 @@ func (rsc *RowScratch) ensure(n int) {
 // hybrid algorithm's real intra-rank threads; a nil pool runs the strips
 // serially (the flat algorithm, which still benefits from the strip
 // layout's locality). A non-nil rsc makes steady-state calls
-// allocation-free; opts.SPA and opts.Scratch apply per strip only when
-// their accumulator matches the strip's row range.
+// allocation-free: each strip runs on its own rsc scratch in place of
+// opts.Scratch.
 func (rs *RowSplit) SpMSV(dst *spvec.Vec, f *spvec.Vec, opts SpMSVOpts, pool *smp.Pool, rsc *RowScratch) *spvec.Vec {
 	n := len(rs.Strips)
 	if rsc == nil {
@@ -125,25 +125,12 @@ func (rs *RowSplit) SpMSV(dst *spvec.Vec, f *spvec.Vec, opts SpMSVOpts, pool *sm
 	}
 	rsc.ensure(n)
 	parts := rsc.parts
-	parallel := pool != nil && n > 1
 	run := func(s int) {
 		stripOpts := opts
 		stripOpts.Scratch = &rsc.per[s]
-		// A caller-provided SPA can serve at most one strip at a time and
-		// only if it spans the strip's rows; concurrent strips always use
-		// their own scratch accumulators.
-		if stripOpts.SPA != nil && (parallel || stripOpts.SPA.Size() != rs.Strips[s].Rows) {
-			stripOpts.SPA = nil
-		}
 		rs.Strips[s].SpMSV(&parts[s], f, stripOpts)
 	}
-	if parallel {
-		pool.Do(n, run)
-	} else {
-		for s := 0; s < n; s++ {
-			run(s)
-		}
-	}
+	pool.Do(n, run)
 	dst.Reset()
 	for s := range parts[:n] {
 		off := rs.Offsets[s]

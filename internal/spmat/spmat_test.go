@@ -322,18 +322,3 @@ func TestScratchReuseMatchesFresh(t *testing.T) {
 		}
 	}
 }
-
-func TestSPAReuseAcrossCalls(t *testing.T) {
-	d, err := NewDCSC(6, 6, figure2Triples())
-	if err != nil {
-		t.Fatal(err)
-	}
-	spa := spvec.NewSPA(6)
-	f := &spvec.Vec{}
-	f.Append(1, 1)
-	a := d.SpMSV(&spvec.Vec{}, f, SpMSVOpts{Kernel: KernelSPA, SPA: spa})
-	b := d.SpMSV(&spvec.Vec{}, f, SpMSVOpts{Kernel: KernelSPA, SPA: spa})
-	if a.NNZ() != b.NNZ() {
-		t.Error("SPA reuse changed result")
-	}
-}

@@ -45,14 +45,10 @@ const autoThreshold = 64
 // SpMSVOpts configures a product.
 type SpMSVOpts struct {
 	Kernel Kernel
-	// SPA, when non-nil, is reused across calls to avoid reallocating the
-	// dense accumulator each BFS level. Its size must equal the matrix
-	// row dimension.
-	SPA *spvec.SPA
 	// Scratch, when non-nil, pools every per-call working structure (the
-	// SPA if opts.SPA is unset, the heap kernel's stream list and cursor
-	// heap) so steady-state calls allocate nothing. One Scratch serves one
-	// matrix at a time; it resizes itself lazily to the matrix it meets.
+	// SPA, the heap kernel's stream list and cursor heap) so steady-state
+	// calls allocate nothing. One Scratch serves one matrix at a time; it
+	// resizes itself lazily to the matrix it meets.
 	Scratch *Scratch
 }
 
@@ -95,13 +91,11 @@ func (m *DCSC) SpMSV(dst *spvec.Vec, f *spvec.Vec, opts SpMSVOpts) *spvec.Vec {
 	}
 	switch kernel {
 	case KernelSPA:
-		spa := opts.SPA
-		if spa == nil || spa.Size() != m.Rows {
-			if opts.Scratch != nil {
-				spa = opts.Scratch.spaFor(m.Rows)
-			} else {
-				spa = spvec.NewSPA(m.Rows)
-			}
+		var spa *spvec.SPA
+		if opts.Scratch != nil {
+			spa = opts.Scratch.spaFor(m.Rows)
+		} else {
+			spa = spvec.NewSPA(m.Rows)
 		}
 		m.Scatter(spa, f)
 		return spa.Extract(dst)

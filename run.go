@@ -5,8 +5,8 @@ import "repro/internal/decis"
 // Options configures a distributed BFS run. The layout fields
 // (Algorithm, Ranks, GridRows/GridCols, Threads, Machine) select an
 // engine — a distributed graph, world/grid, and scratch arenas that a
-// Session caches across searches — while Direction, Alpha/Beta, and
-// Trace vary freely per search on the same engine. The 2D variants run
+// Session caches across searches — while Direction and Trace vary
+// freely per search on the same engine. The 2D variants run
 // the auto-selected SpMSV kernel with the 2D vector distribution; the
 // paper's kernel and vector-layout ablations (Figures 3 and 4) are
 // reproduced by internal/bench against the drivers directly.
@@ -37,9 +37,6 @@ type Options struct {
 	// Reference and PBGL comparators are top-down by construction and
 	// ignore it.
 	Direction Direction
-	// Alpha and Beta override the direction-switch thresholds used by
-	// Auto (zero = the published defaults, 14 and 24).
-	Alpha, Beta int64
 	// Trace records the per-level discovery counts into the result,
 	// and with them the policy decisions the heuristics took
 	// (Result.Decisions): direction switches and (for derived 2D

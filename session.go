@@ -23,7 +23,7 @@ import (
 // engine owns its distributed graph (with the bottom-up phase's
 // lazily-built pull structures), its world and grid communicators, and
 // its cross-search scratch arenas. Changing only
-// per-search fields (Direction, Alpha/Beta, Trace) between searches
+// per-search fields (Direction, Trace) between searches
 // reuses the cached engine; changing a layout field builds and caches
 // another; searching a different *Graph under a cached layout rebuilds
 // just that engine's distribution, keeping its world and arenas (the
