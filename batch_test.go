@@ -267,37 +267,6 @@ func TestBFSBatchUniqueEdgesAccounting(t *testing.T) {
 	}
 }
 
-// TestProjectRMATBatch: the paper-scale projection of the batched mode
-// must amortize at least 4x at full width against its own width-1
-// profile, clamp oversized widths, and validate inputs.
-func TestProjectRMATBatch(t *testing.T) {
-	single, err := ProjectRMATBatch("hopper", 4096, TwoDHybrid, 32, 16, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := ProjectRMATBatch("hopper", 4096, TwoDHybrid, 32, 16, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if amort := single.TotalTime / full.TotalTime; amort < 4 {
-		t.Errorf("64-wide projected amortization %.2fx < 4x (%.4gs vs %.4gs)",
-			amort, single.TotalTime, full.TotalTime)
-	}
-	if full.GTEPS <= single.GTEPS {
-		t.Errorf("batched per-search GTEPS %.2f not above single %.2f", full.GTEPS, single.GTEPS)
-	}
-	clamped, err := ProjectRMATBatch("hopper", 4096, TwoDHybrid, 32, 16, 200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if clamped.TotalTime != full.TotalTime {
-		t.Error("width 200 not clamped to 64")
-	}
-	if _, err := ProjectRMATBatch("nosuch", 4096, TwoDHybrid, 32, 16, 64); err == nil {
-		t.Error("unknown machine accepted")
-	}
-}
-
 // sameBits reports whether a and b are the same float64, bit for bit.
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 

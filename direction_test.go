@@ -174,26 +174,6 @@ func TestDirectionBenchmarkValidatesAuto(t *testing.T) {
 	}
 }
 
-func TestProjectRMATDirOpt(t *testing.T) {
-	base, err := ProjectRMAT("franklin", 512, OneDFlat, 32, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt, err := ProjectRMATDirOpt("franklin", 512, OneDFlat, 32, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if opt.Phases["bitmap"] <= 0 {
-		t.Error("dir-opt projection lacks the bitmap phase")
-	}
-	if opt.TotalTime >= base.TotalTime {
-		t.Errorf("dir-opt projection %.4g not below baseline %.4g at 512 cores", opt.TotalTime, base.TotalTime)
-	}
-	if _, err := ProjectRMATDirOpt("nope", 64, OneDFlat, 20, 16); err == nil {
-		t.Error("unknown machine accepted")
-	}
-}
-
 // TestAutoMatchesTopDownOnCrawl checks Auto on web crawls, whose long
 // tails hold a frontier of a few hundred vertices while the unexplored
 // volume shrinks below alpha times the frontier's: the growth guard

@@ -8,26 +8,21 @@ import (
 
 // TestBatchWidthOneUnchanged pins backward compatibility: BatchWidth 0
 // and 1 must produce the calibrated projections bit-for-bit, for every
-// variant, with and without direction optimization and overlap.
+// variant, with and without direction optimization.
 func TestBatchWidthOneUnchanged(t *testing.T) {
 	wl := RMATWorkload(32, 16)
 	for _, algo := range []Algo{OneDFlat, OneDHybrid, TwoDFlat, TwoDHybrid, Reference, PBGL} {
 		for _, dirOpt := range []bool{false, true} {
-			for _, overlap := range []bool{false, true} {
-				base := Predict(Config{
+			base := Predict(Config{
+				Machine: netmodel.Hopper(), Cores: 4096, Algo: algo, DirOpt: dirOpt,
+			}, wl)
+			for _, w := range []int{0, 1} {
+				got := Predict(Config{
 					Machine: netmodel.Hopper(), Cores: 4096, Algo: algo,
-					DirOpt: dirOpt, Overlap: overlap,
+					DirOpt: dirOpt, BatchWidth: w,
 				}, wl)
-				for _, w := range []int{0, 1} {
-					got := Predict(Config{
-						Machine: netmodel.Hopper(), Cores: 4096, Algo: algo,
-						DirOpt: dirOpt, Overlap: overlap, BatchWidth: w,
-					}, wl)
-					if got.Total != base.Total || got.Comp != base.Comp ||
-						got.Comm != base.Comm || got.Hidden != base.Hidden {
-						t.Errorf("%v dirOpt=%v overlap=%v: BatchWidth=%d changed the projection",
-							algo, dirOpt, overlap, w)
-					}
+				if got.Total != base.Total || got.Comp != base.Comp || got.Comm != base.Comm {
+					t.Errorf("%v dirOpt=%v: BatchWidth=%d changed the projection", algo, dirOpt, w)
 				}
 			}
 		}
@@ -86,48 +81,32 @@ func TestBatchAmortizationGrowsWithWidth(t *testing.T) {
 // therefore never exceed the top-down batched one, and the 64-wide
 // DirOpt projection must still amortize >= 4x over the DirOpt single —
 // worst case it rides the top-down fallback, which amortizes well past
-// the dir-opt single-source savings.
+// the dir-opt single-source savings — and widths past 64 must clamp.
 func TestBatchDirOptFallback(t *testing.T) {
 	wl := RMATWorkload(32, 16)
 	for _, m := range []*netmodel.Machine{netmodel.Franklin(), netmodel.Hopper()} {
 		for _, algo := range []Algo{OneDFlat, OneDHybrid, TwoDFlat, TwoDHybrid} {
-			for _, w := range []int{2, 16, 64} {
-				do := Predict(Config{Machine: m, Cores: 1024, Algo: algo, DirOpt: true, BatchWidth: w}, wl)
-				td := Predict(Config{Machine: m, Cores: 1024, Algo: algo, BatchWidth: w}, wl)
-				if do.Total > td.Total {
-					t.Errorf("%v %v width %d: DirOpt batched %.4gs above top-down batched %.4gs (no fallback)",
-						m.Name, algo, w, do.Total, td.Total)
+			for _, cores := range []int{1024, 4096} {
+				for _, w := range []int{2, 16, 64} {
+					do := Predict(Config{Machine: m, Cores: cores, Algo: algo, DirOpt: true, BatchWidth: w}, wl)
+					td := Predict(Config{Machine: m, Cores: cores, Algo: algo, BatchWidth: w}, wl)
+					if do.Total > td.Total {
+						t.Errorf("%v %v %d cores width %d: DirOpt batched %.4gs above top-down batched %.4gs (no fallback)",
+							m.Name, algo, cores, w, do.Total, td.Total)
+					}
+				}
+				single := Predict(Config{Machine: m, Cores: cores, Algo: algo, DirOpt: true}, wl)
+				full := Predict(Config{Machine: m, Cores: cores, Algo: algo, DirOpt: true, BatchWidth: 64}, wl)
+				if amort := single.Total / full.Total; amort < 4 {
+					t.Errorf("%v %v %d cores: 64-wide DirOpt amortization %.2fx < 4x (single %.4gs, batched %.4gs)",
+						m.Name, algo, cores, amort, single.Total, full.Total)
+				}
+				// Clamping holds under direction optimization too.
+				over := Predict(Config{Machine: m, Cores: cores, Algo: algo, DirOpt: true, BatchWidth: 200}, wl)
+				if over.Total != full.Total {
+					t.Errorf("%v %v %d cores: DirOpt BatchWidth=200 not clamped to 64", m.Name, algo, cores)
 				}
 			}
-			single := Predict(Config{Machine: m, Cores: 1024, Algo: algo, DirOpt: true}, wl)
-			full := Predict(Config{Machine: m, Cores: 1024, Algo: algo, DirOpt: true, BatchWidth: 64}, wl)
-			if amort := single.Total / full.Total; amort < 4 {
-				t.Errorf("%v %v: 64-wide DirOpt amortization %.2fx < 4x (single %.4gs, batched %.4gs)",
-					m.Name, algo, amort, single.Total, full.Total)
-			}
-		}
-	}
-}
-
-// TestBatchSubsumesOverlap: with a batched search the blocking exchange
-// is by design — Overlap must not change the batched projection, and
-// nothing may be reported hidden.
-func TestBatchSubsumesOverlap(t *testing.T) {
-	wl := RMATWorkload(32, 16)
-	for _, algo := range []Algo{OneDFlat, TwoDFlat, TwoDHybrid} {
-		plain := Predict(Config{
-			Machine: netmodel.Hopper(), Cores: 4096, Algo: algo,
-			DirOpt: true, BatchWidth: 64,
-		}, wl)
-		ov := Predict(Config{
-			Machine: netmodel.Hopper(), Cores: 4096, Algo: algo,
-			DirOpt: true, BatchWidth: 64, Overlap: true,
-		}, wl)
-		if plain.Hidden != 0 || ov.Hidden != 0 {
-			t.Errorf("%v: batched projection hides communication (%.4g/%.4g)", algo, plain.Hidden, ov.Hidden)
-		}
-		if plain.Total != ov.Total {
-			t.Errorf("%v: Overlap changed a batched projection: %.4g vs %.4g", algo, plain.Total, ov.Total)
 		}
 	}
 }

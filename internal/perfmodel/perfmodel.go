@@ -114,14 +114,6 @@ type Config struct {
 	// by ~√p. Only meaningful for the 2D variants (the 1D pull needs
 	// the global bitmap) with DirOpt set; ignored otherwise.
 	PartitionedBitmap bool
-	// Overlap prices the chunked nonblocking frontier exchange (the
-	// paper's Section 6 overlap evaluation): the bandwidth share of the
-	// per-level exchanges hides under the local computation posted
-	// between chunks, so the hidden time is min(overlappable comm,
-	// overlappable comp), bounded by whichever side runs out first. The
-	// four-chunk pipeline pays three follow-on injection latencies per
-	// overlapped phase. Ignored by the comparator codes.
-	Overlap bool
 	// BatchWidth is the number of concurrent searches sharing one
 	// multi-source (MS-BFS) traversal: frontier and visited state become
 	// one 64-bit mask word per vertex, so up to 64 searches ride every
@@ -130,9 +122,7 @@ type Config struct {
 	// GTEPS is the amortized per-search rate and the amortization factor
 	// is Predict(width=1).Total / Predict(width=w).Total. Values are
 	// clamped to [1, 64]; 0 means 1 (classic single-source). Ignored by
-	// the comparator codes (no MS-BFS path) and incompatible with
-	// Overlap (the batched exchange is blocking by design — batching
-	// already amortizes the collectives Overlap would hide).
+	// the comparator codes (no MS-BFS path).
 	BatchWidth int
 }
 
@@ -141,14 +131,10 @@ type Breakdown struct {
 	Comp  float64 // local computation seconds
 	Comm  float64 // total communication seconds
 	Phase map[string]float64
-	// Hidden is the communication time the overlapped schedule hides
-	// under local computation (zero without Config.Overlap); Total
-	// already subtracts it.
-	Hidden float64
-	Total  float64
-	GTEPS  float64
-	Ranks  int
-	Grid   [2]int // pr, pc for 2D variants
+	Total float64 // Comp + Comm
+	GTEPS float64
+	Ranks int
+	Grid  [2]int // pr, pc for 2D variants
 }
 
 // ranksAndThreads maps a core count to (ranks, threads) for the variant.
@@ -418,33 +404,8 @@ func predict1D(cfg Config, wl Workload, fac oneDFactors) Breakdown {
 		phases["bitmap"] = bitmapPhase(m, wl, int(p), wB > 1)
 	}
 
-	// Overlapped communication (tuned variants only): the all-to-all is
-	// chunked, and chunk i's integration — one stream pass plus one
-	// random reference per received pair — hides under chunk i+1's
-	// bandwidth. A K-deep pipeline exposes its first chunk's
-	// communication and last chunk's integration, so only the (K-1)/K
-	// share of either side can hide; the pipeline pays K-1 follow-on
-	// injection latencies per chunked level. With direction
-	// optimization, the bottom-up levels additionally hide the
-	// distance/parent/visited commit under the (unchunked) bitmap
-	// allgather.
-	var hidden float64
-	if cfg.Overlap && tuned && wB == 1 {
-		k := float64(overlapChunks)
-		ovComp := (rScan*m.BetaMem + rScan/2*m.AlphaMem(nloc)) /
-			threadSpeedup(t, eScan/float64(wl.Levels))
-		hidden = math.Min(a2aBW, ovComp) * (k - 1) / k
-		phases["a2a"] += (k - 1) * a2aLevels * m.AlphaNet
-		if dirOpt {
-			bitmapBW := phases["bitmap"] - float64(wl.HeavyLevels)*float64(p)*m.AlphaNet
-			commit := float64(nloc) * m.BetaMem * float64(wl.HeavyLevels)
-			if bitmapBW > 0 {
-				hidden += math.Min(bitmapBW, commit)
-			}
-		}
-	}
 	comp = amortize(comp, phases, wB)
-	return finish(cfg, wl, comp, phases, [2]int{int(p), 1}, hidden)
+	return finish(cfg, wl, comp, phases, [2]int{int(p), 1})
 }
 
 // predict2D models Algorithm 3 with the 2D vector distribution. The
@@ -561,45 +522,8 @@ func predict2D(cfg Config, wl Workload) Breakdown {
 		}
 	}
 
-	// Overlapped communication: the pipelined expand/SpMSV/fold hides
-	// the expand and fold bandwidth under the chunked local multiply
-	// (scatter probes, streams, and instruction work — the eScan-
-	// proportional share of comp), (K-1)/K of either side, at the price
-	// of K-1 follow-on injections on each of the two exchanges per
-	// chunked level. With direction optimization the bottom-up levels
-	// hide the visited-slice fold (2·n/(64·pr) streamed words per heavy
-	// level) under the column bitmap hop.
-	var hidden float64
-	if cfg.Overlap && wB == 1 {
-		k := float64(overlapChunks)
-		ovComp := (eScan*m.AlphaMem(stripWS) + (eScan+2*float64(foldWords))*m.BetaMem +
-			eScan/m.ComputeRate) / threadSpeedup(t, eScan/float64(wl.Levels))
-		// expandBW already carries the top-down share (it is scaled by
-		// tdShare above); the fold runs in both directions, so only its
-		// top-down-level share is chunk-hideable.
-		hidden = math.Min(expandBW+foldBW*tdShare2(dirOpt), ovComp) * (k - 1) / k
-		phases["expand"] += (k - 1) * tdLevels * m.AlphaNet
-		phases["fold"] += (k - 1) * tdLevels * m.AlphaNet
-		if dirOpt && cfg.PartitionedBitmap {
-			h := float64(wl.HeavyLevels)
-			words := float64((wl.N + 63) / 64)
-			colBW := h * (words / pc) * torus(m, m.BetaAG, pr)
-			visOR := h * 2 * (words / pr) * m.BetaMem
-			hidden += math.Min(colBW, visOR)
-		}
-	}
 	comp = amortize(comp, phases, wB)
-	return finish(cfg, wl, comp, phases, [2]int{int(pr), int(pc)}, hidden)
-}
-
-// tdShare2 scales the hideable top-down bandwidth: with direction
-// optimization only the light top-down levels run the pipelined
-// expand/fold, so only their share of the bandwidth is hideable.
-func tdShare2(dirOpt bool) float64 {
-	if dirOpt {
-		return 1 - dirOptHeavyShare
-	}
-	return 1
+	return finish(cfg, wl, comp, phases, [2]int{int(pr), int(pc)})
 }
 
 // predictPBGL models the PBGL comparator: 1D dataflow with fat serialized
@@ -623,7 +547,7 @@ func predictPBGL(cfg Config, wl Workload) Breakdown {
 		float64(remoteEdges)/pbglBatchEdges*m.AlphaNet + // eager small messages
 		float64(msgWords)*rpn*torus(m, m.BetaA2A, float64(p))
 	allred := float64(wl.Levels) * m.Allreduce(int(p), 1)
-	return finish(cfg, wl, comp, map[string]float64{"a2a": a2a, "allreduce": allred}, [2]int{int(p), 1}, 0)
+	return finish(cfg, wl, comp, map[string]float64{"a2a": a2a, "allreduce": allred}, [2]int{int(p), 1})
 }
 
 // torus applies the participant-dependent bandwidth degradation without
@@ -635,8 +559,8 @@ func torus(m *netmodel.Machine, beta float64, p float64) float64 {
 	return beta * math.Pow(p/m.TorusRefP, m.TorusExp)
 }
 
-func finish(cfg Config, wl Workload, comp float64, phases map[string]float64, grid [2]int, hidden float64) Breakdown {
-	b := Breakdown{Comp: comp, Phase: phases, Grid: grid, Hidden: hidden}
+func finish(cfg Config, wl Workload, comp float64, phases map[string]float64, grid [2]int) Breakdown {
+	b := Breakdown{Comp: comp, Phase: phases, Grid: grid}
 	// Sum phases in sorted key order: map iteration order is randomized,
 	// and float addition is not associative, so an unordered sum would
 	// make repeated Predict calls differ in the last bits — the
@@ -649,19 +573,12 @@ func finish(cfg Config, wl Workload, comp float64, phases map[string]float64, gr
 	for _, k := range keys {
 		b.Comm += phases[k]
 	}
-	if max := math.Min(b.Comp, b.Comm); b.Hidden > max {
-		// Hiding is bounded by whichever side runs out first.
-		b.Hidden = max
-	}
-	b.Total = b.Comp + b.Comm - b.Hidden
+	b.Total = b.Comp + b.Comm
 	b.GTEPS = float64(wl.M) / b.Total / 1e9
 	ranks, _ := cfg.ranksAndThreads()
 	b.Ranks = ranks
 	return b
 }
-
-// overlapChunks is the pipeline depth of the overlapped exchange.
-const overlapChunks = 4
 
 // batchWidth returns the clamped MS-BFS batch width (1 = single-source).
 func (c Config) batchWidth() float64 {

@@ -165,59 +165,30 @@ func TestProjections(t *testing.T) {
 	}
 }
 
-// TestProjectRMATOverlap pins the modeled overlap benefit at paper
-// scale: on the communication-avoiding 2D variants the exchanges stay
-// bandwidth-bound past a thousand cores, so the hidden time's share of
-// the total grows with core count — the paper's observation that
-// overlap recovers an increasing fraction of communication time at
-// scale — until the shrinking per-rank computation becomes the binding
-// side and the gain decays again.
-func TestProjectRMATOverlap(t *testing.T) {
-	const scale, ef = 26, 16
-	gain := func(algo Algorithm, cores int) float64 {
-		base, err := ProjectRMAT("franklin", cores, algo, scale, ef)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ov, err := ProjectRMATOverlap("franklin", cores, algo, scale, ef)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ov.HiddenTime <= 0 {
-			t.Fatalf("%v at %d cores: no hidden time", algo, cores)
-		}
-		if ov.HiddenTime > ov.CommTime || ov.HiddenTime > ov.ComputeTime {
-			t.Fatalf("%v at %d cores: hidden %.4g exceeds comm %.4g or comp %.4g",
-				algo, cores, ov.HiddenTime, ov.CommTime, ov.ComputeTime)
-		}
-		return base.TotalTime / ov.TotalTime
-	}
-
-	// The modeled gain grows with core count on the 2D variants while
-	// the exchanges are bandwidth-bound.
-	for _, algo := range []Algorithm{TwoDFlat, TwoDHybrid} {
-		prev := 1.0
-		for _, cores := range []int{128, 512, 2048} {
-			g := gain(algo, cores)
-			if g <= prev {
-				t.Errorf("%v: overlap gain %.4f at %d cores does not grow (prev %.4f)",
-					algo, g, cores, prev)
+// TestProjectRejectsBadInput: inputs the model cannot price are
+// errors, not panics inside perfmodel.Predict.
+func TestProjectRejectsBadInput(t *testing.T) {
+	for _, tc := range []struct {
+		name              string
+		algo              Algorithm
+		scale, edgeFactor int
+	}{
+		{"edge factor 0", TwoDFlat, 20, 0},
+		{"scale -1", TwoDFlat, -1, 16},
+		{"scale 64", TwoDFlat, 64, 16},
+		{"scale 62 wraps the edge count", TwoDFlat, 62, 16},
+		{"algorithm 99", Algorithm(99), 20, 16},
+		{"algorithm -1", Algorithm(-1), 20, 16},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := ProjectRMAT("hopper", 1024, tc.algo, tc.scale, tc.edgeFactor); err == nil {
+				t.Error("ProjectRMAT accepted the input")
 			}
-			prev = g
-		}
+		})
 	}
-	// Every tuned variant benefits at every probed concurrency; the 1D
-	// gain instead peaks early — its integration compute (the hideable
-	// side) shrinks faster than the all-to-all bandwidth — which is why
-	// the paper pairs overlap with the 2D decomposition at scale.
-	for _, algo := range []Algorithm{OneDFlat, OneDHybrid, TwoDFlat, TwoDHybrid} {
-		for _, cores := range []int{128, 1024, 4096} {
-			if g := gain(algo, cores); g <= 1 {
-				t.Errorf("%v at %d cores: overlap gain %.4f <= 1", algo, cores, g)
-			}
+	for _, algo := range []Algorithm{Algorithm(99), Algorithm(-1)} {
+		if _, err := ProjectWebCrawl("hopper", 1024, algo); err == nil {
+			t.Errorf("ProjectWebCrawl accepted algorithm %d", int(algo))
 		}
-	}
-	if g1, g2 := gain(OneDFlat, 256), gain(OneDFlat, 4096); g1 <= g2 {
-		t.Errorf("1D gain should decay at scale: %.4f at 256 vs %.4f at 4096 cores", g1, g2)
 	}
 }

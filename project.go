@@ -2,6 +2,7 @@ package pbfs
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/netmodel"
 	"repro/internal/perfmodel"
@@ -14,19 +15,24 @@ type Projection struct {
 	TotalTime   float64
 	ComputeTime float64
 	CommTime    float64
-	// HiddenTime is the communication the overlapped schedule hides
-	// under computation (zero unless projected with overlap); TotalTime
-	// already subtracts it.
-	HiddenTime float64
-	Phases     map[string]float64
-	Ranks      int
+	Phases      map[string]float64
+	Ranks       int
 }
 
 // ProjectRMAT predicts the per-search profile of the given algorithm on
 // machine ("franklin", "hopper", "carver") at the given core count for a
-// Graph 500 R-MAT instance. This is how the repository regenerates the
-// paper's 40,000-core figures on one host.
+// Graph 500 R-MAT instance of 2^scale vertices and edgeFactor·2^scale
+// edges. This is how the repository regenerates the paper's
+// 40,000-core figures on one host.
 func ProjectRMAT(machine string, cores int, algo Algorithm, scale, edgeFactor int) (*Projection, error) {
+	if scale < 1 {
+		return nil, fmt.Errorf("pbfs: scale %d < 1", scale)
+	}
+	// The model counts edgeFactor·2^scale edges in an int64.
+	if maxEF := int64(math.MaxInt64) >> scale; edgeFactor < 1 || int64(edgeFactor) > maxEF {
+		return nil, fmt.Errorf("pbfs: edge factor %d out of range [1, %d] at scale %d",
+			edgeFactor, maxEF, scale)
+	}
 	return project(machine, cores, algo, perfmodel.RMATWorkload(scale, edgeFactor))
 }
 
@@ -36,74 +42,8 @@ func ProjectWebCrawl(machine string, cores int, algo Algorithm) (*Projection, er
 	return project(machine, cores, algo, perfmodel.UKUnionWorkload())
 }
 
-// ProjectRMATDirOpt is ProjectRMAT with direction optimization priced
-// in: the heavy middle levels run bottom-up at a fraction of the edge
-// traffic, paying a dense bitmap exchange (phase "bitmap") per level
-// instead of the sparse all-to-all. Comparing it against ProjectRMAT
-// exposes the crossover where the n/64-word bitmap volume overtakes the
-// shrinking per-rank all-to-all volume at high core counts.
-func ProjectRMATDirOpt(machine string, cores int, algo Algorithm, scale, edgeFactor int) (*Projection, error) {
-	return projectCfg(machine, cores, algo, true, false, false, perfmodel.RMATWorkload(scale, edgeFactor))
-}
-
-// ProjectRMATDirOptPartitioned is ProjectRMATDirOpt with the bottom-up
-// frontier bitmap partitioned across the pr×pc grid subcommunicators
-// (the exchange the emulated 2D driver performs): per heavy level each
-// rank moves only its row-block and block-column slices, so the bitmap
-// phase shrinks as 1/√p instead of staying constant, and the crossover
-// where it overtakes the pull savings moves out by ~√p. Only the 2D
-// variants partition (the 1D pull needs the global bitmap); others are
-// priced as ProjectRMATDirOpt.
-func ProjectRMATDirOptPartitioned(machine string, cores int, algo Algorithm, scale, edgeFactor int) (*Projection, error) {
-	return projectCfg(machine, cores, algo, true, true, false, perfmodel.RMATWorkload(scale, edgeFactor))
-}
-
-// ProjectRMATOverlap is ProjectRMAT with overlapped communication
-// priced in: the frontier exchanges are chunked into nonblocking
-// pipelines whose bandwidth hides under the chunked local computation
-// (min(overlappable comm, overlappable comp) of the (K-1)/K pipeline
-// share, K = 4), at the price of K-1 follow-on injection latencies per
-// chunked exchange. Projected without direction optimization — the
-// configuration the paper evaluates overlap on — so comparing it
-// against ProjectRMAT isolates the modeled overlap benefit, which
-// grows with core count while the exchanges stay bandwidth-bound
-// (TestProjectRMATOverlap pins the trend).
-func ProjectRMATOverlap(machine string, cores int, algo Algorithm, scale, edgeFactor int) (*Projection, error) {
-	return projectCfg(machine, cores, algo, false, false, true, perfmodel.RMATWorkload(scale, edgeFactor))
-}
-
-// ProjectRMATBatch is ProjectRMAT with multi-source batching priced in:
-// width searches (clamped to [1, 64]) share one traversal with
-// word-wide frontier masks, so the projection is the amortized
-// per-search profile — fixed per-level latencies, overheads and
-// reductions divide by the width while the shared scan and the mask
-// payloads grow only by small constant factors. Projected with
-// direction optimization (the batched heuristic retires bottom-up when
-// the mask-plane bitmap stops paying, so the projection never loses to
-// its own top-down fallback); comparing it against ProjectRMATDirOpt at
-// width 1 exposes the amortization factor.
-func ProjectRMATBatch(machine string, cores int, algo Algorithm, scale, edgeFactor, width int) (*Projection, error) {
-	return projectBatch(machine, cores, algo, width, perfmodel.RMATWorkload(scale, edgeFactor))
-}
-
+// project prices wl with the paper's top-down model of algo.
 func project(machine string, cores int, algo Algorithm, wl perfmodel.Workload) (*Projection, error) {
-	return projectCfg(machine, cores, algo, false, false, false, wl)
-}
-
-func projectBatch(machine string, cores int, algo Algorithm, width int, wl perfmodel.Workload) (*Projection, error) {
-	return projectConfig(perfmodel.Config{
-		Algo: perfmodel.Algo(algo), DirOpt: true, BatchWidth: width,
-	}, machine, cores, wl)
-}
-
-func projectCfg(machine string, cores int, algo Algorithm, dirOpt, partitioned, overlap bool, wl perfmodel.Workload) (*Projection, error) {
-	return projectConfig(perfmodel.Config{
-		Algo: perfmodel.Algo(algo), DirOpt: dirOpt,
-		PartitionedBitmap: partitioned, Overlap: overlap,
-	}, machine, cores, wl)
-}
-
-func projectConfig(cfg perfmodel.Config, machine string, cores int, wl perfmodel.Workload) (*Projection, error) {
 	m, ok := netmodel.Profiles()[machine]
 	if !ok {
 		return nil, fmt.Errorf("pbfs: unknown machine %q", machine)
@@ -111,15 +51,17 @@ func projectConfig(cfg perfmodel.Config, machine string, cores int, wl perfmodel
 	if cores < 1 {
 		return nil, fmt.Errorf("pbfs: core count %d < 1", cores)
 	}
-	cfg.Machine = m
-	cfg.Cores = cores
-	b := perfmodel.Predict(cfg, wl)
+	switch algo {
+	case OneDFlat, OneDHybrid, TwoDFlat, TwoDHybrid, Reference, PBGL:
+	default:
+		return nil, fmt.Errorf("pbfs: unknown algorithm %d", int(algo))
+	}
+	b := perfmodel.Predict(perfmodel.Config{Machine: m, Cores: cores, Algo: perfmodel.Algo(algo)}, wl)
 	return &Projection{
 		GTEPS:       b.GTEPS,
 		TotalTime:   b.Total,
 		ComputeTime: b.Comp,
 		CommTime:    b.Comm,
-		HiddenTime:  b.Hidden,
 		Phases:      b.Phase,
 		Ranks:       b.Ranks,
 	}, nil
