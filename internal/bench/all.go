@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"io"
-	"sort"
 )
 
 // Experiment is a named, runnable table or figure reproduction.
@@ -57,16 +56,6 @@ func Lookup(name string) (Experiment, bool) {
 		}
 	}
 	return Experiment{}, false
-}
-
-// Names returns the sorted experiment ids.
-func Names() []string {
-	var names []string
-	for _, e := range Experiments() {
-		names = append(names, e.Name)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // RunAll executes every experiment in order.

@@ -1,15 +1,6 @@
-// Package scratch holds the tiny growth helpers shared by the BFS
-// drivers' reusable arenas, so both drivers apply the same policy.
+// Package scratch holds the growth helper shared by the BFS drivers'
+// reusable arenas, so both drivers apply the same policy.
 package scratch
-
-// Grown returns a slice of length n, reusing s's backing array when it
-// is large enough. Contents are unspecified; callers reinitialize.
-func Grown(s []int64, n int64) []int64 {
-	if int64(cap(s)) < n {
-		return make([]int64, n)
-	}
-	return s[:n]
-}
 
 // Ranks grows a per-rank scratch slice to p entries, preserving the
 // existing entries' buffers. It must be called before rank goroutines

@@ -81,9 +81,6 @@ func (q *Queue) Len() int {
 	return len(q.pending)
 }
 
-// Depth returns the admission limit.
-func (q *Queue) Depth() int { return q.depth }
-
 // take removes and returns up to k pending requests in Slack order,
 // and how many stay queued. The whole pending set is sorted; spillover
 // (pending beyond k) stays queued for the next dispatch, which is how a
