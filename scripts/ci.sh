@@ -24,6 +24,16 @@ for src in pbfs.go README.md; do
         fi
     done
 done
+# Every pbfs.<Identifier> the docs spell must resolve in the package:
+# a deleted or renamed API must not live on in the prose.
+for src in README.md DESIGN.md EXPERIMENTS.md pbfs.go; do
+    for ref in $(grep -oE 'pbfs\.[A-Z][A-Za-z0-9_]*' "$src" | sort -u); do
+        if ! go doc . "${ref#pbfs.}" >/dev/null 2>&1; then
+            echo "$src references unknown identifier: $ref" >&2
+            missing=1
+        fi
+    done
+done
 if [ "$missing" -ne 0 ]; then
     exit 1
 fi
