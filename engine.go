@@ -39,7 +39,7 @@ func resolveLayout(opt Options) (layout, error) {
 	switch opt.Algorithm {
 	case OneDFlat, OneDHybrid, TwoDFlat, TwoDHybrid, Reference, PBGL:
 	default:
-		return layout{}, fmt.Errorf("pbfs: unknown algorithm %v", opt.Algorithm)
+		return layout{}, fmt.Errorf("pbfs: unknown algorithm %d", int(opt.Algorithm))
 	}
 	lay := layout{
 		algo:    opt.Algorithm,

@@ -257,8 +257,7 @@ func run2DVector(w *cluster.World, grid *cluster.Grid, g *Graph, source int64, o
 				r.ChargeMem(price, 0, 0, 2*gathered, gathered)
 
 				// ---- Local SpMSV (line 7) ----
-				levScan = f.block.Work(localF)
-				f.block.SpMSV(spOut, localF, spMSVOpts, f.pool, &ar.rowScratch)
+				levScan = f.block.SpMSV(spOut, localF, spMSVOpts, f.pool, &ar.rowScratch)
 				chargeSpMSV(r, price, t, levScan, f.row.len(), int64(spOut.NNZ()))
 			}
 

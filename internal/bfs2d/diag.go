@@ -76,8 +76,7 @@ func runDiagVector(w *cluster.World, grid *cluster.Grid, g *Graph, source int64,
 			r.ChargeMem(price, 0, 0, 2*int64(len(gathered)), int64(len(gathered)))
 
 			// ---- Local SpMSV ----
-			work := f.block.Work(localF)
-			f.block.SpMSV(spOut, localF, spMSVOpts, f.pool, &ar.rowScratch)
+			work := f.block.SpMSV(spOut, localF, spMSVOpts, f.pool, &ar.rowScratch)
 			if price != nil {
 				stripWS := (rowHi - rowLo) / int64(t)
 				r.Charge(price.MemCost(work, stripWS, work+int64(spOut.NNZ()), work) / float64(t))

@@ -195,8 +195,7 @@ func run2DVectorBatch(w *cluster.World, grid *cluster.Grid, g *Graph, sources []
 				r.ChargeMem(price, 0, 0, 2*gathered, gathered)
 
 				// ---- Batched local SpMSV ----
-				levScan = f.block.WorkMasks(localF)
-				f.block.SpMSVMasks(spOut, localF, f.pool, &ba.maskRowScratch)
+				levScan = f.block.SpMSVMasks(spOut, localF, f.pool, &ba.maskRowScratch)
 				chargeSpMSV(r, price, t, levScan, rowHi-rowLo, int64(spOut.NNZ()))
 			}
 

@@ -91,6 +91,29 @@ func UKUnionWorkload() Workload {
 	return Workload{N: 133e6, M: 5507e6, Levels: 140, HeavyLevels: 110}
 }
 
+// maxModelEdges is the most input edges a workload may have. The model
+// counts words in int64; the largest count it forms is PBGL's
+// pbglWordsPerEdge words for each of up to 2·M adjacency slots, so M up
+// to MaxInt64/(2·pbglWordsPerEdge) keeps every count in range.
+const maxModelEdges = math.MaxInt64 / (2 * pbglWordsPerEdge)
+
+// Validate returns an error when wl is not a workload the model can
+// price: a count below one, or edge or word counts that would overflow
+// the model's int64 arithmetic.
+func (wl Workload) Validate() error {
+	if wl.N < 1 || wl.M < 1 || wl.Levels < 1 || wl.HeavyLevels < 1 {
+		return fmt.Errorf("perfmodel: bad workload %+v", wl)
+	}
+	if wl.M > maxModelEdges {
+		return fmt.Errorf("perfmodel: %d edges exceed the model's limit of %d", wl.M, int64(maxModelEdges))
+	}
+	// The bitmap exchange rounds n up to whole 64-bit words.
+	if wl.N > math.MaxInt64-63 {
+		return fmt.Errorf("perfmodel: %d vertices overflow the bitmap word count", wl.N)
+	}
+	return nil
+}
+
 // Config is one point in the experiment space.
 type Config struct {
 	Machine *netmodel.Machine
@@ -155,13 +178,14 @@ func (c Config) ranksAndThreads() (int, int) {
 // heuristic degrades to top-down when the mask-plane bitmap exchange
 // (64x the single-search words, width-independent) outweighs the pull
 // savings — the model mirrors that retirement-aware fallback by taking
-// the cheaper of the two projections.
+// the cheaper of the two projections. It panics on a nil machine or a
+// workload Validate rejects.
 func Predict(cfg Config, wl Workload) Breakdown {
 	if cfg.Machine == nil {
 		panic("perfmodel: nil machine")
 	}
-	if wl.N < 1 || wl.M < 1 || wl.Levels < 1 || wl.HeavyLevels < 1 {
-		panic(fmt.Sprintf("perfmodel: bad workload %+v", wl))
+	if err := wl.Validate(); err != nil {
+		panic(err)
 	}
 	b := predictDispatch(cfg, wl)
 	if cfg.DirOpt && cfg.batchWidth() > 1 &&

@@ -1,6 +1,7 @@
 package perfmodel
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/netmodel"
@@ -258,4 +259,43 @@ func TestPredictPanicsOnBadInput(t *testing.T) {
 		}
 	}()
 	Predict(Config{Machine: nil, Cores: 64, Algo: OneDFlat}, RMATWorkload(20, 16))
+}
+
+// TestWorkloadValidate: workloads whose edge or word counts would wrap
+// the model's int64 arithmetic are refused, and the largest accepted
+// one prices to a finite positive time under every variant.
+func TestWorkloadValidate(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		wl   Workload
+		ok   bool
+	}{
+		{"scale 20", RMATWorkload(20, 16), true},
+		{"uk-union", UKUnionWorkload(), true},
+		{"at the edge limit", Workload{N: 1 << 58, M: maxModelEdges, Levels: 8, HeavyLevels: 3}, true},
+		{"no edges", Workload{N: 1 << 20, M: 0, Levels: 8, HeavyLevels: 3}, false},
+		{"no heavy levels", Workload{N: 1 << 20, M: 1 << 24, Levels: 8}, false},
+		// 2·M wraps to a negative slot count: a NaN 2D and a negative 1D total.
+		{"2^62 edges", RMATWorkload(62, 1), false},
+		{"one edge past the limit", Workload{N: 1 << 58, M: maxModelEdges + 1, Levels: 8, HeavyLevels: 3}, false},
+		{"bitmap words wrap", Workload{N: math.MaxInt64, M: 1 << 40, Levels: 8, HeavyLevels: 3}, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			err := c.wl.Validate()
+			if (err == nil) != c.ok {
+				t.Fatalf("Validate() = %v, want ok=%v", err, c.ok)
+			}
+			if !c.ok {
+				return
+			}
+			for _, a := range []Algo{OneDFlat, OneDHybrid, TwoDFlat, TwoDHybrid, Reference, PBGL} {
+				for _, dirOpt := range []bool{false, true} {
+					b := Predict(Config{Machine: netmodel.Hopper(), Cores: 1024, Algo: a, DirOpt: dirOpt}, c.wl)
+					if !(b.Total > 0) || math.IsInf(b.Total, 0) {
+						t.Errorf("%v dirOpt=%v: total %v, want finite and positive", a, dirOpt, b.Total)
+					}
+				}
+			}
+		})
+	}
 }

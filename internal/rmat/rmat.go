@@ -10,6 +10,7 @@ package rmat
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 
@@ -52,6 +53,11 @@ func (p Params) Validate() error {
 	}
 	if p.EdgeFactor < 1 {
 		return fmt.Errorf("rmat: edge factor %d < 1", p.EdgeFactor)
+	}
+	// NumEdges counts EdgeFactor·2^Scale edges in an int64.
+	if maxEF := int64(math.MaxInt64) >> p.Scale; int64(p.EdgeFactor) > maxEF {
+		return fmt.Errorf("rmat: edge factor %d above %d, the most whose edge count fits an int64 at scale %d",
+			p.EdgeFactor, maxEF, p.Scale)
 	}
 	sum := p.A + p.B + p.C + p.D
 	if sum < 0.999 || sum > 1.001 {

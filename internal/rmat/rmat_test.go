@@ -25,6 +25,29 @@ func TestValidate(t *testing.T) {
 	}
 }
 
+// TestValidateEdgeCountOverflow: an EdgeFactor·2^Scale that wraps int64
+// is refused, and the largest one that fits is accepted. Only Validate
+// runs; nothing is generated.
+func TestValidateEdgeCountOverflow(t *testing.T) {
+	for _, c := range []struct {
+		scale, edgeFactor int
+		ok                bool
+	}{
+		{62, 1, true},
+		{62, 2, false}, // 2·2^62 wraps to MinInt64
+		{62, 16, false},
+		{60, 7, true},
+		{60, 8, false}, // 8·2^60 wraps to MinInt64
+		{40, 1 << 23, false},
+		{40, 1<<23 - 1, true},
+	} {
+		err := Graph500(c.scale, c.edgeFactor, 1).Validate()
+		if (err == nil) != c.ok {
+			t.Errorf("scale %d edge factor %d: Validate() = %v, want ok=%v", c.scale, c.edgeFactor, err, c.ok)
+		}
+	}
+}
+
 func TestCounts(t *testing.T) {
 	p := Graph500(8, 16, 7)
 	if p.NumVerts() != 256 {

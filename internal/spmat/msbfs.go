@@ -38,16 +38,22 @@ func (sc *MaskScratch) accFor(rows int64) []uint64 {
 // first-wins merge needs no ordering — and entries never carry a zero
 // mask. Local
 // duplicate discoveries collapse here, before the fold exchange, the
-// same in-node aggregation the scalar SPA performs.
-func (m *DCSC) SpMSVMasks(dst *spvec.MaskVec, f *spvec.MaskVec, sc *MaskScratch) *spvec.MaskVec {
+// same in-node aggregation the scalar SPA performs. It returns the
+// product's work: the sum of selected column lengths, counted once for
+// the whole batch — the shared-scan quantity the performance model and
+// the machine-TEPS accounting charge.
+func (m *DCSC) SpMSVMasks(dst *spvec.MaskVec, f *spvec.MaskVec, sc *MaskScratch) int64 {
 	dst.Reset()
 	if sc == nil {
 		sc = &MaskScratch{}
 	}
 	acc := sc.accFor(m.Rows)
+	var work int64
 	selectColumns(m.JC, f.Ind, func(i, j int) {
 		mask := f.Mask[i]
-		for _, r := range m.colRowsAt(j) {
+		rows := m.colRowsAt(j)
+		work += int64(len(rows))
+		for _, r := range rows {
 			if add := mask &^ acc[r]; add != 0 {
 				if acc[r] == 0 {
 					sc.touched = append(sc.touched, r)
@@ -61,28 +67,17 @@ func (m *DCSC) SpMSVMasks(dst *spvec.MaskVec, f *spvec.MaskVec, sc *MaskScratch)
 		acc[r] = 0
 	}
 	sc.touched = sc.touched[:0]
-	return dst
-}
-
-// WorkMasks returns the number of matrix nonzeros a batched SpMSV with
-// frontier f touches: the sum of selected column lengths, counted once
-// for the whole batch — the shared-scan quantity the performance model
-// and the machine-TEPS accounting charge.
-func (m *DCSC) WorkMasks(f *spvec.MaskVec) int64 {
-	var work int64
-	selectColumns(m.JC, f.Ind, func(_, j int) {
-		work += m.CP[j+1] - m.CP[j]
-	})
 	return work
 }
 
 // MaskRowScratch is the reusable per-rank working state of a strip-
-// parallel batched SpMSV: one output vector and one mask accumulator
-// per strip, so concurrent strips share no mutable state. The zero
-// value is ready to use and resizes lazily.
+// parallel batched SpMSV: one output vector, one mask accumulator and
+// one work count per strip, so concurrent strips share no mutable state.
+// The zero value is ready to use and resizes lazily.
 type MaskRowScratch struct {
 	parts []spvec.MaskVec
 	per   []MaskScratch
+	work  []int64
 }
 
 func (msc *MaskRowScratch) ensure(n int) {
@@ -92,39 +87,40 @@ func (msc *MaskRowScratch) ensure(n int) {
 	if len(msc.per) < n {
 		msc.per = append(msc.per, make([]MaskScratch, n-len(msc.per))...)
 	}
+	if len(msc.work) < n {
+		msc.work = append(msc.work, make([]int64, n-len(msc.work))...)
+	}
 }
 
 // SpMSVMasks runs the batched product strip-parallel and concatenates
 // the rebased outputs into dst in strip order. Strips cover disjoint row
 // ranges, so the concatenation introduces no cross-strip duplicates and
-// the result is deterministic regardless of worker scheduling. A nil
-// pool runs the strips serially; a nil msc allocates fresh scratch.
-func (rs *RowSplit) SpMSVMasks(dst *spvec.MaskVec, f *spvec.MaskVec, pool *smp.Pool, msc *MaskRowScratch) *spvec.MaskVec {
+// the result is deterministic regardless of worker scheduling. It
+// returns the work summed over the strips. A one-strip split writes its
+// product straight into dst. A nil pool runs the strips serially; a nil
+// msc allocates fresh scratch.
+func (rs *RowSplit) SpMSVMasks(dst *spvec.MaskVec, f *spvec.MaskVec, pool *smp.Pool, msc *MaskRowScratch) int64 {
 	n := len(rs.Strips)
 	if msc == nil {
 		msc = &MaskRowScratch{}
 	}
 	msc.ensure(n)
+	if n == 1 {
+		return rs.Strips[0].SpMSVMasks(dst, f, &msc.per[0])
+	}
 	run := func(s int) {
-		rs.Strips[s].SpMSVMasks(&msc.parts[s], f, &msc.per[s])
+		msc.work[s] = rs.Strips[s].SpMSVMasks(&msc.parts[s], f, &msc.per[s])
 	}
 	pool.Do(n, run)
 	dst.Reset()
+	var work int64
 	for s := 0; s < n; s++ {
+		work += msc.work[s]
 		off := rs.Offsets[s]
 		p := &msc.parts[s]
 		for k, r := range p.Ind {
 			dst.Append(r+off, p.Mask[k], p.Par[k])
 		}
-	}
-	return dst
-}
-
-// WorkMasks returns the batched touched-nonzero count across strips.
-func (rs *RowSplit) WorkMasks(f *spvec.MaskVec) int64 {
-	var work int64
-	for _, s := range rs.Strips {
-		work += s.WorkMasks(f)
 	}
 	return work
 }

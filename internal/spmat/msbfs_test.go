@@ -124,7 +124,7 @@ func TestSpMSVMasksMatchesPerSearch(t *testing.T) {
 		for s := uint(0); s < width; s++ {
 			perSearchWork += d.Work(perSearchVec(f, s))
 		}
-		batched := d.WorkMasks(f)
+		batched := d.SpMSVMasks(&spvec.MaskVec{}, f, nil)
 		return batched <= perSearchWork || perSearchWork == 0
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 40}); err != nil {
@@ -145,7 +145,7 @@ func TestSpMSVMasksRowSplitMatchesWhole(t *testing.T) {
 		t.Fatal(err)
 	}
 	var want spvec.MaskVec
-	whole.SpMSVMasks(&want, f, nil)
+	wholeWork := whole.SpMSVMasks(&want, f, nil)
 	wantClaims := claimSet(&want)
 
 	for _, threads := range []int{2, 4, 7} {
@@ -156,10 +156,10 @@ func TestSpMSVMasksRowSplitMatchesWhole(t *testing.T) {
 		var msc MaskRowScratch
 		pool := smp.NewPool(threads)
 		var got spvec.MaskVec
-		rs.SpMSVMasks(&got, f, pool, &msc)
+		work := rs.SpMSVMasks(&got, f, pool, &msc)
 		pool.Close()
-		if rs.WorkMasks(f) != whole.WorkMasks(f) {
-			t.Fatalf("threads=%d: WorkMasks diverges", threads)
+		if work != wholeWork {
+			t.Fatalf("threads=%d: split work %d, whole %d", threads, work, wholeWork)
 		}
 		gotClaims := claimSet(&got)
 		if len(gotClaims) != len(wantClaims) {

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/bits"
 	"repro/internal/prng"
+	"repro/internal/smp"
 	"repro/internal/spvec"
 )
 
@@ -119,8 +120,9 @@ func frontierCases(rng *prng.Xoshiro256, d *DCSC) map[string][]int64 {
 // TestSelectColumnsMatchesMergeJoin checks the galloping column join
 // against the merge-join on random DCSC blocks, from hypersparse to
 // dense, for every frontier shape in frontierCases: the same matches in
-// the same order, the same Work and WorkMasks, and SpMSV output under all
-// three kernels equal to products built on the merge-join.
+// the same order, the same Work and SpMSVMasks work, and SpMSV output
+// and work under all three kernels equal to products built on the
+// merge-join.
 func TestSelectColumnsMatchesMergeJoin(t *testing.T) {
 	rng := prng.New(0x5e1ec7)
 	for round := 0; round < 60; round++ {
@@ -148,13 +150,15 @@ func TestSelectColumnsMatchesMergeJoin(t *testing.T) {
 			if got := d.Work(f); got != wantWork {
 				t.Fatalf("round %d %s: Work %d, merge-join %d", round, name, got, wantWork)
 			}
-			if got := d.WorkMasks(mf); got != wantWork {
-				t.Fatalf("round %d %s: WorkMasks %d, merge-join %d", round, name, got, wantWork)
+			if got := d.SpMSVMasks(&spvec.MaskVec{}, mf, nil); got != wantWork {
+				t.Fatalf("round %d %s: SpMSVMasks work %d, merge-join %d", round, name, got, wantWork)
 			}
 			wantOut := mergeSpMSV(d, f)
 			for _, kernel := range []Kernel{KernelSPA, KernelHeap, KernelAuto} {
-				if got := d.SpMSV(&spvec.Vec{}, f, SpMSVOpts{Kernel: kernel}); !vecsEqual(got, wantOut) {
-					t.Fatalf("round %d %s kernel %v: SpMSV diverges from the merge-join product", round, name, kernel)
+				got := &spvec.Vec{}
+				if work := d.SpMSV(got, f, SpMSVOpts{Kernel: kernel}); !vecsEqual(got, wantOut) || work != wantWork {
+					t.Fatalf("round %d %s kernel %v: SpMSV (work %d) diverges from the merge-join product (work %d)",
+						round, name, kernel, work, wantWork)
 				}
 			}
 		}
@@ -211,6 +215,79 @@ func FuzzSelectColumns(f *testing.F) {
 		}
 		if got := gallopSelect(ind, jc); len(got) != len(want) {
 			t.Fatalf("jc %v ind %v: the join is not symmetric", jc, ind)
+		}
+	})
+}
+
+// FuzzSpMSV checks the top-down products end to end against the
+// merge-join product: fuzzed triples go through NewDCSC and NewRowSplit
+// (1–4 strips), and every SpMSV under the SPA, heap and Auto kernels,
+// with and without scratch, must return mergeSpMSV's vector and
+// mergeWork's work. Each gap byte advances a row-major position over a
+// block of up to 2^16 columns by (byte+1)·2^(shift%12); seed picks the
+// frontier, its values (so the max rule decides shared rows), the strip
+// count and whether the split runs on a two-worker pool.
+func FuzzSpMSV(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 0}, uint16(3), uint8(0), uint64(0))
+	f.Add([]byte{}, uint16(0), uint8(0), uint64(1))
+	f.Add([]byte{0, 1, 2, 3, 200, 0, 0, 9, 9, 9}, uint16(63), uint8(2), uint64(0x5e1ec7))
+	f.Add([]byte{50, 49, 0, 0, 7}, uint16(9000), uint8(11), uint64(65261))
+	f.Add([]byte{255, 255, 255, 0, 0, 0, 1, 1}, uint16(4), uint8(1), uint64(3))
+	pool := smp.NewPool(2)
+	f.Cleanup(pool.Close)
+	f.Fuzz(func(t *testing.T, gaps []byte, colsM1 uint16, shift uint8, seed uint64) {
+		cols := int64(colsM1) + 1
+		var ts []Triple
+		pos := int64(-1)
+		for _, g := range gaps {
+			pos += (int64(g) + 1) << (shift % 12)
+			ts = append(ts, Triple{Row: pos / cols, Col: pos % cols})
+		}
+		rng := prng.New(seed)
+		rows := (pos+1+cols-1)/cols + rng.Int64n(3)
+		if rows == 0 || rows > 1<<18 {
+			return
+		}
+		d, err := NewDCSC(rows, cols, append([]Triple(nil), ts...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		strips := 1 + rng.Intn(4)
+		rs, err := NewRowSplit(rows, cols, ts, strips)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var p *smp.Pool
+		if rng.Intn(2) == 0 {
+			p = pool
+		}
+		fv := &spvec.Vec{}
+		share := 1 + rng.Intn(100)
+		for c := int64(0); c < cols; c++ {
+			if rng.Intn(100) < share {
+				fv.Append(c, rng.Int64n(1000)-500)
+			}
+		}
+		want, wantWork := mergeSpMSV(d, fv), mergeWork(d, fv.Ind)
+
+		var sc Scratch
+		var rsc RowScratch
+		for _, kernel := range []Kernel{KernelSPA, KernelHeap, KernelAuto} {
+			// Two rounds with scratch, so reuse after a product is covered.
+			for _, opts := range []SpMSVOpts{{Kernel: kernel}, {Kernel: kernel, Scratch: &sc}, {Kernel: kernel, Scratch: &sc}} {
+				var got spvec.Vec
+				if work := d.SpMSV(&got, fv, opts); work != wantWork || !vecsEqual(&got, want) {
+					t.Fatalf("%dx%d kernel %v scratch %v: DCSC work %d out %v/%v, merge-join work %d out %v/%v",
+						rows, cols, kernel, opts.Scratch != nil, work, got.Ind, got.Val, wantWork, want.Ind, want.Val)
+				}
+			}
+			for _, r := range []*RowScratch{nil, &rsc, &rsc} {
+				var got spvec.Vec
+				if work := rs.SpMSV(&got, fv, SpMSVOpts{Kernel: kernel}, p, r); work != wantWork || !vecsEqual(&got, want) {
+					t.Fatalf("%dx%d kernel %v %d strips pool %v scratch %v: RowSplit work %d out %v/%v, merge-join work %d out %v/%v",
+						rows, cols, kernel, len(rs.Strips), p != nil, r != nil, work, got.Ind, got.Val, wantWork, want.Ind, want.Val)
+				}
+			}
 		}
 	})
 }

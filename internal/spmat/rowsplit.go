@@ -93,13 +93,15 @@ func (rs *RowSplit) NNZ() int64 {
 }
 
 // RowScratch is the reusable per-rank working state of a RowSplit SpMSV:
-// one kernel Scratch and one output vector per strip. Strips own disjoint
-// scratches, so the strip-parallel execution shares no mutable state —
-// exactly the thread-local accumulators of the hybrid algorithm. The zero
-// value is ready to use and resizes lazily to the strip count it meets.
+// one kernel Scratch, one output vector and one work count per strip.
+// Strips own disjoint scratches, so the strip-parallel execution shares
+// no mutable state — exactly the thread-local accumulators of the hybrid
+// algorithm. The zero value is ready to use and resizes lazily to the
+// strip count it meets.
 type RowScratch struct {
 	parts []spvec.Vec
 	per   []Scratch
+	work  []int64
 }
 
 func (rsc *RowScratch) ensure(n int) {
@@ -109,35 +111,45 @@ func (rsc *RowScratch) ensure(n int) {
 	if len(rsc.per) < n {
 		rsc.per = append(rsc.per, make([]Scratch, n-len(rsc.per))...)
 	}
+	if len(rsc.work) < n {
+		rsc.work = append(rsc.work, make([]int64, n-len(rsc.work))...)
+	}
 }
 
-// SpMSV runs the product strip-parallel and concatenates the rebased
-// outputs into dst. A non-nil pool executes one strip per worker — the
-// hybrid algorithm's real intra-rank threads; a nil pool runs the strips
-// serially (the flat algorithm, which still benefits from the strip
-// layout's locality). A non-nil rsc makes steady-state calls
-// allocation-free: each strip runs on its own rsc scratch in place of
-// opts.Scratch.
-func (rs *RowSplit) SpMSV(dst *spvec.Vec, f *spvec.Vec, opts SpMSVOpts, pool *smp.Pool, rsc *RowScratch) *spvec.Vec {
+// SpMSV runs the product strip-parallel, concatenates the rebased
+// outputs into dst and returns the work summed over the strips (Work(f)).
+// A non-nil pool executes one strip per worker — the hybrid algorithm's
+// real intra-rank threads; a nil pool runs the strips serially (the flat
+// algorithm, which still benefits from the strip layout's locality). A
+// one-strip split writes its product straight into dst. A non-nil rsc
+// makes steady-state calls allocation-free: each strip runs on its own
+// rsc scratch in place of opts.Scratch.
+func (rs *RowSplit) SpMSV(dst *spvec.Vec, f *spvec.Vec, opts SpMSVOpts, pool *smp.Pool, rsc *RowScratch) int64 {
 	n := len(rs.Strips)
 	if rsc == nil {
 		rsc = &RowScratch{}
 	}
 	rsc.ensure(n)
+	if n == 1 {
+		opts.Scratch = &rsc.per[0]
+		return rs.Strips[0].SpMSV(dst, f, opts)
+	}
 	parts := rsc.parts
 	run := func(s int) {
 		stripOpts := opts
 		stripOpts.Scratch = &rsc.per[s]
-		rs.Strips[s].SpMSV(&parts[s], f, stripOpts)
+		rsc.work[s] = rs.Strips[s].SpMSV(&parts[s], f, stripOpts)
 	}
 	pool.Do(n, run)
 	dst.Reset()
+	var work int64
 	for s := range parts[:n] {
+		work += rsc.work[s]
 		off := rs.Offsets[s]
 		for k, r := range parts[s].Ind {
 			dst.Ind = append(dst.Ind, r+off)
 			dst.Val = append(dst.Val, parts[s].Val[k])
 		}
 	}
-	return dst
+	return work
 }

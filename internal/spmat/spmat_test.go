@@ -149,7 +149,8 @@ func TestSpMSVFigure2(t *testing.T) {
 	f.Append(1, 1)
 	f.Append(4, 4)
 	for _, kernel := range []Kernel{KernelSPA, KernelHeap, KernelAuto} {
-		out := d.SpMSV(&spvec.Vec{}, f, SpMSVOpts{Kernel: kernel})
+		out := &spvec.Vec{}
+		d.SpMSV(out, f, SpMSVOpts{Kernel: kernel})
 		// Col 1 has rows {0,3}; col 4 has rows {0,3}. Union: {0,3} with
 		// max value 4.
 		if out.NNZ() != 2 || out.Ind[0] != 0 || out.Ind[1] != 3 {
@@ -167,7 +168,8 @@ func TestSpMSVEmptyFrontier(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, kernel := range []Kernel{KernelSPA, KernelHeap, KernelAuto} {
-		out := d.SpMSV(&spvec.Vec{}, &spvec.Vec{}, SpMSVOpts{Kernel: kernel})
+		out := &spvec.Vec{}
+		d.SpMSV(out, &spvec.Vec{}, SpMSVOpts{Kernel: kernel})
 		if out.NNZ() != 0 {
 			t.Errorf("kernel %v: empty frontier produced %d nonzeros", kernel, out.NNZ())
 		}
@@ -210,7 +212,8 @@ func TestKernelsAgreeWithOracle(t *testing.T) {
 		f := randomFrontier(rng, cols, rng.Intn(30))
 		want := c.SpMSV(&spvec.Vec{}, f)
 		for _, kernel := range []Kernel{KernelSPA, KernelHeap, KernelAuto} {
-			got := d.SpMSV(&spvec.Vec{}, f, SpMSVOpts{Kernel: kernel})
+			got := &spvec.Vec{}
+			d.SpMSV(got, f, SpMSVOpts{Kernel: kernel})
 			if got.NNZ() != want.NNZ() {
 				return false
 			}
@@ -248,14 +251,16 @@ func TestRowSplitAgrees(t *testing.T) {
 			return false
 		}
 		f := randomFrontier(rng, cols, rng.Intn(25))
-		want := d.SpMSV(&spvec.Vec{}, f, SpMSVOpts{Kernel: KernelSPA})
+		want := &spvec.Vec{}
+		d.SpMSV(want, f, SpMSVOpts{Kernel: KernelSPA})
 		pool := smp.NewPool(nthreads)
 		defer pool.Close()
 		var rsc RowScratch
 		for _, p := range []*smp.Pool{nil, pool} {
 			// Run twice per mode so scratch reuse is exercised.
 			for pass := 0; pass < 2; pass++ {
-				got := rs.SpMSV(&spvec.Vec{}, f, SpMSVOpts{Kernel: KernelHeap}, p, &rsc)
+				got := &spvec.Vec{}
+				rs.SpMSV(got, f, SpMSVOpts{Kernel: KernelHeap}, p, &rsc)
 				if got.NNZ() != want.NNZ() || !got.IsSorted() {
 					return false
 				}
@@ -309,8 +314,9 @@ func TestScratchReuseMatchesFresh(t *testing.T) {
 		}
 		f := randomFrontier(rng, cols, rng.Intn(15))
 		for _, kernel := range []Kernel{KernelSPA, KernelHeap, KernelAuto} {
-			want := d.SpMSV(&spvec.Vec{}, f, SpMSVOpts{Kernel: kernel})
-			got := d.SpMSV(&spvec.Vec{}, f, SpMSVOpts{Kernel: kernel, Scratch: &sc})
+			want, got := &spvec.Vec{}, &spvec.Vec{}
+			d.SpMSV(want, f, SpMSVOpts{Kernel: kernel})
+			d.SpMSV(got, f, SpMSVOpts{Kernel: kernel, Scratch: &sc})
 			if got.NNZ() != want.NNZ() {
 				t.Fatalf("round %d kernel %v: nnz %d != %d", round, kernel, got.NNZ(), want.NNZ())
 			}

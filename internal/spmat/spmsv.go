@@ -46,9 +46,9 @@ const autoThreshold = 64
 type SpMSVOpts struct {
 	Kernel Kernel
 	// Scratch, when non-nil, pools every per-call working structure (the
-	// SPA, the heap kernel's stream list and cursor heap) so steady-state
-	// calls allocate nothing. One Scratch serves one matrix at a time; it
-	// resizes itself lazily to the matrix it meets.
+	// column join's stream list, the SPA, the heap kernel's cursor heap)
+	// so steady-state calls allocate nothing. One Scratch serves one
+	// matrix at a time; it resizes itself lazily to the matrix it meets.
 	Scratch *Scratch
 }
 
@@ -73,15 +73,32 @@ func (sc *Scratch) spaFor(rows int64) *spvec.SPA {
 // row r such that some column c with f(c) nonzero has an entry (r,c),
 // dst(r) = max over those columns of f's value at c. In BFS terms: f is
 // the frontier (value = the frontier vertex's global id), dst holds the
-// newly reachable rows with their tentative parents.
-func (m *DCSC) SpMSV(dst *spvec.Vec, f *spvec.Vec, opts SpMSVOpts) *spvec.Vec {
+// newly reachable rows with their tentative parents. It returns the
+// product's work, the number of matrix nonzeros it touched (Work(f)).
+//
+// The frontier joins the block's columns once: each selected column
+// becomes a stream of its rows carrying the frontier value, and the
+// streams' total length is both the returned work and KernelAuto's
+// estimate of the touched volume. The SPA kernel then scatters each
+// stream's rows in one loop; the heap kernel merges the streams.
+func (m *DCSC) SpMSV(dst *spvec.Vec, f *spvec.Vec, opts SpMSVOpts) int64 {
+	sc := opts.Scratch
+	if sc == nil {
+		sc = &Scratch{}
+	}
+	streams := sc.streams[:0]
+	var work int64
+	selectColumns(m.JC, f.Ind, func(i, j int) {
+		rows := m.colRowsAt(j)
+		work += int64(len(rows))
+		streams = append(streams, spvec.Stream{Ind: rows, Val: f.Val[i]})
+	})
+	sc.streams = streams[:0]
 	kernel := opts.Kernel
 	if kernel == KernelAuto {
-		// Estimate touched volume as nnz of selected columns.
-		work := m.Work(f)
 		if work == 0 {
 			dst.Reset()
-			return dst
+			return 0
 		}
 		if m.Rows/work >= autoThreshold {
 			kernel = KernelHeap
@@ -91,41 +108,24 @@ func (m *DCSC) SpMSV(dst *spvec.Vec, f *spvec.Vec, opts SpMSVOpts) *spvec.Vec {
 	}
 	switch kernel {
 	case KernelSPA:
-		var spa *spvec.SPA
-		if opts.Scratch != nil {
-			spa = opts.Scratch.spaFor(m.Rows)
-		} else {
-			spa = spvec.NewSPA(m.Rows)
+		spa := sc.spaFor(m.Rows)
+		for _, s := range streams {
+			spa.ScatterRows(s.Ind, s.Val)
 		}
-		m.Scatter(spa, f)
-		return spa.Extract(dst)
+		spa.Extract(dst)
 	case KernelHeap:
-		var streams []spvec.Stream
-		var merge *spvec.MergeScratch
-		if opts.Scratch != nil {
-			streams = opts.Scratch.streams[:0]
-			merge = &opts.Scratch.merge
-		} else {
-			streams = make([]spvec.Stream, 0, 16)
-		}
-		selectColumns(m.JC, f.Ind, func(i, j int) {
-			streams = append(streams, spvec.Stream{Ind: m.colRowsAt(j), Val: f.Val[i]})
-		})
-		if opts.Scratch != nil {
-			opts.Scratch.streams = streams[:0]
-		}
-		return spvec.MultiwayMergeWith(dst, streams, merge)
+		spvec.MultiwayMergeWith(dst, streams, &sc.merge)
+	default:
+		panic("spmat: unknown kernel")
 	}
-	panic("spmat: unknown kernel")
+	return work
 }
 
 // Scatter accumulates M ⊗ f into spa, whose size must be the row count,
 // without extracting: the SPA kernel's first half.
 func (m *DCSC) Scatter(spa *spvec.SPA, f *spvec.Vec) {
 	selectColumns(m.JC, f.Ind, func(i, j int) {
-		for _, r := range m.colRowsAt(j) {
-			spa.Scatter(int64(r), f.Val[i])
-		}
+		spa.ScatterRows(m.colRowsAt(j), f.Val[i])
 	})
 }
 

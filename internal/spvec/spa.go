@@ -47,6 +47,24 @@ func (s *SPA) Scatter(i, val int64) {
 	}
 }
 
+// ScatterRows is Scatter(int64(r), val) for every r in rows, in one loop
+// over the occupied words and vals: the SPA kernel's inner loop over a
+// selected column's rows, with no call per entry.
+func (s *SPA) ScatterRows(rows []uint32, val int64) {
+	words, vals, inds := s.occupied.Words(), s.vals, s.inds
+	for _, r := range rows {
+		w, bit := r/64, uint64(1)<<(r%64)
+		if words[w]&bit == 0 {
+			words[w] |= bit
+			inds = append(inds, int64(r))
+			vals[r] = val
+		} else if val > vals[r] {
+			vals[r] = val
+		}
+	}
+	s.inds = inds
+}
+
 // Extract appends the accumulated nonzeros, index-sorted, into dst and
 // resets the SPA for reuse. With k occupied slots over a W-word occupied
 // bitmap it costs O(min(k·log k, W+k)): a sparse fill sorts the index list,

@@ -60,3 +60,41 @@ func TestExtractMatchesSortedReference(t *testing.T) {
 		t.Fatalf("threshold not straddled: %d walked, %d sorted extractions", walked, sorted)
 	}
 }
+
+// TestScatterRowsMatchesScatter fills one SPA through ScatterRows and
+// another through per-index Scatter with the same runs (sorted row lists
+// that overlap, so slots are hit again with lower and higher values),
+// over ranges that do and do not end on a word boundary; both must
+// extract the same vector and come back clean for the next round.
+func TestScatterRowsMatchesScatter(t *testing.T) {
+	rng := prng.New(0x5ca7)
+	for _, size := range []int64{1, 63, 64, 65, 200, 4096} {
+		s, ref := NewSPA(size), NewSPA(size)
+		for round := 0; round < 3; round++ {
+			for run := rng.Intn(12); run > 0; run-- {
+				var rows []uint32
+				for i := int64(0); i < size; i++ {
+					if rng.Intn(8) == 0 {
+						rows = append(rows, uint32(i))
+					}
+				}
+				val := rng.Int64n(1000)
+				s.ScatterRows(rows, val)
+				for _, r := range rows {
+					ref.Scatter(int64(r), val)
+				}
+			}
+			if s.NNZ() != ref.NNZ() {
+				t.Fatalf("size %d round %d: %d occupied, per-index %d", size, round, s.NNZ(), ref.NNZ())
+			}
+			got, want := s.Extract(&Vec{}), ref.Extract(&Vec{})
+			if !equalVec(got, want) {
+				t.Fatalf("size %d round %d: ScatterRows %v/%v, Scatter %v/%v",
+					size, round, got.Ind, got.Val, want.Ind, want.Val)
+			}
+			if s.NNZ() != 0 || s.occupied.Count() != 0 {
+				t.Fatalf("size %d round %d: SPA not clean after Extract", size, round)
+			}
+		}
+	}
+}

@@ -1,6 +1,9 @@
 package pbfs
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // TestResolveLayoutGridOverflow: a grid whose row-by-column product
 // overflows int is refused, whether it implies the rank count or must
@@ -21,6 +24,25 @@ func TestResolveLayoutGridOverflow(t *testing.T) {
 					c.opt.GridRows, c.opt.GridCols, lay.ranks, lay.pr, lay.pc)
 			}
 		})
+	}
+}
+
+// TestResolveLayoutNamesBadAlgorithm: an algorithm outside the six is
+// refused with an error that prints its number, since its String() is
+// only "unknown".
+func TestResolveLayoutNamesBadAlgorithm(t *testing.T) {
+	for _, c := range []struct {
+		algo Algorithm
+		want string
+	}{
+		{Algorithm(99), "pbfs: unknown algorithm 99"},
+		{Algorithm(-1), "pbfs: unknown algorithm -1"},
+		{Algorithm(6), "pbfs: unknown algorithm 6"},
+	} {
+		_, err := resolveLayout(Options{Algorithm: c.algo})
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("algorithm %d: error %v, want %q", int(c.algo), err, c.want)
+		}
 	}
 }
 

@@ -23,6 +23,7 @@ import (
 	"repro/internal/netmodel"
 	"repro/internal/rmat"
 	"repro/internal/spmat"
+	"repro/internal/webgen"
 )
 
 // levelLoopScale is the Graph 500 scale of the benchmark workload: 2^16
@@ -54,6 +55,12 @@ func benchLevelLoop2D(b *testing.B, scale, ranks, threads int, kernel spmat.Kern
 	if err != nil {
 		b.Fatal(err)
 	}
+	benchLevelLoop2DOn(b, el, ranks, threads, kernel, dir)
+}
+
+// benchLevelLoop2DOn is benchLevelLoop2D over a given graph.
+func benchLevelLoop2DOn(b *testing.B, el *graph.EdgeList, ranks, threads int, kernel spmat.Kernel, dir dirheur.Mode) {
+	b.Helper()
 	// These rows are pinned to square layouts (the engine accepts any
 	// factorization since PR 4).
 	pr, pc := cluster.ClosestSquare(ranks)
@@ -296,6 +303,17 @@ func TestBatchLevelLoopAllocationFree(t *testing.T) {
 		}},
 		{"2d-hybrid", 194, func(b *testing.B) { // measured 143
 			benchLevelLoop2D(b, 12, 16, 4, spmat.KernelAuto, dirheur.ModeAuto)
+		}},
+		// A 2^12 crawl: about 130 levels of tiny frontiers, all top-down
+		// under Auto, so the SpMSV's per-strip join and accumulator
+		// scratch run at every level of every rank (a kernel that
+		// allocated in most products made 1546 here).
+		{"2d-flat-crawl", 68, func(b *testing.B) { // measured 42
+			el, err := webgen.UKUnionLike(1<<12, 0xbf).GenerateUndirected()
+			if err != nil {
+				b.Fatal(err)
+			}
+			benchLevelLoop2DOn(b, el, 16, 1, spmat.KernelAuto, dirheur.ModeAuto)
 		}},
 	} {
 		res := testing.Benchmark(tc.bench)

@@ -179,6 +179,10 @@ func TestProjectRejectsBadInput(t *testing.T) {
 		{"scale 62 wraps the edge count", TwoDFlat, 62, 16},
 		{"algorithm 99", Algorithm(99), 20, 16},
 		{"algorithm -1", Algorithm(-1), 20, 16},
+		// 2^62 edges wrap the model's 2·M slot count.
+		{"2D flat, 2^62 edges", TwoDFlat, 62, 1},
+		{"1D flat, 2^62 edges", OneDFlat, 62, 1},
+		{"PBGL, 2^59 edges", PBGL, 58, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if _, err := ProjectRMAT("hopper", 1024, tc.algo, tc.scale, tc.edgeFactor); err == nil {

@@ -56,6 +56,9 @@ func project(machine string, cores int, algo Algorithm, wl perfmodel.Workload) (
 	default:
 		return nil, fmt.Errorf("pbfs: unknown algorithm %d", int(algo))
 	}
+	if err := wl.Validate(); err != nil {
+		return nil, err
+	}
 	b := perfmodel.Predict(perfmodel.Config{Machine: m, Cores: cores, Algo: perfmodel.Algo(algo)}, wl)
 	return &Projection{
 		GTEPS:       b.GTEPS,

@@ -137,11 +137,13 @@ echo "== race smoke (batching query server) =="
 go test -race ./internal/serve
 go test -race -count=20 -run 'BatchPanic|IdleServerDispatchesAtOnce|BacklogMergesIntoOneBatch|DeadlineShedAtAcquisition' ./internal/serve
 
-echo "== fuzz smoke (/v1/query encoder and decoder, column join, uint32 pull, vertex ownership, layout and graph-spec parsers) =="
+echo "== fuzz smoke (/v1/query encoder and decoder, column join, top-down products, uint32 pull, vertex ownership, layout and graph-spec parsers) =="
 # The 200 body must stay byte-identical to encoding/json's, and no
 # request body may panic the handler or draw a non-JSON reply. The
 # galloping column join of the top-down kernels must select exactly the
-# merge-join's matches, in order. The pull over uint32 block-local ids
+# merge-join's matches, in order, and every top-down product (DCSC and
+# row split, each kernel, with and without scratch) must return the
+# merge-join product and its work. The pull over uint32 block-local ids
 # must match an int64 CSC product, so no narrowing truncates an id. The
 # closed-form owner lookups of the 1D and 2D partitions must land every
 # vertex of any valid partition inside the block they name. Every
@@ -152,6 +154,7 @@ echo "== fuzz smoke (/v1/query encoder and decoder, column join, uint32 pull, ve
 go test -run '^$' -fuzz '^FuzzWriteQuery$' -fuzztime 10s ./internal/serve
 go test -run '^$' -fuzz '^FuzzQueryRequest$' -fuzztime 10s ./internal/serve
 go test -run '^$' -fuzz '^FuzzSelectColumns$' -fuzztime 10s ./internal/spmat
+go test -run '^$' -fuzz '^FuzzSpMSV$' -fuzztime 10s ./internal/spmat
 go test -run '^$' -fuzz '^FuzzPullView$' -fuzztime 10s ./internal/spmat
 go test -run '^$' -fuzz '^FuzzPart1DOwner$' -fuzztime 10s ./internal/bfs1d
 go test -run '^$' -fuzz '^FuzzPart2DOwners$' -fuzztime 10s ./internal/bfs2d
