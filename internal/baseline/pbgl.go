@@ -71,7 +71,8 @@ func RunPBGL(w *cluster.World, g *bfs1d.Graph, source int64, price cluster.Price
 			var adjWords int64
 			for _, ul := range fs {
 				ug := start + ul
-				for _, v := range lg.Neighbors(ul) {
+				for _, id := range lg.Neighbors(ul) {
+					v := int64(id)
 					adjWords++
 					o := pt.Owner(v)
 					send[o] = append(send[o], v, ug, 0, 0, 0, 0)

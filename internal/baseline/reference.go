@@ -79,7 +79,8 @@ func RunReference(w *cluster.World, g *bfs1d.Graph, source int64, price cluster.
 			var adjWords int64
 			for _, ul := range fs {
 				ug := start + ul
-				for _, v := range lg.Neighbors(ul) {
+				for _, id := range lg.Neighbors(ul) {
+					v := int64(id)
 					adjWords++
 					o := pt.Owner(v)
 					send[o] = append(send[o], v, ug)

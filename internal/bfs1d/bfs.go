@@ -146,7 +146,7 @@ func chunkOf(th, t int, n int64) (lo, hi int64) {
 
 // pull scans worker th's chunk of the owned rows of in against the
 // frontier bitmap into the worker's candidate vector.
-func (ts *threadScratch) pull(in *spmat.PullCSR[int64], front, vis *bits.Bitmap, th, t int, n int64) {
+func (ts *threadScratch) pull(in *spmat.PullCSR, front, vis *bits.Bitmap, th, t int, n int64) {
 	lo, hi := chunkOf(th, t, n)
 	ts.adjWords = in.SubRows(lo, hi).Pull(&ts.pullOut, front, vis, lo, 0)
 }
@@ -252,7 +252,7 @@ func Run(w *cluster.World, g *Graph, source int64, opt Options) *levels.Output {
 		// assembled frontier must stay global here.
 		ownWLo, ownWHi := start/64, (start+nloc+63)/64
 		var front, chunk, ownVis *bits.Bitmap
-		var inPull *spmat.PullCSR[int64]
+		var inPull *spmat.PullCSR
 		// enterBottomUp converts the rank to pull state at a level
 		// boundary: visited flags rebuilt from the distance array, the
 		// newly discovered frontier densified into the chunk bitmap, and
@@ -363,7 +363,8 @@ func Run(w *cluster.World, g *Graph, source int64, opt Options) *levels.Output {
 						lo, hi := chunkOf(th, t, int64(len(curFS)))
 						for _, ul := range curFS[lo:hi] {
 							ug := start + ul
-							for _, v := range lg.Neighbors(ul) {
+							for _, id := range lg.Neighbors(ul) {
+								v := int64(id)
 								ts.adjWords++
 								o := pt.Owner(v)
 								if opt.LocalShortcut && o == me {
@@ -410,7 +411,8 @@ func Run(w *cluster.World, g *Graph, source int64, opt Options) *levels.Output {
 				} else {
 					for _, ul := range fs {
 						ug := start + ul
-						for _, v := range lg.Neighbors(ul) {
+						for _, id := range lg.Neighbors(ul) {
+							v := int64(id)
 							adjWords++
 							o := pt.Owner(v)
 							if opt.LocalShortcut && o == me {

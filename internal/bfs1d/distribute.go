@@ -1,7 +1,6 @@
 package bfs1d
 
 import (
-	"fmt"
 	"sync"
 
 	"repro/internal/graph"
@@ -12,8 +11,8 @@ import (
 // rank's owned vertices (rows indexed locally) whose adjacency entries
 // are global vertex ids.
 type LocalGraph struct {
-	XAdj []int64 // len Count+1
-	Adj  []int64 // global ids, sorted per row
+	XAdj []int64  // len Count+1
+	Adj  []uint32 // global ids, sorted per row
 }
 
 // Graph is a 1D-distributed graph: the partition plus each rank's local
@@ -46,11 +45,6 @@ func Distribute(el *graph.EdgeList, p int) (*Graph, error) {
 	pt := Part1D{N: el.NumVerts, P: p}
 	if err := pt.Validate(); err != nil {
 		return nil, err
-	}
-	for _, e := range el.Edges {
-		if e.U < 0 || e.U >= pt.N || e.V < 0 || e.V >= pt.N {
-			return nil, fmt.Errorf("bfs1d: edge (%d,%d) out of range", e.U, e.V)
-		}
 	}
 	csr, err := graph.BuildCSR(el, true)
 	if err != nil {
@@ -109,12 +103,12 @@ func (g *Graph) Ins() []*LocalGraph {
 // PullView presents the local CSR to the shared pull kernel, its rows
 // the owned vertices and its columns the n global ids. The view aliases
 // XAdj and Adj, so the bottom-up phase costs no memory beyond the CSR.
-func (lg *LocalGraph) PullView(n int64) *spmat.PullCSR[int64] {
+func (lg *LocalGraph) PullView(n int64) *spmat.PullCSR {
 	return spmat.NewPullCSR(int64(len(lg.XAdj)-1), n, lg.XAdj, lg.Adj)
 }
 
 // Neighbors returns the global adjacency ids of local vertex u on the
 // given local graph.
-func (lg *LocalGraph) Neighbors(u int64) []int64 {
+func (lg *LocalGraph) Neighbors(u int64) []uint32 {
 	return lg.Adj[lg.XAdj[u]:lg.XAdj[u+1]]
 }

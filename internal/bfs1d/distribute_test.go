@@ -46,7 +46,7 @@ func sortBuiltLocals(el *graph.EdgeList, pt Part1D, transpose bool) []*LocalGrap
 			}
 			prev = e
 			lg.XAdj[e.U-start+1]++
-			lg.Adj = append(lg.Adj, e.V)
+			lg.Adj = append(lg.Adj, uint32(e.V))
 		}
 		for i := int64(0); i < nloc; i++ {
 			lg.XAdj[i+1] += lg.XAdj[i]
@@ -103,10 +103,11 @@ func sameLocals(t *testing.T, what string, got, want []*LocalGraph) {
 }
 
 // TestPullViewAliasesCSR pins the bottom-up structure to zero copies:
-// the PullCSR[int64] a rank's pull scans shares its in-adjacency's
+// the uint32 PullCSR a rank's pull scans shares its in-adjacency's
 // arrays, which for a Symmetric graph are slices of the whole-graph
-// CSR. Narrowing the 1D pull to uint32 would have to copy every rank's
-// adjacency into each search session; this test makes that visible.
+// CSR. The CSR already stores 4-byte ids, so the pull view needs no
+// narrowing copy; a view that made one, per rank or per search session,
+// would fail here.
 func TestPullViewAliasesCSR(t *testing.T) {
 	for _, rg := range referenceGraphs(t) {
 		csr, err := graph.BuildCSR(rg.el, true)

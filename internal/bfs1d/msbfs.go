@@ -32,7 +32,7 @@ type batchRankArena struct {
 
 // pullMasks is pull over a batch's mask planes: it scans worker th's
 // chunk of the owned rows for the active searches.
-func (ts *threadScratch) pullMasks(in *spmat.PullCSR[int64], front, vis []uint64, active uint64, th, t int, n int64) {
+func (ts *threadScratch) pullMasks(in *spmat.PullCSR, front, vis []uint64, active uint64, th, t int, n int64) {
 	lo, hi := chunkOf(th, t, n)
 	ts.adjWords = in.SubRows(lo, hi).PullMasks(&ts.pullMask, front, vis, active, lo, 0)
 }
@@ -120,7 +120,7 @@ func RunBatch(w *cluster.World, g *Graph, sources []int64, opt Options) *levels.
 		pool, tstate := ar.workers(t, p)
 
 		dirm := dirheur.NewBatch(opt.Direction, pt.N, g.TotalAdj, width)
-		var inPull *spmat.PullCSR[int64]
+		var inPull *spmat.PullCSR
 		if ins != nil {
 			inPull = ins[me].PullView(pt.N)
 		}
@@ -219,7 +219,8 @@ func RunBatch(w *cluster.World, g *Graph, sources []int64, opt Options) *levels.
 						for _, ul := range curFS[lo:hi] {
 							ug := start + ul
 							m := fMask[ul]
-							for _, v := range lg.Neighbors(ul) {
+							for _, id := range lg.Neighbors(ul) {
+								v := int64(id)
 								ts.adjWords++
 								o := pt.Owner(v)
 								if opt.LocalShortcut && o == me {
@@ -265,7 +266,8 @@ func RunBatch(w *cluster.World, g *Graph, sources []int64, opt Options) *levels.
 					for _, ul := range fs {
 						ug := start + ul
 						m := fMask[ul]
-						for _, v := range lg.Neighbors(ul) {
+						for _, id := range lg.Neighbors(ul) {
+							v := int64(id)
 							adjWords++
 							o := pt.Owner(v)
 							if opt.LocalShortcut && o == me {

@@ -285,7 +285,7 @@ func directedMatches(ref *graph.CSR, out *levels.Output, sref *serial.Result) bo
 			continue
 		}
 		p := out.Parent[v]
-		if p < 0 || out.Dist[p] != d-1 || !slices.Contains(ref.Neighbors(p), int64(v)) {
+		if p < 0 || out.Dist[p] != d-1 || !slices.Contains(ref.Neighbors(p), uint32(v)) {
 			return false
 		}
 	}

@@ -1,7 +1,6 @@
 package bfs2d
 
 import (
-	"fmt"
 	"sync"
 
 	"repro/internal/graph"
@@ -57,11 +56,6 @@ func Distribute(el *graph.EdgeList, pr, pc, threads int) (*Graph, error) {
 	pt := Part2D{N: el.NumVerts, Pr: pr, Pc: pc}
 	if err := pt.Validate(); err != nil {
 		return nil, err
-	}
-	for _, e := range el.Edges {
-		if e.U < 0 || e.U >= pt.N || e.V < 0 || e.V >= pt.N {
-			return nil, fmt.Errorf("bfs2d: edge (%d,%d) out of range", e.U, e.V)
-		}
 	}
 	csr, err := graph.BuildCSR(el, true)
 	if err != nil {

@@ -64,22 +64,9 @@ func WriteFile(path string, el *graph.EdgeList) error {
 // against the declared vertex count.
 func Read(r io.Reader) (*graph.EdgeList, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
-	head := make([]byte, len(Magic))
-	if _, err := io.ReadFull(br, head); err != nil {
-		return nil, fmt.Errorf("edgefile: reading magic: %w", err)
-	}
-	if string(head) != Magic {
-		return nil, fmt.Errorf("edgefile: bad magic %q", head)
-	}
-	var n, m int64
-	if err := binary.Read(br, binary.LittleEndian, &n); err != nil {
-		return nil, fmt.Errorf("edgefile: reading vertex count: %w", err)
-	}
-	if err := binary.Read(br, binary.LittleEndian, &m); err != nil {
-		return nil, fmt.Errorf("edgefile: reading edge count: %w", err)
-	}
-	if n < 0 || m < 0 {
-		return nil, fmt.Errorf("edgefile: negative header counts n=%d m=%d", n, m)
+	n, m, err := readHeader(br)
+	if err != nil {
+		return nil, err
 	}
 	// The header is untrusted: preallocate at most maxPrealloc edges and
 	// let append grow the slice, so a lying edge count ends in the
@@ -102,6 +89,42 @@ func Read(r io.Reader) (*graph.EdgeList, error) {
 		return nil, fmt.Errorf("edgefile: trailing data after %d edges", m)
 	}
 	return el, nil
+}
+
+// readHeader parses and checks the magic and the two counts.
+func readHeader(r io.Reader) (n, m int64, err error) {
+	head := make([]byte, len(Magic))
+	if _, err := io.ReadFull(r, head); err != nil {
+		return 0, 0, fmt.Errorf("edgefile: reading magic: %w", err)
+	}
+	if string(head) != Magic {
+		return 0, 0, fmt.Errorf("edgefile: bad magic %q", head)
+	}
+	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
+		return 0, 0, fmt.Errorf("edgefile: reading vertex count: %w", err)
+	}
+	if err := binary.Read(r, binary.LittleEndian, &m); err != nil {
+		return 0, 0, fmt.Errorf("edgefile: reading edge count: %w", err)
+	}
+	if n < 0 || m < 0 {
+		return 0, 0, fmt.Errorf("edgefile: negative header counts n=%d m=%d", n, m)
+	}
+	return n, m, nil
+}
+
+// ReadHeader returns the vertex and edge counts the named file
+// declares, reading nothing past its header, so a caller can refuse a
+// graph before reading its edges.
+func ReadHeader(path string) (n, m int64, err error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return 0, 0, err
+	}
+	defer f.Close()
+	if n, m, err = readHeader(f); err != nil {
+		return 0, 0, fmt.Errorf("%s: %w", path, err)
+	}
+	return n, m, nil
 }
 
 // ReadFile reads an edge list from the named file.

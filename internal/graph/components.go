@@ -23,7 +23,7 @@ func ConnectedComponents(g *CSR) (comp []int64, count int64) {
 			for _, v := range g.Neighbors(u) {
 				if comp[v] == -1 {
 					comp[v] = count
-					queue = append(queue, v)
+					queue = append(queue, int64(v))
 				}
 			}
 		}

@@ -2,9 +2,11 @@
 // BFS implementations: raw edge lists and the compressed sparse row (CSR)
 // adjacency structure described in Section 4.1 of the paper.
 //
-// Vertex identifiers are 64-bit integers, matching the paper's choice.
-// For undirected graphs each edge is stored twice (u→v and v→u), again
-// matching the paper.
+// Edge lists carry int64 vertex ids, as the paper's do. A CSR stores its
+// adjacency ids as uint32, which holds every id of a graph with at most
+// MaxVerts vertices and halves the bytes a scan streams; readers widen
+// them to int64, and its row offsets stay int64. For undirected graphs
+// each edge is stored twice (u→v and v→u), matching the paper.
 package graph
 
 import (
@@ -38,13 +40,30 @@ func (el *EdgeList) Symmetrize() *EdgeList {
 	return &EdgeList{NumVerts: el.NumVerts, Edges: out}
 }
 
+// MaxVerts is the most vertices a CSR may have: its adjacency ids are
+// stored as uint32, and 2^32 vertices have ids up to 2^32-1.
+const MaxVerts = 1 << 32
+
+// CheckVerts returns an error naming n when a graph of n vertices cannot
+// be held in a CSR: n is negative or exceeds MaxVerts.
+func CheckVerts(n int64) error {
+	if n < 0 {
+		return fmt.Errorf("graph: negative vertex count %d", n)
+	}
+	if n > MaxVerts {
+		return fmt.Errorf("graph: %d vertices exceed %d, the uint32 adjacency-id limit", n, int64(MaxVerts))
+	}
+	return nil
+}
+
 // CSR is a compressed-sparse-row adjacency structure. All adjacencies of
 // vertex v live in Adj[XAdj[v]:XAdj[v+1]], sorted ascending. XAdj has
-// NumVerts+1 entries.
+// NumVerts+1 entries. Adj holds 4-byte vertex ids, which readers widen
+// to int64; NumVerts is at most MaxVerts.
 type CSR struct {
 	NumVerts int64
 	XAdj     []int64
-	Adj      []int64
+	Adj      []uint32
 }
 
 // NumEdges returns the number of stored adjacencies (directed edge slots).
@@ -57,7 +76,7 @@ func (g *CSR) Degree(v int64) int64 { return g.XAdj[v+1] - g.XAdj[v] }
 
 // Neighbors returns the adjacency slice of vertex v. The slice aliases the
 // CSR's internal storage and must not be modified.
-func (g *CSR) Neighbors(v int64) []int64 {
+func (g *CSR) Neighbors(v int64) []uint32 {
 	return g.Adj[g.XAdj[v]:g.XAdj[v+1]]
 }
 
@@ -66,11 +85,12 @@ func (g *CSR) Neighbors(v int64) []int64 {
 // edges are retained when dedup is false (the Graph 500 generator produces
 // duplicates and the benchmark keeps them); when dedup is true duplicates
 // and self-loops are removed, which is the layout the paper uses for its
-// local data structures.
+// local data structures. A vertex count above MaxVerts is refused before
+// anything is allocated.
 func BuildCSR(el *EdgeList, dedup bool) (*CSR, error) {
 	n := el.NumVerts
-	if n < 0 {
-		return nil, fmt.Errorf("graph: negative vertex count %d", n)
+	if err := CheckVerts(n); err != nil {
+		return nil, err
 	}
 	for _, e := range el.Edges {
 		if e.U < 0 || e.U >= n || e.V < 0 || e.V >= n {
@@ -84,10 +104,10 @@ func BuildCSR(el *EdgeList, dedup bool) (*CSR, error) {
 	for i := int64(0); i < n; i++ {
 		xadj[i+1] += xadj[i]
 	}
-	adj := make([]int64, len(el.Edges))
+	adj := make([]uint32, len(el.Edges))
 	next := append([]int64(nil), xadj[:n]...)
 	for _, e := range el.Edges {
-		adj[next[e.U]] = e.V
+		adj[next[e.U]] = uint32(e.V)
 		next[e.U]++
 	}
 	g := &CSR{NumVerts: n, XAdj: xadj, Adj: adj}
@@ -115,14 +135,14 @@ func (g *CSR) dedupSelfAndParallel() *CSR {
 	for v := int64(0); v < g.NumVerts; v++ {
 		start, end := g.XAdj[v], g.XAdj[v+1]
 		newXAdj[v] = w
-		var prev int64 = -1
+		prev := int64(-1)
 		for i := start; i < end; i++ {
 			u := g.Adj[i]
-			if u == v || u == prev {
+			if int64(u) == v || int64(u) == prev {
 				continue
 			}
 			newAdj = append(newAdj[:w], u)
-			prev = u
+			prev = int64(u)
 			w++
 		}
 	}
@@ -130,7 +150,7 @@ func (g *CSR) dedupSelfAndParallel() *CSR {
 	newAdj = newAdj[:w]
 	if cap(newAdj) > len(newAdj) {
 		// make, not slices.Clone: append may round the capacity up.
-		newAdj = append(make([]int64, 0, w), newAdj...)
+		newAdj = append(make([]uint32, 0, w), newAdj...)
 	}
 	return &CSR{NumVerts: g.NumVerts, XAdj: newXAdj, Adj: newAdj}
 }
@@ -148,11 +168,11 @@ func (g *CSR) Transpose() *CSR {
 	for v := int64(0); v < g.NumVerts; v++ {
 		xadj[v+1] += xadj[v]
 	}
-	adj := make([]int64, len(g.Adj))
+	adj := make([]uint32, len(g.Adj))
 	next := append([]int64(nil), xadj[:g.NumVerts]...)
 	for u := int64(0); u < g.NumVerts; u++ {
 		for _, v := range g.Neighbors(u) {
-			adj[next[v]] = u
+			adj[next[v]] = uint32(u)
 			next[v]++
 		}
 	}

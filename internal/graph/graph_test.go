@@ -2,6 +2,8 @@ package graph
 
 import (
 	"slices"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -29,7 +31,7 @@ func TestBuildCSRBasic(t *testing.T) {
 	if g.NumEdges() != 11 {
 		t.Fatalf("NumEdges = %d", g.NumEdges())
 	}
-	wantAdj := map[int64][]int64{
+	wantAdj := map[int64][]uint32{
 		0: {1, 3}, 1: {0, 2}, 2: {4, 5}, 3: {0, 4, 5}, 4: {2}, 5: {2},
 	}
 	for v, want := range wantAdj {
@@ -137,7 +139,7 @@ func TestBuildCSRPreservesEdges(t *testing.T) {
 		}
 		for v := int64(0); v < n; v++ {
 			for _, u := range csr.Neighbors(v) {
-				count[Edge{v, u}]--
+				count[Edge{v, int64(u)}]--
 			}
 		}
 		for _, c := range count {
@@ -299,4 +301,69 @@ func TestSampleSources(t *testing.T) {
 	if len(all) != 5 {
 		t.Errorf("got %d sources, want all 5", len(all))
 	}
+}
+
+// FuzzBuildCSR builds a CSR from fuzzed edge lists, self-loops,
+// duplicates and ids at n-1 included, under both dedup modes. Every
+// row must be sorted and hold exactly the edges a map-based oracle
+// gives it, and transposing twice must give the CSR back. A vertex
+// count outside [0, MaxVerts] must be refused by name before anything
+// is allocated (at these sizes XAdj alone would take over 32 GiB); an
+// accepted one is cut to below 256 before the build, so no input
+// allocates more than a small graph. Each byte pair of data is one
+// edge (u, v), taken mod n.
+func FuzzBuildCSR(f *testing.F) {
+	f.Add(int64(6), false, []byte{0, 1, 1, 0, 2, 5, 5, 2, 3, 3, 0, 1})
+	f.Add(int64(6), true, []byte{0, 1, 1, 0, 2, 5, 5, 2, 3, 3, 0, 1})
+	f.Add(int64(1), true, []byte{0, 0, 0, 0})
+	f.Add(int64(0), false, []byte{})
+	f.Add(int64(MaxVerts), true, []byte{255, 254, 254, 255})
+	f.Add(int64(MaxVerts+1), false, []byte{1, 2})
+	f.Add(int64(1<<40), true, []byte{})
+	f.Add(int64(-3), true, []byte{})
+	f.Fuzz(func(t *testing.T, n int64, dedup bool, data []byte) {
+		if n < 0 || n > MaxVerts {
+			_, err := BuildCSR(&EdgeList{NumVerts: n}, dedup)
+			if err == nil || !strings.Contains(err.Error(), strconv.FormatInt(n, 10)) {
+				t.Fatalf("n=%d: error %v does not refuse it by name", n, err)
+			}
+			return
+		}
+		if err := CheckVerts(n); err != nil {
+			t.Fatalf("n=%d refused: %v", n, err)
+		}
+		n %= 256
+		el := &EdgeList{NumVerts: n}
+		want := make(map[int64][]uint32)
+		for k := 0; n > 0 && k+1 < len(data); k += 2 {
+			u, v := int64(data[k])%n, int64(data[k+1])%n
+			el.Edges = append(el.Edges, Edge{u, v})
+			if dedup && (u == v || slices.Contains(want[u], uint32(v))) {
+				continue
+			}
+			want[u] = append(want[u], uint32(v))
+		}
+		g, err := BuildCSR(el, dedup)
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		if g.NumVerts != n || int64(len(g.XAdj)) != n+1 || g.XAdj[0] != 0 || g.XAdj[n] != g.NumEdges() {
+			t.Fatalf("n=%d: %d vertices, XAdj len %d, [0]=%d, [n]=%d for %d entries",
+				n, g.NumVerts, len(g.XAdj), g.XAdj[0], g.XAdj[len(g.XAdj)-1], g.NumEdges())
+		}
+		for v := int64(0); v < n; v++ {
+			row := g.Neighbors(v)
+			if !slices.IsSorted(row) {
+				t.Fatalf("row %d not sorted: %v", v, row)
+			}
+			slices.Sort(want[v])
+			if !slices.Equal(row, want[v]) {
+				t.Fatalf("row %d = %v, want %v (dedup %v)", v, row, want[v], dedup)
+			}
+		}
+		back := g.Transpose().Transpose()
+		if back.NumVerts != n || !slices.Equal(back.XAdj, g.XAdj) || !slices.Equal(back.Adj, g.Adj) {
+			t.Fatalf("transposing twice changed the CSR: %v %v, want %v %v", back.XAdj, back.Adj, g.XAdj, g.Adj)
+		}
+	})
 }

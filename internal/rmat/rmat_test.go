@@ -192,8 +192,8 @@ func TestGenerateUndirectedSymmetric(t *testing.T) {
 	for u := int64(0); u < g.NumVerts; u++ {
 		for _, v := range g.Neighbors(u) {
 			found := false
-			for _, w := range g.Neighbors(v) {
-				if w == u {
+			for _, w := range g.Neighbors(int64(v)) {
+				if int64(w) == u {
 					found = true
 					break
 				}

@@ -43,7 +43,7 @@ func BFS(g *graph.CSR, source int64) *Result {
 				if dist[v] == Unreached {
 					dist[v] = level
 					parent[v] = u
-					ns = append(ns, v)
+					ns = append(ns, int64(v))
 				}
 			}
 		}
@@ -74,7 +74,7 @@ func BFSQueue(g *graph.CSR, source int64) *Result {
 			if dist[v] == Unreached {
 				dist[v] = dist[u] + 1
 				parent[v] = u
-				queue = append(queue, v)
+				queue = append(queue, int64(v))
 			}
 		}
 	}

@@ -102,11 +102,11 @@ func hasEdge(g *graph.CSR, u, v int64) bool {
 	lo, hi := 0, len(adj)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if adj[mid] < v {
+		if int64(adj[mid]) < v {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	return lo < len(adj) && adj[lo] == v
+	return lo < len(adj) && int64(adj[lo]) == v
 }

@@ -45,7 +45,8 @@ func TransposedBlocks(csr *graph.CSR, rowBounds, colBounds []int64, t int) [][]*
 		clear(nzc)
 		for u := colLo; u < colHi; u++ {
 			s, last := 0, -1
-			for _, v := range csr.Neighbors(u) {
+			for _, id := range csr.Neighbors(u) {
+				v := int64(id)
 				for v >= bounds[s+1] {
 					s++
 				}
@@ -66,7 +67,8 @@ func TransposedBlocks(csr *graph.CSR, rowBounds, colBounds []int64, t int) [][]*
 		}
 		for u := colLo; u < colHi; u++ {
 			s, last := 0, -1
-			for _, v := range csr.Neighbors(u) {
+			for _, id := range csr.Neighbors(u) {
+				v := int64(id)
 				for v >= bounds[s+1] {
 					s++
 				}

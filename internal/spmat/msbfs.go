@@ -136,7 +136,7 @@ func (rs *RowSplit) SpMSVMasks(dst *spvec.MaskVec, f *spvec.MaskVec, pool *smp.P
 // batched generalization of the scalar pull's first-parent exit, and
 // per-search it picks the same ascending-first parent. The returned
 // count is adjacency entries examined, counted once for the whole batch.
-func (m *PullCSR[I]) PullMasks(dst *spvec.MaskVec, frontier, visited []uint64, active uint64, visRowOff, colOff int64) int64 {
+func (m *PullCSR) PullMasks(dst *spvec.MaskVec, frontier, visited []uint64, active uint64, visRowOff, colOff int64) int64 {
 	dst.Reset()
 	var scanned int64
 	for rl := int64(0); rl < m.Rows; rl++ {

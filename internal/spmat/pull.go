@@ -15,34 +15,34 @@ import (
 // the first frontier parent instead of streaming every edge. RowPtr
 // values are absolute offsets into ColInd, which lets sub-views for
 // thread chunks alias the same arrays (RowPtr[lo:hi+1] with the full
-// ColInd). Column ids are I wide: uint32 for 2D blocks, int64 for the
-// 1D driver's wrapped CSR.
-type PullCSR[I Index] struct {
+// ColInd). Column ids are uint32, widened on read: block-local ids for
+// a 2D block, global ids for the 1D driver's wrapped CSR.
+type PullCSR struct {
 	Rows, Cols int64
-	RowPtr     []int64 // len Rows+1, absolute offsets into ColInd
-	ColInd     []I     // column ids, ascending within each row
+	RowPtr     []int64  // len Rows+1, absolute offsets into ColInd
+	ColInd     []uint32 // column ids, ascending within each row
 }
 
 // NewPullCSR wraps existing CSR arrays without copying. The 1D driver
 // uses it to present its local in-adjacency to the shared pull kernel.
-func NewPullCSR[I Index](rows, cols int64, rowPtr []int64, colInd []I) *PullCSR[I] {
-	return &PullCSR[I]{Rows: rows, Cols: cols, RowPtr: rowPtr, ColInd: colInd}
+func NewPullCSR(rows, cols int64, rowPtr []int64, colInd []uint32) *PullCSR {
+	return &PullCSR{Rows: rows, Cols: cols, RowPtr: rowPtr, ColInd: colInd}
 }
 
 // NNZ returns the number of stored entries.
-func (m *PullCSR[I]) NNZ() int64 { return int64(len(m.ColInd)) }
+func (m *PullCSR) NNZ() int64 { return int64(len(m.ColInd)) }
 
 // SubRows returns a view over rows [lo, hi) sharing the receiver's
 // storage; emitted row ids are relative to lo.
-func (m *PullCSR[I]) SubRows(lo, hi int64) *PullCSR[I] {
-	return &PullCSR[I]{Rows: hi - lo, Cols: m.Cols, RowPtr: m.RowPtr[lo : hi+1], ColInd: m.ColInd}
+func (m *PullCSR) SubRows(lo, hi int64) *PullCSR {
+	return &PullCSR{Rows: hi - lo, Cols: m.Cols, RowPtr: m.RowPtr[lo : hi+1], ColInd: m.ColInd}
 }
 
 // PullView builds the row-major companion of a DCSC block: a counting
 // sort of its entries by row. Column ids come out ascending within each
 // row because JC is scanned in ascending order, preserving the
 // deterministic first-parent tie-break of the pull scan.
-func (m *DCSC) PullView() *PullCSR[uint32] {
+func (m *DCSC) PullView() *PullCSR {
 	rowPtr := make([]int64, m.Rows+1)
 	for _, r := range m.IR {
 		rowPtr[r+1]++
@@ -60,7 +60,7 @@ func (m *DCSC) PullView() *PullCSR[uint32] {
 			cursor[r]++
 		}
 	}
-	return &PullCSR[uint32]{Rows: m.Rows, Cols: m.Cols, RowPtr: rowPtr, ColInd: colInd}
+	return &PullCSR{Rows: m.Rows, Cols: m.Cols, RowPtr: rowPtr, ColInd: colInd}
 }
 
 // Pull runs one bottom-up scan over the block: every row whose global id
@@ -75,7 +75,7 @@ func (m *DCSC) PullView() *PullCSR[uint32] {
 // visited is read 64 rows at a time, so the scan costs O(Rows/64) word
 // reads plus the unvisited rows' entries up to each early exit: fully
 // visited spans cost one word each, whatever visRowOff's alignment.
-func (m *PullCSR[I]) Pull(dst *spvec.Vec, frontier, visited *bits.Bitmap, visRowOff, colOff int64) int64 {
+func (m *PullCSR) Pull(dst *spvec.Vec, frontier, visited *bits.Bitmap, visRowOff, colOff int64) int64 {
 	dst.Reset()
 	var scanned int64
 	vis := visited.Words()
@@ -118,13 +118,13 @@ func wordAt(ws []uint64, g int64) uint64 {
 type PullSplit struct {
 	Rows, Cols int64
 	Offsets    []int64 // strip s covers rows [Offsets[s], Offsets[s+1])
-	Strips     []*PullCSR[uint32]
+	Strips     []*PullCSR
 }
 
 // PullView builds the row-major views of every strip.
 func (rs *RowSplit) PullView() *PullSplit {
 	ps := &PullSplit{Rows: rs.Rows, Cols: rs.Cols, Offsets: rs.Offsets}
-	ps.Strips = make([]*PullCSR[uint32], len(rs.Strips))
+	ps.Strips = make([]*PullCSR, len(rs.Strips))
 	for s, d := range rs.Strips {
 		ps.Strips[s] = d.PullView()
 	}

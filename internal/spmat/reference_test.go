@@ -51,7 +51,7 @@ func mergeWork(m *DCSC, ind []int64) int64 {
 }
 
 // pullPerRow is the pull that tests visited one row at a time.
-func pullPerRow[I Index](m *PullCSR[I], dst *spvec.Vec, frontier, visited *bits.Bitmap, visRowOff, colOff int64) int64 {
+func pullPerRow(m *PullCSR, dst *spvec.Vec, frontier, visited *bits.Bitmap, visRowOff, colOff int64) int64 {
 	dst.Reset()
 	var scanned int64
 	for rl := int64(0); rl < m.Rows; rl++ {
@@ -310,7 +310,7 @@ func TestPullMatchesPerRowReference(t *testing.T) {
 		}
 		whole := d.PullView()
 		visRowOff := []int64{0, 64, rng.Int64n(200), 1 + 64*rng.Int64n(3)}[round%4]
-		views, offs := []*PullCSR[uint32]{whole}, []int64{visRowOff}
+		views, offs := []*PullCSR{whole}, []int64{visRowOff}
 		if rows > 2 {
 			lo := rng.Int64n(rows - 1)
 			hi := lo + 1 + rng.Int64n(rows-lo)

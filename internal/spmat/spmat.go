@@ -15,13 +15,13 @@
 // convention of the paper, so SpMSV with a frontier over columns yields
 // the next frontier over rows.
 //
-// Index widths: 2D blocking keeps a block's row and column ids small, so
-// the block-local ids every kernel streams — DCSC.IR and the ColInd of a
-// DCSC's PullView — are uint32, and a block may have at most
-// MaxBlockDim rows and columns. Offsets (CP, RowPtr), the nonempty
-// column list JC, which joins against int64 frontiers, and every vector
-// and global id stay int64. PullCSR takes its column width as a type
-// parameter so the 1D driver can wrap its int64 CSR without a copy.
+// Index widths: the ids every kernel streams are uint32. For a 2D block
+// they are block-local — DCSC.IR and the ColInd of a DCSC's PullView —
+// and a block may have at most MaxBlockDim rows and columns. The 1D
+// driver wraps its graph.CSR rows, whose Adj is uint32 global ids, as a
+// PullCSR with no copy. Offsets (CP, RowPtr), the nonempty column list
+// JC, which joins against int64 frontiers, and every vector and global
+// id handed across an API stay int64.
 package spmat
 
 import (
@@ -69,10 +69,6 @@ func (m *CSC) NNZ() int64 { return int64(len(m.RowInd)) }
 func (m *CSC) ColRows(c int64) []int64 {
 	return m.RowInd[m.ColPtr[c]:m.ColPtr[c+1]]
 }
-
-// Index is the element type of a PullCSR's column ids: uint32 for a
-// DCSC's view, int64 for a wrapped CSR of global ids.
-type Index interface{ ~int64 | ~uint32 }
 
 // MaxBlockDim is the most rows or columns a DCSC block may have: its
 // local ids are stored as uint32.

@@ -112,7 +112,9 @@ func (d Direction) String() string {
 }
 
 // Graph is a graph ready for traversal and benchmarking. Graphs are
-// undirected (symmetrized) unless built with NewDirectedGraph.
+// undirected (symmetrized) unless built with NewDirectedGraph. A Graph
+// has at most 2^32 vertices; every constructor refuses a larger count
+// before it generates, reads or allocates anything.
 type Graph struct {
 	// csr is the sorted, deduplicated adjacency every engine distributes
 	// from; the edge list it was built from is not kept.
@@ -124,6 +126,10 @@ type Graph struct {
 // edge factor edges per vertex), randomly relabeled for load balance and
 // symmetrized, exactly as the paper's synthetic instances.
 func NewRMATGraph(scale, edgeFactor int, seed uint64) (*Graph, error) {
+	if scale > maxScale {
+		return nil, fmt.Errorf("pbfs: R-MAT scale %d above %d: its 2^%d vertices exceed %d, the uint32 adjacency-id limit",
+			scale, maxScale, scale, int64(graph.MaxVerts))
+	}
 	el, err := rmat.Graph500(scale, edgeFactor, seed).GenerateUndirected()
 	if err != nil {
 		return nil, err
@@ -134,6 +140,9 @@ func NewRMATGraph(scale, edgeFactor int, seed uint64) (*Graph, error) {
 // NewWebCrawlGraph generates a high-diameter (≈140 BFS levels) synthetic
 // web crawl standing in for the paper's uk-union dataset.
 func NewWebCrawlGraph(numVerts int64, seed uint64) (*Graph, error) {
+	if err := graph.CheckVerts(numVerts); err != nil {
+		return nil, err
+	}
 	el, err := webgen.UKUnionLike(numVerts, seed).GenerateUndirected()
 	if err != nil {
 		return nil, err
@@ -144,9 +153,9 @@ func NewWebCrawlGraph(numVerts int64, seed uint64) (*Graph, error) {
 // NewGraphFromEdges builds a graph from explicit undirected edges; each
 // pair {u, v} is stored in both directions.
 func NewGraphFromEdges(numVerts int64, edges [][2]int64) (*Graph, error) {
-	el := &graph.EdgeList{NumVerts: numVerts}
-	for _, e := range edges {
-		el.Edges = append(el.Edges, graph.Edge{U: e[0], V: e[1]})
+	el, err := edgeList(numVerts, edges)
+	if err != nil {
+		return nil, err
 	}
 	return fromEdgeList(el.Symmetrize())
 }
@@ -154,6 +163,13 @@ func NewGraphFromEdges(numVerts int64, edges [][2]int64) (*Graph, error) {
 // NewGraphFromFile loads a directed binary edge file written by
 // cmd/graphgen and symmetrizes it.
 func NewGraphFromFile(path string) (*Graph, error) {
+	n, _, err := edgefile.ReadHeader(path)
+	if err != nil {
+		return nil, err
+	}
+	if err := graph.CheckVerts(n); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
 	el, err := edgefile.ReadFile(path)
 	if err != nil {
 		return nil, err
@@ -168,9 +184,9 @@ func NewGraphFromFile(path string) (*Graph, error) {
 // against the serial oracle but skips the undirected level-geometry
 // rule.
 func NewDirectedGraph(numVerts int64, edges [][2]int64) (*Graph, error) {
-	el := &graph.EdgeList{NumVerts: numVerts}
-	for _, e := range edges {
-		el.Edges = append(el.Edges, graph.Edge{U: e[0], V: e[1]})
+	el, err := edgeList(numVerts, edges)
+	if err != nil {
+		return nil, err
 	}
 	g, err := fromEdgeList(el)
 	if err != nil {
@@ -178,6 +194,23 @@ func NewDirectedGraph(numVerts int64, edges [][2]int64) (*Graph, error) {
 	}
 	g.directed = true
 	return g, nil
+}
+
+// maxScale is the largest R-MAT scale whose 2^scale vertices fit a
+// graph.CSR.
+const maxScale = 32
+
+// edgeList copies explicit edges into an edge list, refusing a vertex
+// count no CSR can hold before it allocates.
+func edgeList(numVerts int64, edges [][2]int64) (*graph.EdgeList, error) {
+	if err := graph.CheckVerts(numVerts); err != nil {
+		return nil, err
+	}
+	el := &graph.EdgeList{NumVerts: numVerts, Edges: make([]graph.Edge, len(edges))}
+	for i, e := range edges {
+		el.Edges[i] = graph.Edge{U: e[0], V: e[1]}
+	}
+	return el, nil
 }
 
 func fromEdgeList(el *graph.EdgeList) (*Graph, error) {
@@ -197,9 +230,16 @@ func (g *Graph) NumEdges() int64 { return g.csr.NumEdges() / 2 }
 // Degree returns the degree of vertex v.
 func (g *Graph) Degree(v int64) int64 { return g.csr.Degree(v) }
 
-// Neighbors returns the sorted adjacency of v. The returned slice aliases
-// internal storage and must not be modified.
-func (g *Graph) Neighbors(v int64) []int64 { return g.csr.Neighbors(v) }
+// Neighbors returns a fresh copy of the sorted adjacency of v; the
+// caller may modify it without changing the graph.
+func (g *Graph) Neighbors(v int64) []int64 {
+	adj := g.csr.Neighbors(v)
+	out := make([]int64, len(adj))
+	for i, u := range adj {
+		out[i] = int64(u)
+	}
+	return out
+}
 
 // Sources samples up to k Graph 500 search keys: distinct vertices of
 // non-zero degree from the largest connected component. For directed

@@ -137,10 +137,13 @@ echo "== race smoke (batching query server) =="
 go test -race ./internal/serve
 go test -race -count=20 -run 'BatchPanic|IdleServerDispatchesAtOnce|BacklogMergesIntoOneBatch|DeadlineShedAtAcquisition' ./internal/serve
 
-echo "== fuzz smoke (/v1/query encoder and decoder, column join, top-down products, uint32 pull, vertex ownership, layout and graph-spec parsers) =="
+echo "== fuzz smoke (/v1/query encoder and decoder, CSR build, column join, top-down products, uint32 pull, vertex ownership, layout and graph-spec parsers) =="
 # The 200 body must stay byte-identical to encoding/json's, and no
-# request body may panic the handler or draw a non-JSON reply. The
-# galloping column join of the top-down kernels must select exactly the
+# request body may panic the handler or draw a non-JSON reply. Every
+# CSR built from an edge list, with or without dedup, must hold each
+# row sorted and exactly as a map oracle gives it, survive two
+# transposes unchanged, and refuse a vertex count its uint32 ids cannot
+# index. The galloping column join of the top-down kernels must select exactly the
 # merge-join's matches, in order, and every top-down product (DCSC and
 # row split, each kernel, with and without scratch) must return the
 # merge-join product and its work. The pull over uint32 block-local ids
@@ -153,6 +156,7 @@ echo "== fuzz smoke (/v1/query encoder and decoder, column join, top-down produc
 # spec must have a trimmed non-empty id and re-render to itself.
 go test -run '^$' -fuzz '^FuzzWriteQuery$' -fuzztime 10s ./internal/serve
 go test -run '^$' -fuzz '^FuzzQueryRequest$' -fuzztime 10s ./internal/serve
+go test -run '^$' -fuzz '^FuzzBuildCSR$' -fuzztime 10s ./internal/graph
 go test -run '^$' -fuzz '^FuzzSelectColumns$' -fuzztime 10s ./internal/spmat
 go test -run '^$' -fuzz '^FuzzSpMSV$' -fuzztime 10s ./internal/spmat
 go test -run '^$' -fuzz '^FuzzPullView$' -fuzztime 10s ./internal/spmat
