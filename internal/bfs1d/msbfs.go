@@ -8,26 +8,28 @@ import (
 	"repro/internal/dirheur"
 	"repro/internal/levels"
 	"repro/internal/spmat"
-	"repro/internal/spvec"
 )
 
-// batchRankArena is one rank's reusable multi-source scratch: the
-// frontier index double buffer with its mask planes, the visited-mask
-// plane, the send-side dedup plane, the global frontier plane of
-// bottom-up levels, and the triple buffers of the exchanges. Distances
-// and parents are NOT arena state: commits write the per-search output
-// planes directly (they are write-only during traversal — the visited
-// masks carry all state), so the batch never materializes a
+// batchRankArena is one rank's reusable multi-source scratch, every
+// piece sized to the rank's own block rather than to N: the frontier
+// index double buffer with its mask planes and the visited-mask plane
+// (nloc words each), the send-side dedup window over one owner block
+// (⌈N/p⌉ words, reused by every owner pass of the push), the push's
+// per-frontier-entry adjacency cursors, and the triple buffers of the
+// exchange. The bottom-up frontier plane is not arena state: the pull
+// reads the N-word plane the bitmap collective returns. Distances and
+// parents are not arena state either: commits write the per-search
+// output planes directly (they are write-only during traversal — the
+// visited masks carry all state), so the batch never materializes a
 // vertex-major copy it would have to transpose. Owned by rankArena so
 // scalar and batched runs share the worker team and thread scratch.
 type batchRankArena struct {
 	fsBuf   [2][]int64  // frontier local indices, double buffered
 	maskBuf [2][]uint64 // frontier mask planes, nloc words each
 	visMask []uint64    // visited masks over owned vertices
-	pend    []uint64    // per-level send-dedup masks, N words
-	frontG  []uint64    // global frontier plane, N words
+	pend    []uint64    // send-dedup masks over one owner block, ⌈N/p⌉ words
+	cursor  []int64     // next unscanned adjacency slot per frontier entry
 	send    [][]int64   // per-owner (vertex, mask, parent) triples
-	merged  spvec.MaskVec
 }
 
 // pullMasks is pull over a batch's mask planes: it scans worker th's
@@ -45,6 +47,17 @@ func (ts *threadScratch) pullMasks(in *spmat.PullCSR, front, vis []uint64, activ
 // search per level. Searches retire from the active mask as their
 // frontiers empty (the per-level OR-allreduce), so late levels scan only
 // for the searches still running.
+//
+// Each rank's scratch is O(N/p) words, as in the paper's 1D design:
+// the top-down push runs owner-major. Rows are sorted and owner blocks
+// are contiguous id ranges, so for each owner in turn the push walks
+// the frontier in order and scans each row's run of neighbours inside
+// that owner's block, resuming from a per-entry cursor. Every send
+// buffer thus receives its triples in frontier order, exactly as a
+// row-major scan would emit them, while send dedup needs a window over
+// one owner block only, and no edge pays an owner division. Hybrid
+// workers still scan row-major into their thread-local stacks; the
+// serial merge drains them owner by owner through the same window.
 //
 // Direction optimization follows opt.Direction with aggregate statistics
 // (dirheur.NewBatch): the whole batch switches together.
@@ -83,12 +96,12 @@ func RunBatch(w *cluster.World, g *Graph, sources []int64, opt Options) *levels.
 		visMask := bits.GrownWords(ba.visMask, nloc)
 		ba.maskBuf[0] = bits.GrownWords(ba.maskBuf[0], nloc)
 		ba.maskBuf[1] = bits.GrownWords(ba.maskBuf[1], nloc)
-		pend := bits.GrownWords(ba.pend, pt.N)
-		frontG := bits.GrownWords(ba.frontG, pt.N)
-		ba.visMask, ba.pend, ba.frontG = visMask, pend, frontG
+		pend := bits.GrownWords(ba.pend, (pt.N+int64(p)-1)/int64(p))
+		ba.visMask, ba.pend = visMask, pend
 		// Initialization streams the output planes (zeroed at allocation,
 		// never-visited slots finalized by the rank tail) and mask planes
-		// once.
+		// once. The model prices the dedup and frontier planes of an MPI
+		// rank, N words each.
 		r.ChargeMem(price, 0, 0, 2*nloc*wd+2*nloc+2*pt.N, 0)
 
 		// Seed the batch: bit s of the owner's mask plane, distance 0.
@@ -136,11 +149,14 @@ func RunBatch(w *cluster.World, g *Graph, sources []int64, opt Options) *levels.
 			curBuf = 1 - curBuf
 			ns = ba.fsBuf[curBuf][:0]
 
-			// commitEntry claims the not-yet-visited bits of one
-			// discovery triple; shared by the local shortcut, the
-			// all-to-all integration, and the pull commit. The caller
-			// guarantees m has no visited bits (mask-diffed upstream).
-			commitEntry := func(vl int64, m uint64, pu int64) {
+			// claim commits the not-yet-visited bits of one discovery
+			// triple, first wins; shared by the local shortcut, the
+			// all-to-all integration, and the pull commit.
+			claim := func(vl int64, m uint64, pu int64) {
+				if m &^= visMask[vl]; m == 0 {
+					return
+				}
+				visMask[vl] |= m
 				if nextMask[vl] == 0 {
 					ns = append(ns, vl)
 				}
@@ -164,17 +180,17 @@ func RunBatch(w *cluster.World, g *Graph, sources []int64, opt Options) *levels.
 				// p owned slices exactly like the scalar bitmap — one
 				// collective for all 64 searches, 64x the words of the
 				// one-bit bitmap: the volume trade the performance model
-				// prices.
-				copy(frontG, world.AllgatherBitsBlocks(r,
-					fMask[:nloc], start, pt.N, "bitmap"))
+				// prices. The pull reads the collective's plane in place:
+				// it stays valid until this rank's next world collective,
+				// the level's termination sum after the pull.
+				frontG := world.AllgatherBitsBlocks(r, fMask[:nloc], start, pt.N, "bitmap")
 				r.ChargeMem(price, 0, 0, nloc+2*pt.N, 0)
 
 				// Each worker pulls one chunk (a flat run its one chunk
 				// inline) and the commit runs in chunk order:
 				// deterministic outputs regardless of worker scheduling.
-				// PullMasks emits only unvisited bits, but the visited
-				// plane must be updated here (the kernel reads it
-				// read-only per chunk).
+				// The kernel reads the visited plane read-only; claim
+				// marks the pulled bits visited here.
 				if t > 1 {
 					pool.Do(t, func(th int) { tstate[th].pullMasks(inPull, frontG, visMask, active, th, t, nloc) })
 				} else {
@@ -185,8 +201,7 @@ func RunBatch(w *cluster.World, g *Graph, sources []int64, opt Options) *levels.
 					levScan += ts.adjWords
 					lo, _ := chunkOf(th, t, nloc)
 					for k, rl := range ts.pullMask.Ind {
-						visMask[lo+rl] |= ts.pullMask.Mask[k]
-						commitEntry(lo+rl, ts.pullMask.Mask[k], ts.pullMask.Par[k])
+						claim(lo+rl, ts.pullMask.Mask[k], ts.pullMask.Par[k])
 					}
 				}
 				// Charge the pull: one random frontier-plane probe per
@@ -199,13 +214,13 @@ func RunBatch(w *cluster.World, g *Graph, sources []int64, opt Options) *levels.
 				}
 			} else {
 				// ---- Batched top-down level ----
-				for j := range send {
-					send[j] = send[j][:0]
-				}
 				var adjWords, localHits int64
+				cursor := ba.cursor[:0]
 				if t > 1 {
-					// Hybrid expansion: thread-local triple stacks,
-					// merged serially in thread order so claims see
+					// Hybrid expansion: row-major into thread-local
+					// triple stacks. The serial merge drains the local
+					// candidates here and the send stacks owner by owner
+					// below, each in thread order, so claims see
 					// discoveries in the flat algorithm's frontier order.
 					curFS := fs
 					pool.Do(t, func(th int) {
@@ -243,64 +258,74 @@ func RunBatch(w *cluster.World, g *Graph, sources []int64, opt Options) *levels.
 						adjWords += ts.adjWords
 						localHits += ts.localHits
 						for k := 0; k+2 < len(ts.local); k += 3 {
-							vl, ug := ts.local[k], ts.local[k+2]
-							if add := uint64(ts.local[k+1]) &^ visMask[vl]; add != 0 {
-								visMask[vl] |= add
-								commitEntry(vl, add, ug)
-							}
-						}
-						for o := range ts.send {
-							for k := 0; k+2 < len(ts.send[o]); k += 3 {
-								v, m := ts.send[o][k], uint64(ts.send[o][k+1])
-								if opt.DedupSends {
-									if m &^= pend[v]; m == 0 {
-										continue
-									}
-									pend[v] |= m
-								}
-								send[o] = append(send[o], v, int64(m), ts.send[o][k+2])
-							}
+							claim(ts.local[k], uint64(ts.local[k+1]), ts.local[k+2])
 						}
 					}
 				} else {
 					for _, ul := range fs {
-						ug := start + ul
-						m := fMask[ul]
-						for _, id := range lg.Neighbors(ul) {
-							v := int64(id)
-							adjWords++
-							o := pt.Owner(v)
-							if opt.LocalShortcut && o == me {
-								localHits++
-								vl := v - start
-								if add := m &^ visMask[vl]; add != 0 {
-									visMask[vl] |= add
-									commitEntry(vl, add, ug)
+						cursor = append(cursor, lg.XAdj[ul])
+					}
+					ba.cursor = cursor
+				}
+				// Owner-major push: owner o's triples, in frontier order,
+				// then its dedup window cleared by the triples just sent.
+				var sendWords int64
+				for o := range send {
+					base, end := pt.Start(o), pt.End(o)
+					buf := send[o][:0]
+					if t > 1 {
+						for th := range tstate {
+							q := tstate[th].send[o]
+							for k := 0; k+2 < len(q); k += 3 {
+								v, m := q[k], uint64(q[k+1])
+								if opt.DedupSends {
+									if m &^= pend[v-base]; m == 0 {
+										continue
+									}
+									pend[v-base] |= m
 								}
-								continue
+								buf = append(buf, v, int64(m), q[k+2])
 							}
-							mm := m
-							if opt.DedupSends {
-								if mm &^= pend[v]; mm == 0 {
+						}
+					} else {
+						local := opt.LocalShortcut && o == me
+						for i, ul := range fs {
+							c, stop := cursor[i], lg.XAdj[ul+1]
+							ug := start + ul
+							m := fMask[ul]
+							first := c
+							for ; c < stop; c++ {
+								v := int64(lg.Adj[c])
+								if v >= end {
+									break
+								}
+								if local {
+									claim(v-start, m, ug)
 									continue
 								}
-								pend[v] |= mm
+								mm := m
+								if opt.DedupSends {
+									if mm &^= pend[v-base]; mm == 0 {
+										continue
+									}
+									pend[v-base] |= mm
+								}
+								buf = append(buf, v, int64(mm), ug)
 							}
-							send[o] = append(send[o], v, int64(mm), ug)
+							cursor[i] = c
+							adjWords += c - first
+							if local {
+								localHits += c - first
+							}
 						}
 					}
-				}
-				var sendWords int64
-				for j := range send {
-					sendWords += int64(len(send[j]))
-				}
-				if opt.DedupSends {
-					// Clear only the dedup words this level touched.
-					for j := range send {
-						for k := 0; k+2 < len(send[j]); k += 3 {
-							pend[send[j][k]] = 0
+					if opt.DedupSends {
+						for k := 0; k+2 < len(buf); k += 3 {
+							pend[buf[k]-base] = 0
 						}
 					}
+					send[o] = buf
+					sendWords += int64(len(buf))
 				}
 				if price != nil {
 					par := price.MemCost(int64(len(fs))+localHits, nloc, adjWords+sendWords, adjWords)
@@ -311,18 +336,18 @@ func RunBatch(w *cluster.World, g *Graph, sources []int64, opt Options) *levels.
 				}
 
 				// ---- Triple all-to-all: one exchange for the batch ----
+				// Integration claims the triples as they stand, pieces
+				// in rank order, so the first sender wins each bit. It
+				// is priced as one random visited-mask probe per
+				// received triple, streaming the triples once.
 				recv := world.Alltoallv(r, send, "a2a")
 				var recvWords int64
 				for _, q := range recv {
 					recvWords += int64(len(q))
+					for k := 0; k+2 < len(q); k += 3 {
+						claim(q[k]-start, uint64(q[k+1]), q[k+2])
+					}
 				}
-				spvec.FoldMasks(&ba.merged, recv, start, visMask)
-				mg := &ba.merged
-				for k, vl := range mg.Ind {
-					commitEntry(vl, mg.Mask[k], mg.Par[k])
-				}
-				// Integration: one random visited-mask probe per received
-				// triple, streaming the triples once.
 				r.ChargeMem(price, recvWords/3, nloc, recvWords, 0)
 				levScan = adjWords
 			}

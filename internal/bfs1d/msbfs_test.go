@@ -2,11 +2,13 @@ package bfs1d
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/cluster"
 	"repro/internal/dirheur"
 	"repro/internal/graph"
+	"repro/internal/levels"
 	"repro/internal/netmodel"
 	"repro/internal/rmat"
 	"repro/internal/serial"
@@ -252,4 +254,134 @@ func TestRunBatchArenaReuse(t *testing.T) {
 			}
 		}
 	}
+}
+
+// uint64Words records in out the capacity of every []uint64 reachable
+// from v through struct fields, arrays and slices, keyed by its path.
+func uint64Words(v reflect.Value, path string, out map[string]int) {
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			uint64Words(v.Field(i), path+"."+v.Type().Field(i).Name, out)
+		}
+	case reflect.Array, reflect.Slice:
+		if v.Kind() == reflect.Slice && v.Type().Elem().Kind() == reflect.Uint64 {
+			out[path] = v.Cap()
+			return
+		}
+		for i := 0; i < v.Len(); i++ {
+			uint64Words(v.Index(i), fmt.Sprintf("%s[%d]", path, i), out)
+		}
+	}
+}
+
+// TestRunBatchArenaIsOwnerSized holds RunBatch to the 1D design's
+// per-rank memory bound: after warm 64-wide batches at p = 7 on an N
+// that 7 does not divide, no rank's batch arena holds a mask plane
+// longer than one owner block, ⌈N/p⌉ words. The runs are flat and
+// hybrid under Auto, so both the push and the pull have sized their
+// scratch; their distances are checked against the serial oracle.
+func TestRunBatchArenaIsOwnerSized(t *testing.T) {
+	ref, el := batchTestGraph(t, 8)
+	const p = 7
+	if ref.NumVerts%p == 0 {
+		t.Fatalf("N = %d is a multiple of %d", ref.NumVerts, p)
+	}
+	dg, err := Distribute(el, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srcs := pickBatchSources(ref, 64)
+	block := int((ref.NumVerts + p - 1) / p)
+	for _, threads := range []int{1, 3} {
+		arena := &Arena{}
+		opt := DefaultOptions()
+		opt.Threads = threads
+		opt.Direction = dirheur.ModeAuto
+		opt.Arena = arena
+		var out *levels.BatchOutput
+		for i := 0; i < 2; i++ {
+			out = RunBatch(cluster.NewWorld(p, cluster.ZeroCost{}), dg, srcs, opt)
+		}
+		arena.Close()
+		if out.ScannedTopDown == 0 || out.ScannedBottomUp == 0 {
+			t.Fatalf("threads=%d: scanned %d top-down and %d bottom-up; want both phases",
+				threads, out.ScannedTopDown, out.ScannedBottomUp)
+		}
+		for s, src := range srcs {
+			for v, d := range serial.BFS(ref, src).Dist {
+				if out.Dist[s][v] != d {
+					t.Fatalf("threads=%d search %d: dist[%d] = %d, serial %d", threads, s, v, out.Dist[s][v], d)
+				}
+			}
+		}
+		for me := range arena.ranks {
+			words := map[string]int{}
+			uint64Words(reflect.ValueOf(arena.ranks[me].batch), "batch", words)
+			if len(words) == 0 {
+				t.Fatal("found no []uint64 in the batch arena")
+			}
+			for path, n := range words {
+				if n > block {
+					t.Errorf("threads=%d rank %d: %s holds %d words, above one owner block of %d",
+						threads, me, path, n, block)
+				}
+			}
+		}
+	}
+}
+
+// FuzzRunBatch drives RunBatch over arbitrary small undirected graphs:
+// up to 200 vertices, 1 to 8 ranks, 1 to 64 sources (duplicates
+// included), 1 to 3 threads, the local shortcut and send dedup each on
+// or off, and every direction policy. Every search's distances must
+// equal the serial BFS and its parents must form a valid BFS tree.
+func FuzzRunBatch(f *testing.F) {
+	f.Add([]byte{0, 1, 1, 2, 2, 3, 3, 0, 4, 5}, uint8(9), uint8(3), uint8(2), []byte{0, 4, 0}, uint8(0xff))
+	f.Add([]byte{0, 1, 0, 2, 0, 3, 0, 4, 1, 2, 5, 6}, uint8(6), uint8(7), uint8(63), []byte{1, 5, 7, 1}, uint8(0x5a))
+	f.Add([]byte{}, uint8(0), uint8(0), uint8(0), []byte{}, uint8(0))
+	f.Fuzz(func(t *testing.T, edges []byte, nb, pb, wb uint8, srcb []byte, flags uint8) {
+		n := 1 + int64(nb)%200
+		el := &graph.EdgeList{NumVerts: n}
+		for k := 0; k+1 < len(edges); k += 2 {
+			el.Edges = append(el.Edges, graph.Edge{U: int64(edges[k]) % n, V: int64(edges[k+1]) % n})
+		}
+		el = el.Symmetrize()
+		p := min(1+int(pb)%8, int(n))
+		width := 1 + int(wb)%64
+		srcs := make([]int64, width)
+		for k := range srcs {
+			if len(srcb) > 0 {
+				srcs[k] = int64(srcb[k%len(srcb)]) % n
+			}
+		}
+		opt := Options{
+			Threads:       1 + int(flags&3)%3,
+			LocalShortcut: flags&4 != 0,
+			DedupSends:    flags&8 != 0,
+			Direction:     []dirheur.Mode{dirheur.ModeTopDown, dirheur.ModeAuto, dirheur.ModeBottomUp}[int(flags>>4)%3],
+		}
+		ref, err := graph.BuildCSR(el, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dg, err := Distribute(el, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := RunBatch(cluster.NewWorld(p, cluster.ZeroCost{}), dg, srcs, opt)
+		for s, src := range srcs {
+			sref := serial.BFS(ref, src)
+			for v, d := range sref.Dist {
+				if out.Dist[s][v] != d {
+					t.Fatalf("p=%d %+v search %d (src %d): dist[%d] = %d, serial %d",
+						p, opt, s, src, v, out.Dist[s][v], d)
+				}
+			}
+			res := &serial.Result{Source: src, Dist: out.Dist[s], Parent: out.Parent[s]}
+			if err := serial.Validate(ref, res, sref); err != nil {
+				t.Fatalf("p=%d %+v search %d (src %d): %v", p, opt, s, src, err)
+			}
+		}
+	})
 }

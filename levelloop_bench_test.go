@@ -278,6 +278,7 @@ func TestBatchLevelLoopAllocationFree(t *testing.T) {
 		bench func(*testing.B)
 	}{
 		{"1d-flat", func(b *testing.B) { benchLevelLoopBatch1D(b, 12, 16, 1, width) }},
+		{"1d-hybrid", func(b *testing.B) { benchLevelLoopBatch1D(b, 12, 16, 4, width) }},
 		{"2d-flat", func(b *testing.B) { benchLevelLoopBatch2D(b, 12, 16, 1, width) }},
 	} {
 		res := testing.Benchmark(tc.bench)

@@ -137,7 +137,7 @@ echo "== race smoke (batching query server) =="
 go test -race ./internal/serve
 go test -race -count=20 -run 'BatchPanic|IdleServerDispatchesAtOnce|BacklogMergesIntoOneBatch|DeadlineShedAtAcquisition' ./internal/serve
 
-echo "== fuzz smoke (/v1/query encoder and decoder, CSR build, column join, top-down products, uint32 pull, vertex ownership, layout and graph-spec parsers) =="
+echo "== fuzz smoke (/v1/query encoder and decoder, CSR build, column join, top-down products, uint32 pull, vertex ownership, 1D batch driver, layout and graph-spec parsers) =="
 # The 200 body must stay byte-identical to encoding/json's, and no
 # request body may panic the handler or draw a non-JSON reply. Every
 # CSR built from an edge list, with or without dedup, must hold each
@@ -149,11 +149,15 @@ echo "== fuzz smoke (/v1/query encoder and decoder, CSR build, column join, top-
 # merge-join product and its work. The pull over uint32 block-local ids
 # must match an int64 CSC product, so no narrowing truncates an id. The
 # closed-form owner lookups of the 1D and 2D partitions must land every
-# vertex of any valid partition inside the block they name. Every
-# layout the facade accepts must have ranks and threads, a 2D grid that
-# factors the rank count exactly (no wrapped product), and resolve again
-# from its own canonical spelling; every accepted bfsserve -extra-graph
-# spec must have a trimmed non-empty id and re-render to itself.
+# vertex of any valid partition inside the block they name. The 1D
+# batch driver, over any small graph, rank count, source multiset,
+# thread width, work-efficiency switch and direction, must return the
+# serial distances and valid parent trees from its owner-major push
+# and owner-sized dedup window. Every layout the facade accepts must
+# have ranks and threads, a 2D grid that factors the rank count exactly
+# (no wrapped product), and resolve again from its own canonical
+# spelling; every accepted bfsserve -extra-graph spec must have a
+# trimmed non-empty id and re-render to itself.
 go test -run '^$' -fuzz '^FuzzWriteQuery$' -fuzztime 10s ./internal/serve
 go test -run '^$' -fuzz '^FuzzQueryRequest$' -fuzztime 10s ./internal/serve
 go test -run '^$' -fuzz '^FuzzBuildCSR$' -fuzztime 10s ./internal/graph
@@ -161,6 +165,7 @@ go test -run '^$' -fuzz '^FuzzSelectColumns$' -fuzztime 10s ./internal/spmat
 go test -run '^$' -fuzz '^FuzzSpMSV$' -fuzztime 10s ./internal/spmat
 go test -run '^$' -fuzz '^FuzzPullView$' -fuzztime 10s ./internal/spmat
 go test -run '^$' -fuzz '^FuzzPart1DOwner$' -fuzztime 10s ./internal/bfs1d
+go test -run '^$' -fuzz '^FuzzRunBatch$' -fuzztime 10s ./internal/bfs1d
 go test -run '^$' -fuzz '^FuzzPart2DOwners$' -fuzztime 10s ./internal/bfs2d
 go test -run '^$' -fuzz '^FuzzResolveLayout$' -fuzztime 10s .
 go test -run '^$' -fuzz '^FuzzParseGraphSpec$' -fuzztime 10s ./cmd/bfsserve
