@@ -27,12 +27,15 @@ func planesFingerprint(res *BatchResult) string {
 	return fmt.Sprintf("dist=%016x parent=%016x", dist.Sum64(), parent.Sum64())
 }
 
-// TestBatchPlanesGolden pins the output planes of 1D batches bit for
-// bit. Distances are fixed by BFS itself, but a batch's parents depend
-// on the order discoveries are claimed in (first-wins per search), so
-// this golden is what notices a reordered push, exchange or fold that
-// still yields valid trees. Each batch repeats its first source at the
-// end, so two searches share every frontier.
+// TestBatchPlanesGolden pins the output planes of 1D and 2D batches bit
+// for bit. Distances are fixed by BFS itself, but a batch's parents
+// depend on the order discoveries are claimed in (first-wins per
+// search), so this golden is what notices a reordered push, exchange or
+// fold that still yields valid trees. Each batch repeats its first
+// source at the end, so two searches share every frontier. The 2D rows
+// run a rectangular (8 ranks) and a square (16 ranks) grid; their fold
+// claims first-wins in row-rank order, which picks the lowest-id
+// parent, so they match the 1D Auto rows.
 func TestBatchPlanesGolden(t *testing.T) {
 	g, err := NewRMATGraph(12, 16, 5)
 	if err != nil {
@@ -77,6 +80,38 @@ func TestBatchPlanesGolden(t *testing.T) {
 		{OneDHybrid, Auto, 64, 7,
 			"dist=e6652d9617c540c5 parent=75a5b062701da49c"},
 		{OneDHybrid, Auto, 64, 16,
+			"dist=e6652d9617c540c5 parent=75a5b062701da49c"},
+		{TwoDFlat, TopDownOnly, 3, 8,
+			"dist=0d45a2d6de470757 parent=787640d2f56669a3"},
+		{TwoDFlat, TopDownOnly, 3, 16,
+			"dist=0d45a2d6de470757 parent=787640d2f56669a3"},
+		{TwoDFlat, TopDownOnly, 64, 8,
+			"dist=e6652d9617c540c5 parent=75a5b062701da49c"},
+		{TwoDFlat, TopDownOnly, 64, 16,
+			"dist=e6652d9617c540c5 parent=75a5b062701da49c"},
+		{TwoDFlat, Auto, 3, 8,
+			"dist=0d45a2d6de470757 parent=787640d2f56669a3"},
+		{TwoDFlat, Auto, 3, 16,
+			"dist=0d45a2d6de470757 parent=787640d2f56669a3"},
+		{TwoDFlat, Auto, 64, 8,
+			"dist=e6652d9617c540c5 parent=75a5b062701da49c"},
+		{TwoDFlat, Auto, 64, 16,
+			"dist=e6652d9617c540c5 parent=75a5b062701da49c"},
+		{TwoDHybrid, TopDownOnly, 3, 8,
+			"dist=0d45a2d6de470757 parent=787640d2f56669a3"},
+		{TwoDHybrid, TopDownOnly, 3, 16,
+			"dist=0d45a2d6de470757 parent=787640d2f56669a3"},
+		{TwoDHybrid, TopDownOnly, 64, 8,
+			"dist=e6652d9617c540c5 parent=75a5b062701da49c"},
+		{TwoDHybrid, TopDownOnly, 64, 16,
+			"dist=e6652d9617c540c5 parent=75a5b062701da49c"},
+		{TwoDHybrid, Auto, 3, 8,
+			"dist=0d45a2d6de470757 parent=787640d2f56669a3"},
+		{TwoDHybrid, Auto, 3, 16,
+			"dist=0d45a2d6de470757 parent=787640d2f56669a3"},
+		{TwoDHybrid, Auto, 64, 8,
+			"dist=e6652d9617c540c5 parent=75a5b062701da49c"},
+		{TwoDHybrid, Auto, 64, 16,
 			"dist=e6652d9617c540c5 parent=75a5b062701da49c"},
 	}
 	sess := NewSession()
