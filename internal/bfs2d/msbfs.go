@@ -18,7 +18,7 @@ import (
 // the new-discovery mask plane over the owned range, the three N-word
 // mask planes of the partitioned bottom-up exchange (word index =
 // vertex index, so deposits are exact and the OR merge never sees
-// overlap), and the mask vectors of the expand, product and fold; the
+// overlap), and the mask vectors of the expand and product; the
 // transpose and fold send buffers are the rank's, shared with Run.
 // Distances and parents are not arena state: the fold's first-visit
 // commits write the per-search output planes directly (write-only
@@ -31,7 +31,7 @@ type batchRankArena struct {
 	vis      []uint64 // N words; owned slice always maintained,
 	// row-block slice maintained while bottom-up
 	front, rowFront, chunk []uint64 // N-word planes of the bitmap exchange
-	localF, spOut, merged  spvec.MaskVec
+	localF, spOut          spvec.MaskVec
 	maskRowScratch         spmat.MaskRowScratch
 	maskPullScratch        spmat.MaskPullScratch
 }
@@ -124,7 +124,7 @@ func run2DVectorBatch(w *cluster.World, grid *cluster.Grid, g *Graph, sources []
 		ba.ns = ns[:0]
 		curBuf := 0
 
-		localF, spOut, merged := &ba.localF, &ba.spOut, &ba.merged
+		localF, spOut := &ba.localF, &ba.spOut
 
 		dirm := dirheur.NewBatch(opt.Direction, pt.N, run.totalAdj, width)
 		// The partitioned mask-plane exchange holds one word per vertex,
@@ -222,31 +222,42 @@ func run2DVectorBatch(w *cluster.World, grid *cluster.Grid, g *Graph, sources []
 			for _, part := range recv {
 				recvWords += int64(len(part))
 			}
-			spvec.FoldMasks(merged, recv, vLo, vis[vLo:vHi])
 			if price != nil {
 				r.Charge(price.MemCost(int64(spOut.NNZ()), nOwn, sendWords+2*recvWords, recvWords) / float64(t))
 			}
 
-			// ---- Commit and build the next frontier ----
+			// ---- Claim, commit and build the next frontier ----
+			// Each received triple claims its not-yet-visited bits first
+			// wins, pieces in row-rank order, and commits them at once:
+			// no staging vector sits between the fold and the commit.
 			curBuf = 1 - curBuf
 			nextF := &ba.frontBuf[curBuf]
 			ns := ba.ns[:0]
-			for k, vl := range merged.Ind {
-				m := merged.Mask[k]
-				if newOwn[vl] == 0 {
-					ns = append(ns, vl)
+			var claims int64
+			for _, part := range recv {
+				for k := 0; k+2 < len(part); k += 3 {
+					gv := part[k]
+					m := uint64(part[k+1]) &^ vis[gv]
+					if m == 0 {
+						continue
+					}
+					vis[gv] |= m
+					claims++
+					vl := gv - vLo
+					if newOwn[vl] == 0 {
+						ns = append(ns, vl)
+					}
+					newOwn[vl] |= m
+					for rem := m; rem != 0; rem &= rem - 1 {
+						s := mbits.TrailingZeros64(rem)
+						distPlanes[s][gv] = level
+						parentPlanes[s][gv] = part[k+2]
+					}
+					pc := int64(mbits.OnesCount64(m))
+					newCountLocal += pc
+					newOrLocal |= m
+					mfLocal += g.ColDegree[gv] * pc
 				}
-				newOwn[vl] |= m
-				gv := vLo + vl
-				for rem := m; rem != 0; rem &= rem - 1 {
-					s := mbits.TrailingZeros64(rem)
-					distPlanes[s][gv] = level
-					parentPlanes[s][gv] = merged.Par[k]
-				}
-				pc := int64(mbits.OnesCount64(m))
-				newCountLocal += pc
-				newOrLocal |= m
-				mfLocal += g.ColDegree[vLo+vl] * pc
 			}
 			// Sort the discovery list so the next frontier (and its
 			// transpose pieces) stay ascending for the expand merge-join.
@@ -260,7 +271,7 @@ func run2DVectorBatch(w *cluster.World, grid *cluster.Grid, g *Graph, sources []
 			}
 			ba.ns = ns[:0]
 			frontier = nextF
-			r.ChargeMem(price, int64(merged.NNZ()), nOwn, int64(merged.NNZ()),
+			r.ChargeMem(price, claims, nOwn, claims,
 				int64(len(ns))*int64(mbits.Len64(uint64(len(ns)))))
 
 			// ---- Termination, direction and retirement ----

@@ -34,33 +34,3 @@ func (v *MaskVec) Append(ind int64, mask uint64, par int64) {
 	v.Mask = append(v.Mask, mask)
 	v.Par = append(v.Par, par)
 }
-
-// FoldMasks merges triple-encoded pieces ([i0,m0,p0, i1,m1,p1, ...],
-// masks bit-cast through int64) into dst, subtracting sub from every
-// index and claiming first visits against vis — a mask plane indexed by
-// the subtracted index (vis[i-sub] has bit k set when search k already
-// visited i). For each triple the surviving bits are m &^ vis[i-sub];
-// non-empty survivors are marked visited and appended to dst as
-// (i-sub, survivors, p). This is the batched analog of FoldMerge: the
-// per-bit first-wins rule replaces the (select,max) collapse, and
-// because first-wins needs no cross-piece ordering the pieces are
-// consumed in order with no cursor heap at all — piece order (group
-// rank order from the collective) fixes the winner deterministically.
-//
-// A trailing partial triple in a piece is ignored, matching the
-// defensive pairwise scans elsewhere in the BFS.
-func FoldMasks(dst *MaskVec, pieces [][]int64, sub int64, vis []uint64) *MaskVec {
-	dst.Reset()
-	for _, p := range pieces {
-		for k := 0; k+2 < len(p); k += 3 {
-			i := p[k] - sub
-			m := uint64(p[k+1]) &^ vis[i]
-			if m == 0 {
-				continue
-			}
-			vis[i] |= m
-			dst.Append(i, m, p[k+2])
-		}
-	}
-	return dst
-}
