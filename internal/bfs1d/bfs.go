@@ -88,19 +88,23 @@ type rankArena struct {
 	batch  batchRankArena // multi-source (RunBatch) planes and buffers
 }
 
-// workers returns the rank's worker team and its t thread scratches
-// with send stacks for p owners. The team is nil at t = 1, where the
-// single chunk runs inline; a wider team is recycled while the width
-// matches.
+// workers returns the rank's worker team and its t thread scratches.
+// At t = 1 the team is nil, the single chunk runs inline, and the one
+// scratch holds no send stacks: the flat push writes the rank's own
+// send table. A wider team is recycled while the width matches, and
+// each of its scratches holds send stacks for p owners.
 func (ar *rankArena) workers(t, p int) (*smp.Pool, []threadScratch) {
+	if t == 1 {
+		if len(ar.tstate) != 1 || ar.tstate[0].send != nil {
+			ar.tstate = make([]threadScratch, 1)
+		}
+		return nil, ar.tstate
+	}
 	if len(ar.tstate) != t || len(ar.tstate[0].send) != p {
 		ar.tstate = make([]threadScratch, t)
 		for th := range ar.tstate {
 			ar.tstate[th].send = make([][]int64, p)
 		}
-	}
-	if t == 1 {
-		return nil, ar.tstate
 	}
 	ar.pool = smp.Team(ar.pool, t)
 	return ar.pool, ar.tstate

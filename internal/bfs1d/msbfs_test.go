@@ -280,7 +280,9 @@ func uint64Words(v reflect.Value, path string, out map[string]int) {
 // that 7 does not divide, no rank's batch arena holds a mask plane
 // longer than one owner block, ⌈N/p⌉ words. The runs are flat and
 // hybrid under Auto, so both the push and the pull have sized their
-// scratch; their distances are checked against the serial oracle.
+// scratch; their distances are checked against the serial oracle. The
+// flat arena, after a Run and after the batches, holds one thread
+// scratch with no per-owner send stacks.
 func TestRunBatchArenaIsOwnerSized(t *testing.T) {
 	ref, el := batchTestGraph(t, 8)
 	const p = 7
@@ -299,10 +301,26 @@ func TestRunBatchArenaIsOwnerSized(t *testing.T) {
 		opt.Threads = threads
 		opt.Direction = dirheur.ModeAuto
 		opt.Arena = arena
+		// A flat rank pushes into its own send table, so its one thread
+		// scratch holds no per-owner stacks after either driver.
+		flatStacks := func(after string) {
+			if threads != 1 {
+				return
+			}
+			for me := range arena.ranks {
+				if ts := arena.ranks[me].tstate; len(ts) != 1 || ts[0].send != nil {
+					t.Errorf("after %s: flat rank %d holds %d thread scratches; want one with no send stacks",
+						after, me, len(ts))
+				}
+			}
+		}
+		Run(cluster.NewWorld(p, cluster.ZeroCost{}), dg, srcs[0], opt)
+		flatStacks("Run")
 		var out *levels.BatchOutput
 		for i := 0; i < 2; i++ {
 			out = RunBatch(cluster.NewWorld(p, cluster.ZeroCost{}), dg, srcs, opt)
 		}
+		flatStacks("RunBatch")
 		arena.Close()
 		if out.ScannedTopDown == 0 || out.ScannedBottomUp == 0 {
 			t.Fatalf("threads=%d: scanned %d top-down and %d bottom-up; want both phases",
