@@ -27,37 +27,14 @@ import (
 // package's _test.go files), and serve.Harness. To add an entry, key it
 // as the gate prints it and give the reason in one line.
 var unreachedAllowlist = map[string]string{
-	"repro/internal/bfs1d.DefaultOptions":       "only tests call it",
-	"repro/internal/bfs2d.DefaultOptions":       "only tests call it",
-	"repro/internal/bfs2d.Part2D.SubColStart":   "only tests call it",
-	"repro/internal/cluster.Group.Member":       "only tests call it",
-	"repro/internal/cluster.Group.Size":         "only tests call it",
-	"repro/internal/cluster.NopPricer":          "only tests call it",
-	"repro/internal/cluster.Rank.Clock":         "only tests call it",
-	"repro/internal/graph.CSR.Stats":            "only tests call it",
-	"repro/internal/graph500.UndirectedEdges":   "only tests call it",
-	"repro/internal/prng.Xoshiro256.Shuffle":    "only tests call it",
-	"repro/internal/serial.BFSQueue":            "only tests call it",
-	"repro/internal/serial.Result.ReachedCount": "only tests call it",
-	"repro/internal/serve.Response.Reject":      "only tests call it",
-	"repro/internal/spmat.CSC.NNZ":              "only tests call it",
-	"repro/internal/spmat.CSC.SpMSV":            "only tests call it",
-	"repro/internal/spmat.CSC.StorageBytes":     "only tests call it",
-	"repro/internal/spmat.DCSC.NZC":             "only tests call it",
-	"repro/internal/spmat.DCSC.StorageBytes":    "only tests call it",
-	"repro/internal/spmat.NewCSC":               "only tests call it",
-	"repro/internal/spmat.PullCSR.NNZ":          "only tests call it",
-	"repro/internal/spvec.SPA.NNZ":              "only tests call it",
-	"repro/internal/spvec.SPA.Reset":            "only tests call it",
-	"repro/internal/spvec.Vec.Clone":            "only tests call it",
-	"repro/internal/spvec.Vec.IsSorted":         "only tests call it",
-	"repro/internal/webgen.Params.Root":         "only tests call it",
-	"repro/internal/spmat.NewRowSplit":          "test oracle: bfs2d tests build row-split blocks to compare kernels",
-	"repro/internal/serve.NewHarness":           "fake-clock serving harness; kept until the harness runs the real dispatch path",
-	"repro/internal/serve.Harness.Submit":       "fake-clock serving harness; kept until the harness runs the real dispatch path",
-	"repro/internal/serve.Harness.Pump":         "fake-clock serving harness; kept until the harness runs the real dispatch path",
-	"repro/internal/serve.Harness.Flush":        "fake-clock serving harness; kept until the harness runs the real dispatch path",
-	"repro/internal/serve.Harness.Close":        "fake-clock serving harness; kept until the harness runs the real dispatch path",
+	"repro/internal/spmat.NewRowSplit":    "test oracle: bfs2d's reference 2D distribution and spmat's kernel tests build blocks from triples with it",
+	"repro/internal/spvec.SPA.Scatter":    "test oracle: the per-index reference for ScatterRows in spvec, and the CSC product spmat's kernels are checked against",
+	"repro/internal/prng.Xoshiro256.Intn": "test input source: tests in a dozen packages draw their seeded random inputs with it",
+	"repro/internal/serve.NewHarness":     "fake-clock serving harness; kept until the harness runs the real dispatch path",
+	"repro/internal/serve.Harness.Submit": "fake-clock serving harness; kept until the harness runs the real dispatch path",
+	"repro/internal/serve.Harness.Pump":   "fake-clock serving harness; kept until the harness runs the real dispatch path",
+	"repro/internal/serve.Harness.Flush":  "fake-clock serving harness; kept until the harness runs the real dispatch path",
+	"repro/internal/serve.Harness.Close":  "fake-clock serving harness; kept until the harness runs the real dispatch path",
 }
 
 // TestNoUnreachedExports is the dead-code gate: every exported function,

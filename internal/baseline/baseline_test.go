@@ -77,7 +77,7 @@ func TestReferenceSlowerThanTuned(t *testing.T) {
 		t.Fatal(err)
 	}
 	tuned := simTime(p, m, func(w *cluster.World) {
-		opt := bfs1d.DefaultOptions()
+		opt := bfs1d.Options{Threads: 1, LocalShortcut: true, DedupSends: true}
 		opt.Price = m
 		bfs1d.Run(w, dg, src, opt)
 	})

@@ -119,11 +119,6 @@ func (a *Arena) Close() {
 	}
 }
 
-// DefaultOptions returns the paper's tuned flat configuration.
-func DefaultOptions() Options {
-	return Options{Threads: 1, LocalShortcut: true, DedupSends: true}
-}
-
 // threadScratch is one worker's thread-local buffers: per-owner send
 // stacks and local-discovery candidates for the hybrid push phase, the
 // pull kernel's candidate vector for the bottom-up phase, plus the

@@ -69,6 +69,11 @@ func goodSource(t *testing.T, el *graph.EdgeList) int64 {
 	return best
 }
 
+// defaultOptions is the paper's tuned flat configuration.
+func defaultOptions() Options {
+	return Options{Threads: 1, LocalShortcut: true, DedupSends: true}
+}
+
 // runAndValidate runs the distributed BFS and checks it against the
 // serial oracle.
 func runAndValidate(t *testing.T, el *graph.EdgeList, p int, source int64, opt Options) *levels.Output {
@@ -135,7 +140,7 @@ func TestBFS1DLineGraphDepth(t *testing.T) {
 		el.Edges = append(el.Edges, graph.Edge{U: i, V: i + 1})
 	}
 	sym := el.Symmetrize()
-	out := runAndValidate(t, sym, 4, 0, DefaultOptions())
+	out := runAndValidate(t, sym, 4, 0, defaultOptions())
 	if out.Levels != n-1 {
 		t.Errorf("Levels = %d, want %d", out.Levels, n-1)
 	}
@@ -146,7 +151,7 @@ func TestBFS1DLineGraphDepth(t *testing.T) {
 
 func TestBFS1DIsolatedSource(t *testing.T) {
 	el := &graph.EdgeList{NumVerts: 10, Edges: []graph.Edge{{U: 1, V: 2}}}
-	out := runAndValidate(t, el.Symmetrize(), 3, 9, DefaultOptions())
+	out := runAndValidate(t, el.Symmetrize(), 3, 9, defaultOptions())
 	if out.Dist[9] != 0 {
 		t.Errorf("source distance = %d", out.Dist[9])
 	}
@@ -169,7 +174,7 @@ func TestBFS1DChargesTime(t *testing.T) {
 	}
 	m := netmodel.Franklin()
 	w := cluster.NewWorld(4, m)
-	opt := DefaultOptions()
+	opt := defaultOptions()
 	opt.Price = m
 	Run(w, dg, goodSource(t, el), opt)
 	st := w.Stats()
@@ -248,7 +253,7 @@ func TestBFS1DPropertyRandom(t *testing.T) {
 			return false
 		}
 		w := cluster.NewWorld(p, cluster.ZeroCost{})
-		opt := DefaultOptions()
+		opt := defaultOptions()
 		opt.Threads = rng.Intn(3) + 1
 		out := Run(w, dg, source, opt)
 		sref := serial.BFS(ref, source)

@@ -26,7 +26,7 @@ func runDir(t *testing.T, el *graph.EdgeList, p int, source int64, threads int, 
 		t.Fatal(err)
 	}
 	w := cluster.NewWorld(p, cluster.ZeroCost{})
-	opt := DefaultOptions()
+	opt := defaultOptions()
 	opt.Threads = threads
 	opt.Direction = mode
 	out := Run(w, dg, source, opt)
@@ -114,7 +114,7 @@ func TestSymmetricAliasMatchesTranspose(t *testing.T) {
 		}
 		dg.Symmetric = symmetric
 		w := cluster.NewWorld(4, cluster.ZeroCost{})
-		opt := DefaultOptions()
+		opt := defaultOptions()
 		opt.Direction = dirheur.ModeBottomUp
 		return Run(w, dg, src, opt)
 	}
@@ -141,7 +141,7 @@ func TestDirectionTraceProfiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := cluster.NewWorld(4, cluster.ZeroCost{})
-	opt := DefaultOptions()
+	opt := defaultOptions()
 	opt.Direction = dirheur.ModeAuto
 	opt.Trace = true
 	out := Run(w, dg, src, opt)
@@ -223,7 +223,7 @@ func TestDirectionPropertyRandom(t *testing.T) {
 		sref := serial.BFS(ref, source)
 		for _, mode := range []dirheur.Mode{dirheur.ModeAuto, dirheur.ModeBottomUp} {
 			w := cluster.NewWorld(p, cluster.ZeroCost{})
-			opt := DefaultOptions()
+			opt := defaultOptions()
 			opt.Threads = rng.Intn(3) + 1
 			opt.Direction = mode
 			out := Run(w, dg, source, opt)

@@ -15,7 +15,7 @@ func TestSingleRankWorld(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := runAndValidate(t, el, 1, goodSource(t, el), DefaultOptions())
+	out := runAndValidate(t, el, 1, goodSource(t, el), defaultOptions())
 	if out.TraversedEdges == 0 {
 		t.Fatal("no work done on single rank")
 	}
@@ -37,7 +37,7 @@ func TestTraceMatchesDistances(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := cluster.NewWorld(5, cluster.ZeroCost{})
-	opt := DefaultOptions()
+	opt := defaultOptions()
 	opt.Trace = true
 	out := Run(w, dg, src, opt)
 

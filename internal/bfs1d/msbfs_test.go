@@ -74,7 +74,7 @@ func TestRunBatchMatchesSequential(t *testing.T) {
 			for _, threads := range []int{1, 3} {
 				for _, width := range []int{1, 3, 17, 64} {
 					srcs := pickBatchSources(ref, width)
-					opt := DefaultOptions()
+					opt := defaultOptions()
 					opt.Threads = threads
 					opt.Direction = mode
 					arena := &Arena{}
@@ -130,7 +130,7 @@ func TestRunBatchSharedScanAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	srcs := pickBatchSources(ref, 32)
-	opt := DefaultOptions()
+	opt := defaultOptions()
 	opt.Direction = dirheur.ModeAuto
 	w := cluster.NewWorld(4, cluster.ZeroCost{})
 	out := RunBatch(w, dg, srcs, opt)
@@ -180,7 +180,7 @@ func TestRunBatchAmortizesSimTime(t *testing.T) {
 	}
 	srcs := pickBatchSources(ref, 64)
 	m := netmodel.Franklin()
-	opt := DefaultOptions()
+	opt := defaultOptions()
 	opt.Direction = dirheur.ModeAuto
 	opt.Price = m
 
@@ -228,7 +228,7 @@ func TestRunBatchArenaReuse(t *testing.T) {
 			}
 		}
 	}
-	opt := DefaultOptions()
+	opt := defaultOptions()
 	opt.Direction = dirheur.ModeAuto
 	opt.Arena = arena
 	srcs := pickBatchSources(ref, 17)
@@ -297,7 +297,7 @@ func TestRunBatchArenaIsOwnerSized(t *testing.T) {
 	block := int((ref.NumVerts + p - 1) / p)
 	for _, threads := range []int{1, 3} {
 		arena := &Arena{}
-		opt := DefaultOptions()
+		opt := defaultOptions()
 		opt.Threads = threads
 		opt.Direction = dirheur.ModeAuto
 		opt.Arena = arena

@@ -40,7 +40,7 @@ func benchAblation(b *testing.B, kernel spmat.Kernel, vector VectorDist) {
 	grid := cluster.NewGrid(w, pr, pr)
 	var arena Arena
 	defer arena.Close()
-	opt := DefaultOptions()
+	opt := defaultOptions()
 	opt.Kernel, opt.Vector, opt.Arena = kernel, vector, &arena
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

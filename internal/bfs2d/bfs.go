@@ -108,11 +108,6 @@ func (a *Arena) Close() {
 	}
 }
 
-// DefaultOptions returns the paper's tuned flat 2D configuration.
-func DefaultOptions() Options {
-	return Options{Threads: 1, Kernel: spmat.KernelAuto, Vector: Dist2D}
-}
-
 // Run executes a BFS from source on a grid of pr*pc ranks. The grid must
 // match the distribution of g; any rectangular pr×pc layout is accepted
 // (square grids use the paper's pairwise transpose, rectangular ones an

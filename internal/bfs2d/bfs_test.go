@@ -53,6 +53,11 @@ func goodSource(t *testing.T, el *graph.EdgeList) int64 {
 	return best
 }
 
+// defaultOptions is the paper's tuned flat 2D configuration.
+func defaultOptions() Options {
+	return Options{Threads: 1, Kernel: spmat.KernelAuto, Vector: Dist2D}
+}
+
 // runAndValidate runs the 2D BFS on a square grid and validates against
 // the serial oracle.
 func runAndValidate(t *testing.T, el *graph.EdgeList, pr int, source int64, opt Options) *levels.Output {
@@ -100,7 +105,7 @@ func TestBFS2DMatchesSerial(t *testing.T) {
 	src := goodSource(t, el)
 	for _, pr := range []int{1, 2, 4} {
 		for _, threads := range []int{1, 4} {
-			opt := DefaultOptions()
+			opt := defaultOptions()
 			opt.Threads = threads
 			out := runAndValidate(t, el, pr, src, opt)
 			if out.TraversedEdges == 0 {
@@ -118,7 +123,7 @@ func TestBFS2DKernels(t *testing.T) {
 	}
 	src := goodSource(t, el)
 	for _, kernel := range []spmat.Kernel{spmat.KernelSPA, spmat.KernelHeap, spmat.KernelAuto} {
-		opt := DefaultOptions()
+		opt := defaultOptions()
 		opt.Kernel = kernel
 		runAndValidate(t, el, 3, src, opt)
 	}
@@ -130,7 +135,7 @@ func TestBFS2DDiagonalDistribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := DefaultOptions()
+	opt := defaultOptions()
 	opt.Vector = DistDiag
 	runAndValidate(t, el, 4, goodSource(t, el), opt)
 }
@@ -141,7 +146,7 @@ func TestBFS2DLineGraphDepth(t *testing.T) {
 	for i := int64(0); i < n-1; i++ {
 		el.Edges = append(el.Edges, graph.Edge{U: i, V: i + 1})
 	}
-	out := runAndValidate(t, el.Symmetrize(), 3, 0, DefaultOptions())
+	out := runAndValidate(t, el.Symmetrize(), 3, 0, defaultOptions())
 	if out.Levels != n-1 {
 		t.Errorf("Levels = %d, want %d", out.Levels, n-1)
 	}
@@ -149,7 +154,7 @@ func TestBFS2DLineGraphDepth(t *testing.T) {
 
 func TestBFS2DDisconnected(t *testing.T) {
 	el := &graph.EdgeList{NumVerts: 20, Edges: []graph.Edge{{U: 0, V: 1}, {U: 5, V: 6}}}
-	out := runAndValidate(t, el.Symmetrize(), 2, 0, DefaultOptions())
+	out := runAndValidate(t, el.Symmetrize(), 2, 0, defaultOptions())
 	if out.Dist[1] != 1 || out.Dist[5] != serial.Unreached {
 		t.Errorf("dist = %v", out.Dist[:8])
 	}
@@ -172,7 +177,7 @@ func TestDiagImbalanceVisible(t *testing.T) {
 	}
 	w := cluster.NewWorld(pr*pr, m)
 	grid := cluster.NewGrid(w, pr, pr)
-	opt := DefaultOptions()
+	opt := defaultOptions()
 	opt.Vector = DistDiag
 	opt.Price = m
 	if _, err := Run(w, grid, dg, goodSource(t, el), opt); err != nil {
@@ -207,7 +212,7 @@ func TestBFS2DChargesPhases(t *testing.T) {
 	}
 	w := cluster.NewWorld(9, m)
 	grid := cluster.NewGrid(w, 3, 3)
-	opt := DefaultOptions()
+	opt := defaultOptions()
 	opt.Price = m
 	if _, err := Run(w, grid, dg, goodSource(t, el), opt); err != nil {
 		t.Fatal(err)
@@ -238,7 +243,7 @@ func TestBFS2DPropertyRandom(t *testing.T) {
 		}
 		pr := rng.Intn(3) + 1
 		source := rng.Int64n(n)
-		opt := DefaultOptions()
+		opt := defaultOptions()
 		opt.Threads = rng.Intn(3) + 1
 		opt.Kernel = spmat.Kernel(rng.Intn(3))
 		if rng.Intn(3) == 0 {

@@ -27,7 +27,7 @@ func runDir2D(t *testing.T, el *graph.EdgeList, pr, threads int, source int64, m
 	}
 	w := cluster.NewWorld(pr*pr, cluster.ZeroCost{})
 	grid := cluster.NewGrid(w, pr, pr)
-	opt := DefaultOptions()
+	opt := defaultOptions()
 	opt.Threads = threads
 	opt.Direction = mode
 	out, err := Run(w, grid, dg, source, opt)
@@ -123,7 +123,7 @@ func TestDirection2DDirected(t *testing.T) {
 		}
 		w := cluster.NewWorld(4, cluster.ZeroCost{})
 		grid := cluster.NewGrid(w, 2, 2)
-		opt := DefaultOptions()
+		opt := defaultOptions()
 		opt.Direction = mode
 		out, err := Run(w, grid, dg, src, opt)
 		if err != nil {
@@ -148,7 +148,7 @@ func TestDirectionDiagRejectsBottomUp(t *testing.T) {
 	}
 	w := cluster.NewWorld(4, cluster.ZeroCost{})
 	grid := cluster.NewGrid(w, 2, 2)
-	opt := DefaultOptions()
+	opt := defaultOptions()
 	opt.Vector = DistDiag
 	opt.Direction = dirheur.ModeAuto
 	if _, err := Run(w, grid, dg, 0, opt); err == nil {
@@ -181,7 +181,7 @@ func TestDirection2DPropertyRandom(t *testing.T) {
 		for _, mode := range []dirheur.Mode{dirheur.ModeAuto, dirheur.ModeBottomUp} {
 			w := cluster.NewWorld(pr*pr, cluster.ZeroCost{})
 			grid := cluster.NewGrid(w, pr, pr)
-			opt := DefaultOptions()
+			opt := defaultOptions()
 			opt.Threads = rng.Intn(3) + 1
 			opt.Direction = mode
 			dg2 := dg

@@ -18,7 +18,7 @@ func TestSingleRankGrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := runAndValidate(t, el, 1, goodSource(t, el), DefaultOptions())
+	out := runAndValidate(t, el, 1, goodSource(t, el), defaultOptions())
 	if out.TraversedEdges == 0 {
 		t.Fatal("no work done on single-rank grid")
 	}
@@ -41,7 +41,7 @@ func TestTraceMatchesDistances(t *testing.T) {
 	}
 	w := cluster.NewWorld(4, cluster.ZeroCost{})
 	grid := cluster.NewGrid(w, 2, 2)
-	opt := DefaultOptions()
+	opt := defaultOptions()
 	opt.Trace = true
 	out, err := Run(w, grid, dg, src, opt)
 	if err != nil {
@@ -74,7 +74,7 @@ func TestHighDiameterCrawl2D(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := runAndValidate(t, el, 2, p.Root(), DefaultOptions())
+	out := runAndValidate(t, el, 2, 0, defaultOptions()) // vertex 0 opens layer 0
 	if out.Levels != int64(p.Depth-1) {
 		t.Errorf("crawl traversed in %d levels, want %d", out.Levels, p.Depth-1)
 	}

@@ -66,7 +66,7 @@ func TestRunBatch2DMatchesSequential(t *testing.T) {
 			for _, mode := range []dirheur.Mode{dirheur.ModeTopDown, dirheur.ModeAuto, dirheur.ModeBottomUp} {
 				for _, width := range []int{1, 3, 17, 64} {
 					srcs := pickBatchSources2D(ref, width)
-					opt := DefaultOptions()
+					opt := defaultOptions()
 					opt.Threads = threads
 					opt.Direction = mode
 					arena := &Arena{}
@@ -107,7 +107,7 @@ func TestRunBatch2DAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	srcs := pickBatchSources2D(ref, 32)
-	opt := DefaultOptions()
+	opt := defaultOptions()
 	opt.Direction = dirheur.ModeAuto
 	w := cluster.NewWorld(4, cluster.ZeroCost{})
 	grid := cluster.NewGrid(w, 2, 2)
@@ -155,7 +155,7 @@ func TestRunBatch2DAmortizesSimTime(t *testing.T) {
 	ref, _ := graph.BuildCSR(el, true)
 	srcs := pickBatchSources2D(ref, 64)
 	m := netmodel.Franklin()
-	opt := DefaultOptions()
+	opt := defaultOptions()
 	opt.Direction = dirheur.ModeAuto
 	opt.Price = m
 
@@ -197,7 +197,7 @@ func TestRunBatch2DRejectsDiag(t *testing.T) {
 	}
 	w := cluster.NewWorld(4, cluster.ZeroCost{})
 	grid := cluster.NewGrid(w, 2, 2)
-	opt := DefaultOptions()
+	opt := defaultOptions()
 	opt.Vector = DistDiag
 	if _, err := RunBatch(w, grid, dg, []int64{1}, opt); err == nil {
 		t.Fatal("diagonal layout accepted for batch")

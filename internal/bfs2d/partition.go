@@ -82,21 +82,12 @@ func (pt Part2D) OwnedRange(i, j int) (lo, hi int64) {
 	return pt.VecStart(i, j), pt.VecStart(i, j+1)
 }
 
-// SubColStart returns the first global index of sub-piece i of column
-// block j: within column block j, the pr sub-pieces partition the
-// block's column range evenly. The rectangular transpose exchange
-// routes frontier vertex v to grid process P(i, j) where (i, j) =
-// TransposeOwner(v), so the expand Allgatherv along process column j
-// assembles the block's frontier in ascending order from ascending
-// sub-pieces.
-func (pt Part2D) SubColStart(j, i int) int64 {
-	lo, hi := pt.ColStart(j), pt.ColStart(j+1)
-	return lo + (hi-lo)*int64(i)/int64(pt.Pr)
-}
-
 // TransposeOwner returns the grid position (i, j) that collects global
 // vertex v during the rectangular transpose exchange: j is v's column
-// block, i the sub-piece of that block containing v. On a square grid
+// block, i the sub-piece of that block containing v, where the pr
+// sub-pieces partition the block's column range evenly. The expand
+// Allgatherv along process column j therefore assembles the block's
+// frontier in ascending order from ascending sub-pieces. On a square grid
 // this coincides with the pairwise transpose target of the piece
 // holding v, which is why the square path can use the cheaper
 // involution exchange.

@@ -35,14 +35,22 @@ func colBlockLoop(pt Part2D, v int64) int {
 	return j
 }
 
+// subColStart returns the first global index of sub-piece i of column
+// block j: within column block j, the pr sub-pieces partition the
+// block's column range evenly.
+func subColStart(pt Part2D, j, i int) int64 {
+	lo, hi := pt.ColStart(j), pt.ColStart(j+1)
+	return lo + (hi-lo)*int64(i)/int64(pt.Pr)
+}
+
 func transposeOwnerLoop(pt Part2D, v int64) (i, j int) {
 	j = colBlockLoop(pt, v)
 	lo, hi := pt.ColStart(j), pt.ColStart(j+1)
 	i = int((v - lo) * int64(pt.Pr) / (hi - lo))
-	for v < pt.SubColStart(j, i) {
+	for v < subColStart(pt, j, i) {
 		i--
 	}
-	for v >= pt.SubColStart(j, i+1) {
+	for v >= subColStart(pt, j, i+1) {
 		i++
 	}
 	return i, j
@@ -181,7 +189,7 @@ func TestLookupBlockEdges(t *testing.T) {
 				for j := 0; j < pt.Pc; j++ {
 					edges = append(edges, pt.ColStart(j), pt.ColStart(j+1)-1)
 					for i := 0; i < pt.Pr; i++ {
-						edges = append(edges, pt.SubColStart(j, i), pt.SubColStart(j, i+1)-1)
+						edges = append(edges, subColStart(pt, j, i), subColStart(pt, j, i+1)-1)
 					}
 				}
 				for _, v := range edges {
@@ -219,7 +227,7 @@ func TestPart2DValidateProduct(t *testing.T) {
 
 // FuzzPart2DOwners checks that, on any valid grid, VecOwner lands v in
 // its owner's OwnedRange and TransposeOwner lands it in the
-// SubColStart piece of its collecting process.
+// subColStart piece of its collecting process.
 func FuzzPart2DOwners(f *testing.F) {
 	f.Add(int64(101), 4, 4, int64(0))
 	f.Add(int64(103), 2, 3, int64(102))
@@ -244,7 +252,7 @@ func FuzzPart2DOwners(f *testing.F) {
 		if i < 0 || i >= pr || j < 0 || j >= pc {
 			t.Fatalf("n=%d %dx%d: TransposeOwner(%d) = (%d,%d), off the grid", n, pr, pc, v, i, j)
 		}
-		if lo, hi := pt.SubColStart(j, i), pt.SubColStart(j, i+1); v < lo || v >= hi {
+		if lo, hi := subColStart(pt, j, i), subColStart(pt, j, i+1); v < lo || v >= hi {
 			t.Fatalf("n=%d %dx%d: TransposeOwner(%d) = (%d,%d), whose piece is [%d,%d)", n, pr, pc, v, i, j, lo, hi)
 		}
 	})

@@ -27,7 +27,7 @@ func TestTransposeOwnerStructure(t *testing.T) {
 			if j != pt.ColBlockOf(v) {
 				t.Fatalf("%dx%d: TransposeOwner(%d) col %d, want %d", pt.Pr, pt.Pc, v, j, pt.ColBlockOf(v))
 			}
-			if v < pt.SubColStart(j, i) || v >= pt.SubColStart(j, i+1) {
+			if v < subColStart(pt, j, i) || v >= subColStart(pt, j, i+1) {
 				t.Fatalf("%dx%d: vertex %d outside its sub-piece (%d,%d)", pt.Pr, pt.Pc, v, i, j)
 			}
 			// Within a column block, sub-owner rows are non-decreasing
@@ -99,7 +99,7 @@ func TestBFS2DRectangularGrids(t *testing.T) {
 	}
 	src := goodSource(t, el)
 	for _, dir := range []dirheur.Mode{dirheur.ModeTopDown, dirheur.ModeAuto, dirheur.ModeBottomUp} {
-		opt := DefaultOptions()
+		opt := defaultOptions()
 		opt.Direction = dir
 		ref := runRect(t, el, 2, 2, src, opt)
 		for _, shape := range [][2]int{{1, 4}, {4, 1}, {2, 3}, {3, 2}, {2, 4}, {1, 6}} {
@@ -142,7 +142,7 @@ func TestBFS2DRectangularDirected(t *testing.T) {
 			}
 			w := cluster.NewWorld(shape[0]*shape[1], cluster.ZeroCost{})
 			grid := cluster.NewGrid(w, shape[0], shape[1])
-			opt := DefaultOptions()
+			opt := defaultOptions()
 			opt.Direction = dir
 			out, err := Run(w, grid, dg, 0, opt)
 			if err != nil {
@@ -197,7 +197,7 @@ func TestBFS2DRectangularArenaReuse(t *testing.T) {
 			w := cluster.NewWorld(shape[0]*shape[1], cluster.ZeroCost{})
 			grid := cluster.NewGrid(w, shape[0], shape[1])
 			for _, dir := range []dirheur.Mode{dirheur.ModeAuto, dirheur.ModeTopDown} {
-				opt := DefaultOptions()
+				opt := defaultOptions()
 				opt.Direction = dir
 				opt.Arena = &arena
 				for _, width := range []int{3, 64} {

@@ -149,9 +149,6 @@ func (r *Rank) bookComm(tag string, dt float64) {
 // ID returns the world rank id.
 func (r *Rank) ID() int { return r.id }
 
-// Clock returns the rank's current simulated time in seconds.
-func (r *Rank) Clock() float64 { return r.clock }
-
 // Charge advances the clock by dt seconds of local computation.
 func (r *Rank) Charge(dt float64) {
 	if dt < 0 {

@@ -81,8 +81,8 @@ func TestAllreduceSum2(t *testing.T) {
 				t.Errorf("p=%d rank %d: sums (%d, %d), want (%d, %d)", p, r.ID(), a, b, wantA, wantB)
 			}
 			last := float64(p-1) * 0.01
-			if diff := r.Clock() - (last + cost); diff > 1e-12 || diff < -1e-12 {
-				t.Errorf("p=%d rank %d: clock %v, want %v", p, r.ID(), r.Clock(), last+cost)
+			if diff := r.clock - (last + cost); diff > 1e-12 || diff < -1e-12 {
+				t.Errorf("p=%d rank %d: clock %v, want %v", p, r.ID(), r.clock, last+cost)
 			}
 			wantComm := last - float64(id)*0.01 + cost
 			if diff := r.CommTime("sum2") - wantComm; diff > 1e-12 || diff < -1e-12 {
@@ -181,8 +181,8 @@ func TestClockAdvancesAtCollectives(t *testing.T) {
 		r.Charge(float64(r.ID()) * 0.01)
 		g.AllreduceSum(r, 1, "sync")
 		want := 0.03 + m.Allreduce(p, 1)
-		if diff := r.Clock() - want; diff > 1e-12 || diff < -1e-12 {
-			t.Errorf("rank %d clock = %v, want %v", r.ID(), r.Clock(), want)
+		if diff := r.clock - want; diff > 1e-12 || diff < -1e-12 {
+			t.Errorf("rank %d clock = %v, want %v", r.ID(), r.clock, want)
 		}
 		// The idle ranks' wait is booked as comm time.
 		wantComm := 0.03 - float64(r.ID())*0.01 + m.Allreduce(p, 1)
@@ -240,7 +240,7 @@ func TestGridStructure(t *testing.T) {
 	if g.RowOf(4) != 1 || g.ColOf(4) != 1 {
 		t.Errorf("rank 4 at (%d,%d)", g.RowOf(4), g.ColOf(4))
 	}
-	if g.Rows[1].Member(0) != 3 || g.Cols[2].Member(1) != 5 {
+	if g.Rows[1].members[0] != 3 || g.Cols[2].members[1] != 5 {
 		t.Error("grid group membership wrong")
 	}
 	if g.Square() {

@@ -143,9 +143,6 @@ func (w *World) NewGroup(members []int) *Group {
 	return g
 }
 
-// Size returns the number of members.
-func (g *Group) Size() int { return len(g.members) }
-
 // RankIn returns the group rank of r, or -1 if r is not a member.
 func (g *Group) RankIn(r *Rank) int {
 	if i, ok := g.index[r.id]; ok {
@@ -153,9 +150,6 @@ func (g *Group) RankIn(r *Rank) int {
 	}
 	return -1
 }
-
-// Member returns the world id of group rank i.
-func (g *Group) Member(i int) int { return g.members[i] }
 
 // scratchRow returns member me's reusable result-assembly row, sized to
 // the group. Only member me's goroutine may call it (owner-only

@@ -9,12 +9,6 @@ type Pricer interface {
 	MemCost(randomRefs, wsWords, streamWords, ops int64) float64
 }
 
-// NopPricer charges nothing; used by pure correctness tests.
-type NopPricer struct{}
-
-// MemCost implements Pricer.
-func (NopPricer) MemCost(randomRefs, wsWords, streamWords, ops int64) float64 { return 0 }
-
 // ChargeMem prices a computation with p and advances the rank clock; a
 // nil pricer charges nothing.
 func (r *Rank) ChargeMem(p Pricer, randomRefs, wsWords, streamWords, ops int64) {

@@ -73,7 +73,7 @@ func runJitteredSchedule(t *testing.T, seed int64, rounds int) Stats {
 			// column groups sharing member ranks run back to back.
 			parts := row.Allgatherv(r, []int64{int64(r.ID()), int64(round)}, "stress/row")
 			for i, part := range parts {
-				if part[0] != int64(row.Member(i)) || part[1] != int64(round) {
+				if part[0] != int64(row.members[i]) || part[1] != int64(round) {
 					t.Errorf("round %d rank %d: row gather[%d] = %v", round, r.ID(), i, part)
 				}
 			}
@@ -91,14 +91,14 @@ func runJitteredSchedule(t *testing.T, seed int64, rounds int) Stats {
 			jitter(rng)
 			// Row all-to-all after local compute, then a row allgather:
 			// the fold of a 2D level followed by the next level's gather.
-			sendRow := make([][]int64, row.Size())
+			sendRow := make([][]int64, len(row.members))
 			for j := range sendRow {
 				sendRow[j] = []int64{int64(r.ID()), int64(j), int64(round)}
 			}
 			r.Charge(1e-6) // deterministic compute so figures can't drift
 			gotRow := row.Alltoallv(r, sendRow, "stress/rowa2a")
 			for src, part := range gotRow {
-				want := []int64{int64(row.Member(src)), int64(row.RankIn(r)), int64(round)}
+				want := []int64{int64(row.members[src]), int64(row.RankIn(r)), int64(round)}
 				if !reflect.DeepEqual(part, want) {
 					t.Errorf("round %d rank %d: rowa2a[%d] = %v, want %v", round, r.ID(), src, part, want)
 				}
@@ -106,7 +106,7 @@ func runJitteredSchedule(t *testing.T, seed int64, rounds int) Stats {
 			jitter(rng)
 			gathered := row.Allgatherv(r, []int64{int64(r.ID() + round)}, "stress/rowag")
 			for i, part := range gathered {
-				if part[0] != int64(row.Member(i)+round) {
+				if part[0] != int64(row.members[i]+round) {
 					t.Errorf("round %d rank %d: rowag[%d] = %v", round, r.ID(), i, part)
 				}
 			}
@@ -126,8 +126,8 @@ func runJitteredSchedule(t *testing.T, seed int64, rounds int) Stats {
 			}
 			ca, cb := col.AllreduceSum2(r, int64(r.ID()), int64(round), "stress/colsum2")
 			var wantCA int64
-			for i := 0; i < col.Size(); i++ {
-				wantCA += int64(col.Member(i))
+			for i := 0; i < len(col.members); i++ {
+				wantCA += int64(col.members[i])
 			}
 			if ca != wantCA || cb != int64(pr*round) {
 				t.Errorf("round %d rank %d: colsum2 = (%d, %d), want (%d, %d)", round, r.ID(), ca, cb, wantCA, pr*round)
@@ -189,7 +189,7 @@ func TestRendezvousWorldReuse(t *testing.T) {
 				r.Charge(2e-6)
 				row.Allgatherv(r, []int64{int64(r.ID())}, "reuse/ag")
 				me := row.RankIn(r)
-				row.AllgatherBitsBlocks(r, []uint64{uint64(round) + 1}, int64(me), int64(row.Size()), "reuse/bits")
+				row.AllgatherBitsBlocks(r, []uint64{uint64(round) + 1}, int64(me), int64(len(row.members)), "reuse/bits")
 			}
 		})
 		return w.Stats()
@@ -219,7 +219,7 @@ func TestRendezvousConcurrentSubgroups(t *testing.T) {
 			}
 			parts := row.Allgatherv(r, []int64{int64(r.ID() * (round + 1))}, "skew/row")
 			for i, part := range parts {
-				if part[0] != int64(row.Member(i)*(round+1)) {
+				if part[0] != int64(row.members[i]*(round+1)) {
 					t.Errorf("round %d rank %d: parts[%d] = %v", round, r.ID(), i, part)
 				}
 			}

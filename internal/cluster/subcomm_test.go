@@ -13,23 +13,23 @@ func TestGridSubcommMembership(t *testing.T) {
 	g := NewGrid(w, 2, 3)
 	for i := 0; i < 2; i++ {
 		row := g.Rows[i]
-		if row.Size() != 3 {
-			t.Fatalf("row %d size = %d, want 3", i, row.Size())
+		if len(row.members) != 3 {
+			t.Fatalf("row %d size = %d, want 3", i, len(row.members))
 		}
 		for j := 0; j < 3; j++ {
-			if row.Member(j) != i*3+j {
-				t.Errorf("row %d member %d = %d, want %d", i, j, row.Member(j), i*3+j)
+			if row.members[j] != i*3+j {
+				t.Errorf("row %d member %d = %d, want %d", i, j, row.members[j], i*3+j)
 			}
 		}
 	}
 	for j := 0; j < 3; j++ {
 		col := g.Cols[j]
-		if col.Size() != 2 {
-			t.Fatalf("col %d size = %d, want 2", j, col.Size())
+		if len(col.members) != 2 {
+			t.Fatalf("col %d size = %d, want 2", j, len(col.members))
 		}
 		for i := 0; i < 2; i++ {
-			if col.Member(i) != i*3+j {
-				t.Errorf("col %d member %d = %d, want %d", j, i, col.Member(i), i*3+j)
+			if col.members[i] != i*3+j {
+				t.Errorf("col %d member %d = %d, want %d", j, i, col.members[i], i*3+j)
 			}
 		}
 	}

@@ -179,37 +179,6 @@ func (g *CSR) Transpose() *CSR {
 	return &CSR{NumVerts: g.NumVerts, XAdj: xadj, Adj: adj}
 }
 
-// DegreeStats summarizes a degree distribution.
-type DegreeStats struct {
-	Min, Max int64
-	Mean     float64
-	Isolated int64 // vertices with degree zero
-}
-
-// Stats computes degree statistics for the graph.
-func (g *CSR) Stats() DegreeStats {
-	if g.NumVerts == 0 {
-		return DegreeStats{}
-	}
-	st := DegreeStats{Min: g.Degree(0)}
-	var sum int64
-	for v := int64(0); v < g.NumVerts; v++ {
-		d := g.Degree(v)
-		sum += d
-		if d < st.Min {
-			st.Min = d
-		}
-		if d > st.Max {
-			st.Max = d
-		}
-		if d == 0 {
-			st.Isolated++
-		}
-	}
-	st.Mean = float64(sum) / float64(g.NumVerts)
-	return st
-}
-
 // RelabelEdges applies the vertex permutation perm to an edge list in
 // place: vertex v becomes perm[v]. Random relabeling prior to partitioning
 // is the paper's load-balancing strategy (Section 4.4).

@@ -210,20 +210,6 @@ func TestTransposeMatchesReversedBuild(t *testing.T) {
 	}
 }
 
-func TestStats(t *testing.T) {
-	g, err := BuildCSR(smallEdgeList(), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := g.Stats()
-	if st.Min != 1 || st.Max != 3 || st.Isolated != 0 {
-		t.Errorf("stats = %+v", st)
-	}
-	if st.Mean < 1.8 || st.Mean > 1.9 {
-		t.Errorf("mean = %v, want 11/6", st.Mean)
-	}
-}
-
 func TestRelabelEdges(t *testing.T) {
 	el := &EdgeList{NumVerts: 3, Edges: []Edge{{0, 1}, {1, 2}}}
 	perm := []int64{2, 0, 1}

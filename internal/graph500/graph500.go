@@ -34,13 +34,6 @@ func TEPS(edges int64, t float64) float64 {
 	return float64(edges) / t
 }
 
-// UndirectedEdges converts a traversed-adjacency count (sum of degrees
-// over reached vertices in a symmetrized graph) into the undirected edge
-// count the Graph 500 metric normalizes by.
-func UndirectedEdges(traversedAdjacencies int64) int64 {
-	return traversedAdjacencies / 2
-}
-
 // Run records one timed search.
 type Run struct {
 	Source   int64

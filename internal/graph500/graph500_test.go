@@ -59,9 +59,6 @@ func TestTEPS(t *testing.T) {
 	if got := TEPS(1000, 0); got != 0 {
 		t.Errorf("TEPS with zero time = %v", got)
 	}
-	if got := UndirectedEdges(17); got != 8 {
-		t.Errorf("UndirectedEdges(17) = %d", got)
-	}
 }
 
 func TestSummarize(t *testing.T) {

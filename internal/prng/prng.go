@@ -129,11 +129,3 @@ func (g *Xoshiro256) Perm(n int64) []int64 {
 	}
 	return p
 }
-
-// Shuffle permutes the first n elements using the provided swap function.
-func (g *Xoshiro256) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := g.Intn(i + 1)
-		swap(i, j)
-	}
-}

@@ -109,22 +109,6 @@ func TestPermIsBijection(t *testing.T) {
 	}
 }
 
-func TestShuffleIsPermutation(t *testing.T) {
-	g := New(9)
-	v := make([]int, 100)
-	for i := range v {
-		v[i] = i
-	}
-	g.Shuffle(len(v), func(i, j int) { v[i], v[j] = v[j], v[i] })
-	seen := make([]bool, 100)
-	for _, x := range v {
-		if seen[x] {
-			t.Fatalf("duplicate %d after shuffle", x)
-		}
-		seen[x] = true
-	}
-}
-
 func TestMix64Injective(t *testing.T) {
 	seen := make(map[uint64]uint64, 10000)
 	for i := uint64(0); i < 10000; i++ {

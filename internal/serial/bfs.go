@@ -1,5 +1,5 @@
-// Package serial provides single-threaded reference BFS implementations
-// (Algorithm 1 of the paper) and the validation oracle the distributed
+// Package serial provides the single-threaded reference BFS (Algorithm 1
+// of the paper) and the validation oracle the distributed
 // implementations are checked against.
 package serial
 
@@ -53,34 +53,6 @@ func BFS(g *graph.CSR, source int64) *Result {
 	return &Result{Source: source, Dist: dist, Parent: parent}
 }
 
-// BFSQueue is the textbook FIFO-queue BFS. It produces identical distances
-// to BFS (parents may differ within a level); it exists as an independent
-// second oracle so the two-stack variant is itself cross-checked.
-func BFSQueue(g *graph.CSR, source int64) *Result {
-	n := g.NumVerts
-	dist := make([]int64, n)
-	parent := make([]int64, n)
-	for i := range dist {
-		dist[i] = Unreached
-		parent[i] = Unreached
-	}
-	dist[source] = 0
-	parent[source] = source
-	queue := make([]int64, 0, 1024)
-	queue = append(queue, source)
-	for head := 0; head < len(queue); head++ {
-		u := queue[head]
-		for _, v := range g.Neighbors(u) {
-			if dist[v] == Unreached {
-				dist[v] = dist[u] + 1
-				parent[v] = u
-				queue = append(queue, int64(v))
-			}
-		}
-	}
-	return &Result{Source: source, Dist: dist, Parent: parent}
-}
-
 // MaxLevel returns the largest finite distance in the result (the
 // eccentricity of the source within its component).
 func (r *Result) MaxLevel() int64 {
@@ -91,17 +63,6 @@ func (r *Result) MaxLevel() int64 {
 		}
 	}
 	return m
-}
-
-// ReachedCount returns the number of vertices with finite distance.
-func (r *Result) ReachedCount() int64 {
-	var c int64
-	for _, d := range r.Dist {
-		if d != Unreached {
-			c++
-		}
-	}
-	return c
 }
 
 // EdgesTraversed counts the edge slots examined by a full traversal from

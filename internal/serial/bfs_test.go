@@ -32,10 +32,7 @@ func TestBFSLine(t *testing.T) {
 	if r.MaxLevel() != 9 {
 		t.Errorf("MaxLevel = %d", r.MaxLevel())
 	}
-	if r.ReachedCount() != 10 {
-		t.Errorf("ReachedCount = %d", r.ReachedCount())
-	}
-	if err := Validate(g, r, BFSQueue(g, 0)); err != nil {
+	if err := Validate(g, r, bfsQueue(g, 0)); err != nil {
 		t.Error(err)
 	}
 }
@@ -50,8 +47,8 @@ func TestBFSDisconnected(t *testing.T) {
 	if r.Dist[2] != Unreached || r.Dist[3] != Unreached || r.Dist[4] != Unreached {
 		t.Errorf("unreachable vertices have distances: %v", r.Dist)
 	}
-	if r.ReachedCount() != 2 {
-		t.Errorf("ReachedCount = %d", r.ReachedCount())
+	if r.Dist[0] != 0 || r.Dist[1] != 1 {
+		t.Errorf("reachable vertices have distances: %v", r.Dist)
 	}
 	if err := Validate(g, r, nil); err != nil {
 		t.Error(err)
@@ -69,7 +66,7 @@ func TestTwoOraclesAgreeOnRMAT(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, src := range []int64{0, 1, 100, 1023} {
-		a, b := BFS(g, src), BFSQueue(g, src)
+		a, b := BFS(g, src), bfsQueue(g, src)
 		for v := int64(0); v < g.NumVerts; v++ {
 			if a.Dist[v] != b.Dist[v] {
 				t.Fatalf("src %d vertex %d: stack %d != queue %d", src, v, a.Dist[v], b.Dist[v])
@@ -106,7 +103,7 @@ func TestBFSPropertyRandom(t *testing.T) {
 		}
 		src := rng.Int64n(n)
 		r := BFS(g, src)
-		return Validate(g, r, BFSQueue(g, src)) == nil
+		return Validate(g, r, bfsQueue(g, src)) == nil
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
@@ -132,4 +129,32 @@ func TestValidateCatchesCorruption(t *testing.T) {
 			t.Errorf("%s: corruption not detected", tc.name)
 		}
 	}
+}
+
+// bfsQueue is the textbook FIFO-queue BFS. It produces identical distances
+// to BFS (parents may differ within a level); it exists as an independent
+// second oracle so the two-stack variant is itself cross-checked.
+func bfsQueue(g *graph.CSR, source int64) *Result {
+	n := g.NumVerts
+	dist := make([]int64, n)
+	parent := make([]int64, n)
+	for i := range dist {
+		dist[i] = Unreached
+		parent[i] = Unreached
+	}
+	dist[source] = 0
+	parent[source] = source
+	queue := make([]int64, 0, 1024)
+	queue = append(queue, source)
+	for head := 0; head < len(queue); head++ {
+		u := queue[head]
+		for _, v := range g.Neighbors(u) {
+			if dist[v] == Unreached {
+				dist[v] = dist[u] + 1
+				parent[v] = u
+				queue = append(queue, int64(v))
+			}
+		}
+	}
+	return &Result{Source: source, Dist: dist, Parent: parent}
 }

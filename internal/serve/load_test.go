@@ -140,7 +140,7 @@ func TestDeterministicLoad(t *testing.T) {
 			t.Fatalf("query %d (graph %s source %d): no response after flush",
 				i, p.q.GraphID, p.q.Source)
 		}
-		if rej := resp.Reject(); rej != nil {
+		if rej, ok := AsReject(resp.Err); ok {
 			if rej.Reason != RejectDeadline {
 				t.Fatalf("query %d: rejected %q, only deadline sheds expected", i, rej.Reason)
 			}

@@ -60,16 +60,8 @@ func TestRejectErrorShape(t *testing.T) {
 	if _, ok := AsReject(http.ErrServerClosed); ok {
 		t.Error("AsReject matched a non-rejection error")
 	}
-	// Response.Reject recovers the typed rejection from Err and returns
-	// nil for served responses and engine failures.
-	if r := (&Response{Err: rej}).Reject(); r == nil || r.Reason != RejectQueueFull {
-		t.Errorf("Response.Reject() = %v", r)
-	}
-	if r := (&Response{}).Reject(); r != nil {
-		t.Errorf("served Response.Reject() = %v", r)
-	}
-	if r := (&Response{Err: http.ErrServerClosed}).Reject(); r != nil {
-		t.Errorf("engine-failure Response.Reject() = %v", r)
+	if _, ok := AsReject(nil); ok {
+		t.Error("AsReject matched a served response's nil error")
 	}
 }
 
@@ -135,8 +127,7 @@ func TestEveryRejectReasonTriggered(t *testing.T) {
 	h.Pump()
 	for name, ch := range map[string]<-chan *Response{"leader": lead, "rider": ride} {
 		resp := take(t, ch)
-		r := resp.Reject()
-		if r == nil || r.Reason != RejectDeadline {
+		if r, ok := AsReject(resp.Err); !ok || r.Reason != RejectDeadline {
 			t.Fatalf("%s past its deadline: err %v, want RejectDeadline", name, resp.Err)
 		}
 	}
@@ -150,7 +141,7 @@ func TestEveryRejectReasonTriggered(t *testing.T) {
 	s.Shutdown()
 	expectReject(Query{Source: 0}, RejectDraining)
 	resp := take(t, straggler)
-	if r := resp.Reject(); r == nil || r.Reason != RejectDraining {
+	if r, ok := AsReject(resp.Err); !ok || r.Reason != RejectDraining {
 		t.Fatalf("straggler: %v, want RejectDraining", resp.Err)
 	}
 

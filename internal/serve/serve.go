@@ -205,16 +205,6 @@ type Response struct {
 	TraversedEdges int64
 }
 
-// Reject returns the response's rejection, or nil if the query was
-// served or failed with a non-rejection error.
-func (r *Response) Reject() *RejectError {
-	var rej *RejectError
-	if errors.As(r.Err, &rej) {
-		return rej
-	}
-	return nil
-}
-
 // Rejection reasons.
 const (
 	RejectQueueFull = "queue_full"

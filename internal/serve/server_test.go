@@ -195,7 +195,7 @@ func TestServerShutdownUnderLoad(t *testing.T) {
 				}
 				select {
 				case resp := <-ch:
-					if resp.Reject() != nil {
+					if _, ok := AsReject(resp.Err); ok {
 						flushed.add()
 					} else if resp.Err != nil {
 						t.Errorf("batch error: %v", resp.Err)

@@ -214,7 +214,7 @@ func TestDeadlineShedAtAcquisition(t *testing.T) {
 		t.Fatalf("priming query: %v", resp.Err)
 	}
 	resp := await(t, ch)
-	if rej := resp.Reject(); rej == nil || rej.Reason != RejectDeadline {
+	if rej, ok := AsReject(resp.Err); !ok || rej.Reason != RejectDeadline {
 		t.Fatalf("query past its deadline at acquisition: err %v, completed %v after a deadline of %v",
 			resp.Err, resp.Completed.Sub(deadline), deadline.Format(time.StampMilli))
 	}
@@ -304,7 +304,7 @@ func TestBatchPanicContained(t *testing.T) {
 		t.Errorf("HTTP query in the panicking batch: status %d body %s", rec.Code, rec.Body)
 	}
 	for _, ch := range chans {
-		if resp := await(t, ch); !errors.Is(resp.Err, ErrBatchPanic) || resp.Reject() != nil {
+		if resp := await(t, ch); !errors.Is(resp.Err, ErrBatchPanic) || errors.As(resp.Err, new(*RejectError)) {
 			t.Errorf("source %d in the panicking batch: err %v, want ErrBatchPanic", resp.Source, resp.Err)
 		}
 	}

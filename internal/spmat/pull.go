@@ -29,9 +29,6 @@ func NewPullCSR(rows, cols int64, rowPtr []int64, colInd []uint32) *PullCSR {
 	return &PullCSR{Rows: rows, Cols: cols, RowPtr: rowPtr, ColInd: colInd}
 }
 
-// NNZ returns the number of stored entries.
-func (m *PullCSR) NNZ() int64 { return int64(len(m.ColInd)) }
-
 // SubRows returns a view over rows [lo, hi) sharing the receiver's
 // storage; emitted row ids are relative to lo.
 func (m *PullCSR) SubRows(lo, hi int64) *PullCSR {

@@ -71,8 +71,8 @@ func TestPullViewRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	pv := d.PullView()
-	if pv.NNZ() != d.NNZ() {
-		t.Fatalf("pull view nnz %d != dcsc nnz %d", pv.NNZ(), d.NNZ())
+	if int64(len(pv.ColInd)) != d.NNZ() {
+		t.Fatalf("pull view nnz %d != dcsc nnz %d", int64(len(pv.ColInd)), d.NNZ())
 	}
 	// Every (row, col) present in the DCSC must appear exactly once in
 	// the row-major view, with ascending columns per row.

@@ -409,8 +409,8 @@ func FuzzPullView(f *testing.F) {
 		}
 
 		pv := d.PullView()
-		if pv.NNZ() != csc.NNZ() {
-			t.Fatalf("pull view holds %d entries, CSC %d", pv.NNZ(), csc.NNZ())
+		if int64(len(pv.ColInd)) != csc.NNZ() {
+			t.Fatalf("pull view holds %d entries, CSC %d", int64(len(pv.ColInd)), csc.NNZ())
 		}
 		var got, ref spvec.Vec
 		scanned := pv.Pull(&got, frontier, visited, visRowOff, colOff)

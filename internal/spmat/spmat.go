@@ -1,14 +1,11 @@
 // Package spmat implements the sparse-matrix storage and the sparse
 // matrix-sparse vector product (SpMSV) at the heart of the 2D BFS
-// (Algorithm 3). Two column-oriented formats are provided:
-//
-//   - CSC: classic compressed sparse columns, O(ncols + nnz) storage.
-//     Adequate for local blocks of 1D-partitioned matrices.
-//   - DCSC: doubly-compressed sparse columns (Buluç & Gilbert 2008),
-//     O(nzc + nnz) storage where nzc is the number of nonempty columns.
-//     This is the paper's choice for the hypersparse blocks that arise
-//     from 2D partitioning, where a CSC column-pointer array per block
-//     would cost O(n·√p + m) aggregate instead of O(m) (Section 4.1).
+// (Algorithm 3). Blocks are stored as DCSC, doubly-compressed sparse
+// columns (Buluç & Gilbert 2008): O(nzc + nnz) storage, where nzc is the
+// number of nonempty columns. This is the paper's choice for the
+// hypersparse blocks that arise from 2D partitioning, where a classic
+// CSC column-pointer array per block would cost O(n·√p + m) aggregate
+// instead of O(m) (Section 4.1).
 //
 // Matrices here are boolean (pattern-only): an entry (r,c) means "column
 // vertex c has an edge to row vertex r" in the pre-transposed adjacency
@@ -32,42 +29,6 @@ import (
 // Triple is a matrix nonzero at (Row, Col).
 type Triple struct {
 	Row, Col int64
-}
-
-// CSC is a compressed sparse column pattern matrix.
-type CSC struct {
-	Rows, Cols int64
-	ColPtr     []int64 // len Cols+1
-	RowInd     []int64 // len nnz, sorted within each column
-}
-
-// NewCSC builds a CSC from triples. Duplicate entries are collapsed.
-func NewCSC(rows, cols int64, ts []Triple) (*CSC, error) {
-	if err := checkTriples(rows, cols, ts); err != nil {
-		return nil, err
-	}
-	sortTriples(ts)
-	colPtr := make([]int64, cols+1)
-	rowInd := make([]int64, 0, len(ts))
-	for i, t := range ts {
-		if i > 0 && t == ts[i-1] {
-			continue
-		}
-		colPtr[t.Col+1]++
-		rowInd = append(rowInd, t.Row)
-	}
-	for c := int64(0); c < cols; c++ {
-		colPtr[c+1] += colPtr[c]
-	}
-	return &CSC{Rows: rows, Cols: cols, ColPtr: colPtr, RowInd: rowInd}, nil
-}
-
-// NNZ returns the number of stored nonzeros.
-func (m *CSC) NNZ() int64 { return int64(len(m.RowInd)) }
-
-// ColRows returns the sorted row indices of column c.
-func (m *CSC) ColRows(c int64) []int64 {
-	return m.RowInd[m.ColPtr[c]:m.ColPtr[c+1]]
 }
 
 // MaxBlockDim is the most rows or columns a DCSC block may have: its
@@ -121,24 +82,9 @@ func NewDCSC(rows, cols int64, ts []Triple) (*DCSC, error) {
 // NNZ returns the number of stored nonzeros.
 func (m *DCSC) NNZ() int64 { return int64(len(m.IR)) }
 
-// NZC returns the number of nonempty columns.
-func (m *DCSC) NZC() int64 { return int64(len(m.JC)) }
-
 // colRowsAt returns the row indices of the j-th nonempty column.
 func (m *DCSC) colRowsAt(j int) []uint32 {
 	return m.IR[m.CP[j]:m.CP[j+1]]
-}
-
-// StorageBytes returns the bytes the structure's arrays occupy at their
-// element widths, used by tests to verify the O(nzc+nnz) vs O(cols+nnz)
-// claims.
-func (m *DCSC) StorageBytes() int64 {
-	return 8*int64(len(m.JC)+len(m.CP)) + 4*int64(len(m.IR))
-}
-
-// StorageBytes returns the bytes of the CSC structure's arrays.
-func (m *CSC) StorageBytes() int64 {
-	return 8 * int64(len(m.ColPtr)+len(m.RowInd))
 }
 
 func checkTriples(rows, cols int64, ts []Triple) error {

@@ -178,15 +178,3 @@ func gallop(s []int64, lo int, x int64) int {
 	k, _ := slices.BinarySearch(s[lo:hi], x)
 	return lo + k
 }
-
-// SpMSV computes dst = M ⊗ f for a CSC matrix; used by tests as an
-// independent oracle for the DCSC kernels and by the 1D code paths.
-func (m *CSC) SpMSV(dst *spvec.Vec, f *spvec.Vec) *spvec.Vec {
-	spa := spvec.NewSPA(m.Rows)
-	for i, c := range f.Ind {
-		for _, r := range m.ColRows(c) {
-			spa.Scatter(r, f.Val[i])
-		}
-	}
-	return spa.Extract(dst)
-}

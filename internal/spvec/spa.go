@@ -31,9 +31,6 @@ func NewSPA(size int64) *SPA {
 // Size returns the index range of the accumulator.
 func (s *SPA) Size() int64 { return int64(len(s.vals)) }
 
-// NNZ returns the number of occupied slots.
-func (s *SPA) NNZ() int { return len(s.inds) }
-
 // Scatter accumulates value val at index i under the (select,max)
 // semiring.
 func (s *SPA) Scatter(i, val int64) {
@@ -106,12 +103,4 @@ func (s *SPA) ExtractSorted(dst *Vec) *Vec {
 	}
 	s.inds = s.inds[:0]
 	return dst
-}
-
-// Reset clears the accumulator without extracting.
-func (s *SPA) Reset() {
-	for _, i := range s.inds {
-		s.occupied.Clear(i)
-	}
-	s.inds = s.inds[:0]
 }

@@ -50,7 +50,7 @@ func TestExtractMatchesSortedReference(t *testing.T) {
 				if !equalVec(got, fresh.ExtractSorted(&Vec{})) {
 					t.Fatalf("size %d k %d round %d: Extract kept an earlier round's entries", size, k, round)
 				}
-				if s.NNZ() != 0 || s.occupied.Count() != 0 {
+				if len(s.inds) != 0 || s.occupied.Count() != 0 {
 					t.Fatalf("size %d k %d round %d: SPA not clean after Extract", size, k, round)
 				}
 			}
@@ -84,15 +84,15 @@ func TestScatterRowsMatchesScatter(t *testing.T) {
 					ref.Scatter(int64(r), val)
 				}
 			}
-			if s.NNZ() != ref.NNZ() {
-				t.Fatalf("size %d round %d: %d occupied, per-index %d", size, round, s.NNZ(), ref.NNZ())
+			if len(s.inds) != len(ref.inds) {
+				t.Fatalf("size %d round %d: %d occupied, per-index %d", size, round, len(s.inds), len(ref.inds))
 			}
 			got, want := s.Extract(&Vec{}), ref.Extract(&Vec{})
 			if !equalVec(got, want) {
 				t.Fatalf("size %d round %d: ScatterRows %v/%v, Scatter %v/%v",
 					size, round, got.Ind, got.Val, want.Ind, want.Val)
 			}
-			if s.NNZ() != 0 || s.occupied.Count() != 0 {
+			if len(s.inds) != 0 || s.occupied.Count() != 0 {
 				t.Fatalf("size %d round %d: SPA not clean after Extract", size, round)
 			}
 		}

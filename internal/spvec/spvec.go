@@ -43,26 +43,6 @@ func (v *Vec) Append(i, val int64) {
 	v.Val = append(v.Val, val)
 }
 
-// Clone returns a deep copy.
-func (v *Vec) Clone() *Vec {
-	out := &Vec{Ind: make([]int64, len(v.Ind)), Val: make([]int64, len(v.Val))}
-	copy(out.Ind, v.Ind)
-	copy(out.Val, v.Val)
-	return out
-}
-
-// IsSorted reports whether indices are strictly increasing (the type's
-// invariant). Exposed for tests and for validating externally assembled
-// vectors.
-func (v *Vec) IsSorted() bool {
-	for i := 1; i < len(v.Ind); i++ {
-		if v.Ind[i-1] >= v.Ind[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // FromUnsorted builds a Vec from parallel unsorted index/value slices,
 // sorting and collapsing duplicate indices with the (select,max) rule.
 func FromUnsorted(ind, val []int64) *Vec {

@@ -57,7 +57,7 @@ func TestSPABasic(t *testing.T) {
 	if !equalVec(out, want) {
 		t.Errorf("Extract = %v/%v", out.Ind, out.Val)
 	}
-	if s.NNZ() != 0 {
+	if len(s.inds) != 0 {
 		t.Error("SPA not reset after Extract")
 	}
 	// Reusable after extraction.
@@ -65,19 +65,6 @@ func TestSPABasic(t *testing.T) {
 	out = s.Extract(&Vec{})
 	if !equalVec(out, vecOf([2]int64{1, 2})) {
 		t.Errorf("second Extract = %v/%v", out.Ind, out.Val)
-	}
-}
-
-func TestSPAReset(t *testing.T) {
-	s := NewSPA(10)
-	s.Scatter(3, 1)
-	s.Reset()
-	if s.NNZ() != 0 {
-		t.Error("Reset left entries")
-	}
-	out := s.Extract(&Vec{})
-	if out.NNZ() != 0 {
-		t.Error("Extract after Reset non-empty")
 	}
 }
 
@@ -140,14 +127,5 @@ func TestSPAHeapAgree(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 80}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestCloneIndependent(t *testing.T) {
-	a := vecOf([2]int64{1, 1}, [2]int64{2, 2})
-	b := a.Clone()
-	b.Ind[0] = 99
-	if a.Ind[0] != 1 {
-		t.Error("Clone shares storage")
 	}
 }

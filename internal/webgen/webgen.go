@@ -184,7 +184,3 @@ func (p Params) GenerateUndirected() (*graph.EdgeList, error) {
 	}
 	return el.Symmetrize(), nil
 }
-
-// Root returns the canonical BFS source: the first vertex of layer 0.
-// Starting there makes BFS depth at least Depth-1.
-func (p Params) Root() int64 { return 0 }

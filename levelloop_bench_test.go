@@ -117,7 +117,7 @@ func benchLevelLoop1D(b *testing.B, scale, ranks, threads int, dir dirheur.Mode)
 	src := levelLoopSource(b, el)
 	machine := netmodel.Franklin()
 	dg.Symmetric = true // undirected R-MAT: pull aliases the push CSRs
-	opt := bfs1d.DefaultOptions()
+	opt := bfs1d.Options{Threads: 1, LocalShortcut: true, DedupSends: true}
 	opt.Threads = threads
 	opt.Price = machine
 	opt.Direction = dir
@@ -175,7 +175,7 @@ func benchLevelLoopBatch1D(b *testing.B, scale, ranks, threads, width int) {
 	srcs := levelLoopSources(b, el, width)
 	machine := netmodel.Franklin()
 	dg.Symmetric = true
-	opt := bfs1d.DefaultOptions()
+	opt := bfs1d.Options{Threads: 1, LocalShortcut: true, DedupSends: true}
 	opt.Threads = threads
 	opt.Price = machine
 	opt.Direction = dirheur.ModeAuto
