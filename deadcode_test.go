@@ -357,14 +357,17 @@ func unreachedExports(dir string) ([]string, error) {
 		}
 		live[obj] = true
 	}
-	var ifaces []*types.Interface
-	ifaces = append(ifaces, types.Universe.Lookup("error").Type().Underlying().(*types.Interface))
+	ifaces := map[*types.Interface]bool{}
+	addIface := func(t types.Type) {
+		if it, ok := t.Underlying().(*types.Interface); ok && it.NumMethods() > 0 {
+			ifaces[it] = true
+		}
+	}
+	addIface(types.Universe.Lookup("error").Type())
 	addIfaces := func(scope *types.Scope) {
 		for _, name := range scope.Names() {
 			if tn, ok := scope.Lookup(name).(*types.TypeName); ok {
-				if it, ok := tn.Type().Underlying().(*types.Interface); ok {
-					ifaces = append(ifaces, it)
-				}
+				addIface(tn.Type())
 			}
 		}
 	}
@@ -379,9 +382,7 @@ func unreachedExports(dir string) ([]string, error) {
 			for _, n := range namedIn(tv.Type) {
 				mark(n.Origin().Obj(), expr.Pos())
 			}
-			if it, ok := tv.Type.Underlying().(*types.Interface); ok && it.NumMethods() > 0 {
-				ifaces = append(ifaces, it)
-			}
+			addIface(tv.Type)
 		}
 		addIfaces(sp.pkg.Scope())
 		for _, ip := range sp.pkg.Imports() {
@@ -392,7 +393,7 @@ func unreachedExports(dir string) ([]string, error) {
 		if n.TypeParams().Len() > 0 {
 			continue
 		}
-		for _, it := range ifaces {
+		for it := range ifaces {
 			var recv types.Type
 			switch {
 			case types.Implements(n, it):

@@ -227,9 +227,8 @@ func run2DVectorBatch(w *cluster.World, grid *cluster.Grid, g *Graph, sources []
 			}
 
 			// ---- Claim, commit and build the next frontier ----
-			// Each received triple claims its not-yet-visited bits first
-			// wins, pieces in row-rank order, and commits them at once:
-			// no staging vector sits between the fold and the commit.
+			// Each received triple claims its not-yet-visited bits, first
+			// wins with pieces in row-rank order, and commits them at once.
 			curBuf = 1 - curBuf
 			nextF := &ba.frontBuf[curBuf]
 			ns := ba.ns[:0]

@@ -222,6 +222,3 @@ func (w *World) Stats() Stats {
 	}
 	return st
 }
-
-// Rank lookup used by Group methods.
-func (w *World) rank(id int) *Rank { return w.ranks[id] }

@@ -99,7 +99,7 @@ func TestGroupMisusePanics(t *testing.T) {
 		}()
 		// Rank 2 is not in group {0,1}; the membership check fires before
 		// any rendezvous, so a direct call exercises it.
-		g01.AllreduceSum(w.rank(2), 1, "bad")
+		g01.AllreduceSum(w.ranks[2], 1, "bad")
 	})
 
 	t.Run("wrong alltoallv shape", func(t *testing.T) {

@@ -72,9 +72,11 @@ go test -shuffle=on ./...
 echo "== simulated goldens across host core counts =="
 # The simulated clock, the per-level volumes and the decision records
 # must not depend on how many cores run the rank goroutines: the same
-# goldens pass at GOMAXPROCS 1, 2 and 4. So must the printed bytes of the
-# emulated paper experiments, which derive from the same clock.
-go test -count=1 -cpu 1,2,4 -run '^(TestSimTimeGolden|TestCommVolumeTraceGolden|TestDecisionsGolden)$' .
+# goldens pass at GOMAXPROCS 1, 2 and 4. So must the batch distance and
+# parent planes, whose first-wins claims follow rank order, not
+# goroutine timing, and the printed bytes of the emulated paper
+# experiments, which derive from the same clock.
+go test -count=1 -cpu 1,2,4 -run '^(TestSimTimeGolden|TestCommVolumeTraceGolden|TestDecisionsGolden|TestBatchPlanesGolden)$' .
 go test -count=1 -cpu 1,2,4 -run '^TestEmulatedExperimentsGolden$' ./internal/bench
 
 echo "== race smoke (session reuse + collective substrate) =="
