@@ -22,10 +22,11 @@ import (
 
 // unreachedAllowlist names the exported identifiers that no non-test
 // file in the module references but that stay on purpose, each with its
-// reason. Only two kinds belong here: a test oracle that tests in more
-// than one package call (an oracle one package's tests use lives in that
-// package's _test.go files), and serve.Harness. To add an entry, key it
-// as the gate prints it and give the reason in one line.
+// reason. Only two kinds belong here: what tests in more than one
+// package share, such as a test oracle, which no one package's _test.go
+// files can hold (an oracle one package's tests use lives there), and
+// serve.Harness. To add an entry, key it as the gate prints it and give
+// the reason in one line.
 var unreachedAllowlist = map[string]string{
 	"repro/internal/spmat.NewRowSplit":    "test oracle: bfs2d's reference 2D distribution and spmat's kernel tests build blocks from triples with it",
 	"repro/internal/spvec.SPA.Scatter":    "test oracle: the per-index reference for ScatterRows in spvec, and the CSC product spmat's kernels are checked against",
@@ -147,8 +148,8 @@ func main() { fmt.Println(lib.Used()); lib.Reach(); Exported() }
 
 // listedPackage is the part of `go list -json` the scan reads.
 type listedPackage struct {
-	Dir, ImportPath, Name string
-	GoFiles               []string
+	Dir, ImportPath string
+	GoFiles         []string
 }
 
 // scannedPackage is one module package type-checked from its non-test
@@ -156,11 +157,9 @@ type listedPackage struct {
 // an object's own declaration (a recursive call, a type's own methods)
 // does not keep it alive.
 type scannedPackage struct {
-	listed listedPackage
-	pkg    *types.Package
-	info   *types.Info
-	files  []*ast.File
-	own    map[types.Object][][2]token.Pos
+	pkg  *types.Package
+	info *types.Info
+	own  map[types.Object][][2]token.Pos
 }
 
 // moduleImporter type-checks module packages from their non-test files
@@ -186,46 +185,51 @@ func (m *moduleImporter) ImportFrom(path, dir string, mode types.ImportMode) (*t
 	if sp := m.scanned[path]; sp != nil {
 		return sp.pkg, nil
 	}
-	sp := &scannedPackage{listed: lp, own: map[types.Object][][2]token.Pos{}}
+	var files []*ast.File
 	for _, name := range lp.GoFiles {
 		f, err := parser.ParseFile(m.fset, filepath.Join(lp.Dir, name), nil, parser.SkipObjectResolution)
 		if err != nil {
 			return nil, err
 		}
-		sp.files = append(sp.files, f)
+		files = append(files, f)
 	}
+	sp := &scannedPackage{own: map[types.Object][][2]token.Pos{}}
 	sp.info = &types.Info{
 		Types: map[ast.Expr]types.TypeAndValue{},
 		Defs:  map[*ast.Ident]types.Object{},
 		Uses:  map[*ast.Ident]types.Object{},
 	}
 	conf := types.Config{Importer: m}
-	pkg, err := conf.Check(path, m.fset, sp.files, sp.info)
+	pkg, err := conf.Check(path, m.fset, files, sp.info)
 	if err != nil {
 		return nil, fmt.Errorf("type-check %s: %w", path, err)
 	}
 	sp.pkg = pkg
-	sp.recordSpans()
+	sp.recordSpans(files)
 	m.scanned[path] = sp
 	return pkg, nil
 }
 
 // recordSpans notes each package-level declaration's extent, and adds
 // each method's extent to its receiver type's spans.
-func (sp *scannedPackage) recordSpans() {
+func (sp *scannedPackage) recordSpans(files []*ast.File) {
 	add := func(obj types.Object, n ast.Node) {
 		if obj != nil {
 			sp.own[obj] = append(sp.own[obj], [2]token.Pos{n.Pos(), n.End()})
 		}
 	}
-	for _, f := range sp.files {
+	for _, f := range files {
 		for _, d := range f.Decls {
 			switch d := d.(type) {
 			case *ast.FuncDecl:
 				fn := sp.info.Defs[d.Name]
 				add(fn, d)
 				if d.Recv != nil {
-					if named := receiverNamed(fn); named != nil {
+					recv := fn.Type().(*types.Signature).Recv().Type()
+					if p, ok := recv.(*types.Pointer); ok {
+						recv = p.Elem()
+					}
+					if named, ok := recv.(*types.Named); ok {
 						add(named.Obj(), d)
 					}
 				}
@@ -243,20 +247,6 @@ func (sp *scannedPackage) recordSpans() {
 			}
 		}
 	}
-}
-
-// receiverNamed returns the named type a method is declared on.
-func receiverNamed(obj types.Object) *types.Named {
-	fn, ok := obj.(*types.Func)
-	if !ok {
-		return nil
-	}
-	t := fn.Type().(*types.Signature).Recv().Type()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, _ := t.(*types.Named)
-	return named
 }
 
 // unreachedExports lists, sorted, the exported functions, methods,
@@ -317,29 +307,25 @@ func unreachedExports(dir string) ([]string, error) {
 	candidate := map[types.Object]string{}
 	var named []*types.Named
 	for _, path := range order {
-		sp := imp.scanned[path]
-		scope := sp.pkg.Scope()
+		internal := strings.Contains("/"+path+"/", "/internal/")
+		scope := imp.scanned[path].pkg.Scope()
 		for _, name := range scope.Names() {
 			obj := scope.Lookup(name)
-			tn, isType := obj.(*types.TypeName)
-			if isType {
-				if n, ok := tn.Type().(*types.Named); ok {
-					named = append(named, n)
-				}
-			}
-			if !strings.Contains("/"+path+"/", "/internal/") {
-				continue
-			}
-			if obj.Exported() {
+			if internal && obj.Exported() {
 				candidate[obj] = path + "." + name
 			}
-			if isType {
-				if n, ok := tn.Type().(*types.Named); ok {
-					for i := 0; i < n.NumMethods(); i++ {
-						if m := n.Method(i); m.Exported() {
-							candidate[m] = path + "." + name + "." + m.Name()
-						}
-					}
+			tn, ok := obj.(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			n, ok := tn.Type().(*types.Named)
+			if !ok {
+				continue
+			}
+			named = append(named, n)
+			for i := 0; internal && i < n.NumMethods(); i++ {
+				if m := n.Method(i); m.Exported() {
+					candidate[m] = path + "." + name + "." + m.Name()
 				}
 			}
 		}

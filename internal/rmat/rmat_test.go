@@ -151,8 +151,9 @@ func TestSkewedDegreeDistribution(t *testing.T) {
 	}
 	var maxDeg, isolated int64
 	for v := int64(0); v < g.NumVerts; v++ {
-		maxDeg = max(maxDeg, g.Degree(v))
-		if g.Degree(v) == 0 {
+		d := g.Degree(v)
+		maxDeg = max(maxDeg, d)
+		if d == 0 {
 			isolated++
 		}
 	}
