@@ -126,7 +126,7 @@ func main() {
 		batchMax   = flag.Int("batch-max", pbfs.BatchWidth, "dispatch width (clamped to 64, one mask word)")
 		queueDepth = flag.Int("queue-depth", 1024, "per-graph pending-queue admission limit")
 		sessions   = flag.Int("sessions", 2, "per-graph session pool size: batches that may execute concurrently")
-		cacheSize  = flag.Int("cache-size", serve.DefaultCacheSize, "per-graph hot-source result cache entries (negative disables)")
+		cacheSize  = flag.Int("cache-size", serve.DefaultCacheSize, "per-graph hot-source result cache entries, each admitted on its source's second sighting (negative disables)")
 	)
 	var extras []graphSpec
 	flag.Func("extra-graph", `register an additional graph: "id[,scale=N][,edgefactor=N][,seed=N][,web][,file=P]" (repeatable)`,
@@ -194,8 +194,8 @@ func main() {
 		fmt.Printf("bfsserve: drained: %d queries in %d batches (mean occupancy %.1f)\n",
 			snap.Queries, snap.Batches, snap.MeanOccupancy)
 		for _, gs := range snap.Graphs {
-			fmt.Printf("bfsserve:   %-12s %d queries, %d batches, cache hit rate %.2f\n",
-				gs.Graph, gs.Queries, gs.Batches, gs.CacheHitRate)
+			fmt.Printf("bfsserve:   %-12s %d queries, %d batches, cache hit rate %.2f, %d cached planes (%.1f MiB)\n",
+				gs.Graph, gs.Queries, gs.Batches, gs.CacheHitRate, gs.CacheEntries, float64(gs.CacheBytes)/(1<<20))
 		}
 	}()
 	fmt.Printf("bfsserve: serving %s (%d graph(s), batch<=%d, queue %d, cache %d)\n",

@@ -5,8 +5,9 @@ import (
 	"sync"
 )
 
-// DefaultCacheSize is the per-graph result-cache capacity (entries)
-// when Config.CacheSize is zero.
+// DefaultCacheSize is the per-graph result-cache capacity when
+// Config.CacheSize is zero: at most this many resident planes, and as
+// many remembered one-off sources (see planeCache).
 const DefaultCacheSize = 128
 
 // plane is one completed search's cached output: the distance/parent
@@ -27,13 +28,21 @@ type plane struct {
 
 // planeCache is a bounded LRU of completed source → plane entries for
 // one graph: the hot-source result cache that lets Zipf-skewed traffic
-// skip the kernel on repeats. Safe for concurrent use. A nil
-// planeCache is a valid always-miss cache (caching disabled).
+// skip the kernel on repeats. A plane is admitted on its source's
+// second sighting only (2Q's ghost queue, "cache on second hit"): a
+// completion whose source is not yet resident, not among the last cap
+// one-off completions (the ghost, keys only) and not asked for by
+// coalesced riders is remembered as a key, not stored, so a source
+// that recurs only after cap others never pins N words it cannot be
+// hit for. Safe for concurrent use. A nil planeCache is a valid
+// always-miss cache (caching disabled).
 type planeCache struct {
 	mu      sync.Mutex
 	cap     int
 	entries map[int64]*list.Element
 	lru     list.List // front = most recently used
+	ghosts  map[int64]*list.Element
+	ghost   list.List // front = most recently remembered source
 	hits    int64
 	misses  int64
 }
@@ -44,13 +53,18 @@ type cacheEntry struct {
 	plane  plane
 }
 
-// newPlaneCache returns a cache holding at most capacity planes;
-// capacities below 1 return nil (caching disabled).
+// newPlaneCache returns a cache holding at most capacity planes and
+// remembering at most capacity one-off sources; capacities below 1
+// return nil (caching disabled).
 func newPlaneCache(capacity int) *planeCache {
 	if capacity < 1 {
 		return nil
 	}
-	return &planeCache{cap: capacity, entries: make(map[int64]*list.Element, capacity)}
+	return &planeCache{
+		cap:     capacity,
+		entries: make(map[int64]*list.Element, capacity),
+		ghosts:  make(map[int64]*list.Element, capacity),
+	}
 }
 
 // get returns the cached plane for source, recording a hit or miss and
@@ -71,9 +85,13 @@ func (c *planeCache) get(source int64) (plane, bool) {
 	return el.Value.(*cacheEntry).plane, true
 }
 
-// put inserts (or refreshes) source's plane, evicting the least
-// recently used entry at capacity.
-func (c *planeCache) put(source int64, p plane) {
+// offer hands the cache source's freshly completed plane. The plane is
+// admitted (inserted, or refreshed in place, evicting the least
+// recently used entry at capacity) when this is at least the source's
+// second sighting: it is resident, remembered in the ghost, or repeat
+// says the completion answered more than one request. Otherwise only
+// the source is remembered, evicting the oldest ghost key at capacity.
+func (c *planeCache) offer(source int64, p plane, repeat bool) {
 	if c == nil {
 		return
 	}
@@ -82,6 +100,18 @@ func (c *planeCache) put(source int64, p plane) {
 	if el, ok := c.entries[source]; ok {
 		el.Value.(*cacheEntry).plane = p
 		c.lru.MoveToFront(el)
+		return
+	}
+	if g, ok := c.ghosts[source]; ok {
+		c.ghost.Remove(g)
+		delete(c.ghosts, source)
+	} else if !repeat {
+		if c.ghost.Len() >= c.cap {
+			oldest := c.ghost.Back()
+			c.ghost.Remove(oldest)
+			delete(c.ghosts, oldest.Value.(int64))
+		}
+		c.ghosts[source] = c.ghost.PushFront(source)
 		return
 	}
 	if c.lru.Len() >= c.cap {
@@ -101,4 +131,20 @@ func (c *planeCache) stats() (hits, misses int64, size int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.hits, c.misses, c.lru.Len()
+}
+
+// residentBytes returns the resident planes' vector footprint: 8
+// bytes per Dist and Parent word.
+func (c *planeCache) residentBytes() int64 {
+	if c == nil {
+		return 0
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var words int
+	for el := c.lru.Front(); el != nil; el = el.Next() {
+		p := el.Value.(*cacheEntry).plane
+		words += len(p.Dist) + len(p.Parent)
+	}
+	return 8 * int64(words)
 }

@@ -15,8 +15,8 @@ const metricsWindow = 4096
 
 // sample is one served query's metric record.
 type sample struct {
-	waitNs    float64
-	amortNs   float64
+	waitNs    float64 // wall-clock queue wait
+	amortNs   float64 // simulated machine seconds (the batch share), in ns
 	occupancy int
 	run       graph500.Run
 }
@@ -44,10 +44,10 @@ type graphAcc struct {
 }
 
 // Metrics is the server's accounting, per SLO class (lifetime
-// served/rejected counters, windowed queue-wait and amortized-latency
-// percentiles, Graph 500 harmonic-mean TEPS) and per registered graph
-// (batches, occupancy, cache hit/miss/coalesce, deadline sheds). Safe
-// for concurrent use.
+// served/rejected counters, windowed wall-clock queue-wait and
+// simulated amortized-latency percentiles, Graph 500 harmonic-mean
+// TEPS) and per registered graph (batches, occupancy, cache
+// hit/miss/coalesce, deadline sheds). Safe for concurrent use.
 type Metrics struct {
 	mu      sync.Mutex
 	queries int64
@@ -185,20 +185,27 @@ type ClassSnapshot struct {
 
 	MeanOccupancy float64 `json:"mean_occupancy"`
 
+	// QueueWait* are wall-clock (server Clock) nanoseconds from
+	// admission to the batch's session acquisition.
 	QueueWaitP50Ns float64 `json:"queue_wait_p50_ns"`
 	QueueWaitP95Ns float64 `json:"queue_wait_p95_ns"`
 	QueueWaitP99Ns float64 `json:"queue_wait_p99_ns"`
 
-	AmortizedP50Ns float64 `json:"amortized_latency_p50_ns"`
-	AmortizedP95Ns float64 `json:"amortized_latency_p95_ns"`
-	AmortizedP99Ns float64 `json:"amortized_latency_p99_ns"`
+	// AmortizedSim* are simulated machine seconds, in nanoseconds: each
+	// query's share of its batch's α-β-model time (Response.SimTime),
+	// not a wall-clock latency.
+	AmortizedSimP50Ns float64 `json:"amortized_sim_latency_p50_ns"`
+	AmortizedSimP95Ns float64 `json:"amortized_sim_latency_p95_ns"`
+	AmortizedSimP99Ns float64 `json:"amortized_sim_latency_p99_ns"`
 
 	HarmonicMeanTEPS float64 `json:"harmonic_mean_teps"`
 }
 
 // GraphSnapshot is one registered graph's reported metrics. Counters
-// are lifetime; QueueLen, QueueDelayEstimateNs, and CacheEntries are
-// the live values at snapshot time (filled by Server.Metrics).
+// are lifetime; QueueLen, QueueDelayEstimateNs, CacheEntries, and
+// CacheBytes are the live values at snapshot time (filled by
+// Server.Metrics). CacheBytes is the resident planes' vector
+// footprint, 8·(len(Dist)+len(Parent)) summed over the cache's entries.
 type GraphSnapshot struct {
 	Graph         string  `json:"graph"`
 	Queries       int64   `json:"queries"`
@@ -209,6 +216,7 @@ type GraphSnapshot struct {
 	CacheMisses    int64   `json:"cache_misses"`
 	CacheHitRate   float64 `json:"cache_hit_rate"`
 	CacheEntries   int     `json:"cache_entries"`
+	CacheBytes     int64   `json:"cache_bytes"`
 	Coalesced      int64   `json:"coalesced"`
 	DeadlineShed   int64   `json:"deadline_shed"`
 	InternalErrors int64   `json:"internal_errors,omitempty"`
@@ -261,9 +269,9 @@ func (m *Metrics) Snapshot(draining bool) Snapshot {
 			cs.QueueWaitP50Ns = graph500.Percentile(waits, 50)
 			cs.QueueWaitP95Ns = graph500.Percentile(waits, 95)
 			cs.QueueWaitP99Ns = graph500.Percentile(waits, 99)
-			cs.AmortizedP50Ns = graph500.Percentile(amorts, 50)
-			cs.AmortizedP95Ns = graph500.Percentile(amorts, 95)
-			cs.AmortizedP99Ns = graph500.Percentile(amorts, 99)
+			cs.AmortizedSimP50Ns = graph500.Percentile(amorts, 50)
+			cs.AmortizedSimP95Ns = graph500.Percentile(amorts, 95)
+			cs.AmortizedSimP99Ns = graph500.Percentile(amorts, 99)
 			byClass[name] = runs
 		}
 		snap.Classes = append(snap.Classes, cs)

@@ -15,7 +15,11 @@
 //   - A bounded LRU of completed (graph, source) result planes answers
 //     repeated hot sources without touching the kernel, and in-queue
 //     duplicates coalesce onto the queued request (single-flight), so
-//     Zipf-skewed traffic pays one traversal per hot source.
+//     Zipf-skewed traffic pays about one traversal per hot source. A
+//     plane is cached on its source's second sighting only: a one-off
+//     completion leaves just its source in a key-only ghost list, so
+//     sources that never repeat within the cache's reach pin no
+//     memory.
 //   - Queue admits requests under a bounded depth and rejects with a
 //     typed *RejectError (queue_full carries a queue-delay-derived
 //     RetryAfter hint) when it cannot — saturation is a fast failure,
@@ -128,9 +132,10 @@ type Query struct {
 	// shed with RejectDeadline instead of served late; a zero Deadline
 	// opts out of deadline scheduling.
 	Deadline time.Time
-	// NoCache bypasses the result cache for this query (it still
-	// populates the cache on completion). Diagnostic traffic that must
-	// hit the kernel sets it.
+	// NoCache skips the result-cache lookup for this query. Its
+	// completion is still offered to the cache and counts as a
+	// sighting of the source, so it can admit the plane. Diagnostic
+	// traffic that must hit the kernel sets it.
 	NoCache bool
 }
 

@@ -48,8 +48,10 @@ type Config struct {
 	// batches may execute concurrently (default 1).
 	Sessions int
 
-	// CacheSize bounds each graph's hot-source result cache (LRU
-	// entries). Zero means DefaultCacheSize; negative disables caching.
+	// CacheSize bounds each graph's hot-source result cache: at most
+	// this many resident planes (LRU), admitted on a source's second
+	// sighting, and as many remembered one-off sources. Zero means
+	// DefaultCacheSize; negative disables caching.
 	CacheSize int
 
 	// Clock stamps admissions, queue waits, and completions (default
@@ -274,6 +276,7 @@ func (s *Server) Metrics() Snapshot {
 			snap.Graphs[i].QueueLen = w.q.Len()
 			snap.Graphs[i].QueueDelayEstimateNs = w.queueDelay().Nanoseconds()
 			_, _, snap.Graphs[i].CacheEntries = w.cache.stats()
+			snap.Graphs[i].CacheBytes = w.cache.residentBytes()
 		}
 	}
 	return snap

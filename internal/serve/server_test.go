@@ -458,8 +458,10 @@ func TestHTTPV1Surface(t *testing.T) {
 			t.Fatalf("dist[%d] = %d, serial reference %d", v, out.Dist[v], ref[v])
 		}
 	}
-	// The repeat is a cache hit, flagged on the wire and in the
-	// per-graph metrics.
+	// The repeat is the source's second sighting, which admits its
+	// plane; the third query is a cache hit, flagged on the wire and in
+	// the per-graph metrics.
+	post(QueryRequest{Graph: "small", Source: 3})
 	if r, out = post(QueryRequest{Graph: "small", Source: 3}); !out.Cached {
 		t.Errorf("repeat query status %d not flagged cached: %+v", r.StatusCode, out)
 	}

@@ -299,7 +299,8 @@ func (w *graphWorker) runBatch(batch []*Request, sess *pbfs.Session, acquired ti
 			SimTime:        r.SimTime, TEPS: r.TEPS(),
 			Batch: id,
 		}
-		w.cache.put(sources[i], p)
+		// Coalesced riders make this completion a second sighting.
+		w.cache.offer(sources[i], p, len(reqs) > 1)
 		for j, req := range reqs {
 			resp := w.respondPlane(req, p, id, len(sources), acquired, done, false, j > 0)
 			m.Record(resp)

@@ -139,9 +139,12 @@ echo "== race smoke (batching query server) =="
 go test -race ./internal/serve
 go test -race -count=20 -run 'BatchPanic|IdleServerDispatchesAtOnce|BacklogMergesIntoOneBatch|DeadlineShedAtAcquisition' ./internal/serve
 
-echo "== fuzz smoke (/v1/query encoder and decoder, CSR build, column join, top-down products, uint32 pull, vertex ownership, 1D batch driver, layout and graph-spec parsers) =="
+echo "== fuzz smoke (/v1/query encoder and decoder, plane cache admission, CSR build, column join, top-down products, uint32 pull, vertex ownership, 1D batch driver, layout and graph-spec parsers) =="
 # The 200 body must stay byte-identical to encoding/json's, and no
-# request body may panic the handler or draw a non-JSON reply. Every
+# request body may panic the handler or draw a non-JSON reply. Any
+# get/offer sequence must leave the plane cache's resident LRU, its
+# key-only ghost list, its counters and its byte footprint exactly as
+# a map-and-slice model of second-sighting admission has them. Every
 # CSR built from an edge list, with or without dedup, must hold each
 # row sorted and exactly as a map oracle gives it, survive two
 # transposes unchanged, and refuse a vertex count its uint32 ids cannot
@@ -162,6 +165,7 @@ echo "== fuzz smoke (/v1/query encoder and decoder, CSR build, column join, top-
 # trimmed non-empty id and re-render to itself.
 go test -run '^$' -fuzz '^FuzzWriteQuery$' -fuzztime 10s ./internal/serve
 go test -run '^$' -fuzz '^FuzzQueryRequest$' -fuzztime 10s ./internal/serve
+go test -run '^$' -fuzz '^FuzzPlaneCache$' -fuzztime 10s ./internal/serve
 go test -run '^$' -fuzz '^FuzzBuildCSR$' -fuzztime 10s ./internal/graph
 go test -run '^$' -fuzz '^FuzzSelectColumns$' -fuzztime 10s ./internal/spmat
 go test -run '^$' -fuzz '^FuzzSpMSV$' -fuzztime 10s ./internal/spmat
