@@ -6,6 +6,7 @@ package serve
 // bypass.
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -222,30 +223,107 @@ func TestPlaneCacheUnit(t *testing.T) {
 		t.Fatal("nil cache hit")
 	}
 	nilCache.put(1, plane{})
-	if h, m, n := nilCache.stats(); h != 0 || m != 0 || n != 0 {
-		t.Fatalf("nil cache stats %d/%d/%d", h, m, n)
+	if n := nilCache.len(); n != 0 {
+		t.Fatalf("nil cache holds %d planes", n)
 	}
 
 	c := newPlaneCache(2)
+	var hits, misses int
+	get := func(src int64) (plane, bool) {
+		p, ok := c.get(src)
+		if ok {
+			hits++
+		} else {
+			misses++
+		}
+		return p, ok
+	}
 	c.put(1, plane{Batch: 1})
 	c.put(2, plane{Batch: 2})
-	if p, ok := c.get(1); !ok || p.Batch != 1 {
+	if p, ok := get(1); !ok || p.Batch != 1 {
 		t.Fatalf("get(1) = %v %v", p, ok)
 	}
 	c.put(3, plane{Batch: 3}) // evicts 2 (1 was refreshed by get)
-	if _, ok := c.get(2); ok {
+	if _, ok := get(2); ok {
 		t.Fatal("LRU entry 2 survived eviction")
 	}
-	if _, ok := c.get(3); !ok {
+	if _, ok := get(3); !ok {
 		t.Fatal("fresh entry 3 missing")
 	}
 	// put on an existing key refreshes in place without eviction.
 	c.put(1, plane{Batch: 9})
-	if p, _ := c.get(1); p.Batch != 9 {
-		t.Fatalf("refreshed plane batch %d, want 9", p.Batch)
+	if p, ok := get(1); !ok || p.Batch != 9 {
+		t.Fatalf("refreshed get(1) = batch %d %v, want 9 true", p.Batch, ok)
 	}
-	hits, misses, size := c.stats()
-	if hits != 3 || misses != 1 || size != 2 {
-		t.Fatalf("stats hits=%d misses=%d size=%d, want 3/1/2", hits, misses, size)
+	if hits != 3 || misses != 1 || c.len() != 2 {
+		t.Fatalf("hits=%d misses=%d len=%d, want 3/1/2", hits, misses, c.len())
 	}
+}
+
+func TestPlaneNarrowing(t *testing.T) {
+	// Unreached, the root's level and parent, and the largest value a
+	// graph the guard admits can hold all survive narrowing exactly.
+	v := []int64{pbfs.Unreached, 0, math.MaxInt32}
+	if got := widen(narrow(v)); !equalInt64s(got, v) {
+		t.Fatalf("widen(narrow(%v)) = %v", v, got)
+	}
+	if !fitsInt32(math.MaxInt32) {
+		t.Error("a graph of MaxInt32 vertices must be cacheable")
+	}
+	if fitsInt32(math.MaxInt32 + 1) {
+		t.Error("a graph of MaxInt32+1 vertices must not be cached")
+	}
+}
+
+func TestCachedAnswerIsExactAndOwned(t *testing.T) {
+	// An in-process hit answers the producing traversal's vectors, in
+	// copies of its own: writing to them, or to the producing miss's
+	// vectors, leaves the next hit unchanged.
+	h, clock := cacheHarness(t, 4)
+	const src = 3
+	serveOnce(t, h, clock, src) // remembered
+	ch, err := h.Submit(Query{Source: src})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clock.Advance(time.Millisecond)
+	h.Pump()
+	miss := take(t, ch) // admitted
+	if miss.Err != nil || miss.Cached {
+		t.Fatalf("producing query err=%v cached=%v", miss.Err, miss.Cached)
+	}
+	wantDist := append([]int64(nil), miss.Dist...)
+	wantParent := append([]int64(nil), miss.Parent...)
+	reached := 0
+	for _, d := range wantDist {
+		if d != pbfs.Unreached {
+			reached++
+		}
+	}
+	if reached == 0 || reached == len(wantDist) {
+		t.Fatalf("source %d reaches %d of %d vertices; the check needs both kinds", src, reached, len(wantDist))
+	}
+	hit := func() *Response {
+		t.Helper()
+		ch, err := h.Submit(Query{Source: src})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp := take(t, ch)
+		if resp.Err != nil || !resp.Cached || resp.Batch != miss.Batch {
+			t.Fatalf("hit err=%v cached=%v batch %d, want the producing batch %d",
+				resp.Err, resp.Cached, resp.Batch, miss.Batch)
+		}
+		if !equalInt64s(resp.Dist, wantDist) || !equalInt64s(resp.Parent, wantParent) {
+			t.Fatal("cached vectors differ from the producing traversal's")
+		}
+		return resp
+	}
+	first := hit()
+	for _, v := range [][]int64{first.Dist, first.Parent, miss.Dist, miss.Parent} {
+		for i := range v {
+			v[i] = 99
+		}
+	}
+	hit()
 }

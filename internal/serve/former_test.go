@@ -123,14 +123,14 @@ func TestPlaneCacheRefreshAtCapacity(t *testing.T) {
 	c.put(1, plane{Batch: 1})
 	c.put(2, plane{Batch: 2})
 	c.put(3, plane{Batch: 3})
-	if _, _, size := c.stats(); size != 3 {
+	if size := c.len(); size != 3 {
 		t.Fatalf("size %d, want capacity 3", size)
 	}
 
 	// Refresh the LRU entry (1) by put at capacity: nothing is evicted,
 	// the payload updates, and 1 becomes most-recent.
 	c.put(1, plane{Batch: 10})
-	if _, _, size := c.stats(); size != 3 {
+	if size := c.len(); size != 3 {
 		t.Fatalf("refresh at capacity changed size to %d", size)
 	}
 	for _, e := range []struct {

@@ -67,6 +67,10 @@ type QueryResponse struct {
 
 	Dist   []int64 `json:"dist,omitempty"`
 	Parent []int64 `json:"parent,omitempty"`
+
+	// dist32 and parent32, when set, are encoded in place of Dist and
+	// Parent: a cache hit's vectors, written without widening.
+	dist32, parent32 []int32
 }
 
 // errorBody is the JSON envelope of every non-200 response.
@@ -128,10 +132,11 @@ func writeQuery(w http.ResponseWriter, out *QueryResponse) {
 
 // appendQuery appends to dst the /v1/query 200 body for out, byte for
 // byte what json.NewEncoder(w).Encode(out) writes: field order, HTML
-// escaping, omitted empty vectors and the trailing newline included.
-// encoding/json writes the scalar head; the vectors, which are nearly
-// all of the body, are appended with strconv.AppendInt instead of
-// reflected over one element at a time.
+// escaping, omitted empty vectors and the trailing newline included;
+// a 32-bit vector (dist32, parent32) encodes as its widened Dist or
+// Parent would. encoding/json writes the scalar head; the vectors,
+// which are nearly all of the body, are appended with
+// strconv.AppendInt instead of reflected over one element at a time.
 func appendQuery(dst []byte, out *QueryResponse) ([]byte, error) {
 	dist, parent := out.Dist, out.Parent
 	out.Dist, out.Parent = nil, nil // omitted from the head, appended below
@@ -141,8 +146,16 @@ func appendQuery(dst []byte, out *QueryResponse) ([]byte, error) {
 		return dst, err
 	}
 	dst = append(dst, head[:len(head)-1]...) // all but the closing brace
-	dst = appendInts(dst, `,"dist":[`, dist)
-	dst = appendInts(dst, `,"parent":[`, parent)
+	if out.dist32 != nil {
+		dst = appendInts(dst, `,"dist":[`, out.dist32)
+	} else {
+		dst = appendInts(dst, `,"dist":[`, dist)
+	}
+	if out.parent32 != nil {
+		dst = appendInts(dst, `,"parent":[`, out.parent32)
+	} else {
+		dst = appendInts(dst, `,"parent":[`, parent)
+	}
 	return append(dst, "}\n"...), nil
 }
 
@@ -150,7 +163,7 @@ func appendQuery(dst []byte, out *QueryResponse) ([]byte, error) {
 // bracket, or nothing when v is empty (the omitempty rule). Distances
 // are nearly all one-digit levels or Unreached (-1), so those skip
 // AppendInt, which halves the time of a scale-16 R-MAT vector.
-func appendInts(dst []byte, key string, v []int64) []byte {
+func appendInts[T int32 | int64](dst []byte, key string, v []T) []byte {
 	if len(v) == 0 {
 		return dst
 	}
@@ -165,7 +178,7 @@ func appendInts(dst []byte, key string, v []int64) []byte {
 		case x == -1:
 			dst = append(dst, '-', '1')
 		default:
-			dst = strconv.AppendInt(dst, x, 10)
+			dst = strconv.AppendInt(dst, int64(x), 10)
 		}
 	}
 	return append(dst, ']')
@@ -198,7 +211,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if qr.DeadlineMs > 0 {
 		q.Deadline = s.clock.Now().Add(time.Duration(qr.DeadlineMs) * time.Millisecond)
 	}
-	resp, err := s.Do(r.Context(), q)
+	resp, err := s.do(r.Context(), q, true)
 	if err != nil {
 		if rej, ok := AsReject(err); ok {
 			writeReject(w, rej)
@@ -217,10 +230,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		SimTimeSeconds: resp.SimTime, TEPS: resp.TEPS,
 	}
 	if qr.Dist {
-		out.Dist = resp.Dist
+		out.Dist, out.dist32 = resp.Dist, resp.dist32
 	}
 	if qr.Parent {
-		out.Parent = resp.Parent
+		out.Parent, out.parent32 = resp.Parent, resp.parent32
 	}
 	writeQuery(w, &out)
 }

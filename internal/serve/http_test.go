@@ -55,6 +55,10 @@ func queryCases() map[string]QueryResponse {
 			o.Dist = []int64{-1, math.MinInt64, math.MaxInt64, 9, 10, -10, 1 << 40}
 			o.Parent = []int64{math.MaxInt64, -1, math.MinInt64}
 		}),
+		"int32 extremes": with(func(o *QueryResponse) {
+			o.Dist = []int64{-1, math.MinInt32, math.MaxInt32, 9, 10, -10, 1 << 20}
+			o.Parent = []int64{math.MaxInt32, -1, math.MinInt32}
+		}),
 		"escaped strings": with(func(o *QueryResponse) {
 			o.Graph = "q\"uote\\back<lt>&amp\u2028line\u2029para"
 			o.Class = "<script>&\"\\\u2028\xff"
@@ -68,12 +72,29 @@ func queryCases() map[string]QueryResponse {
 	}
 }
 
-func TestWriteQueryMatchesEncodingJSON(t *testing.T) {
-	for name, out := range queryCases() {
-		want, err := encodingJSON(out)
-		if err != nil {
-			t.Fatalf("%s: encoding/json: %v", name, err)
+// narrowed returns out with its vectors moved to the 32-bit fields a
+// cache hit fills, and whether every value fit.
+func narrowed(out QueryResponse) (QueryResponse, bool) {
+	for _, v := range [][]int64{out.Dist, out.Parent} {
+		for _, x := range v {
+			if x != int64(int32(x)) {
+				return out, false
+			}
 		}
+	}
+	if out.Dist != nil {
+		out.dist32 = narrow(out.Dist)
+	}
+	if out.Parent != nil {
+		out.parent32 = narrow(out.Parent)
+	}
+	out.Dist, out.Parent = nil, nil
+	return out, true
+}
+
+func TestWriteQueryMatchesEncodingJSON(t *testing.T) {
+	check := func(name string, out QueryResponse, want []byte) {
+		t.Helper()
 		before := out
 		rec := httptest.NewRecorder()
 		writeQuery(rec, &out)
@@ -93,6 +114,17 @@ func TestWriteQueryMatchesEncodingJSON(t *testing.T) {
 			t.Errorf("%s: writeQuery changed its argument", name)
 		}
 	}
+	for name, out := range queryCases() {
+		want, err := encodingJSON(out)
+		if err != nil {
+			t.Fatalf("%s: encoding/json: %v", name, err)
+		}
+		check(name, out, want)
+		// A cache hit's 32-bit vectors encode as their widened form.
+		if hit, ok := narrowed(out); ok {
+			check(name+" (int32)", hit, want)
+		}
+	}
 }
 
 // int64s decodes b as little-endian words (a trailing partial word is
@@ -101,6 +133,15 @@ func int64s(b []byte) []int64 {
 	v := make([]int64, len(b)/8)
 	for i := range v {
 		v[i] = int64(binary.LittleEndian.Uint64(b[8*i:]))
+	}
+	return v
+}
+
+// int32s decodes b as little-endian 32-bit words, as int64s does.
+func int32s(b []byte) []int32 {
+	v := make([]int32, len(b)/4)
+	for i := range v {
+		v[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
 	}
 	return v
 }
@@ -135,6 +176,19 @@ func FuzzWriteQuery(f *testing.F) {
 		if err == nil && !bytes.Equal(got, want) {
 			t.Fatalf("body differs from encoding/json\n got: %s\nwant: %s", got, want)
 		}
+		// The same bytes as a cache hit's 32-bit vectors encode as
+		// encoding/json writes their widened []int64.
+		out.dist32, out.parent32 = int32s(dist), int32s(parent)
+		out.Dist, out.Parent = widen(out.dist32), widen(out.parent32)
+		want, wantErr = encodingJSON(out)
+		out.Dist, out.Parent = nil, nil
+		got, err = appendQuery(nil, &out)
+		if (err != nil) != (wantErr != nil) {
+			t.Fatalf("int32: appendQuery error %v, encoding/json error %v", err, wantErr)
+		}
+		if err == nil && !bytes.Equal(got, want) {
+			t.Fatalf("int32: body differs from encoding/json\n got: %s\nwant: %s", got, want)
+		}
 	})
 }
 
@@ -154,13 +208,17 @@ func TestWriteQueryAllocs(t *testing.T) {
 	for i := range out.Dist {
 		out.Dist[i] = int64(i%9) - 1
 	}
+	// A cache hit's body: the same vector as the plane's 32-bit words.
+	hit := QueryResponse{Graph: "rmat", Class: "standard", Cached: true, dist32: narrow(out.Dist)}
 	w := &discardWriter{h: http.Header{}}
-	writeQuery(w, &out) // warm the pool to the body's size
-	// Four: the head json.Marshal returns, the Content-Length string,
-	// and one value slice per Header.Set. A body-sized buffer per
-	// request would show as more.
-	if n := testing.AllocsPerRun(50, func() { writeQuery(w, &out) }); n > 4 {
-		t.Errorf("warm writeQuery of a 2^16-entry vector allocates %v times, want <= 4", n)
+	for name, out := range map[string]*QueryResponse{"miss": &out, "hit": &hit} {
+		writeQuery(w, out) // warm the pool to the body's size
+		// Four: the head json.Marshal returns, the Content-Length
+		// string, and one value slice per Header.Set. A body-sized
+		// buffer per request would show as more.
+		if n := testing.AllocsPerRun(50, func() { writeQuery(w, out) }); n > 4 {
+			t.Errorf("%s: warm writeQuery of a 2^16-entry vector allocates %v times, want <= 4", name, n)
+		}
 	}
 }
 
@@ -230,4 +288,77 @@ func FuzzQueryRequest(f *testing.F) {
 			t.Errorf("body %q: reply is not JSON: %q", body, rec.Body.Bytes())
 		}
 	})
+}
+
+// vector returns the array body encodes under key, brackets included.
+func vector(t *testing.T, body []byte, key string) []byte {
+	t.Helper()
+	lo := bytes.Index(body, []byte(`"`+key+`":[`))
+	if lo < 0 {
+		t.Fatalf("body carries no %s array: %.200s", key, body)
+	}
+	lo += len(key) + 3
+	hi := bytes.IndexByte(body[lo:], ']')
+	if hi < 0 {
+		t.Fatalf("%s array is not closed", key)
+	}
+	return body[lo-1 : lo+hi+1]
+}
+
+func TestHTTPCachedVectorsMatchMiss(t *testing.T) {
+	// Over HTTP a hit encodes the cached 32-bit plane without widening
+	// it; its arrays must be the producing miss's, byte for byte. The
+	// R-MAT source leaves vertices unreached (-1 in both arrays); the
+	// crawl is connected, but its ~130 levels and large vertex IDs take
+	// the multi-digit path.
+	rmat, err := pbfs.NewRMATGraph(8, 8, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	crawl, err := pbfs.NewWebCrawlGraph(1000, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := pbfs.Options{Algorithm: pbfs.OneDFlat, Ranks: 4}
+	srv, err := New(Config{Graphs: []GraphConfig{
+		{ID: "rmat", Graph: rmat, Options: opt},
+		{ID: "crawl", Graph: crawl, Options: opt},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Shutdown)
+	h := srv.Handler()
+	post := func(graph string) ([]byte, QueryResponse) {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		body := `{"graph":"` + graph + `","source":3,"dist":true,"parent":true}`
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/query", bytes.NewReader([]byte(body))))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", graph, rec.Code, rec.Body.Bytes())
+		}
+		var out QueryResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+			t.Fatal(err)
+		}
+		return rec.Body.Bytes(), out
+	}
+	for _, graph := range []string{"rmat", "crawl"} {
+		post(graph) // a first sighting: only the source is remembered
+		missBody, miss := post(graph)
+		hitBody, hit := post(graph)
+		if miss.Cached || !hit.Cached || hit.Batch != miss.Batch {
+			t.Fatalf("%s: cached %v then %v, batches %d and %d: want a miss, then its hit",
+				graph, miss.Cached, hit.Cached, miss.Batch, hit.Batch)
+		}
+		for _, key := range []string{"dist", "parent"} {
+			want, got := vector(t, missBody, key), vector(t, hitBody, key)
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s: hit's %s array differs from the miss's", graph, key)
+			}
+			if graph == "rmat" && !bytes.Contains(want, []byte("-1")) {
+				t.Errorf("rmat: %s array has no unreached vertex", key)
+			}
+		}
+	}
 }

@@ -205,7 +205,8 @@ type ClassSnapshot struct {
 // are lifetime; QueueLen, QueueDelayEstimateNs, CacheEntries, and
 // CacheBytes are the live values at snapshot time (filled by
 // Server.Metrics). CacheBytes is the resident planes' vector
-// footprint, 8·(len(Dist)+len(Parent)) summed over the cache's entries.
+// footprint, 4·(len(Dist)+len(Parent)) summed over the cache's entries
+// (a cached plane holds its vectors at 32 bits a vertex).
 type GraphSnapshot struct {
 	Graph         string  `json:"graph"`
 	Queries       int64   `json:"queries"`

@@ -19,7 +19,7 @@
 //     plane is cached on its source's second sighting only: a one-off
 //     completion leaves just its source in a key-only ghost list, so
 //     sources that never repeat within the cache's reach pin no
-//     memory.
+//     memory. A cached plane holds its vectors at 32 bits a vertex.
 //   - Queue admits requests under a bounded depth and rejects with a
 //     typed *RejectError (queue_full carries a queue-delay-derived
 //     RetryAfter hint) when it cannot — saturation is a fast failure,
@@ -155,10 +155,13 @@ type Request struct {
 	// tie-break; done receives exactly one Response (buffered, so
 	// completion never blocks on a slow reader); riders are coalesced
 	// duplicate queries for the same (graph, source) that share this
-	// request's traversal (guarded by the owning worker's mutex).
+	// request's traversal (guarded by the owning worker's mutex); wire
+	// marks a request from the HTTP handler, whose cache hit carries
+	// the plane's 32-bit vectors instead of widened copies.
 	seq    uint64
 	done   chan *Response
 	riders []*Request
+	wire   bool
 }
 
 // Response is the outcome of one query: a served BFS (Dist and Parent
@@ -178,10 +181,17 @@ type Response struct {
 	// ErrBatchPanic when the batch panicked.
 	Err error
 
+	// Dist and Parent are the search's per-vertex output. A cache hit
+	// gets its own copies, widened from the cached 32-bit plane, so
+	// writing to them cannot change a later answer.
 	Dist    []int64
 	Parent  []int64
 	Levels  int64
 	Reached int64
+	// dist32 and parent32 stand in for Dist and Parent on a cache hit
+	// submitted by the HTTP handler: the cached plane's own vectors,
+	// read by the encoder and never written.
+	dist32, parent32 []int32
 
 	// Batch and Occupancy identify the ride: which dispatch the query
 	// was served by and how many distinct sources shared its traversal.

@@ -49,9 +49,10 @@ type Config struct {
 	Sessions int
 
 	// CacheSize bounds each graph's hot-source result cache: at most
-	// this many resident planes (LRU), admitted on a source's second
-	// sighting, and as many remembered one-off sources. Zero means
-	// DefaultCacheSize; negative disables caching.
+	// this many resident planes (LRU) of 8 bytes a vertex, admitted on
+	// a source's second sighting, and as many remembered one-off
+	// sources. Zero means DefaultCacheSize; negative disables caching.
+	// A graph of more than math.MaxInt32 vertices caches nothing.
 	CacheSize int
 
 	// Clock stamps admissions, queue waits, and completions (default
@@ -184,6 +185,12 @@ func (s *Server) worker(graphID string) (*graphWorker, bool) {
 // unknown graph or class, out-of-range source, unmeetable deadline,
 // full queue, draining — return a *RejectError and nothing is queued.
 func (s *Server) SubmitQuery(q Query) (<-chan *Response, error) {
+	return s.submitQuery(q, false)
+}
+
+// submitQuery is SubmitQuery; wire marks the request as the HTTP
+// handler's (see Request).
+func (s *Server) submitQuery(q Query, wire bool) (<-chan *Response, error) {
 	if q.Class == "" {
 		q.Class = DefaultClass
 	}
@@ -214,6 +221,7 @@ func (s *Server) SubmitQuery(q Query) (<-chan *Response, error) {
 		Enqueued: s.clock.Now(),
 		Deadline: q.Deadline,
 		done:     make(chan *Response, 1),
+		wire:     wire,
 	}
 	if err := w.submit(req, req.Enqueued, q.NoCache); err != nil {
 		return nil, err
@@ -228,7 +236,12 @@ func (s *Server) SubmitQuery(q Query) (<-chan *Response, error) {
 // (returning the Response), not served (returning the Response's Err —
 // a *RejectError for rejections), or ctx is done.
 func (s *Server) Do(ctx context.Context, q Query) (*Response, error) {
-	ch, err := s.SubmitQuery(q)
+	return s.do(ctx, q, false)
+}
+
+// do is Do; wire marks the request as the HTTP handler's.
+func (s *Server) do(ctx context.Context, q Query, wire bool) (*Response, error) {
+	ch, err := s.submitQuery(q, wire)
 	if err != nil {
 		return nil, err
 	}
@@ -275,7 +288,7 @@ func (s *Server) Metrics() Snapshot {
 		if w, ok := s.workers[snap.Graphs[i].Graph]; ok {
 			snap.Graphs[i].QueueLen = w.q.Len()
 			snap.Graphs[i].QueueDelayEstimateNs = w.queueDelay().Nanoseconds()
-			_, _, snap.Graphs[i].CacheEntries = w.cache.stats()
+			snap.Graphs[i].CacheEntries = w.cache.len()
 			snap.Graphs[i].CacheBytes = w.cache.residentBytes()
 		}
 	}

@@ -149,8 +149,7 @@ func (w *graphWorker) submit(req *Request, now time.Time, noCache bool) error {
 	if !noCache {
 		if p, ok := w.cache.get(req.Source); ok {
 			m.RecordCache(w.id, true)
-			resp := w.respondPlane(req, p, p.Batch, p.Occupancy(), now, now, true, false)
-			m.Record(resp)
+			m.Record(w.respondPlane(req, p, now))
 			return nil
 		}
 		m.RecordCache(w.id, false)
@@ -293,16 +292,17 @@ func (w *graphWorker) runBatch(batch []*Request, sess *pbfs.Session, acquired ti
 	for i, reqs := range live {
 		r := br.Results[i]
 		p := plane{
-			Dist: r.Dist, Parent: r.Parent,
 			Levels: r.Levels, Reached: reachedCount(r.Dist),
 			TraversedEdges: r.TraversedEdges,
 			SimTime:        r.SimTime, TEPS: r.TEPS(),
 			Batch: id,
 		}
 		// Coalesced riders make this completion a second sighting.
-		w.cache.offer(sources[i], p, len(reqs) > 1)
+		w.cache.offer(sources[i], p, r.Dist, r.Parent, len(reqs) > 1)
 		for j, req := range reqs {
-			resp := w.respondPlane(req, p, id, len(sources), acquired, done, false, j > 0)
+			resp := w.response(req, p, id, len(sources), acquired, done, false, j > 0)
+			resp.Dist, resp.Parent = r.Dist, r.Parent
+			req.done <- resp
 			m.Record(resp)
 		}
 	}
@@ -320,15 +320,14 @@ func (w *graphWorker) execute(sess *pbfs.Session, sources []int64) (br *pbfs.Bat
 	return w.exec(sess, sources)
 }
 
-// respondPlane completes req with plane p and delivers the response on
-// its done channel. The request waited until acquired, the instant its
-// batch checked out a session (a cache hit passes its admission time),
-// and completed at done.
-func (w *graphWorker) respondPlane(req *Request, p plane, batch uint64, occupancy int,
+// response builds req's response from plane p's scalars, without
+// vectors. The request waited until acquired, the instant its batch
+// checked out a session (a cache hit passes its admission time), and
+// completed at done.
+func (w *graphWorker) response(req *Request, p plane, batch uint64, occupancy int,
 	acquired, done time.Time, cached, coalesced bool) *Response {
-	resp := &Response{
+	return &Response{
 		ID: req.ID, Graph: w.id, Source: req.Source, Class: req.Class,
-		Dist: p.Dist, Parent: p.Parent,
 		Levels: p.Levels, Reached: p.Reached,
 		Batch: batch, Occupancy: occupancy,
 		Cached: cached, Coalesced: coalesced,
@@ -336,6 +335,19 @@ func (w *graphWorker) respondPlane(req *Request, p plane, batch uint64, occupanc
 		Completed: done,
 		SimTime:   p.SimTime, TEPS: p.TEPS,
 		TraversedEdges: p.TraversedEdges,
+	}
+}
+
+// respondPlane answers req, admitted at now, from cached plane p and
+// delivers the response on its done channel. A request from the HTTP
+// handler carries p's 32-bit vectors for the encoder as they are;
+// any other gets widened copies, so no caller can write to the cache.
+func (w *graphWorker) respondPlane(req *Request, p plane, now time.Time) *Response {
+	resp := w.response(req, p, p.Batch, p.Occupancy(), now, now, true, false)
+	if req.wire {
+		resp.dist32, resp.parent32 = p.Dist, p.Parent
+	} else {
+		resp.Dist, resp.Parent = widen(p.Dist), widen(p.Parent)
 	}
 	req.done <- resp
 	return resp
