@@ -35,7 +35,10 @@ func planesFingerprint(res *BatchResult) string {
 // source at the end, so two searches share every frontier. The 2D rows
 // run a rectangular (8 ranks) and a square (16 ranks) grid; their fold
 // claims first-wins in row-rank order, which picks the lowest-id
-// parent, so they match the 1D Auto rows.
+// parent, so they match the 1D Auto rows. The comparators batch one
+// search at a time and commit the first record per target after a sort
+// by target, so their parents differ from the tuned codes' but not
+// from each other's.
 func TestBatchPlanesGolden(t *testing.T) {
 	g, err := NewRMATGraph(12, 16, 5)
 	if err != nil {
@@ -113,6 +116,14 @@ func TestBatchPlanesGolden(t *testing.T) {
 			"dist=e6652d9617c540c5 parent=75a5b062701da49c"},
 		{TwoDHybrid, Auto, 64, 16,
 			"dist=e6652d9617c540c5 parent=75a5b062701da49c"},
+		{Reference, TopDownOnly, 3, 7,
+			"dist=0d45a2d6de470757 parent=7760c20fec6ec618"},
+		{Reference, TopDownOnly, 3, 16,
+			"dist=0d45a2d6de470757 parent=eda44fa3c3b762be"},
+		{PBGL, TopDownOnly, 3, 7,
+			"dist=0d45a2d6de470757 parent=7760c20fec6ec618"},
+		{PBGL, TopDownOnly, 3, 16,
+			"dist=0d45a2d6de470757 parent=eda44fa3c3b762be"},
 	}
 	sess := NewSession()
 	defer sess.Close()

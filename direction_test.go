@@ -212,3 +212,50 @@ func TestAutoMatchesTopDownOnCrawl(t *testing.T) {
 		}
 	}
 }
+
+// TestTopDownScannedAgreesAcrossCodes checks that every top-down code
+// reports the adjacency entries it scans: the four TopDownOnly layouts
+// and the two comparators each push over every out-edge of the reached
+// set, so all six count the same ScannedTopDown and no bottom-up work.
+// On a directed graph that count is not 2*TraversedEdges, so the test
+// compares the codes with each other instead.
+func TestTopDownScannedAgreesAcrossCodes(t *testing.T) {
+	crawl, err := NewWebCrawlGraph(1<<10, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	directed, err := NewDirectedGraph(6, [][2]int64{{0, 1}, {1, 2}, {2, 0}, {2, 3}, {4, 0}, {4, 5}, {5, 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rmat := testGraph(t)
+	cases := []struct {
+		name string
+		g    *Graph
+		src  int64
+	}{
+		{"rmat", rmat, rmat.Sources(1, 3)[0]},
+		{"crawl", crawl, crawl.Sources(1, 3)[0]},
+		// Vertex 4 reaches every vertex, whose out-degrees sum to 7.
+		{"directed", directed, 4},
+	}
+	sess := NewSession()
+	defer sess.Close()
+	for _, c := range cases {
+		var want int64
+		for i, algo := range []Algorithm{OneDFlat, OneDHybrid, TwoDFlat, TwoDHybrid, Reference, PBGL} {
+			res, err := sess.Search(c.g, c.src, Options{Algorithm: algo, Ranks: 4, Direction: TopDownOnly})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i == 0 {
+				want = res.ScannedTopDown
+				t.Logf("%s: %d entries scanned, %d edges traversed", c.name, want, res.TraversedEdges)
+			}
+			if res.ScannedTopDown != want || res.ScannedBottomUp != 0 || want == 0 {
+				t.Errorf("%s %v: scanned %d top-down + %d bottom-up, want %d + 0",
+					c.name, algo, res.ScannedTopDown, res.ScannedBottomUp, want)
+			}
+		}
+	}
+}

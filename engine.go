@@ -359,9 +359,9 @@ func (e *engine2D) searchBatch(sources []int64, opt Options) (*BatchResult, erro
 func (e *engine2D) close() { e.arena.Close() }
 
 // engineBase drives the Section 6 comparator codes (Graph 500 reference
-// and PBGL). They are top-down by construction and allocate their own
-// scratch per run — the work-inefficiency is the point — so the engine
-// holds only the distribution and the world.
+// and PBGL) through their one level loop, baseline.Run. They are
+// top-down by construction and keep no scratch between searches, so the
+// engine holds only the distribution and the world.
 type engineBase struct {
 	lay   layout
 	g     *Graph
@@ -387,11 +387,11 @@ func (e *engineBase) search(source int64, opt Options) (*Result, error) {
 		return nil, err
 	}
 	e.w.Reset()
-	run := baseline.RunPBGL
+	code := baseline.PBGL
 	if e.lay.algo == Reference {
-		run = baseline.RunReference
+		code = baseline.Reference
 	}
-	return newResult(run(e.w, e.dg, source, e.price), e.w), nil
+	return newResult(baseline.Run(e.w, e.dg, source, e.price, code), e.w), nil
 }
 
 func (e *engineBase) searchBatch(sources []int64, opt Options) (*BatchResult, error) {

@@ -42,9 +42,12 @@ func main() {
 	keys := g.Sources(16, 0x500)
 	fmt.Printf("running %d searches...\n", len(keys))
 
+	// One session distributes the graph once for all the searches.
+	sess := pbfs.NewSession()
+	defer sess.Close()
 	var times, teps []float64
 	for i, src := range keys {
-		res, err := g.BFS(src, pbfs.Options{Algorithm: algo, Ranks: *ranks, Machine: "hopper"})
+		res, err := sess.Search(g, src, pbfs.Options{Algorithm: algo, Ranks: *ranks, Machine: "hopper"})
 		if err != nil {
 			log.Fatal(err)
 		}

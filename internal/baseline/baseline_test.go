@@ -37,7 +37,7 @@ func TestReferenceCorrect(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := cluster.NewWorld(6, cluster.ZeroCost{})
-	out := RunReference(w, dg, src, nil)
+	out := Run(w, dg, src, nil, Reference)
 	sref := serial.BFS(ref, src)
 	res := &serial.Result{Source: src, Dist: out.Dist, Parent: out.Parent}
 	if err := serial.Validate(ref, res, sref); err != nil {
@@ -52,7 +52,7 @@ func TestPBGLCorrect(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := cluster.NewWorld(4, cluster.ZeroCost{})
-	out := RunPBGL(w, dg, src, nil)
+	out := Run(w, dg, src, nil, PBGL)
 	sref := serial.BFS(ref, src)
 	res := &serial.Result{Source: src, Dist: out.Dist, Parent: out.Parent}
 	if err := serial.Validate(ref, res, sref); err != nil {
@@ -82,7 +82,7 @@ func TestReferenceSlowerThanTuned(t *testing.T) {
 		bfs1d.Run(w, dg, src, opt)
 	})
 	ref := simTime(p, m, func(w *cluster.World) {
-		RunReference(w, dg, src, m)
+		Run(w, dg, src, m, Reference)
 	})
 	ratio := ref / tuned
 	// The paper measures 2.72-4.13x on Franklin; allow a broad band
@@ -101,10 +101,10 @@ func TestPBGLMuchSlowerThanReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	refT := simTime(p, m, func(w *cluster.World) {
-		RunReference(w, dg, src, m)
+		Run(w, dg, src, m, Reference)
 	})
 	pbglT := simTime(p, m, func(w *cluster.World) {
-		RunPBGL(w, dg, src, m)
+		Run(w, dg, src, m, PBGL)
 	})
 	if pbglT <= refT {
 		t.Errorf("PBGL (%v) not slower than reference (%v)", pbglT, refT)

@@ -37,6 +37,7 @@ import (
 	"repro/internal/edgefile"
 	"repro/internal/graph"
 	"repro/internal/graph500"
+	"repro/internal/perfmodel"
 	"repro/internal/rmat"
 	"repro/internal/serial"
 	"repro/internal/webgen"
@@ -55,24 +56,9 @@ const (
 	PBGL
 )
 
-// String returns the display name used in the paper's figures.
-func (a Algorithm) String() string {
-	switch a {
-	case OneDFlat:
-		return "1D Flat MPI"
-	case OneDHybrid:
-		return "1D Hybrid"
-	case TwoDFlat:
-		return "2D Flat MPI"
-	case TwoDHybrid:
-		return "2D Hybrid"
-	case Reference:
-		return "Graph500 reference"
-	case PBGL:
-		return "PBGL"
-	}
-	return "unknown"
-}
+// String returns the display name used in the paper's figures, from
+// the one name table the performance model keeps.
+func (a Algorithm) String() string { return perfmodel.Algo(a).String() }
 
 // Unreached marks unreachable vertices in distance and parent arrays.
 const Unreached = serial.Unreached
@@ -296,9 +282,11 @@ type Result struct {
 	TraversedEdges int64
 	// ScannedTopDown and ScannedBottomUp count the adjacency entries
 	// the traversal actually examined, split by phase. A TopDownOnly
-	// run scans 2*TraversedEdges entries (both directions of every
-	// edge incident to the reached set); direction optimization shows
-	// up as ScannedTopDown+ScannedBottomUp dropping well below that.
+	// run, like the top-down Reference and PBGL comparators, scans every
+	// out-edge of the reached set: on an undirected graph that is
+	// 2*TraversedEdges entries (both directions of every edge incident
+	// to the reached set). Direction optimization shows up as
+	// ScannedTopDown+ScannedBottomUp dropping well below that.
 	ScannedTopDown  int64
 	ScannedBottomUp int64
 	// SimTime and CommTime are simulated machine seconds (zero when no

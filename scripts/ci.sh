@@ -92,15 +92,17 @@ echo "== race smoke (session reuse + collective substrate) =="
 # in rendezvous_stress_test.go, which skew goroutine interleavings
 # across grids and subcommunicators and assert bit-identical simulated
 # figures); the 2D driver's rectangular transpose and
-# partitioned-bitmap paths; and the single-search 1D, 2D and diagonal
-# drivers, whose ranks all write their owned ranges of one shared pair
-# of output arrays; and the narrow-batch crossover, which runs one- to
+# partitioned-bitmap paths; the single-search 1D, 2D and diagonal
+# drivers and the Section 6 comparators' level loop (internal/baseline),
+# whose ranks all write their owned ranges of one shared pair of output
+# arrays; and the narrow-batch crossover, which runs one- to
 # eight-source batches beside single searches on one warm session.
 go test -race -run 'Session|CrossShape|RectGrid|TraceGolden|Decision|NarrowBatch' .
 go test -race -short -run 'Conformance' .
 go test -race ./internal/levels ./internal/cluster ./internal/smp
 go test -race -run Rect ./internal/bfs2d
 go test -race -run 'MatchesSerial|Diagonal' ./internal/bfs1d ./internal/bfs2d
+go test -race ./internal/baseline
 # The R-MAT generator fills one edge slice from GOMAXPROCS workers.
 go test -race ./internal/rmat
 
@@ -142,9 +144,10 @@ go test -race -count=20 -run 'BatchPanic|IdleServerDispatchesAtOnce|BacklogMerge
 echo "== fuzz smoke (/v1/query encoder and decoder, plane cache admission, CSR build, column join, top-down products, uint32 pull, vertex ownership, 1D batch driver, layout and graph-spec parsers) =="
 # The 200 body must stay byte-identical to encoding/json's, and no
 # request body may panic the handler or draw a non-JSON reply. Any
-# get/offer sequence must leave the plane cache's resident LRU, its
-# key-only ghost list, its counters and its byte footprint exactly as
-# a map-and-slice model of second-sighting admission has them. Every
+# get/offer sequence must leave the plane cache's hits and misses, its
+# resident LRU, its key-only ghost list, its resident planes and its
+# byte footprint exactly as a map-and-slice model of second-sighting
+# admission has them. Every
 # CSR built from an edge list, with or without dedup, must hold each
 # row sorted and exactly as a map oracle gives it, survive two
 # transposes unchanged, and refuse a vertex count its uint32 ids cannot

@@ -29,7 +29,8 @@ func simFingerprint(sim float64, phases map[string]float64, td, bu int64) string
 // TestSimTimeGolden pins the simulated clock of every distributed
 // layout bit for bit: single-source searches under each direction
 // policy and one 8-source batch per layout, on a fixed R-MAT instance
-// priced with the Franklin profile. Volumes alone (TestCommVolumeTraceGolden)
+// priced with the Franklin profile. The two Section 6 comparators,
+// top-down by construction, pin one search and one 8-source batch each. Volumes alone (TestCommVolumeTraceGolden)
 // would not notice a change to when words move or how local work is
 // charged; this golden does.
 func TestSimTimeGolden(t *testing.T) {
@@ -76,6 +77,14 @@ func TestSimTimeGolden(t *testing.T) {
 			"sim=3f37fc2e470cc53c td=0 bu=19978 allreduce=3f2122655fca22cc bitmap=3f22da55d4fc4ece fold=3f11faaa82546b85"},
 		{TwoDHybrid, Auto, true,
 			"sim=3f46a07f36cde4a6 td=111 bu=21634 allreduce=3f349237e6d14ecb bitmap=3f25164544605fc5 expand=3efbb38722ebdfb3 fold=3f18b1eb52a7754f transpose=3eeb5af1b586d76e"},
+		{Reference, TopDownOnly, false,
+			"sim=3f43f75dacf4e445 td=10780 bu=0 a2a=3f3004e5ceee9387 allreduce=3f2cc08cefdf6ddc"},
+		{Reference, TopDownOnly, true,
+			"sim=3f7455b2fb44a356 td=86240 bu=0 a2a=3f60a5d227a3b4b0 allreduce=3f5d1221c09a0e8a"},
+		{PBGL, TopDownOnly, false,
+			"sim=3f556d3970376b3e td=10780 bu=0 a2a=3f427aa7f4a2c00d allreduce=3f32b6e6dc6d7eb3"},
+		{PBGL, TopDownOnly, true,
+			"sim=3f85d141bf7ca7fd td=86240 bu=0 a2a=3f7327f3afa7b268 allreduce=3f62ec70a3788cfe"},
 	}
 	sess := NewSession()
 	defer sess.Close()
