@@ -307,6 +307,9 @@ func (e *engine2D) rebind(g *Graph) error {
 		return err
 	}
 	distributions.Add(1)
+	// Undirected facade graphs are symmetrized, so the bottom-up phase
+	// can slice its pull views out of the push CSR without a transpose.
+	dg.Symmetric = !g.directed
 	e.g, e.dg = g, dg
 	return nil
 }

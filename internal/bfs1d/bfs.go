@@ -147,7 +147,7 @@ func chunkOf(th, t int, n int64) (lo, hi int64) {
 // frontier bitmap into the worker's candidate vector.
 func (ts *threadScratch) pull(in *spmat.PullCSR, front, vis *bits.Bitmap, th, t int, n int64) {
 	lo, hi := chunkOf(th, t, n)
-	ts.adjWords = in.SubRows(lo, hi).Pull(&ts.pullOut, front, vis, lo, 0)
+	ts.adjWords = in.SubRows(lo, hi).Pull(&ts.pullOut, front, vis, lo)
 }
 
 // prepare does the per-run set-up Run and RunBatch share: it checks the

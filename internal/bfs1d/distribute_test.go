@@ -125,17 +125,17 @@ func TestPullViewAliasesCSR(t *testing.T) {
 				if pv.Rows != dg.Part.Count(rank) || pv.Cols != dg.Part.N {
 					t.Errorf("%s rank %d: view is %dx%d", rg.name, rank, pv.Rows, pv.Cols)
 				}
-				if &pv.RowPtr[0] != &lg.XAdj[0] {
-					t.Errorf("%s rank %d: RowPtr is a copy", rg.name, rank)
+				if &pv.Beg[0] != &lg.XAdj[0] || &pv.End[0] != &lg.XAdj[1] {
+					t.Errorf("%s rank %d: Beg or End is a copy", rg.name, rank)
 				}
 				if len(lg.Adj) == 0 {
 					continue
 				}
-				if &pv.ColInd[0] != &lg.Adj[0] {
-					t.Errorf("%s rank %d: ColInd is a copy", rg.name, rank)
+				if &pv.Adj[0] != &lg.Adj[0] {
+					t.Errorf("%s rank %d: Adj is a copy", rg.name, rank)
 				}
-				if symmetric && &pv.ColInd[0] != &csr.Adj[csr.XAdj[dg.Part.Start(rank)]] {
-					t.Errorf("%s rank %d: symmetric ColInd does not alias the CSR", rg.name, rank)
+				if symmetric && &pv.Adj[0] != &csr.Adj[csr.XAdj[dg.Part.Start(rank)]] {
+					t.Errorf("%s rank %d: symmetric Adj does not alias the CSR", rg.name, rank)
 				}
 			}
 		}

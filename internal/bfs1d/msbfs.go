@@ -36,7 +36,7 @@ type batchRankArena struct {
 // chunk of the owned rows for the active searches.
 func (ts *threadScratch) pullMasks(in *spmat.PullCSR, front, vis []uint64, active uint64, th, t int, n int64) {
 	lo, hi := chunkOf(th, t, n)
-	ts.adjWords = in.SubRows(lo, hi).PullMasks(&ts.pullMask, front, vis, active, lo, 0)
+	ts.adjWords = in.SubRows(lo, hi).PullMasks(&ts.pullMask, front, vis, active, lo)
 }
 
 // RunBatch executes one batched BFS over up to levels.BatchWidth sources

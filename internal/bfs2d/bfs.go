@@ -75,18 +75,18 @@ type Arena struct {
 
 // rankArena is one rank's scratch: its frame, the frontier double
 // buffer, the rectangular transpose's routing buffers, the flat record
-// buffer, kernel scratches, the strip worker team, and the vectors of the
-// level loop.
+// buffer, the fold's seen bitmap, kernel scratches, the strip worker
+// team, and the vectors of the level loop.
 type rankArena struct {
-	frame                 frame
-	frontBuf              [2][]int64
-	sendT                 [][]int64 // rectangular transpose: per-world-rank routing buffers
-	moved                 records   // rectangular transpose: collected records
-	pairs                 []int64   // batch transpose and diagonal fold records
-	localF, spOut, merged spvec.Vec
-	rowScratch            spmat.RowScratch
-	mergeScratch          spvec.MergeScratch
-	pool                  *smp.Pool
+	frame         frame
+	frontBuf      [2][]int64
+	sendT         [][]int64    // rectangular transpose: per-world-rank routing buffers
+	moved         records      // rectangular transpose: collected records
+	pairs         []int64      // batch transpose and diagonal fold records
+	seen          *bits.Bitmap // fold: the owned vertices received this level (claimFold)
+	localF, spOut spvec.Vec
+	rowScratch    spmat.RowScratch
+	pool          *smp.Pool
 	// Bottom-up state: the frontier bitmap sliced to this rank's block
 	// column (front), the row-block frontier assembled along the row
 	// subcommunicator (rowFront), the row-block visited slice (vis),
@@ -182,7 +182,8 @@ func run2DVector(w *cluster.World, grid *cluster.Grid, g *Graph, source int64, o
 		}
 		curBuf := 0
 		spMSVOpts := spmat.SpMSVOpts{Kernel: opt.Kernel}
-		localF, spOut, merged := &ar.localF, &ar.spOut, &ar.merged
+		localF, spOut := &ar.localF, &ar.spOut
+		ar.seen = bits.Grown(ar.seen, nOwn)
 
 		dirm := dirheur.New(opt.Direction, pt.N, run.totalAdj)
 		// The partitioned bitmap exchange runs over word ranges padded
@@ -278,32 +279,25 @@ func run2DVector(w *cluster.World, grid *cluster.Grid, g *Graph, source int64, o
 			}
 			recv := f.rowG.Alltoallv(r, send, "fold")
 
-			// Merge the pc received pieces (select,max) over my range:
-			// every piece arrives sorted, so a k-way merge does it in
-			// O(W log pc) with no intermediate slices.
+			// ---- Merge (select,max), mask visited and update (lines 8-11) ----
+			// The pc received pieces are claimed pair by pair over my
+			// range, with no merged vector in between. The model still
+			// prices the paper's merge and then its mask over the
+			// distinct vertices received. The new frontier goes into the
+			// buffer not currently visible to remote readers (see the
+			// double-buffer note above).
 			var recvWords int64
 			for _, part := range recv {
 				recvWords += int64(len(part))
 			}
-			spvec.FoldMerge(merged, recv, vLo, &ar.mergeScratch)
+			curBuf = 1 - curBuf
+			var distinct int64
+			frontier, distinct = claimFold(recv, vLo, level, dist, parent, ar.seen, ar.frontBuf[curBuf][:0])
+			ar.frontBuf[curBuf] = frontier
 			if price != nil {
 				r.Charge(price.MemCost(0, 0, 2*recvWords, recvWords) / float64(t))
 			}
-
-			// ---- Mask visited and update (lines 9-11) ----
-			// The new frontier goes into the buffer not currently visible
-			// to remote readers (see the double-buffer note above).
-			curBuf = 1 - curBuf
-			frontier = ar.frontBuf[curBuf][:0]
-			for k, vl := range merged.Ind {
-				if parent[vl] == serial.Unreached {
-					parent[vl] = merged.Val[k]
-					dist[vl] = level
-					frontier = append(frontier, vl+vLo)
-				}
-			}
-			ar.frontBuf[curBuf] = frontier
-			r.ChargeMem(price, int64(merged.NNZ()), nOwn, int64(merged.NNZ()), 0)
+			r.ChargeMem(price, distinct, nOwn, distinct, 0)
 			// The heuristic needs the new frontier's out-edge volume.
 			if opt.Direction == dirheur.ModeAuto {
 				for _, gv := range frontier {

@@ -3,12 +3,12 @@ package bfs2d
 import (
 	"math"
 
+	"repro/internal/bits"
 	"repro/internal/cluster"
 	"repro/internal/dirheur"
 	"repro/internal/levels"
 	"repro/internal/serial"
 	"repro/internal/spmat"
-	"repro/internal/spvec"
 )
 
 // runDiagVector is Algorithm 3 with the 1D ("diagonal") vector
@@ -59,7 +59,10 @@ func runDiagVector(w *cluster.World, grid *cluster.Grid, g *Graph, source int64,
 		curBuf := 0
 
 		spMSVOpts := spmat.SpMSVOpts{Kernel: opt.Kernel}
-		localF, spOut, merged := &ar.localF, &ar.spOut, &ar.merged
+		localF, spOut := &ar.localF, &ar.spOut
+		if onDiag {
+			ar.seen = bits.Grown(ar.seen, f.row.len())
+		}
 		pairs := ar.pairs
 		var level int64 = 1
 		for {
@@ -101,22 +104,16 @@ func runDiagVector(w *cluster.World, grid *cluster.Grid, g *Graph, source int64,
 				for _, part := range parts {
 					recvWords += int64(len(part))
 				}
-				spvec.FoldMerge(merged, parts, rowLo, &ar.mergeScratch)
-				// The diagonal's serial merge of pc partial vectors: this
-				// is the extra local phase that makes the rest of the row
-				// sit idle (Figure 4's 3-4x MPI-time skew).
+				frontier, _ = claimFold(parts, rowLo, level, dist, parent, ar.seen, frontier)
+				ar.frontBuf[curBuf] = frontier
+				// The diagonal's serial merge of pc partial vectors, priced
+				// as the paper's pc-way merge: this is the extra local
+				// phase that makes the rest of the row sit idle (Figure 4's
+				// 3-4x MPI-time skew).
 				if price != nil {
 					logPc := int64(math.Ceil(math.Log2(float64(grid.Pc + 1))))
 					r.Charge(price.MemCost(recvWords/2, rowHi-rowLo, 2*recvWords, recvWords*logPc))
 				}
-				for k, vl := range merged.Ind {
-					if parent[vl] == serial.Unreached {
-						parent[vl] = merged.Val[k]
-						dist[vl] = level
-						frontier = append(frontier, vl+rowLo)
-					}
-				}
-				ar.frontBuf[curBuf] = frontier
 			}
 
 			// ---- Termination: global Allreduce (as in Figure 4's loop) ----

@@ -25,26 +25,38 @@ type Graph struct {
 	// block's column structure.
 	ColDegree []int64
 
+	// Symmetric declares that the CSR held both directions of every edge
+	// (a symmetrized/undirected graph), letting Pulls slice the push CSR
+	// itself instead of an O(m) transpose. Set it before the first
+	// non-top-down Run; FromCSR cannot infer it.
+	Symmetric bool
+
+	// csr is the whole-graph CSR the blocks were cut from, and threads
+	// their strip count: Pulls slices its views from csr, or from its
+	// transpose, and splits them the same way.
+	csr      *graph.CSR
+	threads  int
 	pullOnce sync.Once
 	pulls    [][]*spmat.PullSplit
 }
 
 // Pulls returns the row-major (pull) views of every block, built on
 // first call: the access structure of the bottom-up phase, which scans
-// unvisited rows' in-edges instead of frontier columns' out-edges. The
-// blocks already store the transposed adjacency, so the row scan visits
-// exactly the in-neighbors, for directed inputs too. Safe for
-// concurrent callers; like Distribute itself, construction happens
-// outside any timed region.
+// unvisited rows' in-edges instead of frontier columns' out-edges. Row
+// v of a block's view is the run of in-adjacency row v inside the
+// block's column range (spmat.PullBlocks), so the views copy no entry.
+// The in-adjacency is the push CSR itself for a Symmetric graph and its
+// transpose, built once, for a directed one. Safe for concurrent
+// callers; like Distribute itself, construction happens outside any
+// timed region.
 func (g *Graph) Pulls() [][]*spmat.PullSplit {
 	g.pullOnce.Do(func() {
-		g.pulls = make([][]*spmat.PullSplit, len(g.Blocks))
-		for i := range g.Blocks {
-			g.pulls[i] = make([]*spmat.PullSplit, len(g.Blocks[i]))
-			for j, blk := range g.Blocks[i] {
-				g.pulls[i][j] = blk.PullView()
-			}
+		in := g.csr
+		if !g.Symmetric {
+			in = in.Transpose()
 		}
+		rows, cols := g.Part.bounds()
+		g.pulls = spmat.PullBlocks(in, rows, cols, g.threads)
 	})
 	return g.pulls
 }
@@ -68,24 +80,20 @@ func Distribute(el *graph.EdgeList, pr, pc, threads int) (*Graph, error) {
 // (graph.BuildCSR with dedup) on a pr × pc grid, splitting each block
 // into threads row strips. Column u of the transposed blocks is CSR row
 // u, so the blocks fill in linear passes over the CSR with no sort, and
-// vertex u's column degree is its CSR degree.
+// vertex u's column degree is its CSR degree. The graph keeps csr to
+// slice its pull views from, so csr must not be modified afterwards.
 func FromCSR(csr *graph.CSR, pr, pc, threads int) (*Graph, error) {
 	pt := Part2D{N: csr.NumVerts, Pr: pr, Pc: pc}
 	if err := pt.Validate(); err != nil {
 		return nil, err
 	}
-	rowBounds := make([]int64, pr+1)
-	for i := range rowBounds {
-		rowBounds[i] = pt.RowStart(i)
-	}
-	colBounds := make([]int64, pc+1)
-	for j := range colBounds {
-		colBounds[j] = pt.ColStart(j)
-	}
+	rowBounds, colBounds := pt.bounds()
 	g := &Graph{
 		Part:      pt,
 		Blocks:    spmat.TransposedBlocks(csr, rowBounds, colBounds, threads),
 		ColDegree: make([]int64, pt.N),
+		csr:       csr,
+		threads:   threads,
 	}
 	for u := range g.ColDegree {
 		g.ColDegree[u] = csr.Degree(int64(u))

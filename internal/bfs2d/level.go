@@ -9,10 +9,12 @@ import (
 	mbits "math/bits"
 	"sort"
 
+	"repro/internal/bits"
 	"repro/internal/cluster"
 	"repro/internal/dirheur"
 	"repro/internal/levels"
 	"repro/internal/scratch"
+	"repro/internal/serial"
 	"repro/internal/smp"
 	"repro/internal/spmat"
 )
@@ -213,4 +215,47 @@ func chargeSpMSV(r *cluster.Rank, price cluster.Pricer, t int, work, rows, cand 
 	if price != nil {
 		levels.ChargeHybrid(r, price, t, price.MemCost(work, rows/int64(t), work+cand, work), cand, 1)
 	}
+}
+
+// claimFold commits the fold's received pieces, each a run of (global
+// vertex, parent) pairs, into the owned range that starts at global id
+// lo, whose distances and parents are dist and parent, as the pairs
+// arrive: an unreached vertex is claimed at level, and a vertex claimed
+// earlier in the same level keeps the larger parent. That is the
+// (select,max) merge of Algorithm 3 line 8 followed by the visited mask,
+// with no merged vector between them. seen, clear on entry and on
+// return, marks every vertex the pieces name; the new frontier is read
+// off it in ascending order and appended to frontier as global ids.
+// distinct is the number of distinct vertices received, the length of
+// the merged vector the model prices. A trailing odd word in a piece is
+// ignored.
+func claimFold(pieces [][]int64, lo, level int64, dist, parent []int64, seen *bits.Bitmap, frontier []int64) (_ []int64, distinct int64) {
+	for _, p := range pieces {
+		for k := 0; k+1 < len(p); k += 2 {
+			vl, par := p[k]-lo, p[k+1]
+			switch {
+			case seen.TestAndSet(vl):
+				distinct++
+				if parent[vl] == serial.Unreached {
+					parent[vl], dist[vl] = par, level
+				}
+			case dist[vl] == level && par > parent[vl]:
+				parent[vl] = par
+			}
+		}
+	}
+	ws := seen.Words()
+	for w, word := range ws {
+		if word == 0 {
+			continue
+		}
+		ws[w] = 0
+		for ; word != 0; word &= word - 1 {
+			vl := int64(w)*64 + int64(mbits.TrailingZeros64(word))
+			if dist[vl] == level {
+				frontier = append(frontier, lo+vl)
+			}
+		}
+	}
+	return frontier, distinct
 }

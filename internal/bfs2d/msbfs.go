@@ -167,7 +167,7 @@ func run2DVectorBatch(w *cluster.World, grid *cluster.Grid, g *Graph, sources []
 			if cur == dirheur.BottomUp {
 				// ---- Batched bottom-up pull ----
 				levScan = run.pulls[f.i][f.j].PullMasks(spOut, front, vis, active,
-					rowLo, colLo, f.pool, &ba.maskPullScratch)
+					rowLo, f.pool, &ba.maskPullScratch)
 				// The block-column frontier plane holds one word per
 				// vertex, so its working set is the column's vertex count.
 				chargePull(r, price, t, levScan, rowHi-rowLo, xc.col.len(), int64(spOut.NNZ()))

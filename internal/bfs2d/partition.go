@@ -103,3 +103,17 @@ func (pt Part2D) VecOwner(v int64) (i, j int) {
 	lo, hi := pt.RowStart(i), pt.RowStart(i+1)
 	return i, blockOf(v-lo, hi-lo, pt.Pc)
 }
+
+// bounds returns the first global row of every row block and the first
+// global column of every column block, each closed by N.
+func (pt Part2D) bounds() (rows, cols []int64) {
+	rows = make([]int64, pt.Pr+1)
+	for i := range rows {
+		rows[i] = pt.RowStart(i)
+	}
+	cols = make([]int64, pt.Pc+1)
+	for j := range cols {
+		cols[j] = pt.ColStart(j)
+	}
+	return rows, cols
+}

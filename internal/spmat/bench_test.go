@@ -10,10 +10,10 @@ import (
 	"repro/internal/webgen"
 )
 
-// crawlBlock returns block (1, 1) of a 2^16-vertex crawl cut into a 4×4
-// grid of one-strip blocks, the shape a 16-rank flat 2D search
-// multiplies, with the global id of its first row and column.
-func crawlBlock(b *testing.B) (*RowSplit, int64) {
+// crawlBlocks returns the 2^16-vertex crawl's CSR cut into a 4×4 grid
+// of one-strip blocks, the shape a 16-rank flat 2D search multiplies,
+// with the grid's bounds.
+func crawlBlocks(b *testing.B) (*graph.CSR, []int64) {
 	const n = 1 << 16
 	el, err := webgen.UKUnionLike(n, 191).GenerateUndirected()
 	if err != nil {
@@ -23,8 +23,14 @@ func crawlBlock(b *testing.B) (*RowSplit, int64) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	bounds := []int64{0, n / 4, n / 2, 3 * n / 4, n}
-	return TransposedBlocks(csr, bounds, bounds, 1)[1][1], n / 4
+	return csr, []int64{0, n / 4, n / 2, 3 * n / 4, n}
+}
+
+// crawlBlock returns block (1, 1) of the crawl's grid with the global id
+// of its first row and column.
+func crawlBlock(b *testing.B) (*RowSplit, int64) {
+	csr, bounds := crawlBlocks(b)
+	return TransposedBlocks(csr, bounds, bounds, 1)[1][1], bounds[1]
 }
 
 // BenchmarkSpMSVSparseFrontier times one top-down level on a crawl block
@@ -54,8 +60,8 @@ func BenchmarkSpMSVSparseFrontier(b *testing.B) {
 // frontier, the late-level shape where the per-row visited test was the
 // pull's cost.
 func BenchmarkPullMostlyVisited(b *testing.B) {
-	block, off := crawlBlock(b)
-	ps := block.PullView()
+	csr, bounds := crawlBlocks(b)
+	ps, off := PullBlocks(csr, bounds, bounds, 1)[1][1], bounds[1]
 	rng := prng.New(191)
 	frontier := bits.NewBitmap(4 * off)
 	visited := bits.NewBitmap(4 * off)

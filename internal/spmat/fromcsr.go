@@ -96,3 +96,48 @@ func TransposedBlocks(csr *graph.CSR, rowBounds, colBounds []int64, t int) [][]*
 	}
 	return blocks
 }
+
+// PullBlocks returns the row-major pull views of the grid TransposedBlocks
+// cuts, sliced out of in, the graph's in-adjacency CSR (row v lists the
+// sources u of the edges u → v, sorted), with no entry copied. Row v of
+// block [i][j] is the run of in's row v whose ids fall in
+// [colBounds[j], colBounds[j+1]): rows are sorted, so the run is
+// contiguous and its ids ascend, and the scan order, hence every first
+// parent and scanned count, is the one a row-major copy of the block
+// gives. The runs of row block i start at boundaries 0..pc of each row:
+// boundary 0 is XAdj[v] and boundary pc is XAdj[v+1], so the row block
+// allocates only the pc−1 inner boundary arrays, and view [i][j] reads
+// boundaries j and j+1 as its Beg and End. Each view is split into the t
+// row strips TransposedBlocks uses. Ids stay global.
+func PullBlocks(in *graph.CSR, rowBounds, colBounds []int64, t int) [][]*PullSplit {
+	pr, pc := len(rowBounds)-1, len(colBounds)-1
+	views := make([][]*PullSplit, pr)
+	for i := range views {
+		lo, hi := rowBounds[i], rowBounds[i+1]
+		cut := make([][]int64, pc+1)
+		cut[0], cut[pc] = in.XAdj[lo:hi], in.XAdj[lo+1:hi+1]
+		for j := 1; j < pc; j++ {
+			cut[j] = make([]int64, hi-lo)
+		}
+		for v := lo; v < hi; v++ {
+			k, end := in.XAdj[v], in.XAdj[v+1]
+			for j := 1; j < pc; j++ {
+				for k < end && int64(in.Adj[k]) < colBounds[j] {
+					k++
+				}
+				cut[j][v-lo] = k
+			}
+		}
+		offsets := stripOffsets(hi-lo, t)
+		views[i] = make([]*PullSplit, pc)
+		for j := range views[i] {
+			m := &PullCSR{Rows: hi - lo, Cols: colBounds[j+1] - colBounds[j], Beg: cut[j], End: cut[j+1], Adj: in.Adj}
+			ps := &PullSplit{Rows: m.Rows, Cols: m.Cols, Offsets: offsets, Strips: make([]*PullCSR, len(offsets)-1)}
+			for s := range ps.Strips {
+				ps.Strips[s] = m.SubRows(offsets[s], offsets[s+1])
+			}
+			views[i][j] = ps
+		}
+	}
+	return views
+}

@@ -136,7 +136,7 @@ func (rs *RowSplit) SpMSVMasks(dst *spvec.MaskVec, f *spvec.MaskVec, pool *smp.P
 // batched generalization of the scalar pull's first-parent exit, and
 // per-search it picks the same ascending-first parent. The returned
 // count is adjacency entries examined, counted once for the whole batch.
-func (m *PullCSR) PullMasks(dst *spvec.MaskVec, frontier, visited []uint64, active uint64, visRowOff, colOff int64) int64 {
+func (m *PullCSR) PullMasks(dst *spvec.MaskVec, frontier, visited []uint64, active uint64, visRowOff int64) int64 {
 	dst.Reset()
 	var scanned int64
 	for rl := int64(0); rl < m.Rows; rl++ {
@@ -144,9 +144,9 @@ func (m *PullCSR) PullMasks(dst *spvec.MaskVec, frontier, visited []uint64, acti
 		if cand == 0 {
 			continue
 		}
-		for k := m.RowPtr[rl]; k < m.RowPtr[rl+1]; k++ {
+		for _, id := range m.Adj[m.Beg[rl]:m.End[rl]] {
 			scanned++
-			c := colOff + int64(m.ColInd[k])
+			c := int64(id)
 			if hit := cand & frontier[c]; hit != 0 {
 				dst.Append(rl, hit, c)
 				cand &^= hit
@@ -180,7 +180,7 @@ func (psc *MaskPullScratch) ensure(n int) {
 // (ascending block-local row order, one or more entries per row).
 // visRowOff is the global id of the block's first row; strip offsets are
 // added internally.
-func (ps *PullSplit) PullMasks(dst *spvec.MaskVec, frontier, visited []uint64, active uint64, visRowOff, colOff int64, pool *smp.Pool, psc *MaskPullScratch) int64 {
+func (ps *PullSplit) PullMasks(dst *spvec.MaskVec, frontier, visited []uint64, active uint64, visRowOff int64, pool *smp.Pool, psc *MaskPullScratch) int64 {
 	n := len(ps.Strips)
 	if psc == nil {
 		psc = &MaskPullScratch{}
@@ -188,7 +188,7 @@ func (ps *PullSplit) PullMasks(dst *spvec.MaskVec, frontier, visited []uint64, a
 	psc.ensure(n)
 	run := func(s int) {
 		psc.scanned[s] = ps.Strips[s].PullMasks(&psc.parts[s], frontier, visited,
-			active, visRowOff+ps.Offsets[s], colOff)
+			active, visRowOff+ps.Offsets[s])
 	}
 	pool.Do(n, run)
 	dst.Reset()

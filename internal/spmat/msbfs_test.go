@@ -214,7 +214,7 @@ func TestPullMasksMatchesPerSearch(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		pv := d.PullView()
+		pv := d.PullView(colOff)
 		frontier := make([]uint64, colOff+cols)
 		visited := make([]uint64, visRowOff+rows)
 		lim := uint64(1)<<width - 1
@@ -229,7 +229,7 @@ func TestPullMasksMatchesPerSearch(t *testing.T) {
 		}
 		active := rng.Uint64() & lim
 		var dst spvec.MaskVec
-		scanned := pv.PullMasks(&dst, frontier, visited, active, visRowOff, colOff)
+		scanned := pv.PullMasks(&dst, frontier, visited, active, visRowOff)
 		if scanned < 0 || scanned > d.NNZ() {
 			return false
 		}
@@ -248,7 +248,7 @@ func TestPullMasksMatchesPerSearch(t *testing.T) {
 				}
 			}
 			var want spvec.Vec
-			pv.Pull(&want, fb, vb, visRowOff, colOff)
+			pv.Pull(&want, fb, vb, visRowOff)
 			got := map[int64]int64{}
 			for e, r := range dst.Ind {
 				if dst.Mask[e]&(1<<s) != 0 {
@@ -295,7 +295,7 @@ func TestPullMasksEarlyExit(t *testing.T) {
 	frontier[0] = ^uint64(0)
 	visited := make([]uint64, 1)
 	var dst spvec.MaskVec
-	scanned := d.PullView().PullMasks(&dst, frontier, visited, ^uint64(0), 0, 0)
+	scanned := d.PullView(0).PullMasks(&dst, frontier, visited, ^uint64(0), 0)
 	if scanned != 1 {
 		t.Errorf("early exit scanned %d entries, want 1", scanned)
 	}
@@ -323,18 +323,18 @@ func TestPullMasksSplitMatchesWhole(t *testing.T) {
 		t.Fatal(err)
 	}
 	var want spvec.MaskVec
-	wantScanned := whole.PullView().PullMasks(&want, frontier, visited, ^uint64(0), 0, 0, nil, nil)
+	wantScanned := whole.PullView(0).PullMasks(&want, frontier, visited, ^uint64(0), 0, nil, nil)
 
 	for _, threads := range []int{2, 4, 7} {
 		rs, err := NewRowSplit(rows, cols, append([]Triple(nil), ts...), threads)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ps := rs.PullView()
+		ps := rs.PullView(0)
 		var scratch MaskPullScratch
 		pool := smp.NewPool(threads)
 		var got spvec.MaskVec
-		scanned := ps.PullMasks(&got, frontier, visited, ^uint64(0), 0, 0, pool, &scratch)
+		scanned := ps.PullMasks(&got, frontier, visited, ^uint64(0), 0, pool, &scratch)
 		pool.Close()
 		if scanned != wantScanned {
 			t.Fatalf("threads=%d: scanned %d, want %d", threads, scanned, wantScanned)

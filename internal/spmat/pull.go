@@ -12,67 +12,47 @@ import (
 // pattern of the bottom-up ("pull") BFS phase: where the column-oriented
 // DCSC answers "which rows does frontier column c reach?", the PullCSR
 // answers "which columns reach unvisited row r?" so the scan can stop at
-// the first frontier parent instead of streaming every edge. RowPtr
-// values are absolute offsets into ColInd, which lets sub-views for
-// thread chunks alias the same arrays (RowPtr[lo:hi+1] with the full
-// ColInd). Column ids are uint32, widened on read: block-local ids for
-// a 2D block, global ids for the 1D driver's wrapped CSR.
+// the first frontier parent instead of streaming every edge.
+//
+// Row r lists its columns in Adj[Beg[r]:End[r]], as global vertex ids
+// (uint32, widened on read) in ascending order. Beg and End are absolute
+// offsets into Adj, so a view is a slice of a larger CSR and copies no
+// entry: the 1D driver's view of its rank's rows has Beg = XAdj[:n] and
+// End = XAdj[1:], a 2D block's view holds, for each row of its row
+// block, the run of the in-adjacency row whose ids fall in its column
+// block (PullBlocks), and SubRows views for thread strips alias the same
+// arrays. Cols is the width of the column range the ids fall in.
 type PullCSR struct {
 	Rows, Cols int64
-	RowPtr     []int64  // len Rows+1, absolute offsets into ColInd
-	ColInd     []uint32 // column ids, ascending within each row
+	Beg, End   []int64  // len Rows: row r is Adj[Beg[r]:End[r]]
+	Adj        []uint32 // global column ids, ascending within each row
 }
 
-// NewPullCSR wraps existing CSR arrays without copying. The 1D driver
-// uses it to present its local in-adjacency to the shared pull kernel.
-func NewPullCSR(rows, cols int64, rowPtr []int64, colInd []uint32) *PullCSR {
-	return &PullCSR{Rows: rows, Cols: cols, RowPtr: rowPtr, ColInd: colInd}
+// NewPullCSR wraps rows of an existing CSR without copying: row r is
+// adj[xadj[r]:xadj[r+1]]. The 1D driver uses it to present its local
+// in-adjacency to the shared pull kernel.
+func NewPullCSR(rows, cols int64, xadj []int64, adj []uint32) *PullCSR {
+	return &PullCSR{Rows: rows, Cols: cols, Beg: xadj[:rows], End: xadj[1 : rows+1], Adj: adj}
 }
 
 // SubRows returns a view over rows [lo, hi) sharing the receiver's
 // storage; emitted row ids are relative to lo.
 func (m *PullCSR) SubRows(lo, hi int64) *PullCSR {
-	return &PullCSR{Rows: hi - lo, Cols: m.Cols, RowPtr: m.RowPtr[lo : hi+1], ColInd: m.ColInd}
-}
-
-// PullView builds the row-major companion of a DCSC block: a counting
-// sort of its entries by row. Column ids come out ascending within each
-// row because JC is scanned in ascending order, preserving the
-// deterministic first-parent tie-break of the pull scan.
-func (m *DCSC) PullView() *PullCSR {
-	rowPtr := make([]int64, m.Rows+1)
-	for _, r := range m.IR {
-		rowPtr[r+1]++
-	}
-	for r := int64(0); r < m.Rows; r++ {
-		rowPtr[r+1] += rowPtr[r]
-	}
-	colInd := make([]uint32, len(m.IR))
-	cursor := make([]int64, m.Rows)
-	copy(cursor, rowPtr[:m.Rows])
-	for j := range m.JC {
-		c := uint32(m.JC[j])
-		for _, r := range m.colRowsAt(j) {
-			colInd[cursor[r]] = c
-			cursor[r]++
-		}
-	}
-	return &PullCSR{Rows: m.Rows, Cols: m.Cols, RowPtr: rowPtr, ColInd: colInd}
+	return &PullCSR{Rows: hi - lo, Cols: m.Cols, Beg: m.Beg[lo:hi], End: m.End[lo:hi], Adj: m.Adj}
 }
 
 // Pull runs one bottom-up scan over the block: every row whose global id
 // (visRowOff + local row) is clear in visited has its columns scanned in
-// ascending order; the first column whose global id (colOff + local
-// column) is set in frontier becomes the row's parent candidate, and the
-// scan of that row stops (the bottom-up early exit). dst receives
-// (local row, global parent id) pairs in ascending row order. The
-// returned count is the number of adjacency entries examined — the
-// quantity the direction-optimizing heuristic saves.
+// ascending order; the first column set in frontier becomes the row's
+// parent candidate, and the scan of that row stops (the bottom-up early
+// exit). dst receives (local row, global parent id) pairs in ascending
+// row order. The returned count is the number of adjacency entries
+// examined — the quantity the direction-optimizing heuristic saves.
 //
 // visited is read 64 rows at a time, so the scan costs O(Rows/64) word
 // reads plus the unvisited rows' entries up to each early exit: fully
 // visited spans cost one word each, whatever visRowOff's alignment.
-func (m *PullCSR) Pull(dst *spvec.Vec, frontier, visited *bits.Bitmap, visRowOff, colOff int64) int64 {
+func (m *PullCSR) Pull(dst *spvec.Vec, frontier, visited *bits.Bitmap, visRowOff int64) int64 {
 	dst.Reset()
 	var scanned int64
 	vis := visited.Words()
@@ -83,10 +63,9 @@ func (m *PullCSR) Pull(dst *spvec.Vec, frontier, visited *bits.Bitmap, visRowOff
 		}
 		for ; open != 0; open &= open - 1 {
 			rl := base + int64(mbits.TrailingZeros64(open))
-			for k := m.RowPtr[rl]; k < m.RowPtr[rl+1]; k++ {
+			for _, id := range m.Adj[m.Beg[rl]:m.End[rl]] {
 				scanned++
-				c := colOff + int64(m.ColInd[k])
-				if frontier.Get(c) {
+				if c := int64(id); frontier.Get(c) {
 					dst.Ind = append(dst.Ind, rl)
 					dst.Val = append(dst.Val, c)
 					break
@@ -111,21 +90,11 @@ func wordAt(ws []uint64, g int64) uint64 {
 // PullSplit is the strip-parallel companion of a RowSplit: one PullCSR
 // per row strip, mirroring the thread decomposition of the push-side
 // SpMSV so the hybrid variant pulls one strip per worker with no shared
-// mutable state.
+// mutable state. The strips are SubRows views of one block view.
 type PullSplit struct {
 	Rows, Cols int64
 	Offsets    []int64 // strip s covers rows [Offsets[s], Offsets[s+1])
 	Strips     []*PullCSR
-}
-
-// PullView builds the row-major views of every strip.
-func (rs *RowSplit) PullView() *PullSplit {
-	ps := &PullSplit{Rows: rs.Rows, Cols: rs.Cols, Offsets: rs.Offsets}
-	ps.Strips = make([]*PullCSR, len(rs.Strips))
-	for s, d := range rs.Strips {
-		ps.Strips[s] = d.PullView()
-	}
-	return ps
 }
 
 // PullScratch is the reusable per-rank working state of a PullSplit
@@ -150,15 +119,18 @@ func (psc *PullScratch) ensure(n int) {
 // order, like RowSplit.SpMSV). visRowOff is the global id of the block's
 // first row; strip offsets are added internally. A non-nil pool runs one
 // strip per worker; a nil psc allocates fresh scratch.
-func (ps *PullSplit) Pull(dst *spvec.Vec, frontier, visited *bits.Bitmap, visRowOff, colOff int64, pool *smp.Pool, psc *PullScratch) int64 {
+//
+// colLo, the global id of the block's first column, is not read: the
+// strips hold global ids. It stays in the signature because the
+// benchmark's kernel replay (benchmark/layers.go) passes it.
+func (ps *PullSplit) Pull(dst *spvec.Vec, frontier, visited *bits.Bitmap, visRowOff, colLo int64, pool *smp.Pool, psc *PullScratch) int64 {
 	n := len(ps.Strips)
 	if psc == nil {
 		psc = &PullScratch{}
 	}
 	psc.ensure(n)
 	run := func(s int) {
-		psc.scanned[s] = ps.Strips[s].Pull(&psc.parts[s], frontier, visited,
-			visRowOff+ps.Offsets[s], colOff)
+		psc.scanned[s] = ps.Strips[s].Pull(&psc.parts[s], frontier, visited, visRowOff+ps.Offsets[s])
 	}
 	pool.Do(n, run)
 	dst.Reset()

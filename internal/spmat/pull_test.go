@@ -70,17 +70,17 @@ func TestPullViewRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pv := d.PullView()
-	if int64(len(pv.ColInd)) != d.NNZ() {
-		t.Fatalf("pull view nnz %d != dcsc nnz %d", int64(len(pv.ColInd)), d.NNZ())
+	pv := d.PullView(0)
+	if int64(len(pv.Adj)) != d.NNZ() {
+		t.Fatalf("pull view nnz %d != dcsc nnz %d", int64(len(pv.Adj)), d.NNZ())
 	}
 	// Every (row, col) present in the DCSC must appear exactly once in
 	// the row-major view, with ascending columns per row.
 	count := 0
 	for r := int64(0); r < 40; r++ {
 		prev := int64(-1)
-		for k := pv.RowPtr[r]; k < pv.RowPtr[r+1]; k++ {
-			c := int64(pv.ColInd[k])
+		for _, id := range pv.Adj[pv.Beg[r]:pv.End[r]] {
+			c := int64(id)
 			if c <= prev {
 				t.Fatalf("row %d columns not strictly ascending", r)
 			}
@@ -118,7 +118,7 @@ func TestPullMatchesOracle(t *testing.T) {
 			return false
 		}
 		var dst spvec.Vec
-		scanned := d.PullView().Pull(&dst, frontier, visited, visRowOff, colOff)
+		scanned := d.PullView(colOff).Pull(&dst, frontier, visited, visRowOff)
 		if scanned < 0 || scanned > d.NNZ() {
 			return false
 		}
@@ -143,7 +143,7 @@ func TestPullEarlyExitScansLess(t *testing.T) {
 	frontier := bits.NewBitmap(100)
 	frontier.Set(0)
 	var dst spvec.Vec
-	scanned := d.PullView().Pull(&dst, frontier, bits.NewBitmap(1), 0, 0)
+	scanned := d.PullView(0).Pull(&dst, frontier, bits.NewBitmap(1), 0)
 	if scanned != 1 {
 		t.Errorf("early exit scanned %d entries, want 1", scanned)
 	}
@@ -171,14 +171,14 @@ func TestPullSplitMatchesWhole(t *testing.T) {
 		t.Fatal(err)
 	}
 	var want spvec.Vec
-	wantScanned := whole.PullView().Pull(&want, frontier, visited, 0, 0, nil, nil)
+	wantScanned := whole.PullView(0).Pull(&want, frontier, visited, 0, 0, nil, nil)
 
 	for _, threads := range []int{2, 4, 7} {
 		rs, err := NewRowSplit(rows, cols, append([]Triple(nil), ts...), threads)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ps := rs.PullView()
+		ps := rs.PullView(0)
 		var scratch PullScratch
 		pool := smp.NewPool(threads)
 		var got spvec.Vec

@@ -51,16 +51,16 @@ func mergeWork(m *DCSC, ind []int64) int64 {
 }
 
 // pullPerRow is the pull that tests visited one row at a time.
-func pullPerRow(m *PullCSR, dst *spvec.Vec, frontier, visited *bits.Bitmap, visRowOff, colOff int64) int64 {
+func pullPerRow(m *PullCSR, dst *spvec.Vec, frontier, visited *bits.Bitmap, visRowOff int64) int64 {
 	dst.Reset()
 	var scanned int64
 	for rl := int64(0); rl < m.Rows; rl++ {
 		if visited.Get(visRowOff + rl) {
 			continue
 		}
-		for k := m.RowPtr[rl]; k < m.RowPtr[rl+1]; k++ {
+		for _, id := range m.Adj[m.Beg[rl]:m.End[rl]] {
 			scanned++
-			c := colOff + int64(m.ColInd[k])
+			c := int64(id)
 			if frontier.Get(c) {
 				dst.Ind = append(dst.Ind, rl)
 				dst.Val = append(dst.Val, c)
@@ -308,15 +308,18 @@ func TestPullMatchesPerRowReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		whole := d.PullView()
 		visRowOff := []int64{0, 64, rng.Int64n(200), 1 + 64*rng.Int64n(3)}[round%4]
-		views, offs := []*PullCSR{whole}, []int64{visRowOff}
+		var lo, hi int64
 		if rows > 2 {
-			lo := rng.Int64n(rows - 1)
-			hi := lo + 1 + rng.Int64n(rows-lo)
-			views, offs = append(views, whole.SubRows(lo, hi)), append(offs, visRowOff+lo)
+			lo = rng.Int64n(rows - 1)
+			hi = lo + 1 + rng.Int64n(rows-lo)
 		}
 		colOff := rng.Int64n(50)
+		whole := d.PullView(colOff)
+		views, offs := []*PullCSR{whole}, []int64{visRowOff}
+		if rows > 2 {
+			views, offs = append(views, whole.SubRows(lo, hi)), append(offs, visRowOff+lo)
+		}
 		frontier := bits.NewBitmap(colOff + cols)
 		for c := int64(0); c < cols; c++ {
 			if rng.Intn(4) == 0 {
@@ -336,8 +339,8 @@ func TestPullMatchesPerRowReference(t *testing.T) {
 			}
 			for v, pv := range views {
 				var got, want spvec.Vec
-				gotScanned := pv.Pull(&got, frontier, visited, offs[v], colOff)
-				wantScanned := pullPerRow(pv, &want, frontier, visited, offs[v], colOff)
+				gotScanned := pv.Pull(&got, frontier, visited, offs[v])
+				wantScanned := pullPerRow(pv, &want, frontier, visited, offs[v])
 				if gotScanned != wantScanned || !vecsEqual(&got, &want) {
 					t.Fatalf("round %d rows %d view %d visRowOff %d fill %d%%: scanned %d want %d, out %v want %v",
 						round, pv.Rows, v, offs[v], fill, gotScanned, wantScanned, got, want)
@@ -408,13 +411,13 @@ func FuzzPullView(f *testing.F) {
 			}
 		}
 
-		pv := d.PullView()
-		if int64(len(pv.ColInd)) != csc.NNZ() {
-			t.Fatalf("pull view holds %d entries, CSC %d", int64(len(pv.ColInd)), csc.NNZ())
+		pv := d.PullView(colOff)
+		if int64(len(pv.Adj)) != csc.NNZ() {
+			t.Fatalf("pull view holds %d entries, CSC %d", int64(len(pv.Adj)), csc.NNZ())
 		}
 		var got, ref spvec.Vec
-		scanned := pv.Pull(&got, frontier, visited, visRowOff, colOff)
-		refScanned := pullPerRow(pv, &ref, frontier, visited, visRowOff, colOff)
+		scanned := pv.Pull(&got, frontier, visited, visRowOff)
+		refScanned := pullPerRow(pv, &ref, frontier, visited, visRowOff)
 		if !vecsEqual(&got, want) {
 			t.Fatalf("%dx%d: pull %v/%v, CSC product %v/%v", rows, cols, got.Ind, got.Val, want.Ind, want.Val)
 		}

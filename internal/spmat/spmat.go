@@ -12,13 +12,18 @@
 // convention of the paper, so SpMSV with a frontier over columns yields
 // the next frontier over rows.
 //
-// Index widths: the ids every kernel streams are uint32. For a 2D block
-// they are block-local — DCSC.IR and the ColInd of a DCSC's PullView —
-// and a block may have at most MaxBlockDim rows and columns. The 1D
-// driver wraps its graph.CSR rows, whose Adj is uint32 global ids, as a
-// PullCSR with no copy. Offsets (CP, RowPtr), the nonempty column list
-// JC, which joins against int64 frontiers, and every vector and global
-// id handed across an API stay int64.
+// The bottom-up phase reads the same graph row-major through PullCSR
+// views, which slice a graph.CSR instead of copying it: the 1D driver
+// wraps its rank's rows, and PullBlocks cuts each row of the 2D
+// in-adjacency at the column-block boundaries, so the blocks are stored
+// once, as DCSC, as the paper stores them.
+//
+// Index widths: the ids every kernel streams are uint32. DCSC.IR is
+// block-local, so a block may have at most MaxBlockDim rows and
+// columns. A PullCSR reads graph.CSR.Adj, whose ids are global. Offsets
+// (CP, and a PullCSR's Beg and End), the nonempty column list JC, which
+// joins against int64 frontiers, and every vector and global id handed
+// across an API stay int64.
 package spmat
 
 import (

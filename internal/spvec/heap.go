@@ -10,6 +10,14 @@ type Stream struct {
 	Val int64    // value attached to every index in the run
 }
 
+// MergeScratch holds the reusable cursor heap of the multiway merge so
+// steady-state callers (one merge per strip per BFS level) allocate
+// nothing. The zero value is ready to use; a nil *MergeScratch falls
+// back to a per-call heap.
+type MergeScratch struct {
+	h []heapEntry
+}
+
 // heapEntry is a cursor into one stream.
 type heapEntry struct {
 	head   int64 // current index (cached for comparisons)

@@ -1,6 +1,7 @@
 package spvec
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -127,5 +128,36 @@ func TestSPAHeapAgree(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 80}); err != nil {
 		t.Error(err)
+	}
+}
+
+func TestMultiwayMergeWithScratch(t *testing.T) {
+	var sc MergeScratch
+	rng := prng.New(0xbeef)
+	for round := 0; round < 30; round++ {
+		k := rng.Intn(8) + 1
+		streams := make([]Stream, k)
+		var ind, val []int64
+		for s := 0; s < k; s++ {
+			n := rng.Int64n(20)
+			var sInd []uint32
+			idx := int64(-1)
+			for i := int64(0); i < n; i++ {
+				idx += 1 + rng.Int64n(4)
+				sInd = append(sInd, uint32(idx))
+			}
+			v := rng.Int64n(100)
+			streams[s] = Stream{Ind: sInd, Val: v}
+			for _, i := range sInd {
+				ind = append(ind, int64(i))
+				val = append(val, v)
+			}
+		}
+		var got Vec
+		MultiwayMergeWith(&got, streams, &sc)
+		want := FromUnsorted(ind, val)
+		if !slices.Equal(got.Ind, want.Ind) || !slices.Equal(got.Val, want.Val) {
+			t.Fatalf("round %d: scratch merge mismatch", round)
+		}
 	}
 }

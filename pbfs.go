@@ -299,14 +299,16 @@ type Result struct {
 	// SentWords and RecvWords total the words every rank entered into
 	// and received from collectives: the modeled communication volume.
 	SentWords, RecvWords int64
-	// LevelFrontier, when Options.Trace is set, holds the number of
-	// vertices discovered at each level (the frontier-size profile).
+	// LevelFrontier, when Options.Trace is set on a 1D or 2D run,
+	// holds the number of vertices discovered at each level (the
+	// frontier-size profile). The Reference and PBGL comparators leave
+	// it empty: they do not record a level profile yet.
 	LevelFrontier []int64
 	// LevelScanned and LevelBottomUp, when Options.Trace is set on a
 	// 1D or 2D run, hold the adjacency entries examined and the
 	// traversal direction of every executed iteration (one more entry
 	// than LevelFrontier: the final iteration scans but discovers
-	// nothing).
+	// nothing). The comparators leave them empty, as LevelFrontier.
 	LevelScanned  []int64
 	LevelBottomUp []bool
 	// LevelCommWords, when Options.Trace is set on a 1D or 2D run,

@@ -41,7 +41,9 @@ type Options struct {
 	// and with them the policy decisions the heuristics took
 	// (Result.Decisions): direction switches and (for derived 2D
 	// grids) the grid-shape choice, each with the globally agreed
-	// inputs it saw and the alternatives it rejected.
+	// inputs it saw and the alternatives it rejected. The Reference
+	// and PBGL comparators do not record a level profile yet: their
+	// results leave every Level* series empty under Trace.
 	Trace bool
 
 	// force replays recorded decisions under rejected alternatives; it

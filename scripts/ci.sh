@@ -92,7 +92,9 @@ echo "== race smoke (session reuse + collective substrate) =="
 # in rendezvous_stress_test.go, which skew goroutine interleavings
 # across grids and subcommunicators and assert bit-identical simulated
 # figures); the 2D driver's rectangular transpose and
-# partitioned-bitmap paths; the single-search 1D, 2D and diagonal
+# partitioned-bitmap paths, and its pull views, built once on first use
+# and then read by every rank of every bottom-up search; the
+# single-search 1D, 2D and diagonal
 # drivers and the Section 6 comparators' level loop (internal/baseline),
 # whose ranks all write their owned ranges of one shared pair of output
 # arrays; and the narrow-batch crossover, which runs one- to
@@ -100,7 +102,7 @@ echo "== race smoke (session reuse + collective substrate) =="
 go test -race -run 'Session|CrossShape|RectGrid|TraceGolden|Decision|NarrowBatch' .
 go test -race -short -run 'Conformance' .
 go test -race ./internal/levels ./internal/cluster ./internal/smp
-go test -race -run Rect ./internal/bfs2d
+go test -race -run 'Rect|Pull' ./internal/bfs2d
 go test -race -run 'MatchesSerial|Diagonal' ./internal/bfs1d ./internal/bfs2d
 go test -race ./internal/baseline
 # The R-MAT generator fills one edge slice from GOMAXPROCS workers.
