@@ -1,6 +1,7 @@
 package bfs1d
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -236,5 +237,57 @@ func TestDirectionPropertyRandom(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestDirectionLiveMaskBuiltOnce pins the 1D live-row mask: Ins gives
+// every in-adjacency local one mask whose bit r is set exactly when
+// XAdj[r] != XAdj[r+1], the pull view aliases it, and two bottom-up
+// searches on one graph leave it in place, so they read that one mask
+// rather than one rebuilt per search or per bottom-up entry. Symmetric
+// graphs share the push locals, directed ones their transpose's.
+func TestDirectionLiveMaskBuiltOnce(t *testing.T) {
+	for _, rg := range referenceGraphs(t) {
+		csr, err := graph.BuildCSR(rg.el, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const p = 3
+		dg, err := FromCSR(csr, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dg.Symmetric = rg.name != "directed"
+		ins := dg.Ins()
+		masks := make([]*uint64, p)
+		for rank, lg := range ins {
+			rows := len(lg.XAdj) - 1
+			if len(lg.live) != (rows+63)/64 {
+				t.Fatalf("%s rank %d: %d mask words for %d rows", rg.name, rank, len(lg.live), rows)
+			}
+			for r := 0; r < rows; r++ {
+				if live := lg.live[r/64]>>uint(r%64)&1 == 1; live != (lg.XAdj[r] != lg.XAdj[r+1]) {
+					t.Fatalf("%s rank %d row %d: live bit %v, degree %d", rg.name, rank, r, live, lg.XAdj[r+1]-lg.XAdj[r])
+				}
+			}
+			if pv := lg.PullView(dg.Part.N); &pv.Live[0] != &lg.live[0] || pv.LiveOff != 0 {
+				t.Fatalf("%s rank %d: the pull view does not alias the mask", rg.name, rank)
+			}
+			masks[rank] = &lg.live[0]
+		}
+		ref := serial.BFS(csr, goodSource(t, rg.el))
+		for search := 0; search < 2; search++ {
+			opt := defaultOptions()
+			opt.Threads, opt.Direction = 2, dirheur.ModeBottomUp
+			out := Run(cluster.NewWorld(p, cluster.ZeroCost{}), dg, ref.Source, opt)
+			if !slices.Equal(out.Dist, ref.Dist) {
+				t.Fatalf("%s search %d: distances differ from the serial search's", rg.name, search)
+			}
+		}
+		for rank, lg := range dg.Ins() {
+			if lg != ins[rank] || &lg.live[0] != masks[rank] {
+				t.Fatalf("%s rank %d: the searches rebuilt the in-adjacency or its mask", rg.name, rank)
+			}
+		}
 	}
 }

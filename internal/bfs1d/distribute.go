@@ -13,6 +13,10 @@ import (
 type LocalGraph struct {
 	XAdj []int64  // len Count+1
 	Adj  []uint32 // global ids, sorted per row
+	// live is the rows' spmat.LiveRows mask, which the pull kernels
+	// read to skip empty rows; Graph.Ins builds it once for each
+	// in-adjacency it returns.
+	live []uint64
 }
 
 // Graph is a 1D-distributed graph: the partition plus each rank's local
@@ -88,23 +92,28 @@ func rowBlocks(csr *graph.CSR, pt Part1D) []*LocalGraph {
 // the distribution itself, the pull structure is static per graph): row
 // v of rank Owner(v) holds the sources u of edges u -> v. For a
 // Symmetric graph the in-adjacency is the push CSR itself and no copy
-// is made. Safe for concurrent callers.
+// is made. Each returned local carries its live-row mask, built here
+// once, so no bottom-up entry rebuilds it. Safe for concurrent callers.
 func (g *Graph) Ins() []*LocalGraph {
 	g.inOnce.Do(func() {
-		if g.Symmetric {
-			g.ins = g.Locals
-			return
+		ins := g.Locals
+		if !g.Symmetric {
+			ins = rowBlocks(g.csr.Transpose(), g.Part)
 		}
-		g.ins = rowBlocks(g.csr.Transpose(), g.Part)
+		for _, lg := range ins {
+			lg.live = spmat.LiveRows(lg.XAdj[:len(lg.XAdj)-1], lg.XAdj[1:])
+		}
+		g.ins = ins
 	})
 	return g.ins
 }
 
-// PullView presents the local CSR to the shared pull kernel, its rows
-// the owned vertices and its columns the n global ids. The view aliases
-// XAdj and Adj, so the bottom-up phase costs no memory beyond the CSR.
+// PullView presents an in-adjacency local from Ins to the shared pull
+// kernel, its rows the owned vertices and its columns the n global ids.
+// The view aliases XAdj, Adj and the live-row mask, so the bottom-up
+// phase costs no memory beyond the CSR and one bit a row.
 func (lg *LocalGraph) PullView(n int64) *spmat.PullCSR {
-	return spmat.NewPullCSR(int64(len(lg.XAdj)-1), n, lg.XAdj, lg.Adj)
+	return spmat.NewPullCSR(int64(len(lg.XAdj)-1), n, lg.XAdj, lg.Adj, lg.live)
 }
 
 // Neighbors returns the global adjacency ids of local vertex u on the

@@ -67,7 +67,9 @@ func refPullRows(d *spmat.DCSC, colLo int64) [][]uint32 {
 // views read one in-adjacency, the push CSR itself when symmetric. The
 // first and last boundary of each row block are its XAdj, and each
 // view's End is the next view's Beg, so a row block allocates only
-// pc−1 boundary arrays. The views are built by four concurrent first
+// pc−1 boundary arrays. Every strip reads its view's one live-row mask
+// at the strip's first row, and bit r is set exactly when row r is
+// nonempty. The views are built by four concurrent first
 // callers, which the race smoke in scripts/ci.sh checks.
 func TestPullViewsSliceCSR(t *testing.T) {
 	const n = 37
@@ -122,7 +124,8 @@ func TestPullViewsSliceCSR(t *testing.T) {
 						}
 						// The strips are SubRows views, so strip 0's
 						// arrays reslice to the whole view's.
-						beg, end := ps.Strips[0].Beg[:ps.Rows], ps.Strips[0].End[:ps.Rows]
+						rows := ps.Offsets[len(ps.Offsets)-1]
+						beg, end := ps.Strips[0].Beg[:rows], ps.Strips[0].End[:rows]
 						if j == 0 && &beg[0] != &xadj[rowLo] {
 							t.Errorf("%s row block %d: first boundary is not XAdj", name, i)
 						}
@@ -139,6 +142,16 @@ func TestPullViewsSliceCSR(t *testing.T) {
 							}
 							if &strip.Beg[0] != &beg[ps.Offsets[s]] || &strip.End[0] != &end[ps.Offsets[s]] {
 								t.Errorf("%s block (%d,%d) strip %d: not a SubRows view", name, i, j, s)
+							}
+							if &strip.Live[0] != &ps.Strips[0].Live[0] || strip.LiveOff != ps.Offsets[s] {
+								t.Errorf("%s block (%d,%d) strip %d: live mask is not the view's at the strip's row", name, i, j, s)
+							}
+							for r := int64(0); r < strip.Rows; r++ {
+								g := strip.LiveOff + r
+								if live := strip.Live[g/64]>>uint(g%64)&1 == 1; live != (strip.Beg[r] != strip.End[r]) {
+									t.Fatalf("%s block (%d,%d) strip %d row %d: live bit %v, row length %d",
+										name, i, j, s, r, live, strip.End[r]-strip.Beg[r])
+								}
 							}
 							want := refPullRows(blk.Strips[s], g.Part.ColStart(j))
 							for r := int64(0); r < strip.Rows; r++ {

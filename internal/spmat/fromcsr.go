@@ -107,8 +107,10 @@ func TransposedBlocks(csr *graph.CSR, rowBounds, colBounds []int64, t int) [][]*
 // gives. The runs of row block i start at boundaries 0..pc of each row:
 // boundary 0 is XAdj[v] and boundary pc is XAdj[v+1], so the row block
 // allocates only the pc−1 inner boundary arrays, and view [i][j] reads
-// boundaries j and j+1 as its Beg and End. Each view is split into the t
-// row strips TransposedBlocks uses. Ids stay global.
+// boundaries j and j+1 as its Beg and End. Each view carries its
+// live-row mask, built here once, and is split into the t row strips
+// TransposedBlocks uses, which read the mask at their first row. Ids
+// stay global.
 func PullBlocks(in *graph.CSR, rowBounds, colBounds []int64, t int) [][]*PullSplit {
 	pr, pc := len(rowBounds)-1, len(colBounds)-1
 	views := make([][]*PullSplit, pr)
@@ -131,8 +133,9 @@ func PullBlocks(in *graph.CSR, rowBounds, colBounds []int64, t int) [][]*PullSpl
 		offsets := stripOffsets(hi-lo, t)
 		views[i] = make([]*PullSplit, pc)
 		for j := range views[i] {
-			m := &PullCSR{Rows: hi - lo, Cols: colBounds[j+1] - colBounds[j], Beg: cut[j], End: cut[j+1], Adj: in.Adj}
-			ps := &PullSplit{Rows: m.Rows, Cols: m.Cols, Offsets: offsets, Strips: make([]*PullCSR, len(offsets)-1)}
+			m := &PullCSR{Rows: hi - lo, Cols: colBounds[j+1] - colBounds[j], Beg: cut[j], End: cut[j+1], Adj: in.Adj,
+				Live: LiveRows(cut[j], cut[j+1])}
+			ps := &PullSplit{Offsets: offsets, Strips: make([]*PullCSR, len(offsets)-1)}
 			for s := range ps.Strips {
 				ps.Strips[s] = m.SubRows(offsets[s], offsets[s+1])
 			}

@@ -1,6 +1,8 @@
 package spmat
 
 import (
+	mbits "math/bits"
+
 	"repro/internal/smp"
 	"repro/internal/spvec"
 )
@@ -136,22 +138,33 @@ func (rs *RowSplit) SpMSVMasks(dst *spvec.MaskVec, f *spvec.MaskVec, pool *smp.P
 // batched generalization of the scalar pull's first-parent exit, and
 // per-search it picks the same ascending-first parent. The returned
 // count is adjacency entries examined, counted once for the whole batch.
+//
+// Only the live rows are visited: the scan walks the set bits of the
+// live-row mask, so an empty row costs neither its visited mask nor its
+// offsets, and the cost is O(Rows/64) mask words plus the live rows.
 func (m *PullCSR) PullMasks(dst *spvec.MaskVec, frontier, visited []uint64, active uint64, visRowOff int64) int64 {
 	dst.Reset()
 	var scanned int64
-	for rl := int64(0); rl < m.Rows; rl++ {
-		cand := active &^ visited[visRowOff+rl]
-		if cand == 0 {
-			continue
+	for base := int64(0); base < m.Rows; base += 64 {
+		live := wordAt(m.Live, m.LiveOff+base)
+		if n := m.Rows - base; n < 64 {
+			live &= 1<<uint(n) - 1
 		}
-		for _, id := range m.Adj[m.Beg[rl]:m.End[rl]] {
-			scanned++
-			c := int64(id)
-			if hit := cand & frontier[c]; hit != 0 {
-				dst.Append(rl, hit, c)
-				cand &^= hit
-				if cand == 0 {
-					break
+		for ; live != 0; live &= live - 1 {
+			rl := base + int64(mbits.TrailingZeros64(live))
+			cand := active &^ visited[visRowOff+rl]
+			if cand == 0 {
+				continue
+			}
+			for _, id := range m.Adj[m.Beg[rl]:m.End[rl]] {
+				scanned++
+				c := int64(id)
+				if hit := cand & frontier[c]; hit != 0 {
+					dst.Append(rl, hit, c)
+					cand &^= hit
+					if cand == 0 {
+						break
+					}
 				}
 			}
 		}

@@ -22,23 +22,47 @@ import (
 // block, the run of the in-adjacency row whose ids fall in its column
 // block (PullBlocks), and SubRows views for thread strips alias the same
 // arrays. Cols is the width of the column range the ids fall in.
+//
+// Live is the view's live-row mask: bit LiveOff+r of Live is set exactly
+// when row r has an entry (Beg[r] < End[r]). Blocks of a 2D grid are
+// hypersparse, so most rows of a view are empty; the kernels read the
+// mask 64 rows at a time and never touch an empty row's offsets. It is
+// built once with the view (LiveRows), and a SubRows view shares it at
+// an offset, so strips that do not start on a word boundary need no
+// copy.
 type PullCSR struct {
 	Rows, Cols int64
 	Beg, End   []int64  // len Rows: row r is Adj[Beg[r]:End[r]]
 	Adj        []uint32 // global column ids, ascending within each row
+	Live       []uint64 // bit LiveOff+r set iff row r is nonempty
+	LiveOff    int64
+}
+
+// LiveRows returns the live-row mask of the rows beg and end bracket:
+// bit r is set exactly when beg[r] < end[r].
+func LiveRows(beg, end []int64) []uint64 {
+	live := make([]uint64, (len(beg)+63)/64)
+	for r := range beg {
+		if beg[r] < end[r] {
+			live[r/64] |= 1 << uint(r%64)
+		}
+	}
+	return live
 }
 
 // NewPullCSR wraps rows of an existing CSR without copying: row r is
-// adj[xadj[r]:xadj[r+1]]. The 1D driver uses it to present its local
-// in-adjacency to the shared pull kernel.
-func NewPullCSR(rows, cols int64, xadj []int64, adj []uint32) *PullCSR {
-	return &PullCSR{Rows: rows, Cols: cols, Beg: xadj[:rows], End: xadj[1 : rows+1], Adj: adj}
+// adj[xadj[r]:xadj[r+1]], and live is its LiveRows mask, built once by
+// the caller. The 1D driver uses it to present its local in-adjacency to
+// the shared pull kernel.
+func NewPullCSR(rows, cols int64, xadj []int64, adj []uint32, live []uint64) *PullCSR {
+	return &PullCSR{Rows: rows, Cols: cols, Beg: xadj[:rows], End: xadj[1 : rows+1], Adj: adj, Live: live}
 }
 
 // SubRows returns a view over rows [lo, hi) sharing the receiver's
-// storage; emitted row ids are relative to lo.
+// storage, live-row mask included; emitted row ids are relative to lo.
 func (m *PullCSR) SubRows(lo, hi int64) *PullCSR {
-	return &PullCSR{Rows: hi - lo, Cols: m.Cols, Beg: m.Beg[lo:hi], End: m.End[lo:hi], Adj: m.Adj}
+	return &PullCSR{Rows: hi - lo, Cols: m.Cols, Beg: m.Beg[lo:hi], End: m.End[lo:hi], Adj: m.Adj,
+		Live: m.Live, LiveOff: m.LiveOff + lo}
 }
 
 // Pull runs one bottom-up scan over the block: every row whose global id
@@ -49,15 +73,18 @@ func (m *PullCSR) SubRows(lo, hi int64) *PullCSR {
 // row order. The returned count is the number of adjacency entries
 // examined — the quantity the direction-optimizing heuristic saves.
 //
-// visited is read 64 rows at a time, so the scan costs O(Rows/64) word
-// reads plus the unvisited rows' entries up to each early exit: fully
-// visited spans cost one word each, whatever visRowOff's alignment.
+// visited and the live-row mask are read 64 rows at a time and ANDed,
+// so the scan costs O(Rows/64) word reads plus the entries of the
+// unvisited live rows up to each early exit: spans that are fully
+// visited or empty cost two words each, whatever the alignment of
+// visRowOff and LiveOff. An empty row scans no entry and yields no
+// parent, so skipping it changes neither the output nor the count.
 func (m *PullCSR) Pull(dst *spvec.Vec, frontier, visited *bits.Bitmap, visRowOff int64) int64 {
 	dst.Reset()
 	var scanned int64
 	vis := visited.Words()
 	for base := int64(0); base < m.Rows; base += 64 {
-		open := ^wordAt(vis, visRowOff+base)
+		open := ^wordAt(vis, visRowOff+base) & wordAt(m.Live, m.LiveOff+base)
 		if n := m.Rows - base; n < 64 {
 			open &= 1<<uint(n) - 1
 		}
@@ -92,9 +119,8 @@ func wordAt(ws []uint64, g int64) uint64 {
 // SpMSV so the hybrid variant pulls one strip per worker with no shared
 // mutable state. The strips are SubRows views of one block view.
 type PullSplit struct {
-	Rows, Cols int64
-	Offsets    []int64 // strip s covers rows [Offsets[s], Offsets[s+1])
-	Strips     []*PullCSR
+	Offsets []int64 // strip s covers rows [Offsets[s], Offsets[s+1])
+	Strips  []*PullCSR
 }
 
 // PullScratch is the reusable per-rank working state of a PullSplit

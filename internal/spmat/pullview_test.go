@@ -26,12 +26,12 @@ func (m *DCSC) PullView(colOff int64) *PullCSR {
 			cursor[r]++
 		}
 	}
-	return NewPullCSR(m.Rows, m.Cols, rowPtr, adj)
+	return NewPullCSR(m.Rows, m.Cols, rowPtr, adj, LiveRows(rowPtr[:m.Rows], rowPtr[1:]))
 }
 
 // PullView builds the row-major views of every strip.
 func (rs *RowSplit) PullView(colOff int64) *PullSplit {
-	ps := &PullSplit{Rows: rs.Rows, Cols: rs.Cols, Offsets: rs.Offsets}
+	ps := &PullSplit{Offsets: rs.Offsets}
 	ps.Strips = make([]*PullCSR, len(rs.Strips))
 	for s, d := range rs.Strips {
 		ps.Strips[s] = d.PullView(colOff)

@@ -71,6 +71,31 @@ func pullPerRow(m *PullCSR, dst *spvec.Vec, frontier, visited *bits.Bitmap, visR
 	return scanned
 }
 
+// pullMasksPerRow is PullCSR.PullMasks visiting every row, empty or
+// not, the way the batched pull ran before the live-row mask.
+func pullMasksPerRow(m *PullCSR, dst *spvec.MaskVec, frontier, visited []uint64, active uint64, visRowOff int64) int64 {
+	dst.Reset()
+	var scanned int64
+	for rl := int64(0); rl < m.Rows; rl++ {
+		cand := active &^ visited[visRowOff+rl]
+		if cand == 0 {
+			continue
+		}
+		for _, id := range m.Adj[m.Beg[rl]:m.End[rl]] {
+			scanned++
+			c := int64(id)
+			if hit := cand & frontier[c]; hit != 0 {
+				dst.Append(rl, hit, c)
+				cand &^= hit
+				if cand == 0 {
+					break
+				}
+			}
+		}
+	}
+	return scanned
+}
+
 func samePairs(a, b [][2]int) bool {
 	if len(a) != len(b) {
 		return false
@@ -358,7 +383,9 @@ func TestPullMatchesPerRowReference(t *testing.T) {
 // so entries range from dense runs to row and column ids past 2^16;
 // seed picks the frontier, the visited rows and both offsets. The CSC product finds
 // each row's smallest frontier column as the (select,max) product of the
-// negated column ids, masked by the unvisited rows.
+// negated column ids, masked by the unvisited rows. The live-row mask
+// must change nothing: Pull and PullMasks, masked, with every row marked
+// live and per row, over the view and a suffix of it, agree.
 func FuzzPullView(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0}, uint32(3), uint8(0), uint64(0))
 	f.Add([]byte{}, uint32(0), uint8(0), uint64(1))
@@ -423,6 +450,47 @@ func FuzzPullView(f *testing.F) {
 		}
 		if scanned != refScanned || !vecsEqual(&got, &ref) {
 			t.Fatalf("%dx%d: pull scanned %d, per-row pull %d", rows, cols, scanned, refScanned)
+		}
+
+		// The live-row mask skips only rows that scan nothing: the view
+		// with every row marked live, a suffix view whose mask starts at
+		// an unaligned row, and the batched pull with and without the
+		// mask all match the unmasked per-row result.
+		unmasked := *pv
+		unmasked.Live = make([]uint64, (rows+63)/64)
+		for w := range unmasked.Live {
+			unmasked.Live[w] = ^uint64(0)
+		}
+		var all spvec.Vec
+		if s := unmasked.Pull(&all, frontier, visited, visRowOff); s != scanned || !vecsEqual(&all, &got) {
+			t.Fatalf("%dx%d: masked pull scanned %d, unmasked %d", rows, cols, scanned, s)
+		}
+		lo := rng.Int64n(rows)
+		var sub, subRef spvec.Vec
+		if s, w := pv.SubRows(lo, rows).Pull(&sub, frontier, visited, visRowOff+lo),
+			pullPerRow(unmasked.SubRows(lo, rows), &subRef, frontier, visited, visRowOff+lo); s != w || !vecsEqual(&sub, &subRef) {
+			t.Fatalf("%dx%d rows [%d, %d): masked pull scanned %d, unmasked %d", rows, cols, lo, rows, s, w)
+		}
+		fPlane, vPlane := make([]uint64, frontier.Len()), make([]uint64, visited.Len())
+		for c := range fPlane {
+			fPlane[c] = rng.Uint64() & rng.Uint64() &^ 1
+			if frontier.Get(int64(c)) {
+				fPlane[c] |= 1
+			}
+		}
+		for r := range vPlane {
+			vPlane[r] = rng.Uint64() & rng.Uint64() &^ 1
+			if visited.Get(int64(r)) {
+				vPlane[r] |= 1
+			}
+		}
+		active := rng.Uint64() | 1
+		var masks, masksAll, masksRef spvec.MaskVec
+		sm := pv.PullMasks(&masks, fPlane, vPlane, active, visRowOff)
+		sa := unmasked.PullMasks(&masksAll, fPlane, vPlane, active, visRowOff)
+		sr := pullMasksPerRow(pv, &masksRef, fPlane, vPlane, active, visRowOff)
+		if sm != sr || sa != sr || !maskVecsEqual(&masks, &masksRef) || !maskVecsEqual(&masksAll, &masksRef) {
+			t.Fatalf("%dx%d: batched pull scanned %d masked, %d unmasked, %d per row", rows, cols, sm, sa, sr)
 		}
 	})
 }

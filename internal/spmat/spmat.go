@@ -16,7 +16,11 @@
 // views, which slice a graph.CSR instead of copying it: the 1D driver
 // wraps its rank's rows, and PullBlocks cuts each row of the 2D
 // in-adjacency at the column-block boundaries, so the blocks are stored
-// once, as DCSC, as the paper stores them.
+// once, as DCSC, as the paper stores them. A pull view adds one bit a
+// row, its live-row mask, built with the view: the pulls visit only the
+// rows that have an entry in the block, so an empty row of a
+// hypersparse block costs the pull one bit of a mask word, not a load
+// of its offsets.
 //
 // Index widths: the ids every kernel streams are uint32. DCSC.IR is
 // block-local, so a block may have at most MaxBlockDim rows and

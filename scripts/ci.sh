@@ -94,16 +94,17 @@ echo "== race smoke (session reuse + collective substrate) =="
 # figures); the 2D driver's rectangular transpose and
 # partitioned-bitmap paths, and its pull views, built once on first use
 # and then read by every rank of every bottom-up search; the
-# single-search 1D, 2D and diagonal
-# drivers and the Section 6 comparators' level loop (internal/baseline),
-# whose ranks all write their owned ranges of one shared pair of output
-# arrays; and the narrow-batch crossover, which runs one- to
+# single-search 1D, 2D and diagonal drivers, with their direction
+# tests, whose bottom-up ranks all read the live-row masks Ins builds
+# once per 1D in-adjacency; the Section 6 comparators' level loop
+# (internal/baseline), whose ranks all write their owned ranges of one
+# shared pair of output arrays; and the narrow-batch crossover, which runs one- to
 # eight-source batches beside single searches on one warm session.
 go test -race -run 'Session|CrossShape|RectGrid|TraceGolden|Decision|NarrowBatch' .
 go test -race -short -run 'Conformance' .
 go test -race ./internal/levels ./internal/cluster ./internal/smp
 go test -race -run 'Rect|Pull' ./internal/bfs2d
-go test -race -run 'MatchesSerial|Diagonal' ./internal/bfs1d ./internal/bfs2d
+go test -race -run 'MatchesSerial|Diagonal|Direction' ./internal/bfs1d ./internal/bfs2d
 go test -race ./internal/baseline
 # The R-MAT generator fills one edge slice from GOMAXPROCS workers.
 go test -race ./internal/rmat
